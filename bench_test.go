@@ -3,6 +3,8 @@ package flowtune_test
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	flowtune "repro"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fastpass"
 	"repro/internal/num"
+	"repro/internal/server"
 	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -569,4 +572,110 @@ func BenchmarkPacketSimulator(b *testing.B) {
 		eng.Run(2e-3)
 		b.ReportMetric(float64(eng.Sim().Processed()), "events")
 	}
+}
+
+// readCountingConn counts the Read calls the daemon's session reader issues.
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// BenchmarkServerChurnStep measures one heavy-churn control-loop round trip
+// through a real daemon over loopback TCP — the repository benchmark's
+// churn-20k workload as a microbenchmark: 20 000 resident flowlets on a
+// 1 024-host leaf-spine, and per op 2 000 ends + 2 000 starts + one Step,
+// whose reply carries a rate for nearly every flow. ns/event is the whole
+// round trip per notification (client encode and decode included),
+// reads/step is how many Read calls the daemon needed to take the 4 001-frame
+// burst in, and allocs/op covers both ends of the connection.
+func BenchmarkServerChurnStep(b *testing.B) {
+	const (
+		resident = 20000
+		churn    = 2000
+	)
+	topo, err := topology.NewTwoTier(topology.Config{
+		Racks: 32, ServersPerRack: 32, Spines: 16, LinkCapacity: 10e9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Topology: topo})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	var reads atomic.Int64
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		srv.ServeConn(readCountingConn{Conn: conn, reads: &reads})
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := transport.NewAllocClient(conn, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	n := topo.NumServers()
+	next := int64(0)
+	start := func() {
+		src := rng.Intn(n)
+		dst := rng.Intn(n - 1)
+		if dst >= src {
+			dst++
+		}
+		if err := client.FlowletStart(core.FlowID(next), src, dst, 1); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	step := func() {
+		if _, err := client.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for next < resident {
+		start()
+	}
+	step()
+	op := func() {
+		for k := 0; k < churn; k++ {
+			if err := client.FlowletEnd(core.FlowID(next - resident)); err != nil {
+				b.Fatal(err)
+			}
+			start()
+		}
+		step()
+	}
+	for i := 0; i < 5; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	reads.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*churn), "ns/event")
+	b.ReportMetric(float64(reads.Load())/float64(b.N), "reads/step")
+	client.Close()
+	<-served
 }

@@ -126,9 +126,13 @@ type TrafficStats struct {
 type Allocator struct {
 	cfg  Config
 	topo *topology.Topology
-	// routes memoizes path computation so repeated flowlet starts between
-	// the same endpoints (with the same ECMP hash class) never re-route.
-	routes *topology.RouteCache
+
+	// freeRoutes recycles the route slices of ended flowlets (each of
+	// capacity topology.MaxRouteLinks) and util memoizes the boxed utility
+	// of the last weight seen, so steady-state churn allocates nothing.
+	freeRoutes [][]int32
+	utilWeight float64
+	util       num.Utility
 
 	problem   num.Problem
 	state     *num.State
@@ -163,7 +167,6 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	a := &Allocator{
 		cfg:                 cfg,
 		topo:                topo,
-		routes:              topology.NewRouteCache(topo),
 		indexByID:           make(map[FlowID]int),
 		effectiveCapacities: eff,
 	}
@@ -206,14 +209,18 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 		weight = 1
 	}
 	// Path selection mirrors ECMP: hash the flow ID over the spines so the
-	// allocator and the network agree on paths (§7).
-	route, err := a.routes.Route(src, dst, int(id))
-	if err != nil {
-		return fmt.Errorf("core: flowlet %d: %w", id, err)
+	// allocator and the network agree on paths (§7). The route is written
+	// straight into the slice the problem keeps for this flow.
+	var links []int32
+	if n := len(a.freeRoutes); n > 0 {
+		links, a.freeRoutes = a.freeRoutes[n-1][:0], a.freeRoutes[:n-1]
+	} else {
+		links = make([]int32, 0, topology.MaxRouteLinks)
 	}
-	links := make([]int32, len(route))
-	for i, l := range route {
-		links[i] = int32(l)
+	links, err := a.topo.RouteInto(links, src, dst, int(id))
+	if err != nil {
+		a.freeRoutes = append(a.freeRoutes, links)
+		return fmt.Errorf("core: flowlet %d: %w", id, err)
 	}
 	idx := len(a.flows)
 	a.flows = append(a.flows, flowState{id: id, src: src, dst: dst, weight: weight, size: size})
@@ -222,10 +229,11 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 	// O(1), the same scale they are initialized to. Proportional fairness
 	// is unaffected by a uniform scaling of weights. AppendFlow keeps the
 	// compiled CSR index in sync incrementally.
-	a.problem.AppendFlow(num.Flow{
-		Route: links,
-		Util:  num.LogUtility{W: weight * a.topo.Config().LinkCapacity},
-	})
+	if weight != a.utilWeight { // weight > 0, so the first call never matches the zero value
+		a.utilWeight = weight
+		a.util = num.LogUtility{W: weight * a.topo.Config().LinkCapacity}
+	}
+	a.problem.AppendFlow(num.Flow{Route: links, Util: a.util})
 	a.state.Resize(len(a.problem.Flows))
 	a.stats.StartNotifications++
 	a.stats.ToAllocatorBytes += FlowletStartBytes + perMessageOverheadBytes
@@ -245,6 +253,7 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 		a.indexByID[a.flows[idx].id] = idx
 	}
 	a.flows = a.flows[:last]
+	a.freeRoutes = append(a.freeRoutes, a.problem.Flows[idx].Route)
 	// RemoveFlowSwap applies the same swap-delete to the problem and its
 	// compiled CSR index.
 	a.problem.RemoveFlowSwap(idx)

@@ -275,10 +275,10 @@ type ParallelAllocator struct {
 	cfg  ParallelConfig
 	topo *topology.Topology
 	part *topology.BlockPartition
-	// routes memoizes path computation; with a warm cache FlowletStart is
-	// allocation-free, which BenchmarkParallelChurn and
-	// TestParallelChurnAllocFree pin.
-	routes *topology.RouteCache
+	// routeBuf is addFlow's route scratch: routing is table lookups into it
+	// (topology.RouteInto), so FlowletStart is allocation-free, which
+	// BenchmarkParallelChurn and TestChurnAllocFree pin.
+	routeBuf []int32
 
 	numBlocks int
 	gamma     float64
@@ -345,7 +345,7 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 		cfg:       cfg,
 		topo:      cfg.Topology,
 		part:      part,
-		routes:    topology.NewRouteCache(cfg.Topology),
+		routeBuf:  make([]int32, 0, topology.MaxRouteLinks),
 		numBlocks: cfg.Blocks,
 		gamma:     gamma,
 		maxRate:   cfg.Topology.Config().LinkCapacity,
@@ -456,7 +456,7 @@ func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight fl
 // addFlow routes and appends one flow (shared by FlowletStart and SetFlows;
 // the caller has already rejected duplicates).
 func (p *ParallelAllocator) addFlow(f ParallelFlow) error {
-	route, err := p.routes.Route(f.Src, f.Dst, int(f.ID))
+	route, err := p.topo.RouteInto(p.routeBuf[:0], f.Src, f.Dst, int(f.ID))
 	if err != nil {
 		return fmt.Errorf("core: flow %d: %w", f.ID, err)
 	}

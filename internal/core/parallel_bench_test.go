@@ -101,11 +101,12 @@ func benchFlow(id FlowID, numServers int) ParallelFlow {
 	return ParallelFlow{ID: id, Src: src, Dst: dst, Weight: 1}
 }
 
-// TestParallelChurnAllocFree pins the allocation-free churn property: with a
-// warm route cache and warmed arenas, a steady-state FlowletEnd+FlowletStart
-// pair performs zero heap allocations (the former topo.Route call allocated
-// one Path per start; the (src, dst, hash)-keyed RouteCache removes it).
-func TestParallelChurnAllocFree(t *testing.T) {
+// TestChurnAllocFree pins the allocation-free churn property on both engines:
+// once the arenas (and the sequential allocator's recycled route slices) are
+// warm, a steady-state FlowletEnd+FlowletStartSized pair performs zero heap
+// allocations. Routing is table lookups into scratch (topology.RouteInto), so
+// nothing here depends on which endpoints or ECMP classes were seen before.
+func TestChurnAllocFree(t *testing.T) {
 	topo, err := topology.NewTwoTier(topology.Config{
 		Racks: 4, ServersPerRack: 8, Spines: 2, LinkCapacity: 10e9,
 	})
@@ -113,48 +114,58 @@ func TestParallelChurnAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := topo.NumServers()
+	seq, err := NewAllocator(Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 2, Normalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pa.Close()
-	const base = 512
-	for i := 0; i < base; i++ {
-		f := benchFlow(FlowID(i), n)
-		if err := pa.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm every (src, dst, hash-class) the churn sequence will touch, plus
-	// the arena compaction scratch, by cycling the whole window once.
-	oldest, next := FlowID(0), FlowID(base)
-	churn := func() {
-		if err := pa.FlowletEnd(oldest); err != nil {
-			t.Fatal(err)
-		}
-		oldest++
-		f := benchFlow(next, n)
-		// benchFlow endpoints depend on id modulo the server count; keep the
-		// hash class stable too by reusing ids modulo a fixed cycle.
-		if err := pa.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}
-	for i := 0; i < 4*base; i++ {
-		churn()
-	}
-	if avg := testing.AllocsPerRun(200, churn); avg != 0 {
-		t.Fatalf("steady-state churn allocates %.1f objects per start/end pair, want 0", avg)
+	engines := map[string]interface {
+		FlowletStartSized(id FlowID, src, dst int, weight float64, size int64) error
+		FlowletEnd(id FlowID) error
+	}{"sequential": seq, "parallel": pa}
+	for name, eng := range engines {
+		t.Run(name, func(t *testing.T) {
+			const base = 512
+			oldest, next := FlowID(0), FlowID(0)
+			start := func() {
+				f := benchFlow(next, n)
+				if err := eng.FlowletStartSized(f.ID, f.Src, f.Dst, f.Weight, 1<<20); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			for next < base {
+				start()
+			}
+			churn := func() {
+				if err := eng.FlowletEnd(oldest); err != nil {
+					t.Fatal(err)
+				}
+				oldest++
+				start()
+			}
+			// Cycle the whole window a few times to size the arenas and their
+			// compaction scratch.
+			for i := 0; i < 4*base; i++ {
+				churn()
+			}
+			if avg := testing.AllocsPerRun(200, churn); avg != 0 {
+				t.Fatalf("steady-state churn allocates %.1f objects per start/end pair, want 0", avg)
+			}
+		})
 	}
 }
 
 // BenchmarkParallelChurn measures one daemon-realistic iteration boundary —
 // a burst of flowlet starts and ends folded in, then one parallel iteration —
 // through the incremental FlowletStart/FlowletEnd path versus the former
-// full-rebuild (SetFlows of the whole live set) baseline. With the route
-// cache warm the churn itself is allocation-free (TestParallelChurnAllocFree
-// asserts exactly that), so -benchmem here shows only the iteration path.
+// full-rebuild (SetFlows of the whole live set) baseline. The churn itself is
+// allocation-free (TestChurnAllocFree asserts exactly that), so -benchmem
+// here shows only the iteration path.
 func BenchmarkParallelChurn(b *testing.B) {
 	const (
 		blocks     = 2

@@ -1231,14 +1231,14 @@ func (s *Server) adoptLocked(dead int) {
 	if rep != nil {
 		for _, e := range rep.flows {
 			id := core.FlowID(e.Flow)
-			if _, exists := s.owners[id]; exists {
+			if s.flows[id] != nil {
 				continue
 			}
 			if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
 				failed++
 				continue
 			}
-			s.owners[id] = nil
+			s.trackFlowLocked(id)
 			s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 			adopted++
 		}

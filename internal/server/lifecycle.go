@@ -145,7 +145,7 @@ func (s *Server) Restore(snap []byte) error {
 				if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
 					return fmt.Errorf("server: restore flowlet %d: %w", e.Flow, err)
 				}
-				s.owners[id] = nil
+				s.trackFlowLocked(id)
 				s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 			}
 		case wire.TypePriceSnapshot:
@@ -238,7 +238,7 @@ func (s *Server) Shutdown(timeout time.Duration) ([]byte, error) {
 	return snap, s.Close()
 }
 
-// fanoutDrained reports whether every session's pending rate-update queue is
+// fanoutDrained reports whether every session's pending rate-update list is
 // empty (the per-session writers have caught up).
 func (s *Server) fanoutDrained() bool {
 	s.mu.Lock()

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,6 +173,33 @@ type flowMeta struct {
 	weight   float64
 }
 
+// flowRec is the daemon's one record per registered flowlet — who owns it and
+// where its rate fan-out stands — so the loop does a single table lookup per
+// flowlet event and per rate update. The ownership half is guarded by srv.mu;
+// the fan-out half by the owning session's pmu, which is what lets that
+// session's writer goroutine drain it without touching the flow table.
+type flowRec struct {
+	id core.FlowID
+	// owner is the session that registered the flow and receives its rates;
+	// nil for a flow that lives in the engine without one (restored from a
+	// snapshot, seeded from a peer replica, or left by a session that
+	// disconnected mid-drain). ownIdx is the record's slot in owner.owned.
+	owner  *session
+	ownIdx int32
+
+	// pendIdx is the record's slot in owner.pending while rate is waiting
+	// for the writer, -1 otherwise.
+	pendIdx int32
+	rate    float64
+	// lastSent shadows the value last sent for the flow — the rate's bit
+	// pattern, or its quantized Mbps in QuantizeRates mode — so the writer
+	// skips a rate the client already holds. It counts only while sentGen
+	// equals owner.shadowGen (v4 sessions only). The shadow lives and dies
+	// with the record: a later flowlet reusing the ID starts from none.
+	sentGen  uint32
+	lastSent uint64
+}
+
 // event is one flowlet notification waiting for the next iteration boundary.
 type event struct {
 	end      bool
@@ -203,14 +229,19 @@ type Server struct {
 	sessions map[*session]struct{}
 	// conns tracks every connection handed to ServeConn, including ones
 	// still mid-handshake, so Close can unblock their readers.
-	conns  map[net.Conn]struct{}
-	owners map[core.FlowID]*session
+	conns map[net.Conn]struct{}
+	// flows is the flow table: one record per flowlet registered with the
+	// engine, owned or not.
+	flows map[core.FlowID]*flowRec
 	// unowned holds the registration metadata of flows that live in the
 	// engine without an owning session (restored from a snapshot or seeded
 	// from a peer replica), so a reconnecting client's re-registration can
 	// be verified and adopted without engine churn.
-	unowned  map[core.FlowID]flowMeta
-	inbox    []event
+	unowned map[core.FlowID]flowMeta
+	inbox   []event
+	// fanning is iterate's scratch: the sessions whose pmu the running
+	// fan-out pass holds.
+	fanning  []*session
 	seq      uint64 // iteration counter
 	closed   bool
 	draining bool
@@ -291,7 +322,7 @@ func New(cfg Config) (*Server, error) {
 		loop:     metrics.NewLoopRecorder(cfg.LatencyWindow),
 		sessions: make(map[*session]struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		owners:   make(map[core.FlowID]*session),
+		flows:    make(map[core.FlowID]*flowRec),
 		unowned:  make(map[core.FlowID]flowMeta),
 		done:     make(chan struct{}),
 	}
@@ -362,11 +393,11 @@ func (s *Server) BumpEpoch(epoch uint64) error {
 		go func() {
 			defer s.wg.Done()
 			// The epoch bump resets the client's view (it re-registers its
-			// flowlets), so the delta fan-out must re-baseline: drop the
+			// flowlets), so the delta fan-out must re-baseline: void every
 			// last-sent shadow before the notify so every later rate is
 			// sent in full.
 			sess.pmu.Lock()
-			clear(sess.lastSent)
+			sess.shadowGen++
 			sess.pmu.Unlock()
 			if err := sess.write(frame); err != nil {
 				s.removeSession(sess)
@@ -566,24 +597,22 @@ type session struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	// Asynchronous fan-out with coalescing backpressure: pending holds the
-	// latest rate per flow not yet drained by the writer goroutine, so a
-	// slow client bounds daemon memory at O(its flows) and always catches
-	// up to the *current* allocation, never a backlog of stale ones.
+	// Asynchronous fan-out with coalescing backpressure: pending lists the
+	// owned flows holding a rate (flowRec.rate, the latest) not yet drained
+	// by the writer goroutine, so a slow client bounds daemon memory at
+	// O(its flows) and always catches up to the *current* allocation, never
+	// a backlog of stale ones. pmu guards it, pendingSeq, shadowGen and the
+	// fan-out half of every owned flowRec.
 	pmu        sync.Mutex
-	pending    map[int64]float64
+	pending    []*flowRec
 	pendingSeq uint64
 	kick       chan struct{}
 	done       chan struct{}
 
-	// lastSent (guarded by pmu, v4 sessions only) shadows the last rate
-	// value sent per flow — the xor bit pattern, or the quantized Mbps in
-	// QuantizeRates mode — so the writer skips flows whose rate has not
-	// changed since the session's last batch. It is per-session state: a
-	// reconnect starts a fresh session (and shadow), BumpEpoch clears it,
-	// and a flowlet end deletes its entry so a reused flow ID is never
-	// suppressed against a retired flow's rate.
-	lastSent map[int64]uint64
+	// shadowGen is the generation of the session's last-sent shadows (see
+	// flowRec.lastSent); BumpEpoch advances it to void them all at once. A
+	// reconnect starts a fresh session, so its shadows start empty too.
+	shadowGen uint32
 
 	// fanBuf and fanEntries are the writer's reused encode buffer and entry
 	// scratch; replyEntries is the step-reply path's (the two paths run on
@@ -593,9 +622,29 @@ type session struct {
 	fanEntries   []wire.RateEntry
 	replyEntries []wire.RateEntry
 
-	// flows are the flowlets this session registered (owned). Guarded by
+	// owned are the flowlets this session registered, and fanning marks
+	// that the running iteration's fan-out pass holds pmu. Guarded by
 	// srv.mu.
-	flows map[core.FlowID]struct{}
+	owned   []*flowRec
+	fanning bool
+}
+
+// own and disown keep sess.owned and the record's back-pointers in step.
+// Called with srv.mu held.
+func (sess *session) own(rec *flowRec) {
+	rec.owner = sess
+	rec.ownIdx = int32(len(sess.owned))
+	sess.owned = append(sess.owned, rec)
+}
+
+func (sess *session) disown(rec *flowRec) {
+	last := len(sess.owned) - 1
+	moved := sess.owned[last]
+	sess.owned[rec.ownIdx] = moved
+	moved.ownIdx = rec.ownIdx
+	sess.owned[last] = nil
+	sess.owned = sess.owned[:last]
+	rec.owner = nil
 }
 
 // ServeConn runs one client session over conn (any net.Conn: loopback TCP
@@ -653,15 +702,13 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 
 	sess := &session{
-		srv:      s,
-		conn:     conn,
-		id:       hello.ClientID,
-		version:  hello.Version,
-		pending:  make(map[int64]float64),
-		lastSent: make(map[int64]uint64),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		flows:    make(map[core.FlowID]struct{}),
+		srv:       s,
+		conn:      conn,
+		id:        hello.ClientID,
+		version:   hello.Version,
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
+		shadowGen: 1, // a record's zero sentGen means never sent
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -801,15 +848,16 @@ func (s *Server) removeSession(sess *session) {
 		// would retire exactly the flows a restarted or adopting daemon
 		// needs. Clients fail over warm at last-known rates regardless.
 		// The flows become unowned, claimable by a reconnecting client.
-		for id := range sess.flows {
-			s.owners[id] = nil
+		for _, rec := range sess.owned {
+			rec.owner = nil
 		}
+		sess.owned = nil
 	} else {
-		orphans = make([]core.FlowID, 0, len(sess.flows))
-		for id := range sess.flows {
-			orphans = append(orphans, id)
+		orphans = make([]core.FlowID, 0, len(sess.owned))
+		for _, rec := range sess.owned {
+			orphans = append(orphans, rec.id)
 		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
+		slices.Sort(orphans)
 		for _, id := range orphans {
 			s.inbox = append(s.inbox, event{end: true, flow: id, sess: sess, cleanup: true})
 		}
@@ -829,24 +877,30 @@ func (sess *session) write(frame []byte) error {
 	return err
 }
 
-// queueUpdate records a rate update for asynchronous delivery, coalescing
-// with any undelivered update for the same flow (latest rate wins). Called
-// with srv.mu held.
-func (sess *session) queueUpdate(flow int64, rate float64, seq uint64) {
-	sess.pmu.Lock()
-	if _, dup := sess.pending[flow]; dup {
+// queue records a rate for asynchronous delivery, coalescing with an
+// undelivered one for the same flow (latest rate wins); unqueue withdraws it.
+// Called with pmu held.
+func (sess *session) queue(rec *flowRec, rate float64) {
+	if rec.pendIdx >= 0 {
 		sess.srv.stCoalesced.Add(1)
+	} else {
+		rec.pendIdx = int32(len(sess.pending))
+		sess.pending = append(sess.pending, rec)
 	}
-	sess.pending[flow] = rate
-	sess.pendingSeq = seq
-	sess.pmu.Unlock()
-	select {
-	case sess.kick <- struct{}{}:
-	default:
-	}
+	rec.rate = rate
 }
 
-// writer drains the pending map into rate frames. One goroutine per
+func (sess *session) unqueue(rec *flowRec) {
+	last := len(sess.pending) - 1
+	moved := sess.pending[last]
+	sess.pending[rec.pendIdx] = moved
+	moved.pendIdx = rec.pendIdx
+	sess.pending[last] = nil
+	sess.pending = sess.pending[:last]
+	rec.pendIdx = -1
+}
+
+// writer drains the pending list into rate frames. One goroutine per
 // session, so a slow client never blocks the allocator loop or its peers.
 func (sess *session) writer() {
 	for {
@@ -871,50 +925,47 @@ func (sess *session) shadowBits(rate float64) uint64 {
 	return math.Float64bits(rate)
 }
 
-// flushPending drains the pending map into one burst of RateBatch (v3) or
+// flushPending drains the pending list into one burst of RateBatch (v3) or
 // RateDelta (v4) frames, reporting false on a write error. The drain and the
 // write happen under one wmu hold: once a step reply (also serialized by
-// wmu) has purged a superseded rate from the pending map, no stale copy of
-// it can reach the wire afterwards. Buffers and entry scratch live on the
+// wmu) has withdrawn a superseded rate from the pending list, no stale copy
+// of it can reach the wire afterwards. Buffers and entry scratch live on the
 // session, so the steady state allocates nothing.
 func (sess *session) flushPending() bool {
 	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
 	sess.pmu.Lock()
-	if len(sess.pending) == 0 {
-		sess.pmu.Unlock()
-		sess.wmu.Unlock()
-		return true
-	}
 	delta := sess.version >= 4
-	drained := 0
+	drained := len(sess.pending)
 	entries := sess.fanEntries[:0]
-	for flow, rate := range sess.pending {
-		delete(sess.pending, flow)
-		drained++
+	for i, rec := range sess.pending {
+		sess.pending[i] = nil
+		rec.pendIdx = -1
 		if delta {
 			// Skip flows whose rate is unchanged since this session's last
 			// sent value. The engine's own notification threshold already
 			// suppresses unchanged rates at the source, so this almost
 			// never fires in lossless mode — but quantization collapses
 			// nearby rates, and the shadow is what makes that cheap.
-			bits := sess.shadowBits(rate)
-			if prev, seen := sess.lastSent[flow]; seen && prev == bits {
+			bits := sess.shadowBits(rec.rate)
+			if rec.sentGen == sess.shadowGen && rec.lastSent == bits {
 				continue
 			}
-			sess.lastSent[flow] = bits
+			rec.sentGen, rec.lastSent = sess.shadowGen, bits
 		}
-		entries = append(entries, wire.RateEntry{Flow: flow, Rate: rate})
+		entries = append(entries, wire.RateEntry{Flow: int64(rec.id), Rate: rec.rate})
 	}
+	sess.pending = sess.pending[:0]
 	seq := sess.pendingSeq
 	sess.pmu.Unlock()
 	sess.fanEntries = entries
-	sess.srv.stFanoutFixed.Add(fixedRateBytes(drained))
-	if len(entries) == 0 {
-		sess.wmu.Unlock()
+	if drained == 0 {
 		return true
 	}
-	// Deterministic wire order regardless of map iteration (and small flow
-	// deltas for the v4 encoding), chunked to the per-frame entry limit.
+	sess.srv.stFanoutFixed.Add(fixedRateBytes(drained))
+	// Deterministic wire order whatever order the rates were queued in (and
+	// small flow deltas for the v4 encoding), chunked to the per-frame entry
+	// limit.
 	slices.SortFunc(entries, func(a, b wire.RateEntry) int {
 		return cmp.Compare(a.Flow, b.Flow)
 	})
@@ -922,28 +973,26 @@ func (sess *session) flushPending() bool {
 	if delta {
 		maxChunk = maxRateDeltaEntries
 	}
-	buf := sess.fanBuf
-	writeErr := false
-	var sent int64
 	for start := 0; start < len(entries); start += maxChunk {
 		end := min(start+maxChunk, len(entries))
+		buf := sess.fanBuf[:0]
 		if delta {
-			buf = wire.AppendRateDelta(buf[:0], seq, sess.srv.cfg.QuantizeRates, entries[start:end])
+			buf = wire.AppendRateDelta(buf, seq, sess.srv.cfg.QuantizeRates, entries[start:end])
 		} else {
-			buf = wire.AppendRateBatch(buf[:0], seq, entries[start:end])
+			buf = wire.AppendRateBatch(buf, seq, entries[start:end])
 		}
-		sent += int64(len(buf))
-		if _, err := sess.conn.Write(buf); err != nil {
-			writeErr = true
-			break
-		}
+		sess.fanBuf = buf
+		// Count before writing, as the step-reply path does: the write is
+		// what hands the frame to the client, and a client that holds it
+		// must find it in Stats.
 		sess.srv.stBatches.Add(1)
 		sess.srv.stUpdates.Add(int64(end - start))
+		sess.srv.stFanoutBytes.Add(int64(len(buf)))
+		if _, err := sess.conn.Write(buf); err != nil {
+			return false
+		}
 	}
-	sess.fanBuf = buf
-	sess.wmu.Unlock()
-	sess.srv.stFanoutBytes.Add(sent)
-	return !writeErr
+	return true
 }
 
 // fixedRateBytes is the wire cost of n rate updates as fixed v3 RateBatch
@@ -1001,96 +1050,90 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		s.recordTelemetryLocked(seq, latency.Seconds(), len(updates), churn)
 	}
 
-	var reply []byte
-	replyCount, replyBatches := 0, 0
+	// One pass over the updates, one flow-table lookup each: the stepper's
+	// go into its synchronous reply, everyone else's are queued for their
+	// session's writer. Each session's pmu is taken once for the whole pass
+	// and its writer kicked once after it.
+	var entries []wire.RateEntry
 	if stepper != nil {
-		for _, u := range updates {
-			if s.owners[u.Flow] == stepper {
-				replyCount++
-			}
+		entries = stepper.replyEntries[:0]
+		stepper.pmu.Lock()
+	}
+	for _, u := range updates {
+		rec := s.flows[u.Flow]
+		if rec == nil || rec.owner == nil {
+			continue
 		}
+		owner := rec.owner
+		if owner != stepper {
+			if !owner.fanning {
+				owner.fanning = true
+				owner.pmu.Lock()
+				s.fanning = append(s.fanning, owner)
+			}
+			owner.queue(rec, u.Rate)
+			continue
+		}
+		// Step replies keep the engine's update order and never consult the
+		// last-sent shadow — every update the engine surfaces reaches the
+		// stepping client, keeping step-driven runs (and the committed
+		// baselines) byte-identical across versions. The rate supersedes
+		// anything still queued for asynchronous delivery (from interleaved
+		// ticker iterations): withdraw it so the writer cannot emit a stale
+		// rate after the reply, and on v4 sessions record the shadow so a
+		// later asynchronous flush can suppress a resend of the same rate.
+		entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
+		if rec.pendIdx >= 0 {
+			stepper.unqueue(rec)
+		}
+		if stepper.version >= 4 {
+			rec.sentGen, rec.lastSent = stepper.shadowGen, stepper.shadowBits(u.Rate)
+		}
+	}
+	for i, sess := range s.fanning {
+		sess.pendingSeq = seq
+		sess.fanning = false
+		sess.pmu.Unlock()
+		select {
+		case sess.kick <- struct{}{}:
+		default:
+		}
+		s.fanning[i] = nil
+	}
+	s.fanning = s.fanning[:0]
+
+	var reply []byte
+	replyBatches := 0
+	if stepper != nil {
+		stepper.pmu.Unlock()
+		stepper.replyEntries = entries
 		// Chunk oversized update sets so no frame exceeds the uint24
 		// payload limit. Non-final chunks carry the iteration sequence
 		// (the client folds them in like asynchronous fan-out); only the
-		// final chunk carries the step-reply barrier.
+		// final chunk — the only one of an empty reply — carries the
+		// step-reply barrier. v4 replies use the delta encoding: zigzag
+		// flow deltas cost one extra bit for unsorted IDs, never
+		// correctness.
 		reply = stepper.wbuf[:0]
-		if stepper.version >= 4 {
-			// v4 step replies use the delta encoding in engine update
-			// order: zigzag flow deltas cost one extra bit for unsorted
-			// IDs, never correctness, and preserving order keeps decoded
-			// update sequences identical to the v3 wire.
-			entries := stepper.replyEntries[:0]
-			for _, u := range updates {
-				if s.owners[u.Flow] == stepper {
-					entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
-				}
+		delta := stepper.version >= 4
+		maxChunk := maxBatchEntries
+		if delta {
+			maxChunk = maxRateDeltaEntries
+		}
+		for start := 0; start == 0 || start < len(entries); start += maxChunk {
+			end := min(start+maxChunk, len(entries))
+			hdrSeq := seq
+			if end == len(entries) {
+				hdrSeq = stepSeq | wire.StepReplyFlag
 			}
-			stepper.replyEntries = entries
-			if len(entries) == 0 {
-				reply = wire.AppendRateDelta(reply, stepSeq|wire.StepReplyFlag, s.cfg.QuantizeRates, nil)
-				replyBatches = 1
+			if delta {
+				reply = wire.AppendRateDelta(reply, hdrSeq, s.cfg.QuantizeRates, entries[start:end])
 			} else {
-				for start := 0; start < len(entries); start += maxRateDeltaEntries {
-					end := min(start+maxRateDeltaEntries, len(entries))
-					hdrSeq := seq
-					if end == len(entries) {
-						hdrSeq = stepSeq | wire.StepReplyFlag
-					}
-					reply = wire.AppendRateDelta(reply, hdrSeq, s.cfg.QuantizeRates, entries[start:end])
-					replyBatches++
-				}
+				reply = wire.AppendRateBatch(reply, hdrSeq, entries[start:end])
 			}
-		} else if replyCount == 0 {
-			reply = wire.AppendRateBatchHeader(reply, stepSeq|wire.StepReplyFlag, 0)
-			replyBatches = 1
-		} else {
-			emitted, chunkLeft := 0, 0
-			for _, u := range updates {
-				if s.owners[u.Flow] != stepper {
-					continue
-				}
-				if chunkLeft == 0 {
-					n := replyCount - emitted
-					hdrSeq := seq
-					if n <= maxBatchEntries {
-						hdrSeq = stepSeq | wire.StepReplyFlag
-					} else {
-						n = maxBatchEntries
-					}
-					reply = wire.AppendRateBatchHeader(reply, hdrSeq, n)
-					chunkLeft = n
-					replyBatches++
-				}
-				reply = wire.AppendRateEntry(reply, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
-				chunkLeft--
-				emitted++
-			}
+			replyBatches++
 		}
 		stepper.wbuf = reply
-		// These rates supersede anything still queued for asynchronous
-		// delivery (from interleaved ticker iterations): purge them so the
-		// writer cannot emit a stale rate after the reply. On v4 sessions
-		// also record the last-sent shadow, so a later asynchronous flush
-		// can suppress a resend of the identical rate. Step replies
-		// themselves never consult the shadow — every update the engine
-		// surfaces reaches the stepping client, keeping step-driven runs
-		// (and the committed baselines) byte-identical across versions.
-		stepper.pmu.Lock()
-		for _, u := range updates {
-			if s.owners[u.Flow] == stepper {
-				delete(stepper.pending, int64(u.Flow))
-				if stepper.version >= 4 {
-					stepper.lastSent[int64(u.Flow)] = stepper.shadowBits(u.Rate)
-				}
-			}
-		}
-		stepper.pmu.Unlock()
-	}
-	for _, u := range updates {
-		owner := s.owners[u.Flow]
-		if owner != nil && owner != stepper {
-			owner.queueUpdate(int64(u.Flow), u.Rate, seq)
-		}
 	}
 	var peers []*peerConn
 	if s.shard != nil {
@@ -1111,9 +1154,9 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// stepping client, so a client sampling Stats right after Step must
 		// already see this reply (benchmark counters stay deterministic).
 		s.stBatches.Add(int64(replyBatches))
-		s.stUpdates.Add(int64(replyCount))
+		s.stUpdates.Add(int64(len(entries)))
 		s.stFanoutBytes.Add(int64(len(reply)))
-		s.stFanoutFixed.Add(fixedRateBytes(replyCount))
+		s.stFanoutFixed.Add(fixedRateBytes(len(entries)))
 		if err := stepper.write(reply); err != nil {
 			return fmt.Errorf("server: session %d: step reply: %w", stepper.id, err)
 		}
@@ -1131,15 +1174,17 @@ var maxBatchEntries = wire.MaxBatchEntries
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
 
 // drainInboxLocked folds pending flowlet events into the engine, in arrival
-// order, with duplicate/unknown defense. Called with s.mu held.
+// order, with duplicate/unknown defense — one flow-table lookup per event.
+// Called with s.mu held.
 func (s *Server) drainInboxLocked() {
 	for _, ev := range s.inbox {
+		rec := s.flows[ev.flow]
 		if ev.end {
-			owner, ok := s.owners[ev.flow]
-			if !ok {
+			if rec == nil {
 				s.stUnknown.Add(1)
 				continue
 			}
+			owner := rec.owner
 			if ev.cleanup && owner != ev.sess {
 				// Stale orphan sweep: the flow was re-registered (by a
 				// reconnected client under a new session) after the dead
@@ -1151,21 +1196,10 @@ func (s *Server) drainInboxLocked() {
 				s.logf("flowlet %d end: %v", ev.flow, err)
 				continue
 			}
-			delete(s.owners, ev.flow)
-			delete(s.unowned, ev.flow)
-			if owner != nil {
-				delete(owner.flows, ev.flow)
-				// Drop any undelivered rate and the delta shadow: a later
-				// flowlet reusing this ID must get its first rate on the
-				// wire even if it happens to equal the retired flow's last.
-				owner.pmu.Lock()
-				delete(owner.pending, int64(ev.flow))
-				delete(owner.lastSent, int64(ev.flow))
-				owner.pmu.Unlock()
-			}
+			s.forgetFlowLocked(rec)
 			continue
 		}
-		if owner, dup := s.owners[ev.flow]; dup {
+		if rec != nil {
 			// Adoption without churn: a flow restored from a snapshot or
 			// seeded from a peer replica sits in the engine unowned. When a
 			// reconnecting client re-registers it with the same route and
@@ -1173,11 +1207,10 @@ func (s *Server) drainInboxLocked() {
 			// retire/re-add pair, so prices and rates are undisturbed and a
 			// warm restart costs zero registrations.
 			meta, unowned := s.unowned[ev.flow]
-			if owner == nil && unowned && ev.sess != nil {
+			if rec.owner == nil && unowned && ev.sess != nil {
 				if meta.src == ev.src && meta.dst == ev.dst && meta.weight == ev.weight {
 					if _, live := s.sessions[ev.sess]; live {
-						s.owners[ev.flow] = ev.sess
-						ev.sess.flows[ev.flow] = struct{}{}
+						ev.sess.own(rec)
 						delete(s.unowned, ev.flow)
 						s.stAdopted.Add(1)
 					}
@@ -1189,8 +1222,7 @@ func (s *Server) drainInboxLocked() {
 					s.logf("flowlet %d stale-adopt end: %v", ev.flow, err)
 					continue
 				}
-				delete(s.owners, ev.flow)
-				delete(s.unowned, ev.flow)
+				s.forgetFlowLocked(rec)
 			} else {
 				s.stDupAdds.Add(1)
 				continue
@@ -1211,7 +1243,7 @@ func (s *Server) drainInboxLocked() {
 				s.stRejected.Add(1)
 				continue
 			}
-			if s.cfg.MaxSessionFlows > 0 && len(ev.sess.flows) >= s.cfg.MaxSessionFlows {
+			if s.cfg.MaxSessionFlows > 0 && len(ev.sess.owned) >= s.cfg.MaxSessionFlows {
 				s.stLimited.Add(1)
 				s.logf("flowlet %d add dropped: session %d at its %d-flow limit", ev.flow, ev.sess.id, s.cfg.MaxSessionFlows)
 				continue
@@ -1230,10 +1262,34 @@ func (s *Server) drainInboxLocked() {
 			s.logf("flowlet %d add rejected: %v", ev.flow, err)
 			continue
 		}
-		s.owners[ev.flow] = ev.sess
+		rec = s.trackFlowLocked(ev.flow)
 		if ev.sess != nil {
-			ev.sess.flows[ev.flow] = struct{}{}
+			ev.sess.own(rec)
 		}
 	}
 	s.inbox = s.inbox[:0]
+}
+
+// trackFlowLocked enters a flowlet just registered with the engine into the
+// flow table, unowned. Called with s.mu held.
+func (s *Server) trackFlowLocked(id core.FlowID) *flowRec {
+	rec := &flowRec{id: id, pendIdx: -1}
+	s.flows[id] = rec
+	return rec
+}
+
+// forgetFlowLocked drops a flowlet just retired from the engine: out of the
+// flow table, out of its owner's set, and any undelivered rate withdrawn.
+// Called with s.mu held.
+func (s *Server) forgetFlowLocked(rec *flowRec) {
+	delete(s.flows, rec.id)
+	delete(s.unowned, rec.id)
+	if owner := rec.owner; owner != nil {
+		owner.disown(rec)
+		owner.pmu.Lock()
+		if rec.pendIdx >= 0 {
+			owner.unqueue(rec)
+		}
+		owner.pmu.Unlock()
+	}
 }

@@ -14,6 +14,8 @@
 //
 // Both families expose the same Topology API: ECMP-style Route selection
 // with a caller-supplied hash (§7: Flowtune works with the paths the network
-// selects), allocator control paths (PathToAllocator/PathFromAllocator), and
-// the LinkBlock partitioning used by the multicore allocator (§5).
+// selects; RouteInto is the table-driven, non-allocating form the allocators
+// call per flowlet start), allocator control paths
+// (PathToAllocator/PathFromAllocator), and the LinkBlock partitioning used by
+// the multicore allocator (§5).
 package topology

@@ -135,6 +135,7 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 		}
 	}
 
+	t.buildRouteTables()
 	return t, nil
 }
 
@@ -164,41 +165,6 @@ func (t *Topology) mustLink(src, dst NodeID) LinkID {
 		panic(fmt.Sprintf("topology: no link between node %d and node %d", src, dst))
 	}
 	return id
-}
-
-// routeFatTree computes a fat-tree path. choice selects among the k/2
-// aggregation switches of the source pod and, for cross-pod paths, among the
-// k/2 cores reachable from that aggregation switch — mirroring ECMP with a
-// caller-supplied hash, exactly like the two-tier Route.
-func (t *Topology) routeFatTree(src, dst, choice int) Path {
-	ft := t.fatTree
-	srcNode, dstNode := t.serverIDs[src], t.serverIDs[dst]
-	srcRack, dstRack := t.RackOfServer(src), t.RackOfServer(dst)
-	srcToR, dstToR := t.torIDs[srcRack], t.torIDs[dstRack]
-
-	up1 := t.mustLink(srcNode, srcToR)
-	down1 := t.mustLink(dstToR, dstNode)
-	if srcRack == dstRack {
-		return Path{up1, down1}
-	}
-
-	a := mod(choice, ft.half)
-	srcPod, dstPod := ft.podOfRack(srcRack), ft.podOfRack(dstRack)
-	srcAgg := t.spineIDs[srcPod*ft.half+a]
-	if srcPod == dstPod {
-		return Path{up1, t.mustLink(srcToR, srcAgg), t.mustLink(srcAgg, dstToR), down1}
-	}
-
-	core := t.coreIDs[a*ft.half+mod(choice/ft.half, ft.half)]
-	dstAgg := t.spineIDs[dstPod*ft.half+a]
-	return Path{
-		up1,
-		t.mustLink(srcToR, srcAgg),
-		t.mustLink(srcAgg, core),
-		t.mustLink(core, dstAgg),
-		t.mustLink(dstAgg, dstToR),
-		down1,
-	}
 }
 
 // PathToAllocator returns the control path from a server to the allocator

@@ -18,17 +18,20 @@ type routeKey struct {
 	choice   int32
 }
 
-// RouteCache memoizes Topology.Route so steady-state flowlet churn does not
-// allocate: the first start of a given (src, dst, ECMP choice) triple routes
-// and caches the path, and every later start returns the cached Path. Cached
-// paths are shared — callers must treat them as read-only, which both
-// allocators already do (they translate the path into their own link
-// indices at add time).
+// RouteCache memoizes Topology.Route for callers that route the same
+// endpoint pairs repeatedly and want to keep the Paths: the first request for
+// a given (src, dst, ECMP choice) triple routes and caches the path, and every
+// later one returns the cached Path. Cached paths are shared — callers must
+// treat them as read-only.
+//
+// The allocators do not use it: their flowlet-start path calls
+// Topology.RouteInto, which is table lookups into caller scratch and
+// allocates nothing, whereas a cache keyed by endpoint pair misses almost
+// always under spread-out traffic and only grows.
 //
 // The choice is canonicalized modulo the fabric's ECMP fan-out before
 // keying, so the cache is bounded by servers² × choices regardless of the
-// flow-ID space. A RouteCache is not safe for concurrent use; each allocator
-// owns one.
+// flow-ID space. A RouteCache is not safe for concurrent use.
 type RouteCache struct {
 	topo    *Topology
 	choices int

@@ -105,6 +105,19 @@ type Topology struct {
 
 	// linkByPair maps (src,dst) to the LinkID connecting them.
 	linkByPair map[[2]NodeID]LinkID
+
+	// Dense link tables behind RouteInto, filled once by buildRouteTables so
+	// routing is index arithmetic instead of linkByPair lookups. serverUp[i]
+	// and serverDown[i] join server i and its ToR. A ToR has torFan uplinks
+	// (every spine of a two-tier fabric, the k/2 aggregation switches of its
+	// pod in a fat-tree): torUp[r*torFan+j] climbs from rack r to its j-th
+	// spine and torDown[r*torFan+j] comes back. In a fat-tree, aggregation
+	// switch g (a spineIDs index) reaches its j-th core over aggUp[g*half+j]
+	// and is reached from it over aggDown[g*half+j].
+	serverUp, serverDown []int32
+	torFan               int
+	torUp, torDown       []int32
+	aggUp, aggDown       []int32
 }
 
 // Config describes a two-tier Clos fabric.
@@ -229,7 +242,45 @@ func NewTwoTier(cfg Config) (*Topology, error) {
 		}
 	}
 
+	t.buildRouteTables()
 	return t, nil
+}
+
+// buildRouteTables fills the dense link tables from the finished node and
+// link structure (both constructors call it last).
+func (t *Topology) buildRouteTables() {
+	pair := func(lo, hi NodeID) (up, down int32) {
+		return int32(t.mustLink(lo, hi)), int32(t.mustLink(hi, lo))
+	}
+	t.serverUp = make([]int32, len(t.serverIDs))
+	t.serverDown = make([]int32, len(t.serverIDs))
+	for i, srv := range t.serverIDs {
+		t.serverUp[i], t.serverDown[i] = pair(srv, t.torIDs[t.RackOfServer(i)])
+	}
+	t.torFan = len(t.spineIDs)
+	if t.fatTree != nil {
+		t.torFan = t.fatTree.half
+	}
+	t.torUp = make([]int32, len(t.torIDs)*t.torFan)
+	t.torDown = make([]int32, len(t.torIDs)*t.torFan)
+	for r, tor := range t.torIDs {
+		first := 0 // spineIDs index of the ToR's first uplink
+		if t.fatTree != nil {
+			first = t.fatTree.podOfRack(r) * t.torFan
+		}
+		for j := 0; j < t.torFan; j++ {
+			t.torUp[r*t.torFan+j], t.torDown[r*t.torFan+j] = pair(tor, t.spineIDs[first+j])
+		}
+	}
+	if ft := t.fatTree; ft != nil {
+		t.aggUp = make([]int32, len(t.spineIDs)*ft.half)
+		t.aggDown = make([]int32, len(t.spineIDs)*ft.half)
+		for g, agg := range t.spineIDs {
+			for j := 0; j < ft.half; j++ {
+				t.aggUp[g*ft.half+j], t.aggDown[g*ft.half+j] = pair(agg, t.coreIDs[g%ft.half*ft.half+j])
+			}
+		}
+	}
 }
 
 // Config returns the configuration the topology was built from.
@@ -333,46 +384,66 @@ func (t *Topology) Capacities() []float64 {
 // destination server.
 type Path []LinkID
 
+// MaxRouteLinks is the longest path RouteInto produces (a cross-pod fat-tree
+// path); scratch of this capacity never grows.
+const MaxRouteLinks = 6
+
 // Route computes the path from server src to server dst (server indices, not
 // NodeIDs). Cross-rack flows traverse a spine chosen by spineChoice modulo
 // the number of spines; intra-rack flows go server→ToR→server. Route mirrors
 // ECMP path selection with the hash supplied by the caller so the allocator
 // and the simulator agree on paths (§7: Flowtune works with the paths the
-// network selects).
+// network selects). It allocates the returned Path; RouteInto is the
+// non-allocating form.
 func (t *Topology) Route(src, dst int, spineChoice int) (Path, error) {
+	var scratch [MaxRouteLinks]int32
+	links, err := t.RouteInto(scratch[:0], src, dst, spineChoice)
+	if err != nil {
+		return nil, err
+	}
+	p := make(Path, len(links))
+	for i, l := range links {
+		p[i] = LinkID(l)
+	}
+	return p, nil
+}
+
+// RouteInto is Route appending the path's link indices (LinkID values, as
+// the solvers index links) to buf: with cap(buf)-len(buf) >= MaxRouteLinks
+// it allocates nothing, and it is pure table lookups, so the allocators call
+// it on every flowlet start instead of memoizing paths.
+func (t *Topology) RouteInto(buf []int32, src, dst int, spineChoice int) ([]int32, error) {
 	if src < 0 || src >= len(t.serverIDs) || dst < 0 || dst >= len(t.serverIDs) {
-		return nil, fmt.Errorf("topology: server index out of range: src=%d dst=%d (have %d servers)", src, dst, len(t.serverIDs))
+		return buf, fmt.Errorf("topology: server index out of range: src=%d dst=%d (have %d servers)", src, dst, len(t.serverIDs))
 	}
 	if src == dst {
-		return nil, fmt.Errorf("topology: source and destination are the same server %d", src)
+		return buf, fmt.Errorf("topology: source and destination are the same server %d", src)
+	}
+	up1, down1 := t.serverUp[src], t.serverDown[dst]
+	srcRack, dstRack := t.RackOfServer(src), t.RackOfServer(dst)
+	if srcRack == dstRack {
+		return append(buf, up1, down1), nil
 	}
 	if salt := t.routeSalt.Load(); salt != 0 {
-		// A bounded additive perturbation keeps Route periodic in the
+		// A bounded additive perturbation keeps routing periodic in the
 		// fabric's ECMP fan-out (both the two-tier spine pick and the
 		// fat-tree choice decomposition are modulo-arithmetic), so the
 		// RouteCache's canonicalized keys stay correct under any salt.
 		spineChoice += int(salt % (1 << 20))
 	}
-	if t.fatTree != nil {
-		return t.routeFatTree(src, dst, spineChoice), nil
+	a := mod(spineChoice, t.torFan)
+	up2, down2 := t.torUp[srcRack*t.torFan+a], t.torDown[dstRack*t.torFan+a]
+	ft := t.fatTree
+	if ft == nil || ft.podOfRack(srcRack) == ft.podOfRack(dstRack) {
+		return append(buf, up1, up2, down2, down1), nil
 	}
-	srcNode := t.serverIDs[src]
-	dstNode := t.serverIDs[dst]
-	srcRack := t.RackOfServer(src)
-	dstRack := t.RackOfServer(dst)
-	srcToR := t.torIDs[srcRack]
-	dstToR := t.torIDs[dstRack]
-
-	up1, _ := t.LinkBetween(srcNode, srcToR)
-	if srcRack == dstRack {
-		down1, _ := t.LinkBetween(srcToR, dstNode)
-		return Path{up1, down1}, nil
-	}
-	spine := t.spineIDs[((spineChoice%len(t.spineIDs))+len(t.spineIDs))%len(t.spineIDs)]
-	up2, _ := t.LinkBetween(srcToR, spine)
-	down2, _ := t.LinkBetween(spine, dstToR)
-	down1, _ := t.LinkBetween(dstToR, dstNode)
-	return Path{up1, up2, down2, down1}, nil
+	// Cross-pod: over the core the choice's second digit picks among those
+	// the source pod's aggregation switch a reaches, down through the
+	// destination pod's aggregation switch at the same position.
+	j := mod(spineChoice/ft.half, ft.half)
+	srcAgg := ft.podOfRack(srcRack)*ft.half + a
+	dstAgg := ft.podOfRack(dstRack)*ft.half + a
+	return append(buf, up1, up2, t.aggUp[srcAgg*ft.half+j], t.aggDown[dstAgg*ft.half+j], down2, down1), nil
 }
 
 // HopCount returns the number of links on the path between two servers:

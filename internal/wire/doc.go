@@ -12,7 +12,8 @@
 // Encoders are append-style (AppendFlowletAdd et al.) and do not allocate
 // once the destination buffer has grown to a steady-state size; decoders
 // validate exact payload lengths and alias their input, and RateBatch
-// entries decode in place. Scanner reads frames off any io.Reader reusing a
-// single buffer. Every (encode, decode) pair round-trips bit-exactly,
+// entries decode in place. Scanner reads frames off any io.Reader through one
+// reused buffer — one Read per burst of frames, payloads handed out as slices
+// of it. Every (encode, decode) pair round-trips bit-exactly,
 // including NaN rate patterns — see the package fuzz test.
 package wire

@@ -185,34 +185,27 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 // FuzzScanner checks the stream scanner agrees with the buffer parser on
-// arbitrary input: same frame sequence, no panics.
+// arbitrary input however the stream is fragmented: same frame sequence, same
+// place of failure, no panics. maxChunk and errEvery drive a fragReader
+// (scanner_test.go), so read boundaries and injected timeouts land anywhere.
 func FuzzScanner(f *testing.F) {
 	var seed []byte
 	seed = AppendHello(seed, Hello{Version: Version})
 	seed = AppendRateBatch(seed, 1, []RateEntry{{Flow: 1, Rate: 1e9}})
-	f.Add(seed)
-	f.Add([]byte{byte(TypeStep), stepLen, 0, 0, 1, 2})
+	f.Add(seed, uint8(0), uint8(0))
+	f.Add(seed, uint8(1), uint8(2))
+	f.Add([]byte{byte(TypeStep), stepLen, 0, 0, 1, 2}, uint8(3), uint8(0))
+	f.Add([]byte{byte(TypeStep), 0xff, 0xff, 0xff, 1, 2}, uint8(0), uint8(3))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := NewScanner(bytes.NewReader(data))
-		buf := data
-		for {
-			wantType, wantPayload, rest, perr := ParseFrame(buf)
-			gotType, gotPayload, serr := sc.Next()
-			if perr != nil {
-				if serr == nil {
-					t.Fatalf("scanner produced %s where parser failed with %v", gotType, perr)
-				}
-				return
-			}
-			if serr != nil {
-				t.Fatalf("scanner failed with %v where parser produced %s", serr, wantType)
-			}
-			if gotType != wantType || !bytes.Equal(gotPayload, wantPayload) {
-				t.Fatalf("scanner %s %x != parser %s %x", gotType, gotPayload, wantType, wantPayload)
-			}
-			buf = rest
+	f.Fuzz(func(t *testing.T, data []byte, maxChunk, errEvery uint8) {
+		if errEvery == 1 {
+			errEvery = 0 // every Read failing is a dead stream, not a slow one
 		}
+		r := &fragReader{data: data, maxChunk: int(maxChunk), errEvery: int(errEvery)}
+		if maxChunk == 0 {
+			r.maxChunk = len(data) + 1
+		}
+		checkScanMatchesParse(t, data, r)
 	})
 }
 

@@ -795,87 +795,133 @@ var ErrShortFrame = fmt.Errorf("wire: short frame")
 // maxMsgType is the highest frame type of this protocol version.
 const maxMsgType = TypePriceSnapshotDelta
 
+// fixedLen is the exact payload size of every fixed-size frame type (0 for
+// the variable-length ones; FlowletAdd's second, sized form is checked
+// beside it in parseHeader).
+var fixedLen = [maxMsgType + 1]int32{
+	TypeHello:       helloLen,
+	TypeWelcome:     welcomeLen,
+	TypeFlowletAdd:  addLen,
+	TypeFlowletEnd:  endLen,
+	TypeStep:        stepLen,
+	TypeEpochNotify: epochNotifyLen,
+	TypePeerHello:   peerHelloLen,
+	TypeExchangeAck: ackLen,
+	TypeHeartbeat:   heartbeatLen,
+	TypeTakeover:    takeoverLen,
+}
+
+// parseHeader validates a frame header and returns its type and payload
+// length. Unknown types are rejected, and so is a length no frame of a
+// fixed-size type can have: the length field is untrusted, and refusing an
+// impossible one here means a reader never waits for (or reserves room for)
+// a payload its decoder would reject anyway.
+func parseHeader(h []byte) (MsgType, int, error) {
+	t := MsgType(h[0])
+	if t == TypeInvalid || t > maxMsgType {
+		return TypeInvalid, 0, fmt.Errorf("wire: unknown frame type %d", h[0])
+	}
+	n := int(h[1]) | int(h[2])<<8 | int(h[3])<<16
+	if want := int(fixedLen[t]); want != 0 && n != want && !(t == TypeFlowletAdd && n == addSizedLen) {
+		return TypeInvalid, 0, fmt.Errorf("wire: %s frame declares a %d-byte payload", t, n)
+	}
+	return t, n, nil
+}
+
 // ParseFrame splits one frame off the front of buf. It returns the frame
 // type, its payload (aliasing buf), and the remaining bytes. A buffer ending
-// mid-frame returns ErrShortFrame; an unknown frame type is an error.
+// mid-frame returns ErrShortFrame; an unknown frame type, or a payload
+// length impossible for a fixed-size type, is an error.
 func ParseFrame(buf []byte) (t MsgType, payload, rest []byte, err error) {
 	if len(buf) < HeaderBytes {
 		return TypeInvalid, nil, buf, ErrShortFrame
 	}
-	t = MsgType(buf[0])
-	if t == TypeInvalid || t > maxMsgType {
-		return TypeInvalid, nil, buf, fmt.Errorf("wire: unknown frame type %d", buf[0])
+	t, n, err := parseHeader(buf)
+	if err != nil {
+		return TypeInvalid, nil, buf, err
 	}
-	n := int(buf[1]) | int(buf[2])<<8 | int(buf[3])<<16
 	if len(buf) < HeaderBytes+n {
 		return TypeInvalid, nil, buf, ErrShortFrame
 	}
 	return t, buf[HeaderBytes : HeaderBytes+n], buf[HeaderBytes+n:], nil
 }
 
-// Scanner reads frames from a byte stream, reusing one internal buffer. The
-// payload returned by Next is valid only until the following Next call.
+// scanBufBytes is the Scanner's initial buffer: room for an endpoint's whole
+// step burst (thousands of 12- to 36-byte notifications) or a few thousand
+// rate updates, so a burst written in one go is read in one or two Reads.
+const scanBufBytes = 64 << 10
+
+// Scanner reads frames from a byte stream through one reused buffer: a Read
+// pulls in as many bytes as the stream has ready — usually a whole burst of
+// frames — and Next hands out payload slices of that buffer, so the cost of
+// receiving is per burst, not per frame. The payload returned by Next is
+// valid only until the following Next call.
+//
+// The buffer grows only for a frame larger than it, and only as that frame's
+// bytes actually arrive (doubling, capped at the frame size): a header
+// declaring a 16 MB payload reserves nothing by itself.
 //
 // A Next call interrupted mid-frame by a transient read error (typically a
 // net.Conn read deadline) keeps the partial frame buffered: the next call
 // resumes where the read stopped instead of desynchronizing the stream, so
 // polling a connection with deadlines is safe.
 type Scanner struct {
-	r       io.Reader
-	hdr     [HeaderBytes]byte
-	hdrHave int
-	buf     []byte
-	payHave int
-	inPay   bool
+	r   io.Reader
+	buf []byte
+	// buf[pos:end] holds the bytes read but not yet handed out.
+	pos, end int
 }
 
 // NewScanner creates a frame scanner over r.
 func NewScanner(r io.Reader) *Scanner { return &Scanner{r: r} }
 
-// Next reads the next frame. It returns io.EOF at a clean end of stream and
-// io.ErrUnexpectedEOF when the stream ends mid-frame; any other error leaves
-// the partial frame buffered for the next call.
+// Next returns the next frame. It returns io.EOF at a clean end of stream and
+// io.ErrUnexpectedEOF when the stream ends mid-frame; any other read error
+// leaves the partial frame buffered for the next call. A malformed header
+// (see ParseFrame) is returned on every call: the stream cannot resync.
 func (s *Scanner) Next() (MsgType, []byte, error) {
-	for s.hdrHave < HeaderBytes {
-		n, err := s.r.Read(s.hdr[s.hdrHave:])
-		s.hdrHave += n
-		if s.hdrHave >= HeaderBytes {
-			break
-		}
-		if err != nil {
-			if err == io.EOF && s.hdrHave > 0 {
-				err = io.ErrUnexpectedEOF
+	for {
+		need := HeaderBytes
+		if have := s.end - s.pos; have >= HeaderBytes {
+			t, n, err := parseHeader(s.buf[s.pos:])
+			if err != nil {
+				return TypeInvalid, nil, err
 			}
+			need = HeaderBytes + n
+			if have >= need {
+				payload := s.buf[s.pos+HeaderBytes : s.pos+need]
+				s.pos += need
+				return t, payload, nil
+			}
+		}
+		if err := s.fill(need); err != nil {
 			return TypeInvalid, nil, err
 		}
 	}
-	t := MsgType(s.hdr[0])
-	if t == TypeInvalid || t > maxMsgType {
-		return TypeInvalid, nil, fmt.Errorf("wire: unknown frame type %d", s.hdr[0])
+}
+
+// fill makes room for a frame of need bytes at the front of the buffer and
+// issues one Read. It reports an error only when the Read brought no bytes.
+func (s *Scanner) fill(need int) error {
+	if s.pos > 0 {
+		// Only the partial frame at the tail (less than one frame, nothing
+		// at the end of a burst) moves; the whole buffer is free again.
+		s.end = copy(s.buf, s.buf[s.pos:s.end])
+		s.pos = 0
 	}
-	want := int(s.hdr[1]) | int(s.hdr[2])<<8 | int(s.hdr[3])<<16
-	if !s.inPay {
-		if cap(s.buf) < want {
-			s.buf = make([]byte, want)
-		}
-		s.buf = s.buf[:want]
-		s.payHave = 0
-		s.inPay = true
+	if s.end == len(s.buf) {
+		// Full with the frame still incomplete (or not allocated yet): the
+		// frame is larger than the buffer.
+		size := max(scanBufBytes, min(2*len(s.buf), need))
+		s.buf = append(make([]byte, 0, size), s.buf[:s.end]...)[:size]
 	}
-	for s.payHave < want {
-		n, err := s.r.Read(s.buf[s.payHave:])
-		s.payHave += n
-		if s.payHave >= want {
-			break
-		}
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return TypeInvalid, nil, err
-		}
+	n, err := s.r.Read(s.buf[s.end:])
+	s.end += n
+	if n > 0 || err == nil {
+		return nil
 	}
-	s.hdrHave = 0
-	s.inPay = false
-	return t, s.buf, nil
+	if err == io.EOF && s.end > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -183,78 +183,3 @@ func TestAppendersDoNotAllocateSteadyState(t *testing.T) {
 		t.Fatalf("steady-state encode allocates %v times per run", allocs)
 	}
 }
-
-// stutterReader delivers its payload in tiny chunks and injects a transient
-// (timeout-like) error between every chunk, simulating read deadlines firing
-// mid-frame on a slow TCP connection.
-type stutterReader struct {
-	data []byte
-	pos  int
-	tick bool
-}
-
-type tempErr struct{}
-
-func (tempErr) Error() string { return "i/o timeout (transient)" }
-
-func (r *stutterReader) Read(p []byte) (int, error) {
-	r.tick = !r.tick
-	if r.tick {
-		return 0, tempErr{}
-	}
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p[:min(1, len(p))], r.data[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-// TestScannerResumesAfterTransientErrors verifies that a Next call
-// interrupted mid-frame keeps the partial frame buffered: retrying yields the
-// complete, correct frame stream instead of desynchronizing.
-func TestScannerResumesAfterTransientErrors(t *testing.T) {
-	var data []byte
-	data = AppendWelcome(data, Welcome{Version: Version, Epoch: 5, IntervalNanos: 123})
-	data = AppendRateBatch(data, 9, []RateEntry{{Flow: 3, Rate: 1e9}, {Flow: 4, Rate: 2e9}})
-	data = AppendFlowletEnd(data, FlowletEnd{Flow: 3})
-
-	sc := NewScanner(&stutterReader{data: data})
-	next := func() (MsgType, []byte) {
-		t.Helper()
-		for {
-			typ, payload, err := sc.Next()
-			if err == nil {
-				return typ, payload
-			}
-			if _, transient := err.(tempErr); !transient {
-				t.Fatalf("non-transient error: %v", err)
-			}
-		}
-	}
-	typ, p := next()
-	if w, _ := DecodeWelcome(p); typ != TypeWelcome || w.Epoch != 5 {
-		t.Fatalf("frame 1 = %s %+v", typ, p)
-	}
-	typ, p = next()
-	b, err := DecodeRateBatch(p)
-	if err != nil || typ != TypeRateBatch || b.Len() != 2 || b.Entry(1).Flow != 4 {
-		t.Fatalf("frame 2 = %s, err %v", typ, err)
-	}
-	typ, p = next()
-	if e, _ := DecodeFlowletEnd(p); typ != TypeFlowletEnd || e.Flow != 3 {
-		t.Fatalf("frame 3 = %s %+v", typ, p)
-	}
-	if _, _, err := sc.Next(); err != io.EOF {
-		// Drain any trailing transient error first.
-		for {
-			_, _, err = sc.Next()
-			if _, transient := err.(tempErr); !transient {
-				break
-			}
-		}
-		if err != io.EOF {
-			t.Fatalf("end of stream: %v", err)
-		}
-	}
-}
