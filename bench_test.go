@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	flowtune "repro"
 	"repro/internal/core"
@@ -585,6 +586,34 @@ func (c readCountingConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// benchLeafSpine is the repository benchmark's fabric: a 1 024-host leaf-spine
+// (32 racks × 32 servers, 16 spines, 10 Gbit/s).
+func benchLeafSpine(b *testing.B) *topology.Topology {
+	topo, err := topology.NewTwoTier(topology.Config{
+		Racks: 32, ServersPerRack: 32, Spines: 16, LinkCapacity: 10e9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return topo
+}
+
+// randomFlowlets returns a function that buffers the start of a flowlet
+// between two distinct servers drawn uniformly (fixed seed) from n.
+func randomFlowlets(b *testing.B, client *transport.AllocClient, n int) func(core.FlowID) {
+	rng := rand.New(rand.NewSource(1))
+	return func(id core.FlowID) {
+		src := rng.Intn(n)
+		dst := rng.Intn(n - 1)
+		if dst >= src {
+			dst++
+		}
+		if err := client.FlowletStart(id, src, dst, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServerChurnStep measures one heavy-churn control-loop round trip
 // through a real daemon over loopback TCP — the repository benchmark's
 // churn-20k workload as a microbenchmark: 20 000 resident flowlets on a
@@ -598,12 +627,7 @@ func BenchmarkServerChurnStep(b *testing.B) {
 		resident = 20000
 		churn    = 2000
 	)
-	topo, err := topology.NewTwoTier(topology.Config{
-		Racks: 32, ServersPerRack: 32, Spines: 16, LinkCapacity: 10e9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	topo := benchLeafSpine(b)
 	srv, err := server.New(server.Config{Topology: topo})
 	if err != nil {
 		b.Fatal(err)
@@ -632,18 +656,10 @@ func BenchmarkServerChurnStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	n := topo.NumServers()
 	next := int64(0)
+	startNext := randomFlowlets(b, client, topo.NumServers())
 	start := func() {
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
-		if dst >= src {
-			dst++
-		}
-		if err := client.FlowletStart(core.FlowID(next), src, dst, 1); err != nil {
-			b.Fatal(err)
-		}
+		startNext(core.FlowID(next))
 		next++
 	}
 	step := func() {
@@ -678,4 +694,77 @@ func BenchmarkServerChurnStep(b *testing.B) {
 	b.ReportMetric(float64(reads.Load())/float64(b.N), "reads/step")
 	client.Close()
 	<-served
+}
+
+// BenchmarkServerFreerunProbe measures what a flowlet start waits for on a
+// free-running daemon — the repository benchmark's freerun-1k workload as a
+// closed-loop microbenchmark: loopback TCP, 1 000 resident flowlets on a
+// 1 024-host leaf-spine, Interval 1 ms, and per op one probe: end the oldest
+// flowlet, start a new one, Flush, Recv until the new flowlet's rate arrives.
+// us/probe is a few iterations' worth when the daemon iterates on arrival and
+// about one Interval when it waits for its ticker; iterations/probe counts
+// arrival and ticker iterations alike; allocs/op covers both ends of the
+// connection.
+func BenchmarkServerFreerunProbe(b *testing.B) {
+	const resident = 1000
+	topo := benchLeafSpine(b)
+	srv, err := server.New(server.Config{Topology: topo, Interval: time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(ln) // returns when srv.Close closes the listener
+	client, err := transport.DialAlloc(ln.Addr().String(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	next := int64(0)
+	startNext := randomFlowlets(b, client, topo.NumServers())
+	start := func() {
+		startNext(core.FlowID(next))
+		next++
+	}
+	probe := func() {
+		if err := client.FlowletEnd(core.FlowID(next - resident)); err != nil {
+			b.Fatal(err)
+		}
+		start()
+		if err := client.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		for want := core.FlowID(next - 1); ; {
+			updates, _, err := client.Recv(time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, u := range updates {
+				if u.Flow == want {
+					return
+				}
+			}
+		}
+	}
+	for next < resident {
+		start()
+	}
+	// One full turnover of the resident set: the first probe also folds the
+	// resident set in, and the flows registered together at a cold start
+	// fan out far more per probe than ones added into a settled fabric.
+	for i := 0; i < resident; i++ {
+		probe()
+	}
+	b.ReportAllocs()
+	iterations := srv.Iterations()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probe()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/probe")
+	b.ReportMetric(float64(srv.Iterations()-iterations)/float64(b.N), "iterations/probe")
 }

@@ -1,11 +1,13 @@
 // Command flowtuned runs the Flowtune allocator as a networked daemon:
 // endpoints connect over TCP, report flowlet starts and ends, and receive
-// explicit rate updates each allocation interval, all over the compact
+// explicit rate updates as the allocator iterates, all over the compact
 // binary protocol of internal/wire.
 //
-// The daemon free-runs one allocator iteration every -interval (clients may
-// also drive iterations explicitly with Step frames, which deterministic
-// test harnesses use). -blocks switches the engine from the sequential NED
+// The daemon free-runs: it iterates the moment flowlet notifications arrive —
+// a flowlet start is answered in one iteration, not after one tick — and
+// otherwise at least every -interval, which keeps the optimizer converging
+// between arrivals (clients may also drive iterations explicitly with Step
+// frames, which deterministic test harnesses use). -blocks switches the engine from the sequential NED
 // allocator to the FlowBlock/LinkBlock multicore allocator; on a NUMA
 // machine, a `numa`-tagged build additionally accepts -pin to bind the
 // workers to sockets. Loop latency percentiles and update counters are
@@ -74,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	capacity := fs.Float64("capacity", 10e9, "link capacity in bits/s")
 	gamma := fs.Float64("gamma", 0, "NED step size (0 selects the engine default)")
 	threshold := fs.Float64("threshold", 0.01, "rate-update notification threshold")
-	interval := fs.Duration("interval", time.Millisecond, "allocation interval (0 = step-driven only)")
+	interval := fs.Duration("interval", time.Millisecond, "longest gap between iterations; arrivals iterate at once (0 = step-driven only)")
 	blocks := fs.Int("blocks", 0, "rack blocks for the multicore engine (0 = sequential); composes with -shard for multicore shards")
 	pin := fs.Bool("pin", false, "pin the multicore engine's workers to NUMA sockets (requires -blocks and a `numa`-tagged build; no-op otherwise)")
 	shard := fs.String("shard", "", "shard assignment i/N: own shard i of an N-way rack partition (empty = unsharded)")

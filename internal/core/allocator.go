@@ -322,7 +322,10 @@ func (a *Allocator) Iterate() []RateUpdate {
 	}
 	a.stats.Iterations++
 	a.cfg.Solver.Step(&a.problem, a.state)
-	a.normalized = a.cfg.Normalizer.Normalize(&a.problem, a.state.Rates, a.normalized)
+	// The step's rate update summed exactly the link loads normalization
+	// needs; hand them over instead of walking every route a second time.
+	loads, _ := a.cfg.Solver.LastLoads()
+	a.normalized = a.cfg.Normalizer.NormalizeLoads(&a.problem, a.state.Rates, loads, a.normalized)
 
 	updates := a.updates[:0]
 	thr := a.cfg.UpdateThreshold

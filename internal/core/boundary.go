@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/num"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Boundary-exchange support: a sharded allocator cluster runs one Allocator
 // per shard over the full fabric but only its own flows. The methods below
@@ -55,14 +50,9 @@ func (a *Allocator) PinPrices(links []topology.LinkID, prices []float64) {
 // allocator's own flows' contributions on the given links, as accumulated by
 // the most recent Iterate — the payload of an outgoing PriceDigest. With no
 // registered flows the digest is all zeros (an idle shard puts no load on
-// anyone's links). It requires a solver that reports its load accumulations
-// (NED, the default, does).
-func (a *Allocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) error {
-	rep, ok := a.cfg.Solver.(num.LoadReporter)
-	if !ok {
-		return fmt.Errorf("core: solver %s does not report link loads; boundary exchange requires NED or Gradient", a.cfg.Solver.Name())
-	}
-	ll, hh := rep.LastLoads()
+// anyone's links).
+func (a *Allocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
+	ll, hh := a.cfg.Solver.LastLoads()
 	idle := len(a.flows) == 0
 	for i, l := range links {
 		if idle || int(l) >= len(ll) {
@@ -76,7 +66,6 @@ func (a *Allocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float
 			hdiag[i] = 0
 		}
 	}
-	return nil
 }
 
 // LinkPrices fills prices (parallel to links) with the current price of each

@@ -121,9 +121,8 @@ func (p *ParallelAllocator) writeLocalPrice(l topology.LinkID, price float64) {
 // into the accumulators), so the exported bytes match the sequential
 // engine's digest bit for bit on the same flow set. With no registered flows
 // the digest is all zeros (an idle shard puts no load on anyone's links), as
-// it is for links outside every LinkBlock. The error return exists to match
-// the sequential allocator's signature; it is always nil here.
-func (p *ParallelAllocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) error {
+// it is for links outside every LinkBlock.
+func (p *ParallelAllocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
 	n := p.numBlocks
 	for i, l := range links {
 		if p.numFlows == 0 || p.ownerLB[l] == nil {
@@ -140,7 +139,6 @@ func (p *ParallelAllocator) BoundaryDigest(links []topology.LinkID, loads, hdiag
 			loads[i], hdiag[i] = owner.downLoad[pos], owner.downHdiag[pos]
 		}
 	}
-	return nil
 }
 
 // LinkPrices fills prices (parallel to links) with the current price of each

@@ -11,6 +11,12 @@ type Normalizer interface {
 	// Normalize writes the scaled rates into out (allocating when out is
 	// nil or too short) and returns it. rates is not modified.
 	Normalize(p *num.Problem, rates []float64, out []float64) []float64
+	// NormalizeLoads is Normalize for a caller that already holds loads, the
+	// per-link sums of rates over p's routes — num.LinkLoads(p, rates, nil),
+	// or a solver's LastLoads right after the Step that set rates — so the
+	// pass over the route arena that recomputes them is skipped. loads is
+	// not modified.
+	NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64
 }
 
 // ensureOut prepares the output slice.
@@ -21,21 +27,21 @@ func ensureOut(out []float64, n int) []float64 {
 	return out[:n]
 }
 
-// linkRatios computes r_l = (Σ_{s∈S(l)} x_s) / c_l for every link. External
-// loads (remote shards' flows, see num.Problem.ExternalLoads) count toward a
-// link's utilization: a boundary link crowded by remote traffic must slow
-// the local flows that traverse it just as local congestion would.
-func linkRatios(p *num.Problem, rates []float64, loads []float64) []float64 {
-	loads = num.LinkLoads(p, rates, loads)
-	if p.ExternalLoads != nil {
-		for l := range loads {
-			loads[l] += p.ExternalLoads[l]
+// linkRatios computes r_l = (Σ_{s∈S(l)} x_s) / c_l for every link from the
+// local loads Σ x_s, into ratios (which may alias loads). External loads
+// (remote shards' flows, see num.Problem.ExternalLoads) count toward a link's
+// utilization: a boundary link crowded by remote traffic must slow the local
+// flows that traverse it just as local congestion would.
+func linkRatios(p *num.Problem, loads, ratios []float64) []float64 {
+	ratios = ensureOut(ratios, len(loads))
+	ext := p.ExternalLoads
+	for l, load := range loads {
+		if ext != nil {
+			load += ext[l]
 		}
+		ratios[l] = load / p.Capacities[l]
 	}
-	for l := range loads {
-		loads[l] /= p.Capacities[l]
-	}
-	return loads
+	return ratios
 }
 
 // UNorm is uniform normalization (§4.1): every flow is scaled by the same
@@ -55,8 +61,14 @@ func (u *UNorm) Name() string { return "U-NORM" }
 
 // Normalize implements Normalizer.
 func (u *UNorm) Normalize(p *num.Problem, rates []float64, out []float64) []float64 {
+	u.ratios = num.LinkLoads(p, rates, u.ratios)
+	return u.NormalizeLoads(p, rates, u.ratios, out)
+}
+
+// NormalizeLoads implements Normalizer.
+func (u *UNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64 {
 	out = ensureOut(out, len(rates))
-	u.ratios = linkRatios(p, rates, u.ratios)
+	u.ratios = linkRatios(p, loads, u.ratios)
 	worst := 0.0
 	for _, r := range u.ratios {
 		if r > worst {
@@ -95,8 +107,14 @@ func (f *FNorm) Name() string { return "F-NORM" }
 
 // Normalize implements Normalizer.
 func (f *FNorm) Normalize(p *num.Problem, rates []float64, out []float64) []float64 {
+	f.ratios = num.LinkLoads(p, rates, f.ratios)
+	return f.NormalizeLoads(p, rates, f.ratios, out)
+}
+
+// NormalizeLoads implements Normalizer.
+func (f *FNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64 {
 	out = ensureOut(out, len(rates))
-	f.ratios = linkRatios(p, rates, f.ratios)
+	f.ratios = linkRatios(p, loads, f.ratios)
 	// Walk the compiled CSR index instead of the per-flow Route slices: one
 	// contiguous pass over the route arena with the reused ratio scratch.
 	c := p.Compiled()

@@ -119,7 +119,10 @@ func TestFNormThroughputAtLeastUNorm(t *testing.T) {
 }
 
 // TestNormalizersFeasibilityProperty: after either normalizer, no link
-// exceeds its capacity and no rate increases.
+// exceeds its capacity and no rate increases — and handing the normalizer the
+// link loads (NormalizeLoads, what the allocator does with its solver's
+// accumulation) gives bit for bit what letting it recompute them gives, with
+// or without external loads, the caller's loads left untouched.
 func TestNormalizersFeasibilityProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -140,10 +143,28 @@ func TestNormalizersFeasibilityProperty(t *testing.T) {
 			p.Flows = append(p.Flows, num.Flow{Route: route})
 			rates[f] = rng.Float64() * 3e9
 		}
+		if seed%2 == 0 {
+			p.ExternalLoads = make([]float64, numLinks)
+			for l := range p.ExternalLoads {
+				p.ExternalLoads[l] = rng.Float64() * 2e9
+			}
+		}
+		loads := num.LinkLoads(p, rates, nil)
 		for _, n := range []Normalizer{NewFNorm(), NewUNorm()} {
 			out := n.Normalize(p, rates, nil)
 			if !num.Feasible(p, out, 1e-9) {
 				return false
+			}
+			given := n.NormalizeLoads(p, rates, loads, nil)
+			for i := range out {
+				if given[i] != out[i] {
+					return false
+				}
+			}
+			for l, load := range num.LinkLoads(p, rates, nil) {
+				if loads[l] != load {
+					return false
+				}
 			}
 			for i := range out {
 				if out[i] > rates[i]+1e-9 {

@@ -107,23 +107,30 @@ func TestPinnedPricesOverrideLocalUpdate(t *testing.T) {
 	}
 }
 
-// TestLastLoadsReportsStepAccumulation checks the LoadReporter contract NED
-// exposes for digest building.
+// TestLastLoadsReportsStepAccumulation checks the Solver.LastLoads contract
+// digest building and normalization rely on: after any solver's Step, and on
+// every later one, the reported loads are bit for bit the link loads of the
+// rates that Step produced; only NED reports a Hessian diagonal.
 func TestLastLoadsReportsStepAccumulation(t *testing.T) {
-	p := twoFlowShared()
-	st := NewState(p)
-	ned := &NED{Gamma: 1}
-	ned.Step(p, st)
-	loads, hdiag := ned.LastLoads()
-	want := LinkLoads(p, st.Rates, nil)
-	for l := range want {
-		if loads[l] != want[l] {
-			t.Fatalf("link %d load %v != %v", l, loads[l], want[l])
+	for _, s := range []Solver{&NED{Gamma: 1}, NewGradient(), NewFGM(), NewNewtonLike()} {
+		p := twoFlowShared()
+		st := NewState(p)
+		for step := 0; step < 3; step++ {
+			s.Step(p, st)
+			loads, hdiag := s.LastLoads()
+			want := LinkLoads(p, st.Rates, nil)
+			for l := range want {
+				if loads[l] != want[l] {
+					t.Fatalf("%s step %d: link %d load %v != %v", s.Name(), step, l, loads[l], want[l])
+				}
+			}
+			if s.Name() != "NED" {
+				if hdiag != nil {
+					t.Fatalf("%s reports a Hessian diagonal it never computes", s.Name())
+				}
+			} else if hdiag == nil || hdiag[1] >= 0 {
+				t.Fatalf("NED hdiag on shared link = %v, want negative", hdiag)
+			}
 		}
 	}
-	if hdiag == nil || hdiag[1] >= 0 {
-		t.Fatalf("hdiag on shared link = %v, want negative", hdiag)
-	}
-	var _ LoadReporter = ned
-	var _ LoadReporter = NewGradient()
 }

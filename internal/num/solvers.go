@@ -17,6 +17,15 @@ type Solver interface {
 	// Step performs one full iteration (rate update + price update) on
 	// the problem, mutating st in place.
 	Step(p *Problem, st *State)
+	// LastLoads returns the per-link loads Σ_{s∈S(l)} x_s and Hessian
+	// diagonals the most recent Step's rate update accumulated — for the
+	// rates that Step left in st.Rates, bit for bit what LinkLoads would
+	// recompute. The slices alias solver scratch: they are valid until the
+	// next Step and must not be modified. hdiag is nil for solvers that do
+	// not compute the Hessian diagonal. The allocator normalizes against
+	// these loads, and a sharded one exports its boundary-link demand from
+	// them, without a second pass over the flows.
+	LastLoads() (loads, hdiag []float64)
 }
 
 // scratch holds per-iteration working buffers shared by solvers to avoid
@@ -174,16 +183,6 @@ func applyPins(p *Problem, st *State) {
 	}
 }
 
-// LoadReporter is implemented by solvers that retain the per-link load and
-// Hessian-diagonal accumulations of their most recent Step. The returned
-// slices alias solver scratch: they are valid until the next Step and must
-// not be modified. hdiag is nil for solvers that do not compute the Hessian
-// diagonal. A sharded allocator uses this to export its local boundary-link
-// demand without recomputing it.
-type LoadReporter interface {
-	LastLoads() (loads, hdiag []float64)
-}
-
 // NED is the Newton-Exact-Diagonal solver (Algorithm 1): the price update is
 // scaled by the exactly computed Hessian diagonal,
 //
@@ -256,8 +255,7 @@ func (n *NED) Step(p *Problem, st *State) {
 	applyPins(p, st)
 }
 
-// LastLoads implements LoadReporter: the loads and Hessian diagonals
-// accumulated by the most recent Step.
+// LastLoads implements Solver.
 func (n *NED) LastLoads() (loads, hdiag []float64) { return n.sc.loads, n.sc.hdiag }
 
 // Gradient is the gradient-projection solver (Low & Lapsley): prices move
@@ -320,8 +318,8 @@ func (g *Gradient) Step(p *Problem, st *State) {
 	applyPins(p, st)
 }
 
-// LastLoads implements LoadReporter; hdiag is nil because the gradient
-// solver never computes the Hessian diagonal.
+// LastLoads implements Solver; hdiag is nil because the gradient solver never
+// computes the Hessian diagonal.
 func (g *Gradient) LastLoads() (loads, hdiag []float64) { return g.sc.loads, nil }
 
 // FGM is the Fast weighted Gradient Method (Beck et al. 2014): an accelerated
@@ -415,6 +413,9 @@ func (f *FGM) Step(p *Problem, st *State) {
 	applyPins(p, st)
 }
 
+// LastLoads implements Solver; FGM computes no Hessian diagonal.
+func (f *FGM) LastLoads() (loads, hdiag []float64) { return f.sc.loads, nil }
+
 // NewtonLike is the measurement-based Newton-like method (Athuraliya & Low
 // 2000): instead of computing H_ll exactly it estimates flow sensitivity by
 // observing how the aggregate link load changed in response to the previous
@@ -503,6 +504,9 @@ func (n *NewtonLike) Step(p *Problem, st *State) {
 	}
 	applyPins(p, st)
 }
+
+// LastLoads implements Solver; the sensitivity here is estimated, not summed.
+func (n *NewtonLike) LastLoads() (loads, hdiag []float64) { return n.sc.loads, nil }
 
 // SolveOptions configures Solve.
 type SolveOptions struct {

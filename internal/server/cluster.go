@@ -43,7 +43,7 @@ import (
 type exchanger interface {
 	SetExternalLoads(links []topology.LinkID, loads, hdiag []float64)
 	PinPrices(links []topology.LinkID, prices []float64)
-	BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) error
+	BoundaryDigest(links []topology.LinkID, loads, hdiag []float64)
 	LinkPrices(links []topology.LinkID, prices []float64)
 	SeedPrices(links []topology.LinkID, prices []float64)
 	UnpinPrices(links []topology.LinkID)
@@ -509,10 +509,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 		}
 		loads := st.digestLoads[:len(remote)]
 		hdiag := st.digestHdiag[:len(remote)]
-		if err := st.ex.BoundaryDigest(remote, loads, hdiag); err != nil {
-			s.logf("boundary digest for shard %d: %v", pc.shard, err)
-			continue
-		}
+		st.ex.BoundaryDigest(remote, loads, hdiag)
 		buf := pc.buf[:0]
 		if pc.version >= 4 {
 			buf = pc.appendDigestDelta(buf, seq, uint32(st.index), remote, loads, hdiag)

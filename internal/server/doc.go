@@ -3,15 +3,24 @@
 // endpoints talk to over the wire protocol of internal/wire.
 //
 // The daemon's control loop mirrors the paper's design: flowlet-start and
-// flowlet-end notifications from client sessions are queued into an inbox
-// and folded into the optimizer only at iteration boundaries; each iteration
+// flowlet-end notifications from client sessions are queued into an inbox —
+// a burst at a time: what one Read brought in, which is what an endpoint
+// wrote in one Flush, is published under one lock hold and never split
+// across iterations — and folded into the optimizer only at iteration
+// boundaries; each iteration
 // runs one NED step plus normalization (via the sequential core.Allocator,
 // or the FlowBlock/LinkBlock multicore allocator when Config.Blocks is set)
 // and fans the resulting rate updates back out to the sessions that
 // registered the flows.
 //
-// Iterations are driven two ways. With Config.Interval set, an internal
-// ticker free-runs the loop, and updates reach clients through per-session
+// Iterations are driven two ways. With Config.Interval set, one loop
+// goroutine free-runs: it iterates on arrival, the moment a session publishes
+// a burst of flowlet events (a flowlet start is answered in one iteration,
+// not after one tick; bursts landing mid-iteration coalesce into the next),
+// and otherwise every Interval, the idle cadence that keeps the optimizer
+// converging between arrivals. Peer exchange bundles and heartbeats never
+// wake it — two shards would ping-pong iterations forever — and wait for the
+// next tick or arrival. Updates reach clients through per-session
 // writer goroutines with coalescing backpressure: a slow client holds at
 // most one pending rate per flow (latest wins), so it can never stall the
 // allocator or grow daemon memory. With Interval zero the daemon is

@@ -85,8 +85,8 @@ func (e *coreEngine) SetExternalLoads(links []topology.LinkID, loads, hdiag []fl
 func (e *coreEngine) PinPrices(links []topology.LinkID, prices []float64) {
 	e.alloc.PinPrices(links, prices)
 }
-func (e *coreEngine) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) error {
-	return e.alloc.BoundaryDigest(links, loads, hdiag)
+func (e *coreEngine) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
+	e.alloc.BoundaryDigest(links, loads, hdiag)
 }
 func (e *coreEngine) LinkPrices(links []topology.LinkID, prices []float64) {
 	e.alloc.LinkPrices(links, prices)
@@ -178,8 +178,8 @@ func (e *parallelEngine) SetExternalLoads(links []topology.LinkID, loads, hdiag 
 func (e *parallelEngine) PinPrices(links []topology.LinkID, prices []float64) {
 	e.pa.PinPrices(links, prices)
 }
-func (e *parallelEngine) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) error {
-	return e.pa.BoundaryDigest(links, loads, hdiag)
+func (e *parallelEngine) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
+	e.pa.BoundaryDigest(links, loads, hdiag)
 }
 func (e *parallelEngine) LinkPrices(links []topology.LinkID, prices []float64) {
 	e.pa.LinkPrices(links, prices)

@@ -29,9 +29,13 @@ type Config struct {
 	// (default 0.01). The same fraction of link capacity is withheld as
 	// headroom, mirroring core.Config.
 	UpdateThreshold float64
-	// Interval is the free-running iteration period. Zero disables the
-	// internal ticker: iterations then run only when a client sends a
-	// Step frame, which is what deterministic end-to-end runs use.
+	// Interval is the longest gap between a free-running daemon's
+	// iterations; arrivals iterate at once. A positive value starts the
+	// loop goroutine: it iterates as soon as a session publishes a burst
+	// of flowlet events, and otherwise every Interval, the idle cadence
+	// that keeps the optimizer converging between arrivals. Zero disables
+	// the loop: iterations then run only when a client sends a Step frame,
+	// which is what deterministic end-to-end runs use.
 	Interval time.Duration
 	// Blocks selects the multicore engine: when positive, the daemon runs
 	// the FlowBlock/LinkBlock parallel allocator with Blocks rack blocks
@@ -112,6 +116,10 @@ type Stats struct {
 	// EventsReceived counts FlowletAdd/FlowletEnd frames accepted into
 	// the inbox.
 	EventsReceived int64
+	// ArrivalIterations counts the free-running iterations a published
+	// burst of flowlet events triggered, as opposed to the Interval ticker;
+	// LoopStats().Iterations counts both kinds (and Step-driven ones).
+	ArrivalIterations int64
 	// DuplicateAdds and UnknownEnds count events dropped at the
 	// iteration boundary because the flow was already (or not)
 	// registered; RejectedAdds count adds the engine refused (bad route).
@@ -233,12 +241,17 @@ type Server struct {
 	// flows is the flow table: one record per flowlet registered with the
 	// engine, owned or not.
 	flows map[core.FlowID]*flowRec
+	// freeRecs recycles the records of retired flowlets, so steady-state
+	// churn allocates none.
+	freeRecs []*flowRec
 	// unowned holds the registration metadata of flows that live in the
 	// engine without an owning session (restored from a snapshot or seeded
 	// from a peer replica), so a reconnecting client's re-registration can
 	// be verified and adopted without engine churn.
 	unowned map[core.FlowID]flowMeta
-	inbox   []event
+	// inbox holds the flowlet events published since the last iteration;
+	// sessions append to it a burst at a time (publish).
+	inbox []event
 	// fanning is iterate's scratch: the sessions whose pmu the running
 	// fan-out pass holds.
 	fanning  []*session
@@ -248,6 +261,11 @@ type Server struct {
 
 	done chan struct{}
 	wg   sync.WaitGroup
+	// wake tells tickLoop that client flowlet events were published and it
+	// should iterate now rather than at the next tick. One slot: bursts
+	// that land while an iteration is in flight coalesce into the single
+	// next one. Nil on a step-driven daemon (Interval == 0).
+	wake chan struct{}
 
 	lnMu      sync.Mutex
 	listeners []net.Listener
@@ -255,6 +273,7 @@ type Server struct {
 	stSessions  atomic.Int64
 	stActive    atomic.Int64
 	stEvents    atomic.Int64
+	stArrivals  atomic.Int64
 	stDupAdds   atomic.Int64
 	stUnknown   atomic.Int64
 	stRejected  atomic.Int64
@@ -338,6 +357,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: invalid shard configuration %d/%d", cfg.ShardIndex, cfg.NumShards)
 	}
 	if cfg.Interval > 0 {
+		s.wake = make(chan struct{}, 1)
 		s.wg.Add(1)
 		go s.tickLoop()
 	}
@@ -444,6 +464,8 @@ func (s *Server) Stats() Stats {
 		Takeovers:        s.stTakeovers.Load(),
 		DrainRejects:     s.stDrainRej.Load(),
 
+		ArrivalIterations: s.stArrivals.Load(),
+
 		ExchangeFolds:          s.stExchFolds.Load(),
 		ExchangeStalenessIters: s.stExchStale.Load(),
 
@@ -477,7 +499,15 @@ func (s *Server) Rates() map[core.FlowID]float64 {
 	return s.eng.Rates()
 }
 
-// tickLoop drives free-running iterations every cfg.Interval.
+// tickLoop is the free-running daemon's only iterator. It iterates on arrival
+// — the moment a session publishes a burst of flowlet events (wake), so a
+// flowlet start is answered one iteration later, not one tick later — and
+// otherwise every cfg.Interval: the ticker is the idle cadence that keeps NED
+// converging between arrivals and folds in what never wakes the loop (peer
+// exchange bundles, disconnect clean-up sweeps). Because wake has one slot and
+// this goroutine is its only consumer, arrival iterations run back to back at
+// most, however many sessions publish: the CPU the loop takes is proportional
+// to the offered event load, which Config.MaxFrameRate polices per session.
 func (s *Server) tickLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.Interval)
@@ -487,7 +517,11 @@ func (s *Server) tickLoop() {
 		case <-s.done:
 			return
 		case <-t.C:
-			s.iterate(nil, 0)
+		case <-s.wake:
+			s.stArrivals.Add(1)
+		}
+		if err := s.iterate(nil, 0); err != nil && !errors.Is(err, net.ErrClosed) {
+			s.logf("free-running iteration: %v", err)
 		}
 	}
 }
@@ -755,7 +789,24 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		tokens = burst
 		lastRefill = time.Now()
 	}
+	// The unit of ingest is the burst — the frames one Read brought in, which
+	// is what an endpoint wrote in one Flush: their flowlet events collect
+	// in events (reused, so a session allocates for its largest burst once)
+	// and reach the inbox together, under one lock hold, when the scanner
+	// has handed out its last buffered frame. An End+Start pair sent
+	// together is therefore never split across two iterations. The deferred
+	// publish runs before removeSession (registered above): what a failing
+	// session had already sent is folded in ahead of its clean-up sweep.
+	var events []event
+	publish := func() {
+		s.publish(events)
+		events = events[:0]
+	}
+	defer publish()
 	for {
+		if !sc.Buffered() {
+			publish()
+		}
 		if s.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 				return fmt.Errorf("server: session %d: %w", sess.id, err)
@@ -793,7 +844,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			if m.Size != 0 && sess.version < 4 {
 				return fmt.Errorf("server: session %d: sized flowlet-add on a v%d session", sess.id, sess.version)
 			}
-			s.enqueue(event{
+			events = append(events, event{
 				flow:   core.FlowID(m.Flow),
 				src:    int(m.Src),
 				dst:    int(m.Dst),
@@ -806,12 +857,15 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			if err != nil {
 				return fmt.Errorf("server: session %d: %w", sess.id, err)
 			}
-			s.enqueue(event{end: true, flow: core.FlowID(m.Flow), sess: sess})
+			events = append(events, event{end: true, flow: core.FlowID(m.Flow), sess: sess})
 		case wire.TypeStep:
 			m, err := wire.DecodeStep(payload)
 			if err != nil {
 				return fmt.Errorf("server: session %d: %w", sess.id, err)
 			}
+			// The events that preceded the Step on the stream belong to
+			// the iteration it asks for.
+			publish()
 			if err := s.iterate(sess, m.Seq); err != nil {
 				return err
 			}
@@ -821,13 +875,31 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 }
 
-// enqueue appends a flowlet event to the inbox; it is folded into the
-// allocator at the next iteration boundary.
-func (s *Server) enqueue(ev event) {
-	s.stEvents.Add(1)
+// publish appends one session's burst of flowlet events to the inbox under a
+// single lock hold; they are folded into the allocator at the next iteration
+// boundary, together. On a free-running daemon that boundary is now: the loop
+// is woken (after the append, so a wake is never ahead of its events) unless a
+// wake is already pending, in which case the iteration it stands for folds
+// this burst in too.
+//
+// Only client flowlet events come through here. Peer exchange bundles and
+// heartbeats must never wake the loop: an iteration pushes a bundle to every
+// peer, so two free-running shards waking each other on receipt would
+// ping-pong iterations forever. They wait for the next tick or arrival.
+func (s *Server) publish(burst []event) {
+	if len(burst) == 0 {
+		return
+	}
+	s.stEvents.Add(int64(len(burst)))
 	s.mu.Lock()
-	s.inbox = append(s.inbox, ev)
+	s.inbox = append(s.inbox, burst...)
 	s.mu.Unlock()
+	if s.wake != nil {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // removeSession detaches a session and schedules cleanup of its flowlets:
@@ -847,7 +919,15 @@ func (s *Server) removeSession(sess *session) {
 		// been replicated to the successor shard), so a cleanup sweep here
 		// would retire exactly the flows a restarted or adopting daemon
 		// needs. Clients fail over warm at last-known rates regardless.
-		// The flows become unowned, claimable by a reconnecting client.
+		// The flows become unowned, claimable by a reconnecting client;
+		// rates still queued for the dead session are withdrawn with it, so
+		// no record stays reachable through a session that is not its owner.
+		sess.pmu.Lock()
+		for _, rec := range sess.pending {
+			rec.pendIdx = -1
+		}
+		sess.pending = nil
+		sess.pmu.Unlock()
 		for _, rec := range sess.owned {
 			rec.owner = nil
 		}
@@ -1273,13 +1353,21 @@ func (s *Server) drainInboxLocked() {
 // trackFlowLocked enters a flowlet just registered with the engine into the
 // flow table, unowned. Called with s.mu held.
 func (s *Server) trackFlowLocked(id core.FlowID) *flowRec {
-	rec := &flowRec{id: id, pendIdx: -1}
+	var rec *flowRec
+	if n := len(s.freeRecs); n > 0 {
+		rec, s.freeRecs = s.freeRecs[n-1], s.freeRecs[:n-1]
+	} else {
+		rec = new(flowRec)
+	}
+	*rec = flowRec{id: id, pendIdx: -1}
 	s.flows[id] = rec
 	return rec
 }
 
 // forgetFlowLocked drops a flowlet just retired from the engine: out of the
-// flow table, out of its owner's set, and any undelivered rate withdrawn.
+// flow table, out of its owner's set, and any undelivered rate withdrawn. That
+// leaves the record unreachable (only its owner's pending list ever holds it
+// outside s.mu), so it is recycled; callers must not touch it afterwards.
 // Called with s.mu held.
 func (s *Server) forgetFlowLocked(rec *flowRec) {
 	delete(s.flows, rec.id)
@@ -1292,4 +1380,5 @@ func (s *Server) forgetFlowLocked(rec *flowRec) {
 		}
 		owner.pmu.Unlock()
 	}
+	s.freeRecs = append(s.freeRecs, rec)
 }

@@ -109,6 +109,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 
 	reg.CounterFunc("flowtune_iterations_total", "Allocator iterations run.",
 		func() float64 { return float64(s.loop.Snapshot().Iterations) }, labels...)
+	counter("flowtune_arrival_iterations_total", "Free-running iterations triggered by arriving flowlet events rather than the interval ticker.", &s.stArrivals)
 	reg.GaugeFunc("flowtune_iteration_latency_p50_seconds", "Median iteration latency over the recent window.",
 		func() float64 { return s.loop.Snapshot().LatencySec.P50 }, labels...)
 	reg.GaugeFunc("flowtune_iteration_latency_p99_seconds", "99th-percentile iteration latency over the recent window.",

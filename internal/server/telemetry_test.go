@@ -103,6 +103,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		`flowtune_wire_bytes_total{direction="fanout",encoding="fixed_v3"}`,
 		"flowtune_flows 1",
 		"flowtune_iterations_total 1",
+		"flowtune_arrival_iterations_total 0", // step-driven: nothing wakes a loop
 		"flowtune_iteration_latency_seconds_bucket",
 		"flowtune_churn_events_total 1",
 		"flowtune_draining 0",

@@ -260,7 +260,7 @@ func TestFlowRecordFanout(t *testing.T) {
 	a, b := fanoutSession(srv, connA), fanoutSession(srv, connB)
 	srv.sessions[a], srv.sessions[b] = struct{}{}, struct{}{}
 	add := func(sess *session, flow core.FlowID) {
-		srv.enqueue(event{flow: flow, src: 0, dst: 5, weight: 1, sess: sess})
+		srv.publish([]event{{flow: flow, src: 0, dst: 5, weight: 1, sess: sess}})
 	}
 	pendingIDs := func(sess *session) []core.FlowID {
 		sess.pmu.Lock()
@@ -304,7 +304,7 @@ func TestFlowRecordFanout(t *testing.T) {
 
 	// Ending flow 3 withdraws its undelivered rate; flow 4's survives the
 	// swap-remove and is what the writer sends.
-	srv.enqueue(event{end: true, flow: 3, sess: b})
+	srv.publish([]event{{end: true, flow: 3, sess: b}})
 	if err := srv.iterate(nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -351,5 +351,42 @@ func TestFlowRecordFanout(t *testing.T) {
 	}
 	if !replied[6] {
 		t.Fatalf("step reply %v lacks the new flow 6", replied)
+	}
+}
+
+// TestDrainDisconnectWithdrawsPendingRates: a session that disconnects from a
+// draining daemon leaves its flows registered but unowned; the rates it still
+// had queued go with it, so a record is never reachable through a session
+// that no longer owns it (records are recycled when their flowlet ends).
+func TestDrainDisconnectWithdrawsPendingRates(t *testing.T) {
+	srv, err := New(Config{Topology: testTopology(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	a := fanoutSession(srv, &fanoutConn{})
+	srv.sessions[a] = struct{}{}
+	srv.publish([]event{
+		{flow: 1, src: 0, dst: 5, weight: 1, sess: a},
+		{flow: 2, src: 1, dst: 5, weight: 1, sess: a},
+	})
+	if err := srv.iterate(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.pending) != 2 {
+		t.Fatalf("%d rates queued for the session; want 2", len(a.pending))
+	}
+	srv.Drain()
+	srv.removeSession(a)
+	if len(a.pending) != 0 {
+		t.Fatalf("%d rates still queued for the removed session", len(a.pending))
+	}
+	for id, rec := range srv.flows {
+		if rec.owner != nil || rec.pendIdx != -1 {
+			t.Fatalf("flow %d after its session left a draining daemon: owner %v, pendIdx %d", id, rec.owner, rec.pendIdx)
+		}
+	}
+	if n := srv.NumFlows(); n != 2 {
+		t.Fatalf("NumFlows = %d; a draining daemon keeps a disconnected session's flows", n)
 	}
 }

@@ -287,8 +287,9 @@ func (c *AllocClient) Registrations() []FlowRegistration {
 // Epoch returns the daemon's allocator epoch from the handshake.
 func (c *AllocClient) Epoch() uint64 { return c.epoch }
 
-// Interval returns the daemon's free-running iteration period (zero for a
-// step-driven daemon).
+// Interval returns the longest gap between the daemon's free-running
+// iterations — arrivals iterate at once, so it bounds how stale a rate can be,
+// not how long a flowlet start waits (zero for a step-driven daemon).
 func (c *AllocClient) Interval() time.Duration { return c.interval }
 
 // NumFlows returns the number of flowlets this client has registered.

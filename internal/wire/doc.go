@@ -14,6 +14,6 @@
 // validate exact payload lengths and alias their input, and RateBatch
 // entries decode in place. Scanner reads frames off any io.Reader through one
 // reused buffer — one Read per burst of frames, payloads handed out as slices
-// of it. Every (encode, decode) pair round-trips bit-exactly,
+// of it, and Buffered marking where a burst ends. Every (encode, decode) pair round-trips bit-exactly,
 // including NaN rate patterns — see the package fuzz test.
 package wire

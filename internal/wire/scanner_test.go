@@ -38,20 +38,32 @@ func (r *fragReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// checkScanMatchesParse requires a Scanner over r, retried through every
-// transient error, to yield exactly the frames ParseFrame splits off stream,
-// and to end the way ParseFrame does: io.EOF after a whole number of frames,
-// io.ErrUnexpectedEOF where the stream stops mid-frame, some other error at
-// a malformed header.
-func checkScanMatchesParse(t *testing.T, stream []byte, r io.Reader) {
+// checkScanMatchesParse requires a Scanner over r (which serves stream),
+// retried through every transient error, to yield exactly the frames
+// ParseFrame splits off stream, and to end the way ParseFrame does: io.EOF
+// after a whole number of frames, io.ErrUnexpectedEOF where the stream stops
+// mid-frame, some other error at a malformed header. Between frames the
+// scanner's burst-boundary report must agree with ParseFrame too: Buffered
+// exactly when the bytes read but not yet handed out start with a whole frame
+// (or a malformed header), and a Next after Buffered issues no Read.
+func checkScanMatchesParse(t *testing.T, stream []byte, r *fragReader) {
 	t.Helper()
 	sc := NewScanner(r)
 	rest := stream
 	for frame := 0; ; frame++ {
 		wantType, wantPayload, after, perr := ParseFrame(rest)
+		unread := rest[:len(rest)-len(r.data)]
+		_, _, _, uerr := ParseFrame(unread)
+		buffered, reads := sc.Buffered(), r.reads
+		if buffered != (uerr != ErrShortFrame) {
+			t.Fatalf("frame %d: Buffered() = %v with %d unread bytes that ParseFrame answers with %v", frame, buffered, len(unread), uerr)
+		}
 		gotType, gotPayload, serr := sc.Next()
 		for serr == errTimeout {
 			gotType, gotPayload, serr = sc.Next()
+		}
+		if buffered && r.reads != reads {
+			t.Fatalf("frame %d: Next issued %d Reads after Buffered() reported a frame ready", frame, r.reads-reads)
 		}
 		switch {
 		case perr == nil:
@@ -113,6 +125,12 @@ func TestScannerMatchesParseFrame(t *testing.T) {
 	mixed = AppendRateDelta(mixed, 4, false, nil)
 	mixed = AppendFlowletEnd(mixed, FlowletEnd{Flow: 3})
 	burst := stepBurst(300)
+	// Larger than the scanner's buffer: delivered whole, the buffer fills
+	// mid-frame, mid-burst.
+	twoBuffers := stepBurst(2000)
+	if len(twoBuffers) <= scanBufBytes {
+		t.Fatalf("two-buffer burst is only %d bytes", len(twoBuffers))
+	}
 	big := append(fullRateDelta(), AppendStep(nil, Step{Seq: 2})...)
 	if len(big) <= 4*scanBufBytes {
 		t.Fatalf("oversized-frame stream is only %d bytes", len(big))
@@ -125,6 +143,7 @@ func TestScannerMatchesParseFrame(t *testing.T) {
 	}{
 		{name: "mixed", stream: mixed},
 		{name: "burst", stream: burst},
+		{name: "burst filling the buffer mid-frame", stream: twoBuffers, slow: true},
 		{name: "oversized frame", stream: big, slow: true},
 		{name: "cut mid-header", stream: mixed[:len(mixed)-endLen-2]},
 		{name: "cut mid-payload", stream: mixed[:len(mixed)-3]},

@@ -210,8 +210,9 @@ type Hello struct {
 
 // Welcome is the server's handshake reply. Epoch identifies the allocator
 // generation (it changes when a daemon restarts), letting endpoints detect
-// failover and re-register their flowlets. IntervalNanos is the daemon's
-// auto-iteration period in nanoseconds, 0 when step-driven.
+// failover and re-register their flowlets. IntervalNanos is the longest gap
+// between a free-running daemon's iterations in nanoseconds (arrivals iterate
+// at once), 0 when step-driven.
 type Welcome struct {
 	Version       uint16
 	Epoch         uint64
@@ -865,6 +866,9 @@ const scanBufBytes = 64 << 10
 // net.Conn read deadline) keeps the partial frame buffered: the next call
 // resumes where the read stopped instead of desynchronizing the stream, so
 // polling a connection with deadlines is safe.
+//
+// Buffered tells a reader where a burst ends, so it can act once per burst
+// rather than once per frame.
 type Scanner struct {
 	r   io.Reader
 	buf []byte
@@ -898,6 +902,20 @@ func (s *Scanner) Next() (MsgType, []byte, error) {
 			return TypeInvalid, nil, err
 		}
 	}
+}
+
+// Buffered reports whether the next Next call returns without reading from
+// the stream: the buffer already holds a complete frame (or a malformed
+// header, which Next rejects). False marks a burst boundary — everything the
+// last Read brought in has been handed out and the following Next may block —
+// which is where a reader acts on the frames it collected.
+func (s *Scanner) Buffered() bool {
+	have := s.end - s.pos
+	if have < HeaderBytes {
+		return false
+	}
+	_, n, err := parseHeader(s.buf[s.pos:])
+	return err != nil || have >= HeaderBytes+n
 }
 
 // fill makes room for a frame of need bytes at the front of the buffer and
