@@ -5,8 +5,10 @@
 // flowlet to the shard of its source server (transport.ShardedClient), and
 // the daemons reconcile cross-shard paths by exchanging only boundary state:
 // each shard pushes its local load on remote downward links to their owner
-// (wire.PriceDigest) and publishes the prices of its own downward links
-// (wire.PriceSnapshot) after every iteration.
+// (wire.PriceDigestDelta) and publishes the prices of its own downward links
+// (wire.PriceSnapshotDelta) after every iteration, listing only what changed.
+// All daemons of a cluster speak one wire generation: a cluster is installed
+// and upgraded as a unit, and the peer handshake refuses anything else.
 //
 // On partition-local traffic (flows that stay inside one shard) the cluster
 // is byte-identical to a single daemon, because no two shards' flows share a

@@ -11,7 +11,7 @@ import "repro/internal/topology"
 
 // SetExternalLoads records remote flows' aggregate load and Hessian-diagonal
 // contributions on the given links (typically this shard's boundary links,
-// summed over all peers' latest PriceDigests). The solver adds them to its
+// summed over all peers' latest price digests). The solver adds them to its
 // locally accumulated values in every subsequent price update, and the
 // normalizer counts the loads toward link utilization, so boundary links are
 // priced and normalized against cluster-wide demand. Passing all zeros
@@ -48,8 +48,8 @@ func (a *Allocator) PinPrices(links []topology.LinkID, prices []float64) {
 
 // BoundaryDigest fills loads and hdiag (parallel to links) with this
 // allocator's own flows' contributions on the given links, as accumulated by
-// the most recent Iterate — the payload of an outgoing PriceDigest. With no
-// registered flows the digest is all zeros (an idle shard puts no load on
+// the most recent Iterate — the payload of an outgoing PriceDigestDelta. With
+// no registered flows the digest is all zeros (an idle shard puts no load on
 // anyone's links).
 func (a *Allocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
 	ll, hh := a.cfg.Solver.LastLoads()

@@ -15,7 +15,7 @@ import "repro/internal/topology"
 
 // SetExternalLoads records remote flows' aggregate load and Hessian-diagonal
 // contributions on the given links (typically this shard's boundary links,
-// summed over all peers' latest PriceDigests). The values are folded into the
+// summed over all peers' latest price digests). The values are folded into the
 // owning LinkBlock's merged accumulators at the price-update phase — g is
 // computed as (load − cap) + ext, the sequential solver's operation order —
 // and the normalize phase counts the loads toward link utilization, so
@@ -116,7 +116,7 @@ func (p *ParallelAllocator) writeLocalPrice(l topology.LinkID, price float64) {
 // BoundaryDigest fills loads and hdiag (parallel to links) with this
 // allocator's own flows' contributions on the given links, as merged by the
 // most recent Iterate's aggregation rounds — the payload of an outgoing
-// PriceDigest. The owner FlowBlocks' accumulators hold exactly the local
+// PriceDigestDelta. The owner FlowBlocks' accumulators hold exactly the local
 // flows' sums (external loads are folded in only at the price update, never
 // into the accumulators), so the exported bytes match the sequential
 // engine's digest bit for bit on the same flow set. With no registered flows

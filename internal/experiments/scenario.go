@@ -230,8 +230,8 @@ type ScenarioResult struct {
 	// Wire carries the daemon-side wire v4 byte counters of a Daemon run.
 	// It is deliberately excluded from the serialized result: the counters
 	// depend on the wire encoding, and keeping them out of BENCH_*.json
-	// lets every committed scenario baseline stay byte-identical across
-	// wire versions. The scaling artifact (BENCH_scaling.json) is where
+	// lets every committed scenario baseline stay byte-identical when the
+	// encoding changes. The scaling artifact (BENCH_scaling.json) is where
 	// they are published and diffed.
 	Wire *WireScenarioStats `json:"-"`
 	// Telemetry condenses the flight-recorder traces of a Telemetry run;
@@ -295,7 +295,7 @@ type ControlStats struct {
 	// Excluded from the serialized result for the same reason as
 	// ScenarioResult.Wire — they depend on the wire encoding, and keeping
 	// them out of BENCH_*.json keeps the control-latency baselines
-	// byte-identical across wire versions; Render reports them.
+	// byte-identical when the encoding changes; Render reports them.
 	FanoutBytes        int64 `json:"-"`
 	FanoutBytesFixed   int64 `json:"-"`
 	ExchangeBytes      int64 `json:"-"`

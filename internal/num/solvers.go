@@ -203,9 +203,6 @@ type NED struct {
 	sc scratch
 }
 
-// NewNED returns a NED solver with the default γ=1 step size.
-func NewNED() *NED { return &NED{Gamma: 1} }
-
 // Name implements Solver.
 func (n *NED) Name() string {
 	if n.RT {

@@ -164,8 +164,7 @@ func TestPeerFramesDoNotWakeLoop(t *testing.T) {
 		t.Fatalf("peer handshake reply: %s, %v", typ, err)
 	}
 	bundle := wire.AppendHeartbeat(nil, wire.Heartbeat{Seq: 1, Shard: 1})
-	bundle = wire.AppendPriceDigestHeader(bundle, 1, 1, 1)
-	bundle = wire.AppendDigestEntry(bundle, wire.DigestEntry{Link: 0, Load: 1e9, Hdiag: -1})
+	bundle = wire.AppendPriceDigestDelta(bundle, 1, 1, true, []uint32{0}, []float64{1e9}, []float64{-1})
 	if _, err := peer.Write(bundle); err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,13 @@ import (
 // its peers is the boundary: downward links, which remote flows traverse.
 // After every iteration the daemon pushes, to each peer,
 //
-//   - a PriceDigest with its local load and Hessian-diagonal contributions
-//     on the links that peer owns (so the owner prices boundary links from
-//     cluster-wide demand), and
-//   - a PriceSnapshot of its own boundary-link prices (so peers rate their
-//     cross-shard flows against the owner's congestion signal).
+//   - a PriceDigestDelta with its local load and Hessian-diagonal
+//     contributions on the links that peer owns (so the owner prices boundary
+//     links from cluster-wide demand), and
+//   - a PriceSnapshotDelta of its own boundary-link prices (so peers rate
+//     their cross-shard flows against the owner's congestion signal).
+//
+// Both list only what changed since the previous bundle on that connection.
 //
 // Inbound bundles are folded in at the next iteration boundary, exactly like
 // flowlet notifications. In step-driven runs a bundle stamped with iteration
@@ -34,35 +36,18 @@ import (
 // push waits for the receiver's ExchangeAck, which together make cluster
 // runs deterministic; free-running daemons fold whatever has arrived.
 
-// exchanger is implemented by engines that support the boundary-price
-// exchange. Both engines do: the sequential core engine delegates to the
-// allocator's boundary API over its global price/load arrays, and the
-// parallel engine to the block-local equivalents (external loads and pins
-// folded into the owning LinkBlock, digests exported from the owner
-// FlowBlocks' merged accumulators in the same canonical link order).
-type exchanger interface {
-	SetExternalLoads(links []topology.LinkID, loads, hdiag []float64)
-	PinPrices(links []topology.LinkID, prices []float64)
-	BoundaryDigest(links []topology.LinkID, loads, hdiag []float64)
-	LinkPrices(links []topology.LinkID, prices []float64)
-	SeedPrices(links []topology.LinkID, prices []float64)
-	UnpinPrices(links []topology.LinkID)
-}
-
 // exchangeMsg is one inbound peer frame waiting for the next iteration
 // boundary. For a digest, vals/hdiag are the load/sensitivity entries; for a
 // snapshot, vals holds prices and hdiag is nil; for a takeover announcement,
-// from is the adopter and dead the adopted daemon. delta marks a wire v4
-// delta frame (entries are a partial update; absent links keep their prior
-// imported values) and reset re-baselines: a reset digest zeroes the
-// sender's contributions before applying, a reset snapshot is a complete
-// price listing.
+// from is the adopter and dead the adopted daemon. Entries are a partial
+// update (absent links keep their prior imported values) unless reset
+// re-baselines: a reset digest zeroes the sender's contributions before
+// applying, a reset snapshot is a complete price listing.
 type exchangeMsg struct {
 	from     uint32
 	seq      uint64
 	snapshot bool
 	takeover bool
-	delta    bool
 	reset    bool
 	dead     uint32
 	links    []int32
@@ -78,16 +63,6 @@ type replicaState struct {
 	flows []wire.FlowStateEntry
 }
 
-// snapRecord retains the latest accepted prices from one peer daemon (the
-// links it serves), so its successor can seed them when adopting. It is a
-// merged map rather than the raw frames: v4 delta snapshots carry only the
-// changed links, so the record accumulates across sequences and always holds
-// the peer's full price set.
-type snapRecord struct {
-	seq    uint64
-	prices map[topology.LinkID]float64
-}
-
 // peerConn is one outbound shard-to-shard connection; this daemon pushes its
 // exchange bundles on it and reads acks back. It is only touched under
 // shardState.sendMu after registration.
@@ -100,9 +75,6 @@ type peerConn struct {
 	// acks is the number of ExchangeAcks the pending bundle will produce
 	// (one per snapshot chunk; receivers ack each chunk).
 	acks int
-	// version is the wire protocol negotiated with this peer (the minimum
-	// of both daemons' PeerHello versions); v4 peers get delta bundles.
-	version uint16
 	// needReset forces the next bundle to carry full (reset) digest and
 	// snapshot frames. Set on a fresh connection — the receiver's imported
 	// state is unknown — and whenever served-shard ownership changes.
@@ -133,7 +105,7 @@ const peerExchangeTimeout = 2 * time.Second
 type shardState struct {
 	smap     *topology.ShardMap
 	index    int
-	ex       exchanger
+	eng      engine
 	numLinks int
 	takeover bool
 	interval time.Duration
@@ -156,9 +128,12 @@ type shardState struct {
 	// it serves (the digest target set); invalidated on takeover.
 	remoteLinks map[int][]topology.LinkID
 
-	// lastSnap retains each peer daemon's latest accepted prices for
-	// adoption seeding. Guarded by the server mutex (written at fold).
-	lastSnap map[uint32]*snapRecord
+	// lastSnap retains each peer daemon's latest accepted prices (of the
+	// links it serves), so its successor can seed them when adopting. A
+	// merged map rather than the raw frames: snapshots carry only the changed
+	// links, so it accumulates across sequences and always holds the peer's
+	// full price set. Guarded by the server mutex (written at fold).
+	lastSnap map[uint32]map[topology.LinkID]float64
 
 	// announce holds takeover announcements awaiting inclusion in the next
 	// exchange bundle. Guarded by the server mutex.
@@ -202,12 +177,6 @@ type shardState struct {
 // newShardState validates the sharded configuration and prepares the
 // exchange state.
 func newShardState(cfg Config, eng engine) (*shardState, error) {
-	// Both engines implement exchanger; the assertion stays as a defensive
-	// gate for any future engine that does not.
-	ex, ok := eng.(exchanger)
-	if !ok {
-		return nil, fmt.Errorf("server: sharded mode requires an engine with boundary-exchange support")
-	}
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.NumShards {
 		return nil, fmt.Errorf("server: ShardIndex %d out of range for %d shards", cfg.ShardIndex, cfg.NumShards)
 	}
@@ -218,7 +187,7 @@ func newShardState(cfg Config, eng engine) (*shardState, error) {
 	st := &shardState{
 		smap:        smap,
 		index:       cfg.ShardIndex,
-		ex:          ex,
+		eng:         eng,
 		numLinks:    cfg.Topology.NumLinks(),
 		takeover:    cfg.Takeover,
 		interval:    cfg.Interval,
@@ -228,7 +197,7 @@ func newShardState(cfg Config, eng engine) (*shardState, error) {
 		boundary:    smap.BoundaryLinks(cfg.ShardIndex),
 		posOf:       make([]int32, cfg.Topology.NumLinks()),
 		remoteLinks: make(map[int][]topology.LinkID),
-		lastSnap:    make(map[uint32]*snapRecord),
+		lastSnap:    make(map[uint32]map[topology.LinkID]float64),
 		peerLoad:    make(map[uint32][]float64),
 		peerHdiag:   make(map[uint32][]float64),
 		peers:       make(map[int]*peerConn),
@@ -412,7 +381,6 @@ func (s *Server) ConnectPeer(conn net.Conn) (int, error) {
 		shard:     int(reply.Shard),
 		conn:      conn,
 		sc:        sc,
-		version:   min(reply.Version, wire.Version),
 		needReset: true,
 	}
 	s.shard.pmu.Lock()
@@ -439,11 +407,12 @@ func (s *Server) HasPeer(shard int) bool {
 	return ok
 }
 
-// validatePeer checks a PeerHello against this daemon's cluster shape.
+// validatePeer checks a PeerHello — an inbound one or the reply to ours —
+// against this daemon's protocol generation and cluster shape.
 func (st *shardState) validatePeer(h wire.PeerHello) error {
 	switch {
-	case h.Version > wire.Version:
-		return fmt.Errorf("server: peer speaks protocol v%d, daemon supports v%d", h.Version, wire.Version)
+	case h.Version != wire.Version:
+		return fmt.Errorf("server: peer shard %d speaks protocol v%d, daemon speaks v%d", h.Shard, h.Version, wire.Version)
 	case int(h.NumShards) != st.smap.NumShards():
 		return fmt.Errorf("server: peer believes in %d shards, this cluster has %d", h.NumShards, st.smap.NumShards())
 	case int(h.Shard) >= st.smap.NumShards():
@@ -486,7 +455,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].shard < peers[j].shard })
 
-	st.ex.LinkPrices(st.boundary, st.snapPrices)
+	st.eng.LinkPrices(st.boundary, st.snapPrices)
 	epoch := s.Epoch()
 	// Takeover mode: replicate this daemon's live flows to its successor in
 	// every bundle, so the successor always holds the state it would need to
@@ -494,10 +463,8 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	var replica []core.ParallelFlow
 	successor := -1
 	if st.takeover {
-		if sn, ok := s.eng.(snapshotter); ok {
-			replica = sn.LiveFlows()
-			successor = st.successorOf(st.index)
-		}
+		replica = s.eng.LiveFlows()
+		successor = st.successorOf(st.index)
 	}
 	announce := st.announce
 	st.announce = nil
@@ -509,21 +476,8 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 		}
 		loads := st.digestLoads[:len(remote)]
 		hdiag := st.digestHdiag[:len(remote)]
-		st.ex.BoundaryDigest(remote, loads, hdiag)
-		buf := pc.buf[:0]
-		if pc.version >= 4 {
-			buf = pc.appendDigestDelta(buf, seq, uint32(st.index), remote, loads, hdiag)
-		} else {
-			for start := 0; start < len(remote); start += wire.MaxDigestEntries {
-				end := min(start+wire.MaxDigestEntries, len(remote))
-				buf = wire.AppendPriceDigestHeader(buf, seq, uint32(st.index), end-start)
-				for i := start; i < end; i++ {
-					buf = wire.AppendDigestEntry(buf, wire.DigestEntry{
-						Link: uint32(remote[i]), Load: loads[i], Hdiag: hdiag[i],
-					})
-				}
-			}
-		}
+		st.eng.BoundaryDigest(remote, loads, hdiag)
+		buf := pc.appendDigestDelta(pc.buf[:0], seq, uint32(st.index), remote, loads, hdiag)
 		exchBytes := len(buf)
 		if st.takeover {
 			buf = wire.AppendHeartbeat(buf, wire.Heartbeat{Seq: seq, Shard: uint32(st.index)})
@@ -551,46 +505,31 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 		// last: their acks therefore confirm delivery of the whole bundle,
 		// including any replica and takeover frames written above.
 		ctrl := len(buf)
-		pc.acks = 0
-		if pc.version >= 4 {
-			buf = pc.appendSnapshotDelta(buf, epoch, seq, uint32(st.index), st.boundary, st.snapPrices)
-		} else {
-			for start := 0; start < len(st.boundary); start += wire.MaxSnapshotEntries {
-				end := min(start+wire.MaxSnapshotEntries, len(st.boundary))
-				buf = wire.AppendPriceSnapshotHeader(buf, epoch, seq, uint32(st.index), end-start)
-				for i := start; i < end; i++ {
-					buf = wire.AppendSnapshotEntry(buf, wire.SnapshotEntry{
-						Link: uint32(st.boundary[i]), Price: st.snapPrices[i],
-					})
-				}
-				pc.acks++
-			}
-		}
+		buf = pc.appendSnapshotDelta(buf, epoch, seq, uint32(st.index), st.boundary, st.snapPrices)
 		exchBytes += len(buf) - ctrl
 		pc.needReset = false
 		pc.buf = buf
 		pc.seq = seq
 		// Exchange byte accounting happens at build time, not send time, so
 		// the counters are deterministic in step-driven runs. Heartbeat,
-		// takeover, and replica frames are excluded: they exist in both
-		// encodings unchanged.
+		// takeover, and replica frames are excluded: they were never part of
+		// the fixed-v3 baseline the ratio is taken against.
 		s.stExchBytes.Add(int64(exchBytes))
 		s.stExchFixed.Add(fixedExchangeBytes(len(remote), len(st.boundary)))
 	}
 	return peers
 }
 
-// appendDigestDelta encodes this iteration's digest for a v4 peer. On a
+// appendDigestDelta encodes this iteration's digest for one peer. On a
 // fresh or resyncing connection it emits a reset digest — the receiver
 // zeroes this daemon's contributions before applying it, so all-zero links
 // can be omitted. Afterwards only links whose (load, hdiag) pair changed
 // bit-wise since the last built bundle are listed; the receiver keeps prior
-// values for omitted links, which is exactly what refreshing them from a
-// full v3 digest would produce. A quiet iteration still emits one empty
-// frame (header only): the fold and staleness counters measure per-iteration
+// values for omitted links. A quiet iteration still emits one empty frame
+// (header only): the fold and staleness counters measure per-iteration
 // exchange behaviour, and an explicit "nothing changed" marker keeps them —
-// and every committed baseline that records them — identical across wire
-// versions at a cost of a few bytes.
+// and every committed baseline that records them — independent of how much
+// happened to change, at a cost of a few bytes.
 func (pc *peerConn) appendDigestDelta(buf []byte, seq uint64, shard uint32, remote []topology.LinkID, loads, hdiag []float64) []byte {
 	reset := pc.needReset || pc.digestShadow == nil
 	if pc.digestShadow == nil {
@@ -629,8 +568,8 @@ func (pc *peerConn) appendDigestDelta(buf []byte, seq uint64, shard uint32, remo
 	return buf
 }
 
-// appendSnapshotDelta encodes this iteration's boundary-price snapshot for a
-// v4 peer and sets pc.acks. A reset lists every boundary link — a pinned
+// appendSnapshotDelta encodes this iteration's boundary-price snapshot for
+// one peer and sets pc.acks. A reset lists every boundary link — a pinned
 // zero price is not the same as no pin, so resets cannot omit entries —
 // while later bundles list only changed prices. At least one (possibly
 // empty) frame is always emitted: the receiver acks each snapshot-delta
@@ -669,9 +608,9 @@ func (pc *peerConn) appendSnapshotDelta(buf []byte, epoch, seq uint64, shard uin
 	return buf
 }
 
-// fixedExchangeBytes is the wire cost this bundle's digest and snapshot
-// would have as fixed v3 frames with v3 chunking — the baseline of the
-// ExchangeBytesFixed counter.
+// fixedExchangeBytes is the wire cost this bundle's digest and snapshot had
+// as fixed-v3 PriceDigest and PriceSnapshot frames with their chunking — the
+// baseline of the ExchangeBytesFixed counter.
 func fixedExchangeBytes(nRemote, nBoundary int) int64 {
 	var b int64
 	for start := 0; start < nRemote; start += wire.MaxDigestEntries {
@@ -800,15 +739,20 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 	if err != nil {
 		return fmt.Errorf("server: peer handshake: %w", err)
 	}
-	if err := s.shard.validatePeer(hello); err != nil {
-		return err
-	}
 	reply := wire.AppendPeerHello(nil, wire.PeerHello{
 		Version:   wire.Version,
 		Shard:     uint32(s.cfg.ShardIndex),
 		NumShards: uint32(s.cfg.NumShards),
 		Epoch:     s.Epoch(),
 	})
+	if err := s.shard.validatePeer(hello); err != nil {
+		if hello.Version != wire.Version {
+			// The reply names the version this daemon speaks, so the refused
+			// dialer reports the mismatch instead of a bare EOF.
+			refuse(conn, reply)
+		}
+		return err
+	}
 	if _, err := conn.Write(reply); err != nil {
 		return fmt.Errorf("server: peer handshake: %w", err)
 	}
@@ -827,16 +771,6 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 		}
 		s.shard.noteHeard(int(hello.Shard))
 		switch typ {
-		case wire.TypePriceDigest:
-			d, err := wire.DecodePriceDigest(payload)
-			if err != nil {
-				return fmt.Errorf("server: peer shard %d: %w", hello.Shard, err)
-			}
-			if d.Shard != hello.Shard {
-				s.stPeerRej.Add(1)
-				continue
-			}
-			s.shard.enqueueDigest(d)
 		case wire.TypePriceDigestDelta:
 			if err := wire.DecodePriceDigestDelta(payload, &dd); err != nil {
 				return fmt.Errorf("server: peer shard %d: %w", hello.Shard, err)
@@ -859,23 +793,6 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 				s.shard.enqueueSnapshotDelta(sd)
 			}
 			ack = wire.AppendExchangeAck(ack[:0], sd.Seq)
-			if _, err := conn.Write(ack); err != nil {
-				return fmt.Errorf("server: peer shard %d: ack: %w", hello.Shard, err)
-			}
-		case wire.TypePriceSnapshot:
-			sn, err := wire.DecodePriceSnapshot(payload)
-			if err != nil {
-				return fmt.Errorf("server: peer shard %d: %w", hello.Shard, err)
-			}
-			if sn.Shard != hello.Shard || sn.Epoch < hello.Epoch {
-				// Wrong sender or a snapshot taken before the generation
-				// this session advertised: drop the content but still ack,
-				// because the peer blocks on delivery, not acceptance.
-				s.stPeerRej.Add(1)
-			} else {
-				s.shard.enqueueSnapshot(sn)
-			}
-			ack = wire.AppendExchangeAck(ack[:0], sn.Seq)
 			if _, err := conn.Write(ack); err != nil {
 				return fmt.Errorf("server: peer shard %d: ack: %w", hello.Shard, err)
 			}
@@ -923,34 +840,12 @@ func (st *shardState) enqueueTakeover(tk wire.Takeover) {
 	st.inMu.Unlock()
 }
 
-// enqueueDigest copies a digest out of the scanner buffer into the pending
-// queue.
-func (st *shardState) enqueueDigest(d wire.PriceDigest) {
-	m := exchangeMsg{
-		from:  d.Shard,
-		seq:   d.Seq,
-		links: make([]int32, d.Len()),
-		vals:  make([]float64, d.Len()),
-		hdiag: make([]float64, d.Len()),
-	}
-	for i := 0; i < d.Len(); i++ {
-		e := d.Entry(i)
-		m.links[i] = int32(e.Link)
-		m.vals[i] = e.Load
-		m.hdiag[i] = e.Hdiag
-	}
-	st.inMu.Lock()
-	st.pending = append(st.pending, m)
-	st.inMu.Unlock()
-}
-
 // enqueueDigestDelta copies a decoded delta digest (the decode scratch is
 // reused frame to frame) into the pending queue.
 func (st *shardState) enqueueDigestDelta(d wire.PriceDigestDelta) {
 	m := exchangeMsg{
 		from:  d.Shard,
 		seq:   d.Seq,
-		delta: true,
 		reset: d.Reset,
 		links: make([]int32, len(d.Links)),
 		vals:  make([]float64, len(d.Links)),
@@ -973,7 +868,6 @@ func (st *shardState) enqueueSnapshotDelta(sn wire.PriceSnapshotDelta) {
 		from:     sn.Shard,
 		seq:      sn.Seq,
 		snapshot: true,
-		delta:    true,
 		reset:    sn.Reset,
 		links:    make([]int32, len(sn.Links)),
 		vals:     make([]float64, len(sn.Links)),
@@ -982,26 +876,6 @@ func (st *shardState) enqueueSnapshotDelta(sn wire.PriceSnapshotDelta) {
 		m.links[i] = int32(l)
 	}
 	copy(m.vals, sn.Prices)
-	st.inMu.Lock()
-	st.pending = append(st.pending, m)
-	st.inMu.Unlock()
-}
-
-// enqueueSnapshot copies a snapshot out of the scanner buffer into the
-// pending queue.
-func (st *shardState) enqueueSnapshot(sn wire.PriceSnapshot) {
-	m := exchangeMsg{
-		from:     sn.Shard,
-		seq:      sn.Seq,
-		snapshot: true,
-		links:    make([]int32, sn.Len()),
-		vals:     make([]float64, sn.Len()),
-	}
-	for i := 0; i < sn.Len(); i++ {
-		e := sn.Entry(i)
-		m.links[i] = int32(e.Link)
-		m.vals[i] = e.Price
-	}
 	st.inMu.Lock()
 	st.pending = append(st.pending, m)
 	st.inMu.Unlock()
@@ -1066,10 +940,10 @@ func (s *Server) foldExchangeLocked() {
 				st.pinVals = append(st.pinVals, m.vals[i])
 			}
 			if len(st.pinLinks) > 0 {
-				st.ex.PinPrices(st.pinLinks, st.pinVals)
+				st.eng.PinPrices(st.pinLinks, st.pinVals)
 			}
 			if len(st.pinLinks) > 0 || m.reset {
-				st.retainSnapshot(m.from, m.seq, st.pinLinks, st.pinVals, m.reset, m.delta)
+				st.retainSnapshot(m.from, st.pinLinks, st.pinVals, m.reset)
 			}
 			continue
 		}
@@ -1115,28 +989,23 @@ func (s *Server) foldExchangeLocked() {
 				st.extHdiag[i] += hdiag[i]
 			}
 		}
-		st.ex.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
+		st.eng.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	}
 }
 
-// retainSnapshot keeps a merged copy of a peer daemon's accepted prices for
-// adoption seeding. Fixed (v3) snapshots are complete per sequence: chunks
-// of one sequence accumulate, a newer sequence replaces. Delta (v4)
-// snapshots list only changed links, so they merge across sequences and
-// re-baseline on reset — either way the record always holds the peer's full
-// last-known price set. Called with the server mutex held.
-func (st *shardState) retainSnapshot(from uint32, seq uint64, links []topology.LinkID, prices []float64, reset, delta bool) {
+// retainSnapshot merges a peer daemon's accepted prices into lastSnap,
+// re-baselining on reset. Called with the server mutex held.
+func (st *shardState) retainSnapshot(from uint32, links []topology.LinkID, prices []float64, reset bool) {
 	rec := st.lastSnap[from]
 	if rec == nil {
-		rec = &snapRecord{prices: make(map[topology.LinkID]float64, len(links))}
+		rec = make(map[topology.LinkID]float64, len(links))
 		st.lastSnap[from] = rec
 	}
-	if reset || (!delta && rec.seq != seq) {
-		clear(rec.prices)
+	if reset {
+		clear(rec)
 	}
-	rec.seq = seq
 	for i, l := range links {
-		rec.prices[l] = prices[i]
+		rec[l] = prices[i]
 	}
 }
 
@@ -1240,21 +1109,21 @@ func (s *Server) adoptLocked(dead int) {
 			adopted++
 		}
 	}
-	if rec := st.lastSnap[uint32(dead)]; rec != nil && len(rec.prices) > 0 {
+	if rec := st.lastSnap[uint32(dead)]; len(rec) > 0 {
 		// Deterministic seeding order: the record is a merged map, so sort
 		// by link. Per-link assignment makes the order cosmetic, but sorted
 		// output keeps logs and tests stable.
-		links := make([]topology.LinkID, 0, len(rec.prices))
-		for l := range rec.prices {
+		links := make([]topology.LinkID, 0, len(rec))
+		for l := range rec {
 			links = append(links, l)
 		}
 		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 		prices := make([]float64, len(links))
 		for i, l := range links {
-			prices[i] = rec.prices[l]
+			prices[i] = rec[l]
 		}
-		st.ex.SeedPrices(links, prices)
-		st.ex.UnpinPrices(links)
+		st.eng.SeedPrices(links, prices)
+		st.eng.UnpinPrices(links)
 	}
 	delete(st.lastSnap, uint32(dead))
 	for x := range st.servedBy {
@@ -1325,7 +1194,7 @@ func (st *shardState) rebuildBoundaryLocked() {
 	st.extHdiag = make([]float64, len(b))
 	st.snapPrices = make([]float64, len(b))
 	clear(st.remoteLinks)
-	st.ex.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
+	st.eng.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	st.markResyncPeers()
 }
 

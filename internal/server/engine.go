@@ -7,10 +7,12 @@ import (
 
 // engine abstracts the daemon's optimizer: the sequential NED allocator or
 // the FlowBlock/LinkBlock parallel allocator, both behind churn-at-iteration
-// semantics.
+// semantics. Besides allocation it covers what the daemon's other subsystems
+// need of the optimizer: flow-state export (snapshots, peer replicas, warm
+// restart) and the boundary-price exchange of a sharded cluster.
 type engine interface {
 	FlowletStart(id core.FlowID, src, dst int, weight float64) error
-	// FlowletStartSized is FlowletStart carrying the endpoint's wire v4
+	// FlowletStartSized is FlowletStart carrying the endpoint's
 	// flowlet-size hint in bytes (0 = unknown), recorded in the flow
 	// metadata and ignored by the solvers.
 	FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error
@@ -29,15 +31,19 @@ type engine interface {
 	// Iterate re-prices against it (see core.Allocator.SetLinkCapacity).
 	SetLinkCapacity(l topology.LinkID, capacity float64) error
 	Close()
-}
 
-// snapshotter is implemented by engines whose live flow set can be exported
-// in canonical order — the basis of flow-state snapshots, peer replicas, and
-// warm restart. Both engines support it, and both also implement the
-// exchanger interface (see cluster.go) for price export and the sharded
-// boundary exchange.
-type snapshotter interface {
+	// LiveFlows exports the live flow set in canonical engine order.
 	LiveFlows() []core.ParallelFlow
+
+	// The boundary API: price export and import for the sharded exchange,
+	// snapshots and the flight recorder's price residual. Each adapter below
+	// says how its allocator provides it.
+	SetExternalLoads(links []topology.LinkID, loads, hdiag []float64)
+	PinPrices(links []topology.LinkID, prices []float64)
+	BoundaryDigest(links []topology.LinkID, loads, hdiag []float64)
+	LinkPrices(links []topology.LinkID, prices []float64)
+	SeedPrices(links []topology.LinkID, prices []float64)
+	UnpinPrices(links []topology.LinkID)
 }
 
 // coreEngine adapts the sequential core.Allocator.

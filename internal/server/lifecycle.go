@@ -50,9 +50,9 @@ func (s *Server) Closed() bool { return s.isClosed() }
 
 // Snapshot serializes the daemon's allocator state: its live flowlet
 // registry (FlowState chunks, canonical engine order) and every link's
-// current price (PriceSnapshot chunks) — both engines export prices through
-// the exchanger interface. The result feeds Restore on a replacement daemon
-// for a warm restart that continues the dual ascent in place.
+// current price (PriceSnapshot chunks). The result feeds Restore on a
+// replacement daemon for a warm restart that continues the dual ascent in
+// place.
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -64,11 +64,7 @@ func (s *Server) Snapshot() ([]byte, error) {
 
 // snapshotLocked encodes the snapshot with s.mu held.
 func (s *Server) snapshotLocked() []byte {
-	sn, ok := s.eng.(snapshotter)
-	if !ok {
-		return nil
-	}
-	flows := sn.LiveFlows()
+	flows := s.eng.LiveFlows()
 	epoch := s.Epoch()
 	shard := uint32(s.cfg.ShardIndex)
 	var buf []byte
@@ -84,16 +80,12 @@ func (s *Server) snapshotLocked() []byte {
 			break
 		}
 	}
-	ex, ok := s.eng.(exchanger)
-	if !ok {
-		return buf
-	}
 	links := make([]topology.LinkID, s.cfg.Topology.NumLinks())
 	for i := range links {
 		links[i] = topology.LinkID(i)
 	}
 	prices := make([]float64, len(links))
-	ex.LinkPrices(links, prices)
+	s.eng.LinkPrices(links, prices)
 	for start := 0; start < len(links); start += wire.MaxSnapshotEntries {
 		end := min(start+wire.MaxSnapshotEntries, len(links))
 		buf = wire.AppendPriceSnapshotHeader(buf, epoch, s.seq, shard, end-start)
@@ -122,7 +114,6 @@ func (s *Server) Restore(snap []byte) error {
 	if s.eng.NumFlows() != 0 || len(s.inbox) != 0 {
 		return fmt.Errorf("server: restore requires an empty daemon (%d flows, %d pending events)", s.eng.NumFlows(), len(s.inbox))
 	}
-	ex, hasPrices := s.eng.(exchanger)
 	var seq uint64
 	buf := snap
 	for len(buf) > 0 {
@@ -153,10 +144,6 @@ func (s *Server) Restore(snap []byte) error {
 			if err != nil {
 				return fmt.Errorf("server: restore: %w", err)
 			}
-			if !hasPrices {
-				s.logf("restore: engine does not import prices; %d seeded prices skipped", ps.Len())
-				break
-			}
 			links := make([]topology.LinkID, 0, ps.Len())
 			prices := make([]float64, 0, ps.Len())
 			numLinks := s.cfg.Topology.NumLinks()
@@ -168,7 +155,7 @@ func (s *Server) Restore(snap []byte) error {
 				links = append(links, topology.LinkID(e.Link))
 				prices = append(prices, e.Price)
 			}
-			ex.SeedPrices(links, prices)
+			s.eng.SeedPrices(links, prices)
 		default:
 			return fmt.Errorf("server: restore: unexpected %s frame", typ)
 		}
@@ -181,12 +168,11 @@ func (s *Server) Restore(snap []byte) error {
 
 // Shutdown drains the daemon gracefully and closes it: new registrations
 // stop, in-flight rate fan-out is given until the timeout to reach clients,
-// a snapshot of the allocator state is taken, and every protocol-v3 client
-// receives a final drain-flagged EpochNotify — the signal to freeze at
-// last-known rates and fail over warm. The returned snapshot (nil when the
-// engine cannot export state) is what an operator hands to Restore on the
-// replacement daemon. Shutdown is idempotent through Close; a zero timeout
-// skips the fan-out wait but still notifies and snapshots.
+// a snapshot of the allocator state is taken, and every client receives a
+// final drain-flagged EpochNotify — the signal to freeze at last-known rates
+// and fail over warm. The returned snapshot is what an operator hands to
+// Restore on the replacement daemon. Shutdown is idempotent through Close; a
+// zero timeout skips the fan-out wait but still notifies and snapshots.
 func (s *Server) Shutdown(timeout time.Duration) ([]byte, error) {
 	deadline := time.Now().Add(timeout)
 	s.Drain()
@@ -210,9 +196,7 @@ func (s *Server) Shutdown(timeout time.Duration) ([]byte, error) {
 	epoch := s.Epoch()
 	notify := make([]*session, 0, len(s.sessions))
 	for sess := range s.sessions {
-		if sess.version >= 3 {
-			notify = append(notify, sess)
-		}
+		notify = append(notify, sess)
 	}
 	s.wg.Add(len(notify))
 	s.mu.Unlock()

@@ -53,9 +53,6 @@ type Config struct {
 	// handshake (default 1). Restarting operators should bump it so
 	// endpoints re-register their flowlets.
 	Epoch uint64
-	// LatencyWindow is the loop-latency percentile window
-	// (default metrics.DefaultLoopWindow).
-	LatencyWindow int
 	// Logf, when set, receives daemon log lines.
 	Logf func(format string, args ...any)
 
@@ -98,12 +95,11 @@ type Config struct {
 	// staleness detection.
 	HeartbeatTimeout time.Duration
 
-	// QuantizeRates switches protocol-v4 rate fan-out to the paper's Mbps
-	// granularity (uvarint Mbps per entry instead of bit-exact
-	// xor-compressed float64s). Endpoints then receive rates rounded to
-	// 1 Mbps, so it is opt-in (flowtuned -wire-quantize): the default
-	// lossless mode keeps allocation math and committed baselines
-	// byte-identical. v3 sessions are unaffected either way.
+	// QuantizeRates switches rate fan-out to the paper's Mbps granularity
+	// (uvarint Mbps per entry instead of bit-exact xor-compressed float64s).
+	// Endpoints then receive rates rounded to 1 Mbps, so it is opt-in
+	// (flowtuned -wire-quantize): the default lossless mode keeps allocation
+	// math and committed baselines byte-identical.
 	QuantizeRates bool
 }
 
@@ -129,7 +125,7 @@ type Stats struct {
 	// UpdatesSent counts rate-update entries written to clients;
 	// UpdatesCoalesced counts updates overwritten by a newer rate before
 	// a slow client drained them (the backpressure policy); BatchesSent
-	// counts RateBatch frames.
+	// counts RateDelta frames.
 	UpdatesSent      int64
 	UpdatesCoalesced int64
 	BatchesSent      int64
@@ -160,16 +156,15 @@ type Stats struct {
 	ExchangeFolds          int64
 	ExchangeStalenessIters int64
 	// FanoutBytes counts rate-update bytes actually written to clients
-	// (RateBatch or RateDelta frames); FanoutBytesFixed counts the bytes
-	// the same updates would have cost as fixed v3 RateBatch frames, so
-	// FanoutBytesFixed/FanoutBytes is the fan-out compression ratio.
+	// (RateDelta frames); FanoutBytesFixed counts the bytes the same updates
+	// would have cost as fixed-v3 RateBatch frames, so FanoutBytesFixed /
+	// FanoutBytes is the fan-out compression ratio.
 	FanoutBytes      int64
 	FanoutBytesFixed int64
-	// ExchangeBytes counts PriceDigest/PriceSnapshot (or their v4 delta
-	// forms) bytes built into peer exchange bundles; ExchangeBytesFixed
-	// counts the fixed v3 cost of the same boundary state. Both are
-	// accumulated at bundle-build time, so step-driven runs count them
-	// deterministically.
+	// ExchangeBytes counts PriceDigestDelta/PriceSnapshotDelta bytes built
+	// into peer exchange bundles; ExchangeBytesFixed counts the fixed-v3
+	// cost of the same boundary state. Both are accumulated at bundle-build
+	// time, so step-driven runs count them deterministically.
 	ExchangeBytes      int64
 	ExchangeBytesFixed int64
 }
@@ -202,8 +197,8 @@ type flowRec struct {
 	// lastSent shadows the value last sent for the flow — the rate's bit
 	// pattern, or its quantized Mbps in QuantizeRates mode — so the writer
 	// skips a rate the client already holds. It counts only while sentGen
-	// equals owner.shadowGen (v4 sessions only). The shadow lives and dies
-	// with the record: a later flowlet reusing the ID starts from none.
+	// equals owner.shadowGen. The shadow lives and dies with the record: a
+	// later flowlet reusing the ID starts from none.
 	sentGen  uint32
 	lastSent uint64
 }
@@ -214,7 +209,7 @@ type event struct {
 	flow     core.FlowID
 	src, dst int
 	weight   float64
-	// size is the wire v4 flowlet-size hint in bytes (0 = unknown).
+	// size is the flowlet-size hint in bytes (0 = unknown).
 	size int64
 	sess *session
 	// cleanup marks an orphan-retirement event generated when sess
@@ -338,7 +333,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		eng:      eng,
-		loop:     metrics.NewLoopRecorder(cfg.LatencyWindow),
+		loop:     metrics.NewLoopRecorder(metrics.DefaultLoopWindow),
 		sessions: make(map[*session]struct{}),
 		conns:    make(map[net.Conn]struct{}),
 		flows:    make(map[core.FlowID]*flowRec),
@@ -375,11 +370,11 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // BumpEpoch advances the daemon's allocator epoch (it must be greater than
-// the current one) and pushes an EpochNotify frame to every connected
-// protocol-v2 client, so endpoints learn about an allocator state reset
-// without waiting for a failed write; they respond by re-registering their
-// flowlets (transport.AllocClient.Reconnect). Operators use it after
-// swapping allocator state under a live daemon.
+// the current one) and pushes an EpochNotify frame to every connected client,
+// so endpoints learn about an allocator state reset without waiting for a
+// failed write; they respond by re-registering their flowlets
+// (transport.AllocClient.Reconnect). Operators use it after swapping
+// allocator state under a live daemon.
 func (s *Server) BumpEpoch(epoch uint64) error {
 	for {
 		cur := s.epoch.Load()
@@ -397,9 +392,7 @@ func (s *Server) BumpEpoch(epoch uint64) error {
 	}
 	notify := make([]*session, 0, len(s.sessions))
 	for sess := range s.sessions {
-		if sess.version >= 2 {
-			notify = append(notify, sess)
-		}
+		notify = append(notify, sess)
 	}
 	// Register the notifier goroutines under s.mu, like session writers, so
 	// Close cannot start waiting between the check above and the Add.
@@ -622,9 +615,6 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 	id   uint64 // client label from Hello
-	// version is the protocol version the client announced; v2 frames
-	// (EpochNotify) are only pushed to sessions that understand them.
-	version uint16
 
 	// Write side: wmu serializes frame writes; wbuf is the reused
 	// synchronous-path encode buffer.
@@ -701,7 +691,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}()
 	sc := wire.NewScanner(conn)
 
-	// Handshake: the first frame must be a compatible Hello — or, on a
+	// Handshake: the first frame must be a Hello of this generation — or, on a
 	// sharded daemon, a PeerHello opening a shard-to-shard session. The
 	// idle timeout covers this first read too, so a connection that never
 	// completes its handshake cannot pin a goroutine forever.
@@ -731,15 +721,17 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("server: handshake: %w", err)
 	}
-	if hello.Version > wire.Version {
-		return fmt.Errorf("server: client speaks protocol v%d, daemon supports v%d", hello.Version, wire.Version)
+	if hello.Version != wire.Version {
+		// The Welcome names the version this daemon speaks, so the refused
+		// client reports the mismatch instead of a bare EOF.
+		refuse(conn, s.welcomeFrame())
+		return fmt.Errorf("server: client %d speaks protocol v%d, daemon speaks v%d", hello.ClientID, hello.Version, wire.Version)
 	}
 
 	sess := &session{
 		srv:       s,
 		conn:      conn,
 		id:        hello.ClientID,
-		version:   hello.Version,
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 		shadowGen: 1, // a record's zero sentGen means never sent
@@ -760,18 +752,9 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		sess.writer()
 	}()
 
-	// Advertise the highest version both sides speak, so old clients keep
-	// working and are never sent v2 frames.
-	version := uint16(wire.Version)
-	if hello.Version < version {
-		version = hello.Version
-	}
-	welcome := wire.AppendWelcome(nil, wire.Welcome{
-		Version:       version,
-		Epoch:         s.Epoch(),
-		IntervalNanos: uint64(s.cfg.Interval),
-	})
-	if err := sess.write(welcome); err != nil {
+	// Encoded after the session is registered: an epoch bump from here on
+	// either shows in this Welcome or reaches the session as an EpochNotify.
+	if err := sess.write(s.welcomeFrame()); err != nil {
 		return fmt.Errorf("server: handshake write: %w", err)
 	}
 	s.logf("session %d connected from %v", sess.id, conn.RemoteAddr())
@@ -841,9 +824,6 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			if err != nil {
 				return fmt.Errorf("server: session %d: %w", sess.id, err)
 			}
-			if m.Size != 0 && sess.version < 4 {
-				return fmt.Errorf("server: session %d: sized flowlet-add on a v%d session", sess.id, sess.version)
-			}
 			events = append(events, event{
 				flow:   core.FlowID(m.Flow),
 				src:    int(m.Src),
@@ -872,6 +852,28 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		default:
 			return fmt.Errorf("server: session %d: unexpected %s frame", sess.id, typ)
 		}
+	}
+}
+
+// welcomeFrame encodes the daemon's handshake reply.
+func (s *Server) welcomeFrame() []byte {
+	return wire.AppendWelcome(nil, wire.Welcome{
+		Version:       wire.Version,
+		Epoch:         s.Epoch(),
+		IntervalNanos: uint64(s.cfg.Interval),
+	})
+}
+
+// refuseWriteTimeout bounds the one frame a daemon sends a peer it is turning
+// away: a peer that never reads it must not pin the serving goroutine.
+const refuseWriteTimeout = time.Second
+
+// refuse answers a handshake from another protocol generation with this
+// daemon's own handshake frame, so the refused side can name both versions
+// instead of reporting a bare EOF. The caller closes conn.
+func refuse(conn net.Conn, frame []byte) {
+	if conn.SetWriteDeadline(time.Now().Add(refuseWriteTimeout)) == nil {
+		_, _ = conn.Write(frame) // a courtesy: the connection is closed either way
 	}
 }
 
@@ -997,7 +999,7 @@ func (sess *session) writer() {
 }
 
 // shadowBits is the value the last-sent shadow compares: the rate's float64
-// bit pattern, or its quantized Mbps when the daemon quantizes v4 fan-out.
+// bit pattern, or its quantized Mbps when the daemon quantizes fan-out.
 func (sess *session) shadowBits(rate float64) uint64 {
 	if sess.srv.cfg.QuantizeRates {
 		return wire.QuantizeRate(rate)
@@ -1005,34 +1007,31 @@ func (sess *session) shadowBits(rate float64) uint64 {
 	return math.Float64bits(rate)
 }
 
-// flushPending drains the pending list into one burst of RateBatch (v3) or
-// RateDelta (v4) frames, reporting false on a write error. The drain and the
-// write happen under one wmu hold: once a step reply (also serialized by
-// wmu) has withdrawn a superseded rate from the pending list, no stale copy
-// of it can reach the wire afterwards. Buffers and entry scratch live on the
-// session, so the steady state allocates nothing.
+// flushPending drains the pending list into one burst of RateDelta frames,
+// reporting false on a write error. The drain and the write happen under one
+// wmu hold: once a step reply (also serialized by wmu) has withdrawn a
+// superseded rate from the pending list, no stale copy of it can reach the
+// wire afterwards. Buffers and entry scratch live on the session, so the
+// steady state allocates nothing.
 func (sess *session) flushPending() bool {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
 	sess.pmu.Lock()
-	delta := sess.version >= 4
 	drained := len(sess.pending)
 	entries := sess.fanEntries[:0]
 	for i, rec := range sess.pending {
 		sess.pending[i] = nil
 		rec.pendIdx = -1
-		if delta {
-			// Skip flows whose rate is unchanged since this session's last
-			// sent value. The engine's own notification threshold already
-			// suppresses unchanged rates at the source, so this almost
-			// never fires in lossless mode — but quantization collapses
-			// nearby rates, and the shadow is what makes that cheap.
-			bits := sess.shadowBits(rec.rate)
-			if rec.sentGen == sess.shadowGen && rec.lastSent == bits {
-				continue
-			}
-			rec.sentGen, rec.lastSent = sess.shadowGen, bits
+		// Skip flows whose rate is unchanged since this session's last sent
+		// value. The engine's own notification threshold already suppresses
+		// unchanged rates at the source, so this almost never fires in
+		// lossless mode — but quantization collapses nearby rates, and the
+		// shadow is what makes that cheap.
+		bits := sess.shadowBits(rec.rate)
+		if rec.sentGen == sess.shadowGen && rec.lastSent == bits {
+			continue
 		}
+		rec.sentGen, rec.lastSent = sess.shadowGen, bits
 		entries = append(entries, wire.RateEntry{Flow: int64(rec.id), Rate: rec.rate})
 	}
 	sess.pending = sess.pending[:0]
@@ -1044,23 +1043,14 @@ func (sess *session) flushPending() bool {
 	}
 	sess.srv.stFanoutFixed.Add(fixedRateBytes(drained))
 	// Deterministic wire order whatever order the rates were queued in (and
-	// small flow deltas for the v4 encoding), chunked to the per-frame entry
+	// small flow deltas for the encoding), chunked to the per-frame entry
 	// limit.
 	slices.SortFunc(entries, func(a, b wire.RateEntry) int {
 		return cmp.Compare(a.Flow, b.Flow)
 	})
-	maxChunk := maxBatchEntries
-	if delta {
-		maxChunk = maxRateDeltaEntries
-	}
-	for start := 0; start < len(entries); start += maxChunk {
-		end := min(start+maxChunk, len(entries))
-		buf := sess.fanBuf[:0]
-		if delta {
-			buf = wire.AppendRateDelta(buf, seq, sess.srv.cfg.QuantizeRates, entries[start:end])
-		} else {
-			buf = wire.AppendRateBatch(buf, seq, entries[start:end])
-		}
+	for start := 0; start < len(entries); start += maxRateDeltaEntries {
+		end := min(start+maxRateDeltaEntries, len(entries))
+		buf := wire.AppendRateDelta(sess.fanBuf[:0], seq, sess.srv.cfg.QuantizeRates, entries[start:end])
 		sess.fanBuf = buf
 		// Count before writing, as the step-reply path does: the write is
 		// what hands the frame to the client, and a client that holds it
@@ -1075,15 +1065,15 @@ func (sess *session) flushPending() bool {
 	return true
 }
 
-// fixedRateBytes is the wire cost of n rate updates as fixed v3 RateBatch
-// frames with v3 chunking — the baseline of the FanoutBytesFixed counter.
+// fixedRateBytes is the wire cost n rate updates had as fixed-v3 RateBatch
+// frames with their chunking — the baseline of the FanoutBytesFixed counter.
 func fixedRateBytes(n int) int64 {
 	if n == 0 {
 		return int64(wire.RateBatchSize(0))
 	}
 	var b int64
 	for n > 0 {
-		c := min(n, maxBatchEntries)
+		c := min(n, wire.MaxBatchEntries)
 		b += int64(wire.RateBatchSize(c))
 		n -= c
 	}
@@ -1157,18 +1147,16 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// Step replies keep the engine's update order and never consult the
 		// last-sent shadow — every update the engine surfaces reaches the
 		// stepping client, keeping step-driven runs (and the committed
-		// baselines) byte-identical across versions. The rate supersedes
-		// anything still queued for asynchronous delivery (from interleaved
-		// ticker iterations): withdraw it so the writer cannot emit a stale
-		// rate after the reply, and on v4 sessions record the shadow so a
-		// later asynchronous flush can suppress a resend of the same rate.
+		// baselines) byte-identical. The rate supersedes anything still
+		// queued for asynchronous delivery (from interleaved ticker
+		// iterations): withdraw it so the writer cannot emit a stale rate
+		// after the reply, and record the shadow so a later asynchronous
+		// flush can suppress a resend of the same rate.
 		entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
 		if rec.pendIdx >= 0 {
 			stepper.unqueue(rec)
 		}
-		if stepper.version >= 4 {
-			rec.sentGen, rec.lastSent = stepper.shadowGen, stepper.shadowBits(u.Rate)
-		}
+		rec.sentGen, rec.lastSent = stepper.shadowGen, stepper.shadowBits(u.Rate)
 	}
 	for i, sess := range s.fanning {
 		sess.pendingSeq = seq
@@ -1191,26 +1179,16 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// payload limit. Non-final chunks carry the iteration sequence
 		// (the client folds them in like asynchronous fan-out); only the
 		// final chunk — the only one of an empty reply — carries the
-		// step-reply barrier. v4 replies use the delta encoding: zigzag
-		// flow deltas cost one extra bit for unsorted IDs, never
-		// correctness.
+		// step-reply barrier. Entries keep the engine's order: zigzag flow
+		// deltas cost one extra bit for unsorted IDs, never correctness.
 		reply = stepper.wbuf[:0]
-		delta := stepper.version >= 4
-		maxChunk := maxBatchEntries
-		if delta {
-			maxChunk = maxRateDeltaEntries
-		}
-		for start := 0; start == 0 || start < len(entries); start += maxChunk {
-			end := min(start+maxChunk, len(entries))
+		for start := 0; start == 0 || start < len(entries); start += maxRateDeltaEntries {
+			end := min(start+maxRateDeltaEntries, len(entries))
 			hdrSeq := seq
 			if end == len(entries) {
 				hdrSeq = stepSeq | wire.StepReplyFlag
 			}
-			if delta {
-				reply = wire.AppendRateDelta(reply, hdrSeq, s.cfg.QuantizeRates, entries[start:end])
-			} else {
-				reply = wire.AppendRateBatch(reply, hdrSeq, entries[start:end])
-			}
+			reply = wire.AppendRateDelta(reply, hdrSeq, s.cfg.QuantizeRates, entries[start:end])
 			replyBatches++
 		}
 		stepper.wbuf = reply
@@ -1244,13 +1222,10 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	return nil
 }
 
-// maxBatchEntries bounds entries per RateBatch frame (a variable so tests
-// can exercise chunking without a million flows).
-var maxBatchEntries = wire.MaxBatchEntries
-
 // maxRateDeltaEntries bounds entries per RateDelta frame, sized for the
 // worst-case (incompressible) entry so a full chunk can never overflow the
-// uint24 payload. A variable for the same testing reason as above.
+// uint24 payload (a variable so tests can exercise chunking without a million
+// flows).
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
 
 // drainInboxLocked folds pending flowlet events into the engine, in arrival

@@ -18,10 +18,7 @@ type serverTelemetry struct {
 	churn *telemetry.Counter
 
 	// rec and the price-residual buffers are nil until AttachFlightRecorder.
-	rec    *telemetry.FlightRecorder
-	pricer interface {
-		LinkPrices(links []topology.LinkID, prices []float64)
-	}
+	rec       *telemetry.FlightRecorder
 	links     []topology.LinkID
 	prev, cur []float64
 
@@ -155,15 +152,9 @@ func (s *Server) AttachFlightRecorder(rec *telemetry.FlightRecorder) {
 	t.links = links
 	t.prev = make([]float64, n)
 	t.cur = make([]float64, n)
-	if pricer, ok := s.eng.(interface {
-		LinkPrices(links []topology.LinkID, prices []float64)
-	}); ok {
-		t.pricer = pricer
-		// Seed the residual baseline with the current prices so the first
-		// sample measures the first iteration's movement, not the distance
-		// from zero.
-		pricer.LinkPrices(t.links, t.prev)
-	}
+	// Seed the residual baseline with the current prices so the first sample
+	// measures the first iteration's movement, not the distance from zero.
+	s.eng.LinkPrices(t.links, t.prev)
 }
 
 // FlightRecorder returns the attached recorder (nil when none).
@@ -191,15 +182,13 @@ func (s *Server) recordTelemetryLocked(seq uint64, latencySec float64, updates, 
 		return
 	}
 	var residual float64
-	if t.pricer != nil {
-		t.pricer.LinkPrices(t.links, t.cur)
-		for i, p := range t.cur {
-			if d := math.Abs(p - t.prev[i]); d > residual {
-				residual = d
-			}
+	s.eng.LinkPrices(t.links, t.cur)
+	for i, p := range t.cur {
+		if d := math.Abs(p - t.prev[i]); d > residual {
+			residual = d
 		}
-		t.prev, t.cur = t.cur, t.prev
 	}
+	t.prev, t.cur = t.cur, t.prev
 	obj := s.eng.Objective()
 	if math.IsInf(obj, 0) || math.IsNaN(obj) {
 		obj = 0 // JSON cannot carry non-finite values; see FlightSample.Objective

@@ -33,13 +33,12 @@ func (c *fanoutConn) SetDeadline(t time.Time) error      { return nil }
 func (c *fanoutConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *fanoutConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// fanoutSession builds a bare v4 session wired to conn, bypassing the
+// fanoutSession builds a bare session wired to conn, bypassing the
 // handshake: just enough state for queueUpdate/flushPending.
 func fanoutSession(srv *Server, conn net.Conn) *session {
 	return &session{
 		srv:       srv,
 		conn:      conn,
-		version:   wire.Version,
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 		shadowGen: 1,
@@ -88,7 +87,7 @@ func decodeRateFrames(t *testing.T, frames [][]byte) [][]wire.RateEntry {
 	return out
 }
 
-// TestFanoutDeltaSuppression drives the writer's flush path directly: a v4
+// TestFanoutDeltaSuppression drives the writer's flush path directly: a
 // session must skip flows whose rate is unchanged since its last sent value,
 // resend when the rate moves, and resend everything once the shadows are
 // voided (an epoch bump) or on a fresh session (a client reconnect).

@@ -15,9 +15,9 @@ import "fmt"
 //
 // The downward links are therefore the only links visible to more than one
 // shard: they are the cluster's boundary. Each shard exports the prices of
-// its own boundary links (a PriceSnapshot) and pushes its local load on
-// remote boundary links to their owner (a PriceDigest), which is the entire
-// state the cluster exchanges.
+// its own boundary links (a PriceSnapshotDelta) and pushes its local load on
+// remote boundary links to their owner (a PriceDigestDelta), which is the
+// entire state the cluster exchanges.
 type ShardMap struct {
 	topo   *Topology
 	shards int

@@ -36,7 +36,7 @@ type AllocatorBackend interface {
 	Step() ([]core.RateUpdate, error)
 }
 
-// sizedStarter is implemented by backends that accept the wire v4
+// sizedStarter is implemented by backends that accept the wire
 // flowlet-size hint (bytes, 0 = unknown) alongside a registration. The hint
 // rides into the engine's flow metadata and is ignored by the solvers.
 type sizedStarter interface {
@@ -102,7 +102,7 @@ type AllocClient struct {
 	// re-register the live flowlet set with a fresh daemon session.
 	regs    map[core.FlowID]flowReg
 	updates []core.RateUpdate // reused across Step calls
-	delta   wire.RateDelta    // scratch for v4 RateDelta decoding
+	delta   wire.RateDelta    // scratch for RateDelta decoding
 }
 
 // flowReg is the client-side record of one registered flowlet.
@@ -140,16 +140,27 @@ func NewAllocClient(conn net.Conn, clientID uint64) (*AllocClient, error) {
 	return c, nil
 }
 
+// handshakeTimeout bounds the Hello/Welcome exchange: a daemon that accepts
+// TCP but never answers (wrong service, frozen process) must fail the dial —
+// and a ShardedClient's failover through it — instead of wedging it.
+const handshakeTimeout = 2 * time.Second
+
 // handshake performs the Hello/Welcome exchange over conn and adopts it as
 // the client's connection.
 func (c *AllocClient) handshake(conn net.Conn) error {
 	sc := wire.NewScanner(conn)
 	hello := wire.AppendHello(nil, wire.Hello{Version: wire.Version, ClientID: c.id})
+	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return fmt.Errorf("transport: allocator handshake: %w", err)
+	}
 	if _, err := conn.Write(hello); err != nil {
 		return fmt.Errorf("transport: allocator handshake: %w", err)
 	}
 	typ, payload, err := sc.Next()
 	if err != nil {
+		return fmt.Errorf("transport: allocator handshake: %w", err)
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return fmt.Errorf("transport: allocator handshake: %w", err)
 	}
 	if typ != wire.TypeWelcome {
@@ -159,7 +170,7 @@ func (c *AllocClient) handshake(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("transport: allocator handshake: %w", err)
 	}
-	if w.Version > wire.Version {
+	if w.Version != wire.Version {
 		return fmt.Errorf("transport: daemon speaks protocol v%d, client supports v%d", w.Version, wire.Version)
 	}
 	c.conn = conn
@@ -303,7 +314,7 @@ func (c *AllocClient) FlowletStart(id core.FlowID, src, dst int, weight float64)
 }
 
 // FlowletStartSized is FlowletStart carrying the flowlet's expected size in
-// bytes (0 = unknown) as a wire v4 hint. The daemon records it in the flow
+// bytes (0 = unknown) as a hint. The daemon records it in the flow
 // metadata; the solvers ignore it.
 func (c *AllocClient) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
 	if _, dup := c.regs[id]; dup {
@@ -426,28 +437,17 @@ func (c *AllocClient) Recv(timeout time.Duration) ([]core.RateUpdate, uint64, er
 	return c.updates, seq &^ wire.StepReplyFlag, nil
 }
 
-// readBatch reads the next rate frame — a fixed RateBatch or a v4 RateDelta
-// (quantized or lossless; the delta decoder expands either back to absolute
-// rates) — appends its decoded updates to c.updates, and returns the frame's
-// sequence word. An EpochNotify push interrupts the read with ErrEpochChanged
-// after recording the new epoch; anything else the daemon never sends after
-// the handshake.
+// readBatch reads the next RateDelta frame (quantized or lossless; the decoder
+// expands either back to absolute rates), appends its decoded updates to
+// c.updates, and returns the frame's sequence word. An EpochNotify push
+// interrupts the read with ErrEpochChanged after recording the new epoch;
+// anything else the daemon never sends after the handshake.
 func (c *AllocClient) readBatch() (uint64, error) {
 	typ, payload, err := c.sc.Next()
 	if err != nil {
 		return 0, fmt.Errorf("transport: allocator read: %w", err)
 	}
 	switch typ {
-	case wire.TypeRateBatch:
-		b, err := wire.DecodeRateBatch(payload)
-		if err != nil {
-			return 0, fmt.Errorf("transport: %w", err)
-		}
-		for i := 0; i < b.Len(); i++ {
-			e := b.Entry(i)
-			c.appendUpdate(e.Flow, e.Rate)
-		}
-		return b.Seq, nil
 	case wire.TypeRateDelta:
 		if err := wire.DecodeRateDelta(payload, &c.delta); err != nil {
 			return 0, fmt.Errorf("transport: %w", err)

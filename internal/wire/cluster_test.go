@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestEpochNotifyRoundTrip(t *testing.T) {
 	in := EpochNotify{Epoch: 1 << 40}
@@ -32,41 +29,6 @@ func TestPeerHelloRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePeerHello(p[:peerHelloLen-1]); err == nil {
 		t.Fatal("short peer-hello payload must be rejected")
-	}
-}
-
-func TestPriceDigestRoundTrip(t *testing.T) {
-	entries := []DigestEntry{
-		{Link: 0, Load: 5e9, Hdiag: -2.5e-3},
-		{Link: 41, Load: 0, Hdiag: 0},
-		{Link: 1 << 20, Load: math.Inf(1), Hdiag: math.Inf(-1)},
-	}
-	buf := AppendPriceDigestHeader(nil, 9, 2, len(entries))
-	for _, e := range entries {
-		buf = AppendDigestEntry(buf, e)
-	}
-	typ, p, rest, err := ParseFrame(buf)
-	if err != nil || typ != TypePriceDigest || len(rest) != 0 {
-		t.Fatalf("ParseFrame = %v, rest %d, err %v", typ, len(rest), err)
-	}
-	d, err := DecodePriceDigest(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Seq != 9 || d.Shard != 2 || d.Len() != len(entries) {
-		t.Fatalf("digest header = seq %d shard %d len %d", d.Seq, d.Shard, d.Len())
-	}
-	for i, want := range entries {
-		if got := d.Entry(i); got != want {
-			t.Fatalf("entry %d = %+v, want %+v", i, got, want)
-		}
-	}
-	// Truncated and over-declared payloads are rejected.
-	if _, err := DecodePriceDigest(p[:len(p)-1]); err == nil {
-		t.Fatal("truncated digest must be rejected")
-	}
-	if _, err := DecodePriceDigest(p[:digestHdrLen-1]); err == nil {
-		t.Fatal("header-less digest must be rejected")
 	}
 }
 

@@ -1,27 +1,25 @@
 package wire
 
-// Protocol version 4: delta-encoded frames. The fixed v1-v3 frames spend
-// wire bytes proportional to flow/link count every iteration; the paper's
-// control plane ships ~6-byte rate updates by sending only what changed.
-// The three frames here make wire cost scale with *change*:
+// Delta-encoded frames. The paper's control plane ships ~6-byte rate updates
+// by sending only what changed; the three frames here make wire cost scale
+// with *change*, not with flow or link count:
 //
-//   - RateDelta replaces RateBatch on v4 client sessions. Flow IDs are
-//     zigzag-varint deltas against the previous entry (batches are usually
-//     close to sorted, so deltas are tiny), and rates are xor-compressed
-//     against the previous entry's rate bits — bit-exact float64s, so
-//     allocation math is untouched. An optional quantized mode (flags bit 0)
-//     sends uvarint Mbps instead, the paper's own granularity.
-//   - PriceDigestDelta / PriceSnapshotDelta replace the full exchange frames
-//     on v4 peer connections. The *sender* delta-encodes against the bundle
-//     the peer last acked and lists only changed links; a frame with the
-//     reset flag re-baselines the receiver (full resync) after an ack gap,
-//     peer reconnect, or takeover.
+//   - RateDelta carries rate updates to clients. Flow IDs are zigzag-varint
+//     deltas against the previous entry (batches are usually close to sorted,
+//     so deltas are tiny), and rates are xor-compressed against the previous
+//     entry's rate bits — bit-exact float64s, so allocation math is
+//     untouched. An optional quantized mode (flags bit 0) sends uvarint Mbps
+//     instead, the paper's own granularity.
+//   - PriceDigestDelta / PriceSnapshotDelta are the boundary exchange between
+//     peer daemons. The *sender* delta-encodes against the bundle the peer
+//     last acked and lists only changed links; a frame with the reset flag
+//     re-baselines the receiver (full resync) after an ack gap, peer
+//     reconnect, or takeover.
 //
-// Delta frames also shrink their headers: a flags byte followed by uvarint
-// seq/shard/epoch words (tiny counters in practice) instead of the fixed
-// eight-byte words of the v3 frames. Steady state sends many small or empty
-// frames — an empty step reply is 7 bytes against RateBatch's 16 — so the
-// header is the fan-out floor once suppression has removed the entries.
+// Their headers are a flags byte followed by uvarint seq/shard/epoch words
+// (tiny counters in practice). Steady state sends many small or empty frames
+// — an empty step reply is 7 bytes — so the header is the fan-out floor once
+// suppression has removed the entries.
 //
 // All varints are minimal-length and xor-floats carry no zero top byte, so
 // every accepted payload re-encodes bit-identically (FuzzFrameRoundTrip
@@ -170,12 +168,12 @@ func xorFloat(p []byte, prev uint64) (uint64, int, error) {
 // ---------------------------------------------------------------------------
 // RateDelta.
 
-// RateDelta is a decoded delta rate-update frame. Unlike the aliasing
-// RateBatch, entries are decoded eagerly (they are not random-accessible);
-// DecodeRateDelta reuses the Entries capacity of the value it fills.
+// RateDelta is a decoded delta rate-update frame. Entries are decoded eagerly
+// (they are not random-accessible); DecodeRateDelta reuses the Entries
+// capacity of the value it fills.
 type RateDelta struct {
-	// Seq carries the same semantics as RateBatch.Seq, including
-	// StepReplyFlag.
+	// Seq is the daemon iteration that produced the updates, or, with
+	// StepReplyFlag set, the Seq of the Step frame this frame answers.
 	Seq uint64
 	// Quantized reports the Mbps-granularity mode; rates have already been
 	// dequantized to bits/s.
@@ -292,7 +290,8 @@ func DecodeRateDelta(p []byte, d *RateDelta) error {
 // PriceDigestDelta is a decoded delta digest. Entries are decoded eagerly;
 // DecodePriceDigestDelta reuses the slice capacities of the value it fills.
 type PriceDigestDelta struct {
-	// Seq and Shard carry the PriceDigest semantics.
+	// Seq is the sender's iteration counter when the digest was taken and
+	// Shard the sending shard's index.
 	Seq   uint64
 	Shard uint32
 	// Reset re-baselines the receiver: zero every contribution from this
@@ -413,7 +412,9 @@ func DecodePriceDigestDelta(p []byte, d *PriceDigestDelta) error {
 // eagerly; DecodePriceSnapshotDelta reuses the slice capacities of the value
 // it fills.
 type PriceSnapshotDelta struct {
-	// Epoch, Seq and Shard carry the PriceSnapshot semantics.
+	// Epoch is the sender's allocator epoch (receivers drop snapshots from an
+	// epoch older than the one the peer session advertised), Seq its
+	// iteration counter when the snapshot was taken, Shard its shard index.
 	Epoch uint64
 	Seq   uint64
 	Shard uint32
@@ -524,15 +525,32 @@ func DecodePriceSnapshotDelta(p []byte, d *PriceSnapshotDelta) error {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-frame size accounting, used by the servers' v3-equivalent byte
-// counters: the bytes the same update set would have cost in fixed frames.
+// Fixed-v3 size accounting. Generations 1-3 sent rates and boundary state in
+// fixed-size frames (RateBatch, PriceDigest, PriceSnapshot); the daemons'
+// FanoutBytesFixed/ExchangeBytesFixed counters still report what the same
+// updates would have cost that way, as the baseline of the compression ratio.
+// Only the arithmetic survives: the RateBatch and PriceDigest codecs are gone.
 
-// RateBatchSize returns the encoded size of a RateBatch frame with n
-// entries, header included.
+const (
+	batchHdrLen    = 12 // seq u64 + count u32
+	rateEntryLen   = 16 // flow i64 + rate f64
+	digestHdrLen   = 16 // seq u64 + shard u32 + count u32
+	digestEntryLen = 20 // link u32 + load f64 + hdiag f64
+)
+
+// MaxBatchEntries and MaxDigestEntries are the per-frame entry limits the
+// fixed frames were chunked at (the uint24 payload length).
+const (
+	MaxBatchEntries  = (MaxPayload - batchHdrLen) / rateEntryLen
+	MaxDigestEntries = (MaxPayload - digestHdrLen) / digestEntryLen
+)
+
+// RateBatchSize returns the size a fixed RateBatch frame with n entries had,
+// header included.
 func RateBatchSize(n int) int { return HeaderBytes + batchHdrLen + n*rateEntryLen }
 
-// PriceDigestSize returns the encoded size of a PriceDigest frame with n
-// entries, header included.
+// PriceDigestSize returns the size a fixed PriceDigest frame with n entries
+// had, header included.
 func PriceDigestSize(n int) int { return HeaderBytes + digestHdrLen + n*digestEntryLen }
 
 // PriceSnapshotSize returns the encoded size of a PriceSnapshot frame with n

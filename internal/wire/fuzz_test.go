@@ -16,13 +16,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendFlowletAdd(nil, FlowletAdd{Flow: 7, Src: 1, Dst: 2, Weight: 1.5}))
 	f.Add(AppendFlowletEnd(nil, FlowletEnd{Flow: 7}))
 	f.Add(AppendStep(nil, Step{Seq: 9}))
-	f.Add(AppendRateBatch(nil, 9, []RateEntry{{Flow: 7, Rate: 5e9}, {Flow: 8, Rate: math.NaN()}}))
+	f.Add(AppendRateDelta(nil, 9, false, []RateEntry{{Flow: 7, Rate: 5e9}, {Flow: 8, Rate: math.NaN()}}))
 	f.Add(AppendEpochNotify(nil, EpochNotify{Epoch: 2}))
 	f.Add(AppendPeerHello(nil, PeerHello{Version: Version, Shard: 1, NumShards: 4, Epoch: 1}))
-	digest := AppendPriceDigestHeader(nil, 3, 1, 2)
-	digest = AppendDigestEntry(digest, DigestEntry{Link: 4, Load: 5e9, Hdiag: -1e-3})
-	digest = AppendDigestEntry(digest, DigestEntry{Link: 9, Load: 0, Hdiag: math.Inf(-1)})
-	f.Add(digest)
 	snap := AppendPriceSnapshotHeader(nil, 1, 3, 0, 1)
 	snap = AppendSnapshotEntry(snap, SnapshotEntry{Link: 4, Price: 1.5})
 	f.Add(snap)
@@ -34,10 +30,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendHeartbeat(nil, Heartbeat{Seq: 4, Shard: 2}))
 	f.Add(AppendTakeover(nil, Takeover{Epoch: 2, Seq: 9, Dead: 0, By: 1}))
 	f.Add([]byte{0xFF, 0x00})
-	f.Add(appendHeader(nil, TypeRateBatch, batchHdrLen+3))
-	f.Add(appendHeader(nil, TypePriceDigest, digestHdrLen+7))
+	f.Add(appendHeader(nil, reservedRateBatch, batchHdrLen+3))
+	f.Add(appendHeader(nil, reservedPriceDigest, digestHdrLen+7))
 
-	// v4 delta frames: sized adds, empty deltas, quantized mode, reset
+	// Delta frames: sized adds, empty deltas, quantized mode, reset
 	// (ack-gap resync) frames, and max-varint flow/link jumps.
 	f.Add(AppendFlowletAdd(nil, FlowletAdd{Flow: 7, Src: 1, Dst: 2, Weight: 1.5, Size: 1 << 20}))
 	f.Add(AppendRateDelta(nil, 9|StepReplyFlag, false, []RateEntry{{Flow: 7, Rate: 5e9}, {Flow: 8, Rate: 5e9}, {Flow: 3, Rate: 2.5e9}}))
@@ -88,15 +84,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 					break
 				}
 				reenc = AppendStep(nil, m)
-			case TypeRateBatch:
-				b, err := DecodeRateBatch(payload)
-				if err != nil {
-					break
-				}
-				reenc = AppendRateBatchHeader(nil, b.Seq, b.Len())
-				for i := 0; i < b.Len(); i++ {
-					reenc = AppendRateEntry(reenc, b.Entry(i))
-				}
 			case TypeEpochNotify:
 				m, err := DecodeEpochNotify(payload)
 				if err != nil {
@@ -109,15 +96,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 					break
 				}
 				reenc = AppendPeerHello(nil, m)
-			case TypePriceDigest:
-				d, err := DecodePriceDigest(payload)
-				if err != nil {
-					break
-				}
-				reenc = AppendPriceDigestHeader(nil, d.Seq, d.Shard, d.Len())
-				for i := 0; i < d.Len(); i++ {
-					reenc = AppendDigestEntry(reenc, d.Entry(i))
-				}
 			case TypePriceSnapshot:
 				s, err := DecodePriceSnapshot(payload)
 				if err != nil {
@@ -191,7 +169,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 func FuzzScanner(f *testing.F) {
 	var seed []byte
 	seed = AppendHello(seed, Hello{Version: Version})
-	seed = AppendRateBatch(seed, 1, []RateEntry{{Flow: 1, Rate: 1e9}})
+	seed = AppendRateDelta(seed, 1, false, []RateEntry{{Flow: 1, Rate: 1e9}})
 	f.Add(seed, uint8(0), uint8(0))
 	f.Add(seed, uint8(1), uint8(2))
 	f.Add([]byte{byte(TypeStep), stepLen, 0, 0, 1, 2}, uint8(3), uint8(0))
@@ -209,8 +187,10 @@ func FuzzScanner(f *testing.F) {
 	})
 }
 
-// rateEntryLenConsistency pins the wire-format constants: changing a layout
-// without bumping Version must fail loudly.
+// TestWireLayoutConstants pins the wire-format constants — payload layouts and
+// every frame-type number — so changing either without bumping Version fails
+// loudly. batchHdrLen..digestEntryLen are the layouts of the retired fixed
+// frames: only the fixed-v3 byte counters still compute with them.
 func TestWireLayoutConstants(t *testing.T) {
 	if Version != 4 {
 		t.Fatalf("Version = %d; update layout pins when revving the protocol", Version)
@@ -247,6 +227,20 @@ func TestWireLayoutConstants(t *testing.T) {
 	for _, p := range pins {
 		if p.got != p.want {
 			t.Errorf("%s = %d; want %d (bump wire.Version when changing the layout)", p.name, p.got, p.want)
+		}
+	}
+	types := map[MsgType]uint8{
+		TypeInvalid: 0, TypeHello: 1, TypeWelcome: 2, TypeFlowletAdd: 3, TypeFlowletEnd: 4, TypeStep: 5,
+		reservedRateBatch: 6, TypeEpochNotify: 7, TypePeerHello: 8, reservedPriceDigest: 9,
+		TypePriceSnapshot: 10, TypeExchangeAck: 11, TypeFlowState: 12, TypeHeartbeat: 13, TypeTakeover: 14,
+		TypeRateDelta: 15, TypePriceDigestDelta: 16, TypePriceSnapshotDelta: 17,
+	}
+	if len(types) != int(maxMsgType)+1 {
+		t.Errorf("%d distinct frame-type numbers pinned; want %d (0..maxMsgType)", len(types), int(maxMsgType)+1)
+	}
+	for typ, want := range types {
+		if uint8(typ) != want {
+			t.Errorf("frame type %s = %d; want %d (type numbers never move)", typ, uint8(typ), want)
 		}
 	}
 	// Endianness pin: Flow 1 encodes with its low byte first.

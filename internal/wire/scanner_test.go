@@ -121,7 +121,7 @@ func fullRateDelta() []byte {
 func TestScannerMatchesParseFrame(t *testing.T) {
 	var mixed []byte
 	mixed = AppendWelcome(mixed, Welcome{Version: Version, Epoch: 5, IntervalNanos: 123})
-	mixed = AppendRateBatch(mixed, 9, []RateEntry{{Flow: 3, Rate: 1e9}, {Flow: 4, Rate: 2e9}})
+	mixed = AppendRateDelta(mixed, 9, false, []RateEntry{{Flow: 3, Rate: 1e9}, {Flow: 4, Rate: 2e9}})
 	mixed = AppendRateDelta(mixed, 4, false, nil)
 	mixed = AppendFlowletEnd(mixed, FlowletEnd{Flow: 3})
 	burst := stepBurst(300)
@@ -149,6 +149,7 @@ func TestScannerMatchesParseFrame(t *testing.T) {
 		{name: "cut mid-payload", stream: mixed[:len(mixed)-3]},
 		{name: "cut in an oversized frame", stream: big[:len(big)/2], slow: true},
 		{name: "unknown type", stream: append(append([]byte(nil), burst...), 0xEE, 0, 0, 0)},
+		{name: "reserved type", stream: append(append([]byte(nil), burst...), byte(reservedRateBatch), 12, 0, 0)},
 		{name: "impossible fixed length", stream: append(appendHeader(append([]byte(nil), mixed...), TypeStep, stepLen+1), make([]byte, stepLen+1)...)},
 	}
 	deliveries := []struct {
@@ -219,9 +220,9 @@ func TestScannerBoundsHostileHeader(t *testing.T) {
 		t.Fatalf("scanner on a 16 MB flowlet-end header: %v; want a malformed-frame error", err)
 	}
 
-	// A 16 MB rate-batch header, then 100 KB of payload, then silence.
+	// A 16 MB rate-delta header, then 100 KB of payload, then silence.
 	const sent = 100 << 10
-	stream := append(appendHeader(nil, TypeRateBatch, MaxPayload), make([]byte, sent)...)
+	stream := append(appendHeader(nil, TypeRateDelta, MaxPayload), make([]byte, sent)...)
 	r := &fragReader{data: stream, maxChunk: len(stream)}
 	sc = NewScanner(r)
 	if _, _, err := sc.Next(); err != io.ErrUnexpectedEOF {

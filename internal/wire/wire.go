@@ -7,26 +7,12 @@ import (
 	"math"
 )
 
-// Version is the current protocol version, negotiated in the Hello/Welcome
-// handshake. A server refuses clients speaking a newer major version.
-//
-// Version 2 adds the sharded-cluster frames (PeerHello, PriceDigest,
-// PriceSnapshot, ExchangeAck) and the server→client EpochNotify push;
-// version-1 clients are still accepted and are never sent v2 frames.
-//
-// Version 3 adds the survivable-control-plane frames: FlowState (flow-state
-// replica chunks, also the payload of on-disk snapshots), Heartbeat
-// (peer-liveness pings), Takeover (shard-adoption announcements), and the
-// EpochDrainFlag bit on EpochNotify (a draining daemon's final warm-failover
-// push). Version-2 clients are still accepted and never see the new frames
-// or the drain flag.
-//
-// Version 4 adds the delta-encoded frames (RateDelta, PriceDigestDelta,
-// PriceSnapshotDelta — see delta.go) that make wire cost scale with change
-// instead of flow/link count, and the optional FlowletSize hint on
-// FlowletAdd (a 32-byte payload carrying the flowlet's expected size in
-// bytes). Version-3 endpoints are still accepted: they keep receiving fixed
-// RateBatch/PriceDigest/PriceSnapshot frames and 24-byte FlowletAdds.
+// Version is the one protocol generation this build speaks. The Hello/Welcome
+// and PeerHello handshakes carry it, and every side refuses a peer announcing
+// anything else: a cluster is installed and upgraded as one system, so live
+// connections never span generations and nothing is negotiated. The frames of
+// generations 1-3 that generation 4 replaced (RateBatch, PriceDigest) are
+// gone; their type numbers stay reserved.
 const Version = 4
 
 // Frame layout: a 4-byte header (message type in byte 0, little-endian uint24
@@ -42,80 +28,73 @@ const (
 // MsgType identifies the frame type carried in a header.
 type MsgType uint8
 
-// Frame types of protocol version 1.
+// Frame types. The numbers are wire constants and never move.
 const (
 	// TypeInvalid is never sent; it marks the zero value.
-	TypeInvalid MsgType = iota
+	TypeInvalid MsgType = 0
 	// TypeHello opens a session (client → server).
-	TypeHello
+	TypeHello MsgType = 1
 	// TypeWelcome acknowledges a Hello and carries the allocator epoch
 	// (server → client).
-	TypeWelcome
+	TypeWelcome MsgType = 2
 	// TypeFlowletAdd registers a flowlet (client → server).
-	TypeFlowletAdd
+	TypeFlowletAdd MsgType = 3
 	// TypeFlowletEnd retires a flowlet (client → server).
-	TypeFlowletEnd
+	TypeFlowletEnd MsgType = 4
 	// TypeStep asks the daemon to run one allocator iteration now
 	// (client → server; used by step-driven deterministic runs).
-	TypeStep
-	// TypeRateBatch carries a batch of rate updates (server → client).
-	TypeRateBatch
-
-	// Frame types added in protocol version 2.
-
+	TypeStep MsgType = 5
+	// reservedRateBatch was the fixed RateBatch frame of generations 1-3.
+	// Nothing sends it and parseHeader rejects it as unknown.
+	reservedRateBatch MsgType = 6
 	// TypeEpochNotify announces a new allocator epoch mid-session
 	// (server → client), so endpoints detect a daemon state reset without
 	// waiting for a failed write. Clients react by re-registering their
 	// flowlets (AllocClient.Reconnect).
-	TypeEpochNotify
+	TypeEpochNotify MsgType = 7
 	// TypePeerHello opens a shard-to-shard peer session (peer → peer); the
-	// accepting daemon replies with a Welcome.
-	TypePeerHello
-	// TypePriceDigest pushes one shard's local load and Hessian-diagonal
-	// contributions on links the receiver owns (peer → peer). The owner
-	// folds them into its next price update, so boundary links are priced
-	// from cluster-wide demand.
-	TypePriceDigest
-	// TypePriceSnapshot publishes the sender's current prices for links it
-	// owns (peer → peer), epoch-stamped so a restarted shard's stale prices
-	// are never folded into a newer generation.
-	TypePriceSnapshot
-	// TypeExchangeAck acknowledges receipt of an exchange bundle
-	// (a PriceDigest + PriceSnapshot pair); step-driven clusters use it as
-	// the delivery barrier that keeps runs deterministic.
-	TypeExchangeAck
-
-	// Frame types added in protocol version 3.
-
+	// accepting daemon replies with its own PeerHello.
+	TypePeerHello MsgType = 8
+	// reservedPriceDigest was the fixed PriceDigest frame of generations
+	// 1-3; reserved like reservedRateBatch.
+	reservedPriceDigest MsgType = 9
+	// TypePriceSnapshot lists link prices in fixed-size entries. It is the
+	// price half of an on-disk drain snapshot (Server.Snapshot/Restore) and is
+	// never sent on a live connection: peers exchange TypePriceSnapshotDelta.
+	TypePriceSnapshot MsgType = 10
+	// TypeExchangeAck acknowledges receipt of an exchange bundle (one per
+	// PriceSnapshotDelta chunk); step-driven clusters use it as the delivery
+	// barrier that keeps runs deterministic.
+	TypeExchangeAck MsgType = 11
 	// TypeFlowState carries a chunk of a shard's live flowlet registry
 	// (peer → peer): each daemon replicates its flow state to its
 	// designated successor so a dead shard's rack block can be adopted
-	// warm. The same frames are the body of an on-disk drain snapshot.
-	TypeFlowState
+	// warm. The same frames are the flow half of an on-disk drain snapshot.
+	TypeFlowState MsgType = 12
 	// TypeHeartbeat is a peer-liveness ping (peer → peer). Free-running
 	// daemons stamp one into every exchange bundle; a peer silent past the
 	// heartbeat timeout is treated as dead, like a failed push.
-	TypeHeartbeat
+	TypeHeartbeat MsgType = 13
 	// TypeTakeover announces that the sending daemon has adopted a dead
 	// peer's shard (adopter → every surviving peer). Receivers re-target
 	// their digests for the orphaned rack block at the adopter and accept
 	// its price snapshots for the adopted links.
-	TypeTakeover
-
-	// Frame types added in protocol version 4 (see delta.go).
-
+	TypeTakeover MsgType = 14
 	// TypeRateDelta carries rate updates with varint-delta flow IDs and
 	// xor-compressed (or optionally Mbps-quantized) rates (server → client).
-	// Semantically equivalent to a RateBatch over the same entries.
-	TypeRateDelta
-	// TypePriceDigestDelta is a PriceDigest delta-encoded against the
-	// previous acked bundle on the same peer connection: only links whose
-	// load or Hessian diagonal changed are listed (peer → peer).
-	TypePriceDigestDelta
-	// TypePriceSnapshotDelta is a PriceSnapshot delta-encoded against the
-	// previous acked bundle on the same peer connection: only links whose
-	// price changed are listed (peer → peer).
-	TypePriceSnapshotDelta
+	TypeRateDelta MsgType = 15
+	// TypePriceDigestDelta pushes one shard's local load and Hessian-diagonal
+	// contributions on links the receiver owns (peer → peer), delta-encoded
+	// against the previous acked bundle on the same connection: only links
+	// whose load or Hessian diagonal changed are listed. The owner folds them
+	// into its next price update, so boundary links are priced from
+	// cluster-wide demand.
+	TypePriceDigestDelta MsgType = 16
+	// TypePriceSnapshotDelta publishes the sender's current prices for links
+	// it owns (peer → peer), epoch-stamped so a restarted shard's stale
+	// prices are never folded into a newer generation, and delta-encoded like
+	// the digest: only links whose price changed are listed.
+	TypePriceSnapshotDelta MsgType = 17
 )
 
 // EpochDrainFlag marks an EpochNotify pushed by a draining daemon: its
@@ -138,14 +117,10 @@ func (t MsgType) String() string {
 		return "flowlet-end"
 	case TypeStep:
 		return "step"
-	case TypeRateBatch:
-		return "rate-batch"
 	case TypeEpochNotify:
 		return "epoch-notify"
 	case TypePeerHello:
 		return "peer-hello"
-	case TypePriceDigest:
-		return "price-digest"
 	case TypePriceSnapshot:
 		return "price-snapshot"
 	case TypeExchangeAck:
@@ -169,18 +144,14 @@ func (t MsgType) String() string {
 
 // Fixed payload sizes per frame type.
 const (
-	helloLen     = 10 // version u16 + client id u64
-	welcomeLen   = 18 // version u16 + epoch u64 + interval u64
-	addLen       = 24 // flow i64 + src i32 + dst i32 + weight f64
-	endLen       = 8  // flow i64
-	stepLen      = 8  // seq u64
-	batchHdrLen  = 12 // seq u64 + count u32
-	rateEntryLen = 16 // flow i64 + rate f64
+	helloLen   = 10 // version u16 + client id u64
+	welcomeLen = 18 // version u16 + epoch u64 + interval u64
+	addLen     = 24 // flow i64 + src i32 + dst i32 + weight f64
+	endLen     = 8  // flow i64
+	stepLen    = 8  // seq u64
 
 	epochNotifyLen = 8  // epoch u64
 	peerHelloLen   = 18 // version u16 + shard u32 + numShards u32 + epoch u64
-	digestHdrLen   = 16 // seq u64 + shard u32 + count u32
-	digestEntryLen = 20 // link u32 + load f64 + hdiag f64
 	snapHdrLen     = 24 // epoch u64 + seq u64 + shard u32 + count u32
 	snapEntryLen   = 12 // link u32 + price f64
 	ackLen         = 8  // seq u64
@@ -221,9 +192,9 @@ type Welcome struct {
 
 // FlowletAdd registers a flowlet from server Src to server Dst. Size is an
 // optional hint of the flowlet's expected size in bytes (0 = unknown); a
-// nonzero Size is carried in the 32-byte v4 payload form, which only
-// version-4 sessions may send. Solvers ignore the hint today; it is recorded
-// in the engine's flow metadata for size-aware utilities.
+// nonzero Size is carried in the 32-byte payload form. Solvers ignore the hint
+// today; it is recorded in the engine's flow metadata for size-aware
+// utilities.
 type FlowletAdd struct {
 	Flow     int64
 	Src, Dst int32
@@ -238,12 +209,12 @@ type FlowletEnd struct {
 
 // Step asks the daemon to fold in pending flowlet events and run one
 // allocator iteration. The daemon replies to the stepping session with a
-// RateBatch echoing Seq (empty when no owned rate changed).
+// RateDelta echoing Seq (empty when no owned rate changed).
 type Step struct {
 	Seq uint64
 }
 
-// RateEntry is one rate update of a RateBatch.
+// RateEntry is one rate update of a RateDelta.
 type RateEntry struct {
 	Flow int64
 	Rate float64
@@ -263,15 +234,6 @@ type PeerHello struct {
 	Shard     uint32
 	NumShards uint32
 	Epoch     uint64
-}
-
-// DigestEntry is one link's remote contribution in a PriceDigest: the load
-// and Hessian diagonal the sending shard's flows put on a link the receiving
-// shard owns.
-type DigestEntry struct {
-	Link  uint32
-	Load  float64
-	Hdiag float64
 }
 
 // SnapshotEntry is one link's price in a PriceSnapshot.
@@ -307,8 +269,8 @@ type Takeover struct {
 	By    uint32
 }
 
-// StepReplyFlag marks a RateBatch sent as the synchronous reply to a Step
-// frame: its Seq is the Step's Seq with this bit set. Batches fanned out
+// StepReplyFlag marks a RateDelta sent as the synchronous reply to a Step
+// frame: its Seq is the Step's Seq with this bit set. Frames fanned out
 // asynchronously carry the daemon's iteration counter with the bit clear,
 // so a client can always tell a step barrier from background updates.
 const StepReplyFlag uint64 = 1 << 63
@@ -337,9 +299,8 @@ func AppendWelcome(buf []byte, m Welcome) []byte {
 	return binary.LittleEndian.AppendUint64(buf, m.IntervalNanos)
 }
 
-// AppendFlowletAdd appends an encoded FlowletAdd frame: the 24-byte v1
-// payload when Size is zero, the 32-byte sized v4 form otherwise. Callers
-// must clear Size on sessions that negotiated a version below 4.
+// AppendFlowletAdd appends an encoded FlowletAdd frame: the 24-byte payload
+// when Size is zero, the 32-byte sized form otherwise.
 func AppendFlowletAdd(buf []byte, m FlowletAdd) []byte {
 	n := addLen
 	if m.Size != 0 {
@@ -381,28 +342,6 @@ func AppendPeerHello(buf []byte, m PeerHello) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, m.Shard)
 	buf = binary.LittleEndian.AppendUint32(buf, m.NumShards)
 	return binary.LittleEndian.AppendUint64(buf, m.Epoch)
-}
-
-// MaxDigestEntries is the largest number of entries one PriceDigest frame
-// can carry without overflowing the uint24 payload length.
-const MaxDigestEntries = (MaxPayload - digestHdrLen) / digestEntryLen
-
-// AppendPriceDigestHeader appends the frame and digest headers of a
-// PriceDigest with count entries; the caller then appends exactly count
-// entries with AppendDigestEntry. count must not exceed MaxDigestEntries.
-func AppendPriceDigestHeader(buf []byte, seq uint64, shard uint32, count int) []byte {
-	buf = appendHeader(buf, TypePriceDigest, digestHdrLen+count*digestEntryLen)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, shard)
-	return binary.LittleEndian.AppendUint32(buf, uint32(count))
-}
-
-// AppendDigestEntry appends one entry of a PriceDigest opened with
-// AppendPriceDigestHeader.
-func AppendDigestEntry(buf []byte, e DigestEntry) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, e.Link)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Load))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Hdiag))
 }
 
 // MaxSnapshotEntries is the largest number of entries one PriceSnapshot
@@ -474,35 +413,6 @@ func AppendExchangeAck(buf []byte, seq uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, seq)
 }
 
-// MaxBatchEntries is the largest number of entries one RateBatch frame can
-// carry without overflowing the uint24 payload length.
-const MaxBatchEntries = (MaxPayload - batchHdrLen) / rateEntryLen
-
-// AppendRateBatchHeader appends the frame header and batch header of a
-// RateBatch with count entries; the caller then appends exactly count entries
-// with AppendRateEntry. count must not exceed MaxBatchEntries.
-func AppendRateBatchHeader(buf []byte, seq uint64, count int) []byte {
-	buf = appendHeader(buf, TypeRateBatch, batchHdrLen+count*rateEntryLen)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	return binary.LittleEndian.AppendUint32(buf, uint32(count))
-}
-
-// AppendRateEntry appends one entry of a RateBatch opened with
-// AppendRateBatchHeader.
-func AppendRateEntry(buf []byte, e RateEntry) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Flow))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rate))
-}
-
-// AppendRateBatch appends a complete RateBatch frame.
-func AppendRateBatch(buf []byte, seq uint64, entries []RateEntry) []byte {
-	buf = AppendRateBatchHeader(buf, seq, len(entries))
-	for _, e := range entries {
-		buf = AppendRateEntry(buf, e)
-	}
-	return buf
-}
-
 // ---------------------------------------------------------------------------
 // Decoding. Decoders take the payload of one frame (as delivered by
 // ParseFrame or Scanner.Next) and validate its exact length.
@@ -536,7 +446,7 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 }
 
 // DecodeFlowletAdd decodes a FlowletAdd payload, accepting both the 24-byte
-// v1 form and the 32-byte sized v4 form. The sized form must carry a
+// form and the 32-byte sized form. The sized form must carry a
 // positive size: zero means "no hint" and is only ever sent as the short
 // form, so both forms re-encode canonically.
 func DecodeFlowletAdd(p []byte) (FlowletAdd, error) {
@@ -574,39 +484,6 @@ func DecodeStep(p []byte) (Step, error) {
 	return Step{Seq: binary.LittleEndian.Uint64(p)}, nil
 }
 
-// RateBatch is a decoded rate-update batch. It aliases the frame payload, so
-// it is only valid until the underlying buffer is reused; Entry decodes
-// in place without allocating.
-type RateBatch struct {
-	// Seq is the allocator iteration sequence number of the batch.
-	Seq     uint64
-	entries []byte
-}
-
-// DecodeRateBatch decodes a RateBatch payload.
-func DecodeRateBatch(p []byte) (RateBatch, error) {
-	if len(p) < batchHdrLen {
-		return RateBatch{}, fmt.Errorf("wire: rate-batch payload must be at least %d bytes, got %d", batchHdrLen, len(p))
-	}
-	count := binary.LittleEndian.Uint32(p[8:])
-	if want := batchHdrLen + int(count)*rateEntryLen; len(p) != want {
-		return RateBatch{}, fmt.Errorf("wire: rate-batch declares %d entries (%d bytes), got %d bytes", count, want, len(p))
-	}
-	return RateBatch{Seq: binary.LittleEndian.Uint64(p), entries: p[batchHdrLen:]}, nil
-}
-
-// Len returns the number of entries in the batch.
-func (b RateBatch) Len() int { return len(b.entries) / rateEntryLen }
-
-// Entry decodes entry i.
-func (b RateBatch) Entry(i int) RateEntry {
-	p := b.entries[i*rateEntryLen:]
-	return RateEntry{
-		Flow: int64(binary.LittleEndian.Uint64(p)),
-		Rate: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-	}
-}
-
 // DecodeEpochNotify decodes an EpochNotify payload.
 func DecodeEpochNotify(p []byte) (EpochNotify, error) {
 	if len(p) != epochNotifyLen {
@@ -628,55 +505,15 @@ func DecodePeerHello(p []byte) (PeerHello, error) {
 	}, nil
 }
 
-// PriceDigest is a decoded boundary-load digest. Like RateBatch it aliases
+// PriceSnapshot is a decoded price listing of an on-disk snapshot. It aliases
 // the frame payload: it is only valid until the underlying buffer is reused,
 // and Entry decodes in place without allocating.
-type PriceDigest struct {
-	// Seq is the sender's iteration counter when the digest was taken.
-	Seq uint64
-	// Shard is the sending shard's index.
-	Shard   uint32
-	entries []byte
-}
-
-// DecodePriceDigest decodes a PriceDigest payload.
-func DecodePriceDigest(p []byte) (PriceDigest, error) {
-	if len(p) < digestHdrLen {
-		return PriceDigest{}, fmt.Errorf("wire: price-digest payload must be at least %d bytes, got %d", digestHdrLen, len(p))
-	}
-	count := binary.LittleEndian.Uint32(p[12:])
-	if want := digestHdrLen + int(count)*digestEntryLen; len(p) != want {
-		return PriceDigest{}, fmt.Errorf("wire: price-digest declares %d entries (%d bytes), got %d bytes", count, want, len(p))
-	}
-	return PriceDigest{
-		Seq:     binary.LittleEndian.Uint64(p),
-		Shard:   binary.LittleEndian.Uint32(p[8:]),
-		entries: p[digestHdrLen:],
-	}, nil
-}
-
-// Len returns the number of entries in the digest.
-func (d PriceDigest) Len() int { return len(d.entries) / digestEntryLen }
-
-// Entry decodes entry i.
-func (d PriceDigest) Entry(i int) DigestEntry {
-	p := d.entries[i*digestEntryLen:]
-	return DigestEntry{
-		Link:  binary.LittleEndian.Uint32(p),
-		Load:  math.Float64frombits(binary.LittleEndian.Uint64(p[4:])),
-		Hdiag: math.Float64frombits(binary.LittleEndian.Uint64(p[12:])),
-	}
-}
-
-// PriceSnapshot is a decoded boundary-price snapshot. It aliases the frame
-// payload like PriceDigest.
 type PriceSnapshot struct {
-	// Epoch is the sender's allocator epoch; receivers drop snapshots from
-	// an epoch older than the one the peer session advertised.
+	// Epoch is the writing daemon's allocator epoch.
 	Epoch uint64
-	// Seq is the sender's iteration counter when the snapshot was taken.
+	// Seq is its iteration counter when the snapshot was taken.
 	Seq uint64
-	// Shard is the sending shard's index.
+	// Shard is its shard index.
 	Shard   uint32
 	entries []byte
 }
@@ -711,7 +548,7 @@ func (s PriceSnapshot) Entry(i int) SnapshotEntry {
 }
 
 // FlowState is a decoded flow-state chunk. It aliases the frame payload like
-// PriceDigest.
+// PriceSnapshot.
 type FlowState struct {
 	// Epoch is the sender's allocator epoch; stale-epoch chunks are dropped
 	// like stale price snapshots.
@@ -793,7 +630,7 @@ func DecodeExchangeAck(p []byte) (uint64, error) {
 // ErrShortFrame reports that a buffer ends mid-frame.
 var ErrShortFrame = fmt.Errorf("wire: short frame")
 
-// maxMsgType is the highest frame type of this protocol version.
+// maxMsgType is the highest frame type of the protocol.
 const maxMsgType = TypePriceSnapshotDelta
 
 // fixedLen is the exact payload size of every fixed-size frame type (0 for
@@ -819,7 +656,7 @@ var fixedLen = [maxMsgType + 1]int32{
 // a payload its decoder would reject anyway.
 func parseHeader(h []byte) (MsgType, int, error) {
 	t := MsgType(h[0])
-	if t == TypeInvalid || t > maxMsgType {
+	if t == TypeInvalid || t > maxMsgType || t == reservedRateBatch || t == reservedPriceDigest {
 		return TypeInvalid, 0, fmt.Errorf("wire: unknown frame type %d", h[0])
 	}
 	n := int(h[1]) | int(h[2])<<8 | int(h[3])<<16

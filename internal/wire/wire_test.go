@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"io"
-	"math"
 	"testing"
 )
 
@@ -64,57 +63,12 @@ func TestFlowletFramesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRateBatchRoundTrip(t *testing.T) {
-	entries := []RateEntry{
-		{Flow: 1, Rate: 5e9},
-		{Flow: 99, Rate: 0},
-		{Flow: -7, Rate: math.Inf(1)},
-	}
-	_, p, _, err := ParseFrame(AppendRateBatch(nil, 17, entries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeRateBatch(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Seq != 17 || b.Len() != len(entries) {
-		t.Fatalf("Seq %d Len %d; want 17, %d", b.Seq, b.Len(), len(entries))
-	}
-	for i, want := range entries {
-		if got := b.Entry(i); got != want {
-			t.Fatalf("Entry(%d) = %+v; want %+v", i, got, want)
-		}
-	}
-}
-
-func TestRateBatchIncrementalMatchesWhole(t *testing.T) {
-	entries := []RateEntry{{Flow: 5, Rate: 1e9}, {Flow: 6, Rate: 2e9}}
-	whole := AppendRateBatch(nil, 3, entries)
-	inc := AppendRateBatchHeader(nil, 3, len(entries))
-	for _, e := range entries {
-		inc = AppendRateEntry(inc, e)
-	}
-	if !bytes.Equal(whole, inc) {
-		t.Fatalf("incremental encoding differs:\n%x\n%x", whole, inc)
-	}
-}
-
 func TestDecodeRejectsWrongLengths(t *testing.T) {
 	if _, err := DecodeHello(make([]byte, 3)); err == nil {
 		t.Error("DecodeHello accepted a short payload")
 	}
 	if _, err := DecodeFlowletAdd(make([]byte, 25)); err == nil {
 		t.Error("DecodeFlowletAdd accepted a long payload")
-	}
-	if _, err := DecodeRateBatch(nil); err == nil {
-		t.Error("DecodeRateBatch accepted an empty payload")
-	}
-	// Batch header declaring more entries than the payload holds.
-	p := AppendRateBatch(nil, 1, []RateEntry{{Flow: 1, Rate: 1}})
-	p[HeaderBytes+8] = 2 // count field
-	if _, err := DecodeRateBatch(p[HeaderBytes:]); err == nil {
-		t.Error("DecodeRateBatch accepted a count/length mismatch")
 	}
 }
 
@@ -128,13 +82,20 @@ func TestParseFrameErrors(t *testing.T) {
 	if _, _, _, err := ParseFrame([]byte{0xEE, 0, 0, 0}); err == nil {
 		t.Error("unknown frame type accepted")
 	}
+	// 6 and 9 were RateBatch and PriceDigest in generations 1-3: reserved,
+	// and refused from the header alone, before any payload is awaited.
+	for _, reserved := range []byte{6, 9} {
+		if _, _, _, err := ParseFrame([]byte{reserved, 16, 0, 0}); err == nil || err == ErrShortFrame {
+			t.Errorf("reserved frame type %d: err = %v; want an unknown-type error", reserved, err)
+		}
+	}
 }
 
 func TestScanner(t *testing.T) {
 	var buf []byte
-	buf = AppendHello(buf, Hello{Version: 1, ClientID: 2})
+	buf = AppendHello(buf, Hello{Version: Version, ClientID: 2})
 	buf = AppendStep(buf, Step{Seq: 9})
-	buf = AppendRateBatch(buf, 9, []RateEntry{{Flow: 4, Rate: 2.5e9}})
+	buf = AppendRateDelta(buf, 9, false, []RateEntry{{Flow: 4, Rate: 2.5e9}})
 
 	sc := NewScanner(bytes.NewReader(buf))
 	typ, _, err := sc.Next()
@@ -149,11 +110,12 @@ func TestScanner(t *testing.T) {
 		t.Fatalf("step seq = %d", s.Seq)
 	}
 	typ, p, err = sc.Next()
-	if err != nil || typ != TypeRateBatch {
+	if err != nil || typ != TypeRateDelta {
 		t.Fatalf("frame 3: %v, %v", typ, err)
 	}
-	if b, _ := DecodeRateBatch(p); b.Len() != 1 || b.Entry(0).Flow != 4 {
-		t.Fatalf("batch = %+v", b)
+	var d RateDelta
+	if err := DecodeRateDelta(p, &d); err != nil || len(d.Entries) != 1 || d.Entries[0].Flow != 4 {
+		t.Fatalf("rate delta = %+v, %v", d, err)
 	}
 	if _, _, err := sc.Next(); err != io.EOF {
 		t.Fatalf("EOF: %v", err)
@@ -171,13 +133,12 @@ func TestScanner(t *testing.T) {
 
 func TestAppendersDoNotAllocateSteadyState(t *testing.T) {
 	buf := make([]byte, 0, 4096)
+	entries := []RateEntry{{Flow: 1, Rate: 1e9}, {Flow: 2, Rate: 2e9}}
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = buf[:0]
 		buf = AppendFlowletAdd(buf, FlowletAdd{Flow: 1, Src: 2, Dst: 3, Weight: 1})
 		buf = AppendFlowletEnd(buf, FlowletEnd{Flow: 1})
-		buf = AppendRateBatchHeader(buf, 1, 2)
-		buf = AppendRateEntry(buf, RateEntry{Flow: 1, Rate: 1e9})
-		buf = AppendRateEntry(buf, RateEntry{Flow: 2, Rate: 2e9})
+		buf = AppendRateDelta(buf, 1, false, entries)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state encode allocates %v times per run", allocs)
