@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fastpass"
+	"repro/internal/norm"
 	"repro/internal/num"
 	"repro/internal/server"
 	"repro/internal/topology"
@@ -398,12 +399,15 @@ func BenchmarkPartitioningAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocatorIterate measures a steady-state allocator iteration (NED
-// step + F-NORM + update generation) with no churn; it must report 0
-// allocs/op — the solver scratch, normalizer scratch, compiled CSR index, and
-// the returned update slice are all reused across calls.
-func BenchmarkAllocatorIterate(b *testing.B) {
-	topo, err := flowtune.NewTopology(flowtune.DefaultSimTopologyConfig())
+// leafSpineConfig is the repository benchmark's 1 024-host leaf-spine
+// (bench/workloads.go closFabric), the fabric the ns/flow rows are quoted on.
+var leafSpineConfig = flowtune.TopologyConfig{Racks: 32, ServersPerRack: 32, Spines: 16, LinkCapacity: 10e9}
+
+// leafSpineAllocator registers the given number of uniformly random flows
+// (seed 1) with a sequential allocator on the leaf-spine fabric.
+func leafSpineAllocator(b *testing.B, flows int) *flowtune.Allocator {
+	b.Helper()
+	topo, err := flowtune.NewTopology(leafSpineConfig)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,20 +415,123 @@ func BenchmarkAllocatorIterate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := topo.NumServers()
-	for i := 0; i < 5000; i++ {
-		if err := alloc.FlowletStart(flowtune.FlowID(i), i%n, (i+7)%n, 1); err != nil {
+	for _, f := range experiments.RandomFlows(topo.NumServers(), flows, rand.New(rand.NewSource(1))) {
+		if err := alloc.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		alloc.Iterate()
+	return alloc
+}
+
+// BenchmarkAllocatorIterate measures a steady-state allocator iteration (NED
+// step + F-NORM + update generation) with no churn; it must report 0
+// allocs/op — the solver scratch, normalizer scratch, compiled CSR index, and
+// the returned update slice are all reused across calls. sim-5k is the
+// historical row (5 000 flows on the default simulation fabric); the flows=N
+// rows run on the repository benchmark's leaf-spine and report the cost per
+// flow against problem size — the per-link work over 3 072 links is the serial
+// part that dominates at 1k —, fattree-k16 is the scaling experiment's
+// 1 024-host fat-tree, where 94% of the routes are 6 links rather than 4 (the
+// row the kernels' 6-link arm answers to), and blocks=2 is the multicore
+// engine on the leaf-spine's 10k flows.
+func BenchmarkAllocatorIterate(b *testing.B) {
+	b.Run("sim-5k", func(b *testing.B) {
+		topo, err := flowtune.NewTopology(flowtune.DefaultSimTopologyConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		alloc, err := flowtune.NewAllocator(flowtune.AllocatorConfig{Topology: topo})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := topo.NumServers()
+		for i := 0; i < 5000; i++ {
+			if err := alloc.FlowletStart(flowtune.FlowID(i), i%n, (i+7)%n, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchIterate(b, 5000, func() { alloc.Iterate() })
+	})
+	for _, flows := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("flows=%dk", flows/1000), func(b *testing.B) {
+			alloc := leafSpineAllocator(b, flows)
+			benchIterate(b, flows, func() { alloc.Iterate() })
+		})
+	}
+	b.Run("fattree-k16/flows=10k", func(b *testing.B) {
+		const flows = 10000
+		topo, err := flowtune.NewFatTree(flowtune.FatTreeConfig{K: 16, LinkCapacity: 10e9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		alloc, err := flowtune.NewAllocator(flowtune.AllocatorConfig{Topology: topo})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range experiments.RandomFlows(topo.NumServers(), flows, rand.New(rand.NewSource(1))) {
+			if err := alloc.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchIterate(b, flows, func() { alloc.Iterate() })
+	})
+	b.Run("blocks=2/flows=10k", func(b *testing.B) {
+		const flows = 10000
+		topo, err := flowtune.NewTopology(leafSpineConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pa, err := flowtune.NewParallelAllocator(flowtune.ParallelAllocatorConfig{
+			Topology: topo, Blocks: 2, Gamma: 0.4, Headroom: 0.01, Normalize: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pa.Close()
+		if err := pa.SetFlows(experiments.RandomFlows(topo.NumServers(), flows, rand.New(rand.NewSource(1)))); err != nil {
+			b.Fatal(err)
+		}
+		var ups []flowtune.RateUpdate
+		benchIterate(b, flows, func() {
+			pa.Iterate()
+			ups = pa.AppendUpdates(0.01, ups[:0])
+		})
+	})
+}
+
+// benchIterate warms the solver up (prices converge, scratch grows to size),
+// then times iterate and reports its cost per flow.
+func benchIterate(b *testing.B, flows int, iterate func()) {
+	for i := 0; i < 50; i++ {
+		iterate()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		iterate()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flows), "ns/flow")
+}
+
+// BenchmarkFNormLoads measures F-NORM alone — the per-link ratio pass plus
+// the per-flow worst-ratio sweep over the CSR — on the 10k-flow leaf-spine
+// problem, against loads the solver already summed (the allocator's call).
+func BenchmarkFNormLoads(b *testing.B) {
+	const flows = 10000
+	alloc := leafSpineAllocator(b, flows)
+	for i := 0; i < 50; i++ {
 		alloc.Iterate()
 	}
+	prob, rates := alloc.Problem(), alloc.State().Rates
+	loads := num.LinkLoads(prob, rates, nil)
+	fnorm := norm.NewFNorm()
+	out := fnorm.NormalizeLoads(prob, rates, loads, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = fnorm.NormalizeLoads(prob, rates, loads, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/flows, "ns/flow")
 }
 
 // BenchmarkAllocatorChurn measures flowlet start/end handling plus one

@@ -48,6 +48,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "nodes:              %d\n", row.Nodes)
 	fmt.Fprintf(out, "flows:              %d\n", row.Flows)
 	fmt.Fprintf(out, "time per iteration: %s\n", row.TimePerIteration)
+	fmt.Fprintf(out, "sequential engine:  %s\n", row.SequentialTimePerIteration)
 	fmt.Fprintf(out, "scheduled fabric:   %.2f Tbit/s\n", row.AllocatedTbps)
 	return nil
 }

@@ -76,17 +76,15 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// flowState is the allocator's bookkeeping for one registered flowlet.
+// flowState is the part of a registered flowlet's bookkeeping that only churn
+// and LiveFlows read; what every iteration reads lives in the Allocator's
+// dense per-flow arrays.
 type flowState struct {
-	id       FlowID
-	src, dst int
-	weight   float64
+	dst    int
+	weight float64
 	// size is the endpoint's flowlet-size hint in bytes (0 = unknown).
 	// Solvers ignore it today; it is kept for size-aware utilities.
 	size int64
-	// lastNotified is the rate most recently sent to the endpoint, or 0 if
-	// the endpoint has never been notified.
-	lastNotified float64
 }
 
 // RateUpdate is one rate notification for an endpoint.
@@ -136,16 +134,28 @@ type Allocator struct {
 
 	problem   num.Problem
 	state     *num.State
-	flows     []flowState
 	indexByID map[FlowID]int
+
+	// Per-flow state, parallel slices in problem order: FlowletStart appends
+	// to all of them and FlowletEnd applies the problem's swap-delete to all
+	// of them, together with state.Rates. The notify filter reads only ids,
+	// srcs, normalized and lastNotified — 28 contiguous bytes per flow.
+	flows []flowState
+	ids   []FlowID
+	srcs  []int32
+	// normalized is the rate Iterate most recently computed for the flow, 0
+	// until the first Iterate after its registration.
+	normalized []float64
+	// lastNotified is the rate most recently sent to the endpoint, or 0 if
+	// the endpoint has never been notified.
+	lastNotified []float64
 
 	// effectiveCapacities are link capacities scaled down by the update
 	// threshold so links are not over-utilized between notifications.
 	effectiveCapacities []float64
 
-	normalized []float64
-	updates    []RateUpdate // reused across Iterate calls
-	stats      TrafficStats
+	updates []RateUpdate // reused across Iterate calls
+	stats   TrafficStats
 
 	// failed models allocator failure for fault-tolerance tests: a failed
 	// allocator stops producing updates until Recover is called.
@@ -222,9 +232,12 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 		a.freeRoutes = append(a.freeRoutes, links)
 		return fmt.Errorf("core: flowlet %d: %w", id, err)
 	}
-	idx := len(a.flows)
-	a.flows = append(a.flows, flowState{id: id, src: src, dst: dst, weight: weight, size: size})
-	a.indexByID[id] = idx
+	a.indexByID[id] = len(a.flows)
+	a.flows = append(a.flows, flowState{dst: dst, weight: weight, size: size})
+	a.ids = append(a.ids, id)
+	a.srcs = append(a.srcs, int32(src))
+	a.normalized = append(a.normalized, 0)
+	a.lastNotified = append(a.lastNotified, 0)
 	// Flow weights are scaled by the link capacity so optimal prices are
 	// O(1), the same scale they are initialized to. Proportional fairness
 	// is unaffected by a uniform scaling of weights. AppendFlow keeps the
@@ -249,10 +262,18 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 	last := len(a.flows) - 1
 	if idx != last {
 		a.flows[idx] = a.flows[last]
+		a.ids[idx] = a.ids[last]
+		a.srcs[idx] = a.srcs[last]
+		a.normalized[idx] = a.normalized[last]
+		a.lastNotified[idx] = a.lastNotified[last]
 		a.state.Rates[idx] = a.state.Rates[last]
-		a.indexByID[a.flows[idx].id] = idx
+		a.indexByID[a.ids[idx]] = idx
 	}
 	a.flows = a.flows[:last]
+	a.ids = a.ids[:last]
+	a.srcs = a.srcs[:last]
+	a.normalized = a.normalized[:last]
+	a.lastNotified = a.lastNotified[:last]
 	a.freeRoutes = append(a.freeRoutes, a.problem.Flows[idx].Route)
 	// RemoveFlowSwap applies the same swap-delete to the problem and its
 	// compiled CSR index.
@@ -279,7 +300,7 @@ func (a *Allocator) HasFlow(id FlowID) bool {
 func (a *Allocator) LiveFlows() []ParallelFlow {
 	out := make([]ParallelFlow, len(a.flows))
 	for i, f := range a.flows {
-		out[i] = ParallelFlow{ID: f.id, Src: f.src, Dst: f.dst, Weight: f.weight, SizeHint: f.size}
+		out[i] = ParallelFlow{ID: a.ids[i], Src: int(a.srcs[i]), Dst: f.dst, Weight: f.weight, SizeHint: f.size}
 	}
 	return out
 }
@@ -327,20 +348,22 @@ func (a *Allocator) Iterate() []RateUpdate {
 	loads, _ := a.cfg.Solver.LastLoads()
 	a.normalized = a.cfg.Normalizer.NormalizeLoads(&a.problem, a.state.Rates, loads, a.normalized)
 
+	// The notify filter is its own pass over two dense float arrays — fusing
+	// it into the normalizer's CSR sweep measured slower — and touches ids and
+	// srcs only for the flows it reports.
 	updates := a.updates[:0]
 	thr := a.cfg.UpdateThreshold
-	for i := range a.flows {
-		rate := a.normalized[i]
-		f := &a.flows[i]
-		if SignificantRateChange(f.lastNotified, rate, thr) {
-			f.lastNotified = rate
-			updates = append(updates, RateUpdate{Flow: f.id, Src: f.src, Rate: rate})
-			a.stats.RateUpdatesSent++
-			a.stats.FromAllocatorBytes += RateUpdateBytes + perMessageOverheadBytes
-		} else {
-			a.stats.RateUpdatesSuppressed++
+	lastNotified := a.lastNotified[:len(a.normalized)]
+	for i, rate := range a.normalized {
+		if SignificantRateChange(lastNotified[i], rate, thr) {
+			lastNotified[i] = rate
+			updates = append(updates, RateUpdate{Flow: a.ids[i], Src: int(a.srcs[i]), Rate: rate})
 		}
 	}
+	sent := int64(len(updates))
+	a.stats.RateUpdatesSent += sent
+	a.stats.RateUpdatesSuppressed += int64(len(a.normalized)) - sent
+	a.stats.FromAllocatorBytes += sent * (RateUpdateBytes + perMessageOverheadBytes)
 	a.updates = updates
 	return updates
 }
@@ -361,7 +384,7 @@ func SignificantRateChange(old, new, threshold float64) bool {
 // iteration has run since it was registered.
 func (a *Allocator) Rate(id FlowID) float64 {
 	idx, ok := a.indexByID[id]
-	if !ok || idx >= len(a.normalized) {
+	if !ok {
 		return 0
 	}
 	return a.normalized[idx]
@@ -370,11 +393,9 @@ func (a *Allocator) Rate(id FlowID) float64 {
 // Rates returns the normalized rates of all registered flowlets keyed by
 // flowlet ID.
 func (a *Allocator) Rates() map[FlowID]float64 {
-	out := make(map[FlowID]float64, len(a.flows))
-	for i, f := range a.flows {
-		if i < len(a.normalized) {
-			out[f.id] = a.normalized[i]
-		}
+	out := make(map[FlowID]float64, len(a.ids))
+	for i, id := range a.ids {
+		out[id] = a.normalized[i]
 	}
 	return out
 }
@@ -382,11 +403,9 @@ func (a *Allocator) Rates() map[FlowID]float64 {
 // RawRates returns the optimizer's un-normalized rates keyed by flowlet ID
 // (used by the normalization experiments).
 func (a *Allocator) RawRates() map[FlowID]float64 {
-	out := make(map[FlowID]float64, len(a.flows))
-	for i, f := range a.flows {
-		if i < len(a.state.Rates) {
-			out[f.id] = a.state.Rates[i]
-		}
+	out := make(map[FlowID]float64, len(a.ids))
+	for i, id := range a.ids {
+		out[id] = a.state.Rates[i]
 	}
 	return out
 }

@@ -135,14 +135,7 @@ func TestRatesNeverExceedLinkCapacity(t *testing.T) {
 
 // normalizedRates extracts the allocator's normalized rates in problem order.
 func normalizedRates(a *Allocator) []float64 {
-	rates := make([]float64, a.NumFlows())
-	m := a.Rates()
-	i := 0
-	for _, f := range a.flows {
-		rates[i] = m[f.id]
-		i++
-	}
-	return rates
+	return append([]float64(nil), a.normalized...)
 }
 
 func TestReconvergenceAfterChurn(t *testing.T) {
@@ -348,6 +341,10 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 			t.Fatalf("size mismatch: %d flows, %d ids, %d problem flows",
 				len(a.flows), len(a.indexByID), len(a.problem.Flows))
 		}
+		if n := a.NumFlows(); len(a.ids) != n || len(a.srcs) != n || len(a.normalized) != n || len(a.lastNotified) != n {
+			t.Fatalf("dense arrays out of step with %d flows: %d ids, %d srcs, %d normalized, %d lastNotified",
+				n, len(a.ids), len(a.srcs), len(a.normalized), len(a.lastNotified))
+		}
 		if len(a.state.Rates) != a.NumFlows() {
 			t.Fatalf("Rates has %d entries for %d flows", len(a.state.Rates), a.NumFlows())
 		}
@@ -356,13 +353,12 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 			t.Fatalf("compiled has %d flows, allocator has %d", c.NumFlows(), a.NumFlows())
 		}
 		for id, idx := range a.indexByID {
-			f := a.flows[idx]
-			if f.id != id {
-				t.Fatalf("indexByID[%d] = %d, but slot holds flow %d", id, idx, f.id)
+			if a.ids[idx] != id {
+				t.Fatalf("indexByID[%d] = %d, but slot holds flow %d", id, idx, a.ids[idx])
 			}
 			// The compiled route must match both the problem's route slice
 			// and the topology's route for the flow's endpoints.
-			want, err := a.Config().Topology.Route(f.src, f.dst, int(id))
+			want, err := a.Config().Topology.Route(int(a.srcs[idx]), a.flows[idx].dst, int(id))
 			if err != nil {
 				t.Fatal(err)
 			}

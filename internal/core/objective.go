@@ -11,11 +11,7 @@ func (a *Allocator) Objective() float64 {
 	if len(a.flows) == 0 {
 		return 0
 	}
-	rates := a.normalized
-	if len(rates) != len(a.problem.Flows) {
-		rates = a.state.Rates
-	}
-	return num.Objective(&a.problem, rates)
+	return num.Objective(&a.problem, a.normalized)
 }
 
 // Objective returns the NUM objective Σ U(x) over the rates computed by the

@@ -206,6 +206,11 @@ type linkBlockState struct {
 	// position (-1 = locally priced); re-imposed after every price update,
 	// mirroring num.Problem.PinnedPrices.
 	pinned []float64
+	// ratio is each link's utilization (load + ext) / cap for the iteration
+	// in flight, written once per link by the block's owner at the price
+	// update and gathered by every FlowBlock's normalize phase (one barrier
+	// later). Allocated only when the allocator normalizes.
+	ratio []float64
 }
 
 func newLinkBlockState(t *topology.Topology, links []topology.LinkID, headroom float64) *linkBlockState {
@@ -355,6 +360,10 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 	for b := 0; b < cfg.Blocks; b++ {
 		p.up = append(p.up, newLinkBlockState(cfg.Topology, part.UpwardLinkBlock(b), cfg.Headroom))
 		p.down = append(p.down, newLinkBlockState(cfg.Topology, part.DownwardLinkBlock(b), cfg.Headroom))
+		if cfg.Normalize {
+			p.up[b].ratio = make([]float64, len(p.up[b].links))
+			p.down[b].ratio = make([]float64, len(p.down[b].links))
+		}
 	}
 	p.ownerLB = make([]*linkBlockState, cfg.Topology.NumLinks())
 	p.ownerPos = make([]int32, cfg.Topology.NumLinks())
@@ -690,10 +699,11 @@ func (p *ParallelAllocator) worker(idx int) {
 		copy(fb.downPrice, p.down[fb.dstBlock].price)
 
 		if p.cfg.Normalize {
-			p.inner.wait()
 			// Parallel F-NORM: each FlowBlock scales its flows by the
-			// worst utilization ratio along their paths, computed from the
-			// aggregated loads held by the LinkBlock owners.
+			// worst utilization ratio along their paths. The ratios were
+			// written by the LinkBlock owners in phase 3, so the barrier
+			// above already orders them; nothing else here leaves the
+			// FlowBlock's own arrays.
 			p.normalizePhase(fb)
 		}
 
@@ -702,43 +712,58 @@ func (p *ParallelAllocator) worker(idx int) {
 }
 
 // rateUpdatePhase computes flow rates from the FlowBlock's local prices and
-// accumulates loads and Hessian diagonals locally.
+// accumulates loads and Hessian diagonals locally. Like num's log-utility
+// kernel it is straight-line for the route that dominates a two-tier Clos (the
+// only fabric a BlockPartition accepts) — two upward and two downward links,
+// rack to spine to rack — and loops otherwise (within a rack it is one and
+// one); both arms add the prices up-then-down in route order, the sequential
+// solver's order.
 func (p *ParallelAllocator) rateUpdatePhase(fb *flowBlock) {
-	for i := range fb.upLoad {
-		fb.upLoad[i] = 0
-		fb.upHdiag[i] = 0
-	}
-	for i := range fb.downLoad {
-		fb.downLoad[i] = 0
-		fb.downHdiag[i] = 0
-	}
-	for i := 0; i < fb.numFlows(); i++ {
-		up := fb.upIdx[fb.upOff[i] : fb.upOff[i]+fb.upLen[i]]
-		down := fb.downIdx[fb.downOff[i] : fb.downOff[i]+fb.downLen[i]]
-		priceSum := 0.0
-		for _, pos := range up {
-			priceSum += fb.upPrice[pos]
-		}
-		for _, pos := range down {
-			priceSum += fb.downPrice[pos]
-		}
-		if priceSum < minParallelPrice {
-			priceSum = minParallelPrice
-		}
-		w := fb.weights[i]
-		x := w / priceSum
-		if x > p.maxRate {
-			x = p.maxRate
-		}
-		d := -w / (priceSum * priceSum)
-		fb.rates[i] = x
-		for _, pos := range up {
-			fb.upLoad[pos] += x
-			fb.upHdiag[pos] += d
-		}
-		for _, pos := range down {
-			fb.downLoad[pos] += x
-			fb.downHdiag[pos] += d
+	clear(fb.upLoad)
+	clear(fb.upHdiag)
+	clear(fb.downLoad)
+	clear(fb.downHdiag)
+	upIdx, downIdx := fb.upIdx, fb.downIdx
+	upPrice, downPrice := fb.upPrice, fb.downPrice
+	upLoad, upHdiag, downLoad, downHdiag := fb.upLoad, fb.upHdiag, fb.downLoad, fb.downHdiag
+	n := fb.numFlows()
+	upOff, upLen, downOff, downLen := fb.upOff[:n], fb.upLen[:n], fb.downOff[:n], fb.downLen[:n]
+	weights, rates, maxRate := fb.weights[:n], fb.rates[:n], p.maxRate
+	for i := range rates {
+		uo, do := int(upOff[i]), int(downOff[i])
+		w := weights[i]
+		if upLen[i] == 2 && downLen[i] == 2 {
+			u, d := (*[2]int32)(upIdx[uo:uo+2]), (*[2]int32)(downIdx[do:do+2])
+			x, dx := num.LogRate(w, upPrice[u[0]]+upPrice[u[1]]+downPrice[d[0]]+downPrice[d[1]], minParallelPrice, maxRate)
+			rates[i] = x
+			upLoad[u[0]] += x
+			upLoad[u[1]] += x
+			upHdiag[u[0]] += dx
+			upHdiag[u[1]] += dx
+			downLoad[d[0]] += x
+			downLoad[d[1]] += x
+			downHdiag[d[0]] += dx
+			downHdiag[d[1]] += dx
+		} else {
+			up := upIdx[uo : uo+int(upLen[i])]
+			down := downIdx[do : do+int(downLen[i])]
+			priceSum := 0.0
+			for _, pos := range up {
+				priceSum += upPrice[pos]
+			}
+			for _, pos := range down {
+				priceSum += downPrice[pos]
+			}
+			x, dx := num.LogRate(w, priceSum, minParallelPrice, maxRate)
+			rates[i] = x
+			for _, pos := range up {
+				upLoad[pos] += x
+				upHdiag[pos] += dx
+			}
+			for _, pos := range down {
+				downLoad[pos] += x
+				downHdiag[pos] += dx
+			}
 		}
 	}
 }
@@ -751,9 +776,20 @@ const minParallelPrice = 1e-12
 // accumulators here — g is computed as (load − cap) + ext, exactly the
 // sequential solver's operation order, so a boundary-exchanging shard stays
 // bit-identical to the sequential engine — and pinned prices are re-imposed
-// after the update, mirroring num's applyPins.
+// after the update, mirroring num's applyPins. The owner also holds the only
+// merged copy of the loads, so this is where each link's utilization ratio for
+// the normalize phase is written — (load + ext) / cap, the sequential
+// normalizer's operation order, one division per link rather than one per
+// link per flow.
 func (p *ParallelAllocator) priceUpdatePhase(lb *linkBlockState, load, hdiag []float64) {
 	ext, extH, pinned := lb.ext, lb.extH, lb.pinned
+	for i := range lb.ratio {
+		l := load[i]
+		if ext != nil {
+			l += ext[i]
+		}
+		lb.ratio[i] = l / lb.cap[i]
+	}
 	for i := range lb.price {
 		g := load[i] - lb.cap[i]
 		h := hdiag[i]
@@ -779,43 +815,37 @@ func (p *ParallelAllocator) priceUpdatePhase(lb *linkBlockState, load, hdiag []f
 	}
 }
 
-// normalizePhase applies F-NORM within a FlowBlock: each flow is scaled by
-// the worst load/capacity ratio among the links it traverses. The aggregated
-// loads live in the owner FlowBlocks (column 0 for upward, row 0 for
-// downward), which this phase only reads. External loads count toward a
-// link's utilization — as (load + ext) / cap, the sequential normalizer's
-// operation order — so a boundary link crowded by remote traffic slows local
-// flows just as local congestion would.
+// normalizePhase applies F-NORM within a FlowBlock: each flow is divided by
+// the worst utilization ratio among the links it traverses, floored at 1. The
+// ratios were written by the LinkBlock owners during the price update (see
+// priceUpdatePhase) and are only read here. Like norm.FNorm's sweep the body
+// has no data-dependent branch — an integer max over num.OrderedBits, and
+// x/1 == x exactly for flows on uncongested paths — and is straight-line for
+// the cross-rack route. As there, no ratio can be NaN: capacities are
+// validated positive and loads are finite.
 func (p *ParallelAllocator) normalizePhase(fb *flowBlock) {
-	upOwner := p.fbAt[fb.srcBlock*p.numBlocks] // (srcBlock, 0)
-	downOwner := p.fbAt[fb.dstBlock]           // (0, dstBlock)
-	upCap := p.up[fb.srcBlock].cap
-	downCap := p.down[fb.dstBlock].cap
-	upExt := p.up[fb.srcBlock].ext
-	downExt := p.down[fb.dstBlock].ext
-	for i := 0; i < fb.numFlows(); i++ {
-		worst := 1.0
-		for _, pos := range fb.upIdx[fb.upOff[i] : fb.upOff[i]+fb.upLen[i]] {
-			load := upOwner.upLoad[pos]
-			if upExt != nil {
-				load += upExt[pos]
+	upRatio := p.up[fb.srcBlock].ratio
+	downRatio := p.down[fb.dstBlock].ratio
+	upIdx, downIdx := fb.upIdx, fb.downIdx
+	n := fb.numFlows()
+	upOff, upLen, downOff, downLen := fb.upOff[:n], fb.upLen[:n], fb.downOff[:n], fb.downLen[:n]
+	rates, one := fb.rates[:n], num.OrderedBits(1)
+	for i := range rates {
+		uo, do := int(upOff[i]), int(downOff[i])
+		worst := one
+		if upLen[i] == 2 && downLen[i] == 2 {
+			u, d := (*[2]int32)(upIdx[uo:uo+2]), (*[2]int32)(downIdx[do:do+2])
+			worst = max(worst, num.OrderedBits(upRatio[u[0]]), num.OrderedBits(upRatio[u[1]]),
+				num.OrderedBits(downRatio[d[0]]), num.OrderedBits(downRatio[d[1]]))
+		} else {
+			for _, pos := range upIdx[uo : uo+int(upLen[i])] {
+				worst = max(worst, num.OrderedBits(upRatio[pos]))
 			}
-			if r := load / upCap[pos]; r > worst {
-				worst = r
-			}
-		}
-		for _, pos := range fb.downIdx[fb.downOff[i] : fb.downOff[i]+fb.downLen[i]] {
-			load := downOwner.downLoad[pos]
-			if downExt != nil {
-				load += downExt[pos]
-			}
-			if r := load / downCap[pos]; r > worst {
-				worst = r
+			for _, pos := range downIdx[do : do+int(downLen[i])] {
+				worst = max(worst, num.OrderedBits(downRatio[pos]))
 			}
 		}
-		if worst > 1 {
-			fb.rates[i] /= worst
-		}
+		rates[i] /= num.FromOrderedBits(worst)
 	}
 }
 

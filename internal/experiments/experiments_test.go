@@ -25,7 +25,7 @@ func TestScalingTableSmall(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.TimePerIteration <= 0 {
+		if r.TimePerIteration <= 0 || r.SequentialTimePerIteration <= 0 {
 			t.Errorf("non-positive iteration time: %+v", r)
 		}
 		if r.Cores != r.Blocks*r.Blocks {
@@ -36,7 +36,7 @@ func TestScalingTableSmall(t *testing.T) {
 		}
 	}
 	out := RenderScalingTable(rows)
-	if !strings.Contains(out, "Cores") || !strings.Contains(out, "96") {
+	if !strings.Contains(out, "Cores") || !strings.Contains(out, "Sequential") || !strings.Contains(out, "96") {
 		t.Errorf("rendering missing expected fields:\n%s", out)
 	}
 }

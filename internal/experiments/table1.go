@@ -29,6 +29,11 @@ type ScalingRow struct {
 	// TimePerIteration is the measured wall-clock time of one full
 	// allocator iteration.
 	TimePerIteration time.Duration
+	// SequentialTimePerIteration is the single-core core.Allocator's
+	// iteration time on the same fabric and flow set (NED step, F-NORM and
+	// the notify filter, which the parallel figure leaves to AppendUpdates):
+	// the number the multicore engine has to beat on the machine at hand.
+	SequentialTimePerIteration time.Duration
 	// AllocatedTbps is the fabric bandwidth being scheduled, in Tbit/s
 	// (number of servers × server link rate), the figure of merit the
 	// paper quotes (e.g. "4 cores allocate 15.36 Tbit/s in 8.29 µs").
@@ -96,23 +101,35 @@ func MeasureScalingCase(c ScalingCase, warmup, iters int, seed int64) (ScalingRo
 		return ScalingRow{}, err
 	}
 	defer pa.Close()
-	rng := rand.New(rand.NewSource(seed))
-	if err := pa.SetFlows(RandomFlows(topo.NumServers(), c.Flows, rng)); err != nil {
+	seq, err := core.NewAllocator(core.Config{Topology: topo, Gamma: 1})
+	if err != nil {
 		return ScalingRow{}, err
 	}
-	for i := 0; i < warmup; i++ {
-		pa.Iterate()
+	flows := RandomFlows(topo.NumServers(), c.Flows, rand.New(rand.NewSource(seed)))
+	if err := pa.SetFlows(flows); err != nil {
+		return ScalingRow{}, err
 	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		pa.Iterate()
+	for _, f := range flows {
+		if err := seq.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
+			return ScalingRow{}, err
+		}
 	}
-	elapsed := time.Since(start)
+	measure := func(iterate func()) time.Duration {
+		for i := 0; i < warmup; i++ {
+			iterate()
+		}
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			iterate()
+		}
+		return time.Since(start) / time.Duration(iters)
+	}
 	return ScalingRow{
-		ScalingCase:      c,
-		Cores:            c.Blocks * c.Blocks,
-		TimePerIteration: elapsed / time.Duration(iters),
-		AllocatedTbps:    float64(topo.NumServers()) * cfg.LinkCapacity / 1e12,
+		ScalingCase:                c,
+		Cores:                      c.Blocks * c.Blocks,
+		TimePerIteration:           measure(pa.Iterate),
+		SequentialTimePerIteration: measure(func() { seq.Iterate() }),
+		AllocatedTbps:              float64(topo.NumServers()) * cfg.LinkCapacity / 1e12,
 	}, nil
 }
 
@@ -135,10 +152,10 @@ func ScalingTable(cases []ScalingCase, warmup, iters int, seed int64) ([]Scaling
 // RenderScalingTable prints the rows in the paper's table format.
 func RenderScalingTable(rows []ScalingRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-7s %-7s %-14s %-10s\n", "Cores", "Nodes", "Flows", "Time/iter", "Tbit/s")
+	fmt.Fprintf(&b, "%-6s %-7s %-7s %-14s %-14s %-10s\n", "Cores", "Nodes", "Flows", "Time/iter", "Sequential", "Tbit/s")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %-7d %-7d %-14s %-10.2f\n",
-			r.Cores, r.Nodes, r.Flows, r.TimePerIteration, r.AllocatedTbps)
+		fmt.Fprintf(&b, "%-6d %-7d %-7d %-14s %-14s %-10.2f\n",
+			r.Cores, r.Nodes, r.Flows, r.TimePerIteration, r.SequentialTimePerIteration, r.AllocatedTbps)
 	}
 	return b.String()
 }

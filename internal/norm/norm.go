@@ -1,8 +1,6 @@
 package norm
 
-import (
-	"repro/internal/num"
-)
+import "repro/internal/num"
 
 // Normalizer scales a set of flow rates so that no link exceeds its capacity.
 type Normalizer interface {
@@ -112,27 +110,48 @@ func (f *FNorm) Normalize(p *num.Problem, rates []float64, out []float64) []floa
 }
 
 // NormalizeLoads implements Normalizer.
+//
+// Two passes: one division per link into the reused ratio scratch, then one
+// sweep over the compiled CSR index taking each flow's worst ratio. Which link
+// of a route is the most loaded, and whether it is over capacity at all, are
+// coin flips per flow, so the sweep has no data-dependent branch: worst is a
+// running max floored at 1 (see num.OrderedBits) and every flow divides by it
+// — x/1 == x exactly, so a flow on an uncongested path keeps its rate bit for
+// bit. The gather is straight-line for the two route lengths that carry the
+// traffic (4 links on a two-tier Clos, 6 on a fat-tree; see
+// num.rateUpdateLog); other lengths take the loop.
+//
+// The integer max orders only non-NaN ratios. None can arise: Problem.Validate
+// requires every capacity > 0, and rates, loads and ExternalLoads are finite
+// and non-negative, so no ratio is 0/0 or Inf-Inf. A NaN ratio would no longer
+// be skipped as `r > worst` skipped it (see num.OrderedBits for what happens
+// instead).
 func (f *FNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64 {
 	out = ensureOut(out, len(rates))
 	f.ratios = linkRatios(p, loads, f.ratios)
-	// Walk the compiled CSR index instead of the per-flow Route slices: one
-	// contiguous pass over the route arena with the reused ratio scratch.
 	c := p.Compiled()
-	routes, off, lens := c.Routes, c.Off, c.Len
-	ratios := f.ratios
+	routes, off, ratios := c.Routes, c.Off, f.ratios
+	lens, rates, out := c.Len[:len(off)], rates[:len(off)], out[:len(off)]
+	one := num.OrderedBits(1) // only a link above capacity slows a flow
 	for i := range off {
-		worst := 0.0
-		o := off[i]
-		for _, l := range routes[o : o+lens[i]] {
-			if r := ratios[l]; r > worst {
-				worst = r
+		o := int(off[i])
+		worst := one
+		switch lens[i] {
+		case 4:
+			r := (*[4]int32)(routes[o : o+4])
+			worst = max(worst, num.OrderedBits(ratios[r[0]]), num.OrderedBits(ratios[r[1]]),
+				num.OrderedBits(ratios[r[2]]), num.OrderedBits(ratios[r[3]]))
+		case 6:
+			r := (*[6]int32)(routes[o : o+6])
+			worst = max(worst, num.OrderedBits(ratios[r[0]]), num.OrderedBits(ratios[r[1]]),
+				num.OrderedBits(ratios[r[2]]), num.OrderedBits(ratios[r[3]]),
+				num.OrderedBits(ratios[r[4]]), num.OrderedBits(ratios[r[5]]))
+		default:
+			for _, l := range routes[o : o+int(lens[i])] {
+				worst = max(worst, num.OrderedBits(ratios[l]))
 			}
 		}
-		if worst > 1 {
-			out[i] = rates[i] / worst
-		} else {
-			out[i] = rates[i]
-		}
+		out[i] = rates[i] / num.FromOrderedBits(worst)
 	}
 	return out
 }

@@ -141,7 +141,13 @@ func NewState(p *Problem) *State {
 // million-flow scale.
 func (s *State) Resize(numFlows int) {
 	if cap(s.Rates) >= numFlows {
+		old := len(s.Rates)
 		s.Rates = s.Rates[:numFlows]
+		if numFlows > old {
+			// Re-extending over a slot a removed flow vacated: zero it, or
+			// the new flow would read its previous occupant's rate.
+			clear(s.Rates[old:])
+		}
 		return
 	}
 	newCap := 2 * cap(s.Rates)

@@ -54,10 +54,8 @@ func rateUpdate(p *Problem, st *State, sc *scratch, hessian bool, minPrice float
 	c := p.Compiled()
 	sc.ensure(len(p.Capacities))
 	loads, hdiag := sc.loads, sc.hdiag
-	for i := range loads {
-		loads[i] = 0
-		hdiag[i] = 0
-	}
+	clear(loads)
+	clear(hdiag)
 	if c.AllLog() {
 		rateUpdateLog(c, p.MaxFlowRate, st, loads, hdiag, hessian, minPrice)
 		return
@@ -68,54 +66,122 @@ func rateUpdate(p *Problem, st *State, sc *scratch, hessian bool, minPrice float
 // rateUpdateLog is the monomorphized log-utility fast path: every flow's rate
 // is w/p and its sensitivity -w/p², computed straight from the CSR index with
 // no interface dispatch and no per-flow pointer chasing.
+//
+// The per-flow body is straight-line for the two route lengths that carry the
+// traffic — 4 links, rack to spine to rack, on a two-tier Clos (31 of 32
+// uniformly random flows) and 6 links, through a core switch, on a fat-tree
+// (94% at k=16): one slice-to-array conversion bounds the whole route, so the
+// price gather and the load scatter carry no loop counter and no per-link
+// range check, and consecutive flows overlap in the pipeline. Every other
+// length — the 2-link route inside a rack included, whose own arm measured no
+// gain — takes the loop. Every arm adds the prices and scatters x and d in
+// route order, so the result is bit for bit the loop's (rateUpdateLogRef in
+// the tests). hessian is loop-invariant: the first-order solvers skip the
+// Hessian scatter through a branch that always goes the same way.
 func rateUpdateLog(c *Compiled, maxRate float64, st *State, loads, hdiag []float64, hessian bool, minPrice float64) {
-	routes, off, lens, weights := c.Routes, c.Off, c.Len, c.Weights
-	prices, rates := st.Prices, st.Rates
-	if hessian {
-		for i := range off {
-			o := off[i]
-			route := routes[o : o+lens[i]]
+	routes, off := c.Routes, c.Off
+	lens, weights, rates := c.Len[:len(off)], c.Weights[:len(off)], st.Rates[:len(off)]
+	prices := st.Prices
+	if maxRate <= 0 {
+		maxRate = math.Inf(1)
+	}
+	for i := range off {
+		o := int(off[i])
+		var x, d float64
+		switch lens[i] {
+		case 4:
+			r := (*[4]int32)(routes[o : o+4])
+			x, d = LogRate(weights[i], gather4(prices, r), minPrice, maxRate)
+			scatter4(loads, r, x)
+			if hessian {
+				scatter4(hdiag, r, d)
+			}
+		case 6:
+			r := (*[6]int32)(routes[o : o+6])
+			x, d = LogRate(weights[i], gather6(prices, r), minPrice, maxRate)
+			scatter6(loads, r, x)
+			if hessian {
+				scatter6(hdiag, r, d)
+			}
+		default:
+			route := routes[o : o+int(lens[i])]
 			ps := 0.0
 			for _, l := range route {
 				ps += prices[l]
 			}
-			if ps < minPrice {
-				ps = minPrice
-			}
-			w := weights[i]
-			x := w / ps
-			if maxRate > 0 && x > maxRate {
-				x = maxRate
-			}
-			rates[i] = x
-			d := -w / (ps * ps)
+			x, d = LogRate(weights[i], ps, minPrice, maxRate)
 			for _, l := range route {
 				loads[l] += x
-				hdiag[l] += d
+			}
+			if hessian {
+				for _, l := range route {
+					hdiag[l] += d
+				}
 			}
 		}
-		return
-	}
-	for i := range off {
-		o := off[i]
-		route := routes[o : o+lens[i]]
-		ps := 0.0
-		for _, l := range route {
-			ps += prices[l]
-		}
-		if ps < minPrice {
-			ps = minPrice
-		}
-		x := weights[i] / ps
-		if maxRate > 0 && x > maxRate {
-			x = maxRate
-		}
 		rates[i] = x
-		for _, l := range route {
-			loads[l] += x
-		}
 	}
 }
+
+// LogRate is Equation 3 for a log utility at path price ps: the rate w/ps,
+// floored at minPrice and capped at maxRate, and its sensitivity -w/ps². It is
+// exported so core.ParallelAllocator's rate phase shares the one formula.
+func LogRate(w, ps, minPrice, maxRate float64) (x, d float64) {
+	if ps < minPrice {
+		ps = minPrice
+	}
+	x = w / ps
+	if x > maxRate {
+		x = maxRate
+	}
+	return x, -w / (ps * ps)
+}
+
+// gather4 and gather6 sum a's entries at a fixed-length route's indices, left
+// to right — the loop's order, so the sum is the loop's bit for bit (a leading
+// 0+ only turns a -0 into +0, which no caller can observe).
+func gather4(a []float64, r *[4]int32) float64 { return a[r[0]] + a[r[1]] + a[r[2]] + a[r[3]] }
+
+func gather6(a []float64, r *[6]int32) float64 {
+	return a[r[0]] + a[r[1]] + a[r[2]] + a[r[3]] + a[r[4]] + a[r[5]]
+}
+
+// scatter4 and scatter6 add v to a's entries at a fixed-length route's
+// indices, in route order.
+func scatter4(a []float64, r *[4]int32, v float64) {
+	a[r[0]] += v
+	a[r[1]] += v
+	a[r[2]] += v
+	a[r[3]] += v
+}
+
+func scatter6(a []float64, r *[6]int32, v float64) {
+	a[r[0]] += v
+	a[r[1]] += v
+	a[r[2]] += v
+	a[r[3]] += v
+	a[r[4]] += v
+	a[r[5]] += v
+}
+
+// OrderedBits returns x's IEEE-754 bit pattern as an int64. Among the values
+// at or above +0 the integers order exactly as the floats do, and every
+// negative float (and -0) maps below all of them, so for any non-NaN inputs
+//
+//	FromOrderedBits(max(OrderedBits(1), OrderedBits(a), OrderedBits(b)))
+//
+// is max(1, a, b) — computed with an integer compare and a conditional move
+// per term, where the float max builtin costs a dozen dependent SSE
+// instructions (its NaN and signed-zero fix-ups) and `if r > worst` a branch
+// the predictor cannot learn. F-NORM's sweep, in norm.FNorm and in
+// core.ParallelAllocator, is the one place that difference is a third of a
+// pass. A NaN is not ordered: one with the sign bit clear compares above
+// every float and wins the max, one with it set (what amd64 produces for 0/0)
+// loses to everything — callers keep NaN out.
+func OrderedBits(x float64) int64 { return int64(math.Float64bits(x)) }
+
+// FromOrderedBits inverts OrderedBits.
+func FromOrderedBits(b int64) float64 { return math.Float64frombits(uint64(b)) }
 
 // rateUpdateGeneric handles problems mixing custom utilities: log-utility
 // flows still take the inline formulas, the rest dispatch through the
@@ -218,10 +284,17 @@ func (n *NED) Step(p *Problem, st *State) {
 		gamma = 1
 	}
 	rateUpdate(p, st, &n.sc, true, minPathPrice)
+	// The per-link pass is the iteration's serial floor (it is most of a
+	// 1 000-flow step on a 3 072-link fabric), so everything loop-invariant
+	// is read once: the stores to prices would otherwise force n, p and st
+	// to be re-read on every link.
+	rt := n.RT
+	prices := st.Prices
+	loads, hdiag, caps := n.sc.loads[:len(prices)], n.sc.hdiag[:len(prices)], p.Capacities[:len(prices)]
 	ext, extH := p.ExternalLoads, p.ExternalHdiag
-	for l := range st.Prices {
-		g := n.sc.loads[l] - p.Capacities[l]
-		h := n.sc.hdiag[l]
+	for l, price := range prices {
+		g := loads[l] - caps[l]
+		h := hdiag[l]
 		if ext != nil {
 			g += ext[l]
 		}
@@ -231,23 +304,23 @@ func (n *NED) Step(p *Problem, st *State) {
 		if h == 0 {
 			// No flows traverse the link: decay its price so the next
 			// flowlet to use it is not throttled by a stale price.
-			st.Prices[l] *= 0.5
+			prices[l] = price * 0.5
 			continue
 		}
 		var delta float64
-		if n.RT {
+		if rt {
 			delta = float64(float32(gamma) * float32(g) / float32(h))
 		} else {
 			delta = gamma * g / h
 		}
-		price := st.Prices[l] - delta
+		price -= delta
 		if price < 0 {
 			price = 0
 		}
-		if n.RT {
+		if rt {
 			price = float64(float32(price))
 		}
-		st.Prices[l] = price
+		prices[l] = price
 	}
 	applyPins(p, st)
 }
