@@ -432,8 +432,10 @@ func leafSpineAllocator(b *testing.B, flows int) *flowtune.Allocator {
 // flow against problem size — the per-link work over 3 072 links is the serial
 // part that dominates at 1k —, fattree-k16 is the scaling experiment's
 // 1 024-host fat-tree, where 94% of the routes are 6 links rather than 4 (the
-// row the kernels' 6-link arm answers to), and blocks=2 is the multicore
-// engine on the leaf-spine's 10k flows.
+// row the kernels' 6-link arm answers to), and the blocks=N rows are the
+// multicore engine on the same leaf-spine flows — blocks=1 is one FlowBlock
+// worker running the sequential engine's kernels behind the phase barriers,
+// the row that says what replacing core.Allocator with it would cost.
 func BenchmarkAllocatorIterate(b *testing.B) {
 	b.Run("sim-5k", func(b *testing.B) {
 		topo, err := flowtune.NewTopology(flowtune.DefaultSimTopologyConfig())
@@ -475,28 +477,29 @@ func BenchmarkAllocatorIterate(b *testing.B) {
 		}
 		benchIterate(b, flows, func() { alloc.Iterate() })
 	})
-	b.Run("blocks=2/flows=10k", func(b *testing.B) {
-		const flows = 10000
-		topo, err := flowtune.NewTopology(leafSpineConfig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pa, err := flowtune.NewParallelAllocator(flowtune.ParallelAllocatorConfig{
-			Topology: topo, Blocks: 2, Gamma: 0.4, Headroom: 0.01, Normalize: true,
+	for _, c := range []struct{ blocks, flows int }{{1, 1000}, {1, 10000}, {2, 10000}} {
+		b.Run(fmt.Sprintf("blocks=%d/flows=%dk", c.blocks, c.flows/1000), func(b *testing.B) {
+			topo, err := flowtune.NewTopology(leafSpineConfig)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pa, err := flowtune.NewParallelAllocator(flowtune.ParallelAllocatorConfig{
+				Topology: topo, Blocks: c.blocks, Gamma: 0.4, Headroom: 0.01, Normalize: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pa.Close()
+			if err := pa.SetFlows(experiments.RandomFlows(topo.NumServers(), c.flows, rand.New(rand.NewSource(1)))); err != nil {
+				b.Fatal(err)
+			}
+			var ups []flowtune.RateUpdate
+			benchIterate(b, c.flows, func() {
+				pa.Iterate()
+				ups = pa.AppendUpdates(0.01, ups[:0])
+			})
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pa.Close()
-		if err := pa.SetFlows(experiments.RandomFlows(topo.NumServers(), flows, rand.New(rand.NewSource(1)))); err != nil {
-			b.Fatal(err)
-		}
-		var ups []flowtune.RateUpdate
-		benchIterate(b, flows, func() {
-			pa.Iterate()
-			ups = pa.AppendUpdates(0.01, ups[:0])
-		})
-	})
+	}
 }
 
 // benchIterate warms the solver up (prices converge, scratch grows to size),

@@ -215,8 +215,9 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 	if _, ok := a.indexByID[id]; ok {
 		return fmt.Errorf("core: flowlet %d already registered", id)
 	}
-	if weight <= 0 {
-		weight = 1
+	weight, scaled, err := admitWeight(weight, a.topo.Config().LinkCapacity)
+	if err != nil {
+		return fmt.Errorf("core: flowlet %d: %w", id, err)
 	}
 	// Path selection mirrors ECMP: hash the flow ID over the spines so the
 	// allocator and the network agree on paths (§7). The route is written
@@ -227,7 +228,7 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 	} else {
 		links = make([]int32, 0, topology.MaxRouteLinks)
 	}
-	links, err := a.topo.RouteInto(links, src, dst, int(id))
+	links, err = a.topo.RouteInto(links, src, dst, int(id))
 	if err != nil {
 		a.freeRoutes = append(a.freeRoutes, links)
 		return fmt.Errorf("core: flowlet %d: %w", id, err)
@@ -244,13 +245,33 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 	// compiled CSR index in sync incrementally.
 	if weight != a.utilWeight { // weight > 0, so the first call never matches the zero value
 		a.utilWeight = weight
-		a.util = num.LogUtility{W: weight * a.topo.Config().LinkCapacity}
+		a.util = num.LogUtility{W: scaled}
 	}
 	a.problem.AppendFlow(num.Flow{Route: links, Util: a.util})
 	a.state.Resize(len(a.problem.Flows))
 	a.stats.StartNotifications++
 	a.stats.ToAllocatorBytes += FlowletStartBytes + perMessageOverheadBytes
 	return nil
+}
+
+// admitWeight is both engines' admission rule for a flowlet's weight, which
+// arrives unchecked from an endpoint's FlowletAdd frame: zero or negative
+// means the default weight 1; a weight that is not finite, or whose
+// capacity-scaled value (the log-utility weight the solver runs on) is not, is
+// refused — one such flow would turn the price of every link on its route, and
+// through them every neighbour's rate, into NaN for good.
+func admitWeight(weight, linkCap float64) (base, scaled float64, err error) {
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return 0, 0, fmt.Errorf("weight %g is not finite", weight)
+	}
+	if weight <= 0 {
+		weight = 1
+	}
+	scaled = weight * linkCap
+	if math.IsInf(scaled, 0) {
+		return 0, 0, fmt.Errorf("weight %g overflows when scaled by the link capacity %g", weight, linkCap)
+	}
+	return weight, scaled, nil
 }
 
 // FlowletEnd removes a flowlet. It corresponds to a flowlet-end notification.
@@ -351,21 +372,27 @@ func (a *Allocator) Iterate() []RateUpdate {
 	// The notify filter is its own pass over two dense float arrays — fusing
 	// it into the normalizer's CSR sweep measured slower — and touches ids and
 	// srcs only for the flows it reports.
-	updates := a.updates[:0]
-	thr := a.cfg.UpdateThreshold
-	lastNotified := a.lastNotified[:len(a.normalized)]
-	for i, rate := range a.normalized {
-		if SignificantRateChange(lastNotified[i], rate, thr) {
-			lastNotified[i] = rate
-			updates = append(updates, RateUpdate{Flow: a.ids[i], Src: int(a.srcs[i]), Rate: rate})
-		}
-	}
+	updates := appendSignificant(a.updates[:0], a.ids, a.srcs, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
 	sent := int64(len(updates))
 	a.stats.RateUpdatesSent += sent
 	a.stats.RateUpdatesSuppressed += int64(len(a.normalized)) - sent
 	a.stats.FromAllocatorBytes += sent * (RateUpdateBytes + perMessageOverheadBytes)
 	a.updates = updates
 	return updates
+}
+
+// appendSignificant is the notify filter over one dense run of flows: it
+// appends a RateUpdate for every flow whose rate changed significantly since
+// it was last reported, and records the reported rate.
+func appendSignificant(buf []RateUpdate, ids []FlowID, srcs []int32, rates, lastNotified []float64, thr float64) []RateUpdate {
+	lastNotified = lastNotified[:len(rates)]
+	for i, rate := range rates {
+		if SignificantRateChange(lastNotified[i], rate, thr) {
+			lastNotified[i] = rate
+			buf = append(buf, RateUpdate{Flow: ids[i], Src: int(srcs[i]), Rate: rate})
+		}
+	}
+	return buf
 }
 
 // SignificantRateChange reports whether a rate change from old to new

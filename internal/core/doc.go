@@ -8,13 +8,22 @@
 //
 // The sequential Allocator is the engine behind the transport simulator's
 // Flowtune endpoints and the scenario runner in internal/experiments; the
-// ParallelAllocator reproduces the paper's multicore scaling study. Both
-// maintain their flow sets incrementally across churn — FlowletStart and
-// FlowletEnd are O(route length) operations on CSR arenas (per FlowBlock in
-// the parallel case), with swap-delete holes compacted amortizedly — so the
-// per-iteration cost is independent of churn history. The parallel
-// allocator's phases are separated by a sense-reversing spin-then-park
-// barrier, its accumulators are cache-line padded, and its FlowBlocks are
-// laid out in Morton order so early merge-tree rounds touch neighbours; see
-// ARCHITECTURE.md, "The parallel iteration path".
+// ParallelAllocator reproduces the paper's multicore scaling study and is the
+// daemon's -blocks engine. They are one iteration over two data layouts: the
+// Allocator runs num's and norm's kernels (rate update, NED price step, link
+// ratios, F-NORM sweep) on the fabric's link space, the ParallelAllocator runs
+// the same functions per FlowBlock on a local link space — a standalone
+// num.Compiled over [up positions | down positions] with one price, load,
+// Hessian and ratio array each — and adds only what is about blocks: the
+// pairwise merge rounds between the rate update and the price update, the
+// copies of prices and ratios back into the blocks, a sense-reversing
+// spin-then-park barrier between phases, cache-line-padded local arrays and
+// a Morton-order FlowBlock layout so early merge rounds touch neighbours. Both
+// share one admission rule for flowlet weights (admitWeight), one notify
+// filter (appendSignificant) and one boundary API for the sharded exchange
+// (boundary.go, parallel_boundary.go), and both maintain their flow sets
+// incrementally — FlowletStart and FlowletEnd are O(route length) operations
+// on a CSR index with swap-delete holes compacted amortizedly — so the
+// per-iteration cost is independent of churn history. See ARCHITECTURE.md,
+// "The parallel iteration path".
 package core

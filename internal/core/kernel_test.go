@@ -323,29 +323,45 @@ func TestAllocatorKernelEquivalence(t *testing.T) {
 	}
 }
 
-// rateUpdatePhaseRef and normalizePhaseRef are the FlowBlock phases as they
-// were before the kernels — range loops over the up and down position slices,
-// `if` clamps, and F-NORM dividing the owner's merged load by the capacity
-// once per link per flow.
+// upDown splits flow i's route in the FlowBlock's local link space back into
+// positions of the source block's upward LinkBlock and of the destination
+// block's downward one.
+func (fb *flowBlock) upDown(i int) (up, down []int32) {
+	for _, l := range fb.csr.Route(i) {
+		if int(l) < fb.downBase {
+			up = append(up, l)
+		} else {
+			down = append(down, l-int32(fb.downBase))
+		}
+	}
+	return up, down
+}
+
+// rateUpdatePhaseRef and normalizePhaseRef are the FlowBlock phases as plain
+// loops over separate up and down position lists — range loops, `if` clamps,
+// and F-NORM dividing the owner's merged load by the capacity once per link
+// per flow. They share nothing with num's and norm's kernels, so they are the
+// check that running those kernels on the local link space computes what the
+// paper's FlowBlock does.
 func rateUpdatePhaseRef(p *ParallelAllocator, fb *flowBlock) {
 	clear(fb.upLoad)
 	clear(fb.upHdiag)
 	clear(fb.downLoad)
 	clear(fb.downHdiag)
+	upPrice, downPrice := fb.price[:len(fb.upLoad)], fb.price[fb.downBase:]
 	for i := 0; i < fb.numFlows(); i++ {
-		up := fb.upIdx[fb.upOff[i] : fb.upOff[i]+fb.upLen[i]]
-		down := fb.downIdx[fb.downOff[i] : fb.downOff[i]+fb.downLen[i]]
+		up, down := fb.upDown(i)
 		priceSum := 0.0
 		for _, pos := range up {
-			priceSum += fb.upPrice[pos]
+			priceSum += upPrice[pos]
 		}
 		for _, pos := range down {
-			priceSum += fb.downPrice[pos]
+			priceSum += downPrice[pos]
 		}
-		if priceSum < minParallelPrice {
-			priceSum = minParallelPrice
+		if priceSum < 1e-12 {
+			priceSum = 1e-12
 		}
-		w := fb.weights[i]
+		w := fb.csr.Weights[i]
 		x := w / priceSum
 		if x > p.maxRate {
 			x = p.maxRate
@@ -368,8 +384,9 @@ func normalizePhaseRef(p *ParallelAllocator, fb *flowBlock) {
 	downOwner := p.fbAt[fb.dstBlock]
 	upLB, downLB := p.up[fb.srcBlock], p.down[fb.dstBlock]
 	for i := 0; i < fb.numFlows(); i++ {
+		up, down := fb.upDown(i)
 		worst := 1.0
-		for _, pos := range fb.upIdx[fb.upOff[i] : fb.upOff[i]+fb.upLen[i]] {
+		for _, pos := range up {
 			load := upOwner.upLoad[pos]
 			if upLB.ext != nil {
 				load += upLB.ext[pos]
@@ -378,7 +395,7 @@ func normalizePhaseRef(p *ParallelAllocator, fb *flowBlock) {
 				worst = r
 			}
 		}
-		for _, pos := range fb.downIdx[fb.downOff[i] : fb.downOff[i]+fb.downLen[i]] {
+		for _, pos := range down {
 			load := downOwner.downLoad[pos]
 			if downLB.ext != nil {
 				load += downLB.ext[pos]

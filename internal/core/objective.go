@@ -23,7 +23,7 @@ func (p *ParallelAllocator) Objective() float64 {
 	sum := 0.0
 	for _, fb := range p.fbs {
 		for i := range fb.ids {
-			sum += num.LogUtility{W: fb.weights[i]}.Value(fb.rates[i])
+			sum += num.LogUtility{W: fb.csr.Weights[i]}.Value(fb.rates[i])
 		}
 	}
 	return sum

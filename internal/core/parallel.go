@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/affinity"
+	"repro/internal/norm"
 	"repro/internal/num"
 	"repro/internal/topology"
 )
@@ -25,54 +26,51 @@ type ParallelFlow struct {
 	SizeHint int64
 }
 
-// flowBlock is the state owned by one worker: its flows in a flat CSR layout
-// (no per-flow slices — link positions for all flows live concatenated in two
-// arenas, mirroring num.Compiled), its local copies of the two LinkBlocks it
-// updates, and scratch space for aggregation.
+// flowBlock is the state owned by one worker: its flows, its local copy of the
+// two LinkBlocks they traverse, and the accumulators the merge rounds reduce.
 //
-// The CSR is maintained incrementally across flowlet churn: adds append to
-// the arenas, removes swap-delete and leave holes, and an arena is compacted
-// (into a reused scratch buffer) once holes outnumber live entries. Because
-// of the holes the layout keeps explicit per-flow lengths instead of the
-// textbook n+1 offsets array — the same scheme num.Compiled uses.
+// A FlowBlock is a NUM problem of its own over a local link space: local link
+// i < downBase is position i of the source block's upward LinkBlock, local
+// link downBase+j position j of the destination block's downward LinkBlock.
+// Its flows are a standalone num.Compiled whose routes are local link indices
+// in route order, so the per-flow phases of an iteration are num's and norm's
+// kernels run on (csr, price, load, hdiag, ratio) — the code the sequential
+// engine runs on the whole fabric — and churn is the index's AppendLog and
+// RemoveSwap (holes, amortized compaction) plus the columns below.
 type flowBlock struct {
 	srcBlock, dstBlock int
 
-	// Per-flow state, parallel slices indexed by block-local flow index.
-	// weights hold the capacity-scaled value the hot loop consumes;
-	// baseWeights keep the caller's original weight so LiveFlows can
-	// reproduce registrations bit-exactly (scaling is not a reversible
-	// float operation for arbitrary weights).
-	ids         []FlowID
-	srcs        []int32
-	dsts        []int32
-	weights     []float64
-	baseWeights []float64
-	sizes       []int64
-	rates       []float64
-	// lastNotified is the rate most recently reported through
-	// AppendUpdates. Carrying it alongside the CSR (and applying the same
-	// swap-deletes to it) lets the daemon engine's update walk run on
-	// dense arrays with no per-flow map lookups.
+	// Per-flow columns beside the index, swap-deleted with it. csr.Weights
+	// holds the capacity-scaled weight the solver consumes; baseWeights keep
+	// the caller's original weight so LiveFlows can reproduce registrations
+	// bit-exactly (scaling is not a reversible float operation for arbitrary
+	// weights). lastNotified is the rate most recently reported through
+	// AppendUpdates, so the daemon's update walk runs on dense arrays with no
+	// per-flow map lookups.
+	ids          []FlowID
+	srcs         []int32
+	dsts         []int32
+	baseWeights  []float64
+	sizes        []int64
+	rates        []float64
 	lastNotified []float64
 
-	// CSR link-position arenas: flow i touches positions
-	// upIdx[upOff[i]:upOff[i]+upLen[i]] of the source block's upward
-	// LinkBlock and downIdx[downOff[i]:downOff[i]+downLen[i]] of the
-	// destination block's downward LinkBlock. Positions are resolved from
-	// the topology once, when the flow is added; churn of other flows
-	// never re-routes this one.
-	upIdx, upOff, upLen       []int32
-	downIdx, downOff, downLen []int32
-	upDead, downDead          int     // arena entries orphaned by swap-deletes
-	upScratch, downScratch    []int32 // ping-pong buffers for compaction
+	// csr routes are resolved from the topology once, when the flow is added;
+	// churn of other flows never re-routes this one.
+	csr num.Compiled
+	// downBase is the upward LinkBlock's length rounded up to a cache line, so
+	// the two halves of every local array never share one: in a merge round a
+	// worker adds into its own up half while its partner reads its down half.
+	downBase int
 
-	// Local copies of link state (§5): prices are copied in during the
-	// distribute step; loads and Hessian diagonals are accumulated locally
-	// during the rate-update step and merged during aggregation. The four
-	// accumulators are padded to whole cache lines (see paddedFloats) so
-	// concurrent writers in the rate-update phase never false-share.
-	upPrice, downPrice []float64
+	// Local link state (§5), one array each over the local link space:
+	// prices are copied in during the distribute step, ratios at the normalize
+	// phase (nil unless the allocator normalizes); loads and Hessian diagonals
+	// are accumulated during the rate update. Each spans whole cache lines
+	// (see paddedFloats) so concurrent writers never false-share.
+	price, load, hdiag, ratio []float64
+	// The up and down halves of load and hdiag, for the merge rounds, the
+	// LinkBlock owners' price update and BoundaryDigest.
 	upLoad, downLoad   []float64
 	upHdiag, downHdiag []float64
 }
@@ -80,109 +78,70 @@ type flowBlock struct {
 // numFlows returns the number of flows loaded into the block.
 func (fb *flowBlock) numFlows() int { return len(fb.ids) }
 
-// addFlow appends one flow whose up/down link positions have already been
-// written to the arena tails (upIdx/downIdx grew by upN/downN entries).
-func (fb *flowBlock) addFlow(f ParallelFlow, weight, baseWeight float64, upN, downN int) {
+// layOut allocates the local link arrays for LinkBlocks of nUp and nDown
+// links, keeping the prices of a previous layout. A pinned worker calls it
+// again from its own OS thread before the first barrier, so first-touch places
+// the merge-phase working set on the worker's local memory node; the barrier's
+// release then publishes the new slice headers to the merge partners. (Only
+// prices outlive an iteration; the rest is rewritten before it is read.)
+func (fb *flowBlock) layOut(nUp, nDown int, normalize bool) {
+	fb.downBase = (nUp + cacheLineFloats - 1) &^ (cacheLineFloats - 1)
+	n := fb.downBase + nDown
+	old := fb.price
+	fb.price, fb.load, fb.hdiag = paddedFloats(n), paddedFloats(n), paddedFloats(n)
+	copy(fb.price, old)
+	if normalize {
+		fb.ratio = paddedFloats(n)
+	}
+	fb.upLoad, fb.downLoad = fb.load[:nUp], fb.load[fb.downBase:]
+	fb.upHdiag, fb.downHdiag = fb.hdiag[:nUp], fb.hdiag[fb.downBase:]
+}
+
+// addFlow appends one flow whose route is already in local link indices.
+func (fb *flowBlock) addFlow(f ParallelFlow, weight, baseWeight float64, route []int32) {
 	fb.ids = append(fb.ids, f.ID)
 	fb.srcs = append(fb.srcs, int32(f.Src))
 	fb.dsts = append(fb.dsts, int32(f.Dst))
-	fb.weights = append(fb.weights, weight)
 	fb.baseWeights = append(fb.baseWeights, baseWeight)
 	fb.sizes = append(fb.sizes, f.SizeHint)
 	fb.rates = append(fb.rates, 0)
 	fb.lastNotified = append(fb.lastNotified, 0)
-	fb.upOff = append(fb.upOff, int32(len(fb.upIdx)-upN))
-	fb.upLen = append(fb.upLen, int32(upN))
-	fb.downOff = append(fb.downOff, int32(len(fb.downIdx)-downN))
-	fb.downLen = append(fb.downLen, int32(downN))
+	fb.csr.AppendLog(route, weight)
 }
 
-// removeSwap removes flow i by moving the block's last flow into its slot,
-// leaving the removed flow's arena entries as holes. It returns the ID of the
-// flow that moved into slot i (the removed flow itself when it was last) so
-// the allocator can fix its locator.
+// removeSwap removes flow i by moving the block's last flow into its slot. It
+// returns the ID of the flow that moved into slot i (the removed flow itself
+// when it was last) so the allocator can fix its locator.
 func (fb *flowBlock) removeSwap(i int) FlowID {
 	last := len(fb.ids) - 1
-	fb.upDead += int(fb.upLen[i])
-	fb.downDead += int(fb.downLen[i])
-	if i != last {
-		fb.ids[i] = fb.ids[last]
-		fb.srcs[i] = fb.srcs[last]
-		fb.dsts[i] = fb.dsts[last]
-		fb.weights[i] = fb.weights[last]
-		fb.baseWeights[i] = fb.baseWeights[last]
-		fb.sizes[i] = fb.sizes[last]
-		fb.rates[i] = fb.rates[last]
-		fb.lastNotified[i] = fb.lastNotified[last]
-		fb.upOff[i] = fb.upOff[last]
-		fb.upLen[i] = fb.upLen[last]
-		fb.downOff[i] = fb.downOff[last]
-		fb.downLen[i] = fb.downLen[last]
-	}
 	moved := fb.ids[last]
-	fb.ids = fb.ids[:last]
-	fb.srcs = fb.srcs[:last]
-	fb.dsts = fb.dsts[:last]
-	fb.weights = fb.weights[:last]
-	fb.baseWeights = fb.baseWeights[:last]
-	fb.sizes = fb.sizes[:last]
-	fb.rates = fb.rates[:last]
-	fb.lastNotified = fb.lastNotified[:last]
-	fb.upOff = fb.upOff[:last]
-	fb.upLen = fb.upLen[:last]
-	fb.downOff = fb.downOff[:last]
-	fb.downLen = fb.downLen[:last]
-	if fb.upDead > len(fb.upIdx)-fb.upDead && fb.upDead > num.CompactMinDead {
-		fb.upIdx, fb.upScratch, fb.upDead = num.CompactArena(fb.upIdx, fb.upScratch, fb.upOff, fb.upLen)
-	}
-	if fb.downDead > len(fb.downIdx)-fb.downDead && fb.downDead > num.CompactMinDead {
-		fb.downIdx, fb.downScratch, fb.downDead = num.CompactArena(fb.downIdx, fb.downScratch, fb.downOff, fb.downLen)
-	}
-	if i != last {
-		return fb.ids[i]
-	}
+	fb.ids[i] = moved
+	fb.srcs[i] = fb.srcs[last]
+	fb.dsts[i] = fb.dsts[last]
+	fb.baseWeights[i] = fb.baseWeights[last]
+	fb.sizes[i] = fb.sizes[last]
+	fb.rates[i] = fb.rates[last]
+	fb.lastNotified[i] = fb.lastNotified[last]
+	fb.truncate(last)
+	fb.csr.RemoveSwap(i)
 	return moved
+}
+
+// truncate keeps the first n entries of the per-flow columns.
+func (fb *flowBlock) truncate(n int) {
+	fb.ids = fb.ids[:n]
+	fb.srcs = fb.srcs[:n]
+	fb.dsts = fb.dsts[:n]
+	fb.baseWeights = fb.baseWeights[:n]
+	fb.sizes = fb.sizes[:n]
+	fb.rates = fb.rates[:n]
+	fb.lastNotified = fb.lastNotified[:n]
 }
 
 // reset clears all per-flow state, keeping capacity.
 func (fb *flowBlock) reset() {
-	fb.ids = fb.ids[:0]
-	fb.srcs = fb.srcs[:0]
-	fb.dsts = fb.dsts[:0]
-	fb.weights = fb.weights[:0]
-	fb.baseWeights = fb.baseWeights[:0]
-	fb.sizes = fb.sizes[:0]
-	fb.rates = fb.rates[:0]
-	fb.lastNotified = fb.lastNotified[:0]
-	fb.upIdx = fb.upIdx[:0]
-	fb.upOff = fb.upOff[:0]
-	fb.upLen = fb.upLen[:0]
-	fb.downIdx = fb.downIdx[:0]
-	fb.downOff = fb.downOff[:0]
-	fb.downLen = fb.downLen[:0]
-	fb.upDead = 0
-	fb.downDead = 0
-}
-
-// reallocAccumulators replaces the block's price/load/Hessian arrays with
-// fresh allocations holding the same contents. A pinned worker calls it from
-// its own OS thread before the first barrier, so first-touch places the
-// merge-phase working set on the worker's local memory node; the barrier's
-// release then publishes the new slice headers to the merge partners.
-func (fb *flowBlock) reallocAccumulators() {
-	fb.upPrice = repadded(fb.upPrice)
-	fb.downPrice = repadded(fb.downPrice)
-	fb.upLoad = repadded(fb.upLoad)
-	fb.downLoad = repadded(fb.downLoad)
-	fb.upHdiag = repadded(fb.upHdiag)
-	fb.downHdiag = repadded(fb.downHdiag)
-}
-
-// repadded copies src into a fresh cache-line-padded allocation.
-func repadded(src []float64) []float64 {
-	dst := paddedFloats(len(src))
-	copy(dst, src)
-	return dst
+	fb.truncate(0)
+	fb.csr.Reset()
 }
 
 // linkBlockState is the authoritative state of one LinkBlock (prices persist
@@ -191,10 +150,6 @@ type linkBlockState struct {
 	links []topology.LinkID
 	price []float64
 	cap   []float64
-	// posOf maps LinkID to its position within the block (-1 when the link
-	// is not in the block); a dense array indexed by LinkID replaces the
-	// map lookup on the flow-add path.
-	posOf []int32
 	// ext and extH, when non-nil, carry remote shards' load and
 	// Hessian-diagonal contributions per block position (see
 	// ParallelAllocator.SetExternalLoads). The price-update phase folds
@@ -208,8 +163,8 @@ type linkBlockState struct {
 	pinned []float64
 	// ratio is each link's utilization (load + ext) / cap for the iteration
 	// in flight, written once per link by the block's owner at the price
-	// update and gathered by every FlowBlock's normalize phase (one barrier
-	// later). Allocated only when the allocator normalizes.
+	// update and copied into every FlowBlock's local ratios at its normalize
+	// phase (one barrier later). Allocated only when the allocator normalizes.
 	ratio []float64
 }
 
@@ -218,15 +173,10 @@ func newLinkBlockState(t *topology.Topology, links []topology.LinkID, headroom f
 		links: links,
 		price: make([]float64, len(links)),
 		cap:   make([]float64, len(links)),
-		posOf: make([]int32, t.NumLinks()),
-	}
-	for i := range s.posOf {
-		s.posOf[i] = -1
 	}
 	for i, l := range links {
 		s.price[i] = 1
 		s.cap[i] = t.Link(l).Capacity * (1 - headroom)
-		s.posOf[l] = int32(i)
 	}
 	return s
 }
@@ -247,9 +197,9 @@ type ParallelConfig struct {
 	// Normalize enables the parallel F-NORM pass after the price update.
 	Normalize bool
 	// PinWorkers pins each FlowBlock worker's OS thread to a NUMA socket
-	// (round-robin by worker index) and re-allocates the block's
-	// accumulator arrays from the pinned thread, so first-touch places the
-	// merge-phase working set on the worker's local memory node. It is a
+	// (round-robin by worker index) and re-allocates the block's local link
+	// arrays from the pinned thread, so first-touch places the merge-phase
+	// working set on the worker's local memory node. It is a
 	// no-op unless the binary is built with the `numa` tag on linux (see
 	// internal/affinity).
 	PinWorkers bool
@@ -273,7 +223,7 @@ type flowLoc struct {
 // prices are distributed back to the FlowBlocks.
 //
 // The flow set is maintained incrementally: FlowletStart and FlowletEnd are
-// O(route length) operations on the owning FlowBlock's CSR arenas, so flowlet
+// O(route length) operations on the owning FlowBlock's CSR index, so flowlet
 // churn between iterations never rebuilds or re-routes the rest of the flow
 // set. SetFlows remains as the bulk-load path.
 type ParallelAllocator struct {
@@ -293,11 +243,12 @@ type ParallelAllocator struct {
 	up   []*linkBlockState // authoritative upward LinkBlocks, indexed by block
 	down []*linkBlockState // authoritative downward LinkBlocks, indexed by block
 
-	// Dense LinkID→owning-LinkBlock lookup for the boundary API (every
-	// fabric link lives in exactly one LinkBlock; allocator uplinks in
-	// none, so their ownerLB entry is nil). ownerPos is the link's position
-	// within the block, ownerBlk the block index, ownerIsUp whether it is
-	// the block's upward half.
+	// Dense LinkID→owning-LinkBlock lookup, the one link→position index:
+	// flow admission, capacity changes and the boundary API all resolve
+	// through it (every fabric link lives in exactly one LinkBlock; allocator
+	// uplinks in none, so their ownerLB entry is nil). ownerPos is the link's
+	// position within the block, ownerBlk the block index, ownerIsUp whether
+	// it is the block's upward half.
 	ownerLB   []*linkBlockState
 	ownerPos  []int32
 	ownerBlk  []int32
@@ -306,8 +257,8 @@ type ParallelAllocator struct {
 	// fbs holds the FlowBlocks in Morton (bit-interleaved) order of their
 	// (srcBlock, dstBlock) coordinates, so the partners of the early
 	// pairwise merge rounds sit next to each other — both in the slice and
-	// in the heap, since their accumulator arenas are allocated in the
-	// same order. fbAt is the row-major lookup: fbAt[sb*numBlocks+db].
+	// in the heap, since their local link arrays are allocated in the same
+	// order. fbAt is the row-major lookup: fbAt[sb*numBlocks+db].
 	fbs  []*flowBlock
 	fbAt []*flowBlock
 
@@ -380,22 +331,13 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 	n := cfg.Blocks
 	p.fbs = make([]*flowBlock, n*n)
 	p.fbAt = make([]*flowBlock, n*n)
-	// Allocate the FlowBlocks (and their accumulator arenas) in Morton
-	// order so round-1 merge partners get adjacent heap placements.
+	// Allocate the FlowBlocks (and their local link arrays) in Morton order
+	// so round-1 merge partners get adjacent heap placements.
 	for m := 0; m < n*n; m++ {
 		sb, db := mortonCoords(m, n)
-		fb := &flowBlock{
-			srcBlock:  sb,
-			dstBlock:  db,
-			upPrice:   paddedFloats(len(p.up[sb].links)),
-			downPrice: paddedFloats(len(p.down[db].links)),
-			upLoad:    paddedFloats(len(p.up[sb].links)),
-			downLoad:  paddedFloats(len(p.down[db].links)),
-			upHdiag:   paddedFloats(len(p.up[sb].links)),
-			downHdiag: paddedFloats(len(p.down[db].links)),
-		}
-		copy(fb.upPrice, p.up[sb].price)
-		copy(fb.downPrice, p.down[db].price)
+		fb := &flowBlock{srcBlock: sb, dstBlock: db}
+		fb.layOut(len(p.up[sb].links), len(p.down[db].links), cfg.Normalize)
+		p.distributePrices(fb)
 		p.fbs[m] = fb
 		p.fbAt[sb*n+db] = fb
 	}
@@ -406,8 +348,8 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 const cacheLineFloats = 8
 
 // paddedFloats allocates a float64 slice of length n whose backing array
-// spans whole cache lines, so per-FlowBlock accumulators written concurrently
-// in the rate-update phase never share a line with another block's (Go's size
+// spans whole cache lines, so per-FlowBlock arrays written concurrently in the
+// rate-update phase never share a line with another block's (Go's size
 // classes place multiple-of-64-byte allocations on 64-byte boundaries).
 func paddedFloats(n int) []float64 {
 	padded := (n + cacheLineFloats - 1) &^ (cacheLineFloats - 1)
@@ -444,10 +386,11 @@ func (p *ParallelAllocator) HasFlow(id FlowID) bool {
 	return ok
 }
 
-// FlowletStart registers one new flowlet, resolving its route to LinkBlock
-// positions once and appending them to the owning FlowBlock's CSR arenas —
-// an O(route length) operation that leaves every other flow untouched. It may
-// only be called while no Iterate call is in flight.
+// FlowletStart registers one new flowlet, resolving its route to the owning
+// FlowBlock's local link indices once and appending it to the block's CSR
+// index — an O(route length) operation that leaves every other flow
+// untouched. A weight admitWeight refuses is an error. It may only be called
+// while no Iterate call is in flight.
 func (p *ParallelAllocator) FlowletStart(id FlowID, src, dst int, weight float64) error {
 	return p.FlowletStartSized(id, src, dst, weight, 0)
 }
@@ -462,9 +405,17 @@ func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight fl
 	return p.addFlow(ParallelFlow{ID: id, Src: src, Dst: dst, Weight: weight, SizeHint: size})
 }
 
-// addFlow routes and appends one flow (shared by FlowletStart and SetFlows;
-// the caller has already rejected duplicates).
+// addFlow admits, routes and appends one flow (shared by FlowletStart and
+// SetFlows; the caller has already rejected duplicates). Every link of the
+// route must be owned by the source block's upward or the destination block's
+// downward LinkBlock — the two the FlowBlock holds local copies of.
 func (p *ParallelAllocator) addFlow(f ParallelFlow) error {
+	// Weights are scaled by link capacity (as in the sequential allocator)
+	// so prices stay O(1).
+	weight, scaled, err := admitWeight(f.Weight, p.linkCap)
+	if err != nil {
+		return fmt.Errorf("core: flow %d: %w", f.ID, err)
+	}
 	route, err := p.topo.RouteInto(p.routeBuf[:0], f.Src, f.Dst, int(f.ID))
 	if err != nil {
 		return fmt.Errorf("core: flow %d: %w", f.ID, err)
@@ -473,27 +424,17 @@ func (p *ParallelAllocator) addFlow(f ParallelFlow) error {
 	db := p.part.BlockOfServer(f.Dst)
 	fbi := mortonIndex(sb, db, p.numBlocks)
 	fb := p.fbs[fbi]
-	upStart, downStart := len(fb.upIdx), len(fb.downIdx)
-	for _, l := range route {
-		if pos := p.up[sb].posOf[l]; pos >= 0 {
-			fb.upIdx = append(fb.upIdx, pos)
-			continue
+	for k, l := range route {
+		switch p.ownerLB[l] {
+		case p.up[sb]:
+			route[k] = p.ownerPos[l]
+		case p.down[db]:
+			route[k] = int32(fb.downBase) + p.ownerPos[l]
+		default:
+			return fmt.Errorf("core: flow %d: link %d is in neither its upward nor its downward LinkBlock", f.ID, l)
 		}
-		if pos := p.down[db].posOf[l]; pos >= 0 {
-			fb.downIdx = append(fb.downIdx, pos)
-			continue
-		}
-		fb.upIdx = fb.upIdx[:upStart]
-		fb.downIdx = fb.downIdx[:downStart]
-		return fmt.Errorf("core: flow %d: link %d is in neither its upward nor its downward LinkBlock", f.ID, l)
 	}
-	weight := f.Weight
-	if weight == 0 {
-		weight = 1
-	}
-	// Weights are scaled by link capacity (as in the sequential allocator)
-	// so prices stay O(1).
-	fb.addFlow(f, weight*p.linkCap, weight, len(fb.upIdx)-upStart, len(fb.downIdx)-downStart)
+	fb.addFlow(f, scaled, weight, route)
 	p.loc[f.ID] = flowLoc{fb: int32(fbi), idx: int32(fb.numFlows() - 1)}
 	p.numFlows++
 	return nil
@@ -528,11 +469,10 @@ func (p *ParallelAllocator) FlowletEnd(id FlowID) error {
 	return nil
 }
 
-// SetLinkCapacity replaces one link's raw capacity in every LinkBlock that
-// covers it (a link appears in at most one upward and one downward block's
-// authoritative copy). The stored value is headroom-scaled, matching
-// construction, and the next Iterate's price-update phase reads it — no CSR
-// rebuild, no price or rate loss. Like all mutators it may only be called
+// SetLinkCapacity replaces one link's raw capacity in the LinkBlock that owns
+// it. The stored value is headroom-scaled, matching construction, and the next
+// Iterate's price-update phase reads it — no CSR rebuild, no price or rate
+// loss. Like all mutators it may only be called
 // while no Iterate is in flight.
 func (p *ParallelAllocator) SetLinkCapacity(l topology.LinkID, capacity float64) error {
 	if l < 0 || int(l) >= p.topo.NumLinks() {
@@ -541,23 +481,11 @@ func (p *ParallelAllocator) SetLinkCapacity(l topology.LinkID, capacity float64)
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		return fmt.Errorf("core: SetLinkCapacity link %d: invalid capacity %g", l, capacity)
 	}
-	eff := capacity * (1 - p.cfg.Headroom)
-	found := false
-	for _, lb := range p.up {
-		if pos := lb.posOf[l]; pos >= 0 {
-			lb.cap[pos] = eff
-			found = true
-		}
-	}
-	for _, lb := range p.down {
-		if pos := lb.posOf[l]; pos >= 0 {
-			lb.cap[pos] = eff
-			found = true
-		}
-	}
-	if !found {
+	lb := p.ownerLB[l]
+	if lb == nil {
 		return fmt.Errorf("core: SetLinkCapacity link %d is not covered by any LinkBlock", l)
 	}
+	lb.cap[p.ownerPos[l]] = capacity * (1 - p.cfg.Headroom)
 	return nil
 }
 
@@ -642,14 +570,14 @@ func (p *ParallelAllocator) worker(idx int) {
 	defer p.wg.Done()
 	fb := p.fbs[idx]
 	if p.cfg.PinWorkers && affinity.Enabled() {
-		// Pin before the first barrier: re-allocating the accumulators from
-		// the pinned thread makes first-touch place them on the worker's
-		// memory node, and the barrier's release publishes the new slice
-		// headers to the merge partners that read them. The CSR churn
-		// arenas stay coordinator-allocated (churn happens between
-		// iterations, off the worker threads), a documented approximation.
+		// Pin before the first barrier: re-allocating the local link arrays
+		// from the pinned thread makes first-touch place them on the
+		// worker's memory node, and the barrier's release publishes the new
+		// slice headers to the merge partners that read them. The CSR index
+		// stays coordinator-allocated (churn happens between iterations, off
+		// the worker threads), a documented approximation.
 		if _, err := affinity.PinWorker(idx); err == nil {
-			fb.reallocAccumulators()
+			fb.layOut(len(fb.upLoad), len(fb.downLoad), p.cfg.Normalize)
 		}
 	}
 	n := p.numBlocks
@@ -695,8 +623,7 @@ func (p *ParallelAllocator) worker(idx int) {
 		p.inner.wait()
 
 		// Phase 4: distribute the new prices back to local copies.
-		copy(fb.upPrice, p.up[fb.srcBlock].price)
-		copy(fb.downPrice, p.down[fb.dstBlock].price)
+		p.distributePrices(fb)
 
 		if p.cfg.Normalize {
 			// Parallel F-NORM: each FlowBlock scales its flows by the
@@ -712,141 +639,52 @@ func (p *ParallelAllocator) worker(idx int) {
 }
 
 // rateUpdatePhase computes flow rates from the FlowBlock's local prices and
-// accumulates loads and Hessian diagonals locally. Like num's log-utility
-// kernel it is straight-line for the route that dominates a two-tier Clos (the
-// only fabric a BlockPartition accepts) — two upward and two downward links,
-// rack to spine to rack — and loops otherwise (within a rack it is one and
-// one); both arms add the prices up-then-down in route order, the sequential
-// solver's order.
+// accumulates loads and Hessian diagonals locally: NED's rate update on the
+// block's own link space. A cross-rack route — two upward and two downward
+// links on the two-tier Clos a BlockPartition accepts — is a 4-link route to
+// the kernel.
 func (p *ParallelAllocator) rateUpdatePhase(fb *flowBlock) {
-	clear(fb.upLoad)
-	clear(fb.upHdiag)
-	clear(fb.downLoad)
-	clear(fb.downHdiag)
-	upIdx, downIdx := fb.upIdx, fb.downIdx
-	upPrice, downPrice := fb.upPrice, fb.downPrice
-	upLoad, upHdiag, downLoad, downHdiag := fb.upLoad, fb.upHdiag, fb.downLoad, fb.downHdiag
-	n := fb.numFlows()
-	upOff, upLen, downOff, downLen := fb.upOff[:n], fb.upLen[:n], fb.downOff[:n], fb.downLen[:n]
-	weights, rates, maxRate := fb.weights[:n], fb.rates[:n], p.maxRate
-	for i := range rates {
-		uo, do := int(upOff[i]), int(downOff[i])
-		w := weights[i]
-		if upLen[i] == 2 && downLen[i] == 2 {
-			u, d := (*[2]int32)(upIdx[uo:uo+2]), (*[2]int32)(downIdx[do:do+2])
-			x, dx := num.LogRate(w, upPrice[u[0]]+upPrice[u[1]]+downPrice[d[0]]+downPrice[d[1]], minParallelPrice, maxRate)
-			rates[i] = x
-			upLoad[u[0]] += x
-			upLoad[u[1]] += x
-			upHdiag[u[0]] += dx
-			upHdiag[u[1]] += dx
-			downLoad[d[0]] += x
-			downLoad[d[1]] += x
-			downHdiag[d[0]] += dx
-			downHdiag[d[1]] += dx
-		} else {
-			up := upIdx[uo : uo+int(upLen[i])]
-			down := downIdx[do : do+int(downLen[i])]
-			priceSum := 0.0
-			for _, pos := range up {
-				priceSum += upPrice[pos]
-			}
-			for _, pos := range down {
-				priceSum += downPrice[pos]
-			}
-			x, dx := num.LogRate(w, priceSum, minParallelPrice, maxRate)
-			rates[i] = x
-			for _, pos := range up {
-				upLoad[pos] += x
-				upHdiag[pos] += dx
-			}
-			for _, pos := range down {
-				downLoad[pos] += x
-				downHdiag[pos] += dx
-			}
-		}
-	}
+	clear(fb.load)
+	clear(fb.hdiag)
+	num.NEDRateUpdate(&fb.csr, p.maxRate, fb.price, fb.rates, fb.load, fb.hdiag)
 }
 
-// minParallelPrice mirrors the price floor of the sequential solver.
-const minParallelPrice = 1e-12
-
-// priceUpdatePhase applies NED's price update to one authoritative LinkBlock.
-// External loads (remote shards' demand) are folded into the merged
-// accumulators here — g is computed as (load − cap) + ext, exactly the
-// sequential solver's operation order, so a boundary-exchanging shard stays
-// bit-identical to the sequential engine — and pinned prices are re-imposed
+// priceUpdatePhase applies NED's price update to one authoritative LinkBlock
+// from its owner's merged accumulators. External loads (remote shards' demand)
+// are folded in by the kernel exactly as the sequential solver folds
+// num.Problem.ExternalLoads, so a boundary-exchanging shard stays
+// bit-identical to the sequential engine, and pinned prices are re-imposed
 // after the update, mirroring num's applyPins. The owner also holds the only
 // merged copy of the loads, so this is where each link's utilization ratio for
-// the normalize phase is written — (load + ext) / cap, the sequential
-// normalizer's operation order, one division per link rather than one per
+// the normalize phase is written — one division per link rather than one per
 // link per flow.
 func (p *ParallelAllocator) priceUpdatePhase(lb *linkBlockState, load, hdiag []float64) {
-	ext, extH, pinned := lb.ext, lb.extH, lb.pinned
-	for i := range lb.ratio {
-		l := load[i]
-		if ext != nil {
-			l += ext[i]
-		}
-		lb.ratio[i] = l / lb.cap[i]
+	if lb.ratio != nil {
+		norm.LinkRatios(load, lb.ext, lb.cap, lb.ratio)
 	}
-	for i := range lb.price {
-		g := load[i] - lb.cap[i]
-		h := hdiag[i]
-		if ext != nil {
-			g += ext[i]
-		}
-		if extH != nil {
-			h += extH[i]
-		}
-		if h == 0 {
-			// Mirror the sequential solver: idle links decay toward zero.
-			lb.price[i] *= 0.5
-		} else {
-			price := lb.price[i] - p.gamma*g/h
-			if price < 0 {
-				price = 0
-			}
-			lb.price[i] = price
-		}
-		if pinned != nil && pinned[i] >= 0 {
-			lb.price[i] = pinned[i]
+	num.NEDPriceUpdate(p.gamma, lb.price, load, hdiag, lb.cap, lb.ext, lb.extH)
+	for i, pin := range lb.pinned {
+		if pin >= 0 {
+			lb.price[i] = pin
 		}
 	}
 }
 
-// normalizePhase applies F-NORM within a FlowBlock: each flow is divided by
-// the worst utilization ratio among the links it traverses, floored at 1. The
-// ratios were written by the LinkBlock owners during the price update (see
-// priceUpdatePhase) and are only read here. Like norm.FNorm's sweep the body
-// has no data-dependent branch — an integer max over num.OrderedBits, and
-// x/1 == x exactly for flows on uncongested paths — and is straight-line for
-// the cross-rack route. As there, no ratio can be NaN: capacities are
-// validated positive and loads are finite.
+// distributePrices copies the two authoritative LinkBlocks' prices into the
+// FlowBlock's local link space.
+func (p *ParallelAllocator) distributePrices(fb *flowBlock) {
+	copy(fb.price, p.up[fb.srcBlock].price)
+	copy(fb.price[fb.downBase:], p.down[fb.dstBlock].price)
+}
+
+// normalizePhase applies F-NORM within a FlowBlock: the ratios the LinkBlock
+// owners wrote during the price update (see priceUpdatePhase) are copied into
+// the local link space and norm's sweep divides each flow, in place, by the
+// worst one along its route.
 func (p *ParallelAllocator) normalizePhase(fb *flowBlock) {
-	upRatio := p.up[fb.srcBlock].ratio
-	downRatio := p.down[fb.dstBlock].ratio
-	upIdx, downIdx := fb.upIdx, fb.downIdx
-	n := fb.numFlows()
-	upOff, upLen, downOff, downLen := fb.upOff[:n], fb.upLen[:n], fb.downOff[:n], fb.downLen[:n]
-	rates, one := fb.rates[:n], num.OrderedBits(1)
-	for i := range rates {
-		uo, do := int(upOff[i]), int(downOff[i])
-		worst := one
-		if upLen[i] == 2 && downLen[i] == 2 {
-			u, d := (*[2]int32)(upIdx[uo:uo+2]), (*[2]int32)(downIdx[do:do+2])
-			worst = max(worst, num.OrderedBits(upRatio[u[0]]), num.OrderedBits(upRatio[u[1]]),
-				num.OrderedBits(downRatio[d[0]]), num.OrderedBits(downRatio[d[1]]))
-		} else {
-			for _, pos := range upIdx[uo : uo+int(upLen[i])] {
-				worst = max(worst, num.OrderedBits(upRatio[pos]))
-			}
-			for _, pos := range downIdx[do : do+int(downLen[i])] {
-				worst = max(worst, num.OrderedBits(downRatio[pos]))
-			}
-		}
-		rates[i] /= num.FromOrderedBits(worst)
-	}
+	copy(fb.ratio, p.up[fb.srcBlock].ratio)
+	copy(fb.ratio[fb.downBase:], p.down[fb.dstBlock].ratio)
+	norm.ScaleByWorstRatio(&fb.csr, fb.ratio, fb.rates, fb.rates)
 }
 
 // Rates returns the rates computed by the most recent Iterate call, keyed by
@@ -876,13 +714,7 @@ func (p *ParallelAllocator) ForEachRate(fn func(FlowID, float64)) {
 // be called while no Iterate is in flight.
 func (p *ParallelAllocator) AppendUpdates(threshold float64, buf []RateUpdate) []RateUpdate {
 	for _, fb := range p.fbs {
-		for i, id := range fb.ids {
-			rate := fb.rates[i]
-			if SignificantRateChange(fb.lastNotified[i], rate, threshold) {
-				fb.lastNotified[i] = rate
-				buf = append(buf, RateUpdate{Flow: id, Src: int(fb.srcs[i]), Rate: rate})
-			}
-		}
+		buf = appendSignificant(buf, fb.ids, fb.srcs, fb.rates, fb.lastNotified, threshold)
 	}
 	return buf
 }

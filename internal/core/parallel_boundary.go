@@ -104,11 +104,12 @@ func (p *ParallelAllocator) writeLocalPrice(l topology.LinkID, price float64) {
 	pos := p.ownerPos[l]
 	if p.ownerIsUp[l] {
 		for db := 0; db < n; db++ {
-			p.fbAt[b*n+db].upPrice[pos] = price
+			p.fbAt[b*n+db].price[pos] = price
 		}
 	} else {
 		for sb := 0; sb < n; sb++ {
-			p.fbAt[sb*n+b].downPrice[pos] = price
+			fb := p.fbAt[sb*n+b]
+			fb.price[fb.downBase+int(pos)] = price
 		}
 	}
 }

@@ -1,0 +1,189 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// TestFlowBlockLocalLinkSpace is the property the shared kernels rest on: a
+// FlowBlock's index holds every flow's route in the block's local link space —
+// below downBase a position of the source block's upward LinkBlock, from
+// downBase on a position of the destination block's downward one — and
+// decoding it gives exactly the topology's route, link for link in route
+// order (the order the kernels add prices in, which is the sequential
+// solver's). Checked across seeded churn deep enough to compact every block's
+// route arena; downBase must also keep the down half of the local arrays off
+// the up half's last cache line.
+func TestFlowBlockLocalLinkSpace(t *testing.T) {
+	topo := parallelTestTopo(t, 8)
+	n := topo.NumServers()
+	for _, blocks := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("blocks=%d", blocks), func(t *testing.T) {
+			pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: blocks, Normalize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pa.Close()
+			for _, fb := range pa.fbs {
+				nUp, nDown := len(pa.up[fb.srcBlock].links), len(pa.down[fb.dstBlock].links)
+				if fb.downBase%cacheLineFloats != 0 || fb.downBase < nUp || fb.downBase >= nUp+cacheLineFloats {
+					t.Fatalf("FlowBlock (%d,%d): downBase %d for %d upward links", fb.srcBlock, fb.dstBlock, fb.downBase, nUp)
+				}
+				for _, a := range [][]float64{fb.price, fb.load, fb.hdiag, fb.ratio} {
+					if len(a) != fb.downBase+nDown {
+						t.Fatalf("FlowBlock (%d,%d): local array of %d links, want %d", fb.srcBlock, fb.dstBlock, len(a), fb.downBase+nDown)
+					}
+					if addr := uintptr(unsafe.Pointer(&a[fb.downBase])); addr%(8*cacheLineFloats) != 0 {
+						t.Fatalf("FlowBlock (%d,%d): the down half of a local array starts at %#x, inside a cache line", fb.srcBlock, fb.dstBlock, addr)
+					}
+				}
+				if &fb.downLoad[0] != &fb.load[fb.downBase] || &fb.downHdiag[0] != &fb.hdiag[fb.downBase] ||
+					&fb.upLoad[0] != &fb.load[0] || &fb.upHdiag[0] != &fb.hdiag[0] || len(fb.upLoad) != nUp || len(fb.downHdiag) != nDown {
+					t.Fatalf("FlowBlock (%d,%d): up/down accumulators are not views of the local arrays", fb.srcBlock, fb.dstBlock)
+				}
+			}
+
+			rng := rand.New(rand.NewSource(int64(blocks)))
+			endpoints := map[FlowID][2]int{}
+			var live []FlowID
+			next := FlowID(1)
+			start := func() {
+				src := rng.Intn(n)
+				dst := rng.Intn(n - 1)
+				if dst >= src {
+					dst++
+				}
+				if err := pa.FlowletStart(next, src, dst, 1); err != nil {
+					t.Fatal(err)
+				}
+				endpoints[next] = [2]int{src, dst}
+				live = append(live, next)
+				next++
+			}
+			end := func() {
+				i := rng.Intn(len(live))
+				if err := pa.FlowletEnd(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			arena := func() (total int) {
+				for _, fb := range pa.fbs {
+					total += len(fb.csr.Routes)
+				}
+				return total
+			}
+			check := func() {
+				t.Helper()
+				seen := 0
+				for _, fb := range pa.fbs {
+					up, down := pa.up[fb.srcBlock], pa.down[fb.dstBlock]
+					for i, id := range fb.ids {
+						var got []int32
+						for _, l := range fb.csr.Route(i) {
+							if int(l) < fb.downBase {
+								got = append(got, int32(up.links[l]))
+							} else {
+								got = append(got, int32(down.links[int(l)-fb.downBase]))
+							}
+						}
+						ep := endpoints[id]
+						want, err := topo.RouteInto(nil, ep[0], ep[1], int(id))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("flow %d (%d->%d) in FlowBlock (%d,%d) decodes to links %v, the topology routes it over %v",
+								id, ep[0], ep[1], fb.srcBlock, fb.dstBlock, got, want)
+						}
+						seen++
+					}
+				}
+				if seen != len(live) {
+					t.Fatalf("FlowBlocks hold %d flows, %d are live", seen, len(live))
+				}
+			}
+
+			for i := 0; i < 500; i++ {
+				start()
+			}
+			check()
+			compactions := 0
+			for round := 0; round < 40; round++ {
+				ends, starts := 30, 5
+				if round >= 15 {
+					ends, starts = 10, 25
+				}
+				for i := 0; i < ends && len(live) > 1; i++ {
+					before := arena()
+					end()
+					if arena() < before {
+						compactions++
+					}
+				}
+				for i := 0; i < starts; i++ {
+					start()
+				}
+				pa.Iterate()
+				check()
+			}
+			if compactions == 0 {
+				t.Error("the churn sequence never compacted a route arena")
+			}
+		})
+	}
+}
+
+// TestFlowBlockRelayoutKeepsPrices covers what a pinned worker does before
+// its first barrier on a multi-socket `numa` build, on any machine: laying a
+// FlowBlock's local link arrays out again (first-touch from the worker's own
+// thread) must keep the local prices — the one thing in them that outlives an
+// iteration, and on a pinned link not refreshed from anywhere else until the
+// next distribute step — and re-derive the accumulator views, so the
+// allocation continues bit for bit.
+func TestFlowBlockRelayoutKeepsPrices(t *testing.T) {
+	topo := parallelTestTopo(t, 8)
+	flows := randomParallelFlows(topo.NumServers(), 400, 3)
+	pinned := downLinks(t, topo, 3)
+	var pas [2]*ParallelAllocator
+	for k := range pas {
+		pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 2, Gamma: 0.4, Headroom: 0.01, Normalize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pa.Close()
+		if err := pa.SetFlows(flows); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			pa.Iterate()
+		}
+		pa.PinPrices(pinned, []float64{3.5, 0.25, 0})
+		pas[k] = pa
+	}
+	for _, fb := range pas[1].fbs { // the workers are parked at the outer barrier
+		fb.layOut(len(fb.upLoad), len(fb.downLoad), true)
+	}
+	for i := 0; i < 5; i++ {
+		for _, pa := range pas {
+			pa.Iterate()
+		}
+		want, got := pas[0].Rates(), pas[1].Rates()
+		for id, w := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(w) {
+				t.Fatalf("iteration %d flow %d: rate %v after the re-layout, %v without", i, id, got[id], w)
+			}
+		}
+		wantP, gotP := pas[0].Prices(), pas[1].Prices()
+		for l, w := range wantP {
+			if math.Float64bits(gotP[l]) != math.Float64bits(w) {
+				t.Fatalf("iteration %d link %d: price %v after the re-layout, %v without", i, l, gotP[l], w)
+			}
+		}
+	}
+}

@@ -295,7 +295,7 @@ func TestParallelIncrementalMatchesSetFlows(t *testing.T) {
 	arenaLen := func() int {
 		total := 0
 		for _, fb := range inc.fbs {
-			total += len(fb.upIdx) + len(fb.downIdx)
+			total += len(fb.csr.Routes)
 		}
 		return total
 	}
@@ -354,22 +354,16 @@ func TestParallelIncrementalMatchesSetFlows(t *testing.T) {
 
 	// The removal phase must actually have exercised compaction: the hole
 	// invariant (dead ≤ max(live, threshold) after every remove) bounds
-	// every arena, and the arenas must have shrunk from their peak rather
-	// than accumulating holes forever.
+	// every block's route arena, and the arenas must have shrunk from their
+	// peak rather than accumulating holes forever.
 	for _, fb := range inc.fbs {
-		for _, arena := range []struct {
-			name string
-			dead int
-			size int
-		}{
-			{"up", fb.upDead, len(fb.upIdx)},
-			{"down", fb.downDead, len(fb.downIdx)},
-		} {
-			livePart := arena.size - arena.dead
-			if arena.dead > livePart && arena.dead > num.CompactMinDead {
-				t.Errorf("FlowBlock (%d,%d) %s arena: %d dead vs %d live entries — compaction did not run",
-					fb.srcBlock, fb.dstBlock, arena.name, arena.dead, livePart)
-			}
+		live := 0
+		for _, n := range fb.csr.Len {
+			live += int(n)
+		}
+		if dead := len(fb.csr.Routes) - live; dead > live && dead > num.CompactMinDead {
+			t.Errorf("FlowBlock (%d,%d) route arena: %d dead vs %d live entries — compaction did not run",
+				fb.srcBlock, fb.dstBlock, dead, live)
 		}
 	}
 	if final := arenaLen(); final >= peakArena {

@@ -25,19 +25,19 @@ func ensureOut(out []float64, n int) []float64 {
 	return out[:n]
 }
 
-// linkRatios computes r_l = (Σ_{s∈S(l)} x_s) / c_l for every link from the
-// local loads Σ x_s, into ratios (which may alias loads). External loads
-// (remote shards' flows, see num.Problem.ExternalLoads) count toward a link's
-// utilization: a boundary link crowded by remote traffic must slow the local
-// flows that traverse it just as local congestion would.
-func linkRatios(p *num.Problem, loads, ratios []float64) []float64 {
+// LinkRatios computes r_l = (Σ_{s∈S(l)} x_s) / c_l for every link from the
+// local loads Σ x_s, into ratios (which may alias loads; allocated when too
+// short). External loads ext (remote shards' flows, see
+// num.Problem.ExternalLoads; nil for none) count toward a link's utilization:
+// a boundary link crowded by remote traffic must slow the local flows that
+// traverse it just as local congestion would.
+func LinkRatios(loads, ext, caps, ratios []float64) []float64 {
 	ratios = ensureOut(ratios, len(loads))
-	ext := p.ExternalLoads
 	for l, load := range loads {
 		if ext != nil {
 			load += ext[l]
 		}
-		ratios[l] = load / p.Capacities[l]
+		ratios[l] = load / caps[l]
 	}
 	return ratios
 }
@@ -66,7 +66,7 @@ func (u *UNorm) Normalize(p *num.Problem, rates []float64, out []float64) []floa
 // NormalizeLoads implements Normalizer.
 func (u *UNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64 {
 	out = ensureOut(out, len(rates))
-	u.ratios = linkRatios(p, loads, u.ratios)
+	u.ratios = LinkRatios(loads, p.ExternalLoads, p.Capacities, u.ratios)
 	worst := 0.0
 	for _, r := range u.ratios {
 		if r > worst {
@@ -109,30 +109,38 @@ func (f *FNorm) Normalize(p *num.Problem, rates []float64, out []float64) []floa
 	return f.NormalizeLoads(p, rates, f.ratios, out)
 }
 
-// NormalizeLoads implements Normalizer.
-//
-// Two passes: one division per link into the reused ratio scratch, then one
-// sweep over the compiled CSR index taking each flow's worst ratio. Which link
-// of a route is the most loaded, and whether it is over capacity at all, are
-// coin flips per flow, so the sweep has no data-dependent branch: worst is a
-// running max floored at 1 (see num.OrderedBits) and every flow divides by it
-// — x/1 == x exactly, so a flow on an uncongested path keeps its rate bit for
-// bit. The gather is straight-line for the two route lengths that carry the
-// traffic (4 links on a two-tier Clos, 6 on a fat-tree; see
-// num.rateUpdateLog); other lengths take the loop.
-//
-// The integer max orders only non-NaN ratios. None can arise: Problem.Validate
-// requires every capacity > 0, and rates, loads and ExternalLoads are finite
-// and non-negative, so no ratio is 0/0 or Inf-Inf. A NaN ratio would no longer
-// be skipped as `r > worst` skipped it (see num.OrderedBits for what happens
-// instead).
+// NormalizeLoads implements Normalizer: one division per link into the reused
+// ratio scratch (LinkRatios), then one sweep over the compiled CSR index taking
+// each flow's worst ratio (ScaleByWorstRatio).
 func (f *FNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64 {
 	out = ensureOut(out, len(rates))
-	f.ratios = linkRatios(p, loads, f.ratios)
-	c := p.Compiled()
-	routes, off, ratios := c.Routes, c.Off, f.ratios
+	f.ratios = LinkRatios(loads, p.ExternalLoads, p.Capacities, f.ratios)
+	ScaleByWorstRatio(p.Compiled(), f.ratios, rates, out)
+	return out
+}
+
+// ScaleByWorstRatio is F-NORM's per-flow sweep: out[i] is rates[i] divided by
+// the largest of ratios over flow i's route in c, floored at 1 (only a link
+// above capacity slows a flow). out may be rates. NormalizeLoads runs it over
+// a Problem's index and core.ParallelAllocator over each FlowBlock's.
+//
+// Which link of a route is the most loaded, and whether it is over capacity at
+// all, are coin flips per flow, so the sweep has no data-dependent branch:
+// worst is a running max floored at 1 (see num.OrderedBits) and every flow
+// divides by it — x/1 == x exactly, so a flow on an uncongested path keeps its
+// rate bit for bit. The gather is straight-line for the two route lengths that
+// carry the traffic (4 links on a two-tier Clos, 6 on a fat-tree; see
+// num.rateUpdateLog); other lengths take the loop.
+//
+// The integer max orders only non-NaN ratios. None can arise: capacities are
+// validated > 0, and rates, loads and external loads are finite and
+// non-negative — both allocators refuse a weight that would make them
+// otherwise — so no ratio is 0/0 or Inf-Inf. A NaN ratio would not be skipped
+// as `r > worst` would skip it (see num.OrderedBits for what happens instead).
+func ScaleByWorstRatio(c *num.Compiled, ratios, rates, out []float64) {
+	routes, off := c.Routes, c.Off
 	lens, rates, out := c.Len[:len(off)], rates[:len(off)], out[:len(off)]
-	one := num.OrderedBits(1) // only a link above capacity slows a flow
+	one := num.OrderedBits(1)
 	for i := range off {
 		o := int(off[i])
 		worst := one
@@ -153,5 +161,4 @@ func (f *FNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []fl
 		}
 		out[i] = rates[i] / num.FromOrderedBits(worst)
 	}
-	return out
 }

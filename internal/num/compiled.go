@@ -21,9 +21,12 @@ package num
 // holes the layout keeps explicit per-flow lengths instead of the textbook
 // n+1 offsets array.
 
-// Compiled is the compiled CSR form of a Problem's flow set. Obtain one with
-// Problem.Compiled; all exported fields and the slices they contain must be
-// treated as read-only.
+// Compiled is the compiled CSR form of a flow set. A Problem's is obtained
+// with Problem.Compiled and kept in sync by the Problem's own mutators; the
+// zero value is an empty index that no Problem owns, maintained by its owner
+// with AppendLog, RemoveSwap and Reset (core.ParallelAllocator keeps one per
+// FlowBlock). All exported fields and the slices they contain must be treated
+// as read-only.
 type Compiled struct {
 	// Routes is the route arena: flow i traverses the link indices
 	// Routes[Off[i] : Off[i]+Len[i]].
@@ -123,7 +126,7 @@ func (p *Problem) RemoveFlowSwap(i int) {
 	p.Flows = p.Flows[:last]
 	p.version++
 	if sync {
-		c.removeFlowSwap(i)
+		c.RemoveSwap(i)
 		c.version = p.version
 	}
 }
@@ -164,33 +167,38 @@ func (c *Compiled) rebuild(p *Problem) {
 	c.version = p.version
 }
 
-// appendFlow adds one flow at the end of the index.
-func (c *Compiled) appendFlow(f Flow) {
+// AppendLog adds a log-utility flow of the given weight at the end of the
+// index, copying route into the arena.
+func (c *Compiled) AppendLog(route []int32, weight float64) {
 	c.Off = append(c.Off, int32(len(c.Routes)))
-	c.Len = append(c.Len, int32(len(f.Route)))
-	c.Routes = append(c.Routes, f.Route...)
-	w, log := logWeight(f)
-	c.Weights = append(c.Weights, w)
-	if !log {
-		c.numCustom++
-	}
+	c.Len = append(c.Len, int32(len(route)))
+	c.Routes = append(c.Routes, route...)
+	c.Weights = append(c.Weights, weight)
 	if c.Utils != nil {
-		var u Utility
-		if !log {
-			u = f.Util
-		}
-		c.Utils = append(c.Utils, u)
-	} else if !log {
-		// First custom utility: materialize the per-flow slice.
-		c.Utils = make([]Utility, len(c.Off))
-		c.Utils[len(c.Off)-1] = f.Util
+		c.Utils = append(c.Utils, nil)
 	}
 	c.tvalid = false
 }
 
-// removeFlowSwap removes flow i by swap-delete, leaving its route as a hole
-// in the arena and compacting once holes outnumber live entries.
-func (c *Compiled) removeFlowSwap(i int) {
+// appendFlow adds one of the owning Problem's flows at the end of the index.
+func (c *Compiled) appendFlow(f Flow) {
+	w, log := logWeight(f)
+	c.AppendLog(f.Route, w)
+	if log {
+		return
+	}
+	c.numCustom++
+	if c.Utils == nil {
+		// First custom utility: materialize the per-flow slice.
+		c.Utils = make([]Utility, len(c.Off))
+	}
+	c.Utils[len(c.Off)-1] = f.Util
+}
+
+// RemoveSwap removes flow i by moving the last flow into its slot, leaving its
+// route as a hole in the arena and compacting once holes outnumber live
+// entries. Per-flow state kept in index order must apply the same swap.
+func (c *Compiled) RemoveSwap(i int) {
 	last := len(c.Off) - 1
 	c.dead += int(c.Len[i])
 	if c.Utils != nil && c.Utils[i] != nil {
@@ -219,36 +227,34 @@ func (c *Compiled) removeFlowSwap(i int) {
 	}
 	c.tvalid = false
 	if live := len(c.Routes) - c.dead; c.dead > live && c.dead > CompactMinDead {
-		c.Routes, c.routesScratch, c.dead = CompactArena(c.Routes, c.routesScratch, c.Off, c.Len)
+		c.compact()
 	}
 }
 
+// Reset empties the index, keeping the capacity of its arrays.
+func (c *Compiled) Reset() {
+	c.Routes, c.Off, c.Len, c.Weights = c.Routes[:0], c.Off[:0], c.Len[:0], c.Weights[:0]
+	c.Utils, c.numCustom, c.dead, c.tvalid = nil, 0, 0, false
+}
+
 // CompactMinDead is the minimum number of orphaned arena entries before a
-// swap-delete considers compaction, shared by every CSR arena in the tree
-// (this package's Compiled index and the parallel allocator's FlowBlocks).
+// swap-delete considers compaction.
 const CompactMinDead = 64
 
-// CompactArena rewrites a CSR arena (per-flow slices at off[i]:off[i]+len[i])
-// without holes into a reused scratch buffer and swaps the buffers, updating
-// off in place, so steady-state churn allocates nothing once both buffers
-// have grown to the working-set size. It returns the compacted arena, the new
-// scratch buffer (the old arena, truncated), and the reset dead count.
-func CompactArena(arena, scratch, off, length []int32) (newArena, newScratch []int32, dead int) {
-	live := 0
-	for i := range length {
-		live += int(length[i])
-	}
-	buf := scratch
-	if cap(buf) < live {
+// compact rewrites the route arena without holes into the reused scratch
+// buffer and swaps the two, updating Off in place, so steady-state churn
+// allocates nothing once both buffers have grown to the working-set size.
+func (c *Compiled) compact() {
+	buf := c.routesScratch
+	if live := len(c.Routes) - c.dead; cap(buf) < live {
 		buf = make([]int32, 0, live)
 	}
 	buf = buf[:0]
-	for i := range off {
-		o, n := off[i], length[i]
-		off[i] = int32(len(buf))
-		buf = append(buf, arena[o:o+n]...)
+	for i, o := range c.Off {
+		c.Off[i] = int32(len(buf))
+		buf = append(buf, c.Routes[o:o+c.Len[i]]...)
 	}
-	return buf, arena[:0], 0
+	c.Routes, c.routesScratch, c.dead = buf, c.Routes[:0], 0
 }
 
 // NumFlows returns the number of flows in the index.

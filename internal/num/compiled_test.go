@@ -3,6 +3,7 @@ package num
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,6 +103,71 @@ func TestCompiledChurnConsistency(t *testing.T) {
 	checkCompiledMatchesFlows(t, p)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStandaloneCompiledChurn drives an index that no Problem owns — the way
+// core.ParallelAllocator keeps one per FlowBlock — through a random
+// AppendLog/RemoveSwap/Reset sequence beside a mirror Problem, and requires
+// flow for flow the routes, lengths and weights of the index the Problem
+// rebuilds from scratch, the hole bound compaction maintains, and after a
+// Reset and re-append an arena and offsets equal to the rebuilt ones exactly.
+func TestStandaloneCompiledChurn(t *testing.T) {
+	const numLinks = 12
+	rng := rand.New(rand.NewSource(24))
+	var c Compiled
+	var mirror []Flow
+	check := func() {
+		t.Helper()
+		want := (&Problem{Flows: mirror}).Compiled()
+		if !slices.Equal(c.Len, want.Len) || !slices.Equal(c.Weights, want.Weights) || !c.AllLog() {
+			t.Fatalf("lengths %v weights %v, a rebuilt index has %v %v", c.Len, c.Weights, want.Len, want.Weights)
+		}
+		live := 0
+		for i := range mirror {
+			if !slices.Equal(c.Route(i), want.Route(i)) {
+				t.Fatalf("flow %d: route %v, a rebuilt index has %v", i, c.Route(i), want.Route(i))
+			}
+			live += len(mirror[i].Route)
+		}
+		if dead := len(c.Routes) - live; dead != c.dead || (dead > live && dead > CompactMinDead) {
+			t.Fatalf("%d holes beside %d live arena entries (index counts %d)", dead, live, c.dead)
+		}
+	}
+	compactions := 0
+	for step := 0; step < 4000; step++ {
+		switch {
+		case step%1500 == 1499:
+			c.Reset()
+			mirror = mirror[:0]
+		case len(mirror) == 0 || rng.Float64() < 0.5-0.3*math.Sin(float64(step)/200):
+			f := Flow{Route: randomRoute(rng, numLinks), Util: LogUtility{W: 1 + rng.Float64()}}
+			c.AppendLog(f.Route, f.Util.(LogUtility).W)
+			mirror = append(mirror, f)
+		default:
+			i, last, before := rng.Intn(len(mirror)), len(mirror)-1, len(c.Routes)
+			c.RemoveSwap(i)
+			mirror[i] = mirror[last]
+			mirror = mirror[:last]
+			if len(c.Routes) < before {
+				compactions++
+			}
+		}
+		if step%29 == 0 || len(mirror) < 3 {
+			check()
+		}
+	}
+	check()
+	if compactions == 0 || len(mirror) == 0 {
+		t.Fatalf("%d compactions, %d flows left: the sequence should compact and end non-empty", compactions, len(mirror))
+	}
+	c.Reset()
+	for _, f := range mirror {
+		c.AppendLog(f.Route, f.Util.(LogUtility).W)
+	}
+	want := (&Problem{Flows: mirror}).Compiled()
+	if !slices.Equal(c.Routes, want.Routes) || !slices.Equal(c.Off, want.Off) {
+		t.Fatal("an index reset and refilled differs from one built from the same flows")
 	}
 }
 

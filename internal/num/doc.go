@@ -10,6 +10,9 @@
 // set is compiled into a flat CSR flow→link index with dense per-flow weights
 // (see Compiled) so the common LogUtility case runs an interface-free,
 // branch-free inner loop, and the index is maintained incrementally across
-// flowlet churn via Problem.AppendFlow and Problem.RemoveFlowSwap. See
+// flowlet churn via Problem.AppendFlow and Problem.RemoveFlowSwap. NED's two
+// kernels are also entry points over plain slices (NEDRateUpdate,
+// NEDPriceUpdate) for an index no Problem owns: the multicore allocator runs
+// them per FlowBlock and per LinkBlock, so the iteration exists once. See
 // ARCHITECTURE.md for the full design note.
 package num

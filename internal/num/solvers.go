@@ -57,7 +57,7 @@ func rateUpdate(p *Problem, st *State, sc *scratch, hessian bool, minPrice float
 	clear(loads)
 	clear(hdiag)
 	if c.AllLog() {
-		rateUpdateLog(c, p.MaxFlowRate, st, loads, hdiag, hessian, minPrice)
+		rateUpdateLog(c, p.MaxFlowRate, st.Prices, st.Rates, loads, hdiag, hessian, minPrice)
 		return
 	}
 	rateUpdateGeneric(c, p.MaxFlowRate, st, loads, hdiag, hessian, minPrice)
@@ -78,10 +78,9 @@ func rateUpdate(p *Problem, st *State, sc *scratch, hessian bool, minPrice float
 // route order, so the result is bit for bit the loop's (rateUpdateLogRef in
 // the tests). hessian is loop-invariant: the first-order solvers skip the
 // Hessian scatter through a branch that always goes the same way.
-func rateUpdateLog(c *Compiled, maxRate float64, st *State, loads, hdiag []float64, hessian bool, minPrice float64) {
+func rateUpdateLog(c *Compiled, maxRate float64, prices, rates, loads, hdiag []float64, hessian bool, minPrice float64) {
 	routes, off := c.Routes, c.Off
-	lens, weights, rates := c.Len[:len(off)], c.Weights[:len(off)], st.Rates[:len(off)]
-	prices := st.Prices
+	lens, weights, rates := c.Len[:len(off)], c.Weights[:len(off)], rates[:len(off)]
 	if maxRate <= 0 {
 		maxRate = math.Inf(1)
 	}
@@ -91,14 +90,14 @@ func rateUpdateLog(c *Compiled, maxRate float64, st *State, loads, hdiag []float
 		switch lens[i] {
 		case 4:
 			r := (*[4]int32)(routes[o : o+4])
-			x, d = LogRate(weights[i], gather4(prices, r), minPrice, maxRate)
+			x, d = logRate(weights[i], gather4(prices, r), minPrice, maxRate)
 			scatter4(loads, r, x)
 			if hessian {
 				scatter4(hdiag, r, d)
 			}
 		case 6:
 			r := (*[6]int32)(routes[o : o+6])
-			x, d = LogRate(weights[i], gather6(prices, r), minPrice, maxRate)
+			x, d = logRate(weights[i], gather6(prices, r), minPrice, maxRate)
 			scatter6(loads, r, x)
 			if hessian {
 				scatter6(hdiag, r, d)
@@ -109,7 +108,7 @@ func rateUpdateLog(c *Compiled, maxRate float64, st *State, loads, hdiag []float
 			for _, l := range route {
 				ps += prices[l]
 			}
-			x, d = LogRate(weights[i], ps, minPrice, maxRate)
+			x, d = logRate(weights[i], ps, minPrice, maxRate)
 			for _, l := range route {
 				loads[l] += x
 			}
@@ -123,10 +122,18 @@ func rateUpdateLog(c *Compiled, maxRate float64, st *State, loads, hdiag []float
 	}
 }
 
-// LogRate is Equation 3 for a log utility at path price ps: the rate w/ps,
-// floored at minPrice and capped at maxRate, and its sensitivity -w/ps². It is
-// exported so core.ParallelAllocator's rate phase shares the one formula.
-func LogRate(w, ps, minPrice, maxRate float64) (x, d float64) {
+// NEDRateUpdate is NED's rate update (Equation 3 plus the load and Hessian
+// scatter) for an all-log-utility index that no Problem owns: it sets rates
+// from prices and accumulates into loads and hdiag, which the caller has
+// cleared. A core.ParallelAllocator FlowBlock runs it on its local copy of its
+// two LinkBlocks — the same kernel NED.Step runs on the whole fabric.
+func NEDRateUpdate(c *Compiled, maxRate float64, prices, rates, loads, hdiag []float64) {
+	rateUpdateLog(c, maxRate, prices, rates, loads, hdiag, true, minPathPrice)
+}
+
+// logRate is Equation 3 for a log utility at path price ps: the rate w/ps,
+// floored at minPrice and capped at maxRate, and its sensitivity -w/ps².
+func logRate(w, ps, minPrice, maxRate float64) (x, d float64) {
 	if ps < minPrice {
 		ps = minPrice
 	}
@@ -173,11 +180,11 @@ func scatter6(a []float64, r *[6]int32, v float64) {
 // is max(1, a, b) — computed with an integer compare and a conditional move
 // per term, where the float max builtin costs a dozen dependent SSE
 // instructions (its NaN and signed-zero fix-ups) and `if r > worst` a branch
-// the predictor cannot learn. F-NORM's sweep, in norm.FNorm and in
-// core.ParallelAllocator, is the one place that difference is a third of a
-// pass. A NaN is not ordered: one with the sign bit clear compares above
-// every float and wins the max, one with it set (what amd64 produces for 0/0)
-// loses to everything — callers keep NaN out.
+// the predictor cannot learn. F-NORM's sweep (norm.ScaleByWorstRatio) is the
+// one place that difference is a third of a pass. A NaN is not ordered: one
+// with the sign bit clear compares above every float and wins the max, one
+// with it set (what amd64 produces for 0/0) loses to everything — callers keep
+// NaN out.
 func OrderedBits(x float64) int64 { return int64(math.Float64bits(x)) }
 
 // FromOrderedBits inverts OrderedBits.
@@ -284,14 +291,26 @@ func (n *NED) Step(p *Problem, st *State) {
 		gamma = 1
 	}
 	rateUpdate(p, st, &n.sc, true, minPathPrice)
-	// The per-link pass is the iteration's serial floor (it is most of a
-	// 1 000-flow step on a 3 072-link fabric), so everything loop-invariant
-	// is read once: the stores to prices would otherwise force n, p and st
-	// to be re-read on every link.
-	rt := n.RT
-	prices := st.Prices
-	loads, hdiag, caps := n.sc.loads[:len(prices)], n.sc.hdiag[:len(prices)], p.Capacities[:len(prices)]
-	ext, extH := p.ExternalLoads, p.ExternalHdiag
+	if n.RT {
+		nedPriceUpdateRT(gamma, st.Prices, n.sc.loads, n.sc.hdiag, p.Capacities, p.ExternalLoads, p.ExternalHdiag)
+	} else {
+		NEDPriceUpdate(gamma, st.Prices, n.sc.loads, n.sc.hdiag, p.Capacities, p.ExternalLoads, p.ExternalHdiag)
+	}
+	applyPins(p, st)
+}
+
+// NEDPriceUpdate is Algorithm 1's price step, p_l ← max(0, p_l − γ·G_l/H_ll),
+// over one link space: loads and hdiag are what the rate update accumulated,
+// ext and extH (nil for none) the remote shards' contributions, folded in as
+// (load − cap) + ext. NED.Step runs it on the fabric's links and
+// core.ParallelAllocator on each LinkBlock; both re-impose pinned prices
+// afterwards.
+//
+// The per-link pass is the iteration's serial floor (it is most of a
+// 1 000-flow step on a 3 072-link fabric), so everything loop-invariant is a
+// local: stores to prices cannot force it to be re-read on every link.
+func NEDPriceUpdate(gamma float64, prices, loads, hdiag, caps, ext, extH []float64) {
+	loads, hdiag, caps = loads[:len(prices)], hdiag[:len(prices)], caps[:len(prices)]
 	for l, price := range prices {
 		g := loads[l] - caps[l]
 		h := hdiag[l]
@@ -307,22 +326,37 @@ func (n *NED) Step(p *Problem, st *State) {
 			prices[l] = price * 0.5
 			continue
 		}
-		var delta float64
-		if rt {
-			delta = float64(float32(gamma) * float32(g) / float32(h))
-		} else {
-			delta = gamma * g / h
-		}
-		price -= delta
+		price -= gamma * g / h
 		if price < 0 {
 			price = 0
 		}
-		if rt {
-			price = float64(float32(price))
-		}
 		prices[l] = price
 	}
-	applyPins(p, st)
+}
+
+// nedPriceUpdateRT is NEDPriceUpdate with the step computed and the price
+// stored in single precision — the NED-RT emulation of Figure 12, kept out of
+// the loop every allocator iteration runs.
+func nedPriceUpdateRT(gamma float64, prices, loads, hdiag, caps, ext, extH []float64) {
+	for l, price := range prices {
+		g := loads[l] - caps[l]
+		h := hdiag[l]
+		if ext != nil {
+			g += ext[l]
+		}
+		if extH != nil {
+			h += extH[l]
+		}
+		if h == 0 {
+			prices[l] = price * 0.5
+			continue
+		}
+		price -= float64(float32(gamma) * float32(g) / float32(h))
+		if price < 0 {
+			price = 0
+		}
+		prices[l] = float64(float32(price))
+	}
 }
 
 // LastLoads implements Solver.

@@ -8,10 +8,14 @@
 // wrote in one Flush, is published under one lock hold and never split
 // across iterations — and folded into the optimizer only at iteration
 // boundaries; each iteration
-// runs one NED step plus normalization (via the sequential core.Allocator,
-// or the FlowBlock/LinkBlock multicore allocator when Config.Blocks is set)
-// and fans the resulting rate updates back out to the sessions that
-// registered the flows.
+// runs one NED step plus normalization and fans the resulting rate updates
+// back out to the sessions that registered the flows. The optimizer sits
+// behind the engine interface (engine.go), which lists exactly the methods the
+// daemon calls: core.Allocator satisfies it as it is (plus a no-op Close), and
+// core.ParallelAllocator — selected by Config.Blocks — with the one Iterate
+// that differs, an idle skip and AppendUpdates. An add the engine refuses (no
+// route, a weight that is not finite) is counted in Stats.RejectedAdds and
+// logged, never folded in.
 //
 // Iterations are driven two ways. With Config.Interval set, one loop
 // goroutine free-runs: it iterates on arrival, the moment a session publishes

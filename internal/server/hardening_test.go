@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -227,5 +228,41 @@ func TestBumpEpochNotifiesClient(t *testing.T) {
 	}
 	if got := srv.NumFlows(); got != 1 {
 		t.Fatalf("NumFlows after reconnect = %d, want 1", got)
+	}
+}
+
+// TestNonFiniteWeightRejected pins the admission rule at the daemon's edge: a
+// FlowletAdd frame's weight is outside input, and one NaN used to turn every
+// rate on the flow's links into NaN for good. The engine (either one) refuses
+// it, the daemon counts the refusal, and the flows sharing the link keep
+// finite rates.
+func TestNonFiniteWeightRejected(t *testing.T) {
+	topo := testTopology(t)
+	for name, blocks := range map[string]int{"sequential": 0, "parallel": 2} {
+		t.Run(name, func(t *testing.T) {
+			srv, cli, _ := startWatchedDaemon(t, Config{Topology: topo, Blocks: blocks})
+			for id, weight := range map[core.FlowID]float64{1: 1, 2: 1, 3: math.NaN()} {
+				if err := cli.FlowletStart(id, int(id), 9, weight); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := cli.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := srv.Stats(); st.RejectedAdds != 1 {
+				t.Fatalf("RejectedAdds = %d, want 1", st.RejectedAdds)
+			}
+			rates := srv.Rates()
+			if len(rates) != 2 {
+				t.Fatalf("rates %v, want flows 1 and 2 only", rates)
+			}
+			for id, r := range rates {
+				if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
+					t.Errorf("flow %d rate %v", id, r)
+				}
+			}
+		})
 	}
 }

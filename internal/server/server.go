@@ -118,7 +118,8 @@ type Stats struct {
 	ArrivalIterations int64
 	// DuplicateAdds and UnknownEnds count events dropped at the
 	// iteration boundary because the flow was already (or not)
-	// registered; RejectedAdds count adds the engine refused (bad route).
+	// registered; RejectedAdds count adds the engine refused (bad route,
+	// non-finite weight).
 	DuplicateAdds int64
 	UnknownEnds   int64
 	RejectedAdds  int64
