@@ -434,8 +434,10 @@ func leafSpineAllocator(b *testing.B, flows int) *flowtune.Allocator {
 // 1 024-host fat-tree, where 94% of the routes are 6 links rather than 4 (the
 // row the kernels' 6-link arm answers to), and the blocks=N rows are the
 // multicore engine on the same leaf-spine flows — blocks=1 is one FlowBlock
-// worker running the sequential engine's kernels behind the phase barriers,
-// the row that says what replacing core.Allocator with it would cost.
+// run by the calling goroutine (one worker, no goroutine) with the sequential
+// engine's kernels, the row that says what replacing core.Allocator with it
+// would cost; -cpu 1,2 runs blocks=2 and 4 on one worker and on two, the
+// crossover table in ARCHITECTURE.md.
 func BenchmarkAllocatorIterate(b *testing.B) {
 	b.Run("sim-5k", func(b *testing.B) {
 		topo, err := flowtune.NewTopology(flowtune.DefaultSimTopologyConfig())
@@ -477,7 +479,11 @@ func BenchmarkAllocatorIterate(b *testing.B) {
 		}
 		benchIterate(b, flows, func() { alloc.Iterate() })
 	})
-	for _, c := range []struct{ blocks, flows int }{{1, 1000}, {1, 10000}, {2, 10000}} {
+	for _, c := range []struct{ blocks, flows int }{
+		{1, 1000}, {1, 10000}, {1, 100000},
+		{2, 1000}, {2, 10000}, {2, 100000},
+		{4, 1000}, {4, 10000}, {4, 100000},
+	} {
 		b.Run(fmt.Sprintf("blocks=%d/flows=%dk", c.blocks, c.flows/1000), func(b *testing.B) {
 			topo, err := flowtune.NewTopology(leafSpineConfig)
 			if err != nil {

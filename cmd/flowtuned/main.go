@@ -8,7 +8,8 @@
 // otherwise at least every -interval, which keeps the optimizer converging
 // between arrivals (clients may also drive iterations explicitly with Step
 // frames, which deterministic test harnesses use). -blocks switches the engine from the sequential NED
-// allocator to the FlowBlock/LinkBlock multicore allocator; on a NUMA
+// allocator to the FlowBlock/LinkBlock multicore allocator, whose blocks²
+// FlowBlocks run on min(blocks², GOMAXPROCS) workers; on a NUMA
 // machine, a `numa`-tagged build additionally accepts -pin to bind the
 // workers to sockets. Loop latency percentiles and update counters are
 // logged every -stats-every.
@@ -77,8 +78,8 @@ func run(args []string, out io.Writer) error {
 	gamma := fs.Float64("gamma", 0, "NED step size (0 selects the engine default)")
 	threshold := fs.Float64("threshold", 0.01, "rate-update notification threshold")
 	interval := fs.Duration("interval", time.Millisecond, "longest gap between iterations; arrivals iterate at once (0 = step-driven only)")
-	blocks := fs.Int("blocks", 0, "rack blocks for the multicore engine (0 = sequential); composes with -shard for multicore shards")
-	pin := fs.Bool("pin", false, "pin the multicore engine's workers to NUMA sockets (requires -blocks and a `numa`-tagged build; no-op otherwise)")
+	blocks := fs.Int("blocks", 0, "rack blocks for the multicore engine (0 = sequential): blocks² FlowBlocks on min(blocks², GOMAXPROCS) workers; composes with -shard for multicore shards")
+	pin := fs.Bool("pin", false, "pin the multicore engine's worker goroutines to NUMA sockets (requires -blocks and a `numa`-tagged build; no-op otherwise)")
 	shard := fs.String("shard", "", "shard assignment i/N: own shard i of an N-way rack partition (empty = unsharded)")
 	peers := fs.String("peers", "", "comma-separated addresses of the peer shard daemons, dialed with retry")
 	takeover := fs.Bool("takeover", false, "replicate flow state to peers and adopt a dead peer's rack block (requires -shard)")

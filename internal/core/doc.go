@@ -16,9 +16,12 @@
 // num.Compiled over [up positions | down positions] with one price, load,
 // Hessian and ratio array each — and adds only what is about blocks: the
 // pairwise merge rounds between the rate update and the price update, the
-// copies of prices and ratios back into the blocks, a sense-reversing
-// spin-then-park barrier between phases, cache-line-padded local arrays and
-// a Morton-order FlowBlock layout so early merge rounds touch neighbours. Both
+// copies of prices and ratios back into the blocks, cache-line-padded local
+// arrays and a Morton-order FlowBlock layout so early merge rounds touch
+// neighbours. FlowBlocks are data, not goroutines: min(blocks², GOMAXPROCS)
+// workers each run a contiguous Morton run of them, the goroutine calling
+// Iterate being worker 0, and meet at one sense-reversing spin-then-park
+// barrier between phases — so with one worker no goroutine exists. Both
 // share one admission rule for flowlet weights (admitWeight), one notify
 // filter (appendSignificant) and one boundary API for the sharded exchange
 // (boundary.go, parallel_boundary.go), and both maintain their flow sets

@@ -26,7 +26,7 @@ type ParallelFlow struct {
 	SizeHint int64
 }
 
-// flowBlock is the state owned by one worker: its flows, its local copy of the
+// flowBlock is the state of one FlowBlock: its flows, its local copy of the
 // two LinkBlocks they traverse, and the accumulators the merge rounds reduce.
 //
 // A FlowBlock is a NUM problem of its own over a local link space: local link
@@ -80,7 +80,7 @@ func (fb *flowBlock) numFlows() int { return len(fb.ids) }
 
 // layOut allocates the local link arrays for LinkBlocks of nUp and nDown
 // links, keeping the prices of a previous layout. A pinned worker calls it
-// again from its own OS thread before the first barrier, so first-touch places
+// again from its own OS thread before its first barrier, so first-touch places
 // the merge-phase working set on the worker's local memory node; the barrier's
 // release then publishes the new slice headers to the merge partners. (Only
 // prices outlive an iteration; the rest is rewritten before it is read.)
@@ -185,9 +185,10 @@ func newLinkBlockState(t *topology.Topology, links []topology.LinkID, headroom f
 type ParallelConfig struct {
 	// Topology is the fabric to schedule. Required.
 	Topology *topology.Topology
-	// Blocks is the number of rack blocks n; the allocator uses n²
-	// FlowBlocks, each handled by one worker goroutine (the paper's 4-,
-	// 16- and 64-core configurations correspond to 2, 4 and 8 blocks).
+	// Blocks is the number of rack blocks n: the flows are partitioned into
+	// n² FlowBlocks (the paper's 4-, 16- and 64-core rows are 2, 4 and 8
+	// blocks), a data layout run by min(n², GOMAXPROCS) workers, the
+	// goroutine calling Iterate being one.
 	Blocks int
 	// Gamma is NED's step size (default 1).
 	Gamma float64
@@ -196,12 +197,12 @@ type ParallelConfig struct {
 	Headroom float64
 	// Normalize enables the parallel F-NORM pass after the price update.
 	Normalize bool
-	// PinWorkers pins each FlowBlock worker's OS thread to a NUMA socket
-	// (round-robin by worker index) and re-allocates the block's local link
-	// arrays from the pinned thread, so first-touch places the merge-phase
-	// working set on the worker's local memory node. It is a
-	// no-op unless the binary is built with the `numa` tag on linux (see
-	// internal/affinity).
+	// PinWorkers pins each worker goroutine's OS thread to a NUMA socket
+	// (round-robin by worker index) and re-allocates its FlowBlocks' local
+	// link arrays from the pinned thread, so first-touch places the
+	// merge-phase working set on its memory node. Worker 0, the caller of
+	// Iterate, is never pinned (an approximation). A no-op unless built with
+	// the `numa` tag on linux (see internal/affinity).
 	PinWorkers bool
 }
 
@@ -215,12 +216,12 @@ type flowLoc struct {
 
 // ParallelAllocator is the FlowBlock/LinkBlock multicore implementation of
 // the NED optimizer (§5). Flows are partitioned by (source block, destination
-// block) into FlowBlocks; each FlowBlock worker updates only its own local
-// copies of the source block's upward LinkBlock and the destination block's
-// downward LinkBlock, eliminating concurrent writes. Local copies are then
-// merged into authoritative copies in log2(n) pairwise aggregation rounds
-// (Figure 3), prices are updated on the authoritative copies, and the new
-// prices are distributed back to the FlowBlocks.
+// block) into FlowBlocks; each FlowBlock updates only its own local copies of
+// the source block's upward LinkBlock and the destination block's downward
+// LinkBlock, eliminating concurrent writes. Local copies are then merged into
+// authoritative copies in log2(n) pairwise aggregation rounds (Figure 3),
+// prices are updated on the authoritative copies, and the new prices are
+// distributed back to the FlowBlocks — all by min(n², GOMAXPROCS) workers.
 //
 // The flow set is maintained incrementally: FlowletStart and FlowletEnd are
 // O(route length) operations on the owning FlowBlock's CSR index, so flowlet
@@ -266,11 +267,12 @@ type ParallelAllocator struct {
 	// on churn, never in the iteration hot path.
 	loc map[FlowID]flowLoc
 
-	// Worker pool: one worker per FlowBlock. The outer barrier (workers +
-	// coordinator) marks the start and end of an iteration; the inner
-	// barrier (workers only) separates the phases within an iteration.
-	barrier *barrier
-	inner   *barrier
+	// shares splits fbs into W = min(len(fbs), GOMAXPROCS) contiguous Morton
+	// runs, one per worker: shares[0] runs on the goroutine calling Iterate,
+	// the rest on goroutines start launches. phase, the one barrier (W
+	// parties), starts an iteration, separates its phases and ends it.
+	shares  [][]*flowBlock
+	phase   *barrier
 	wg      sync.WaitGroup
 	stop    atomic.Bool
 	started bool
@@ -341,6 +343,11 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 		p.fbs[m] = fb
 		p.fbAt[sb*n+db] = fb
 	}
+	w := min(len(p.fbs), runtime.GOMAXPROCS(0))
+	for k := range w {
+		p.shares = append(p.shares, p.fbs[k*len(p.fbs)/w:(k+1)*len(p.fbs)/w])
+	}
+	p.phase = newBarrier(w)
 	return p, nil
 }
 
@@ -371,8 +378,8 @@ func mortonCoords(m, n int) (sb, db int) {
 	return sb, db
 }
 
-// NumWorkers returns the number of worker goroutines (FlowBlocks).
-func (p *ParallelAllocator) NumWorkers() int { return len(p.fbs) }
+// NumWorkers returns W, the number of workers, the caller of Iterate included.
+func (p *ParallelAllocator) NumWorkers() int { return len(p.shares) }
 
 // NumFlows returns the number of loaded flows.
 func (p *ParallelAllocator) NumFlows() int { return p.numFlows }
@@ -531,15 +538,13 @@ func (p *ParallelAllocator) LiveFlows() []ParallelFlow {
 	return out
 }
 
-// start launches the persistent worker goroutines on first use.
+// start launches the goroutines of workers 1..W-1 (none if W = 1) once.
 func (p *ParallelAllocator) start() {
 	if p.started {
 		return
 	}
 	p.started = true
-	p.barrier = newBarrier(len(p.fbs) + 1) // workers + coordinator
-	p.inner = newBarrier(len(p.fbs))       // workers only
-	for w := range p.fbs {
+	for w := 1; w < len(p.shares); w++ {
 		p.wg.Add(1)
 		go p.worker(w)
 	}
@@ -551,53 +556,62 @@ func (p *ParallelAllocator) Close() {
 		return
 	}
 	p.stop.Store(true)
-	p.barrier.wait() // release workers into the iteration; they observe stop
+	p.phase.wait() // release the workers into an iteration; they observe stop
 	p.wg.Wait()
 	p.started = false
 }
 
 // Iterate runs one parallel NED iteration (rate update, aggregation, price
-// update, distribution, and optionally F-NORM) and returns after all workers
-// finish.
+// update, distribution, and optionally F-NORM), the calling goroutine acting
+// as worker 0, and returns once every worker has finished.
 func (p *ParallelAllocator) Iterate() {
 	p.start()
-	p.barrier.wait() // release workers into the iteration
-	p.barrier.wait() // wait for workers to finish the iteration
+	p.phase.wait() // release the other workers into the iteration
+	p.iterateShare(p.shares[0])
 }
 
-// worker is the body of one FlowBlock worker goroutine.
-func (p *ParallelAllocator) worker(idx int) {
+// worker is the body of the goroutine running shares[w], w ≥ 1.
+func (p *ParallelAllocator) worker(w int) {
 	defer p.wg.Done()
-	fb := p.fbs[idx]
 	if p.cfg.PinWorkers && affinity.Enabled() {
 		// Pin before the first barrier: re-allocating the local link arrays
 		// from the pinned thread makes first-touch place them on the
 		// worker's memory node, and the barrier's release publishes the new
-		// slice headers to the merge partners that read them. The CSR index
-		// stays coordinator-allocated (churn happens between iterations, off
-		// the worker threads), a documented approximation.
-		if _, err := affinity.PinWorker(idx); err == nil {
-			fb.layOut(len(fb.upLoad), len(fb.downLoad), p.cfg.Normalize)
+		// slice headers to the merge partners that read them.
+		if _, err := affinity.PinWorker(w); err == nil {
+			for _, fb := range p.shares[w] {
+				fb.layOut(len(fb.upLoad), len(fb.downLoad), p.cfg.Normalize)
+			}
 		}
 	}
-	n := p.numBlocks
 	for {
-		p.barrier.wait() // wait for Iterate (or Close)
+		p.phase.wait() // wait for Iterate (or Close)
 		if p.stop.Load() {
 			return
 		}
+		p.iterateShare(p.shares[w])
+	}
+}
 
-		// Phase 1: rate update on local copies (Equation 3), accumulating
-		// per-link loads and Hessian diagonals locally.
+// iterateShare runs one iteration's phases over a worker's FlowBlocks, meeting
+// the other workers at the barrier after each. Every phase writes only state
+// its own FlowBlock or LinkBlock owns, and no merge round's target is one of
+// its sources, so no split of the FlowBlocks over workers changes a bit.
+func (p *ParallelAllocator) iterateShare(share []*flowBlock) {
+	// Phase 1: rate update on local copies (Equation 3), accumulating
+	// per-link loads and Hessian diagonals locally.
+	for _, fb := range share {
 		p.rateUpdatePhase(fb)
-		p.inner.wait()
+	}
+	p.phase.wait()
 
-		// Phase 2: log2(n) pairwise aggregation rounds. Upward LinkBlocks
-		// are reduced across the destination-block dimension; downward
-		// LinkBlocks across the source-block dimension (Figure 3). The
-		// Morton layout of fbs makes the stride-1 partners heap
-		// neighbours, so the early (widest) rounds stay local.
-		for stride := 1; stride < n; stride *= 2 {
+	// Phase 2: log2(n) pairwise aggregation rounds. Upward LinkBlocks are
+	// reduced across the destination-block dimension; downward LinkBlocks
+	// across the source-block dimension (Figure 3). The Morton layout of fbs
+	// makes the stride-1 partners heap neighbours, and usually share-mates.
+	n := p.numBlocks
+	for stride := 1; stride < n; stride *= 2 {
+		for _, fb := range share {
 			if fb.dstBlock%(2*stride) == 0 && fb.dstBlock+stride < n {
 				other := p.fbAt[fb.srcBlock*n+fb.dstBlock+stride]
 				addInto(fb.upLoad, other.upLoad)
@@ -608,34 +622,34 @@ func (p *ParallelAllocator) worker(idx int) {
 				addInto(fb.downLoad, other.downLoad)
 				addInto(fb.downHdiag, other.downHdiag)
 			}
-			p.inner.wait()
 		}
+		p.phase.wait()
+	}
 
-		// Phase 3: price update (Equation 4) on the authoritative copies.
-		// FlowBlock (b, 0) owns block b's upward LinkBlock; FlowBlock
-		// (0, b) owns block b's downward LinkBlock.
+	// Phase 3: price update (Equation 4) on the authoritative copies.
+	// FlowBlock (b, 0) owns block b's upward LinkBlock; FlowBlock (0, b)
+	// owns block b's downward LinkBlock.
+	for _, fb := range share {
 		if fb.dstBlock == 0 {
 			p.priceUpdatePhase(p.up[fb.srcBlock], fb.upLoad, fb.upHdiag)
 		}
 		if fb.srcBlock == 0 {
 			p.priceUpdatePhase(p.down[fb.dstBlock], fb.downLoad, fb.downHdiag)
 		}
-		p.inner.wait()
+	}
+	p.phase.wait()
 
-		// Phase 4: distribute the new prices back to local copies.
+	// Phase 4: distribute the new prices back to local copies, then the
+	// parallel F-NORM: each FlowBlock scales its flows by the worst
+	// utilization ratio along their paths, from ratios the LinkBlock owners
+	// wrote in phase 3.
+	for _, fb := range share {
 		p.distributePrices(fb)
-
 		if p.cfg.Normalize {
-			// Parallel F-NORM: each FlowBlock scales its flows by the
-			// worst utilization ratio along their paths. The ratios were
-			// written by the LinkBlock owners in phase 3, so the barrier
-			// above already orders them; nothing else here leaves the
-			// FlowBlock's own arrays.
 			p.normalizePhase(fb)
 		}
-
-		p.barrier.wait() // iteration complete; coordinator resumes
 	}
+	p.phase.wait() // iteration complete: Iterate returns, workers park
 }
 
 // rateUpdatePhase computes flow rates from the FlowBlock's local prices and
@@ -748,10 +762,11 @@ func addInto(dst, src []float64) {
 // generation word — at the allocator's µs-scale phase lengths the partners
 // usually arrive within the spin budget, so the common case costs no kernel
 // transition — and park on a condition variable only when the spin budget
-// runs out (or the scheduler is oversubscribed).
+// runs out. Spinning pays because the allocator's parties never outnumber
+// GOMAXPROCS (W is capped by it): no spinner holds the timeslice its
+// straggler needs. A one-party barrier returns at once.
 type barrier struct {
 	n       int32
-	spins   int
 	arrived atomic.Int32
 	gen     atomic.Uint32
 
@@ -764,12 +779,6 @@ const barrierSpins = 1 << 13
 
 func newBarrier(n int) *barrier {
 	b := &barrier{n: int32(n)}
-	// Spinning only pays when the stragglers can run concurrently with
-	// the spinner; on an oversubscribed scheduler the spinner's timeslice
-	// is exactly what the last arriver is waiting for, so park at once.
-	if n <= runtime.GOMAXPROCS(0) {
-		b.spins = barrierSpins
-	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -788,7 +797,7 @@ func (b *barrier) wait() {
 		b.cond.Broadcast()
 		return
 	}
-	for spins := 0; spins < b.spins; spins++ {
+	for spins := 0; spins < barrierSpins; spins++ {
 		if b.gen.Load() != gen {
 			return
 		}

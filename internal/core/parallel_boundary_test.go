@@ -49,6 +49,15 @@ func downLinks(t *testing.T, topo *topology.Topology, n int) []topology.LinkID {
 // sequential Allocator's rates, digests, and prices — the property that keeps
 // a multicore shard's wire bytes bit-identical to a sequential shard's.
 func TestParallelBoundaryBitIdenticalToSequential(t *testing.T) {
+	for _, blocks := range []int{2, 4} {
+		checkBoundaryBitIdentical(t, blocks)
+	}
+}
+
+// checkBoundaryBitIdentical is TestParallelBoundaryBitIdenticalToSequential
+// for one block count.
+func checkBoundaryBitIdentical(t *testing.T, blocks int) {
+	t.Helper()
 	topo := parallelTestTopo(t, 8)
 	flows := blockLocalFlows(topo, 96)
 
@@ -63,77 +72,74 @@ func TestParallelBoundaryBitIdenticalToSequential(t *testing.T) {
 	extHdiag := []float64{-1e9, -2.5e9}
 	pinVals := []float64{7.25, 3.5}
 
-	for _, blocks := range []int{2, 4} {
-		// Gamma and Headroom mirror the sequential defaults (0.4 and the
-		// 0.01 update-threshold headroom) — the same pairing the daemon's
-		// parallelEngine uses — so the two engines solve the identical
-		// problem.
-		pa, err := NewParallelAllocator(ParallelConfig{
-			Topology: topo, Blocks: blocks, Gamma: 0.4, Headroom: 0.01, Normalize: true,
-		})
-		if err != nil {
+	// Gamma and Headroom mirror the sequential defaults (0.4 and the 0.01
+	// update-threshold headroom) — the same pairing the daemon's
+	// parallelEngine uses — so the two engines solve the identical problem.
+	pa, err := NewParallelAllocator(ParallelConfig{
+		Topology: topo, Blocks: blocks, Gamma: 0.4, Headroom: 0.01, Normalize: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Close()
+	if err := pa.SetFlows(flows); err != nil {
+		t.Fatal(err)
+	}
+
+	pa.SetExternalLoads(extLinks, extLoads, extHdiag)
+	pa.PinPrices(pinLinks, pinVals)
+
+	// A fresh sequential reference: prices persist across Iterates, so the
+	// comparison needs a cold start on both sides.
+	seqRef, err := NewAllocator(Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows {
+		if err := seqRef.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
 			t.Fatal(err)
 		}
-		if err := pa.SetFlows(flows); err != nil {
-			t.Fatal(err)
-		}
+	}
+	seqRef.SetExternalLoads(extLinks, extLoads, extHdiag)
+	seqRef.PinPrices(pinLinks, pinVals)
 
-		pa.SetExternalLoads(extLinks, extLoads, extHdiag)
-		pa.PinPrices(pinLinks, pinVals)
+	for i := 0; i < 40; i++ {
+		seqRef.Iterate()
+		pa.Iterate()
+	}
 
-		// Fresh sequential reference per block count: prices persist across
-		// Iterates, so the comparison needs a cold start on both sides.
-		seqRef, err := NewAllocator(Config{Topology: topo})
-		if err != nil {
-			t.Fatal(err)
+	want, got := seqRef.Rates(), pa.Rates()
+	if len(got) != len(want) {
+		t.Fatalf("blocks=%d: %d rates, want %d", blocks, len(got), len(want))
+	}
+	for id, w := range want {
+		if g := got[id]; g != w {
+			t.Fatalf("blocks=%d flow %d: parallel rate %v != sequential %v", blocks, id, g, w)
 		}
-		for _, f := range flows {
-			if err := seqRef.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seqRef.SetExternalLoads(extLinks, extLoads, extHdiag)
-		seqRef.PinPrices(pinLinks, pinVals)
+	}
 
-		for i := 0; i < 40; i++ {
-			seqRef.Iterate()
-			pa.Iterate()
+	// The exported digest and prices — the wire payloads — agree bit for bit
+	// as well.
+	wantLoads := make([]float64, len(allLinks))
+	wantHd := make([]float64, len(allLinks))
+	gotLoads := make([]float64, len(allLinks))
+	gotHd := make([]float64, len(allLinks))
+	seqRef.BoundaryDigest(allLinks, wantLoads, wantHd)
+	pa.BoundaryDigest(allLinks, gotLoads, gotHd)
+	for i := range allLinks {
+		if gotLoads[i] != wantLoads[i] || gotHd[i] != wantHd[i] {
+			t.Fatalf("blocks=%d link %d: digest %v/%v != sequential %v/%v",
+				blocks, i, gotLoads[i], gotHd[i], wantLoads[i], wantHd[i])
 		}
-
-		want, got := seqRef.Rates(), pa.Rates()
-		if len(got) != len(want) {
-			t.Fatalf("blocks=%d: %d rates, want %d", blocks, len(got), len(want))
+	}
+	wantPrices := make([]float64, len(allLinks))
+	gotPrices := make([]float64, len(allLinks))
+	seqRef.LinkPrices(allLinks, wantPrices)
+	pa.LinkPrices(allLinks, gotPrices)
+	for i := range allLinks {
+		if gotPrices[i] != wantPrices[i] {
+			t.Fatalf("blocks=%d link %d: price %v != sequential %v", blocks, i, gotPrices[i], wantPrices[i])
 		}
-		for id, w := range want {
-			if g := got[id]; g != w {
-				t.Fatalf("blocks=%d flow %d: parallel rate %v != sequential %v", blocks, id, g, w)
-			}
-		}
-
-		// The exported digest and prices — the wire payloads — agree bit for
-		// bit as well.
-		wantLoads := make([]float64, len(allLinks))
-		wantHd := make([]float64, len(allLinks))
-		gotLoads := make([]float64, len(allLinks))
-		gotHd := make([]float64, len(allLinks))
-		seqRef.BoundaryDigest(allLinks, wantLoads, wantHd)
-		pa.BoundaryDigest(allLinks, gotLoads, gotHd)
-		for i := range allLinks {
-			if gotLoads[i] != wantLoads[i] || gotHd[i] != wantHd[i] {
-				t.Fatalf("blocks=%d link %d: digest %v/%v != sequential %v/%v",
-					blocks, i, gotLoads[i], gotHd[i], wantLoads[i], wantHd[i])
-			}
-		}
-		wantPrices := make([]float64, len(allLinks))
-		gotPrices := make([]float64, len(allLinks))
-		seqRef.LinkPrices(allLinks, wantPrices)
-		pa.LinkPrices(allLinks, gotPrices)
-		for i := range allLinks {
-			if gotPrices[i] != wantPrices[i] {
-				t.Fatalf("blocks=%d link %d: price %v != sequential %v", blocks, i, gotPrices[i], wantPrices[i])
-			}
-		}
-		pa.Close()
 	}
 }
 

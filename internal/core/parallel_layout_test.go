@@ -139,8 +139,9 @@ func TestFlowBlockLocalLinkSpace(t *testing.T) {
 	}
 }
 
-// TestFlowBlockRelayoutKeepsPrices covers what a pinned worker does before
-// its first barrier on a multi-socket `numa` build, on any machine: laying a
+// TestFlowBlockRelayoutKeepsPrices covers what a pinned worker goroutine does
+// to its share before its first barrier on a multi-socket `numa` build, on any
+// machine: laying a
 // FlowBlock's local link arrays out again (first-touch from the worker's own
 // thread) must keep the local prices — the one thing in them that outlives an
 // iteration, and on a pinned link not refreshed from anywhere else until the
@@ -166,7 +167,7 @@ func TestFlowBlockRelayoutKeepsPrices(t *testing.T) {
 		pa.PinPrices(pinned, []float64{3.5, 0.25, 0})
 		pas[k] = pa
 	}
-	for _, fb := range pas[1].fbs { // the workers are parked at the outer barrier
+	for _, fb := range pas[1].fbs { // between iterations every worker goroutine waits at the phase barrier
 		fb.layOut(len(fb.upLoad), len(fb.downLoad), true)
 	}
 	for i := 0; i < 5; i++ {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/num"
@@ -45,8 +47,8 @@ func TestNewParallelAllocatorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pa.Close()
-	if pa.NumWorkers() != 16 {
-		t.Errorf("NumWorkers = %d, want 16", pa.NumWorkers())
+	if want := min(16, runtime.GOMAXPROCS(0)); pa.NumWorkers() != want {
+		t.Errorf("NumWorkers = %d, want min(16 FlowBlocks, GOMAXPROCS) = %d", pa.NumWorkers(), want)
 	}
 	if pa.AggregationSteps() != 2 {
 		t.Errorf("AggregationSteps = %d, want 2", pa.AggregationSteps())
@@ -222,6 +224,81 @@ func TestParallelCloseIdempotent(t *testing.T) {
 	pa2.Iterate()
 	pa2.Close()
 	pa2.Close()
+}
+
+// TestParallelBitsIndependentOfWorkers is the proof that workers are cores
+// and FlowBlocks data: for every worker count W = min(blocks², GOMAXPROCS) —
+// uneven shares at W=3 included — the golden churn sequence reproduces its
+// hash and block-local traffic stays bit-identical to the sequential engine.
+func TestParallelBitsIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, blocks := range []int{1, 2, 4} {
+		want := goldenParallelRates[blocks] // blocks=1 has no literal: W=1 is its only worker count
+		for _, procs := range []int{1, 2, 3, 4, 16} {
+			t.Run(fmt.Sprintf("blocks=%d/GOMAXPROCS=%d", blocks, procs), func(t *testing.T) {
+				runtime.GOMAXPROCS(procs)
+				got, w := goldenParallelHash(t, blocks)
+				if w != min(blocks*blocks, procs) {
+					t.Fatalf("%d workers, want min(%d FlowBlocks, GOMAXPROCS %d)", w, blocks*blocks, procs)
+				}
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					t.Fatalf("W=%d: rate/price bits moved:\n got %s\nwant %s", w, got, want)
+				}
+				checkBoundaryBitIdentical(t, blocks)
+			})
+		}
+	}
+}
+
+// TestParallelSingleWorkerStartsNoGoroutine pins W=1: the caller runs every
+// FlowBlock itself, so iterating and closing start and leave no goroutine.
+func TestParallelSingleWorkerStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	topo := parallelTestTopo(t, 8)
+	pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 2, Normalize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pa.SetFlows(randomParallelFlows(topo.NumServers(), 200, 4)); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		pa.Iterate()
+	}
+	if n := runtime.NumGoroutine(); pa.NumWorkers() != 1 || n != before {
+		t.Fatalf("W=%d: %d goroutines after Iterate, %d before", pa.NumWorkers(), n, before)
+	}
+	pa.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before", n, before)
+	}
+}
+
+// TestParallelIterateZeroAllocs pins the steady-state iteration at 0 heap
+// allocations with the caller alone (W=1) and with one worker goroutine
+// beside it (W=2).
+func TestParallelIterateZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	topo := parallelTestTopo(t, 8)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 2, Normalize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pa.SetFlows(randomParallelFlows(topo.NumServers(), 200, 4)); err != nil {
+			t.Fatal(err)
+		}
+		pa.Iterate()
+		if avg := testing.AllocsPerRun(100, pa.Iterate); avg != 0 {
+			t.Errorf("W=%d: Iterate allocates %.1f objects, want 0", pa.NumWorkers(), avg)
+		}
+		pa.Close()
+	}
 }
 
 func TestBarrier(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,15 +29,15 @@ func TestScalingTableSmall(t *testing.T) {
 		if r.TimePerIteration <= 0 || r.SequentialTimePerIteration <= 0 {
 			t.Errorf("non-positive iteration time: %+v", r)
 		}
-		if r.Cores != r.Blocks*r.Blocks {
-			t.Errorf("cores %d != blocks² %d", r.Cores, r.Blocks*r.Blocks)
+		if r.FlowBlocks != r.Blocks*r.Blocks || r.Workers != min(r.FlowBlocks, runtime.GOMAXPROCS(0)) {
+			t.Errorf("%d FlowBlocks on %d workers for %d blocks", r.FlowBlocks, r.Workers, r.Blocks)
 		}
 		if r.AllocatedTbps <= 0 {
 			t.Errorf("non-positive allocated bandwidth")
 		}
 	}
 	out := RenderScalingTable(rows)
-	if !strings.Contains(out, "Cores") || !strings.Contains(out, "Sequential") || !strings.Contains(out, "96") {
+	if !strings.Contains(out, "FlowBlocks") || !strings.Contains(out, "Workers") || !strings.Contains(out, "Sequential") || !strings.Contains(out, "96") {
 		t.Errorf("rendering missing expected fields:\n%s", out)
 	}
 }

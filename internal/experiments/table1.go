@@ -24,8 +24,10 @@ type ScalingCase struct {
 // ScalingRow is one measured row of the table.
 type ScalingRow struct {
 	ScalingCase
-	// Cores is the number of FlowBlock workers (Blocks²).
-	Cores int
+	// FlowBlocks is Blocks², the paper's "cores" column; Workers is the
+	// number of cores the allocator actually ran them on,
+	// min(FlowBlocks, GOMAXPROCS).
+	FlowBlocks, Workers int
 	// TimePerIteration is the measured wall-clock time of one full
 	// allocator iteration.
 	TimePerIteration time.Duration
@@ -82,10 +84,10 @@ func RandomFlows(numServers, count int, rng *rand.Rand) []core.ParallelFlow {
 	return flows
 }
 
-// MeasureScalingCase builds the fabric and flow set for one case and measures
+// measureScalingCase builds the fabric and flow set for one case and measures
 // the mean time of an allocator iteration over iters iterations (after a
 // warmup of warmup iterations).
-func MeasureScalingCase(c ScalingCase, warmup, iters int, seed int64) (ScalingRow, error) {
+func measureScalingCase(c ScalingCase, warmup, iters int, seed int64) (ScalingRow, error) {
 	cfg := benchTopologyConfig(c.Nodes)
 	topo, err := topology.NewTwoTier(cfg)
 	if err != nil {
@@ -126,7 +128,8 @@ func MeasureScalingCase(c ScalingCase, warmup, iters int, seed int64) (ScalingRo
 	}
 	return ScalingRow{
 		ScalingCase:                c,
-		Cores:                      c.Blocks * c.Blocks,
+		FlowBlocks:                 c.Blocks * c.Blocks,
+		Workers:                    pa.NumWorkers(),
 		TimePerIteration:           measure(pa.Iterate),
 		SequentialTimePerIteration: measure(func() { seq.Iterate() }),
 		AllocatedTbps:              float64(topo.NumServers()) * cfg.LinkCapacity / 1e12,
@@ -140,7 +143,7 @@ func ScalingTable(cases []ScalingCase, warmup, iters int, seed int64) ([]Scaling
 	}
 	rows := make([]ScalingRow, 0, len(cases))
 	for _, c := range cases {
-		row, err := MeasureScalingCase(c, warmup, iters, seed)
+		row, err := measureScalingCase(c, warmup, iters, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling case %+v: %w", c, err)
 		}
@@ -152,10 +155,10 @@ func ScalingTable(cases []ScalingCase, warmup, iters int, seed int64) ([]Scaling
 // RenderScalingTable prints the rows in the paper's table format.
 func RenderScalingTable(rows []ScalingRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-7s %-7s %-14s %-14s %-10s\n", "Cores", "Nodes", "Flows", "Time/iter", "Sequential", "Tbit/s")
+	fmt.Fprintf(&b, "%-10s %-7s %-7s %-7s %-14s %-14s %-10s\n", "FlowBlocks", "Workers", "Nodes", "Flows", "Time/iter", "Sequential", "Tbit/s")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %-7d %-7d %-14s %-14s %-10.2f\n",
-			r.Cores, r.Nodes, r.Flows, r.TimePerIteration, r.SequentialTimePerIteration, r.AllocatedTbps)
+		fmt.Fprintf(&b, "%-10d %-7d %-7d %-7d %-14s %-14s %-10.2f\n",
+			r.FlowBlocks, r.Workers, r.Nodes, r.Flows, r.TimePerIteration, r.SequentialTimePerIteration, r.AllocatedTbps)
 	}
 	return b.String()
 }

@@ -487,18 +487,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 			buf = wire.AppendTakeover(buf, t)
 		}
 		if pc.shard == successor {
-			for start := 0; start < len(replica) || start == 0; start += wire.MaxFlowStateEntries {
-				end := min(start+wire.MaxFlowStateEntries, len(replica))
-				buf = wire.AppendFlowStateHeader(buf, epoch, seq, uint32(st.index), end-start)
-				for _, f := range replica[start:end] {
-					buf = wire.AppendFlowStateEntry(buf, wire.FlowStateEntry{
-						Flow: int64(f.ID), Src: int32(f.Src), Dst: int32(f.Dst), Weight: f.Weight,
-					})
-				}
-				if end == len(replica) {
-					break
-				}
-			}
+			buf = appendFlowStates(buf, epoch, seq, uint32(st.index), replica)
 		}
 		// The receiver acks every snapshot chunk, so count the chunks this
 		// bundle will produce for sendExchange to await. Snapshot chunks go
@@ -932,7 +921,7 @@ func (s *Server) foldExchangeLocked() {
 			st.pinLinks = st.pinLinks[:0]
 			st.pinVals = st.pinVals[:0]
 			for i, l := range m.links {
-				if l < 0 || int(l) >= st.numLinks || !st.servesLink(topology.LinkID(l), m.from) {
+				if l < 0 || int(l) >= st.numLinks || !st.servesLink(topology.LinkID(l), m.from) || !validPrice(m.vals[i]) {
 					s.stPeerRej.Add(1)
 					continue
 				}
@@ -961,7 +950,7 @@ func (s *Server) foldExchangeLocked() {
 			if l >= 0 && int(l) < st.numLinks {
 				pos = st.posOf[l]
 			}
-			if pos < 0 {
+			if pos < 0 || !finite(m.vals[i]) || !finite(m.hdiag[i]) {
 				s.stPeerRej.Add(1)
 				continue
 			}
@@ -992,6 +981,15 @@ func (s *Server) foldExchangeLocked() {
 		st.eng.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	}
 }
+
+// finite reports whether v is neither NaN nor infinite. Imported loads and
+// Hessians must be: one NaN folded into a link's price update makes the price
+// NaN, and through it every rate on the link, for good.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// validPrice reports whether v can be imported as a link price (a peer's
+// snapshot or a snapshot file): finite and non-negative, as NED keeps them.
+func validPrice(v float64) bool { return finite(v) && v >= 0 }
 
 // retainSnapshot merges a peer daemon's accepted prices into lastSnap,
 // re-baselining on reset. Called with the server mutex held.
@@ -1096,16 +1094,13 @@ func (s *Server) adoptLocked(dead int) {
 	adopted, failed := 0, 0
 	if rep != nil {
 		for _, e := range rep.flows {
-			id := core.FlowID(e.Flow)
-			if s.flows[id] != nil {
+			if s.flows[core.FlowID(e.Flow)] != nil {
 				continue
 			}
-			if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+			if err := s.admitUnownedLocked(e); err != nil {
 				failed++
 				continue
 			}
-			s.trackFlowLocked(id)
-			s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 			adopted++
 		}
 	}

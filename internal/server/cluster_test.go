@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // clusterTopo is a 4-rack fabric sharded in halves by the cluster tests.
@@ -222,6 +224,120 @@ func TestConnectPeerTimesOutOnSilentPeer(t *testing.T) {
 		}
 	case <-time.After(peerExchangeTimeout + 5*time.Second):
 		t.Fatal("ConnectPeer wedged past the handshake deadline")
+	}
+}
+
+// scriptedPeer plays shard 1 of a 2-shard cluster toward srv's inbound side
+// over net.Pipe: it completes the PeerHello handshake and returns a function
+// that writes one bundle (ending in a PriceSnapshotDelta) and waits for its
+// ack, by which point srv has queued the bundle for its next fold.
+func scriptedPeer(t *testing.T, srv *Server) func(bundle []byte) {
+	t.Helper()
+	conn, in := net.Pipe()
+	t.Cleanup(func() { conn.Close() })
+	go srv.ServeConn(in)
+	if _, err := conn.Write(wire.AppendPeerHello(nil, wire.PeerHello{Version: wire.Version, Shard: 1, NumShards: 2})); err != nil {
+		t.Fatal(err)
+	}
+	sc := wire.NewScanner(conn)
+	if typ, _, err := sc.Next(); err != nil || typ != wire.TypePeerHello {
+		t.Fatalf("peer handshake: %s, %v", typ, err)
+	}
+	return func(bundle []byte) {
+		t.Helper()
+		if _, err := conn.Write(bundle); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := sc.Next(); err != nil || typ != wire.TypeExchangeAck {
+			t.Fatalf("bundle ack: %s, %v", typ, err)
+		}
+	}
+}
+
+// TestPeerBoundaryValuesValidated is the regression test for non-finite
+// boundary values: a peer bundle carrying a NaN, infinite or negative price
+// and a non-finite load or Hessian must be refused entry by entry at the fold
+// (counted in PeerRejected), leaving every rate and price bit-identical to a
+// twin daemon that never saw the bundle. Folded, one NaN poisons the link's
+// price and every rate on it for good.
+func TestPeerBoundaryValuesValidated(t *testing.T) {
+	topo := clusterTopo(t)
+	var srvs [2]*Server
+	var clis [2]*transport.AllocClient
+	var peers [2]func([]byte)
+	for i := range srvs {
+		srv, err := New(Config{Topology: topo, NumShards: 2, ShardIndex: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs[i], clis[i], peers[i] = srv, pipeClient(t, srv, 1), scriptedPeer(t, srv)
+	}
+	own := srvs[0].shard.boundary                 // shard 0's downlinks: the peer's digest covers them
+	remote := srvs[0].shard.smap.BoundaryLinks(1) // shard 1's: the peer's snapshot prices them
+	links := func(ls []topology.LinkID) []uint32 {
+		out := make([]uint32, 3)
+		for i := range out {
+			out[i] = uint32(ls[i])
+		}
+		return out
+	}
+	valid := wire.AppendPriceDigestDelta(nil, 0, 1, false, links(own), []float64{2e9, 3e9, 4e9}, []float64{-1e9, -2e9, -3e9})
+	valid = wire.AppendPriceSnapshotDelta(valid, 0, 0, 1, false, links(remote), []float64{1.5, 0.5, 2})
+	bad := wire.AppendPriceDigestDelta(nil, 0, 1, false, links(own), []float64{math.NaN(), 3e9, math.Inf(-1)}, []float64{-1e9, math.Inf(1), -3e9})
+	bad = wire.AppendPriceSnapshotDelta(bad, 0, 0, 1, false, links(remote), []float64{math.NaN(), -1, math.Inf(1)})
+
+	for i, cli := range clis {
+		// Cross-rack flows of shard 0, onto both shards' downlinks.
+		for f, ep := range [][2]int{{0, 4}, {1, 5}, {2, 0}, {3, 1}, {0, 2}} {
+			if err := cli.FlowletStart(core.FlowID(f+1), ep[0], ep[1], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peers[i](valid)
+	}
+	allLinks := make([]topology.LinkID, topo.NumLinks())
+	for i := range allLinks {
+		allLinks[i] = topology.LinkID(i)
+	}
+	prices := func(srv *Server) []float64 {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		out := make([]float64, len(allLinks))
+		srv.eng.LinkPrices(allLinks, out)
+		return out
+	}
+	for round := 0; round < 60; round++ {
+		if round == 20 {
+			peers[0](bad)
+		}
+		if round%10 == 5 {
+			peers[0](valid)
+			peers[1](valid)
+		}
+		for _, cli := range clis {
+			if _, err := cli.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, got := srvs[1].Rates(), srvs[0].Rates()
+		for id, w := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(w) || math.IsNaN(w) {
+				t.Fatalf("round %d flow %d: rate %v, twin %v", round, id, got[id], w)
+			}
+		}
+		wantP, gotP := prices(srvs[1]), prices(srvs[0])
+		for l := range wantP {
+			if math.Float64bits(gotP[l]) != math.Float64bits(wantP[l]) {
+				t.Fatalf("round %d link %d: price %v, twin %v", round, l, gotP[l], wantP[l])
+			}
+		}
+	}
+	if got := srvs[0].Stats().PeerRejected; got != 6 {
+		t.Fatalf("PeerRejected = %d, want the 6 invalid entries", got)
+	}
+	if got := srvs[1].Stats().PeerRejected; got != 0 {
+		t.Fatalf("twin PeerRejected = %d, want 0", got)
 	}
 }
 

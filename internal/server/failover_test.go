@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // startDaemon builds one unsharded step-driven daemon over boundaryTopo-like
@@ -268,6 +270,30 @@ func TestRestoreRequiresEmptyDaemon(t *testing.T) {
 	}
 	if err := srv.Restore(snap); err == nil {
 		t.Fatal("Restore into a non-empty daemon accepted")
+	}
+}
+
+// TestRestoreRejectsInvalidPrices pins Restore's price check: a snapshot
+// whose PriceSnapshot carries a NaN, infinite or negative price is refused
+// instead of seeding a link the dual ascent could never recover.
+func TestRestoreRejectsInvalidPrices(t *testing.T) {
+	topo := failoverTopo(t)
+	src, _ := startDaemon(t, topo)
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, price := range []float64{math.NaN(), math.Inf(1), -1} {
+		bad := wire.AppendPriceSnapshotHeader(append([]byte(nil), snap...), 1, 0, 0, 1)
+		bad = wire.AppendSnapshotEntry(bad, wire.SnapshotEntry{Link: 0, Price: price})
+		dst, err := New(Config{Topology: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Restore(bad); err == nil {
+			t.Errorf("Restore accepted link price %v", price)
+		}
+		dst.Close()
 	}
 }
 

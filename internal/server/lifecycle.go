@@ -64,22 +64,9 @@ func (s *Server) Snapshot() ([]byte, error) {
 
 // snapshotLocked encodes the snapshot with s.mu held.
 func (s *Server) snapshotLocked() []byte {
-	flows := s.eng.LiveFlows()
 	epoch := s.Epoch()
 	shard := uint32(s.cfg.ShardIndex)
-	var buf []byte
-	for start := 0; start < len(flows) || start == 0; start += wire.MaxFlowStateEntries {
-		end := min(start+wire.MaxFlowStateEntries, len(flows))
-		buf = wire.AppendFlowStateHeader(buf, epoch, s.seq, shard, end-start)
-		for _, f := range flows[start:end] {
-			buf = wire.AppendFlowStateEntry(buf, wire.FlowStateEntry{
-				Flow: int64(f.ID), Src: int32(f.Src), Dst: int32(f.Dst), Weight: f.Weight,
-			})
-		}
-		if end == len(flows) {
-			break
-		}
-	}
+	buf := appendFlowStates(nil, epoch, s.seq, shard, s.eng.LiveFlows())
 	links := make([]topology.LinkID, s.cfg.Topology.NumLinks())
 	for i := range links {
 		links[i] = topology.LinkID(i)
@@ -96,6 +83,39 @@ func (s *Server) snapshotLocked() []byte {
 		}
 	}
 	return buf
+}
+
+// appendFlowStates encodes flows as FlowState chunks of at most
+// wire.MaxFlowStateEntries entries — always at least one, so an empty flow
+// set is one empty chunk. It is the one encoder of the flow registry, for
+// snapshots and peer replicas alike.
+func appendFlowStates(buf []byte, epoch, seq uint64, shard uint32, flows []core.ParallelFlow) []byte {
+	for start := 0; ; start += wire.MaxFlowStateEntries {
+		end := min(start+wire.MaxFlowStateEntries, len(flows))
+		buf = wire.AppendFlowStateHeader(buf, epoch, seq, shard, end-start)
+		for _, f := range flows[start:end] {
+			buf = wire.AppendFlowStateEntry(buf, wire.FlowStateEntry{
+				Flow: int64(f.ID), Src: int32(f.Src), Dst: int32(f.Dst), Weight: f.Weight,
+			})
+		}
+		if end == len(flows) {
+			return buf
+		}
+	}
+}
+
+// admitUnownedLocked re-admits one flow of a snapshot or a peer replica as an
+// unowned registration: in the engine, in the flow table, and in the index a
+// reconnecting client's bare add claims it from without engine churn. It is
+// the one admission path of Restore and adoptLocked.
+func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) error {
+	id := core.FlowID(e.Flow)
+	if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+		return err
+	}
+	s.trackFlowLocked(id)
+	s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
+	return nil
 }
 
 // Restore loads a snapshot produced by Snapshot (or Shutdown) into a fresh
@@ -132,12 +152,9 @@ func (s *Server) Restore(snap []byte) error {
 			}
 			for i := 0; i < fs.Len(); i++ {
 				e := fs.Entry(i)
-				id := core.FlowID(e.Flow)
-				if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+				if err := s.admitUnownedLocked(e); err != nil {
 					return fmt.Errorf("server: restore flowlet %d: %w", e.Flow, err)
 				}
-				s.trackFlowLocked(id)
-				s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 			}
 		case wire.TypePriceSnapshot:
 			ps, err := wire.DecodePriceSnapshot(payload)
@@ -151,6 +168,9 @@ func (s *Server) Restore(snap []byte) error {
 				e := ps.Entry(i)
 				if int(e.Link) >= numLinks {
 					return fmt.Errorf("server: restore: link %d out of range", e.Link)
+				}
+				if !validPrice(e.Price) {
+					return fmt.Errorf("server: restore: link %d price %g is not finite and non-negative", e.Link, e.Price)
 				}
 				links = append(links, topology.LinkID(e.Link))
 				prices = append(prices, e.Price)

@@ -39,13 +39,15 @@ type Config struct {
 	Interval time.Duration
 	// Blocks selects the multicore engine: when positive, the daemon runs
 	// the FlowBlock/LinkBlock parallel allocator with Blocks rack blocks
-	// (must be a power of two dividing the rack count). Zero selects the
-	// sequential allocator. Either engine composes with NumShards: a
-	// sharded daemon with Blocks > 0 spans cores within its shard while
-	// exchanging boundary prices with its peers.
+	// (must be a power of two dividing the rack count): Blocks² FlowBlocks
+	// run on min(Blocks², GOMAXPROCS) workers, the loop's own goroutine
+	// being one. Zero selects the sequential allocator. Either engine
+	// composes with NumShards: a sharded daemon with Blocks > 0 spans cores
+	// within its shard while exchanging boundary prices with its peers.
 	Blocks int
-	// PinWorkers pins the parallel engine's workers to NUMA sockets and
-	// first-touches their merge accumulators node-locally. Only meaningful
+	// PinWorkers pins the parallel engine's worker goroutines (all but the
+	// iterating one) to NUMA sockets and first-touches their merge
+	// accumulators node-locally. Only meaningful
 	// with Blocks > 0 and a binary built with the `numa` tag on linux
 	// (a no-op otherwise; see internal/affinity).
 	PinWorkers bool
