@@ -432,7 +432,9 @@ func leafSpineAllocator(b *testing.B, flows int) *flowtune.Allocator {
 // flow against problem size — the per-link work over 3 072 links is the serial
 // part that dominates at 1k —, fattree-k16 is the scaling experiment's
 // 1 024-host fat-tree, where 94% of the routes are 6 links rather than 4 (the
-// row the kernels' 6-link arm answers to), and the blocks=N rows are the
+// row the kernels' 6-link arm answers to; fattree-k16/blocks=1 is the same
+// problem on the one-block multicore engine every daemon runs, the scaling
+// sweep's flows-* cells), and the blocks=N rows are the
 // multicore engine on the same leaf-spine flows — blocks=1 is one FlowBlock
 // run by the calling goroutine (one worker, no goroutine) with the sequential
 // engine's kernels, the row that says what replacing core.Allocator with it
@@ -478,6 +480,28 @@ func BenchmarkAllocatorIterate(b *testing.B) {
 			}
 		}
 		benchIterate(b, flows, func() { alloc.Iterate() })
+	})
+	b.Run("fattree-k16/blocks=1/flows=10k", func(b *testing.B) {
+		const flows = 10000
+		topo, err := flowtune.NewFatTree(flowtune.FatTreeConfig{K: 16, LinkCapacity: 10e9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pa, err := flowtune.NewParallelAllocator(flowtune.ParallelAllocatorConfig{
+			Topology: topo, Blocks: 1, Gamma: 0.4, Headroom: 0.01, Normalize: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pa.Close()
+		if err := pa.SetFlows(experiments.RandomFlows(topo.NumServers(), flows, rand.New(rand.NewSource(1)))); err != nil {
+			b.Fatal(err)
+		}
+		var ups []flowtune.RateUpdate
+		benchIterate(b, flows, func() {
+			pa.Iterate()
+			ups = pa.AppendUpdates(0.01, ups[:0])
+		})
 	})
 	for _, c := range []struct{ blocks, flows int }{
 		{1, 1000}, {1, 10000}, {1, 100000},

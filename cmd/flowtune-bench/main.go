@@ -63,8 +63,6 @@ func main() {
 	diff := flag.String("diff", "",
 		"compare BENCH_<name>.json files in this directory against the -baseline directory and fail on normalized-FCT p99 regressions, then exit")
 	baseline := flag.String("baseline", ".", "baseline directory for -diff")
-	engine := flag.String("engine", "",
-		"override the scenario's allocator engine: \"sequential\" or \"parallel\" (daemon scenarios only; the parallel engine needs a power-of-two block count dividing the rack count, so full-size 9-rack scenarios require -short or a scenario with its own fabric)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -99,7 +97,7 @@ func main() {
 			names = experiments.ScenarioNames()
 		}
 		for _, name := range names {
-			if err := runScenario(strings.TrimSpace(name), *short, *seed, *outDir, *engine); err != nil {
+			if err := runScenario(strings.TrimSpace(name), *short, *seed, *outDir); err != nil {
 				log.Fatalf("scenario %s: %v", name, err)
 			}
 		}
@@ -244,28 +242,10 @@ func diffDirs(freshDir, baseDir string) error {
 }
 
 // runScenario executes one named scenario and writes its BENCH_<name>.json.
-// engine optionally overrides the scenario's allocator engine; overridden
-// runs are for ad-hoc measurement and CI smoke, not for regenerating the
-// committed baselines (which record each scenario's own engine choice).
-func runScenario(name string, short bool, seed int64, outDir, engine string) error {
+func runScenario(name string, short bool, seed int64, outDir string) error {
 	cfg, err := experiments.NamedScenario(name, short, seed)
 	if err != nil {
 		return err
-	}
-	switch engine {
-	case "":
-		// Keep the scenario's own engine.
-	case "sequential":
-		cfg.Blocks = 0
-	case "parallel":
-		if !cfg.Daemon {
-			return fmt.Errorf("-engine parallel requires a daemon scenario; %s runs the allocator in process", name)
-		}
-		if cfg.Blocks == 0 {
-			cfg.Blocks = 2
-		}
-	default:
-		return fmt.Errorf("unknown -engine %q (want \"sequential\" or \"parallel\")", engine)
 	}
 	res, err := experiments.RunScenario(cfg)
 	if err != nil {

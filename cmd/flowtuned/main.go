@@ -7,11 +7,12 @@
 // a flowlet start is answered in one iteration, not after one tick — and
 // otherwise at least every -interval, which keeps the optimizer converging
 // between arrivals (clients may also drive iterations explicitly with Step
-// frames, which deterministic test harnesses use). -blocks switches the engine from the sequential NED
-// allocator to the FlowBlock/LinkBlock multicore allocator, whose blocks²
-// FlowBlocks run on min(blocks², GOMAXPROCS) workers; on a NUMA
-// machine, a `numa`-tagged build additionally accepts -pin to bind the
-// workers to sockets. Loop latency percentiles and update counters are
+// frames, which deterministic test harnesses use). The allocator is the
+// FlowBlock/LinkBlock multicore one: -blocks sets its rack-block count
+// (default 1, which runs on the loop's goroutine alone), whose blocks²
+// FlowBlocks run on min(blocks², GOMAXPROCS) workers; on a NUMA machine, a
+// `numa`-tagged build additionally accepts -pin to bind the workers to
+// sockets. Loop latency percentiles and update counters are
 // logged every -stats-every.
 //
 // A cluster of daemons shares the fabric with -shard i/N: each daemon owns
@@ -75,11 +76,11 @@ func run(args []string, out io.Writer) error {
 	serversPerRack := fs.Int("servers-per-rack", 16, "servers per rack")
 	spines := fs.Int("spines", 4, "spine switches")
 	capacity := fs.Float64("capacity", 10e9, "link capacity in bits/s")
-	gamma := fs.Float64("gamma", 0, "NED step size (0 selects the engine default)")
+	gamma := fs.Float64("gamma", 0.4, "NED step size (0 means 0.4)")
 	threshold := fs.Float64("threshold", 0.01, "rate-update notification threshold")
 	interval := fs.Duration("interval", time.Millisecond, "longest gap between iterations; arrivals iterate at once (0 = step-driven only)")
-	blocks := fs.Int("blocks", 0, "rack blocks for the multicore engine (0 = sequential): blocks² FlowBlocks on min(blocks², GOMAXPROCS) workers; composes with -shard for multicore shards")
-	pin := fs.Bool("pin", false, "pin the multicore engine's worker goroutines to NUMA sockets (requires -blocks and a `numa`-tagged build; no-op otherwise)")
+	blocks := fs.Int("blocks", 1, "rack blocks of the allocator (0 means 1; more needs a power of two dividing -racks): blocks² FlowBlocks on min(blocks², GOMAXPROCS) workers; composes with -shard for multicore shards")
+	pin := fs.Bool("pin", false, "pin the allocator's worker goroutines to NUMA sockets (requires -blocks > 1 and a `numa`-tagged build; no-op otherwise)")
 	shard := fs.String("shard", "", "shard assignment i/N: own shard i of an N-way rack partition (empty = unsharded)")
 	peers := fs.String("peers", "", "comma-separated addresses of the peer shard daemons, dialed with retry")
 	takeover := fs.Bool("takeover", false, "replicate flow state to peers and adopt a dead peer's rack block (requires -shard)")
@@ -190,8 +191,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "flowtuned: listening on %s (%d servers, interval %v, engine %s, epoch %d%s)\n",
-		ln.Addr(), topo.NumServers(), *interval, engineName(*blocks), *epoch, shardName(shardIndex, numShards))
+	fmt.Fprintf(out, "flowtuned: listening on %s (%d servers, interval %v, blocks %d, epoch %d%s)\n",
+		ln.Addr(), topo.NumServers(), *interval, max(*blocks, 1), *epoch, shardName(shardIndex, numShards))
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -273,14 +274,6 @@ func gracefulShutdown(srv *server.Server, timeout time.Duration, snapPath string
 	}
 	fmt.Fprintf(out, "flowtuned: drained and shut down\n")
 	return nil
-}
-
-// engineName labels the configured engine for the startup line.
-func engineName(blocks int) string {
-	if blocks > 0 {
-		return fmt.Sprintf("parallel(%d blocks)", blocks)
-	}
-	return "sequential"
 }
 
 // shardName labels the shard assignment for the startup line.

@@ -13,8 +13,9 @@
 //
 //   - The rate allocator: NewAllocator (single core) and NewParallelAllocator
 //     (the FlowBlock/LinkBlock multicore design of §5 of the paper).
-//   - The networked daemon: NewDaemon hosts either allocator as a
-//     long-running service (flowtuned) that endpoints drive over a compact
+//   - The networked daemon: NewDaemon hosts the multicore allocator (one
+//     FlowBlock unless DaemonConfig.Blocks asks for more) as a long-running
+//     service (flowtuned) that endpoints drive over a compact
 //     binary wire protocol with DialDaemon/NewDaemonClient.
 //   - The optimization machinery: NED and the baseline algorithms (Gradient,
 //     FGM, Newton-like) plus the U-NORM/F-NORM normalizers, for use outside
@@ -97,7 +98,10 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) { return topology.NewFatTr
 // Allocator is the centralized flowlet rate allocator.
 type Allocator = core.Allocator
 
-// AllocatorConfig configures an Allocator.
+// AllocatorConfig configures an Allocator: its topology, NED's step size γ,
+// the notification threshold (also the capacity headroom) and the iteration
+// interval. The solver is always NED and the normalizer F-NORM; compare other
+// solvers and normalizers by calling them on a Problem directly.
 type AllocatorConfig = core.Config
 
 // FlowID identifies a flowlet registered with an allocator.

@@ -24,11 +24,10 @@ type Config struct {
 	UpdateThreshold float64
 	Interval        time.Duration
 	Epoch           uint64
-	// Blocks and PinWorkers select every daemon's engine (see
-	// server.Config): Blocks > 0 makes each shard a multicore daemon
-	// running the parallel allocator with that many rack blocks, and
-	// PinWorkers additionally pins its workers to NUMA sockets (numa-tag
-	// builds only). Zero keeps the sequential engine.
+	// Blocks and PinWorkers pass through to every daemon (see
+	// server.Config): Blocks is each daemon's rack-block count (0 means 1),
+	// so Blocks > 1 makes each shard span cores, and PinWorkers additionally
+	// pins its workers to NUMA sockets (numa-tag builds only).
 	Blocks     int
 	PinWorkers bool
 	// MaxSessionFlows, MaxFrameRate and IdleTimeout pass the per-session

@@ -40,10 +40,6 @@ type Config struct {
 	// over-utilized between notifications, the allocator reserves the same
 	// fraction of link capacity as headroom (§6.4).
 	UpdateThreshold float64
-	// Normalizer selects the normalization scheme. Nil means F-NORM.
-	Normalizer norm.Normalizer
-	// Solver selects the optimization algorithm. Nil means NED with Gamma.
-	Solver num.Solver
 	// IterationInterval is the wall-clock interval between allocator
 	// iterations in seconds (default 10 µs, §6.2). It is used to convert
 	// per-iteration update counts into traffic rates.
@@ -64,27 +60,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.UpdateThreshold < 0 || c.UpdateThreshold >= 1 {
 		return c, fmt.Errorf("core: UpdateThreshold must be in [0,1), got %g", c.UpdateThreshold)
 	}
-	if c.Normalizer == nil {
-		c.Normalizer = norm.NewFNorm()
-	}
-	if c.Solver == nil {
-		c.Solver = &num.NED{Gamma: c.Gamma}
-	}
 	if c.IterationInterval == 0 {
 		c.IterationInterval = 10e-6
 	}
 	return c, nil
-}
-
-// flowState is the part of a registered flowlet's bookkeeping that only churn
-// and LiveFlows read; what every iteration reads lives in the Allocator's
-// dense per-flow arrays.
-type flowState struct {
-	dst    int
-	weight float64
-	// size is the endpoint's flowlet-size hint in bytes (0 = unknown).
-	// Solvers ignore it today; it is kept for size-aware utilities.
-	size int64
 }
 
 // RateUpdate is one rate notification for an endpoint.
@@ -118,12 +97,15 @@ type TrafficStats struct {
 	Iterations int64
 }
 
-// Allocator is Flowtune's centralized rate allocator. It is not safe for
-// concurrent use; the multicore optimizer in ParallelAllocator parallelizes a
-// single logical iteration internally.
+// Allocator is Flowtune's centralized rate allocator: NED(γ) followed by
+// F-NORM over the whole fabric. It is not safe for concurrent use; the
+// multicore optimizer in ParallelAllocator parallelizes a single logical
+// iteration internally, and is what the flowtuned daemon runs.
 type Allocator struct {
-	cfg  Config
-	topo *topology.Topology
+	cfg   Config
+	topo  *topology.Topology
+	ned   num.NED
+	fnorm norm.FNorm
 
 	// freeRoutes recycles the route slices of ended flowlets (each of
 	// capacity topology.MaxRouteLinks) and util memoizes the boxed utility
@@ -138,11 +120,10 @@ type Allocator struct {
 
 	// Per-flow state, parallel slices in problem order: FlowletStart appends
 	// to all of them and FlowletEnd applies the problem's swap-delete to all
-	// of them, together with state.Rates. The notify filter reads only ids,
-	// srcs, normalized and lastNotified — 28 contiguous bytes per flow.
-	flows []flowState
-	ids   []FlowID
-	srcs  []int32
+	// of them, together with state.Rates. The notify filter reads ids, srcs,
+	// normalized and lastNotified — 28 contiguous bytes per flow.
+	ids  []FlowID
+	srcs []int32
 	// normalized is the rate Iterate most recently computed for the flow, 0
 	// until the first Iterate after its registration.
 	normalized []float64
@@ -177,6 +158,7 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	a := &Allocator{
 		cfg:                 cfg,
 		topo:                topo,
+		ned:                 num.NED{Gamma: cfg.Gamma},
 		indexByID:           make(map[FlowID]int),
 		effectiveCapacities: eff,
 	}
@@ -192,7 +174,7 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 func (a *Allocator) Config() Config { return a.cfg }
 
 // NumFlows returns the number of currently registered flowlets.
-func (a *Allocator) NumFlows() int { return len(a.flows) }
+func (a *Allocator) NumFlows() int { return len(a.ids) }
 
 // Stats returns a snapshot of accumulated control-traffic statistics.
 func (a *Allocator) Stats() TrafficStats { return a.stats }
@@ -205,13 +187,6 @@ func (a *Allocator) ResetStats() { a.stats = TrafficStats{} }
 // given weight (1 for plain proportional fairness). It corresponds to a
 // flowlet-start notification arriving at the allocator.
 func (a *Allocator) FlowletStart(id FlowID, src, dst int, weight float64) error {
-	return a.FlowletStartSized(id, src, dst, weight, 0)
-}
-
-// FlowletStartSized is FlowletStart carrying the endpoint's flowlet-size
-// hint in bytes (0 = unknown). The hint is recorded in the flow metadata and
-// surfaced by LiveFlows; it does not affect allocation.
-func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, size int64) error {
 	if _, ok := a.indexByID[id]; ok {
 		return fmt.Errorf("core: flowlet %d already registered", id)
 	}
@@ -233,8 +208,7 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 		a.freeRoutes = append(a.freeRoutes, links)
 		return fmt.Errorf("core: flowlet %d: %w", id, err)
 	}
-	a.indexByID[id] = len(a.flows)
-	a.flows = append(a.flows, flowState{dst: dst, weight: weight, size: size})
+	a.indexByID[id] = len(a.ids)
 	a.ids = append(a.ids, id)
 	a.srcs = append(a.srcs, int32(src))
 	a.normalized = append(a.normalized, 0)
@@ -252,6 +226,13 @@ func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, s
 	a.stats.StartNotifications++
 	a.stats.ToAllocatorBytes += FlowletStartBytes + perMessageOverheadBytes
 	return nil
+}
+
+// FlowletStartSized is FlowletStart carrying the endpoint's flowlet-size
+// hint in bytes (0 = unknown), which does not affect allocation and is not
+// stored.
+func (a *Allocator) FlowletStartSized(id FlowID, src, dst int, weight float64, _ int64) error {
+	return a.FlowletStart(id, src, dst, weight)
 }
 
 // admitWeight is both engines' admission rule for a flowlet's weight, which
@@ -280,9 +261,8 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 	if !ok {
 		return fmt.Errorf("core: flowlet %d is not registered", id)
 	}
-	last := len(a.flows) - 1
+	last := len(a.ids) - 1
 	if idx != last {
-		a.flows[idx] = a.flows[last]
 		a.ids[idx] = a.ids[last]
 		a.srcs[idx] = a.srcs[last]
 		a.normalized[idx] = a.normalized[last]
@@ -290,7 +270,6 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 		a.state.Rates[idx] = a.state.Rates[last]
 		a.indexByID[a.ids[idx]] = idx
 	}
-	a.flows = a.flows[:last]
 	a.ids = a.ids[:last]
 	a.srcs = a.srcs[:last]
 	a.normalized = a.normalized[:last]
@@ -304,26 +283,6 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 	a.stats.EndNotifications++
 	a.stats.ToAllocatorBytes += FlowletEndBytes + perMessageOverheadBytes
 	return nil
-}
-
-// HasFlow reports whether a flowlet is currently registered.
-func (a *Allocator) HasFlow(id FlowID) bool {
-	_, ok := a.indexByID[id]
-	return ok
-}
-
-// LiveFlows returns the registered flowlets in the allocator's internal
-// order — the canonical order rates are reported in. Replaying the result
-// through FlowletStart on a fresh allocator with the same configuration
-// reproduces this allocator's flow and CSR layout exactly, which is what
-// flow-state snapshots and shard takeover rely on (see internal/server).
-// The record type is shared with ParallelAllocator.LiveFlows.
-func (a *Allocator) LiveFlows() []ParallelFlow {
-	out := make([]ParallelFlow, len(a.flows))
-	for i, f := range a.flows {
-		out[i] = ParallelFlow{ID: a.ids[i], Src: int(a.srcs[i]), Dst: f.dst, Weight: f.weight, SizeHint: f.size}
-	}
-	return out
 }
 
 // SetLinkCapacity replaces one link's raw capacity with immediate effect:
@@ -359,15 +318,15 @@ func (a *Allocator) Failed() bool { return a.failed }
 // rate updates that would be sent to endpoints this iteration. The returned
 // slice is reused across calls and is only valid until the next call.
 func (a *Allocator) Iterate() []RateUpdate {
-	if a.failed || len(a.flows) == 0 {
+	if a.failed || len(a.ids) == 0 {
 		return nil
 	}
 	a.stats.Iterations++
-	a.cfg.Solver.Step(&a.problem, a.state)
+	a.ned.Step(&a.problem, a.state)
 	// The step's rate update summed exactly the link loads normalization
 	// needs; hand them over instead of walking every route a second time.
-	loads, _ := a.cfg.Solver.LastLoads()
-	a.normalized = a.cfg.Normalizer.NormalizeLoads(&a.problem, a.state.Rates, loads, a.normalized)
+	loads, _ := a.ned.LastLoads()
+	a.normalized = a.fnorm.NormalizeLoads(&a.problem, a.state.Rates, loads, a.normalized)
 
 	// The notify filter is its own pass over two dense float arrays — fusing
 	// it into the normalizer's CSR sweep measured slower — and touches ids and
@@ -397,8 +356,8 @@ func appendSignificant(buf []RateUpdate, ids []FlowID, srcs []int32, rates, last
 
 // SignificantRateChange reports whether a rate change from old to new
 // exceeds the relative notification threshold. It is the single definition
-// of the update-suppression rule (§6.4), shared by this allocator and the
-// daemon's engines so they can never drift apart.
+// of the update-suppression rule (§6.4), shared by this allocator and
+// ParallelAllocator so they can never drift apart.
 func SignificantRateChange(old, new, threshold float64) bool {
 	if old == 0 {
 		return new != 0
@@ -449,7 +408,7 @@ func (a *Allocator) State() *num.State { return a.state }
 // OverAllocation returns the total amount by which the optimizer's raw
 // (pre-normalization) rates exceed link capacities, in bits per second.
 func (a *Allocator) OverAllocation() float64 {
-	if len(a.flows) == 0 {
+	if len(a.ids) == 0 {
 		return 0
 	}
 	return num.OverAllocation(&a.problem, a.state.Rates)

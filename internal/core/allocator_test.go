@@ -43,9 +43,6 @@ func TestNewAllocatorValidation(t *testing.T) {
 	if cfg.Gamma != 0.4 || cfg.UpdateThreshold != 0.01 || cfg.IterationInterval != 10e-6 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if cfg.Normalizer == nil || cfg.Normalizer.Name() != "F-NORM" {
-		t.Error("default normalizer should be F-NORM")
-	}
 }
 
 func TestFlowletLifecycle(t *testing.T) {
@@ -56,13 +53,13 @@ func TestFlowletLifecycle(t *testing.T) {
 	if err := a.FlowletStart(1, 0, 17, 1); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if !a.HasFlow(1) || a.NumFlows() != 1 {
+	if _, ok := a.Rates()[1]; !ok || a.NumFlows() != 1 {
 		t.Error("flow not registered")
 	}
 	if err := a.FlowletEnd(1); err != nil {
 		t.Fatal(err)
 	}
-	if a.HasFlow(1) || a.NumFlows() != 0 {
+	if _, ok := a.Rates()[1]; ok || a.NumFlows() != 0 {
 		t.Error("flow not removed")
 	}
 	if err := a.FlowletEnd(1); err == nil {
@@ -284,15 +281,18 @@ func TestIterateWithNoFlows(t *testing.T) {
 	}
 }
 
+// TestUNormAllocatorStillFeasible checks U-NORM, run on the allocator's raw
+// NED rates in place of its F-NORM, also yields a feasible allocation.
 func TestUNormAllocatorStillFeasible(t *testing.T) {
-	a := newTestAllocator(t, Config{Normalizer: norm.NewUNorm()})
+	a := newTestAllocator(t, Config{})
 	for id := 1; id <= 5; id++ {
 		_ = a.FlowletStart(FlowID(id), id, 100, 1)
 	}
 	for i := 0; i < 50; i++ {
 		a.Iterate()
 	}
-	loads := num.LinkLoads(a.Problem(), normalizedRates(a), nil)
+	rates := norm.NewUNorm().Normalize(a.Problem(), a.State().Rates, nil)
+	loads := num.LinkLoads(a.Problem(), rates, nil)
 	for l, load := range loads {
 		capacity := a.Config().Topology.Link(topology.LinkID(l)).Capacity
 		if load > capacity*1.0001 {
@@ -325,7 +325,7 @@ func TestRateUnknownFlow(t *testing.T) {
 
 // TestAllocatorChurnIndexConsistency drives randomized FlowletStart and
 // FlowletEnd churn and asserts that after every swap-delete the compiled CSR
-// index, the allocator's indexByID map, its flowState slice, and the solver's
+// index, the allocator's indexByID map, its dense per-flow arrays, and the solver's
 // Rates slice stay mutually consistent: every registered ID maps to the slot
 // holding its flow, whose compiled route matches the problem's route.
 func TestAllocatorChurnIndexConsistency(t *testing.T) {
@@ -334,12 +334,13 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 	numServers := a.Config().Topology.NumServers()
 	nextID := FlowID(1)
 	var live []FlowID
+	dsts := make(map[FlowID]int)
 
 	check := func() {
 		t.Helper()
-		if len(a.flows) != len(a.indexByID) || a.NumFlows() != len(a.problem.Flows) {
+		if len(dsts) != len(a.indexByID) || a.NumFlows() != len(a.problem.Flows) {
 			t.Fatalf("size mismatch: %d flows, %d ids, %d problem flows",
-				len(a.flows), len(a.indexByID), len(a.problem.Flows))
+				len(dsts), len(a.indexByID), len(a.problem.Flows))
 		}
 		if n := a.NumFlows(); len(a.ids) != n || len(a.srcs) != n || len(a.normalized) != n || len(a.lastNotified) != n {
 			t.Fatalf("dense arrays out of step with %d flows: %d ids, %d srcs, %d normalized, %d lastNotified",
@@ -358,7 +359,7 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 			}
 			// The compiled route must match both the problem's route slice
 			// and the topology's route for the flow's endpoints.
-			want, err := a.Config().Topology.Route(int(a.srcs[idx]), a.flows[idx].dst, int(id))
+			want, err := a.Config().Topology.Route(int(a.srcs[idx]), dsts[id], int(id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,12 +387,14 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live, nextID)
+			dsts[nextID] = dst
 			nextID++
 		} else {
 			i := rng.Intn(len(live))
 			if err := a.FlowletEnd(live[i]); err != nil {
 				t.Fatal(err)
 			}
+			delete(dsts, live[i])
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}

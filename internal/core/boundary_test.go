@@ -6,6 +6,10 @@ import (
 	"repro/internal/topology"
 )
 
+// The boundary hooks at one block, the daemon's default layout, where every
+// fabric link sits in block 0's two LinkBlocks; parallel_boundary_test.go
+// covers them across 2 and 4 blocks.
+
 // boundaryTopo is a 2-rack fabric small enough to reason about link
 // ownership by hand.
 func boundaryTopo(t *testing.T) *topology.Topology {
@@ -19,14 +23,23 @@ func boundaryTopo(t *testing.T) *topology.Topology {
 	return topo
 }
 
+// newOneBlock builds a one-block allocator without normalization, so Rates
+// are the raw NED rates the digest sums.
+func newOneBlock(t *testing.T, topo *topology.Topology) *ParallelAllocator {
+	t.Helper()
+	pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pa.Close)
+	return pa
+}
+
 // TestBoundaryDigestMatchesLoads checks the exported digest equals the loads
 // of the rates the last Iterate produced, and is all zeros while idle.
 func TestBoundaryDigestMatchesLoads(t *testing.T) {
 	topo := boundaryTopo(t)
-	a, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newOneBlock(t, topo)
 	links := make([]topology.LinkID, topo.NumLinks())
 	for i := range links {
 		links[i] = topology.LinkID(i)
@@ -55,7 +68,7 @@ func TestBoundaryDigestMatchesLoads(t *testing.T) {
 	for _, l := range route {
 		onPath[l] = true
 	}
-	raw := a.RawRates()[1]
+	raw := a.Rates()[1]
 	if raw <= 0 {
 		t.Fatalf("raw rate = %g", raw)
 	}
@@ -89,15 +102,8 @@ func TestBoundaryDigestMatchesLoads(t *testing.T) {
 // it restores headroom.
 func TestExternalLoadsThrottleSharedLink(t *testing.T) {
 	topo := boundaryTopo(t)
-	alone, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []*Allocator{alone, shared} {
+	alone, shared := newOneBlock(t, topo), newOneBlock(t, topo)
+	for _, a := range []*ParallelAllocator{alone, shared} {
 		if err := a.FlowletStart(1, 0, 3, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +121,7 @@ func TestExternalLoadsThrottleSharedLink(t *testing.T) {
 		alone.Iterate()
 		shared.Iterate()
 	}
-	ra, rs := alone.Rate(1), shared.Rate(1)
+	ra, rs := alone.Rates()[1], shared.Rates()[1]
 	if rs >= ra/1.5 {
 		t.Fatalf("external congestion barely throttled the flow: alone %g, shared %g", ra, rs)
 	}
@@ -124,7 +130,7 @@ func TestExternalLoadsThrottleSharedLink(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		shared.Iterate()
 	}
-	if got := shared.Rate(1); got < 0.9*ra {
+	if got := shared.Rates()[1]; got < 0.9*ra {
 		t.Fatalf("after clearing external load rate = %g, want ≈ %g", got, ra)
 	}
 }
@@ -133,10 +139,7 @@ func TestExternalLoadsThrottleSharedLink(t *testing.T) {
 // the very next iteration and survives local price updates.
 func TestPinPricesAppliesImmediately(t *testing.T) {
 	topo := boundaryTopo(t)
-	a, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newOneBlock(t, topo)
 	if err := a.FlowletStart(1, 0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestPinPricesAppliesImmediately(t *testing.T) {
 	}
 	// A pinned path price of ≥ 40 caps the raw rate near w/40.
 	w := topo.Config().LinkCapacity
-	if raw := a.RawRates()[1]; raw > w/40 {
+	if raw := a.Rates()[1]; raw > w/40 {
 		t.Fatalf("raw rate %g exceeds w/pinned-price %g", raw, w/40)
 	}
 }
@@ -164,10 +167,7 @@ func TestPinPricesAppliesImmediately(t *testing.T) {
 // updates afterwards — the adopting daemon's seeding semantics.
 func TestUnpinPricesReturnsLinkToLocalControl(t *testing.T) {
 	topo := boundaryTopo(t)
-	a, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newOneBlock(t, topo)
 	if err := a.FlowletStart(1, 0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,7 @@ func TestUnpinPricesReturnsLinkToLocalControl(t *testing.T) {
 		t.Fatalf("price after unpinning = %g, want < 40 (local control)", prices[0])
 	}
 	// UnpinPrices before any PinPrices is a no-op, not a panic.
-	fresh, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.UnpinPrices(down)
+	newOneBlock(t, topo).UnpinPrices(down)
 }
 
 // TestSeedPricesWarmRestartByteEquivalence is the core of the daemon's warm
@@ -209,10 +205,7 @@ func TestUnpinPricesReturnsLinkToLocalControl(t *testing.T) {
 // because NED rates are a pure function of prices and flow order.
 func TestSeedPricesWarmRestartByteEquivalence(t *testing.T) {
 	topo := boundaryTopo(t)
-	orig, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := newOneBlock(t, topo)
 	flows := []struct {
 		id       FlowID
 		src, dst int
@@ -236,11 +229,9 @@ func TestSeedPricesWarmRestartByteEquivalence(t *testing.T) {
 	prices := make([]float64, len(links))
 	orig.LinkPrices(links, prices)
 
-	// Restore onto a fresh allocator.
-	warm, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Restore onto a fresh allocator, one FlowletStart per flow as the
+	// daemon's restore does.
+	warm := newOneBlock(t, topo)
 	for _, f := range live {
 		if err := warm.FlowletStart(f.ID, f.Src, f.Dst, f.Weight); err != nil {
 			t.Fatal(err)
@@ -252,7 +243,7 @@ func TestSeedPricesWarmRestartByteEquivalence(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		orig.Iterate()
 		warm.Iterate()
-		ro, rw := orig.RawRates(), warm.RawRates()
+		ro, rw := orig.Rates(), warm.Rates()
 		for id, r := range ro {
 			if rw[id] != r {
 				t.Fatalf("iter %d flow %d: warm rate %v != original %v", i, id, rw[id], r)

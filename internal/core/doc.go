@@ -1,15 +1,17 @@
 // Package core implements Flowtune's centralized flowlet allocator (§2 of
 // the paper): it receives flowlet start and end notifications from endpoints,
 // runs the NED optimizer over the current flow set, normalizes the resulting
-// rates with F-NORM (or U-NORM), and produces rate updates for endpoints,
+// rates with F-NORM, and produces rate updates for endpoints,
 // notifying them only when a flow's rate changes by more than a configurable
 // threshold (§6.4). The package also contains the FlowBlock/LinkBlock
 // multicore implementation of the optimizer (§5).
 //
 // The sequential Allocator is the engine behind the transport simulator's
-// Flowtune endpoints and the scenario runner in internal/experiments; the
-// ParallelAllocator reproduces the paper's multicore scaling study and is the
-// daemon's -blocks engine. They are one iteration over two data layouts: the
+// Flowtune endpoints and the scenario runner's in-process runs, and the
+// reference the ParallelAllocator is tested against; the ParallelAllocator
+// reproduces the paper's multicore scaling study and is the only engine the
+// flowtuned daemon runs (one FlowBlock unless -blocks asks for more). They
+// are one iteration over two data layouts: the
 // Allocator runs num's and norm's kernels (rate update, NED price step, link
 // ratios, F-NORM sweep) on the fabric's link space, the ParallelAllocator runs
 // the same functions per FlowBlock on a local link space — a standalone
@@ -22,9 +24,9 @@
 // workers each run a contiguous Morton run of them, the goroutine calling
 // Iterate being worker 0, and meet at one sense-reversing spin-then-park
 // barrier between phases — so with one worker no goroutine exists. Both
-// share one admission rule for flowlet weights (admitWeight), one notify
-// filter (appendSignificant) and one boundary API for the sharded exchange
-// (boundary.go, parallel_boundary.go), and both maintain their flow sets
+// share one admission rule for flowlet weights (admitWeight) and one notify
+// filter (appendSignificant); the boundary API of the sharded exchange
+// (parallel_boundary.go) is the ParallelAllocator's alone. Both maintain their flow sets
 // incrementally — FlowletStart and FlowletEnd are O(route length) operations
 // on a CSR index with swap-delete holes compacted amortizedly — so the
 // per-iteration cost is independent of churn history. See ARCHITECTURE.md,

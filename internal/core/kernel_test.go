@@ -238,11 +238,11 @@ func TestAllocatorKernelEquivalence(t *testing.T) {
 						pinVals = append(pinVals, 4*rng.Float64())
 					}
 				}
-				a.SetExternalLoads(extLinks, extLoads, extHdiag)
+				seqSetExternalLoads(a, extLinks, extLoads, extHdiag)
 				for i, l := range extLinks {
 					ref.ext[l], ref.extH[l] = extLoads[i], extHdiag[i]
 				}
-				a.PinPrices(pinLinks, pinVals)
+				seqPinPrices(a, pinLinks, pinVals)
 				for i, l := range pinLinks {
 					ref.pins[l], ref.prices[l] = pinVals[i], pinVals[i]
 				}
@@ -286,7 +286,7 @@ func TestAllocatorKernelEquivalence(t *testing.T) {
 
 					got := a.Iterate()
 					want := ref.iterate()
-					loads, hdiag := a.cfg.Solver.LastLoads()
+					loads, hdiag := a.ned.LastLoads()
 					floatsBitEqual(t, "raw rates", a.state.Rates, ref.rates)
 					floatsBitEqual(t, "loads", loads, ref.loads)
 					floatsBitEqual(t, "hdiag", hdiag, ref.hdiag)

@@ -563,8 +563,12 @@ func (p *ParallelAllocator) Close() {
 
 // Iterate runs one parallel NED iteration (rate update, aggregation, price
 // update, distribution, and optionally F-NORM), the calling goroutine acting
-// as worker 0, and returns once every worker has finished.
+// as worker 0, and returns once every worker has finished. With no flows
+// loaded it returns at once: prices neither advance nor decay while idle.
 func (p *ParallelAllocator) Iterate() {
+	if p.numFlows == 0 {
+		return
+	}
 	p.start()
 	p.phase.wait() // release the other workers into the iteration
 	p.iterateShare(p.shares[0])
@@ -731,6 +735,22 @@ func (p *ParallelAllocator) AppendUpdates(threshold float64, buf []RateUpdate) [
 		buf = appendSignificant(buf, fb.ids, fb.srcs, fb.rates, fb.lastNotified, threshold)
 	}
 	return buf
+}
+
+// Objective returns the NUM objective Σ U(x) over the rates computed by the
+// most recent Iterate: the log utility at the capacity-scaled weights the
+// solver runs on, 0 with no flows and -Inf while a rate is still zero, so
+// callers that serialize it must sanitize non-finite values. It walks the
+// dense per-FlowBlock arrays without allocating and may only be called while
+// no Iterate is in flight.
+func (p *ParallelAllocator) Objective() float64 {
+	sum := 0.0
+	for _, fb := range p.fbs {
+		for i := range fb.ids {
+			sum += num.LogUtility{W: fb.csr.Weights[i]}.Value(fb.rates[i])
+		}
+	}
+	return sum
 }
 
 // Prices returns the authoritative link prices keyed by LinkID.

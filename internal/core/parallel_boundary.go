@@ -2,13 +2,15 @@ package core
 
 import "repro/internal/topology"
 
-// Boundary-exchange support for the multicore allocator: the same six hooks
-// core.Allocator exposes (see boundary.go), so a sharded daemon can run the
-// FlowBlock/LinkBlock engine and still participate in the cluster's
-// boundary-price exchange. Every fabric link lives in exactly one LinkBlock,
-// so each hook resolves its links through the dense owner lookup built at
-// construction and reads or writes block-local state directly — there is no
-// global price or load array.
+// Boundary-exchange support: a sharded allocator cluster runs one allocator
+// per shard over the full fabric but only its own flows. The six hooks below
+// are the shard-side half of the price exchange — importing remote demand and
+// prices, exporting local demand and prices — that the flowtuned daemon drives
+// at iteration boundaries (see internal/server and internal/cluster), and the
+// warm-restart half of its snapshots. Every fabric link lives in exactly one
+// LinkBlock, so each hook resolves its links through the dense owner lookup
+// built at construction and reads or writes block-local state directly —
+// there is no global price or load array.
 //
 // Like the allocator's other mutators, these may only be called while no
 // Iterate is in flight; the daemon calls them at iteration boundaries.
@@ -119,8 +121,8 @@ func (p *ParallelAllocator) writeLocalPrice(l topology.LinkID, price float64) {
 // most recent Iterate's aggregation rounds — the payload of an outgoing
 // PriceDigestDelta. The owner FlowBlocks' accumulators hold exactly the local
 // flows' sums (external loads are folded in only at the price update, never
-// into the accumulators), so the exported bytes match the sequential
-// engine's digest bit for bit on the same flow set. With no registered flows
+// into the accumulators), so the exported bytes match the loads of a
+// sequential NED step bit for bit on the same flow set. With no registered flows
 // the digest is all zeros (an idle shard puts no load on anyone's links), as
 // it is for links outside every LinkBlock.
 func (p *ParallelAllocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
@@ -144,9 +146,9 @@ func (p *ParallelAllocator) BoundaryDigest(links []topology.LinkID, loads, hdiag
 
 // LinkPrices fills prices (parallel to links) with the current price of each
 // link — the payload of an outgoing PriceSnapshot for links this shard owns.
-// Links outside every LinkBlock report their initial price of 1: the
-// multicore allocator never prices them (no flow it admits can traverse
-// them), where the sequential engine would decay such idle links toward 0.
+// Links outside every LinkBlock (allocator uplinks) report their initial
+// price of 1: no flow the allocator admits can traverse them, so it never
+// prices them (a sequential NED step would decay them toward 0).
 func (p *ParallelAllocator) LinkPrices(links []topology.LinkID, prices []float64) {
 	for i, l := range links {
 		if lb := p.ownerLB[l]; lb != nil {

@@ -43,11 +43,12 @@ func downLinks(t *testing.T, topo *topology.Topology, n int) []topology.LinkID {
 	return out
 }
 
-// TestParallelBoundaryBitIdenticalToSequential is the tentpole equivalence
+// TestParallelBoundaryBitIdenticalToSequential is the multi-block equivalence
 // check: on block-local traffic, a ParallelAllocator with external loads and
 // pinned prices applied through the boundary API must produce exactly the
-// sequential Allocator's rates, digests, and prices — the property that keeps
-// a multicore shard's wire bytes bit-identical to a sequential shard's.
+// sequential Allocator's rates, digests, and prices, with the same imports
+// written on its num.Problem — the property that keeps a multicore shard's
+// wire bytes independent of its block count.
 func TestParallelBoundaryBitIdenticalToSequential(t *testing.T) {
 	for _, blocks := range []int{2, 4} {
 		checkBoundaryBitIdentical(t, blocks)
@@ -73,8 +74,8 @@ func checkBoundaryBitIdentical(t *testing.T, blocks int) {
 	pinVals := []float64{7.25, 3.5}
 
 	// Gamma and Headroom mirror the sequential defaults (0.4 and the 0.01
-	// update-threshold headroom) — the same pairing the daemon's
-	// parallelEngine uses — so the two engines solve the identical problem.
+	// update-threshold headroom) — the pairing server.New passes — so the
+	// two engines solve the identical problem.
 	pa, err := NewParallelAllocator(ParallelConfig{
 		Topology: topo, Blocks: blocks, Gamma: 0.4, Headroom: 0.01, Normalize: true,
 	})
@@ -100,8 +101,8 @@ func checkBoundaryBitIdentical(t *testing.T, blocks int) {
 			t.Fatal(err)
 		}
 	}
-	seqRef.SetExternalLoads(extLinks, extLoads, extHdiag)
-	seqRef.PinPrices(pinLinks, pinVals)
+	seqSetExternalLoads(seqRef, extLinks, extLoads, extHdiag)
+	seqPinPrices(seqRef, pinLinks, pinVals)
 
 	for i := 0; i < 40; i++ {
 		seqRef.Iterate()
@@ -124,7 +125,7 @@ func checkBoundaryBitIdentical(t *testing.T, blocks int) {
 	wantHd := make([]float64, len(allLinks))
 	gotLoads := make([]float64, len(allLinks))
 	gotHd := make([]float64, len(allLinks))
-	seqRef.BoundaryDigest(allLinks, wantLoads, wantHd)
+	seqDigest(seqRef, allLinks, wantLoads, wantHd)
 	pa.BoundaryDigest(allLinks, gotLoads, gotHd)
 	for i := range allLinks {
 		if gotLoads[i] != wantLoads[i] || gotHd[i] != wantHd[i] {
@@ -132,13 +133,11 @@ func checkBoundaryBitIdentical(t *testing.T, blocks int) {
 				blocks, i, gotLoads[i], gotHd[i], wantLoads[i], wantHd[i])
 		}
 	}
-	wantPrices := make([]float64, len(allLinks))
 	gotPrices := make([]float64, len(allLinks))
-	seqRef.LinkPrices(allLinks, wantPrices)
 	pa.LinkPrices(allLinks, gotPrices)
 	for i := range allLinks {
-		if gotPrices[i] != wantPrices[i] {
-			t.Fatalf("blocks=%d link %d: price %v != sequential %v", blocks, i, gotPrices[i], wantPrices[i])
+		if want := seqRef.state.Prices[i]; gotPrices[i] != want {
+			t.Fatalf("blocks=%d link %d: price %v != sequential %v", blocks, i, gotPrices[i], want)
 		}
 	}
 }

@@ -301,6 +301,41 @@ func TestParallelIterateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestParallelIterateIdle pins the idle skip: with no flows loaded, Iterate
+// returns at once — every price bit stays put even under external load that
+// a real price update would act on — and allocates nothing.
+func TestParallelIterateIdle(t *testing.T) {
+	topo := parallelTestTopo(t, 8)
+	pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 2, Normalize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Close()
+	flows := randomParallelFlows(topo.NumServers(), 50, 6)
+	if err := pa.SetFlows(flows); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		pa.Iterate()
+	}
+	for _, f := range flows {
+		if err := pa.FlowletEnd(f.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ext := downLinks(t, topo, 2)
+	pa.SetExternalLoads(ext, []float64{20e9, 20e9}, []float64{-1e9, -1e9})
+	before := pa.Prices()
+	if avg := testing.AllocsPerRun(20, pa.Iterate); avg != 0 {
+		t.Errorf("idle Iterate allocates %.1f objects, want 0", avg)
+	}
+	for l, p := range pa.Prices() {
+		if math.Float64bits(p) != math.Float64bits(before[l]) {
+			t.Fatalf("idle Iterate moved link %d's price %v → %v", l, before[l], p)
+		}
+	}
+}
+
 func TestBarrier(t *testing.T) {
 	b := newBarrier(3)
 	done := make(chan int, 3)

@@ -86,12 +86,11 @@ type ScenarioConfig struct {
 	// fabric's rack count. Runs stay deterministic: shards are stepped in
 	// order and every exchange push is delivery-acknowledged.
 	Shards int
-	// Blocks, when > 0, runs every daemon on the FlowBlock/LinkBlock
-	// multicore engine with that many rack blocks (a power of two dividing
-	// the fabric's rack count) instead of the sequential allocator.
-	// Requires Daemon; composes with Shards, so a scenario can model a
-	// cluster of multicore shards. Determinism is unaffected — the
-	// parallel allocator's merge tree is a fixed reduction order.
+	// Blocks is every daemon's rack-block count (0 means 1; more needs a
+	// power of two dividing the fabric's rack count). Requires Daemon;
+	// composes with Shards, so a scenario can model a cluster of multicore
+	// shards. Determinism is unaffected — the parallel allocator's merge
+	// tree is a fixed reduction order.
 	Blocks int
 	// ChaosKillStep, when > 0, kills one daemon of the sharded cluster at
 	// that allocator step (1-based), exercising the survivable control
@@ -889,7 +888,7 @@ var namedScenarios = map[string]scenarioSpec{
 		},
 	},
 	"sharded-multicore": {
-		about: "the incast scenario on a sharded cluster of multicore daemons (parallel engine + boundary exchange)",
+		about: "the incast scenario on a sharded cluster of multicore daemons (2+ rack blocks each + boundary exchange)",
 		build: func(short bool) ScenarioConfig {
 			cfg := incastScenario(short)
 			cfg.Name = "sharded-multicore"
@@ -900,7 +899,7 @@ var namedScenarios = map[string]scenarioSpec{
 				// into 2 FlowBlock columns.
 				cfg.Blocks = 2
 			} else {
-				// The parallel engine needs a power-of-two block count
+				// More than one block needs a power-of-two block count
 				// dividing the racks, which the paper's 9-rack fabric is
 				// not; run the full-size variant on 8 racks.
 				base := topology.DefaultSimConfig()

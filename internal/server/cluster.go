@@ -105,7 +105,7 @@ const peerExchangeTimeout = 2 * time.Second
 type shardState struct {
 	smap     *topology.ShardMap
 	index    int
-	eng      engine
+	alloc    *core.ParallelAllocator
 	numLinks int
 	takeover bool
 	interval time.Duration
@@ -140,7 +140,7 @@ type shardState struct {
 	announce []wire.Takeover
 
 	// Latest digest from each peer, dense over boundary; extLoad/extHdiag
-	// are the sums handed to the engine after each fold.
+	// are the sums handed to the allocator after each fold.
 	peerLoad  map[uint32][]float64
 	peerHdiag map[uint32][]float64
 	extLoad   []float64
@@ -176,7 +176,7 @@ type shardState struct {
 
 // newShardState validates the sharded configuration and prepares the
 // exchange state.
-func newShardState(cfg Config, eng engine) (*shardState, error) {
+func newShardState(cfg Config, alloc *core.ParallelAllocator) (*shardState, error) {
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.NumShards {
 		return nil, fmt.Errorf("server: ShardIndex %d out of range for %d shards", cfg.ShardIndex, cfg.NumShards)
 	}
@@ -187,7 +187,7 @@ func newShardState(cfg Config, eng engine) (*shardState, error) {
 	st := &shardState{
 		smap:        smap,
 		index:       cfg.ShardIndex,
-		eng:         eng,
+		alloc:       alloc,
 		numLinks:    cfg.Topology.NumLinks(),
 		takeover:    cfg.Takeover,
 		interval:    cfg.Interval,
@@ -221,7 +221,7 @@ func newShardState(cfg Config, eng engine) (*shardState, error) {
 
 // ownsFlow reports whether a flowlet from src belongs to a shard this daemon
 // currently serves (its own, plus any adopted by takeover). Out-of-range
-// servers pass through so the engine rejects them with its own clearer
+// servers pass through so the allocator rejects them with its own clearer
 // error. Called with the server mutex held.
 func (st *shardState) ownsFlow(src, dst int) bool {
 	if src < 0 || src >= st.smap.Topology().NumServers() {
@@ -441,7 +441,7 @@ func (s *Server) Peers() []int {
 
 // buildExchangeLocked encodes this iteration's digest+snapshot bundle for
 // every connected peer and returns the peers to push to, in shard order.
-// Called with s.mu (engine state) and shard.sendMu held.
+// Called with s.mu (allocator state) and shard.sendMu held.
 func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	st := s.shard
 	st.pmu.Lock()
@@ -455,7 +455,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].shard < peers[j].shard })
 
-	st.eng.LinkPrices(st.boundary, st.snapPrices)
+	st.alloc.LinkPrices(st.boundary, st.snapPrices)
 	epoch := s.Epoch()
 	// Takeover mode: replicate this daemon's live flows to its successor in
 	// every bundle, so the successor always holds the state it would need to
@@ -463,7 +463,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	var replica []core.ParallelFlow
 	successor := -1
 	if st.takeover {
-		replica = s.eng.LiveFlows()
+		replica = s.alloc.LiveFlows()
 		successor = st.successorOf(st.index)
 	}
 	announce := st.announce
@@ -476,7 +476,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 		}
 		loads := st.digestLoads[:len(remote)]
 		hdiag := st.digestHdiag[:len(remote)]
-		st.eng.BoundaryDigest(remote, loads, hdiag)
+		st.alloc.BoundaryDigest(remote, loads, hdiag)
 		buf := pc.appendDigestDelta(pc.buf[:0], seq, uint32(st.index), remote, loads, hdiag)
 		exchBytes := len(buf)
 		if st.takeover {
@@ -870,7 +870,7 @@ func (st *shardState) enqueueSnapshotDelta(sn wire.PriceSnapshotDelta) {
 	st.inMu.Unlock()
 }
 
-// foldExchangeLocked folds pending peer bundles into the engine. Called with
+// foldExchangeLocked folds pending peer bundles into the allocator. Called with
 // s.mu held, before flowlet events are drained. Step-driven daemons apply
 // only bundles stamped at or before their own completed iteration count, so
 // a bundle from iteration k lands at iteration k+1 on every shard no matter
@@ -929,7 +929,7 @@ func (s *Server) foldExchangeLocked() {
 				st.pinVals = append(st.pinVals, m.vals[i])
 			}
 			if len(st.pinLinks) > 0 {
-				st.eng.PinPrices(st.pinLinks, st.pinVals)
+				st.alloc.PinPrices(st.pinLinks, st.pinVals)
 			}
 			if len(st.pinLinks) > 0 || m.reset {
 				st.retainSnapshot(m.from, st.pinLinks, st.pinVals, m.reset)
@@ -978,7 +978,7 @@ func (s *Server) foldExchangeLocked() {
 				st.extHdiag[i] += hdiag[i]
 			}
 		}
-		st.eng.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
+		st.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	}
 }
 
@@ -1117,8 +1117,8 @@ func (s *Server) adoptLocked(dead int) {
 		for i, l := range links {
 			prices[i] = rec[l]
 		}
-		st.eng.SeedPrices(links, prices)
-		st.eng.UnpinPrices(links)
+		st.alloc.SeedPrices(links, prices)
+		st.alloc.UnpinPrices(links)
 	}
 	delete(st.lastSnap, uint32(dead))
 	for x := range st.servedBy {
@@ -1150,7 +1150,7 @@ func (st *shardState) numServedLocked() int {
 // contribution arrays are remapped by LinkID onto the new layout — links
 // present in both keep their imported values, which keeps peers' delta
 // digests (whose omitted entries mean "unchanged") correct across the
-// rebuild. The engine-visible external loads are zeroed exactly as before:
+// rebuild. The allocator-visible external loads are zeroed exactly as before:
 // the next fold re-sums them from the remapped arrays, and in step-driven
 // runs every live peer's bundle arrives before that fold, so the remapped
 // values are fully refreshed before they are ever summed.
@@ -1189,7 +1189,7 @@ func (st *shardState) rebuildBoundaryLocked() {
 	st.extHdiag = make([]float64, len(b))
 	st.snapPrices = make([]float64, len(b))
 	clear(st.remoteLinks)
-	st.eng.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
+	st.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	st.markResyncPeers()
 }
 

@@ -304,7 +304,7 @@ func TestPeerBoundaryValuesValidated(t *testing.T) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		out := make([]float64, len(allLinks))
-		srv.eng.LinkPrices(allLinks, out)
+		srv.alloc.LinkPrices(allLinks, out)
 		return out
 	}
 	for round := 0; round < 60; round++ {

@@ -7,15 +7,14 @@
 // a burst at a time: what one Read brought in, which is what an endpoint
 // wrote in one Flush, is published under one lock hold and never split
 // across iterations — and folded into the optimizer only at iteration
-// boundaries; each iteration
-// runs one NED step plus normalization and fans the resulting rate updates
-// back out to the sessions that registered the flows. The optimizer sits
-// behind the engine interface (engine.go), which lists exactly the methods the
-// daemon calls: core.Allocator satisfies it as it is (plus a no-op Close), and
-// core.ParallelAllocator — selected by Config.Blocks — with the one Iterate
-// that differs, an idle skip and AppendUpdates. An add the engine refuses (no
-// route, a weight that is not finite) is counted in Stats.RejectedAdds and
-// logged, never folded in.
+// boundaries; each iteration runs one NED step plus F-NORM on the daemon's
+// one engine, a core.ParallelAllocator with Config.Blocks rack blocks (one by
+// default, which runs on the loop's goroutine alone), and fans the rate updates
+// its notify filter (AppendUpdates) reports back out to the sessions that
+// registered the flows. The same allocator answers the sharded exchange's
+// boundary hooks, snapshots and the flight recorder. An add the allocator
+// refuses (no route, a weight that is not finite) is counted in
+// Stats.RejectedAdds and logged, never folded in.
 //
 // Iterations are driven two ways. With Config.Interval set, one loop
 // goroutine free-runs: it iterates on arrival, the moment a session publishes

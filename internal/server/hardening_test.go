@@ -71,7 +71,7 @@ func TestMaxSessionFlowsRejectsExcessAdds(t *testing.T) {
 	}
 }
 
-// hasFlow checks engine registration (test helper).
+// hasFlow checks allocator registration (test helper).
 func (s *Server) hasFlow(id core.FlowID) bool {
 	_, ok := s.Rates()[id]
 	return ok
@@ -233,12 +233,12 @@ func TestBumpEpochNotifiesClient(t *testing.T) {
 
 // TestNonFiniteWeightRejected pins the admission rule at the daemon's edge: a
 // FlowletAdd frame's weight is outside input, and one NaN used to turn every
-// rate on the flow's links into NaN for good. The engine (either one) refuses
-// it, the daemon counts the refusal, and the flows sharing the link keep
-// finite rates.
+// rate on the flow's links into NaN for good. The allocator (at any block
+// count) refuses it, the daemon counts the refusal, and the flows sharing the
+// link keep finite rates.
 func TestNonFiniteWeightRejected(t *testing.T) {
 	topo := testTopology(t)
-	for name, blocks := range map[string]int{"sequential": 0, "parallel": 2} {
+	for name, blocks := range map[string]int{"default": 0, "parallel": 2} {
 		t.Run(name, func(t *testing.T) {
 			srv, cli, _ := startWatchedDaemon(t, Config{Topology: topo, Blocks: blocks})
 			for id, weight := range map[core.FlowID]float64{1: 1, 2: 1, 3: math.NaN()} {

@@ -13,7 +13,7 @@ import (
 // This file implements the daemon's survivable-restart lifecycle: graceful
 // drain, flow-state snapshots, and warm restore. The snapshot format reuses
 // the wire protocol — a concatenation of FlowState chunks (the live flowlet
-// registry in canonical engine order) and PriceSnapshot chunks (every link's
+// registry in canonical allocator order) and PriceSnapshot chunks (every link's
 // current price) — so the same bytes serve as an on-disk drain artifact and
 // as the peer replica pushed inside exchange bundles. Restoring replays the
 // flows through the ordinary registration path and seeds (not pins) the
@@ -49,7 +49,7 @@ func (s *Server) Draining() bool {
 func (s *Server) Closed() bool { return s.isClosed() }
 
 // Snapshot serializes the daemon's allocator state: its live flowlet
-// registry (FlowState chunks, canonical engine order) and every link's
+// registry (FlowState chunks, canonical allocator order) and every link's
 // current price (PriceSnapshot chunks). The result feeds Restore on a
 // replacement daemon for a warm restart that continues the dual ascent in
 // place.
@@ -66,13 +66,13 @@ func (s *Server) Snapshot() ([]byte, error) {
 func (s *Server) snapshotLocked() []byte {
 	epoch := s.Epoch()
 	shard := uint32(s.cfg.ShardIndex)
-	buf := appendFlowStates(nil, epoch, s.seq, shard, s.eng.LiveFlows())
+	buf := appendFlowStates(nil, epoch, s.seq, shard, s.alloc.LiveFlows())
 	links := make([]topology.LinkID, s.cfg.Topology.NumLinks())
 	for i := range links {
 		links[i] = topology.LinkID(i)
 	}
 	prices := make([]float64, len(links))
-	s.eng.LinkPrices(links, prices)
+	s.alloc.LinkPrices(links, prices)
 	for start := 0; start < len(links); start += wire.MaxSnapshotEntries {
 		end := min(start+wire.MaxSnapshotEntries, len(links))
 		buf = wire.AppendPriceSnapshotHeader(buf, epoch, s.seq, shard, end-start)
@@ -105,12 +105,12 @@ func appendFlowStates(buf []byte, epoch, seq uint64, shard uint32, flows []core.
 }
 
 // admitUnownedLocked re-admits one flow of a snapshot or a peer replica as an
-// unowned registration: in the engine, in the flow table, and in the index a
-// reconnecting client's bare add claims it from without engine churn. It is
+// unowned registration: in the allocator, in the flow table, and in the index a
+// reconnecting client's bare add claims it from without allocator churn. It is
 // the one admission path of Restore and adoptLocked.
 func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) error {
 	id := core.FlowID(e.Flow)
-	if err := s.eng.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+	if err := s.alloc.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
 		return err
 	}
 	s.trackFlowLocked(id)
@@ -120,10 +120,10 @@ func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) error {
 
 // Restore loads a snapshot produced by Snapshot (or Shutdown) into a fresh
 // daemon: flows are re-admitted in their original order as unowned
-// registrations — a reconnecting client claims them without engine churn via
+// registrations — a reconnecting client claims them without allocator churn via
 // the adoption path — and prices are seeded so the dual ascent continues
 // where it stopped. It must be called before any client events are folded
-// in (an engine with registered flows refuses the restore). The iteration
+// in (an allocator with registered flows refuses the restore). The iteration
 // counter resumes from the snapshot's.
 func (s *Server) Restore(snap []byte) error {
 	s.mu.Lock()
@@ -131,8 +131,8 @@ func (s *Server) Restore(snap []byte) error {
 	if s.closed {
 		return net.ErrClosed
 	}
-	if s.eng.NumFlows() != 0 || len(s.inbox) != 0 {
-		return fmt.Errorf("server: restore requires an empty daemon (%d flows, %d pending events)", s.eng.NumFlows(), len(s.inbox))
+	if s.alloc.NumFlows() != 0 || len(s.inbox) != 0 {
+		return fmt.Errorf("server: restore requires an empty daemon (%d flows, %d pending events)", s.alloc.NumFlows(), len(s.inbox))
 	}
 	var seq uint64
 	buf := snap
@@ -175,14 +175,14 @@ func (s *Server) Restore(snap []byte) error {
 				links = append(links, topology.LinkID(e.Link))
 				prices = append(prices, e.Price)
 			}
-			s.eng.SeedPrices(links, prices)
+			s.alloc.SeedPrices(links, prices)
 		default:
 			return fmt.Errorf("server: restore: unexpected %s frame", typ)
 		}
 		buf = rest
 	}
 	s.seq = seq
-	s.logf("restored %d flowlets at iteration %d", s.eng.NumFlows(), seq)
+	s.logf("restored %d flowlets at iteration %d", s.alloc.NumFlows(), seq)
 	return nil
 }
 

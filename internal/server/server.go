@@ -23,7 +23,7 @@ type Config struct {
 	// Topology is the fabric the allocator schedules. Required.
 	Topology *topology.Topology
 	// Gamma is NED's step size (default 0.4, matching the in-process
-	// allocator; the parallel engine defaults to 1 when Blocks > 0).
+	// allocator).
 	Gamma float64
 	// UpdateThreshold is the relative rate-change notification threshold
 	// (default 0.01). The same fraction of link capacity is withheld as
@@ -37,19 +37,19 @@ type Config struct {
 	// the loop: iterations then run only when a client sends a Step frame,
 	// which is what deterministic end-to-end runs use.
 	Interval time.Duration
-	// Blocks selects the multicore engine: when positive, the daemon runs
-	// the FlowBlock/LinkBlock parallel allocator with Blocks rack blocks
-	// (must be a power of two dividing the rack count): Blocks² FlowBlocks
-	// run on min(Blocks², GOMAXPROCS) workers, the loop's own goroutine
-	// being one. Zero selects the sequential allocator. Either engine
-	// composes with NumShards: a sharded daemon with Blocks > 0 spans cores
-	// within its shard while exchanging boundary prices with its peers.
+	// Blocks is the rack-block count of the daemon's FlowBlock/LinkBlock
+	// allocator (default 1): Blocks² FlowBlocks run on min(Blocks²,
+	// GOMAXPROCS) workers, the loop's own goroutine being one. More than one
+	// block needs a power of two dividing the rack count of a two-tier
+	// fabric; one block runs any fabric. It composes with NumShards: a
+	// multi-block shard spans cores while exchanging boundary prices with
+	// its peers.
 	Blocks int
-	// PinWorkers pins the parallel engine's worker goroutines (all but the
+	// PinWorkers pins the allocator's worker goroutines (all but the
 	// iterating one) to NUMA sockets and first-touches their merge
-	// accumulators node-locally. Only meaningful
-	// with Blocks > 0 and a binary built with the `numa` tag on linux
-	// (a no-op otherwise; see internal/affinity).
+	// accumulators node-locally. Only meaningful with more than one worker
+	// and a binary built with the `numa` tag on linux (a no-op otherwise;
+	// see internal/affinity).
 	PinWorkers bool
 	// Epoch identifies this allocator generation in the Hello/Welcome
 	// handshake (default 1). Restarting operators should bump it so
@@ -76,8 +76,7 @@ type Config struct {
 	// ShardIndex of a NumShards-way rack partition of Topology (see
 	// topology.ShardMap), accepts only flowlets whose source servers it
 	// owns, and exchanges boundary prices with its peers (Server.ConnectPeer)
-	// at every iteration boundary. 0 runs the daemon unsharded. Sharding
-	// works with both engines — set Blocks > 0 to run a multicore shard.
+	// at every iteration boundary. 0 runs the daemon unsharded.
 	NumShards int
 	// ShardIndex is this daemon's shard in [0, NumShards).
 	ShardIndex int
@@ -120,7 +119,7 @@ type Stats struct {
 	ArrivalIterations int64
 	// DuplicateAdds and UnknownEnds count events dropped at the
 	// iteration boundary because the flow was already (or not)
-	// registered; RejectedAdds count adds the engine refused (bad route,
+	// registered; RejectedAdds count adds the allocator refused (bad route,
 	// non-finite weight).
 	DuplicateAdds int64
 	UnknownEnds   int64
@@ -141,7 +140,7 @@ type Stats struct {
 	PeerExchanges int64
 	PeerRejected  int64
 	// AdoptedFlows counts flowlets whose ownership was transferred without
-	// engine churn: restored (or replica-seeded) flows claimed by a
+	// allocator churn: restored (or replica-seeded) flows claimed by a
 	// reconnecting client's re-registration.
 	AdoptedFlows int64
 	// Takeovers counts dead peer shards this daemon adopted.
@@ -187,7 +186,7 @@ type flowMeta struct {
 type flowRec struct {
 	id core.FlowID
 	// owner is the session that registered the flow and receives its rates;
-	// nil for a flow that lives in the engine without one (restored from a
+	// nil for a flow that lives in the allocator without one (restored from a
 	// snapshot, seeded from a peer replica, or left by a session that
 	// disconnected mid-drain). ownIdx is the record's slot in owner.owned.
 	owner  *session
@@ -227,9 +226,9 @@ type event struct {
 // are folded in between iterations" design), and fans rate updates back out
 // to the sessions that registered the flows.
 type Server struct {
-	cfg  Config
-	eng  engine
-	loop *metrics.LoopRecorder
+	cfg   Config
+	alloc *core.ParallelAllocator
+	loop  *metrics.LoopRecorder
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -237,22 +236,23 @@ type Server struct {
 	// still mid-handshake, so Close can unblock their readers.
 	conns map[net.Conn]struct{}
 	// flows is the flow table: one record per flowlet registered with the
-	// engine, owned or not.
+	// allocator, owned or not.
 	flows map[core.FlowID]*flowRec
 	// freeRecs recycles the records of retired flowlets, so steady-state
 	// churn allocates none.
 	freeRecs []*flowRec
 	// unowned holds the registration metadata of flows that live in the
-	// engine without an owning session (restored from a snapshot or seeded
+	// allocator without an owning session (restored from a snapshot or seeded
 	// from a peer replica), so a reconnecting client's re-registration can
-	// be verified and adopted without engine churn.
+	// be verified and adopted without allocator churn.
 	unowned map[core.FlowID]flowMeta
 	// inbox holds the flowlet events published since the last iteration;
 	// sessions append to it a burst at a time (publish).
 	inbox []event
-	// fanning is iterate's scratch: the sessions whose pmu the running
-	// fan-out pass holds.
+	// fanning and updates are iterate's scratch: the sessions whose pmu the
+	// running fan-out pass holds, and the allocator's rate updates.
 	fanning  []*session
+	updates  []core.RateUpdate
 	seq      uint64 // iteration counter
 	closed   bool
 	draining bool
@@ -323,19 +323,26 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSessionFlows < 0 || cfg.MaxFrameRate < 0 || cfg.IdleTimeout < 0 {
 		return nil, fmt.Errorf("server: session limits must be non-negative")
 	}
-	var eng engine
-	var err error
-	if cfg.Blocks > 0 {
-		eng, err = newParallelEngine(cfg)
-	} else {
-		eng, err = newCoreEngine(cfg)
+	if cfg.Gamma == 0 {
+		cfg.Gamma = 0.4
 	}
+	if cfg.Blocks == 0 {
+		cfg.Blocks = 1
+	}
+	alloc, err := core.NewParallelAllocator(core.ParallelConfig{
+		Topology:   cfg.Topology,
+		Blocks:     cfg.Blocks,
+		Gamma:      cfg.Gamma,
+		Headroom:   cfg.UpdateThreshold,
+		Normalize:  true,
+		PinWorkers: cfg.PinWorkers,
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
-		eng:      eng,
+		alloc:    alloc,
 		loop:     metrics.NewLoopRecorder(metrics.DefaultLoopWindow),
 		sessions: make(map[*session]struct{}),
 		conns:    make(map[net.Conn]struct{}),
@@ -345,13 +352,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.epoch.Store(cfg.Epoch)
 	if cfg.NumShards > 0 {
-		s.shard, err = newShardState(cfg, eng)
+		s.shard, err = newShardState(cfg, alloc)
 		if err != nil {
-			eng.Close()
+			alloc.Close()
 			return nil, err
 		}
 	} else if cfg.NumShards < 0 || cfg.ShardIndex != 0 {
-		eng.Close()
+		alloc.Close()
 		return nil, fmt.Errorf("server: invalid shard configuration %d/%d", cfg.ShardIndex, cfg.NumShards)
 	}
 	if cfg.Interval > 0 {
@@ -428,7 +435,7 @@ func (s *Server) BumpEpoch(epoch uint64) error {
 func (s *Server) NumFlows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.NumFlows()
+	return s.alloc.NumFlows()
 }
 
 // Iterations returns the number of allocator iterations run so far.
@@ -473,26 +480,27 @@ func (s *Server) Stats() Stats {
 }
 
 // SetLinkCapacity changes one fabric link's raw capacity in the daemon's
-// engine. It serializes with the iteration loop under the server mutex, so a
-// call between steps of a step-driven daemon lands at an exact iteration
-// boundary and the very next Iterate re-prices the link — no engine rebuild,
-// no flow churn. Closed daemons reject the call so a cluster-wide broadcast
-// can skip dead shards explicitly.
+// allocator. It serializes with the iteration loop under the server mutex, so
+// a call between steps of a step-driven daemon lands at an exact iteration
+// boundary and the very next Iterate re-prices the link — no allocator
+// rebuild, no flow churn. An allocator uplink is in no LinkBlock, so no flow
+// crosses it and changing it is an error. Closed daemons reject the call so a
+// cluster-wide broadcast can skip dead shards explicitly.
 func (s *Server) SetLinkCapacity(l topology.LinkID, capacity float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return net.ErrClosed
 	}
-	return s.eng.SetLinkCapacity(l, capacity)
+	return s.alloc.SetLinkCapacity(l, capacity)
 }
 
-// Rates returns the engine's current rates keyed by flow ID (a diagnostic
+// Rates returns the allocator's current rates keyed by flow ID (a diagnostic
 // mirror of core.Allocator.Rates).
 func (s *Server) Rates() map[core.FlowID]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Rates()
+	return s.alloc.Rates()
 }
 
 // tickLoop is the free-running daemon's only iterator. It iterates on arrival
@@ -569,7 +577,7 @@ func (s *Server) isClosed() bool {
 }
 
 // Close shuts the daemon down: listeners stop accepting, sessions are torn
-// down, the ticker stops, and the engine is released. It is idempotent.
+// down, the ticker stops, and the allocator's workers are released. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -605,7 +613,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 
 	s.mu.Lock()
-	s.eng.Close()
+	s.alloc.Close()
 	s.mu.Unlock()
 	return nil
 }
@@ -1026,7 +1034,7 @@ func (sess *session) flushPending() bool {
 		sess.pending[i] = nil
 		rec.pendIdx = -1
 		// Skip flows whose rate is unchanged since this session's last sent
-		// value. The engine's own notification threshold already suppresses
+		// value. The allocator's own notification threshold already suppresses
 		// unchanged rates at the source, so this almost never fires in
 		// lossless mode — but quantization collapses nearby rates, and the
 		// shadow is what makes that cheap.
@@ -1086,7 +1094,7 @@ func fixedRateBytes(n int) int64 {
 // ---------------------------------------------------------------------------
 // The allocator loop
 
-// iterate runs one allocator iteration: drain the inbox, step the engine,
+// iterate runs one allocator iteration: drain the inbox, step the allocator,
 // and fan updates out. When stepper is non-nil the iteration was requested
 // by a Step frame and the stepper synchronously receives a reply batch
 // (possibly empty) echoing stepSeq with wire.StepReplyFlag set; updates owned
@@ -1114,7 +1122,9 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	s.drainInboxLocked()
 
 	start := time.Now()
-	updates := s.eng.Iterate()
+	s.alloc.Iterate()
+	s.updates = s.alloc.AppendUpdates(s.cfg.UpdateThreshold, s.updates[:0])
+	updates := s.updates
 	latency := time.Since(start)
 	s.seq++
 	seq := s.seq
@@ -1147,8 +1157,8 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 			owner.queue(rec, u.Rate)
 			continue
 		}
-		// Step replies keep the engine's update order and never consult the
-		// last-sent shadow — every update the engine surfaces reaches the
+		// Step replies keep the allocator's update order and never consult the
+		// last-sent shadow — every update the allocator surfaces reaches the
 		// stepping client, keeping step-driven runs (and the committed
 		// baselines) byte-identical. The rate supersedes anything still
 		// queued for asynchronous delivery (from interleaved ticker
@@ -1182,7 +1192,7 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// payload limit. Non-final chunks carry the iteration sequence
 		// (the client folds them in like asynchronous fan-out); only the
 		// final chunk — the only one of an empty reply — carries the
-		// step-reply barrier. Entries keep the engine's order: zigzag flow
+		// step-reply barrier. Entries keep the allocator's order: zigzag flow
 		// deltas cost one extra bit for unsorted IDs, never correctness.
 		reply = stepper.wbuf[:0]
 		for start := 0; start == 0 || start < len(entries); start += maxRateDeltaEntries {
@@ -1231,7 +1241,7 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 // flows).
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
 
-// drainInboxLocked folds pending flowlet events into the engine, in arrival
+// drainInboxLocked folds pending flowlet events into the allocator, in arrival
 // order, with duplicate/unknown defense — one flow-table lookup per event.
 // Called with s.mu held.
 func (s *Server) drainInboxLocked() {
@@ -1250,7 +1260,7 @@ func (s *Server) drainInboxLocked() {
 				// registration stands.
 				continue
 			}
-			if err := s.eng.FlowletEnd(ev.flow); err != nil {
+			if err := s.alloc.FlowletEnd(ev.flow); err != nil {
 				s.logf("flowlet %d end: %v", ev.flow, err)
 				continue
 			}
@@ -1259,9 +1269,9 @@ func (s *Server) drainInboxLocked() {
 		}
 		if rec != nil {
 			// Adoption without churn: a flow restored from a snapshot or
-			// seeded from a peer replica sits in the engine unowned. When a
+			// seeded from a peer replica sits in the allocator unowned. When a
 			// reconnecting client re-registers it with the same route and
-			// weight, ownership transfers in place — the engine never sees a
+			// weight, ownership transfers in place — the allocator never sees a
 			// retire/re-add pair, so prices and rates are undisturbed and a
 			// warm restart costs zero registrations.
 			meta, unowned := s.unowned[ev.flow]
@@ -1276,7 +1286,7 @@ func (s *Server) drainInboxLocked() {
 				}
 				// Same ID, different registration: the stored flow is stale.
 				// Retire it and fall through to a fresh registration.
-				if err := s.eng.FlowletEnd(ev.flow); err != nil {
+				if err := s.alloc.FlowletEnd(ev.flow); err != nil {
 					s.logf("flowlet %d stale-adopt end: %v", ev.flow, err)
 					continue
 				}
@@ -1315,7 +1325,7 @@ func (s *Server) drainInboxLocked() {
 			s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
 			continue
 		}
-		if err := s.eng.FlowletStartSized(ev.flow, ev.src, ev.dst, ev.weight, ev.size); err != nil {
+		if err := s.alloc.FlowletStartSized(ev.flow, ev.src, ev.dst, ev.weight, ev.size); err != nil {
 			s.stRejected.Add(1)
 			s.logf("flowlet %d add rejected: %v", ev.flow, err)
 			continue
@@ -1328,7 +1338,7 @@ func (s *Server) drainInboxLocked() {
 	s.inbox = s.inbox[:0]
 }
 
-// trackFlowLocked enters a flowlet just registered with the engine into the
+// trackFlowLocked enters a flowlet just registered with the allocator into the
 // flow table, unowned. Called with s.mu held.
 func (s *Server) trackFlowLocked(id core.FlowID) *flowRec {
 	var rec *flowRec
@@ -1342,7 +1352,7 @@ func (s *Server) trackFlowLocked(id core.FlowID) *flowRec {
 	return rec
 }
 
-// forgetFlowLocked drops a flowlet just retired from the engine: out of the
+// forgetFlowLocked drops a flowlet just retired from the allocator: out of the
 // flow table, out of its owner's set, and any undelivered rate withdrawn. That
 // leaves the record unreachable (only its owner's pending list ever holds it
 // outside s.mu), so it is recycled; callers must not touch it afterwards.

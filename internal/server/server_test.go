@@ -177,7 +177,8 @@ func TestDaemonParallelEngineMatchesInProcess(t *testing.T) {
 	pa, err := core.NewParallelAllocator(core.ParallelConfig{
 		Topology:  topo,
 		Blocks:    2,
-		Headroom:  0.01, // the daemon's default UpdateThreshold
+		Gamma:     0.4,  // the daemon's default Gamma
+		Headroom:  0.01, // and UpdateThreshold
 		Normalize: true,
 	})
 	if err != nil {
@@ -211,9 +212,6 @@ func TestDaemonParallelEngineMatchesInProcess(t *testing.T) {
 		}
 		if _, err := cli.Step(); err != nil {
 			t.Fatal(err)
-		}
-		if pa.NumFlows() == 0 {
-			continue
 		}
 		pa.Iterate()
 	}
@@ -641,27 +639,34 @@ func TestParallelEngineRejectsBadAdd(t *testing.T) {
 	}
 }
 
-// TestParallelEngineSteadyStateAllocs pins the daemon engine's hot loop: with
-// a stable flow set, Iterate (parallel NED step + update walk over the dense
-// per-block notification arrays) must not allocate.
+// TestParallelEngineSteadyStateAllocs pins the daemon's allocator step: with
+// a stable flow set, iterate's allocator half (parallel NED step + update walk
+// over the dense per-block notification arrays into the reused buffer) must
+// not allocate, at one block and at two.
 func TestParallelEngineSteadyStateAllocs(t *testing.T) {
 	topo := testTopology(t)
-	eng, err := newParallelEngine(Config{Topology: topo, Blocks: 2, UpdateThreshold: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < 64; i++ {
-		if err := eng.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
+	for _, blocks := range []int{0, 2} {
+		srv, err := New(Config{Topology: topo, Blocks: blocks})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Converge (and grow the reused update buffer to its working size).
-	for i := 0; i < 50; i++ {
-		eng.Iterate()
-	}
-	if allocs := testing.AllocsPerRun(100, func() { eng.Iterate() }); allocs != 0 {
-		t.Fatalf("steady-state Iterate allocates %.1f times per op; want 0", allocs)
+		defer srv.Close()
+		for i := 0; i < 64; i++ {
+			if err := srv.alloc.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step := func() {
+			srv.alloc.Iterate()
+			srv.updates = srv.alloc.AppendUpdates(srv.cfg.UpdateThreshold, srv.updates[:0])
+		}
+		// Converge (and grow the reused update buffer to its working size).
+		for i := 0; i < 50; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Fatalf("Blocks %d: steady-state step allocates %.1f times per op; want 0", blocks, allocs)
+		}
 	}
 }
 
@@ -781,5 +786,40 @@ func TestClientReconnectBeforeCleanup(t *testing.T) {
 	rates := srv.Rates()
 	if len(rates) != 2 || rates[1] <= 0 || rates[2] <= 0 {
 		t.Fatalf("rates after racy reconnect = %v; want flows 1 and 2 allocated", rates)
+	}
+}
+
+// TestSetLinkCapacityAllocatorUplink pins the daemon's capacity surface: a
+// fabric link takes the new capacity, while an allocator uplink — in no
+// LinkBlock, crossed by no flow — is refused with an error.
+func TestSetLinkCapacityAllocatorUplink(t *testing.T) {
+	topo := testTopology(t)
+	alloc, ok := topo.AllocatorNode()
+	if !ok {
+		t.Fatal("test fabric has no allocator host")
+	}
+	srv, err := New(Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var fabric, uplink []topology.LinkID
+	for _, l := range topo.Links() {
+		if l.Src == alloc || l.Dst == alloc {
+			uplink = append(uplink, l.ID)
+		} else {
+			fabric = append(fabric, l.ID)
+		}
+	}
+	if len(uplink) == 0 {
+		t.Fatal("test fabric has no allocator uplinks")
+	}
+	if err := srv.SetLinkCapacity(fabric[0], 1e9); err != nil {
+		t.Errorf("fabric link %d: %v", fabric[0], err)
+	}
+	for _, l := range uplink {
+		if err := srv.SetLinkCapacity(l, 1e9); err == nil {
+			t.Errorf("allocator uplink %d accepted a capacity", l)
+		}
 	}
 }

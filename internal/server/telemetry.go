@@ -54,7 +54,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	}
 	dropped := func(reason string, v *atomic.Int64) {
 		reg.CounterFunc("flowtune_events_dropped_total",
-			"Flowlet events not applied to the engine, by reason.",
+			"Flowlet events not applied to the allocator, by reason.",
 			func() float64 { return float64(v.Load()) },
 			withLabel(labels, telemetry.Label{Key: "reason", Value: reason})...)
 	}
@@ -90,10 +90,10 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	wireBytes("exchange", "wire", &s.stExchBytes)
 	wireBytes("exchange", "fixed_v3", &s.stExchFixed)
 
-	reg.GaugeFunc("flowtune_flows", "Flows currently registered in the engine.", func() float64 {
+	reg.GaugeFunc("flowtune_flows", "Flows currently registered in the allocator.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(s.eng.NumFlows())
+		return float64(s.alloc.NumFlows())
 	}, labels...)
 	reg.GaugeFunc("flowtune_epoch", "Allocator epoch announced in handshakes.",
 		func() float64 { return float64(s.epoch.Load()) }, labels...)
@@ -154,7 +154,7 @@ func (s *Server) AttachFlightRecorder(rec *telemetry.FlightRecorder) {
 	t.cur = make([]float64, n)
 	// Seed the residual baseline with the current prices so the first sample
 	// measures the first iteration's movement, not the distance from zero.
-	s.eng.LinkPrices(t.links, t.prev)
+	s.alloc.LinkPrices(t.links, t.prev)
 }
 
 // FlightRecorder returns the attached recorder (nil when none).
@@ -182,14 +182,14 @@ func (s *Server) recordTelemetryLocked(seq uint64, latencySec float64, updates, 
 		return
 	}
 	var residual float64
-	s.eng.LinkPrices(t.links, t.cur)
+	s.alloc.LinkPrices(t.links, t.cur)
 	for i, p := range t.cur {
 		if d := math.Abs(p - t.prev[i]); d > residual {
 			residual = d
 		}
 	}
 	t.prev, t.cur = t.cur, t.prev
-	obj := s.eng.Objective()
+	obj := s.alloc.Objective()
 	if math.IsInf(obj, 0) || math.IsNaN(obj) {
 		obj = 0 // JSON cannot carry non-finite values; see FlightSample.Objective
 	}

@@ -17,7 +17,7 @@ func TestIterateZeroAllocsWithTelemetry(t *testing.T) {
 		name   string
 		blocks int
 	}{
-		{"sequential", 0},
+		{"default", 0},
 		{"parallel", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,7 +35,7 @@ func TestIterateZeroAllocsWithTelemetry(t *testing.T) {
 
 			srv.mu.Lock()
 			for i := 0; i < 64; i++ {
-				if err := srv.eng.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
+				if err := srv.alloc.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
 					srv.mu.Unlock()
 					t.Fatal(err)
 				}

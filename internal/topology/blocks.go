@@ -27,14 +27,16 @@ type BlockPartition struct {
 // numBlocks must divide the number of racks and should be a power of two for
 // the hierarchical aggregation pattern of Figure 3 (not enforced here; the
 // aggregation code handles any block count, falling back to a flat merge).
+// Links touching the allocator host belong to no LinkBlock. One block holds
+// every other link of any fabric, split by direction; more than one needs a
+// two-tier fabric, whose every link is anchored to a rack by a server or ToR
+// endpoint (a fat-tree's agg↔core layer is not).
 func NewBlockPartition(t *Topology, numBlocks int) (*BlockPartition, error) {
 	if numBlocks <= 0 {
 		return nil, fmt.Errorf("topology: numBlocks must be positive, got %d", numBlocks)
 	}
-	if t.NumCores() > 0 {
-		// rackOfLink anchors links via Server/ToR endpoints, so the
-		// agg↔core layer of a fat-tree would be silently left unpriced.
-		return nil, fmt.Errorf("topology: LinkBlock partitioning is defined for two-tier fabrics; fat-tree has %d core switches", t.NumCores())
+	if t.NumCores() > 0 && numBlocks > 1 {
+		return nil, fmt.Errorf("topology: %d LinkBlocks need a two-tier fabric; fat-tree has %d core switches", numBlocks, t.NumCores())
 	}
 	if t.NumRacks()%numBlocks != 0 {
 		return nil, fmt.Errorf("topology: %d blocks do not evenly divide %d racks", numBlocks, t.NumRacks())
@@ -51,11 +53,13 @@ func NewBlockPartition(t *Topology, numBlocks int) (*BlockPartition, error) {
 		bp.blockOfRack[r] = r / bp.racksPerBlock
 	}
 	for _, l := range t.Links() {
-		rack, ok := bp.rackOfLink(l)
-		if !ok {
-			continue // allocator uplinks are not part of any LinkBlock
+		if t.Node(l.Src).Kind == Allocator || t.Node(l.Dst).Kind == Allocator {
+			continue
 		}
-		b := bp.blockOfRack[rack]
+		b := 0
+		if numBlocks > 1 {
+			b = bp.blockOfRack[bp.rackOfLink(l)]
+		}
 		if l.Up {
 			bp.upLinks[b] = append(bp.upLinks[b], l.ID)
 		} else {
@@ -65,21 +69,13 @@ func NewBlockPartition(t *Topology, numBlocks int) (*BlockPartition, error) {
 	return bp, nil
 }
 
-// rackOfLink returns the rack that anchors a link to a block: the source rack
-// for upward links, the destination rack for downward links.
-func (bp *BlockPartition) rackOfLink(l Link) (int, bool) {
-	var n Node
+// rackOfLink returns the rack that anchors a two-tier fabric link to a block:
+// the source rack for upward links, the destination rack for downward links.
+func (bp *BlockPartition) rackOfLink(l Link) int {
 	if l.Up {
-		n = bp.topo.Node(l.Src)
-	} else {
-		n = bp.topo.Node(l.Dst)
+		return bp.topo.Node(l.Src).Rack
 	}
-	switch n.Kind {
-	case Server, ToR:
-		return n.Rack, true
-	default:
-		return 0, false
-	}
+	return bp.topo.Node(l.Dst).Rack
 }
 
 // NumBlocks returns the number of rack blocks.

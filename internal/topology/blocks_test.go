@@ -142,3 +142,54 @@ func TestAggregationStepsPowers(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockPartitionFatTree pins the one-block partition every daemon runs
+// on: a fat-tree at one block puts every link that does not touch the
+// allocator host into exactly one LinkBlock of its direction, and keeps every
+// route inside block 0; more than one block still needs a two-tier fabric.
+func TestBlockPartitionFatTree(t *testing.T) {
+	topo, err := NewFatTree(FatTreeConfig{K: 4, LinkCapacity: 10e9, WithAllocator: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBlockPartition(topo, 2); err == nil {
+		t.Error("2 blocks over a fat-tree accepted")
+	}
+	bp, err := NewBlockPartition(topo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[LinkID]int)
+	for _, l := range bp.UpwardLinkBlock(0) {
+		seen[l]++
+		if !topo.Link(l).Up {
+			t.Errorf("link %d in the upward LinkBlock is not an up link", l)
+		}
+	}
+	for _, l := range bp.DownwardLinkBlock(0) {
+		seen[l]++
+		if topo.Link(l).Up {
+			t.Errorf("link %d in the downward LinkBlock is not a down link", l)
+		}
+	}
+	alloc, _ := topo.AllocatorNode()
+	uplinks := 0
+	for _, l := range topo.Links() {
+		want := 1
+		if l.Src == alloc || l.Dst == alloc {
+			want = 0
+			uplinks++
+		}
+		if seen[l.ID] != want {
+			t.Errorf("link %d (%d→%d) in %d LinkBlocks, want %d", l.ID, l.Src, l.Dst, seen[l.ID], want)
+		}
+	}
+	if uplinks == 0 {
+		t.Fatal("fat-tree has no allocator uplinks; test premise broken")
+	}
+	for src := 0; src < topo.NumServers(); src++ {
+		if b := bp.BlockOfServer(src); b != 0 {
+			t.Fatalf("server %d in block %d, want 0", src, b)
+		}
+	}
+}
