@@ -107,10 +107,7 @@ func run(args []string, out io.Writer) error {
 	for _, s := range metrics.SummarizeFCT(measured, workload.BucketLabel, workload.Buckets()) {
 		fmt.Fprintf(out, "  %-18s n=%-7d mean=%-8.2f p50=%-8.2f p99=%-8.2f\n", s.Bucket, s.Count, s.Mean, s.P50, s.P99)
 	}
-	if scheme == transport.Flowtune && eng.Allocator() != nil {
-		stats := eng.Allocator().Stats()
-		fmt.Fprintf(out, "allocator: %d iterations, %d rate updates sent, %d suppressed\n",
-			stats.Iterations, stats.RateUpdatesSent, stats.RateUpdatesSuppressed)
+	if scheme == transport.Flowtune {
 		fmt.Fprintf(out, "control traffic injected: %.3f MB\n", float64(eng.ControlBytes())/1e6)
 	}
 	return nil

@@ -24,7 +24,7 @@ func TestTinyRun(t *testing.T) {
 		"scheme=Flowtune workload=web",
 		"servers=16",
 		"completion rate:",
-		"allocator:",
+		"control traffic injected:",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -32,7 +32,7 @@ func TestTinyRun(t *testing.T) {
 	}
 }
 
-// TestTinyRunDCTCP covers a non-Flowtune scheme (no allocator section).
+// TestTinyRunDCTCP covers a non-Flowtune scheme (no control-traffic line).
 func TestTinyRunDCTCP(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
@@ -45,8 +45,8 @@ func TestTinyRunDCTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v\noutput: %s", err, out.String())
 	}
-	if strings.Contains(out.String(), "allocator:") {
-		t.Errorf("DCTCP run printed allocator stats:\n%s", out.String())
+	if strings.Contains(out.String(), "control traffic injected:") {
+		t.Errorf("DCTCP run printed Flowtune control traffic:\n%s", out.String())
 	}
 }
 

@@ -11,8 +11,9 @@
 //
 // The package exposes five layers:
 //
-//   - The rate allocator: NewAllocator (single core) and NewParallelAllocator
-//     (the FlowBlock/LinkBlock multicore design of §5 of the paper).
+//   - The rate allocator: NewParallelAllocator (the FlowBlock/LinkBlock
+//     multicore design of §5 of the paper; one block is what the daemon and
+//     the simulator run) and NewAllocator, its single-core reference.
 //   - The networked daemon: NewDaemon hosts the multicore allocator (one
 //     FlowBlock unless DaemonConfig.Blocks asks for more) as a long-running
 //     service (flowtuned) that endpoints drive over a compact
@@ -95,13 +96,15 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) { return topology.NewFatTr
 // ---------------------------------------------------------------------------
 // Allocator
 
-// Allocator is the centralized flowlet rate allocator.
+// Allocator is the single-core reference of the centralized flowlet rate
+// allocator: the whole fabric as one NUM problem, which the one-block
+// ParallelAllocator every runtime path uses matches bit for bit.
 type Allocator = core.Allocator
 
-// AllocatorConfig configures an Allocator: its topology, NED's step size γ,
-// the notification threshold (also the capacity headroom) and the iteration
-// interval. The solver is always NED and the normalizer F-NORM; compare other
-// solvers and normalizers by calling them on a Problem directly.
+// AllocatorConfig configures an Allocator: its topology, NED's step size γ
+// and the notification threshold (also the capacity headroom). The solver is
+// always NED and the normalizer F-NORM; compare other solvers and normalizers
+// by calling them on a Problem directly.
 type AllocatorConfig = core.Config
 
 // FlowID identifies a flowlet registered with an allocator.
@@ -110,10 +113,7 @@ type FlowID = core.FlowID
 // RateUpdate is one rate notification produced by Allocator.Iterate.
 type RateUpdate = core.RateUpdate
 
-// TrafficStats summarizes allocator control-plane traffic.
-type TrafficStats = core.TrafficStats
-
-// NewAllocator creates a single-core allocator.
+// NewAllocator creates the single-core reference allocator.
 func NewAllocator(cfg AllocatorConfig) (*Allocator, error) { return core.NewAllocator(cfg) }
 
 // ParallelAllocator is the FlowBlock/LinkBlock multicore allocator (§5).

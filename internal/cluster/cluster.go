@@ -18,35 +18,17 @@ type Config struct {
 	Topology *topology.Topology
 	// Shards is the number of flowtuned daemons; each owns one rack block.
 	Shards int
-	// Gamma, UpdateThreshold, Interval and Epoch are passed through to
-	// every daemon (see server.Config).
-	Gamma           float64
-	UpdateThreshold float64
-	Interval        time.Duration
-	Epoch           uint64
-	// Blocks and PinWorkers pass through to every daemon (see
-	// server.Config): Blocks is each daemon's rack-block count (0 means 1),
-	// so Blocks > 1 makes each shard span cores, and PinWorkers additionally
-	// pins its workers to NUMA sockets (numa-tag builds only).
-	Blocks     int
-	PinWorkers bool
-	// MaxSessionFlows, MaxFrameRate and IdleTimeout pass the per-session
-	// hardening limits through to every daemon.
-	MaxSessionFlows int
-	MaxFrameRate    float64
-	IdleTimeout     time.Duration
+	// Gamma and Interval are passed through to every daemon (see
+	// server.Config).
+	Gamma    float64
+	Interval time.Duration
+	// Blocks is each daemon's rack-block count (0 means 1; see
+	// server.Config), so Blocks > 1 makes each shard span cores.
+	Blocks int
 	// Takeover enables peer shard failover on every daemon: each replicates
 	// its flow state to its successor and adopts a dead peer's rack block
-	// (see server.Config.Takeover). HeartbeatTimeout passes the free-running
-	// staleness bound through.
-	Takeover         bool
-	HeartbeatTimeout time.Duration
-	// QuantizeRates passes the opt-in lossy wire mode through to every
-	// daemon (see server.Config.QuantizeRates).
-	QuantizeRates bool
-	// Logf, when set, receives every daemon's log lines prefixed with its
-	// shard index.
-	Logf func(format string, args ...any)
+	// (see server.Config.Takeover).
+	Takeover bool
 }
 
 // Cluster is a cooperating set of sharded flowtuned daemons hosted in one
@@ -75,31 +57,14 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{smap: smap}
 	for i := 0; i < cfg.Shards; i++ {
-		logf := cfg.Logf
-		if logf != nil {
-			shard := i
-			inner := cfg.Logf
-			logf = func(format string, args ...any) {
-				inner("shard %d: "+format, append([]any{shard}, args...)...)
-			}
-		}
 		srv, err := server.New(server.Config{
-			Topology:         cfg.Topology,
-			Gamma:            cfg.Gamma,
-			UpdateThreshold:  cfg.UpdateThreshold,
-			Interval:         cfg.Interval,
-			Epoch:            cfg.Epoch,
-			Blocks:           cfg.Blocks,
-			PinWorkers:       cfg.PinWorkers,
-			MaxSessionFlows:  cfg.MaxSessionFlows,
-			MaxFrameRate:     cfg.MaxFrameRate,
-			IdleTimeout:      cfg.IdleTimeout,
-			NumShards:        cfg.Shards,
-			ShardIndex:       i,
-			Takeover:         cfg.Takeover,
-			HeartbeatTimeout: cfg.HeartbeatTimeout,
-			QuantizeRates:    cfg.QuantizeRates,
-			Logf:             logf,
+			Topology:   cfg.Topology,
+			Gamma:      cfg.Gamma,
+			Interval:   cfg.Interval,
+			Blocks:     cfg.Blocks,
+			NumShards:  cfg.Shards,
+			ShardIndex: i,
+			Takeover:   cfg.Takeover,
 		})
 		if err != nil {
 			c.Close()

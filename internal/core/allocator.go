@@ -19,10 +19,6 @@ const (
 	FlowletEndBytes = 4
 	// RateUpdateBytes is the payload size of one rate update.
 	RateUpdateBytes = 6
-	// perMessageOverheadBytes is the amortized per-notification share of
-	// TCP/IP/Ethernet framing, assuming notifications are batched into
-	// MTU-sized packets by the endpoints and the allocator.
-	perMessageOverheadBytes = 4
 )
 
 // FlowID identifies a flowlet registered with the allocator.
@@ -40,10 +36,6 @@ type Config struct {
 	// over-utilized between notifications, the allocator reserves the same
 	// fraction of link capacity as headroom (§6.4).
 	UpdateThreshold float64
-	// IterationInterval is the wall-clock interval between allocator
-	// iterations in seconds (default 10 µs, §6.2). It is used to convert
-	// per-iteration update counts into traffic rates.
-	IterationInterval float64
 }
 
 // withDefaults fills in unset fields.
@@ -60,9 +52,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.UpdateThreshold < 0 || c.UpdateThreshold >= 1 {
 		return c, fmt.Errorf("core: UpdateThreshold must be in [0,1), got %g", c.UpdateThreshold)
 	}
-	if c.IterationInterval == 0 {
-		c.IterationInterval = 10e-6
-	}
 	return c, nil
 }
 
@@ -76,31 +65,13 @@ type RateUpdate struct {
 	Rate float64
 }
 
-// TrafficStats accumulates control-plane traffic volume (§6.4).
-type TrafficStats struct {
-	// ToAllocatorBytes counts bytes sent from servers to the allocator
-	// (flowlet start and end notifications).
-	ToAllocatorBytes int64
-	// FromAllocatorBytes counts bytes sent from the allocator to servers
-	// (rate updates).
-	FromAllocatorBytes int64
-	// StartNotifications and EndNotifications count flowlet events.
-	StartNotifications int64
-	EndNotifications   int64
-	// RateUpdatesSent counts rate-update messages actually sent (i.e.
-	// changes exceeding the notification threshold).
-	RateUpdatesSent int64
-	// RateUpdatesSuppressed counts rate changes below the threshold that
-	// did not generate a notification.
-	RateUpdatesSuppressed int64
-	// Iterations counts optimizer iterations executed.
-	Iterations int64
-}
-
-// Allocator is Flowtune's centralized rate allocator: NED(γ) followed by
-// F-NORM over the whole fabric. It is not safe for concurrent use; the
-// multicore optimizer in ParallelAllocator parallelizes a single logical
-// iteration internally, and is what the flowtuned daemon runs.
+// Allocator is the single-core reference of Flowtune's centralized rate
+// allocator: NED(γ) followed by F-NORM over one num.Problem spanning the whole
+// fabric. Every runtime path — the flowtuned daemon, the packet simulator and
+// the fluid update-traffic model — runs the one-block ParallelAllocator, which
+// the equivalence tests hold to this type's bits; the repository benchmark
+// replays its events through it as a mirror. It is not safe for concurrent
+// use.
 type Allocator struct {
 	cfg   Config
 	topo  *topology.Topology
@@ -131,16 +102,7 @@ type Allocator struct {
 	// the endpoint has never been notified.
 	lastNotified []float64
 
-	// effectiveCapacities are link capacities scaled down by the update
-	// threshold so links are not over-utilized between notifications.
-	effectiveCapacities []float64
-
 	updates []RateUpdate // reused across Iterate calls
-	stats   TrafficStats
-
-	// failed models allocator failure for fault-tolerance tests: a failed
-	// allocator stops producing updates until Recover is called.
-	failed bool
 }
 
 // NewAllocator creates an allocator for the given topology.
@@ -150,19 +112,17 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 		return nil, err
 	}
 	topo := cfg.Topology
-	caps := topo.Capacities()
-	eff := make([]float64, len(caps))
-	for i, c := range caps {
-		eff[i] = c * (1 - cfg.UpdateThreshold)
-	}
 	a := &Allocator{
-		cfg:                 cfg,
-		topo:                topo,
-		ned:                 num.NED{Gamma: cfg.Gamma},
-		indexByID:           make(map[FlowID]int),
-		effectiveCapacities: eff,
+		cfg:       cfg,
+		topo:      topo,
+		ned:       num.NED{Gamma: cfg.Gamma},
+		indexByID: make(map[FlowID]int),
 	}
-	a.problem.Capacities = eff
+	// Links are scaled down by the update threshold so they are not
+	// over-utilized between notifications.
+	for _, c := range topo.Capacities() {
+		a.problem.Capacities = append(a.problem.Capacities, c*(1-cfg.UpdateThreshold))
+	}
 	// An endpoint cannot send faster than its NIC; capping per-flow rates
 	// here keeps transient over-allocations physical.
 	a.problem.MaxFlowRate = topo.Config().LinkCapacity
@@ -175,13 +135,6 @@ func (a *Allocator) Config() Config { return a.cfg }
 
 // NumFlows returns the number of currently registered flowlets.
 func (a *Allocator) NumFlows() int { return len(a.ids) }
-
-// Stats returns a snapshot of accumulated control-traffic statistics.
-func (a *Allocator) Stats() TrafficStats { return a.stats }
-
-// ResetStats zeroes the traffic statistics (used between experiment warmup
-// and measurement phases).
-func (a *Allocator) ResetStats() { a.stats = TrafficStats{} }
 
 // FlowletStart registers a new flowlet from server src to server dst with the
 // given weight (1 for plain proportional fairness). It corresponds to a
@@ -223,8 +176,6 @@ func (a *Allocator) FlowletStart(id FlowID, src, dst int, weight float64) error 
 	}
 	a.problem.AppendFlow(num.Flow{Route: links, Util: a.util})
 	a.state.Resize(len(a.problem.Flows))
-	a.stats.StartNotifications++
-	a.stats.ToAllocatorBytes += FlowletStartBytes + perMessageOverheadBytes
 	return nil
 }
 
@@ -280,48 +231,17 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 	a.problem.RemoveFlowSwap(idx)
 	a.state.Resize(last)
 	delete(a.indexByID, id)
-	a.stats.EndNotifications++
-	a.stats.ToAllocatorBytes += FlowletEndBytes + perMessageOverheadBytes
 	return nil
 }
-
-// SetLinkCapacity replaces one link's raw capacity with immediate effect:
-// the effective (headroom-scaled) capacity is updated in place and the next
-// Iterate re-prices the link against it. Nothing is rebuilt — the compiled
-// CSR, registered flows, prices and rates all survive — so a capacity change
-// mid-run costs exactly one ordinary iteration. Capacity must be positive
-// and finite; model a dead link as a tiny fraction of its former capacity.
-func (a *Allocator) SetLinkCapacity(l topology.LinkID, capacity float64) error {
-	if l < 0 || int(l) >= a.topo.NumLinks() {
-		return fmt.Errorf("core: SetLinkCapacity link %d out of range (%d links)", l, a.topo.NumLinks())
-	}
-	// problem.Capacities aliases effectiveCapacities, so the validated write
-	// below is visible to the solver immediately.
-	return a.problem.SetCapacity(int(l), capacity*(1-a.cfg.UpdateThreshold))
-}
-
-// Fail simulates an allocator failure (§2, fault tolerance): the allocator
-// stops iterating and produces no updates until Recover is called. Endpoints
-// keep their previously allocated rates and fall back to their own congestion
-// control.
-func (a *Allocator) Fail() { a.failed = true }
-
-// Recover restores a failed allocator. Previously learned prices are kept, so
-// allocations resume close to where they left off.
-func (a *Allocator) Recover() { a.failed = false }
-
-// Failed reports whether the allocator is currently failed.
-func (a *Allocator) Failed() bool { return a.failed }
 
 // Iterate runs one allocator iteration: a NED step over the registered flows,
 // normalization, and threshold-based rate-update generation. It returns the
 // rate updates that would be sent to endpoints this iteration. The returned
 // slice is reused across calls and is only valid until the next call.
 func (a *Allocator) Iterate() []RateUpdate {
-	if a.failed || len(a.ids) == 0 {
+	if len(a.ids) == 0 {
 		return nil
 	}
-	a.stats.Iterations++
 	a.ned.Step(&a.problem, a.state)
 	// The step's rate update summed exactly the link loads normalization
 	// needs; hand them over instead of walking every route a second time.
@@ -331,13 +251,8 @@ func (a *Allocator) Iterate() []RateUpdate {
 	// The notify filter is its own pass over two dense float arrays — fusing
 	// it into the normalizer's CSR sweep measured slower — and touches ids and
 	// srcs only for the flows it reports.
-	updates := appendSignificant(a.updates[:0], a.ids, a.srcs, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
-	sent := int64(len(updates))
-	a.stats.RateUpdatesSent += sent
-	a.stats.RateUpdatesSuppressed += int64(len(a.normalized)) - sent
-	a.stats.FromAllocatorBytes += sent * (RateUpdateBytes + perMessageOverheadBytes)
-	a.updates = updates
-	return updates
+	a.updates = appendSignificant(a.updates[:0], a.ids, a.srcs, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
+	return a.updates
 }
 
 // appendSignificant is the notify filter over one dense run of flows: it
@@ -386,16 +301,6 @@ func (a *Allocator) Rates() map[FlowID]float64 {
 	return out
 }
 
-// RawRates returns the optimizer's un-normalized rates keyed by flowlet ID
-// (used by the normalization experiments).
-func (a *Allocator) RawRates() map[FlowID]float64 {
-	out := make(map[FlowID]float64, len(a.ids))
-	for i, id := range a.ids {
-		out[id] = a.state.Rates[i]
-	}
-	return out
-}
-
 // Problem exposes the allocator's current NUM problem (for experiments that
 // need reference optimal allocations). The returned problem aliases internal
 // state and must not be modified.
@@ -404,26 +309,3 @@ func (a *Allocator) Problem() *num.Problem { return &a.problem }
 // State exposes the allocator's solver state (prices and raw rates). The
 // returned state aliases internal state and must not be modified.
 func (a *Allocator) State() *num.State { return a.state }
-
-// OverAllocation returns the total amount by which the optimizer's raw
-// (pre-normalization) rates exceed link capacities, in bits per second.
-func (a *Allocator) OverAllocation() float64 {
-	if len(a.ids) == 0 {
-		return 0
-	}
-	return num.OverAllocation(&a.problem, a.state.Rates)
-}
-
-// UpdateTrafficFractions returns control traffic to and from the allocator as
-// fractions of total network capacity, given the wall-clock duration the
-// accumulated stats cover. Total network capacity follows the paper's
-// convention: the sum of all server link capacities.
-func (a *Allocator) UpdateTrafficFractions(duration float64) (toAllocator, fromAllocator float64) {
-	if duration <= 0 {
-		return 0, 0
-	}
-	capacityBits := float64(a.topo.NumServers()) * a.topo.Config().LinkCapacity
-	toAllocator = float64(a.stats.ToAllocatorBytes*8) / duration / capacityBits
-	fromAllocator = float64(a.stats.FromAllocatorBytes*8) / duration / capacityBits
-	return toAllocator, fromAllocator
-}

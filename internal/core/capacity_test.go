@@ -100,60 +100,3 @@ func TestParallelSetLinkCapacityRejectsBadInput(t *testing.T) {
 		t.Error("NaN capacity accepted")
 	}
 }
-
-// TestAllocatorSetLinkCapacity checks the sequential allocator's in-place
-// update end to end: after cutting a ToR uplink the flows crossing it are
-// re-priced down below the new capacity.
-func TestAllocatorSetLinkCapacity(t *testing.T) {
-	topo := parallelTestTopo(t, 8)
-	a, err := NewAllocator(Config{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetLinkCapacity(-1, 1e9); err == nil {
-		t.Error("negative link accepted")
-	}
-	if err := a.SetLinkCapacity(0, -5); err == nil {
-		t.Error("negative capacity accepted")
-	}
-
-	// Cross-rack flows from every rack-0 server, all spine choices.
-	n := topo.Config().ServersPerRack
-	for i := 0; i < 4*n; i++ {
-		if err := a.FlowletStart(FlowID(i), i%n, n+i%(7*n), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		a.Iterate()
-	}
-	link, ok := topo.UplinkID(0, 0)
-	if !ok {
-		t.Fatal("no uplink rack 0 → spine 0")
-	}
-	newCap := topo.Link(link).Capacity / 10
-	if err := a.SetLinkCapacity(link, newCap); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		a.Iterate()
-	}
-	var load float64
-	for id, rate := range a.Rates() {
-		route, err := topo.Route(int(id)%n, n+int(id)%(7*n), int(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range route {
-			if l == link {
-				load += rate
-			}
-		}
-	}
-	if load == 0 {
-		t.Fatal("no flows cross the cut link; test topology assumption broken")
-	}
-	if load > newCap*1.01 {
-		t.Fatalf("link load %.3g exceeds cut capacity %.3g", load, newCap)
-	}
-}

@@ -6,12 +6,13 @@
 // threshold (§6.4). The package also contains the FlowBlock/LinkBlock
 // multicore implementation of the optimizer (§5).
 //
-// The sequential Allocator is the engine behind the transport simulator's
-// Flowtune endpoints and the scenario runner's in-process runs, and the
-// reference the ParallelAllocator is tested against; the ParallelAllocator
-// reproduces the paper's multicore scaling study and is the only engine the
-// flowtuned daemon runs (one FlowBlock unless -blocks asks for more). They
-// are one iteration over two data layouts: the
+// The ParallelAllocator is the one engine that runs: the flowtuned daemon,
+// the transport simulator's Flowtune endpoints and the fluid update-traffic
+// model all run it with one FlowBlock (the daemon with more when -blocks asks),
+// and its multi-block form reproduces the paper's multicore scaling study. The
+// sequential Allocator is the single-core reference it is tested against bit
+// for bit, and the mirror the repository benchmark replays its events through.
+// They are one iteration over two data layouts: the
 // Allocator runs num's and norm's kernels (rate update, NED price step, link
 // ratios, F-NORM sweep) on the fabric's link space, the ParallelAllocator runs
 // the same functions per FlowBlock on a local link space — a standalone
@@ -26,9 +27,9 @@
 // barrier between phases — so with one worker no goroutine exists. Both
 // share one admission rule for flowlet weights (admitWeight) and one notify
 // filter (appendSignificant); the boundary API of the sharded exchange
-// (parallel_boundary.go) is the ParallelAllocator's alone. Both maintain their flow sets
-// incrementally — FlowletStart and FlowletEnd are O(route length) operations
-// on a CSR index with swap-delete holes compacted amortizedly — so the
-// per-iteration cost is independent of churn history. See ARCHITECTURE.md,
-// "The parallel iteration path".
+// (parallel_boundary.go) and live capacity changes are the ParallelAllocator's
+// alone. Both maintain their flow sets incrementally — FlowletStart and
+// FlowletEnd are O(route length) operations on a CSR index with swap-delete
+// holes compacted amortizedly — so the per-iteration cost is independent of
+// churn history. See ARCHITECTURE.md, "The parallel iteration path".
 package core

@@ -37,6 +37,15 @@ func seqPinPrices(a *Allocator, links []topology.LinkID, prices []float64) {
 	}
 }
 
+// seqSetLinkCapacity replaces one link's raw capacity in the sequential
+// reference's problem, headroom-scaled as NewAllocator scales it.
+func seqSetLinkCapacity(t *testing.T, a *Allocator, l topology.LinkID, capacity float64) {
+	t.Helper()
+	if err := a.Problem().SetCapacity(int(l), capacity*(1-a.Config().UpdateThreshold)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // seqDigest fills loads and hdiag with the sequential allocator's own flows'
 // sums on links from its most recent Iterate (zeros while it has no flows).
 func seqDigest(a *Allocator, links []topology.LinkID, loads, hdiag []float64) {
@@ -171,9 +180,7 @@ func checkOneBlockMatchesSequential(t *testing.T, topo *topology.Topology) {
 		switch {
 		case round == 20:
 			l := fabric[rng.Intn(len(fabric))]
-			if err := seq.SetLinkCapacity(l, 2.5e9); err != nil {
-				t.Fatal(err)
-			}
+			seqSetLinkCapacity(t, seq, l, 2.5e9)
 			if err := pa.SetLinkCapacity(l, 2.5e9); err != nil {
 				t.Fatal(err)
 			}

@@ -15,13 +15,12 @@ import (
 // reads lastNotified out of the flow struct. It is the oracle the sequential
 // Allocator must match bit for bit, update list included.
 type refAllocator struct {
-	flows                    []refFlow
-	caps, prices             []float64
-	ext, extH, pins          []float64
-	maxRate, gamma, thr      float64
-	rates, normalized        []float64
-	loads, hdiag             []float64
-	sent, suppressed, frombs int64
+	flows               []refFlow
+	caps, prices        []float64
+	ext, extH, pins     []float64
+	maxRate, gamma, thr float64
+	rates, normalized   []float64
+	loads, hdiag        []float64
 }
 
 type refFlow struct {
@@ -127,10 +126,6 @@ func (r *refAllocator) iterate() []RateUpdate {
 		if SignificantRateChange(f.lastNotified, rate, r.thr) {
 			f.lastNotified = rate
 			updates = append(updates, RateUpdate{Flow: f.id, Src: f.src, Rate: rate})
-			r.sent++
-			r.frombs += RateUpdateBytes + perMessageOverheadBytes
-		} else {
-			r.suppressed++
 		}
 	}
 	return updates
@@ -155,8 +150,8 @@ func floatsBitEqual(t *testing.T, what string, got, want []float64) {
 // (one rack pinned at price zero, so its local paths clamp to the price floor
 // and sit at the NIC cap), a link degraded mid-run, and a shrink deep enough
 // to compact the route arena — and requires raw rates, loads, Hessian
-// diagonals, prices, normalized rates, the update list and the traffic
-// counters to agree bit for bit after every iteration.
+// diagonals, prices, normalized rates and the update list to agree bit for
+// bit after every iteration.
 func TestAllocatorKernelEquivalence(t *testing.T) {
 	twoTier, err := topology.NewTwoTier(topology.Config{Racks: 6, ServersPerRack: 6, Spines: 3, LinkCapacity: 10e9})
 	if err != nil {
@@ -268,9 +263,7 @@ func TestAllocatorKernelEquivalence(t *testing.T) {
 					}
 					if round == 30 {
 						l := topology.LinkID(rng.Intn(topo.NumLinks()))
-						if err := a.SetLinkCapacity(l, 1e9); err != nil {
-							t.Fatal(err)
-						}
+						seqSetLinkCapacity(t, a, l, 1e9)
 						ref.caps[l] = 1e9 * (1 - ref.thr)
 					}
 					// Path prices before the step decide which flows clamp.
@@ -300,11 +293,6 @@ func TestAllocatorKernelEquivalence(t *testing.T) {
 							math.Float64bits(got[i].Rate) != math.Float64bits(want[i].Rate) {
 							t.Fatalf("round %d update %d: %+v, reference %+v", round, i, got[i], want[i])
 						}
-					}
-					st := a.Stats()
-					if st.RateUpdatesSent != ref.sent || st.RateUpdatesSuppressed != ref.suppressed || st.FromAllocatorBytes != ref.frombs {
-						t.Fatalf("round %d: stats sent/suppressed/bytes %d/%d/%d, reference %d/%d/%d", round,
-							st.RateUpdatesSent, st.RateUpdatesSuppressed, st.FromAllocatorBytes, ref.sent, ref.suppressed, ref.frombs)
 					}
 					for _, x := range ref.rates {
 						if x == ref.maxRate {
@@ -568,8 +556,8 @@ func TestRateAfterChurnBeforeIterate(t *testing.T) {
 			if got := seq.Rate(4); got != 0 {
 				t.Errorf("Rate(4) = %v before any Iterate, want 0", got)
 			}
-			if got := seq.RawRates()[4]; got != 0 {
-				t.Errorf("RawRates()[4] = %v before any Iterate, want 0", got)
+			if got := seq.State().Rates[seq.indexByID[4]]; got != 0 {
+				t.Errorf("raw rate of flow 4 = %v before any Iterate, want 0", got)
 			}
 		}
 	}

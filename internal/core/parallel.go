@@ -21,9 +21,6 @@ type ParallelFlow struct {
 	Src, Dst int
 	// Weight is the log-utility weight (1 when zero).
 	Weight float64
-	// SizeHint is the endpoint's flowlet-size hint in bytes (0 = unknown);
-	// solvers ignore it.
-	SizeHint int64
 }
 
 // flowBlock is the state of one FlowBlock: its flows, its local copy of the
@@ -51,7 +48,6 @@ type flowBlock struct {
 	srcs         []int32
 	dsts         []int32
 	baseWeights  []float64
-	sizes        []int64
 	rates        []float64
 	lastNotified []float64
 
@@ -103,7 +99,6 @@ func (fb *flowBlock) addFlow(f ParallelFlow, weight, baseWeight float64, route [
 	fb.srcs = append(fb.srcs, int32(f.Src))
 	fb.dsts = append(fb.dsts, int32(f.Dst))
 	fb.baseWeights = append(fb.baseWeights, baseWeight)
-	fb.sizes = append(fb.sizes, f.SizeHint)
 	fb.rates = append(fb.rates, 0)
 	fb.lastNotified = append(fb.lastNotified, 0)
 	fb.csr.AppendLog(route, weight)
@@ -119,7 +114,6 @@ func (fb *flowBlock) removeSwap(i int) FlowID {
 	fb.srcs[i] = fb.srcs[last]
 	fb.dsts[i] = fb.dsts[last]
 	fb.baseWeights[i] = fb.baseWeights[last]
-	fb.sizes[i] = fb.sizes[last]
 	fb.rates[i] = fb.rates[last]
 	fb.lastNotified[i] = fb.lastNotified[last]
 	fb.truncate(last)
@@ -133,7 +127,6 @@ func (fb *flowBlock) truncate(n int) {
 	fb.srcs = fb.srcs[:n]
 	fb.dsts = fb.dsts[:n]
 	fb.baseWeights = fb.baseWeights[:n]
-	fb.sizes = fb.sizes[:n]
 	fb.rates = fb.rates[:n]
 	fb.lastNotified = fb.lastNotified[:n]
 }
@@ -192,8 +185,9 @@ type ParallelConfig struct {
 	Blocks int
 	// Gamma is NED's step size (default 1).
 	Gamma float64
-	// Headroom is the fraction of link capacity withheld (the update
-	// threshold of the sequential allocator); default 0.
+	// Headroom is the fraction of link capacity withheld so links are not
+	// over-utilized between notifications (the daemon passes its update
+	// threshold); default 0.
 	Headroom float64
 	// Normalize enables the parallel F-NORM pass after the price update.
 	Normalize bool
@@ -399,17 +393,17 @@ func (p *ParallelAllocator) HasFlow(id FlowID) bool {
 // untouched. A weight admitWeight refuses is an error. It may only be called
 // while no Iterate call is in flight.
 func (p *ParallelAllocator) FlowletStart(id FlowID, src, dst int, weight float64) error {
-	return p.FlowletStartSized(id, src, dst, weight, 0)
-}
-
-// FlowletStartSized is FlowletStart carrying the endpoint's flowlet-size
-// hint in bytes (0 = unknown). The hint is recorded in the flow metadata and
-// surfaced by LiveFlows; it does not affect allocation.
-func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight float64, size int64) error {
 	if _, dup := p.loc[id]; dup {
 		return fmt.Errorf("core: flowlet %d already registered", id)
 	}
-	return p.addFlow(ParallelFlow{ID: id, Src: src, Dst: dst, Weight: weight, SizeHint: size})
+	return p.addFlow(ParallelFlow{ID: id, Src: src, Dst: dst, Weight: weight})
+}
+
+// FlowletStartSized is FlowletStart carrying the endpoint's flowlet-size
+// hint in bytes (0 = unknown), which does not affect allocation and is not
+// stored.
+func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight float64, _ int64) error {
+	return p.FlowletStart(id, src, dst, weight)
 }
 
 // addFlow admits, routes and appends one flow (shared by FlowletStart and
@@ -526,13 +520,7 @@ func (p *ParallelAllocator) LiveFlows() []ParallelFlow {
 	out := make([]ParallelFlow, 0, p.numFlows)
 	for _, fb := range p.fbs {
 		for i, id := range fb.ids {
-			out = append(out, ParallelFlow{
-				ID:       id,
-				Src:      int(fb.srcs[i]),
-				Dst:      int(fb.dsts[i]),
-				Weight:   fb.baseWeights[i],
-				SizeHint: fb.sizes[i],
-			})
+			out = append(out, ParallelFlow{ID: id, Src: int(fb.srcs[i]), Dst: int(fb.dsts[i]), Weight: fb.baseWeights[i]})
 		}
 	}
 	return out

@@ -15,9 +15,10 @@ func TestChaosFailoverScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ChaosKillStep <= 0 || cfg.Shards < 2 {
-		t.Fatalf("scenario wiring: ChaosKillStep=%d Shards=%d", cfg.ChaosKillStep, cfg.Shards)
+	if cfg.Faults == nil || len(cfg.Faults.Events) != 1 || cfg.Shards < 2 {
+		t.Fatalf("scenario wiring: Faults=%+v Shards=%d, want one kill event on a sharded cluster", cfg.Faults, cfg.Shards)
 	}
+	killStep := cfg.Faults.Events[0].Step
 	res, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,15 +26,18 @@ func TestChaosFailoverScenario(t *testing.T) {
 	if res.Flows == 0 || res.FinishedFlows == 0 || res.GoodputBps <= 0 {
 		t.Fatalf("chaos scenario measured nothing: %+v", res)
 	}
-	ch := res.Chaos
-	if ch == nil {
-		t.Fatal("chaos scenario result carries no chaos stats")
+	if res.Faults == nil || res.Faults.EventsApplied != 1 || len(res.Faults.Kills) != 1 {
+		t.Fatalf("chaos scenario result carries no single-kill report: %+v", res.Faults)
 	}
-	if ch.KilledShard != cfg.Shards-1 {
-		t.Errorf("killed shard %d, want the last shard %d", ch.KilledShard, cfg.Shards-1)
+	ch := res.Faults.Kills[0]
+	if ch.Shard != cfg.Shards-1 {
+		t.Errorf("killed shard %d, want the last shard %d", ch.Shard, cfg.Shards-1)
 	}
-	if ch.KillStep != cfg.ChaosKillStep {
-		t.Errorf("kill landed at step %d, want %d", ch.KillStep, cfg.ChaosKillStep)
+	if ch.Step != killStep {
+		t.Errorf("kill landed at step %d, want %d", ch.Step, killStep)
+	}
+	if ch.Adopter != 0 {
+		t.Errorf("shard %d adopted the dead shard, want shard 0 (the successor ring's wrap target)", ch.Adopter)
 	}
 	if ch.Takeovers != 1 {
 		t.Errorf("adopter recorded %d takeovers, want exactly 1", ch.Takeovers)
@@ -96,20 +100,20 @@ func TestChaosFailoverDeterministic(t *testing.T) {
 	if string(aj) != string(bj) {
 		t.Fatalf("two identical chaos runs diverged:\n%s\n%s", aj, bj)
 	}
-	if a.Chaos == nil {
-		t.Fatal("chaos stats missing from result")
+	if a.Faults == nil || len(a.Faults.Kills) != 1 {
+		t.Fatal("kill report missing from result")
 	}
 }
 
-// TestChaosRequiresShards pins the configuration coupling: a kill step only
-// makes sense when peers exist to take over.
+// TestChaosRequiresShards pins the configuration coupling: the chaos
+// scenario's kill only makes sense when peers exist to take over.
 func TestChaosRequiresShards(t *testing.T) {
-	cfg, err := NamedScenario("daemon-incast", true, 1)
+	cfg, err := NamedScenario("chaos-failover", true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ChaosKillStep = 50
+	cfg.Shards = 1
 	if _, err := RunScenario(cfg); err == nil {
-		t.Fatal("RunScenario accepted ChaosKillStep without Shards > 1")
+		t.Fatal("RunScenario accepted the chaos kill without Shards > 1")
 	}
 }

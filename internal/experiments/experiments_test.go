@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func TestScalingTableSmall(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.TimePerIteration <= 0 || r.SequentialTimePerIteration <= 0 {
+		if r.TimePerIteration <= 0 || r.OneBlockTimePerIteration <= 0 {
 			t.Errorf("non-positive iteration time: %+v", r)
 		}
 		if r.FlowBlocks != r.Blocks*r.Blocks || r.Workers != min(r.FlowBlocks, runtime.GOMAXPROCS(0)) {
@@ -37,7 +38,7 @@ func TestScalingTableSmall(t *testing.T) {
 		}
 	}
 	out := RenderScalingTable(rows)
-	if !strings.Contains(out, "FlowBlocks") || !strings.Contains(out, "Workers") || !strings.Contains(out, "Sequential") || !strings.Contains(out, "96") {
+	if !strings.Contains(out, "FlowBlocks") || !strings.Contains(out, "Workers") || !strings.Contains(out, "1 block") || !strings.Contains(out, "96") {
 		t.Errorf("rendering missing expected fields:\n%s", out)
 	}
 }
@@ -149,6 +150,24 @@ func TestUpdateTrafficThresholdReduces(t *testing.T) {
 	if high.FromAllocatorFraction >= base.FromAllocatorFraction {
 		t.Errorf("raising the threshold did not reduce update traffic: %.5f -> %.5f",
 			base.FromAllocatorFraction, high.FromAllocatorFraction)
+	}
+}
+
+// TestUpdateTrafficDeterministic runs the fluid model twice: finished
+// flowlets end in ID order, not map order, so the allocator's swap-delete
+// order — and with it every float sum — is the same in both runs.
+func TestUpdateTrafficDeterministic(t *testing.T) {
+	cfg := UpdateTrafficConfig{Workload: workload.Web, Load: 0.8, Duration: 1e-3, Seed: 4}
+	a, err := RunUpdateTraffic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunUpdateTraffic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two identical runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 

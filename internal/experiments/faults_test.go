@@ -166,16 +166,6 @@ func TestFaultPlanConfigValidation(t *testing.T) {
 		t.Fatal("kill plan without shards accepted")
 	}
 
-	// ChaosKillStep and Faults are mutually exclusive.
-	cfg, err = NamedScenario("chaos-failover", true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = plan(t, "step=10 kind=link-down rack=0 spine=1")
-	if _, err := RunScenario(cfg); err == nil {
-		t.Fatal("ChaosKillStep combined with Faults accepted")
-	}
-
 	// A plan scheduled past the run's horizon must fail loudly, not
 	// silently skip events.
 	cfg, err = NamedScenario("incast", true, 1)

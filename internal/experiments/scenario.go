@@ -92,26 +92,16 @@ type ScenarioConfig struct {
 	// shards. Determinism is unaffected — the parallel allocator's merge
 	// tree is a fixed reduction order.
 	Blocks int
-	// ChaosKillStep, when > 0, kills one daemon of the sharded cluster at
-	// that allocator step (1-based), exercising the survivable control
-	// plane mid-run: the cluster runs with peer takeover enabled, the
-	// endpoint client freezes the dead shard at last-known rates, the
-	// successor daemon adopts the orphaned rack block from the replicated
-	// flow state, and the client fails over onto it. Requires Shards > 1.
-	// The injection is deterministic — the kill lands at a fixed step and
-	// every recovery transition happens at an iteration boundary — so
-	// chaos runs are byte-reproducible like every other scenario.
-	ChaosKillStep int
-	// ChaosKillShard selects the daemon to kill (default: the last shard,
-	// so shard 0 — the successor ring's wrap target — adopts it).
-	ChaosKillShard int
 	// Faults, when non-nil, applies a deterministic fault plan through the
 	// injection layer (internal/faults): link events re-price the allocator
 	// and degrade the fabric, kill/drain events exercise the survivable
 	// control plane, traffic events are materialized as synthetic flowlets.
 	// Requires the Flowtune scheme; kill events additionally require
-	// Shards > 1. Mutually exclusive with ChaosKillStep (which is the
-	// single-kill special case, kept for the legacy chaos result shape).
+	// Shards > 1, and run the cluster with peer takeover: the endpoint client
+	// freezes the dead shard at last-known rates, the successor daemon adopts
+	// the orphaned rack block from the replicated flow state, and the client
+	// fails over onto it. Every transition happens at an iteration boundary,
+	// so fault runs are byte-reproducible like every other scenario.
 	Faults *faults.Plan
 	// MeasureControlLatency records each flow's flowlet-start→first-rate
 	// arrival latency (in simulated time, hence deterministic) and the
@@ -216,12 +206,8 @@ type ScenarioResult struct {
 	// Fabric-level counters over the whole run (including warmup).
 	DroppedBytes int64 `json:"dropped_bytes"`
 	ControlBytes int64 `json:"control_bytes"`
-	// Chaos summarizes the failover injection of a chaos scenario; nil
-	// (omitted) for ordinary runs, so their baselines are unaffected.
-	Chaos *ChaosStats `json:"chaos,omitempty"`
 	// Faults is the injection report of a fault-plan scenario; nil
-	// (omitted) for ordinary runs and for the legacy single-kill chaos
-	// shape, which keeps reporting through Chaos.
+	// (omitted) for ordinary runs, so their baselines are unaffected.
 	Faults *faults.Report `json:"faults,omitempty"`
 	// Control carries the control-plane latency and staleness measurements
 	// of a MeasureControlLatency run; nil (omitted) otherwise.
@@ -246,23 +232,6 @@ type WireScenarioStats struct {
 	FanoutBytesFixed   int64
 	ExchangeBytes      int64
 	ExchangeBytesFixed int64
-}
-
-// ChaosStats is the recovery accounting of one chaos-failover injection.
-type ChaosStats struct {
-	// KilledShard is the daemon killed, at allocator step KillStep.
-	KilledShard int `json:"killed_shard"`
-	KillStep    int `json:"kill_step"`
-	// AdopterShard is the surviving daemon that adopted the rack block.
-	AdopterShard int `json:"adopter_shard"`
-	// RecoverySteps counts allocator steps from the kill until the
-	// endpoint client completed its failover onto the adopter — the
-	// window during which the dead shard's flows ran at frozen rates.
-	RecoverySteps int `json:"recovery_steps"`
-	// AdoptedFlows and Takeovers mirror the adopter daemon's counters:
-	// flows re-claimed without engine churn, and rack blocks adopted.
-	AdoptedFlows int64 `json:"adopted_flows"`
-	Takeovers    int64 `json:"takeovers"`
 }
 
 // ControlStats measures the control loop the paper budgets at ~10 µs per
@@ -331,7 +300,7 @@ const ScenarioResultSchema = "flowtune-bench/scenario/v1"
 const (
 	// allocatorStepInterval mirrors the engine's default AllocatorInterval
 	// (the paper's 10 µs iteration period); fault-plan steps are defined on
-	// this cadence.
+	// this cadence, and the fluid update-traffic model steps at it.
 	allocatorStepInterval = 10e-6
 	// syntheticFlowIDBase is the flow-ID space of fault-plan synthetic
 	// flowlets, far above any workload trace ID.
@@ -359,33 +328,11 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.Blocks > 0 && !cfg.Daemon {
 		return nil, fmt.Errorf("experiments: scenario %s: Blocks requires Daemon mode", cfg.Name)
 	}
-	if cfg.ChaosKillStep > 0 && cfg.Shards <= 1 {
-		return nil, fmt.Errorf("experiments: scenario %s: ChaosKillStep requires Shards > 1", cfg.Name)
-	}
-	if cfg.ChaosKillStep > 0 && cfg.Faults != nil {
-		return nil, fmt.Errorf("experiments: scenario %s: ChaosKillStep and Faults are mutually exclusive", cfg.Name)
-	}
-	// The legacy single-kill chaos knob is the degenerate fault plan; fold it
-	// into the general injection path, remembering to report through the
-	// legacy Chaos result shape.
-	plan := cfg.Faults
-	legacyChaos := false
-	if cfg.ChaosKillStep > 0 {
-		victim := cfg.ChaosKillShard
-		if victim == 0 {
-			victim = cfg.Shards - 1
-		}
-		if victim < 0 || victim >= cfg.Shards {
-			return nil, fmt.Errorf("experiments: scenario %s: ChaosKillShard %d out of range", cfg.Name, victim)
-		}
-		plan = &faults.Plan{Events: []faults.Event{{Step: cfg.ChaosKillStep, Kind: faults.KillDaemon, Shard: victim}}}
-		legacyChaos = true
-	}
-	if plan != nil {
+	if cfg.Faults != nil {
 		if cfg.Scheme != transport.Flowtune {
 			return nil, fmt.Errorf("experiments: scenario %s: fault plans require the Flowtune scheme, got %s", cfg.Name, cfg.Scheme)
 		}
-		if plan.HasKills() && cfg.Shards <= 1 {
+		if cfg.Faults.HasKills() && cfg.Shards <= 1 {
 			return nil, fmt.Errorf("experiments: scenario %s: kill events require Shards > 1", cfg.Name)
 		}
 	}
@@ -405,7 +352,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			// shards, rate updates are merged back, and boundary prices
 			// are exchanged between the daemons at every tick.
 			clCfg := cluster.Config{Topology: topo, Shards: cfg.Shards, Blocks: cfg.Blocks}
-			if plan != nil && plan.HasKills() {
+			if cfg.Faults != nil && cfg.Faults.HasKills() {
 				// A kill run needs peers that detect the death and adopt
 				// the orphaned rack block.
 				clCfg.Takeover = true
@@ -466,9 +413,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// sharded-cluster client; the injector cannot tell the difference.
 	var inj *faults.Injector
 	var synthetic []workload.Flowlet
-	if plan != nil {
+	if cfg.Faults != nil {
 		deps := faults.InjectorConfig{
-			Plan:     *plan,
+			Plan:     *cfg.Faults,
 			Topology: topo,
 			Fabric:   eng.Network(),
 			Cluster:  cl,
@@ -497,7 +444,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		// Traffic events become synthetic flowlets whose arrivals track the
 		// allocator-step cadence and whose IDs are disjoint from the trace's.
-		synthetic = plan.SyntheticFlowlets(topo.NumServers(), allocatorStepInterval, syntheticFlowIDBase)
+		synthetic = cfg.Faults.SyntheticFlowlets(topo.NumServers(), allocatorStepInterval, syntheticFlowIDBase)
 	}
 	trace, err := workload.NewTrace(workload.TraceConfig{
 		Pattern:            cfg.Pattern,
@@ -557,27 +504,11 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("experiments: scenario %s: control plane: %w", cfg.Name, err)
 	}
 
-	var chaosStats *ChaosStats
 	var faultReport *faults.Report
 	if inj != nil {
-		rep, err := inj.Finish(len(synthetic))
+		faultReport, err = inj.Finish(len(synthetic))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %s: %w", cfg.Name, err)
-		}
-		if legacyChaos {
-			// The single-kill plan reports through the pre-existing Chaos
-			// shape, keeping the chaos-failover baseline byte-identical.
-			k := rep.Kills[0]
-			chaosStats = &ChaosStats{
-				KilledShard:   k.Shard,
-				KillStep:      k.Step,
-				AdopterShard:  k.Adopter,
-				RecoverySteps: k.RecoverySteps,
-				AdoptedFlows:  k.AdoptedFlows,
-				Takeovers:     k.Takeovers,
-			}
-		} else {
-			faultReport = rep
 		}
 	}
 
@@ -594,7 +525,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		Seed:     cfg.Seed,
 		Warmup:   cfg.Warmup,
 		Duration: cfg.Duration,
-		Chaos:    chaosStats,
 		Faults:   faultReport,
 	}
 
@@ -732,11 +662,6 @@ func (r *ScenarioResult) Render() string {
 		r.FCTSeconds.P50*1e6, r.FCTSeconds.P99*1e6, r.NormFCT.P50, r.NormFCT.P99)
 	fmt.Fprintf(&b, "  goodput %s (%.1f%% of aggregate capacity), dropped %d bytes\n",
 		metrics.FormatRate(r.GoodputBps), 100*r.AchievedLoad, r.DroppedBytes)
-	if r.Chaos != nil {
-		fmt.Fprintf(&b, "  chaos: killed shard %d at step %d, shard %d adopted %d flows in %d steps (%d takeover)\n",
-			r.Chaos.KilledShard, r.Chaos.KillStep, r.Chaos.AdopterShard,
-			r.Chaos.AdoptedFlows, r.Chaos.RecoverySteps, r.Chaos.Takeovers)
-	}
 	if f := r.Faults; f != nil {
 		fmt.Fprintf(&b, "  faults: %d events (%d capacity, %d rehash, %d drain, %d kill), %d synthetic flows\n",
 			f.EventsApplied, f.CapacityChanges, f.Rehashes, f.Drains, len(f.Kills), f.SyntheticFlows)
@@ -919,12 +844,14 @@ var namedScenarios = map[string]scenarioSpec{
 			cfg.Shards = 3
 			// Kill the last daemon halfway through the measurement window
 			// (each allocator step is 10 µs). Warmup ends at step 100 full,
-			// step 50 short.
-			cfg.ChaosKillStep = 300
+			// step 50 short; shard 0, the successor ring's wrap target,
+			// adopts it.
+			step := 300
 			if short {
 				cfg.Shards = 2
-				cfg.ChaosKillStep = 100
+				step = 100
 			}
+			cfg.Faults = &faults.Plan{Events: []faults.Event{{Step: step, Kind: faults.KillDaemon, Shard: cfg.Shards - 1}}}
 			return cfg
 		},
 	},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -108,16 +109,21 @@ func updateTrafficTopology(servers int) (*topology.Topology, error) {
 }
 
 // RunUpdateTraffic runs the fluid allocator simulation and measures control
-// traffic.
+// traffic. The allocator is the one every flowtuned runs (a one-block
+// ParallelAllocator, γ 0.4, the threshold as headroom), stepped every 10 µs
+// (§6.2) as a daemon steps it: one iteration, then the notify filter.
 func RunUpdateTraffic(cfg UpdateTrafficConfig) (*UpdateTrafficResult, error) {
 	cfg = cfg.withDefaults()
 	topo, err := updateTrafficTopology(cfg.Servers)
 	if err != nil {
 		return nil, err
 	}
-	alloc, err := core.NewAllocator(core.Config{
-		Topology:        topo,
-		UpdateThreshold: cfg.Threshold,
+	alloc, err := core.NewParallelAllocator(core.ParallelConfig{
+		Topology:  topo,
+		Blocks:    1,
+		Gamma:     0.4,
+		Headroom:  cfg.Threshold,
+		Normalize: true,
 	})
 	if err != nil {
 		return nil, err
@@ -133,7 +139,7 @@ func RunUpdateTraffic(cfg UpdateTrafficConfig) (*UpdateTrafficResult, error) {
 		return nil, err
 	}
 
-	interval := alloc.Config().IterationInterval
+	const interval = allocatorStepInterval
 	horizon := cfg.Warmup + cfg.Duration
 	arrivals := flowletHeap(gen.GenerateUntil(horizon))
 	heap.Init(&arrivals)
@@ -141,14 +147,12 @@ func RunUpdateTraffic(cfg UpdateTrafficConfig) (*UpdateTrafficResult, error) {
 	active := make(map[core.FlowID]*departure)
 	res := &UpdateTrafficResult{Config: cfg}
 	var concurrentSum float64
-	var samples int64
-	measuring := false
+	var samples, starts, ends int64
+	var updates []core.RateUpdate
+	var finished []core.FlowID
 
 	for now := 0.0; now < horizon; now += interval {
-		if !measuring && now >= cfg.Warmup {
-			alloc.ResetStats()
-			measuring = true
-		}
+		measuring := now >= cfg.Warmup
 		// Admit flowlets that arrived during this interval.
 		for len(arrivals) > 0 && arrivals[0].Arrival <= now {
 			f := heap.Pop(&arrivals).(workload.Flowlet)
@@ -161,20 +165,36 @@ func RunUpdateTraffic(cfg UpdateTrafficConfig) (*UpdateTrafficResult, error) {
 				remaining:   float64(f.SizeBytes),
 				earliestEnd: f.Arrival + topo.BaseRTT(f.Src, f.Dst) + float64(f.SizeBytes*8)/topo.Config().LinkCapacity,
 			}
+			if measuring {
+				starts++
+			}
 		}
 		// One allocator iteration; rates drain flowlets until the next one.
 		alloc.Iterate()
-		rates := alloc.Rates()
-		for id, d := range active {
-			d.remaining -= rates[id] / 8 * interval
+		updates = alloc.AppendUpdates(cfg.Threshold, updates[:0])
+		if measuring && alloc.NumFlows() > 0 {
+			res.RateUpdatesSent += int64(len(updates))
+			res.RateUpdatesSuppressed += int64(alloc.NumFlows() - len(updates))
+		}
+		finished = finished[:0]
+		alloc.ForEachRate(func(id core.FlowID, rate float64) {
+			d := active[id]
+			d.remaining -= rate / 8 * interval
 			if d.remaining <= 0 && now >= d.earliestEnd {
-				if err := alloc.FlowletEnd(id); err != nil {
-					return nil, err
-				}
-				delete(active, id)
-				if measuring {
-					res.FlowletsCompleted++
-				}
+				finished = append(finished, id)
+			}
+		})
+		// Ending in ID order fixes the allocator's swap-delete order, and
+		// with it the float summation order of later iterations.
+		slices.Sort(finished)
+		for _, id := range finished {
+			if err := alloc.FlowletEnd(id); err != nil {
+				return nil, err
+			}
+			delete(active, id)
+			if measuring {
+				ends++
+				res.FlowletsCompleted++
 			}
 		}
 		if measuring {
@@ -183,10 +203,16 @@ func RunUpdateTraffic(cfg UpdateTrafficConfig) (*UpdateTrafficResult, error) {
 		}
 	}
 
-	stats := alloc.Stats()
-	res.RateUpdatesSent = stats.RateUpdatesSent
-	res.RateUpdatesSuppressed = stats.RateUpdatesSuppressed
-	res.ToAllocatorFraction, res.FromAllocatorFraction = alloc.UpdateTrafficFractions(cfg.Duration)
+	// Control messages are the §6.2 payloads plus each one's amortized share
+	// of TCP/IP/Ethernet framing, assuming endpoints and the allocator batch
+	// them into MTU-sized packets; total network capacity is the sum of the
+	// server link capacities (the paper's convention).
+	const perMessageOverheadBytes = 4
+	toBytes := starts*(core.FlowletStartBytes+perMessageOverheadBytes) + ends*(core.FlowletEndBytes+perMessageOverheadBytes)
+	fromBytes := res.RateUpdatesSent * (core.RateUpdateBytes + perMessageOverheadBytes)
+	capacityBits := float64(topo.NumServers()) * topo.Config().LinkCapacity
+	res.ToAllocatorFraction = float64(toBytes*8) / cfg.Duration / capacityBits
+	res.FromAllocatorFraction = float64(fromBytes*8) / cfg.Duration / capacityBits
 	if samples > 0 {
 		res.MeanConcurrentFlows = concurrentSum / float64(samples)
 	}

@@ -17,7 +17,8 @@ type Fabric interface {
 }
 
 // CapacitySetter sets control-plane link capacities; implemented by
-// core.Allocator, server.Server, and cluster.Cluster (broadcast).
+// core.ParallelAllocator (the simulator's in-process allocator),
+// server.Server, and cluster.Cluster (broadcast).
 type CapacitySetter interface {
 	SetLinkCapacity(l topology.LinkID, capacity float64) error
 }

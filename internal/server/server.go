@@ -211,9 +211,7 @@ type event struct {
 	flow     core.FlowID
 	src, dst int
 	weight   float64
-	// size is the flowlet-size hint in bytes (0 = unknown).
-	size int64
-	sess *session
+	sess     *session
 	// cleanup marks an orphan-retirement event generated when sess
 	// disconnected. It only applies while sess still owns the flow: if a
 	// reconnected client re-registered the flow under a new session before
@@ -496,7 +494,7 @@ func (s *Server) SetLinkCapacity(l topology.LinkID, capacity float64) error {
 }
 
 // Rates returns the allocator's current rates keyed by flow ID (a diagnostic
-// mirror of core.Allocator.Rates).
+// mirror of core.ParallelAllocator.Rates).
 func (s *Server) Rates() map[core.FlowID]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -840,7 +838,6 @@ func (s *Server) ServeConn(conn net.Conn) error {
 				src:    int(m.Src),
 				dst:    int(m.Dst),
 				weight: m.Weight,
-				size:   m.Size,
 				sess:   sess,
 			})
 		case wire.TypeFlowletEnd:
@@ -1325,7 +1322,7 @@ func (s *Server) drainInboxLocked() {
 			s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
 			continue
 		}
-		if err := s.alloc.FlowletStartSized(ev.flow, ev.src, ev.dst, ev.weight, ev.size); err != nil {
+		if err := s.alloc.FlowletStart(ev.flow, ev.src, ev.dst, ev.weight); err != nil {
 			s.stRejected.Add(1)
 			s.logf("flowlet %d add rejected: %v", ev.flow, err)
 			continue

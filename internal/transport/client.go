@@ -26,8 +26,9 @@ var ErrEpochChanged = errors.New("transport: daemon epoch changed; reconnect to 
 var ErrDaemonDraining = errors.New("transport: daemon draining; fail over at last-known rates")
 
 // AllocatorBackend is where the simulation engine's Flowtune control plane
-// terminates: either the in-process core.Allocator or a flowtuned daemon
-// reached through an AllocClient. FlowletStart/FlowletEnd deliver
+// terminates: either the in-process allocator (the one-block
+// core.ParallelAllocator every flowtuned runs) or a flowtuned daemon reached
+// through an AllocClient. FlowletStart/FlowletEnd deliver
 // notifications; Step folds pending notifications in, runs one allocator
 // iteration, and returns the rate updates it produced.
 type AllocatorBackend interface {
@@ -36,9 +37,9 @@ type AllocatorBackend interface {
 	Step() ([]core.RateUpdate, error)
 }
 
-// sizedStarter is implemented by backends that accept the wire
-// flowlet-size hint (bytes, 0 = unknown) alongside a registration. The hint
-// rides into the engine's flow metadata and is ignored by the solvers.
+// sizedStarter is implemented by backends that carry the wire flowlet-size
+// hint (bytes, 0 = unknown) alongside a registration. The hint travels in the
+// FlowletAdd frame and stops at the daemon's decoder; no allocator reads it.
 type sizedStarter interface {
 	FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error
 }
@@ -52,17 +53,24 @@ func startFlowlet(b AllocatorBackend, id core.FlowID, src, dst int, weight float
 	return b.FlowletStart(id, src, dst, weight)
 }
 
-// inprocBackend adapts core.Allocator to AllocatorBackend.
-type inprocBackend struct{ alloc *core.Allocator }
+// inprocBackend adapts the in-process allocator to AllocatorBackend: a Step
+// is one iteration followed by the notify filter, the daemon's own step. The
+// returned updates reuse one buffer and are valid until the next Step.
+type inprocBackend struct {
+	alloc     *core.ParallelAllocator
+	threshold float64
+	updates   []core.RateUpdate
+}
 
-func (b inprocBackend) FlowletStart(id core.FlowID, src, dst int, weight float64) error {
+func (b *inprocBackend) FlowletStart(id core.FlowID, src, dst int, weight float64) error {
 	return b.alloc.FlowletStart(id, src, dst, weight)
 }
-func (b inprocBackend) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
-	return b.alloc.FlowletStartSized(id, src, dst, weight, size)
+func (b *inprocBackend) FlowletEnd(id core.FlowID) error { return b.alloc.FlowletEnd(id) }
+func (b *inprocBackend) Step() ([]core.RateUpdate, error) {
+	b.alloc.Iterate()
+	b.updates = b.alloc.AppendUpdates(b.threshold, b.updates[:0])
+	return b.updates, nil
 }
-func (b inprocBackend) FlowletEnd(id core.FlowID) error  { return b.alloc.FlowletEnd(id) }
-func (b inprocBackend) Step() ([]core.RateUpdate, error) { return b.alloc.Iterate(), nil }
 
 // AllocClient is the endpoint side of the flowtuned wire protocol. It
 // implements AllocatorBackend over any net.Conn — loopback TCP via

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"slices"
+
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -250,9 +252,13 @@ func (c *conn) rtoCheck() {
 	rto := c.eng.rtoInterval(c)
 	if now-c.lastProgress >= rto {
 		c.snd.onLoss(c)
+		// Queue in sequence order: map order would make the retransmission
+		// schedule, and so every run's results, differ between runs.
+		queued := len(c.retxQueue)
 		for seq := range c.unacked {
 			c.retxQueue = append(c.retxQueue, seq)
 		}
+		slices.Sort(c.retxQueue[queued:])
 		c.lastProgress = now
 		c.scheduleRetransmits()
 	}

@@ -17,7 +17,8 @@
 // over the allocator's uplinks (topology.PathToAllocator), so control-plane
 // latency and bandwidth are part of every result. Where the control plane
 // *terminates* is pluggable through the AllocatorBackend seam: the default
-// is the in-process core.Allocator, and AllocClient — the endpoint side of
-// the flowtuned wire protocol — lets the same simulation drive a live
-// allocator daemon over a socket or in-memory pipe instead.
+// is an in-process copy of the allocator every flowtuned runs (a one-block
+// core.ParallelAllocator, stepped as the daemon steps it), and AllocClient —
+// the endpoint side of the flowtuned wire protocol — lets the same simulation
+// drive a live allocator daemon over a socket or in-memory pipe instead.
 package transport

@@ -38,9 +38,9 @@ type EngineConfig struct {
 	Horizon float64
 	// ExternalAllocator, when set, terminates the Flowtune control plane
 	// outside the engine — typically an AllocClient speaking the wire
-	// protocol to a flowtuned daemon — instead of the in-process
-	// core.Allocator. Control messages still traverse the simulated
-	// fabric; only the allocator computation moves out of process.
+	// protocol to a flowtuned daemon — instead of the in-process allocator.
+	// Control messages still traverse the simulated fabric; only the
+	// allocator computation moves out of process.
 	ExternalAllocator AllocatorBackend
 	// TrackRateLatency records, for every flowlet, the simulated time from
 	// its start (when the flowlet-start notification leaves the sender)
@@ -96,16 +96,15 @@ type Engine struct {
 	// Flowtune-specific allocator endpoint. backend is where control
 	// messages terminate (the in-process allocator, or an external
 	// daemon client); alloc is only set for the in-process case.
-	backend        AllocatorBackend
-	backendErr     error
-	registered     map[core.FlowID]bool
-	alloc          *core.Allocator
-	allocRunning   bool
-	allocFailed    bool
-	ctrlToAlloc    map[int][]int32 // control path from each server to the allocator
-	ctrlFromAlloc  map[int][]int32 // control path from the allocator to each server
-	controlPackets int64
-	controlBytes   int64
+	backend       AllocatorBackend
+	backendErr    error
+	registered    map[core.FlowID]bool
+	alloc         *core.ParallelAllocator
+	allocRunning  bool
+	allocFailed   bool
+	ctrlToAlloc   map[int][]int32 // control path from each server to the allocator
+	ctrlFromAlloc map[int][]int32 // control path from the allocator to each server
+	controlBytes  int64
 
 	// rateSeen and rateLatencies implement TrackRateLatency: one sample
 	// per flowlet, appended in rate-arrival order.
@@ -156,8 +155,9 @@ func (e *Engine) Network() *sim.Network { return e.net }
 // Topology returns the fabric being simulated.
 func (e *Engine) Topology() *topology.Topology { return e.topo }
 
-// Allocator returns the Flowtune allocator, or nil for other schemes.
-func (e *Engine) Allocator() *core.Allocator { return e.alloc }
+// Allocator returns the in-process Flowtune allocator, or nil for other
+// schemes and for an ExternalAllocator.
+func (e *Engine) Allocator() *core.ParallelAllocator { return e.alloc }
 
 // serverLinkRate returns the capacity of a server's access link.
 func (e *Engine) serverLinkRate() float64 { return e.topo.Config().LinkCapacity }
@@ -366,8 +366,10 @@ func (e *Engine) senderFinished(c *conn) {
 
 // setupAllocator builds the allocator endpoint and its control paths. The
 // allocator host stays part of the simulated fabric either way; with an
-// external backend the computation happens in the daemon instead of the
-// in-process core.Allocator.
+// external backend the computation happens in the daemon instead of in
+// process. The in-process allocator is the one server.New builds — a
+// one-block ParallelAllocator, run on the caller alone — so a simulation
+// measures the allocator flowtuned serves.
 func (e *Engine) setupAllocator() error {
 	if _, ok := e.topo.AllocatorNode(); !ok {
 		return fmt.Errorf("transport: Flowtune requires a topology with an allocator host")
@@ -379,17 +381,18 @@ func (e *Engine) setupAllocator() error {
 	if e.cfg.ExternalAllocator != nil {
 		e.backend = e.cfg.ExternalAllocator
 	} else {
-		alloc, err := core.NewAllocator(core.Config{
-			Topology:          e.topo,
-			Gamma:             e.cfg.AllocatorGamma,
-			UpdateThreshold:   e.cfg.UpdateThreshold,
-			IterationInterval: e.cfg.AllocatorInterval,
+		alloc, err := core.NewParallelAllocator(core.ParallelConfig{
+			Topology:  e.topo,
+			Blocks:    1,
+			Gamma:     e.cfg.AllocatorGamma,
+			Headroom:  e.cfg.UpdateThreshold,
+			Normalize: true,
 		})
 		if err != nil {
 			return err
 		}
 		e.alloc = alloc
-		e.backend = inprocBackend{alloc: alloc}
+		e.backend = &inprocBackend{alloc: alloc, threshold: e.cfg.UpdateThreshold}
 	}
 	e.ctrlToAlloc = make(map[int][]int32)
 	e.ctrlFromAlloc = make(map[int][]int32)
@@ -433,28 +436,14 @@ func (e *Engine) WrapBackend(wrap func(AllocatorBackend) AllocatorBackend) error
 // set).
 func (e *Engine) RateLatencies() []float64 { return e.rateLatencies }
 
-// FailAllocator simulates an allocator failure: no new iterations run and no
-// updates are sent; endpoints keep their last allocated rates.
-func (e *Engine) FailAllocator() {
-	if e.backend == nil {
-		return
-	}
-	if e.alloc != nil {
-		e.alloc.Fail()
-	}
-	e.allocFailed = true
-}
+// FailAllocator simulates an allocator failure: notifications arriving at the
+// allocator are dropped, no iterations run and no updates are sent; endpoints
+// keep their last allocated rates.
+func (e *Engine) FailAllocator() { e.allocFailed = true }
 
-// RecoverAllocator restores a failed allocator.
-func (e *Engine) RecoverAllocator() {
-	if e.backend == nil {
-		return
-	}
-	if e.alloc != nil {
-		e.alloc.Recover()
-	}
-	e.allocFailed = false
-}
+// RecoverAllocator restores a failed allocator. Its learned prices were kept,
+// so allocations resume close to where they left off.
+func (e *Engine) RecoverAllocator() { e.allocFailed = false }
 
 // Err returns the first fatal control-plane error of the run (a broken
 // connection to an external allocator daemon), or nil.
@@ -491,7 +480,6 @@ func (e *Engine) sendControl(src, dst int, path []int32, info *sim.ControlInfo, 
 		Path:         path,
 		Ctrl:         info,
 	}
-	e.controlPackets++
 	e.controlBytes += int64(p.WireBytes)
 	e.net.Send(p)
 }

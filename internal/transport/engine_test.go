@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -148,18 +149,23 @@ func TestFlowtuneSharesBottleneckFairly(t *testing.T) {
 	}
 }
 
+// TestFlowtuneAllocatorReceivesNotifications checks the control loop through
+// what the engine observes: the start notification registered the flowlet
+// (a rate came back for it), and the end notification retired it.
 func TestFlowtuneAllocatorReceivesNotifications(t *testing.T) {
-	eng := newTestEngine(t, Flowtune, 3e-3)
+	eng, err := NewEngine(EngineConfig{Scheme: Flowtune, Horizon: 3e-3, TrackRateLatency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.AddFlowlet(workload.Flowlet{ID: 1, Arrival: 0, Src: 0, Dst: 20, SizeBytes: 100000}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(3e-3)
-	stats := eng.Allocator().Stats()
-	if stats.StartNotifications != 1 {
-		t.Errorf("allocator saw %d start notifications, want 1", stats.StartNotifications)
+	if n := len(eng.RateLatencies()); n != 1 {
+		t.Errorf("%d flowlets heard a rate back, want 1", n)
 	}
-	if stats.EndNotifications != 1 {
-		t.Errorf("allocator saw %d end notifications, want 1 (flow finished)", stats.EndNotifications)
+	if n := eng.Allocator().NumFlows(); n != 0 || len(eng.registered) != 0 {
+		t.Errorf("allocator still holds %d flowlets (%d registered), want 0: the flow finished", n, len(eng.registered))
 	}
 	if eng.ControlBytes() == 0 {
 		t.Error("control traffic should have been injected into the fabric")
@@ -199,8 +205,14 @@ func TestStopFlow(t *testing.T) {
 	eng.StopFlow(99)
 }
 
+// TestAllocatorFailureFallback fails the allocator before a flowlet starts:
+// the allocator must see no notification and send no rate, and the endpoint
+// must still finish on its own.
 func TestAllocatorFailureFallback(t *testing.T) {
-	eng := newTestEngine(t, Flowtune, 4e-3)
+	eng, err := NewEngine(EngineConfig{Scheme: Flowtune, Horizon: 4e-3, TrackRateLatency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.AddFlowlet(workload.Flowlet{ID: 1, Arrival: 0, Src: 16, Dst: 0, SizeBytes: 2 << 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +223,11 @@ func TestAllocatorFailureFallback(t *testing.T) {
 	if !eng.Records()[0].Finished() {
 		t.Error("flow did not finish with a failed allocator")
 	}
-	if got := eng.Allocator().Stats().RateUpdatesSent; got != 0 {
-		t.Errorf("failed allocator sent %d updates", got)
+	if n := len(eng.RateLatencies()); n != 0 {
+		t.Errorf("failed allocator sent a rate to %d flowlets", n)
+	}
+	if n := eng.Allocator().NumFlows(); n != 0 || len(eng.registered) != 0 {
+		t.Errorf("failed allocator registered %d flowlets (%d in the engine)", n, len(eng.registered))
 	}
 	eng.RecoverAllocator()
 }
@@ -301,7 +316,10 @@ func TestXCPConservativeRampUp(t *testing.T) {
 
 // TestRetransmissionRecoversFromDrops: under a severe incast with tiny
 // pFabric buffers, drops happen but flows still finish.
-func TestRetransmissionRecoversFromDrops(t *testing.T) {
+// lossyIncast runs a 12-flow pFabric incast whose small buffers drop enough
+// to exercise both the loss callback and the RTO watchdog.
+func lossyIncast(t *testing.T) *Engine {
+	t.Helper()
 	eng := newTestEngine(t, PFabric, 30e-3)
 	for i := 0; i < 12; i++ {
 		if err := eng.AddFlowlet(workload.Flowlet{
@@ -311,6 +329,11 @@ func TestRetransmissionRecoversFromDrops(t *testing.T) {
 		}
 	}
 	eng.Run(30e-3)
+	return eng
+}
+
+func TestRetransmissionRecoversFromDrops(t *testing.T) {
+	eng := lossyIncast(t)
 	if eng.DroppedBytes() == 0 {
 		t.Error("expected drops under a 12-flow incast with pFabric's small buffers")
 	}
@@ -318,6 +341,16 @@ func TestRetransmissionRecoversFromDrops(t *testing.T) {
 		if !rec.Finished() {
 			t.Errorf("flow %d did not finish despite retransmissions", i)
 		}
+	}
+}
+
+// TestRetransmissionDeterministic runs the lossy incast twice: the RTO
+// watchdog's retransmissions must not depend on map order, so the flow
+// records must match bit for bit.
+func TestRetransmissionDeterministic(t *testing.T) {
+	a, b := lossyIncast(t).Records(), lossyIncast(t).Records()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two identical lossy runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 
