@@ -55,12 +55,17 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// RateUpdate is one rate notification for an endpoint.
+// RateUpdate is one rate notification for an endpoint (24 bytes).
 type RateUpdate struct {
 	// Flow identifies the flowlet.
 	Flow FlowID
 	// Src is the sending server's index (the notification's recipient).
-	Src int
+	Src int32
+	// Slot is the flow's ParallelAllocator slot (see SlotOf), so a caller
+	// keeping per-flow state in a slice indexed by slot reaches it without a
+	// lookup. The reference Allocator has no slots and leaves it 0, as do
+	// updates decoded off the wire.
+	Slot int32
 	// Rate is the newly allocated rate in bits per second.
 	Rate float64
 }
@@ -251,19 +256,24 @@ func (a *Allocator) Iterate() []RateUpdate {
 	// The notify filter is its own pass over two dense float arrays — fusing
 	// it into the normalizer's CSR sweep measured slower — and touches ids and
 	// srcs only for the flows it reports.
-	a.updates = appendSignificant(a.updates[:0], a.ids, a.srcs, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
+	a.updates = appendSignificant(a.updates[:0], a.ids, nil, a.srcs, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
 	return a.updates
 }
 
 // appendSignificant is the notify filter over one dense run of flows: it
 // appends a RateUpdate for every flow whose rate changed significantly since
-// it was last reported, and records the reported rate.
-func appendSignificant(buf []RateUpdate, ids []FlowID, srcs []int32, rates, lastNotified []float64, thr float64) []RateUpdate {
+// it was last reported, and records the reported rate. slots, when non-nil,
+// fills RateUpdate.Slot.
+func appendSignificant(buf []RateUpdate, ids []FlowID, slots, srcs []int32, rates, lastNotified []float64, thr float64) []RateUpdate {
 	lastNotified = lastNotified[:len(rates)]
 	for i, rate := range rates {
 		if SignificantRateChange(lastNotified[i], rate, thr) {
 			lastNotified[i] = rate
-			buf = append(buf, RateUpdate{Flow: ids[i], Src: int(srcs[i]), Rate: rate})
+			u := RateUpdate{Flow: ids[i], Src: srcs[i], Rate: rate}
+			if slots != nil {
+				u.Slot = slots[i]
+			}
+			buf = append(buf, u)
 		}
 	}
 	return buf

@@ -31,5 +31,9 @@
 // alone. Both maintain their flow sets incrementally — FlowletStart and
 // FlowletEnd are O(route length) operations on a CSR index with swap-delete
 // holes compacted amortizedly — so the per-iteration cost is independent of
-// churn history. See ARCHITECTURE.md, "The parallel iteration path".
+// churn history. The ParallelAllocator also gives every flow a dense, stable
+// slot (SlotOf, Admit, EndSlot, RateUpdate.Slot), so a caller keeping
+// per-flow state — the daemon's flow table — indexes a slice by it and keeps
+// no flow index of its own. See ARCHITECTURE.md, "The parallel iteration
+// path".
 package core

@@ -25,7 +25,7 @@ type refAllocator struct {
 
 type refFlow struct {
 	id           FlowID
-	src          int
+	src          int32
 	route        []int32
 	weight       float64
 	lastNotified float64
@@ -51,7 +51,7 @@ func (r *refAllocator) start(t *testing.T, topo *topology.Topology, id FlowID, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.flows = append(r.flows, refFlow{id: id, src: src, route: route, weight: weight * topo.Config().LinkCapacity})
+	r.flows = append(r.flows, refFlow{id: id, src: int32(src), route: route, weight: weight * topo.Config().LinkCapacity})
 }
 
 func (r *refAllocator) end(id FlowID) {

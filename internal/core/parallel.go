@@ -43,8 +43,10 @@ type flowBlock struct {
 	// bit-exactly (scaling is not a reversible float operation for arbitrary
 	// weights). lastNotified is the rate most recently reported through
 	// AppendUpdates, so the daemon's update walk runs on dense arrays with no
-	// per-flow map lookups.
+	// per-flow map lookups. slots holds each flow's allocator slot, which
+	// outlives the swap-deletes that move the flow within the block.
 	ids          []FlowID
+	slots        []int32
 	srcs         []int32
 	dsts         []int32
 	baseWeights  []float64
@@ -94,8 +96,9 @@ func (fb *flowBlock) layOut(nUp, nDown int, normalize bool) {
 }
 
 // addFlow appends one flow whose route is already in local link indices.
-func (fb *flowBlock) addFlow(f ParallelFlow, weight, baseWeight float64, route []int32) {
+func (fb *flowBlock) addFlow(f ParallelFlow, slot int32, weight, baseWeight float64, route []int32) {
 	fb.ids = append(fb.ids, f.ID)
+	fb.slots = append(fb.slots, slot)
 	fb.srcs = append(fb.srcs, int32(f.Src))
 	fb.dsts = append(fb.dsts, int32(f.Dst))
 	fb.baseWeights = append(fb.baseWeights, baseWeight)
@@ -104,13 +107,14 @@ func (fb *flowBlock) addFlow(f ParallelFlow, weight, baseWeight float64, route [
 	fb.csr.AppendLog(route, weight)
 }
 
-// removeSwap removes flow i by moving the block's last flow into its slot. It
-// returns the ID of the flow that moved into slot i (the removed flow itself
-// when it was last) so the allocator can fix its locator.
-func (fb *flowBlock) removeSwap(i int) FlowID {
+// removeSwap removes flow i by moving the block's last flow into its place. It
+// returns the allocator slot of the flow that moved to index i (the removed
+// flow's own slot when it was last) so the allocator can fix its locator.
+func (fb *flowBlock) removeSwap(i int) int32 {
 	last := len(fb.ids) - 1
-	moved := fb.ids[last]
-	fb.ids[i] = moved
+	moved := fb.slots[last]
+	fb.ids[i] = fb.ids[last]
+	fb.slots[i] = moved
 	fb.srcs[i] = fb.srcs[last]
 	fb.dsts[i] = fb.dsts[last]
 	fb.baseWeights[i] = fb.baseWeights[last]
@@ -124,6 +128,7 @@ func (fb *flowBlock) removeSwap(i int) FlowID {
 // truncate keeps the first n entries of the per-flow columns.
 func (fb *flowBlock) truncate(n int) {
 	fb.ids = fb.ids[:n]
+	fb.slots = fb.slots[:n]
 	fb.srcs = fb.srcs[:n]
 	fb.dsts = fb.dsts[:n]
 	fb.baseWeights = fb.baseWeights[:n]
@@ -201,8 +206,8 @@ type ParallelConfig struct {
 }
 
 // flowLoc locates a registered flow: the FlowBlock that holds it and its
-// block-local index. The index moves under swap-deletes; FlowletEnd keeps the
-// locator map consistent.
+// block-local index. The index moves under swap-deletes; EndSlot keeps the
+// slot table consistent. A free slot has fb = -1.
 type flowLoc struct {
 	fb  int32
 	idx int32
@@ -221,6 +226,11 @@ type flowLoc struct {
 // O(route length) operations on the owning FlowBlock's CSR index, so flowlet
 // churn between iterations never rebuilds or re-routes the rest of the flow
 // set. SetFlows remains as the bulk-load path.
+//
+// Every registered flow holds a slot: a dense int32, stable from admission to
+// end, reused after it. SlotOf resolves an ID to it, AppendUpdates reports it
+// in RateUpdate.Slot, and EndSlot retires by it, so a caller keeping per-flow
+// state in a slice indexed by slot needs no index of its own.
 type ParallelAllocator struct {
 	cfg  ParallelConfig
 	topo *topology.Topology
@@ -257,9 +267,13 @@ type ParallelAllocator struct {
 	fbs  []*flowBlock
 	fbAt []*flowBlock
 
-	// loc locates every registered flow for FlowletEnd; it is touched only
-	// on churn, never in the iteration hot path.
-	loc map[FlowID]flowLoc
+	// loc maps every registered flow to its slot, and slots maps a slot to
+	// the flow's FlowBlock and index; freeSlots lists the ended flows' slots,
+	// reused last-in first-out, so len(slots) is the peak flow count. They
+	// are touched only on churn, never in the iteration hot path.
+	loc       map[FlowID]int32
+	slots     []flowLoc
+	freeSlots []int32
 
 	// shares splits fbs into W = min(len(fbs), GOMAXPROCS) contiguous Morton
 	// runs, one per worker: shares[0] runs on the goroutine calling Iterate,
@@ -270,8 +284,6 @@ type ParallelAllocator struct {
 	wg      sync.WaitGroup
 	stop    atomic.Bool
 	started bool
-
-	numFlows int
 }
 
 // NewParallelAllocator builds the multicore allocator.
@@ -302,7 +314,7 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 		gamma:     gamma,
 		maxRate:   cfg.Topology.Config().LinkCapacity,
 		linkCap:   cfg.Topology.Config().LinkCapacity,
-		loc:       make(map[FlowID]flowLoc),
+		loc:       make(map[FlowID]int32),
 	}
 	for b := 0; b < cfg.Blocks; b++ {
 		p.up = append(p.up, newLinkBlockState(cfg.Topology, part.UpwardLinkBlock(b), cfg.Headroom))
@@ -376,26 +388,36 @@ func mortonCoords(m, n int) (sb, db int) {
 func (p *ParallelAllocator) NumWorkers() int { return len(p.shares) }
 
 // NumFlows returns the number of loaded flows.
-func (p *ParallelAllocator) NumFlows() int { return p.numFlows }
+func (p *ParallelAllocator) NumFlows() int { return len(p.loc) }
 
 // AggregationSteps returns the number of pairwise merge rounds per iteration.
 func (p *ParallelAllocator) AggregationSteps() int { return p.part.AggregationSteps() }
 
-// HasFlow reports whether a flowlet is currently registered.
-func (p *ParallelAllocator) HasFlow(id FlowID) bool {
-	_, ok := p.loc[id]
-	return ok
+// SlotOf returns the slot of a registered flowlet, and false if id is not
+// registered.
+func (p *ParallelAllocator) SlotOf(id FlowID) (int32, bool) {
+	slot, ok := p.loc[id]
+	return slot, ok
 }
 
-// FlowletStart registers one new flowlet, resolving its route to the owning
-// FlowBlock's local link indices once and appending it to the block's CSR
-// index — an O(route length) operation that leaves every other flow
-// untouched. A weight admitWeight refuses is an error. It may only be called
-// while no Iterate call is in flight.
+// FlowletStart registers one new flowlet (see Admit), refusing an ID that is
+// already registered.
 func (p *ParallelAllocator) FlowletStart(id FlowID, src, dst int, weight float64) error {
 	if _, dup := p.loc[id]; dup {
 		return fmt.Errorf("core: flowlet %d already registered", id)
 	}
+	_, err := p.Admit(id, src, dst, weight)
+	return err
+}
+
+// Admit registers one new flowlet and returns its slot, resolving its route to
+// the owning FlowBlock's local link indices once and appending it to the
+// block's CSR index — an O(route length) operation that leaves every other
+// flow untouched. A weight admitWeight refuses is an error. id must not be
+// registered: callers resolve it with SlotOf first, as FlowletStart does, so
+// an admission costs one map insert. It may only be called while no Iterate
+// call is in flight.
+func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int32, error) {
 	return p.addFlow(ParallelFlow{ID: id, Src: src, Dst: dst, Weight: weight})
 }
 
@@ -406,20 +428,20 @@ func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight fl
 	return p.FlowletStart(id, src, dst, weight)
 }
 
-// addFlow admits, routes and appends one flow (shared by FlowletStart and
-// SetFlows; the caller has already rejected duplicates). Every link of the
-// route must be owned by the source block's upward or the destination block's
-// downward LinkBlock — the two the FlowBlock holds local copies of.
-func (p *ParallelAllocator) addFlow(f ParallelFlow) error {
+// addFlow admits, routes and appends one flow and gives it a slot (shared by
+// Admit and SetFlows; the caller has already rejected duplicates). Every link
+// of the route must be owned by the source block's upward or the destination
+// block's downward LinkBlock — the two the FlowBlock holds local copies of.
+func (p *ParallelAllocator) addFlow(f ParallelFlow) (int32, error) {
 	// Weights are scaled by link capacity (as in the sequential allocator)
 	// so prices stay O(1).
 	weight, scaled, err := admitWeight(f.Weight, p.linkCap)
 	if err != nil {
-		return fmt.Errorf("core: flow %d: %w", f.ID, err)
+		return 0, fmt.Errorf("core: flow %d: %w", f.ID, err)
 	}
 	route, err := p.topo.RouteInto(p.routeBuf[:0], f.Src, f.Dst, int(f.ID))
 	if err != nil {
-		return fmt.Errorf("core: flow %d: %w", f.ID, err)
+		return 0, fmt.Errorf("core: flow %d: %w", f.ID, err)
 	}
 	sb := p.part.BlockOfServer(f.Src)
 	db := p.part.BlockOfServer(f.Dst)
@@ -432,13 +454,21 @@ func (p *ParallelAllocator) addFlow(f ParallelFlow) error {
 		case p.down[db]:
 			route[k] = int32(fb.downBase) + p.ownerPos[l]
 		default:
-			return fmt.Errorf("core: flow %d: link %d is in neither its upward nor its downward LinkBlock", f.ID, l)
+			return 0, fmt.Errorf("core: flow %d: link %d is in neither its upward nor its downward LinkBlock", f.ID, l)
 		}
 	}
-	fb.addFlow(f, scaled, weight, route)
-	p.loc[f.ID] = flowLoc{fb: int32(fbi), idx: int32(fb.numFlows() - 1)}
-	p.numFlows++
-	return nil
+	at := flowLoc{fb: int32(fbi), idx: int32(fb.numFlows())}
+	var slot int32
+	if n := len(p.freeSlots); n > 0 {
+		slot, p.freeSlots = p.freeSlots[n-1], p.freeSlots[:n-1]
+		p.slots[slot] = at
+	} else {
+		slot = int32(len(p.slots))
+		p.slots = append(p.slots, at)
+	}
+	fb.addFlow(f, slot, scaled, weight, route)
+	p.loc[f.ID] = slot
+	return slot, nil
 }
 
 // mortonIndex interleaves the bits of (srcBlock, dstBlock): the inverse of
@@ -452,22 +482,31 @@ func mortonIndex(sb, db, n int) int {
 	return m
 }
 
-// FlowletEnd removes a flowlet by swap-deleting it from its FlowBlock — an
-// O(1) operation (plus an amortized arena compaction once holes outnumber
-// live entries). It may only be called while no Iterate call is in flight.
+// FlowletEnd removes a registered flowlet (see EndSlot).
 func (p *ParallelAllocator) FlowletEnd(id FlowID) error {
-	l, ok := p.loc[id]
+	slot, ok := p.loc[id]
 	if !ok {
 		return fmt.Errorf("core: flowlet %d is not registered", id)
 	}
-	fb := p.fbs[l.fb]
-	moved := fb.removeSwap(int(l.idx))
-	if moved != id {
-		p.loc[moved] = flowLoc{fb: l.fb, idx: l.idx}
-	}
-	delete(p.loc, id)
-	p.numFlows--
+	p.EndSlot(slot)
 	return nil
+}
+
+// EndSlot removes the flowlet holding slot by swap-deleting it from its
+// FlowBlock — an O(1) operation (plus an amortized arena compaction once
+// holes outnumber live entries) whose one map operation is the delete — and
+// frees the slot for the next admission. slot must hold a flowlet: SlotOf or
+// Admit returned it after the slot was last freed (a free slot panics). It
+// may only be called while no Iterate call is in flight.
+func (p *ParallelAllocator) EndSlot(slot int32) {
+	l := p.slots[slot]
+	fb := p.fbs[l.fb]
+	delete(p.loc, fb.ids[l.idx])
+	if moved := fb.removeSwap(int(l.idx)); moved != slot {
+		p.slots[moved] = l
+	}
+	p.slots[slot] = flowLoc{fb: -1}
+	p.freeSlots = append(p.freeSlots, slot)
 }
 
 // SetLinkCapacity replaces one link's raw capacity in the LinkBlock that owns
@@ -493,19 +532,20 @@ func (p *ParallelAllocator) SetLinkCapacity(l topology.LinkID, capacity float64)
 // SetFlows replaces the allocator's flow set in bulk, re-routing every flow.
 // Link prices persist across calls. Incremental churn should use
 // FlowletStart/FlowletEnd instead; SetFlows remains as the bulk-load path.
-// Flow IDs must be distinct. It may only be called while no Iterate call is
-// in flight.
+// Flow IDs must be distinct; the flows get slots 0..len(flows)-1 in order. It
+// may only be called while no Iterate call is in flight.
 func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 	for _, fb := range p.fbs {
 		fb.reset()
 	}
 	clear(p.loc)
-	p.numFlows = 0
+	p.slots = p.slots[:0]
+	p.freeSlots = p.freeSlots[:0]
 	for _, f := range flows {
 		if _, dup := p.loc[f.ID]; dup {
 			return fmt.Errorf("core: duplicate flow ID %d", f.ID)
 		}
-		if err := p.addFlow(f); err != nil {
+		if _, err := p.addFlow(f); err != nil {
 			return err
 		}
 	}
@@ -517,7 +557,7 @@ func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 // and loads are accumulated. Feeding the result to SetFlows on an allocator
 // with the same configuration reproduces this allocator's layout exactly.
 func (p *ParallelAllocator) LiveFlows() []ParallelFlow {
-	out := make([]ParallelFlow, 0, p.numFlows)
+	out := make([]ParallelFlow, 0, len(p.loc))
 	for _, fb := range p.fbs {
 		for i, id := range fb.ids {
 			out = append(out, ParallelFlow{ID: id, Src: int(fb.srcs[i]), Dst: int(fb.dsts[i]), Weight: fb.baseWeights[i]})
@@ -554,7 +594,7 @@ func (p *ParallelAllocator) Close() {
 // as worker 0, and returns once every worker has finished. With no flows
 // loaded it returns at once: prices neither advance nor decay while idle.
 func (p *ParallelAllocator) Iterate() {
-	if p.numFlows == 0 {
+	if len(p.loc) == 0 {
 		return
 	}
 	p.start()
@@ -696,7 +736,7 @@ func (p *ParallelAllocator) normalizePhase(fb *flowBlock) {
 // Rates returns the rates computed by the most recent Iterate call, keyed by
 // flow ID.
 func (p *ParallelAllocator) Rates() map[FlowID]float64 {
-	out := make(map[FlowID]float64, p.numFlows)
+	out := make(map[FlowID]float64, len(p.loc))
 	p.ForEachRate(func(id FlowID, rate float64) { out[id] = rate })
 	return out
 }
@@ -714,13 +754,13 @@ func (p *ParallelAllocator) ForEachRate(fn func(FlowID, float64)) {
 
 // AppendUpdates appends a RateUpdate for every flow whose rate changed
 // significantly (per SignificantRateChange) since it was last reported,
-// records the reported rates, and returns the extended slice. The walk runs
-// over the dense per-FlowBlock arrays — no per-flow map lookups — and
-// allocates nothing once buf has grown to the working-set size. It may only
-// be called while no Iterate is in flight.
+// records the reported rates, and returns the extended slice. Each update
+// carries its flow's slot. The walk runs over the dense per-FlowBlock arrays
+// — no per-flow map lookups — and allocates nothing once buf has grown to the
+// working-set size. It may only be called while no Iterate is in flight.
 func (p *ParallelAllocator) AppendUpdates(threshold float64, buf []RateUpdate) []RateUpdate {
 	for _, fb := range p.fbs {
-		buf = appendSignificant(buf, fb.ids, fb.srcs, fb.rates, fb.lastNotified, threshold)
+		buf = appendSignificant(buf, fb.ids, fb.slots, fb.srcs, fb.rates, fb.lastNotified, threshold)
 	}
 	return buf
 }

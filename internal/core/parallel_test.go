@@ -509,14 +509,20 @@ func TestParallelFlowletChurnAPI(t *testing.T) {
 	if err := pa.FlowletStart(3, 1, 9, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !pa.HasFlow(2) || pa.HasFlow(99) {
-		t.Error("HasFlow bookkeeping wrong")
+	if _, ok := pa.SlotOf(2); !ok {
+		t.Error("SlotOf misses a registered flow")
+	}
+	if _, ok := pa.SlotOf(99); ok {
+		t.Error("SlotOf resolves an unregistered flow")
 	}
 	pa.Iterate()
 	// Remove a middle flow; the moved flow must keep its rate and stay
 	// addressable.
 	if err := pa.FlowletEnd(1); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := pa.SlotOf(1); ok {
+		t.Error("SlotOf resolves an ended flow")
 	}
 	if pa.NumFlows() != 2 {
 		t.Fatalf("NumFlows = %d, want 2", pa.NumFlows())

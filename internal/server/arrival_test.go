@@ -248,7 +248,7 @@ func TestUnpublishedBurstAtDisconnect(t *testing.T) {
 			}
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			return len(srv.inbox) == 0 && len(srv.flows) == 0 && srv.alloc.NumFlows() == 0
+			return len(srv.inbox) == 0 && numRecsLocked(srv) == 0 && srv.alloc.NumFlows() == 0
 		}
 		waitFor(t, settled)
 

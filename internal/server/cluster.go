@@ -1094,7 +1094,7 @@ func (s *Server) adoptLocked(dead int) {
 	adopted, failed := 0, 0
 	if rep != nil {
 		for _, e := range rep.flows {
-			if s.flows[core.FlowID(e.Flow)] != nil {
+			if _, known := s.alloc.SlotOf(core.FlowID(e.Flow)); known {
 				continue
 			}
 			if err := s.admitUnownedLocked(e); err != nil {

@@ -110,10 +110,12 @@ func appendFlowStates(buf []byte, epoch, seq uint64, shard uint32, flows []core.
 // the one admission path of Restore and adoptLocked.
 func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) error {
 	id := core.FlowID(e.Flow)
-	if err := s.alloc.FlowletStart(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
+	if _, dup := s.alloc.SlotOf(id); dup {
+		return fmt.Errorf("flowlet %d already registered", id)
+	}
+	if _, err := s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
 		return err
 	}
-	s.trackFlowLocked(id)
 	s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
 	return nil
 }

@@ -233,9 +233,12 @@ type Server struct {
 	// conns tracks every connection handed to ServeConn, including ones
 	// still mid-handshake, so Close can unblock their readers.
 	conns map[net.Conn]struct{}
-	// flows is the flow table: one record per flowlet registered with the
-	// allocator, owned or not.
-	flows map[core.FlowID]*flowRec
+	// recs is the flow table, indexed by the allocator's flow slot
+	// (core.ParallelAllocator.SlotOf): one record per flowlet registered with
+	// the allocator, owned or not, and nil at a free slot. The allocator's
+	// FlowID→slot map is the only flow index, so the fan-out reaches a record
+	// through RateUpdate.Slot without a lookup.
+	recs []*flowRec
 	// freeRecs recycles the records of retired flowlets, so steady-state
 	// churn allocates none.
 	freeRecs []*flowRec
@@ -344,7 +347,6 @@ func New(cfg Config) (*Server, error) {
 		loop:     metrics.NewLoopRecorder(metrics.DefaultLoopWindow),
 		sessions: make(map[*session]struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		flows:    make(map[core.FlowID]*flowRec),
 		unowned:  make(map[core.FlowID]flowMeta),
 		done:     make(chan struct{}),
 	}
@@ -1130,21 +1132,21 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		s.recordTelemetryLocked(seq, latency.Seconds(), len(updates), churn)
 	}
 
-	// One pass over the updates, one flow-table lookup each: the stepper's
-	// go into its synchronous reply, everyone else's are queued for their
-	// session's writer. Each session's pmu is taken once for the whole pass
-	// and its writer kicked once after it.
+	// One pass over the updates, each reaching its record by slot with no
+	// lookup: the stepper's go into its synchronous reply, everyone else's
+	// are queued for their session's writer. Each session's pmu is taken
+	// once for the whole pass and its writer kicked once after it.
 	var entries []wire.RateEntry
 	if stepper != nil {
 		entries = stepper.replyEntries[:0]
 		stepper.pmu.Lock()
 	}
 	for _, u := range updates {
-		rec := s.flows[u.Flow]
-		if rec == nil || rec.owner == nil {
+		rec := s.recs[u.Slot]
+		owner := rec.owner
+		if owner == nil {
 			continue
 		}
-		owner := rec.owner
 		if owner != stepper {
 			if !owner.fanning {
 				owner.fanning = true
@@ -1239,38 +1241,35 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
 
 // drainInboxLocked folds pending flowlet events into the allocator, in arrival
-// order, with duplicate/unknown defense — one flow-table lookup per event.
-// Called with s.mu held.
+// order, with duplicate/unknown defense — one SlotOf per event, plus the
+// allocator's one insert or delete when it changes the flow set. Called with
+// s.mu held.
 func (s *Server) drainInboxLocked() {
 	for _, ev := range s.inbox {
-		rec := s.flows[ev.flow]
+		slot, known := s.alloc.SlotOf(ev.flow)
 		if ev.end {
-			if rec == nil {
+			if !known {
 				s.stUnknown.Add(1)
 				continue
 			}
-			owner := rec.owner
-			if ev.cleanup && owner != ev.sess {
+			if ev.cleanup && s.recs[slot].owner != ev.sess {
 				// Stale orphan sweep: the flow was re-registered (by a
 				// reconnected client under a new session) after the dead
 				// session's cleanup was scheduled. The new owner's
 				// registration stands.
 				continue
 			}
-			if err := s.alloc.FlowletEnd(ev.flow); err != nil {
-				s.logf("flowlet %d end: %v", ev.flow, err)
-				continue
-			}
-			s.forgetFlowLocked(rec)
+			s.retireLocked(slot)
 			continue
 		}
-		if rec != nil {
+		if known {
 			// Adoption without churn: a flow restored from a snapshot or
 			// seeded from a peer replica sits in the allocator unowned. When a
 			// reconnecting client re-registers it with the same route and
 			// weight, ownership transfers in place — the allocator never sees a
 			// retire/re-add pair, so prices and rates are undisturbed and a
 			// warm restart costs zero registrations.
+			rec := s.recs[slot]
 			meta, unowned := s.unowned[ev.flow]
 			if rec.owner == nil && unowned && ev.sess != nil {
 				if meta.src == ev.src && meta.dst == ev.dst && meta.weight == ev.weight {
@@ -1283,11 +1282,7 @@ func (s *Server) drainInboxLocked() {
 				}
 				// Same ID, different registration: the stored flow is stale.
 				// Retire it and fall through to a fresh registration.
-				if err := s.alloc.FlowletEnd(ev.flow); err != nil {
-					s.logf("flowlet %d stale-adopt end: %v", ev.flow, err)
-					continue
-				}
-				s.forgetFlowLocked(rec)
+				s.retireLocked(slot)
 			} else {
 				s.stDupAdds.Add(1)
 				continue
@@ -1322,12 +1317,12 @@ func (s *Server) drainInboxLocked() {
 			s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
 			continue
 		}
-		if err := s.alloc.FlowletStart(ev.flow, ev.src, ev.dst, ev.weight); err != nil {
+		rec, err := s.admitLocked(ev.flow, ev.src, ev.dst, ev.weight)
+		if err != nil {
 			s.stRejected.Add(1)
 			s.logf("flowlet %d add rejected: %v", ev.flow, err)
 			continue
 		}
-		rec = s.trackFlowLocked(ev.flow)
 		if ev.sess != nil {
 			ev.sess.own(rec)
 		}
@@ -1335,9 +1330,14 @@ func (s *Server) drainInboxLocked() {
 	s.inbox = s.inbox[:0]
 }
 
-// trackFlowLocked enters a flowlet just registered with the allocator into the
-// flow table, unowned. Called with s.mu held.
-func (s *Server) trackFlowLocked(id core.FlowID) *flowRec {
+// admitLocked registers a flowlet with the allocator and enters its record,
+// unowned, into the flow table at the slot the allocator gave it. The caller
+// has found id unregistered (SlotOf). Called with s.mu held.
+func (s *Server) admitLocked(id core.FlowID, src, dst int, weight float64) (*flowRec, error) {
+	slot, err := s.alloc.Admit(id, src, dst, weight)
+	if err != nil {
+		return nil, err
+	}
 	var rec *flowRec
 	if n := len(s.freeRecs); n > 0 {
 		rec, s.freeRecs = s.freeRecs[n-1], s.freeRecs[:n-1]
@@ -1345,18 +1345,25 @@ func (s *Server) trackFlowLocked(id core.FlowID) *flowRec {
 		rec = new(flowRec)
 	}
 	*rec = flowRec{id: id, pendIdx: -1}
-	s.flows[id] = rec
-	return rec
+	if n := int(slot) + 1; n > len(s.recs) {
+		s.recs = append(s.recs, make([]*flowRec, n-len(s.recs))...)
+	}
+	s.recs[slot] = rec
+	return rec, nil
 }
 
-// forgetFlowLocked drops a flowlet just retired from the allocator: out of the
-// flow table, out of its owner's set, and any undelivered rate withdrawn. That
-// leaves the record unreachable (only its owner's pending list ever holds it
-// outside s.mu), so it is recycled; callers must not touch it afterwards.
-// Called with s.mu held.
-func (s *Server) forgetFlowLocked(rec *flowRec) {
-	delete(s.flows, rec.id)
-	delete(s.unowned, rec.id)
+// retireLocked ends the flowlet at slot in the allocator and drops its record:
+// out of the flow table, out of its owner's set, and any undelivered rate
+// withdrawn. That leaves the record unreachable (only its owner's pending list
+// ever holds it outside s.mu), so it is recycled; callers must not touch it
+// afterwards. Called with s.mu held.
+func (s *Server) retireLocked(slot int32) {
+	s.alloc.EndSlot(slot)
+	rec := s.recs[slot]
+	s.recs[slot] = nil
+	if len(s.unowned) > 0 {
+		delete(s.unowned, rec.id)
+	}
 	if owner := rec.owner; owner != nil {
 		owner.disown(rec)
 		owner.pmu.Lock()

@@ -651,10 +651,12 @@ func TestParallelEngineSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		for i := 0; i < 64; i++ {
-			if err := srv.alloc.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
-				t.Fatal(err)
-			}
+		srv.publish(steadyFlows(64))
+		if err := srv.iterate(nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.NumFlows(); n != 64 {
+			t.Fatalf("Blocks %d: NumFlows = %d; want the 64 published flows", blocks, n)
 		}
 		step := func() {
 			srv.alloc.Iterate()

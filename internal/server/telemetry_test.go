@@ -33,16 +33,10 @@ func TestIterateZeroAllocsWithTelemetry(t *testing.T) {
 			rec := telemetry.NewFlightRecorder(0)
 			srv.AttachFlightRecorder(rec)
 
-			srv.mu.Lock()
-			for i := 0; i < 64; i++ {
-				if err := srv.alloc.FlowletStart(core.FlowID(i), i%16, (i+5)%16, 1); err != nil {
-					srv.mu.Unlock()
-					t.Fatal(err)
-				}
-			}
-			srv.mu.Unlock()
+			srv.publish(steadyFlows(64))
 
-			// Converge and grow every reused buffer to its working size.
+			// Fold the flows in, converge and grow every reused buffer to its
+			// working size.
 			for i := 0; i < 50; i++ {
 				if err := srv.iterate(nil, 0); err != nil {
 					t.Fatal(err)
@@ -62,8 +56,21 @@ func TestIterateZeroAllocsWithTelemetry(t *testing.T) {
 			if last.Objective == 0 {
 				t.Fatalf("converged run should have a finite non-zero objective, got %+v", last)
 			}
+			if n := srv.NumFlows(); n != 64 {
+				t.Fatalf("NumFlows = %d; want the 64 published flows", n)
+			}
 		})
 	}
+}
+
+// steadyFlows is a burst of n unowned flowlet adds on the test topology: what
+// the steady-state allocation pins fold in through publish and iterate.
+func steadyFlows(n int) []event {
+	burst := make([]event, n)
+	for i := range burst {
+		burst[i] = event{flow: core.FlowID(i), src: i % 16, dst: (i + 5) % 16, weight: 1}
+	}
+	return burst
 }
 
 // TestServerMetricsExposition scrapes a live daemon's registry and lints the

@@ -380,9 +380,10 @@ func TestDrainDisconnectWithdrawsPendingRates(t *testing.T) {
 	if len(a.pending) != 0 {
 		t.Fatalf("%d rates still queued for the removed session", len(a.pending))
 	}
-	for id, rec := range srv.flows {
-		if rec.owner != nil || rec.pendIdx != -1 {
-			t.Fatalf("flow %d after its session left a draining daemon: owner %v, pendIdx %d", id, rec.owner, rec.pendIdx)
+	checkFlowTable(t, srv)
+	for _, rec := range srv.recs {
+		if rec != nil && (rec.owner != nil || rec.pendIdx != -1) {
+			t.Fatalf("flow %d after its session left a draining daemon: owner %v, pendIdx %d", rec.id, rec.owner, rec.pendIdx)
 		}
 	}
 	if n := srv.NumFlows(); n != 2 {

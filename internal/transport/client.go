@@ -490,7 +490,7 @@ func (c *AllocClient) appendUpdate(flow int64, rate float64) {
 	}
 	c.updates = append(c.updates, core.RateUpdate{
 		Flow: core.FlowID(flow),
-		Src:  int(reg.src),
+		Src:  reg.src,
 		Rate: rate,
 	})
 }

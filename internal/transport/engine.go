@@ -518,7 +518,7 @@ func (e *Engine) allocatorTick() {
 			return
 		}
 		for _, u := range updates {
-			e.sendControl(sim.AllocatorDst, u.Src, e.ctrlFromAlloc[u.Src], &sim.ControlInfo{
+			e.sendControl(sim.AllocatorDst, int(u.Src), e.ctrlFromAlloc[int(u.Src)], &sim.ControlInfo{
 				Type: sim.CtrlRateUpdate,
 				Flow: int64(u.Flow),
 				Rate: u.Rate,

@@ -130,20 +130,21 @@ func uvarint(p []byte) (uint64, int, error) {
 // appendXorFloat appends the xor-compressed form of a float64 bit pattern
 // against the previous value: one byte with the significant-byte count of
 // x = bits ^ prev, then that many little-endian bytes. Equal values cost a
-// single zero byte.
+// single zero byte. It stores the whole 8-byte word and keeps its low n
+// bytes: the same bytes as a byte loop, in one store (the 8-n bytes past the
+// returned length, within buf's capacity, are scratch).
 func appendXorFloat(buf []byte, bitsNow, prev uint64) []byte {
 	x := bitsNow ^ prev
 	n := (bits.Len64(x) + 7) / 8
 	buf = append(buf, byte(n))
-	for i := 0; i < n; i++ {
-		buf = append(buf, byte(x>>(8*uint(i))))
-	}
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, x)[:len(buf)+n]
 }
 
 // xorFloat decodes one appendXorFloat value, returning the new bit pattern
 // and the number of bytes consumed. Non-canonical forms (length > 8, or a
-// zero top byte) are rejected.
+// zero top byte) are rejected. With a whole word after the length byte it
+// loads eight bytes and masks off those beyond the value; only a value at the
+// very end of a payload takes the byte loop.
 func xorFloat(p []byte, prev uint64) (uint64, int, error) {
 	if len(p) < 1 {
 		return 0, 0, fmt.Errorf("wire: truncated xor-float")
@@ -152,12 +153,16 @@ func xorFloat(p []byte, prev uint64) (uint64, int, error) {
 	if n > 8 {
 		return 0, 0, fmt.Errorf("wire: xor-float length %d exceeds 8", n)
 	}
-	if len(p) < 1+n {
-		return 0, 0, fmt.Errorf("wire: truncated xor-float")
-	}
 	var x uint64
-	for i := 0; i < n; i++ {
-		x |= uint64(p[1+i]) << (8 * uint(i))
+	if len(p) >= 9 {
+		x = binary.LittleEndian.Uint64(p[1:9]) & (^uint64(0) >> (64 - 8*uint(n)))
+	} else {
+		if len(p) < 1+n {
+			return 0, 0, fmt.Errorf("wire: truncated xor-float")
+		}
+		for i := 0; i < n; i++ {
+			x |= uint64(p[1+i]) << (8 * uint(i))
+		}
 	}
 	if n > 0 && p[n] == 0 {
 		return 0, 0, fmt.Errorf("wire: non-minimal xor-float")

@@ -211,6 +211,10 @@ func BenchmarkWireDecode(b *testing.B) {
 			payload := AppendRateDelta(nil, 1, quantized, changed)[HeaderBytes:]
 			b.Run(name, func(b *testing.B) {
 				var d RateDelta
+				if err := DecodeRateDelta(payload, &d); err != nil { // grow d.Entries
+					b.Fatal(err)
+				}
+				b.ResetTimer()
 				b.ReportAllocs()
 				b.SetBytes(int64(len(payload)))
 				for i := 0; i < b.N; i++ {
