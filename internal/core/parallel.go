@@ -96,11 +96,11 @@ func (fb *flowBlock) layOut(nUp, nDown int, normalize bool) {
 }
 
 // addFlow appends one flow whose route is already in local link indices.
-func (fb *flowBlock) addFlow(f ParallelFlow, slot int32, weight, baseWeight float64, route []int32) {
-	fb.ids = append(fb.ids, f.ID)
+func (fb *flowBlock) addFlow(id FlowID, src, dst int, slot int32, weight, baseWeight float64, route []int32) {
+	fb.ids = append(fb.ids, id)
 	fb.slots = append(fb.slots, slot)
-	fb.srcs = append(fb.srcs, int32(f.Src))
-	fb.dsts = append(fb.dsts, int32(f.Dst))
+	fb.srcs = append(fb.srcs, int32(src))
+	fb.dsts = append(fb.dsts, int32(dst))
 	fb.baseWeights = append(fb.baseWeights, baseWeight)
 	fb.rates = append(fb.rates, 0)
 	fb.lastNotified = append(fb.lastNotified, 0)
@@ -235,7 +235,7 @@ type ParallelAllocator struct {
 	cfg  ParallelConfig
 	topo *topology.Topology
 	part *topology.BlockPartition
-	// routeBuf is addFlow's route scratch: routing is table lookups into it
+	// routeBuf is Admit's route scratch: routing is table lookups into it
 	// (topology.RouteInto), so FlowletStart is allocation-free, which
 	// BenchmarkParallelChurn and TestChurnAllocFree pin.
 	routeBuf []int32
@@ -410,17 +410,6 @@ func (p *ParallelAllocator) FlowletStart(id FlowID, src, dst int, weight float64
 	return err
 }
 
-// Admit registers one new flowlet and returns its slot, resolving its route to
-// the owning FlowBlock's local link indices once and appending it to the
-// block's CSR index — an O(route length) operation that leaves every other
-// flow untouched. A weight admitWeight refuses is an error. id must not be
-// registered: callers resolve it with SlotOf first, as FlowletStart does, so
-// an admission costs one map insert. It may only be called while no Iterate
-// call is in flight.
-func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int32, error) {
-	return p.addFlow(ParallelFlow{ID: id, Src: src, Dst: dst, Weight: weight})
-}
-
 // FlowletStartSized is FlowletStart carrying the endpoint's flowlet-size
 // hint in bytes (0 = unknown), which does not affect allocation and is not
 // stored.
@@ -428,23 +417,28 @@ func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight fl
 	return p.FlowletStart(id, src, dst, weight)
 }
 
-// addFlow admits, routes and appends one flow and gives it a slot (shared by
-// Admit and SetFlows; the caller has already rejected duplicates). Every link
-// of the route must be owned by the source block's upward or the destination
-// block's downward LinkBlock — the two the FlowBlock holds local copies of.
-func (p *ParallelAllocator) addFlow(f ParallelFlow) (int32, error) {
+// Admit registers one new flowlet and returns its slot, resolving its route to
+// the owning FlowBlock's local link indices once and appending it to the
+// block's CSR index — an O(route length) operation that leaves every other
+// flow untouched. Every link of the route must be owned by the source block's
+// upward or the destination block's downward LinkBlock — the two the
+// FlowBlock holds local copies of. A weight admitWeight refuses is an error.
+// id must not be registered: callers resolve it with SlotOf first, as
+// FlowletStart and SetFlows do, so an admission costs one map insert. It may
+// only be called while no Iterate call is in flight.
+func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int32, error) {
 	// Weights are scaled by link capacity (as in the sequential allocator)
 	// so prices stay O(1).
-	weight, scaled, err := admitWeight(f.Weight, p.linkCap)
+	weight, scaled, err := admitWeight(weight, p.linkCap)
 	if err != nil {
-		return 0, fmt.Errorf("core: flow %d: %w", f.ID, err)
+		return 0, fmt.Errorf("core: flow %d: %w", id, err)
 	}
-	route, err := p.topo.RouteInto(p.routeBuf[:0], f.Src, f.Dst, int(f.ID))
+	route, err := p.topo.RouteInto(p.routeBuf[:0], src, dst, int(id))
 	if err != nil {
-		return 0, fmt.Errorf("core: flow %d: %w", f.ID, err)
+		return 0, fmt.Errorf("core: flow %d: %w", id, err)
 	}
-	sb := p.part.BlockOfServer(f.Src)
-	db := p.part.BlockOfServer(f.Dst)
+	sb := p.part.BlockOfServer(src)
+	db := p.part.BlockOfServer(dst)
 	fbi := mortonIndex(sb, db, p.numBlocks)
 	fb := p.fbs[fbi]
 	for k, l := range route {
@@ -454,7 +448,7 @@ func (p *ParallelAllocator) addFlow(f ParallelFlow) (int32, error) {
 		case p.down[db]:
 			route[k] = int32(fb.downBase) + p.ownerPos[l]
 		default:
-			return 0, fmt.Errorf("core: flow %d: link %d is in neither its upward nor its downward LinkBlock", f.ID, l)
+			return 0, fmt.Errorf("core: flow %d: link %d is in neither its upward nor its downward LinkBlock", id, l)
 		}
 	}
 	at := flowLoc{fb: int32(fbi), idx: int32(fb.numFlows())}
@@ -466,8 +460,8 @@ func (p *ParallelAllocator) addFlow(f ParallelFlow) (int32, error) {
 		slot = int32(len(p.slots))
 		p.slots = append(p.slots, at)
 	}
-	fb.addFlow(f, slot, scaled, weight, route)
-	p.loc[f.ID] = slot
+	fb.addFlow(id, src, dst, slot, scaled, weight, route)
+	p.loc[id] = slot
 	return slot, nil
 }
 
@@ -545,7 +539,7 @@ func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 		if _, dup := p.loc[f.ID]; dup {
 			return fmt.Errorf("core: duplicate flow ID %d", f.ID)
 		}
-		if _, err := p.addFlow(f); err != nil {
+		if _, err := p.Admit(f.ID, f.Src, f.Dst, f.Weight); err != nil {
 			return err
 		}
 	}

@@ -205,6 +205,7 @@ func BenchmarkWireEncode(b *testing.B) {
 		}
 		b.Run(bench.name+"/v4-delta", func(b *testing.B) {
 			buf := make([]byte, 0, RateBatchSize(flows))
+			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf = AppendRateDelta(buf[:0], uint64(i), false, changed)
@@ -213,6 +214,7 @@ func BenchmarkWireEncode(b *testing.B) {
 		})
 		b.Run(bench.name+"/v4-delta-quantized", func(b *testing.B) {
 			buf := make([]byte, 0, RateBatchSize(flows))
+			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf = AppendRateDelta(buf[:0], uint64(i), true, changed)
