@@ -34,6 +34,10 @@
 // churn history. The ParallelAllocator also gives every flow a dense, stable
 // slot (SlotOf, Admit, EndSlot, RateUpdate.Slot), so a caller keeping
 // per-flow state — the daemon's flow table — indexes a slice by it and keeps
-// no flow index of its own. See ARCHITECTURE.md, "The parallel iteration
-// path".
+// no flow index of its own. The one ID → slot index is a FlowIndex: an
+// open-addressed table with backward-shift deletion, which churn at a constant
+// live count never grows or rehashes, where a Go map keeps regrowing its
+// tables. The endpoint's registrations (transport.AllocClient,
+// transport.ShardedClient) are indexed by the same type. See ARCHITECTURE.md,
+// "The parallel iteration path".
 package core

@@ -10,8 +10,8 @@ import (
 // registrations. It is an open-addressed table with linear probing and
 // backward-shift deletion, so there are no tombstones: a constant live count
 // under FIFO churn never grows or rehashes it, and a probe touches one or two
-// adjacent 16-byte entries where a Go map loads a control word and a slot in
-// separate groups. The hash is seeded per index, so keys a client chooses
+// adjacent 16-byte entries where a Go map reads a group's control word and
+// then a slot, about two cache lines. The hash is seeded per index, so keys a client chooses
 // cannot be aimed at collisions in the daemon. There is no iteration API, so
 // table order can never leak into output, and the table never shrinks.
 //

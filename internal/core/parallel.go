@@ -267,11 +267,11 @@ type ParallelAllocator struct {
 	fbs  []*flowBlock
 	fbAt []*flowBlock
 
-	// loc maps every registered flow to its slot, and slots maps a slot to
-	// the flow's FlowBlock and index; freeSlots lists the ended flows' slots,
-	// reused last-in first-out, so len(slots) is the peak flow count. They
-	// are touched only on churn, never in the iteration hot path.
-	loc       map[FlowID]int32
+	// loc indexes every registered flow's slot by ID, and slots maps a slot
+	// to the flow's FlowBlock and index; freeSlots lists the ended flows'
+	// slots, reused last-in first-out, so len(slots) is the peak flow count.
+	// They are touched only on churn, never in the iteration hot path.
+	loc       FlowIndex
 	slots     []flowLoc
 	freeSlots []int32
 
@@ -314,7 +314,6 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 		gamma:     gamma,
 		maxRate:   cfg.Topology.Config().LinkCapacity,
 		linkCap:   cfg.Topology.Config().LinkCapacity,
-		loc:       make(map[FlowID]int32),
 	}
 	for b := 0; b < cfg.Blocks; b++ {
 		p.up = append(p.up, newLinkBlockState(cfg.Topology, part.UpwardLinkBlock(b), cfg.Headroom))
@@ -388,7 +387,7 @@ func mortonCoords(m, n int) (sb, db int) {
 func (p *ParallelAllocator) NumWorkers() int { return len(p.shares) }
 
 // NumFlows returns the number of loaded flows.
-func (p *ParallelAllocator) NumFlows() int { return len(p.loc) }
+func (p *ParallelAllocator) NumFlows() int { return p.loc.Len() }
 
 // AggregationSteps returns the number of pairwise merge rounds per iteration.
 func (p *ParallelAllocator) AggregationSteps() int { return p.part.AggregationSteps() }
@@ -396,14 +395,13 @@ func (p *ParallelAllocator) AggregationSteps() int { return p.part.AggregationSt
 // SlotOf returns the slot of a registered flowlet, and false if id is not
 // registered.
 func (p *ParallelAllocator) SlotOf(id FlowID) (int32, bool) {
-	slot, ok := p.loc[id]
-	return slot, ok
+	return p.loc.Get(id)
 }
 
 // FlowletStart registers one new flowlet (see Admit), refusing an ID that is
 // already registered.
 func (p *ParallelAllocator) FlowletStart(id FlowID, src, dst int, weight float64) error {
-	if _, dup := p.loc[id]; dup {
+	if _, dup := p.loc.Get(id); dup {
 		return fmt.Errorf("core: flowlet %d already registered", id)
 	}
 	_, err := p.Admit(id, src, dst, weight)
@@ -424,7 +422,7 @@ func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight fl
 // upward or the destination block's downward LinkBlock — the two the
 // FlowBlock holds local copies of. A weight admitWeight refuses is an error.
 // id must not be registered: callers resolve it with SlotOf first, as
-// FlowletStart and SetFlows do, so an admission costs one map insert. It may
+// FlowletStart and SetFlows do, so an admission costs one index insert. It may
 // only be called while no Iterate call is in flight.
 func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int32, error) {
 	// Weights are scaled by link capacity (as in the sequential allocator)
@@ -461,7 +459,7 @@ func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int3
 		p.slots = append(p.slots, at)
 	}
 	fb.addFlow(id, src, dst, slot, scaled, weight, route)
-	p.loc[id] = slot
+	p.loc.Put(id, slot)
 	return slot, nil
 }
 
@@ -478,7 +476,7 @@ func mortonIndex(sb, db, n int) int {
 
 // FlowletEnd removes a registered flowlet (see EndSlot).
 func (p *ParallelAllocator) FlowletEnd(id FlowID) error {
-	slot, ok := p.loc[id]
+	slot, ok := p.loc.Get(id)
 	if !ok {
 		return fmt.Errorf("core: flowlet %d is not registered", id)
 	}
@@ -488,14 +486,14 @@ func (p *ParallelAllocator) FlowletEnd(id FlowID) error {
 
 // EndSlot removes the flowlet holding slot by swap-deleting it from its
 // FlowBlock — an O(1) operation (plus an amortized arena compaction once
-// holes outnumber live entries) whose one map operation is the delete — and
+// holes outnumber live entries) whose one index operation is the delete — and
 // frees the slot for the next admission. slot must hold a flowlet: SlotOf or
 // Admit returned it after the slot was last freed (a free slot panics). It
 // may only be called while no Iterate call is in flight.
 func (p *ParallelAllocator) EndSlot(slot int32) {
 	l := p.slots[slot]
 	fb := p.fbs[l.fb]
-	delete(p.loc, fb.ids[l.idx])
+	p.loc.Delete(fb.ids[l.idx])
 	if moved := fb.removeSwap(int(l.idx)); moved != slot {
 		p.slots[moved] = l
 	}
@@ -532,11 +530,11 @@ func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 	for _, fb := range p.fbs {
 		fb.reset()
 	}
-	clear(p.loc)
+	p.loc.Clear()
 	p.slots = p.slots[:0]
 	p.freeSlots = p.freeSlots[:0]
 	for _, f := range flows {
-		if _, dup := p.loc[f.ID]; dup {
+		if _, dup := p.loc.Get(f.ID); dup {
 			return fmt.Errorf("core: duplicate flow ID %d", f.ID)
 		}
 		if _, err := p.Admit(f.ID, f.Src, f.Dst, f.Weight); err != nil {
@@ -551,7 +549,7 @@ func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 // and loads are accumulated. Feeding the result to SetFlows on an allocator
 // with the same configuration reproduces this allocator's layout exactly.
 func (p *ParallelAllocator) LiveFlows() []ParallelFlow {
-	out := make([]ParallelFlow, 0, len(p.loc))
+	out := make([]ParallelFlow, 0, p.loc.Len())
 	for _, fb := range p.fbs {
 		for i, id := range fb.ids {
 			out = append(out, ParallelFlow{ID: id, Src: int(fb.srcs[i]), Dst: int(fb.dsts[i]), Weight: fb.baseWeights[i]})
@@ -588,7 +586,7 @@ func (p *ParallelAllocator) Close() {
 // as worker 0, and returns once every worker has finished. With no flows
 // loaded it returns at once: prices neither advance nor decay while idle.
 func (p *ParallelAllocator) Iterate() {
-	if len(p.loc) == 0 {
+	if p.loc.Len() == 0 {
 		return
 	}
 	p.start()
@@ -730,7 +728,7 @@ func (p *ParallelAllocator) normalizePhase(fb *flowBlock) {
 // Rates returns the rates computed by the most recent Iterate call, keyed by
 // flow ID.
 func (p *ParallelAllocator) Rates() map[FlowID]float64 {
-	out := make(map[FlowID]float64, len(p.loc))
+	out := make(map[FlowID]float64, p.loc.Len())
 	p.ForEachRate(func(id FlowID, rate float64) { out[id] = rate })
 	return out
 }

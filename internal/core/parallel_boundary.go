@@ -128,7 +128,7 @@ func (p *ParallelAllocator) writeLocalPrice(l topology.LinkID, price float64) {
 func (p *ParallelAllocator) BoundaryDigest(links []topology.LinkID, loads, hdiag []float64) {
 	n := p.numBlocks
 	for i, l := range links {
-		if len(p.loc) == 0 || p.ownerLB[l] == nil {
+		if p.loc.Len() == 0 || p.ownerLB[l] == nil {
 			loads[i], hdiag[i] = 0, 0
 			continue
 		}

@@ -239,7 +239,12 @@ func rateUpdateGeneric(c *Compiled, maxRate float64, st *State, loads, hdiag []f
 // minPathPrice is the floor on path prices used by all solvers to keep rates
 // finite. With 10-400 Gbit/s links, a price of 1e-12 allows rates up to
 // 1e12·w bits/s, far above any link capacity, so the floor never binds at the
-// optimum.
+// optimum. It does bind off the optimum: NEDPriceUpdate halves an idle link's
+// price every iteration, so after ~40 idle iterations every link of an idle
+// path is priced below the floor. A flowlet that then starts on that path is
+// clamped here, its rate sits at the cap and its Hessian term is about
+// -w/1e-24, so NED's step is ~1e-26 and the price never recovers; F-NORM, not
+// NED, then decides the path's allocation (the price-floor trap).
 const minPathPrice = 1e-12
 
 // applyPins overwrites pinned link prices after a price update (see

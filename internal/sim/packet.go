@@ -99,8 +99,8 @@ type ControlInfo struct {
 	// Rate is the allocated rate in bits/s, set on rate updates.
 	Rate float64
 	// Size is the flowlet's size hint in bytes (0 = unknown), set on
-	// flowlet-start messages. Carried into the allocator's flow metadata
-	// (wire v4 FlowletAdd hint); the solvers ignore it.
+	// flowlet-start messages and passed to the allocator, which ignores it
+	// (it is the wire v4 FlowletAdd hint).
 	Size int64
 }
 

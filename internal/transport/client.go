@@ -1,10 +1,11 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -104,17 +105,20 @@ type AllocClient struct {
 	// these ends there to keep ghost flows from holding fabric shares.
 	frozenEnds []core.FlowID
 
-	// regs tracks the full registration of every live flow: the source
-	// server fills core.RateUpdate.Src on decoded updates and mirrors the
-	// in-process duplicate/unknown defense, and the rest lets Reconnect
+	// regs holds the full registration of every live flow, densely (an end
+	// swap-deletes), and idx maps a flow ID to its position in regs: the
+	// source server fills core.RateUpdate.Src on decoded updates and mirrors
+	// the in-process duplicate/unknown defense, and the rest lets Reconnect
 	// re-register the live flowlet set with a fresh daemon session.
-	regs    map[core.FlowID]flowReg
+	idx     core.FlowIndex
+	regs    []flowReg
 	updates []core.RateUpdate // reused across Step calls
 	delta   wire.RateDelta    // scratch for RateDelta decoding
 }
 
 // flowReg is the client-side record of one registered flowlet.
 type flowReg struct {
+	id       core.FlowID
 	src, dst int32
 	weight   float64
 	size     int64 // flowlet-size hint in bytes (0 = unknown)
@@ -138,10 +142,7 @@ func DialAlloc(addr string, clientID uint64) (*AllocClient, error) {
 // NewAllocClient wraps an established connection to a flowtuned daemon and
 // performs the Hello/Welcome handshake.
 func NewAllocClient(conn net.Conn, clientID uint64) (*AllocClient, error) {
-	c := &AllocClient{
-		id:   clientID,
-		regs: make(map[core.FlowID]flowReg),
-	}
+	c := &AllocClient{id: clientID}
 	if err := c.handshake(conn); err != nil {
 		return nil, err
 	}
@@ -213,16 +214,10 @@ func (c *AllocClient) Reconnect(conn net.Conn) error {
 	c.seq = 0
 	// Deterministic re-registration order keeps daemon-side folding (and
 	// therefore rate trajectories) reproducible in tests.
-	ids := make([]core.FlowID, 0, len(c.regs))
-	for id := range c.regs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		r := c.regs[id]
-		c.wbuf = wire.AppendFlowletEnd(c.wbuf, wire.FlowletEnd{Flow: int64(id)})
+	for _, r := range c.sortedRegs() {
+		c.wbuf = wire.AppendFlowletEnd(c.wbuf, wire.FlowletEnd{Flow: int64(r.id)})
 		c.wbuf = wire.AppendFlowletAdd(c.wbuf, wire.FlowletAdd{
-			Flow:   int64(id),
+			Flow:   int64(r.id),
 			Src:    r.src,
 			Dst:    r.dst,
 			Weight: r.weight,
@@ -255,15 +250,9 @@ func (c *AllocClient) ResumeReconnect(conn net.Conn) error {
 		c.wbuf = wire.AppendFlowletEnd(c.wbuf, wire.FlowletEnd{Flow: int64(id)})
 	}
 	c.frozenEnds = nil
-	ids := make([]core.FlowID, 0, len(c.regs))
-	for id := range c.regs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		r := c.regs[id]
+	for _, r := range c.sortedRegs() {
 		c.wbuf = wire.AppendFlowletAdd(c.wbuf, wire.FlowletAdd{
-			Flow:   int64(id),
+			Flow:   int64(r.id),
 			Src:    r.src,
 			Dst:    r.dst,
 			Weight: r.weight,
@@ -295,12 +284,19 @@ type FlowRegistration struct {
 // Registrations returns the live flowlet registrations, sorted by flow ID —
 // what a failover must re-register with the adopting daemon.
 func (c *AllocClient) Registrations() []FlowRegistration {
-	out := make([]FlowRegistration, 0, len(c.regs))
-	for id, r := range c.regs {
-		out = append(out, FlowRegistration{ID: id, Src: int(r.src), Dst: int(r.dst), Weight: r.weight, Size: r.size})
+	regs := c.sortedRegs()
+	out := make([]FlowRegistration, len(regs))
+	for i, r := range regs {
+		out[i] = FlowRegistration{ID: r.id, Src: int(r.src), Dst: int(r.dst), Weight: r.weight, Size: r.size}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// sortedRegs returns a copy of the live registrations sorted by flow ID.
+func (c *AllocClient) sortedRegs() []flowReg {
+	regs := slices.Clone(c.regs)
+	slices.SortFunc(regs, func(a, b flowReg) int { return cmp.Compare(a.id, b.id) })
+	return regs
 }
 
 // Epoch returns the daemon's allocator epoch from the handshake.
@@ -322,13 +318,15 @@ func (c *AllocClient) FlowletStart(id core.FlowID, src, dst int, weight float64)
 }
 
 // FlowletStartSized is FlowletStart carrying the flowlet's expected size in
-// bytes (0 = unknown) as a hint. The daemon records it in the flow
-// metadata; the solvers ignore it.
+// bytes (0 = unknown) as a hint. The hint travels in the FlowletAdd frame and
+// is kept for re-registration; the daemon's decoder drops it, so no allocator
+// sees it.
 func (c *AllocClient) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
-	if _, dup := c.regs[id]; dup {
+	if _, dup := c.idx.Get(id); dup {
 		return nil
 	}
-	c.regs[id] = flowReg{src: int32(src), dst: int32(dst), weight: weight, size: size}
+	c.idx.Put(id, int32(len(c.regs)))
+	c.regs = append(c.regs, flowReg{id: id, src: int32(src), dst: int32(dst), weight: weight, size: size})
 	c.wbuf = wire.AppendFlowletAdd(c.wbuf, wire.FlowletAdd{
 		Flow:   int64(id),
 		Src:    int32(src),
@@ -341,10 +339,9 @@ func (c *AllocClient) FlowletStartSized(id core.FlowID, src, dst int, weight flo
 
 // FlowletEnd buffers a flowlet-end notification. Unknown flows are ignored.
 func (c *AllocClient) FlowletEnd(id core.FlowID) error {
-	if _, ok := c.regs[id]; !ok {
+	if !c.forget(id) {
 		return nil
 	}
-	delete(c.regs, id)
 	if c.frozen {
 		c.frozenEnds = append(c.frozenEnds, id)
 		return nil
@@ -358,8 +355,25 @@ func (c *AllocClient) FlowletEnd(id core.FlowID) error {
 // while their own daemon's session was frozen — the adopter holds them
 // unowned from the dead daemon's replica and nobody else will ever end them.
 func (c *AllocClient) EndOrphan(id core.FlowID) {
-	delete(c.regs, id)
+	c.forget(id)
 	c.wbuf = wire.AppendFlowletEnd(c.wbuf, wire.FlowletEnd{Flow: int64(id)})
+}
+
+// forget drops id's registration, moving the last one into its place, and
+// reports whether id was registered.
+func (c *AllocClient) forget(id core.FlowID) bool {
+	i, ok := c.idx.Get(id)
+	if !ok {
+		return false
+	}
+	c.idx.Delete(id)
+	last := int32(len(c.regs) - 1)
+	if i != last {
+		c.regs[i] = c.regs[last]
+		c.idx.Put(c.regs[i].id, i)
+	}
+	c.regs = c.regs[:last]
+	return true
 }
 
 // TakeFrozenEnds returns (and clears) the flows that ended while the session
@@ -484,13 +498,13 @@ func (c *AllocClient) readBatch() (uint64, error) {
 // from the client's registration table. Updates for flows already ended
 // locally are dropped.
 func (c *AllocClient) appendUpdate(flow int64, rate float64) {
-	reg, ok := c.regs[core.FlowID(flow)]
+	i, ok := c.idx.Get(core.FlowID(flow))
 	if !ok {
 		return
 	}
 	c.updates = append(c.updates, core.RateUpdate{
 		Flow: core.FlowID(flow),
-		Src:  reg.src,
+		Src:  c.regs[i].src,
 		Rate: rate,
 	})
 }

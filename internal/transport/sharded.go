@@ -18,7 +18,7 @@ import (
 type ShardedClient struct {
 	smap    *topology.ShardMap
 	clients []*AllocClient
-	shardOf map[core.FlowID]int // flow → daemon (client index) registered with
+	shardOf core.FlowIndex // flow → daemon (client index) registered with
 	updates []core.RateUpdate
 
 	// daemonOf[x] is the daemon currently serving shard x — initially the
@@ -57,7 +57,6 @@ func NewShardedClient(conns []net.Conn, smap *topology.ShardMap, clientID uint64
 	c := &ShardedClient{
 		smap:     smap,
 		clients:  make([]*AllocClient, len(conns)),
-		shardOf:  make(map[core.FlowID]int),
 		daemonOf: make([]int, len(conns)),
 		dead:     make([]bool, len(conns)),
 	}
@@ -103,7 +102,7 @@ func (c *ShardedClient) Client(shard int) *AllocClient { return c.clients[shard]
 func (c *ShardedClient) Map() *topology.ShardMap { return c.smap }
 
 // NumFlows returns the number of flowlets registered across all shards.
-func (c *ShardedClient) NumFlows() int { return len(c.shardOf) }
+func (c *ShardedClient) NumFlows() int { return c.shardOf.Len() }
 
 // FlowletStart buffers a flowlet-start notification on the owning shard's
 // session. Duplicate registrations are no-ops, mirroring AllocClient.
@@ -114,7 +113,7 @@ func (c *ShardedClient) FlowletStart(id core.FlowID, src, dst int, weight float6
 // FlowletStartSized is FlowletStart carrying the wire v4 flowlet-size hint
 // (bytes, 0 = unknown) to the owning shard's daemon.
 func (c *ShardedClient) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
-	if _, dup := c.shardOf[id]; dup {
+	if _, dup := c.shardOf.Get(id); dup {
 		return nil
 	}
 	if src < 0 || src >= c.smap.Topology().NumServers() {
@@ -124,20 +123,20 @@ func (c *ShardedClient) FlowletStartSized(id core.FlowID, src, dst int, weight f
 	if err := c.clients[daemon].FlowletStartSized(id, src, dst, weight, size); err != nil {
 		return &ShardError{Shard: daemon, Err: err}
 	}
-	c.shardOf[id] = daemon
+	c.shardOf.Put(id, int32(daemon))
 	return nil
 }
 
 // FlowletEnd buffers a flowlet-end notification on the shard that owns the
 // flow. Unknown flows are ignored.
 func (c *ShardedClient) FlowletEnd(id core.FlowID) error {
-	shard, ok := c.shardOf[id]
+	shard, ok := c.shardOf.Get(id)
 	if !ok {
 		return nil
 	}
-	delete(c.shardOf, id)
+	c.shardOf.Delete(id)
 	if err := c.clients[shard].FlowletEnd(id); err != nil {
-		return &ShardError{Shard: shard, Err: err}
+		return &ShardError{Shard: int(shard), Err: err}
 	}
 	return nil
 }
@@ -252,7 +251,7 @@ func (c *ShardedClient) Failover(dead, adopter int) error {
 		if err := c.clients[adopter].FlowletStartSized(r.ID, r.Src, r.Dst, r.Weight, r.Size); err != nil {
 			return &ShardError{Shard: adopter, Err: err}
 		}
-		c.shardOf[r.ID] = adopter
+		c.shardOf.Put(r.ID, int32(adopter))
 	}
 	return nil
 }

@@ -192,9 +192,8 @@ type Welcome struct {
 
 // FlowletAdd registers a flowlet from server Src to server Dst. Size is an
 // optional hint of the flowlet's expected size in bytes (0 = unknown); a
-// nonzero Size is carried in the 32-byte payload form. Solvers ignore the hint
-// today; it is recorded in the engine's flow metadata for size-aware
-// utilities.
+// nonzero Size is carried in the 32-byte payload form. The daemon decodes and
+// then drops the hint: no allocator sees it.
 type FlowletAdd struct {
 	Flow     int64
 	Src, Dst int32
