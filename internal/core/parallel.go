@@ -551,11 +551,23 @@ func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 func (p *ParallelAllocator) LiveFlows() []ParallelFlow {
 	out := make([]ParallelFlow, 0, p.loc.Len())
 	for _, fb := range p.fbs {
-		for i, id := range fb.ids {
-			out = append(out, ParallelFlow{ID: id, Src: int(fb.srcs[i]), Dst: int(fb.dsts[i]), Weight: fb.baseWeights[i]})
+		for i := range fb.ids {
+			out = append(out, fb.flow(i))
 		}
 	}
 	return out
+}
+
+// FlowAt returns the registration of the flowlet holding slot, as LiveFlows
+// reports it. slot must hold a flowlet (see EndSlot).
+func (p *ParallelAllocator) FlowAt(slot int32) ParallelFlow {
+	l := p.slots[slot]
+	return p.fbs[l.fb].flow(int(l.idx))
+}
+
+// flow returns flow i's registration: its ID, endpoints and original weight.
+func (fb *flowBlock) flow(i int) ParallelFlow {
+	return ParallelFlow{ID: fb.ids[i], Src: int(fb.srcs[i]), Dst: int(fb.dsts[i]), Weight: fb.baseWeights[i]}
 }
 
 // start launches the goroutines of workers 1..W-1 (none if W = 1) once.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,12 +54,38 @@ type exchangeMsg struct {
 	hdiag    []float64
 }
 
-// replicaState is the latest flow-state replica received from one peer
-// daemon: the flows it was serving, reassembled from FlowState chunks.
-type replicaState struct {
-	seq   uint64
-	epoch uint64
-	flows []wire.FlowStateEntry
+// peerState is a daemon's record of one daemon of the cluster, indexed by
+// daemon (shard) index, so iterating the records visits the cluster in shard
+// order. Link-indexed arrays are numLinks long and indexed by LinkID; the
+// record of the daemon itself holds no imports.
+type peerState struct {
+	// conn is the outbound connection to the daemon, nil while none is
+	// attached. Guarded by pmu.
+	conn *peerConn
+
+	// dead marks the daemon known dead (adopted or announced). links lists
+	// the downward links of every shard the daemon currently serves: a
+	// peer's digest target set, and for this daemon's own record its
+	// boundary. prices retains the peer's latest accepted price of every link
+	// it serves (NaN where none was accepted), merged across delta snapshots
+	// so its successor can seed the full set when adopting. loads and hdiag
+	// are the peer's latest digest contributions on this daemon's boundary
+	// links. All guarded by the server mutex.
+	dead         bool
+	links        []topology.LinkID
+	prices       []float64
+	loads, hdiag []float64
+
+	// deathPending marks the daemon detected dead and awaiting the next
+	// iteration boundary; heard is the last time any frame arrived from it
+	// (zero: never heard from, which is not staleness); replica is the
+	// latest flow-state replica it sent — the flows it was serving,
+	// reassembled from the FlowState chunks of one (replicaSeq,
+	// replicaEpoch). All guarded by inMu.
+	deathPending             bool
+	heard                    time.Time
+	replicaSeq, replicaEpoch uint64
+	replica                  []wire.FlowStateEntry
 }
 
 // peerConn is one outbound shard-to-shard connection; this daemon pushes its
@@ -81,13 +106,16 @@ type peerConn struct {
 	needReset bool
 	// digestShadow / snapShadow record, per link, the (load, hdiag) and
 	// price bit patterns last encoded for this peer; a delta bundle lists
-	// only links whose value differs (missing key = send). Shadows advance
-	// optimistically at build time: any push failure drops the whole
-	// peerConn, and the reconnect's fresh connection starts with a reset,
-	// so sender shadow and receiver state can never drift apart. Keyed by
-	// LinkID, not boundary position, so they stay valid across takeovers.
-	digestShadow map[topology.LinkID][2]uint64
-	snapShadow   map[topology.LinkID]uint64
+	// only links whose value differs. A reset bundle writes the shadow of
+	// every link it covers, and every change of the covered set forces a
+	// reset, so a delta only ever compares links its last reset wrote.
+	// Shadows advance optimistically at build time: any push failure drops
+	// the whole peerConn, and the reconnect's fresh connection starts with a
+	// reset, so sender shadow and receiver state can never drift apart.
+	// Indexed by LinkID (numLinks long), not boundary position, so they stay
+	// valid across takeovers.
+	digestShadow [][2]uint64
+	snapShadow   []uint64
 	// Reused delta-entry scratch.
 	dLinks         []uint32
 	dLoads, dHdiag []float64
@@ -116,57 +144,39 @@ type shardState struct {
 	// decision — flow admission, digest targeting, snapshot acceptance —
 	// routes through it. Guarded by the server mutex.
 	servedBy []int32
-	// deadDaemons marks daemons known to be dead (adopted or announced).
-	// Guarded by the server mutex.
-	deadDaemons map[int]bool
 
-	// boundary lists the downward links of every shard this daemon serves;
-	// posOf maps a LinkID to its position in boundary (-1 otherwise).
+	// peers holds one record per daemon of the cluster (see peerState for
+	// which lock guards each field); its length never changes.
+	peers []peerState
+
+	// boundary lists the downward links of every shard this daemon serves
+	// (its own record's links); posOf maps a LinkID to its position in
+	// boundary (-1 otherwise). extLoad/extHdiag, dense over boundary, are
+	// the peers' digest contributions summed for the allocator after each
+	// fold.
 	boundary []topology.LinkID
 	posOf    []int32
-	// remoteLinks caches, per peer daemon, the boundary links of the shards
-	// it serves (the digest target set); invalidated on takeover.
-	remoteLinks map[int][]topology.LinkID
-
-	// lastSnap retains each peer daemon's latest accepted prices (of the
-	// links it serves), so its successor can seed them when adopting. A
-	// merged map rather than the raw frames: snapshots carry only the changed
-	// links, so it accumulates across sequences and always holds the peer's
-	// full price set. Guarded by the server mutex (written at fold).
-	lastSnap map[uint32]map[topology.LinkID]float64
+	extLoad  []float64
+	extHdiag []float64
 
 	// announce holds takeover announcements awaiting inclusion in the next
 	// exchange bundle. Guarded by the server mutex.
 	announce []wire.Takeover
 
-	// Latest digest from each peer, dense over boundary; extLoad/extHdiag
-	// are the sums handed to the allocator after each fold.
-	peerLoad  map[uint32][]float64
-	peerHdiag map[uint32][]float64
-	extLoad   []float64
-	extHdiag  []float64
-
 	// sendMu serializes whole fold → iterate → push sequences so peers
 	// observe bundles in iteration order.
 	sendMu sync.Mutex
 
-	// pmu guards peers (outbound connections, keyed by shard).
-	pmu   sync.Mutex
-	peers map[int]*peerConn
+	// pmu guards the records' outbound connections.
+	pmu sync.Mutex
 
 	// inMu guards pending, the inbound messages awaiting fold; drain is
 	// the swap buffer that keeps free-running folds allocation-free. It
-	// also guards the failover reception state below (written by peer
+	// also guards the records' failover reception state (written by peer
 	// reader goroutines and the push path).
 	inMu    sync.Mutex
 	pending []exchangeMsg
 	drain   []exchangeMsg
-	// replicas holds the latest flow-state replica per peer daemon;
-	// lastHeard the last time any frame arrived from it; deadPending the
-	// daemons detected dead and awaiting the next iteration boundary.
-	replicas    map[uint32]*replicaState
-	lastHeard   map[int]time.Time
-	deadPending []int
 
 	// Reused build/fold scratch.
 	digestLoads, digestHdiag, snapPrices []float64
@@ -184,39 +194,38 @@ func newShardState(cfg Config, alloc *core.ParallelAllocator) (*shardState, erro
 	if err != nil {
 		return nil, err
 	}
+	numLinks := cfg.Topology.NumLinks()
 	st := &shardState{
-		smap:        smap,
-		index:       cfg.ShardIndex,
-		alloc:       alloc,
-		numLinks:    cfg.Topology.NumLinks(),
-		takeover:    cfg.Takeover,
-		interval:    cfg.Interval,
-		hbGrace:     cfg.HeartbeatTimeout,
-		servedBy:    make([]int32, cfg.NumShards),
-		deadDaemons: make(map[int]bool),
-		boundary:    smap.BoundaryLinks(cfg.ShardIndex),
-		posOf:       make([]int32, cfg.Topology.NumLinks()),
-		remoteLinks: make(map[int][]topology.LinkID),
-		lastSnap:    make(map[uint32]map[topology.LinkID]float64),
-		peerLoad:    make(map[uint32][]float64),
-		peerHdiag:   make(map[uint32][]float64),
-		peers:       make(map[int]*peerConn),
-		replicas:    make(map[uint32]*replicaState),
-		lastHeard:   make(map[int]time.Time),
+		smap:     smap,
+		index:    cfg.ShardIndex,
+		alloc:    alloc,
+		numLinks: numLinks,
+		takeover: cfg.Takeover,
+		interval: cfg.Interval,
+		hbGrace:  cfg.HeartbeatTimeout,
+		servedBy: make([]int32, cfg.NumShards),
+		peers:    make([]peerState, cfg.NumShards),
+		posOf:    make([]int32, numLinks),
 	}
 	for i := range st.servedBy {
 		st.servedBy[i] = int32(i)
 	}
-	for i := range st.posOf {
-		st.posOf[i] = -1
+	for i := range st.peers {
+		p := &st.peers[i]
+		p.prices = make([]float64, numLinks)
+		p.loads = make([]float64, numLinks)
+		p.hdiag = make([]float64, numLinks)
+		forgetPrices(p.prices)
 	}
-	for i, l := range st.boundary {
-		st.posOf[l] = int32(i)
-	}
-	st.extLoad = make([]float64, len(st.boundary))
-	st.extHdiag = make([]float64, len(st.boundary))
-	st.snapPrices = make([]float64, len(st.boundary))
+	st.layOutBoundaryLocked()
 	return st, nil
+}
+
+// forgetPrices marks every retained price absent.
+func forgetPrices(prices []float64) {
+	for l := range prices {
+		prices[l] = math.NaN()
+	}
 }
 
 // ownsFlow reports whether a flowlet from src belongs to a shard this daemon
@@ -249,7 +258,7 @@ func (st *shardState) successorOf(dead int) int {
 		if c == st.index {
 			return c
 		}
-		if !st.deadDaemons[c] && c != dead {
+		if !st.peers[c].dead && c != dead {
 			return c
 		}
 	}
@@ -260,20 +269,14 @@ func (st *shardState) successorOf(dead int) int {
 // boundary. Safe without the server mutex (inMu-guarded).
 func (st *shardState) noteDead(daemon int) {
 	st.inMu.Lock()
-	for _, d := range st.deadPending {
-		if d == daemon {
-			st.inMu.Unlock()
-			return
-		}
-	}
-	st.deadPending = append(st.deadPending, daemon)
+	st.peers[daemon].deathPending = true
 	st.inMu.Unlock()
 }
 
 // noteHeard stamps the liveness clock of a peer daemon.
 func (st *shardState) noteHeard(daemon int) {
 	st.inMu.Lock()
-	st.lastHeard[daemon] = time.Now()
+	st.peers[daemon].heard = time.Now()
 	st.inMu.Unlock()
 }
 
@@ -282,39 +285,26 @@ func (st *shardState) noteHeard(daemon int) {
 // chunks with the same sequence append (frames arrive in order).
 func (st *shardState) storeReplica(fs wire.FlowState) {
 	st.inMu.Lock()
-	rep := st.replicas[fs.Shard]
-	if rep == nil || rep.seq != fs.Seq || rep.epoch != fs.Epoch {
-		rep = &replicaState{seq: fs.Seq, epoch: fs.Epoch}
-		st.replicas[fs.Shard] = rep
+	p := &st.peers[fs.Shard]
+	if p.replicaSeq != fs.Seq || p.replicaEpoch != fs.Epoch {
+		p.replicaSeq, p.replicaEpoch, p.replica = fs.Seq, fs.Epoch, p.replica[:0]
 	}
 	for i := 0; i < fs.Len(); i++ {
-		rep.flows = append(rep.flows, fs.Entry(i))
+		p.replica = append(p.replica, fs.Entry(i))
 	}
 	st.inMu.Unlock()
-}
-
-// peerContrib returns (allocating on first use) the dense contribution
-// arrays of one peer.
-func (st *shardState) peerContrib(from uint32) (loads, hdiag []float64) {
-	loads, ok := st.peerLoad[from]
-	if !ok {
-		loads = make([]float64, len(st.boundary))
-		hdiag = make([]float64, len(st.boundary))
-		st.peerLoad[from] = loads
-		st.peerHdiag[from] = hdiag
-		return loads, hdiag
-	}
-	return loads, st.peerHdiag[from]
 }
 
 // closePeers tears down every outbound peer connection.
 func (st *shardState) closePeers() {
 	st.pmu.Lock()
 	defer st.pmu.Unlock()
-	for _, pc := range st.peers {
-		pc.conn.Close()
+	for i := range st.peers {
+		if pc := st.peers[i].conn; pc != nil {
+			pc.conn.Close()
+			st.peers[i].conn = nil
+		}
 	}
-	clear(st.peers)
 }
 
 // ---------------------------------------------------------------------------
@@ -378,14 +368,17 @@ func (s *Server) ConnectPeer(conn net.Conn) (int, error) {
 		return -1, err
 	}
 	pc := &peerConn{
-		shard:     int(reply.Shard),
-		conn:      conn,
-		sc:        sc,
-		needReset: true,
+		shard:        int(reply.Shard),
+		conn:         conn,
+		sc:           sc,
+		needReset:    true,
+		digestShadow: make([][2]uint64, s.shard.numLinks),
+		snapShadow:   make([]uint64, s.shard.numLinks),
 	}
 	s.shard.pmu.Lock()
-	old := s.shard.peers[pc.shard]
-	s.shard.peers[pc.shard] = pc
+	p := &s.shard.peers[pc.shard]
+	old := p.conn
+	p.conn = pc
 	s.shard.pmu.Unlock()
 	if old != nil {
 		old.conn.Close()
@@ -403,8 +396,7 @@ func (s *Server) HasPeer(shard int) bool {
 	}
 	s.shard.pmu.Lock()
 	defer s.shard.pmu.Unlock()
-	_, ok := s.shard.peers[shard]
-	return ok
+	return shard >= 0 && shard < len(s.shard.peers) && s.shard.peers[shard].conn != nil
 }
 
 // validatePeer checks a PeerHello — an inbound one or the reply to ours —
@@ -430,12 +422,13 @@ func (s *Server) Peers() []int {
 		return nil
 	}
 	s.shard.pmu.Lock()
-	out := make([]int, 0, len(s.shard.peers))
+	defer s.shard.pmu.Unlock()
+	var out []int
 	for shard := range s.shard.peers {
-		out = append(out, shard)
+		if s.shard.peers[shard].conn != nil {
+			out = append(out, shard)
+		}
 	}
-	s.shard.pmu.Unlock()
-	sort.Ints(out)
 	return out
 }
 
@@ -444,16 +437,17 @@ func (s *Server) Peers() []int {
 // Called with s.mu (allocator state) and shard.sendMu held.
 func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	st := s.shard
+	var peers []*peerConn
 	st.pmu.Lock()
-	peers := make([]*peerConn, 0, len(st.peers))
-	for _, pc := range st.peers {
-		peers = append(peers, pc)
+	for i := range st.peers {
+		if pc := st.peers[i].conn; pc != nil {
+			peers = append(peers, pc)
+		}
 	}
 	st.pmu.Unlock()
 	if len(peers) == 0 {
 		return nil
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].shard < peers[j].shard })
 
 	st.alloc.LinkPrices(st.boundary, st.snapPrices)
 	epoch := s.Epoch()
@@ -469,7 +463,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	announce := st.announce
 	st.announce = nil
 	for _, pc := range peers {
-		remote := st.remoteLinksFor(pc.shard)
+		remote := st.peers[pc.shard].links
 		if cap(st.digestLoads) < len(remote) {
 			st.digestLoads = make([]float64, len(remote))
 			st.digestHdiag = make([]float64, len(remote))
@@ -520,27 +514,18 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 // and every committed baseline that records them — independent of how much
 // happened to change, at a cost of a few bytes.
 func (pc *peerConn) appendDigestDelta(buf []byte, seq uint64, shard uint32, remote []topology.LinkID, loads, hdiag []float64) []byte {
-	reset := pc.needReset || pc.digestShadow == nil
-	if pc.digestShadow == nil {
-		pc.digestShadow = make(map[topology.LinkID][2]uint64, len(remote))
-	} else if reset {
-		clear(pc.digestShadow)
-	}
+	reset := pc.needReset
 	links := pc.dLinks[:0]
 	dl := pc.dLoads[:0]
 	dh := pc.dHdiag[:0]
 	for i, l := range remote {
 		bits := [2]uint64{math.Float64bits(loads[i]), math.Float64bits(hdiag[i])}
-		if reset {
-			pc.digestShadow[l] = bits
-			if loads[i] == 0 && hdiag[i] == 0 {
-				continue // implied by the reset
-			}
-		} else {
-			if prev, ok := pc.digestShadow[l]; ok && prev == bits {
-				continue
-			}
-			pc.digestShadow[l] = bits
+		if !reset && pc.digestShadow[l] == bits {
+			continue
+		}
+		pc.digestShadow[l] = bits
+		if reset && loads[i] == 0 && hdiag[i] == 0 {
+			continue // implied by the reset
 		}
 		links = append(links, uint32(l))
 		dl = append(dl, loads[i])
@@ -565,20 +550,13 @@ func (pc *peerConn) appendDigestDelta(buf []byte, seq uint64, shard uint32, remo
 // chunk, and that ack is the delivery barrier step-driven determinism rests
 // on.
 func (pc *peerConn) appendSnapshotDelta(buf []byte, epoch, seq uint64, shard uint32, boundary []topology.LinkID, prices []float64) []byte {
-	reset := pc.needReset || pc.snapShadow == nil
-	if pc.snapShadow == nil {
-		pc.snapShadow = make(map[topology.LinkID]uint64, len(boundary))
-	} else if reset {
-		clear(pc.snapShadow)
-	}
+	reset := pc.needReset
 	links := pc.sLinks[:0]
 	vals := pc.sPrices[:0]
 	for i, l := range boundary {
 		bits := math.Float64bits(prices[i])
-		if !reset {
-			if prev, ok := pc.snapShadow[l]; ok && prev == bits {
-				continue
-			}
+		if !reset && pc.snapShadow[l] == bits {
+			continue
 		}
 		pc.snapShadow[l] = bits
 		links = append(links, uint32(l))
@@ -619,28 +597,12 @@ func fixedExchangeBytes(nRemote, nBoundary int) int64 {
 // audit and bounds any divergence to one exchange round.
 func (st *shardState) markResyncPeers() {
 	st.pmu.Lock()
-	for _, pc := range st.peers {
-		pc.needReset = true
-	}
-	st.pmu.Unlock()
-}
-
-// remoteLinksFor returns the boundary links of every shard a peer daemon
-// currently serves — the links a digest pushed to it must cover. Called with
-// the server mutex held; the cache is invalidated when takeovers re-point
-// servedBy.
-func (st *shardState) remoteLinksFor(daemon int) []topology.LinkID {
-	if links, ok := st.remoteLinks[daemon]; ok {
-		return links
-	}
-	var links []topology.LinkID
-	for x := 0; x < st.smap.NumShards(); x++ {
-		if st.servedBy[x] == int32(daemon) {
-			links = append(links, st.smap.BoundaryLinks(x)...)
+	for i := range st.peers {
+		if pc := st.peers[i].conn; pc != nil {
+			pc.needReset = true
 		}
 	}
-	st.remoteLinks[daemon] = links
-	return links
+	st.pmu.Unlock()
 }
 
 // sendExchange pushes the prepared bundles and waits for each peer's ack
@@ -700,8 +662,8 @@ func (s *Server) pushBundle(pc *peerConn) error {
 func (s *Server) dropPeer(pc *peerConn, err error) {
 	st := s.shard
 	st.pmu.Lock()
-	if st.peers[pc.shard] == pc {
-		delete(st.peers, pc.shard)
+	if p := &st.peers[pc.shard]; p.conn == pc {
+		p.conn = nil
 	}
 	st.pmu.Unlock()
 	pc.conn.Close()
@@ -917,6 +879,7 @@ func (s *Server) foldExchangeLocked() {
 			digests = true // peer contributions changed; re-sum below
 			continue
 		}
+		p := &st.peers[m.from]
 		if m.snapshot {
 			st.pinLinks = st.pinLinks[:0]
 			st.pinVals = st.pinVals[:0]
@@ -931,51 +894,45 @@ func (s *Server) foldExchangeLocked() {
 			if len(st.pinLinks) > 0 {
 				st.alloc.PinPrices(st.pinLinks, st.pinVals)
 			}
-			if len(st.pinLinks) > 0 || m.reset {
-				st.retainSnapshot(m.from, st.pinLinks, st.pinVals, m.reset)
+			// Retain the accepted prices for a successor, re-baselined by a
+			// reset like the receiver state they mirror.
+			if m.reset {
+				forgetPrices(p.prices)
+			}
+			for i, l := range st.pinLinks {
+				p.prices[l] = st.pinVals[i]
 			}
 			continue
 		}
-		loads, hdiag := st.peerContrib(m.from)
 		if m.reset {
 			// A reset digest re-baselines this sender: its previous
 			// contributions are discarded before the (possibly sparse)
 			// entries are applied, so all-zero links may be omitted.
-			for i := range loads {
-				loads[i], hdiag[i] = 0, 0
-			}
+			clear(p.loads)
+			clear(p.hdiag)
 		}
 		for i, l := range m.links {
-			pos := int32(-1)
-			if l >= 0 && int(l) < st.numLinks {
-				pos = st.posOf[l]
-			}
-			if pos < 0 || !finite(m.vals[i]) || !finite(m.hdiag[i]) {
+			if l < 0 || int(l) >= st.numLinks || st.posOf[l] < 0 || !finite(m.vals[i]) || !finite(m.hdiag[i]) {
 				s.stPeerRej.Add(1)
 				continue
 			}
-			loads[pos] = m.vals[i]
-			hdiag[pos] = m.hdiag[i]
+			p.loads[l] = m.vals[i]
+			p.hdiag[l] = m.hdiag[i]
 		}
 		digests = true
 	}
 	if digests {
-		for i := range st.extLoad {
-			st.extLoad[i] = 0
-			st.extHdiag[i] = 0
-		}
-		// Sum contributions in shard order, never map order: float addition
-		// is not associative, so a randomized order would make runs with
-		// three or more peers diverge at ULP scale.
-		for from := 0; from < st.smap.NumShards(); from++ {
-			loads, ok := st.peerLoad[uint32(from)]
-			if !ok {
-				continue
-			}
-			hdiag := st.peerHdiag[uint32(from)]
-			for i := range st.extLoad {
-				st.extLoad[i] += loads[i]
-				st.extHdiag[i] += hdiag[i]
+		clear(st.extLoad)
+		clear(st.extHdiag)
+		// Sum contributions in shard order: float addition is not
+		// associative, so any other order would make runs with three or more
+		// peers diverge at ULP scale. Records that contribute nothing (this
+		// daemon's, dead or silent peers') hold +0, which adds exactly.
+		for d := range st.peers {
+			p := &st.peers[d]
+			for i, l := range st.boundary {
+				st.extLoad[i] += p.loads[l]
+				st.extHdiag[i] += p.hdiag[l]
 			}
 		}
 		st.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
@@ -991,141 +948,129 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // snapshot or a snapshot file): finite and non-negative, as NED keeps them.
 func validPrice(v float64) bool { return finite(v) && v >= 0 }
 
-// retainSnapshot merges a peer daemon's accepted prices into lastSnap,
-// re-baselining on reset. Called with the server mutex held.
-func (st *shardState) retainSnapshot(from uint32, links []topology.LinkID, prices []float64, reset bool) {
-	rec := st.lastSnap[from]
-	if rec == nil {
-		rec = make(map[topology.LinkID]float64, len(links))
-		st.lastSnap[from] = rec
-	}
-	if reset {
-		clear(rec)
-	}
-	for i, l := range links {
-		rec[l] = prices[i]
-	}
-}
-
 // applyTakeoverLocked re-points ownership after daemon `by` adopted dead
 // daemon `dead`: every shard dead served is now served by the adopter,
 // dead's stale digest contributions are discarded (the adopter's own digest
-// now carries those flows' loads), and the digest-target cache is rebuilt.
-// Called with the server mutex held.
+// now carries those flows' loads), and the digest target sets are
+// recomputed. Called with the server mutex held.
 func (s *Server) applyTakeoverLocked(dead, by int) {
 	st := s.shard
 	if dead == st.index || dead < 0 || dead >= st.smap.NumShards() {
 		s.stPeerRej.Add(1)
 		return
 	}
-	st.deadDaemons[dead] = true
-	for x := range st.servedBy {
-		if st.servedBy[x] == int32(dead) {
-			st.servedBy[x] = int32(by)
-		}
-	}
-	delete(st.peerLoad, uint32(dead))
-	delete(st.peerHdiag, uint32(dead))
-	clear(st.remoteLinks)
-	// The adopter's digest target set just grew; push it (and everyone
-	// else) a full bundle next iteration rather than a delta.
-	st.markResyncPeers()
+	st.buryLocked(dead)
+	st.repointLocked(dead, by)
+	st.retargetLocked()
 	s.logf("shard takeover: daemon %d adopted daemon %d's rack block", by, dead)
 }
 
+// buryLocked records daemon d as dead and discards its digest contributions.
+// The served-shard picture is about to change, so every peer gets a full
+// bundle next iteration rather than a delta. Called with the server mutex
+// held.
+func (st *shardState) buryLocked(d int) {
+	p := &st.peers[d]
+	p.dead = true
+	clear(p.loads)
+	clear(p.hdiag)
+	st.markResyncPeers()
+}
+
+// repointLocked hands every shard daemon `dead` served to daemon `by`.
+// Called with the server mutex held.
+func (st *shardState) repointLocked(dead, by int) {
+	for x, d := range st.servedBy {
+		if d == int32(dead) {
+			st.servedBy[x] = int32(by)
+		}
+	}
+}
+
+// retargetLocked recomputes every daemon's links — the downward links of
+// the shards it serves, in shard order — from servedBy. Called with the
+// server mutex held.
+func (st *shardState) retargetLocked() {
+	for d := range st.peers {
+		st.peers[d].links = st.peers[d].links[:0]
+	}
+	for x, d := range st.servedBy {
+		st.peers[d].links = append(st.peers[d].links, st.smap.BoundaryLinks(x)...)
+	}
+}
+
 // processDeathsLocked handles daemons detected dead since the last
-// iteration boundary: the successor adopts their rack blocks (seeding the
-// replica flows and retained prices it holds) and queues a takeover
-// announcement; everyone else records the death so successor elections
-// stay consistent. Called with the server mutex and sendMu held, after
-// foldExchangeLocked and before flowlet events are drained — a client
-// re-registering an orphaned flow in the same step finds it already
-// adopted.
+// iteration boundary, in shard order: the successor adopts their rack blocks
+// (seeding the replica flows and retained prices it holds) and queues a
+// takeover announcement; everyone else records the death so successor
+// elections stay consistent. Called with the server mutex and sendMu held,
+// after foldExchangeLocked and before flowlet events are drained — a client
+// re-registering an orphaned flow in the same step finds it already adopted.
 func (s *Server) processDeathsLocked() {
 	st := s.shard
-	st.inMu.Lock()
-	pend := st.deadPending
-	st.deadPending = nil
 	// Free-running daemons additionally declare peers dead on heartbeat
 	// staleness; step-driven ones rely on push failures alone so runs stay
-	// deterministic.
-	if st.interval > 0 && st.hbGrace > 0 {
-		now := time.Now()
-		for d, heard := range st.lastHeard {
-			if !st.deadDaemons[d] && now.Sub(heard) > st.hbGrace {
-				pend = append(pend, d)
-			}
-		}
+	// deterministic. A daemon never heard from is not stale.
+	stale := st.interval > 0 && st.hbGrace > 0
+	var now time.Time
+	if stale {
+		now = time.Now()
 	}
-	st.inMu.Unlock()
-	if len(pend) == 0 {
-		return
-	}
-	sort.Ints(pend)
-	for _, dead := range pend {
-		if dead == st.index || st.deadDaemons[dead] {
+	for d := range st.peers {
+		p := &st.peers[d]
+		st.inMu.Lock()
+		died := p.deathPending || stale && !p.heard.IsZero() && now.Sub(p.heard) > st.hbGrace
+		p.deathPending = false
+		st.inMu.Unlock()
+		if !died || d == st.index || p.dead {
 			continue
 		}
-		st.deadDaemons[dead] = true
-		delete(st.peerLoad, uint32(dead))
-		delete(st.peerHdiag, uint32(dead))
-		clear(st.remoteLinks)
-		st.markResyncPeers()
-		if st.successorOf(dead) != st.index {
-			continue
+		st.buryLocked(d)
+		if st.successorOf(d) == st.index {
+			s.adoptLocked(d)
 		}
-		s.adoptLocked(dead)
 	}
 }
 
 // adoptLocked makes this daemon serve dead's rack block: replica flows are
 // admitted unowned (a reconnecting client claims them churn-free through
-// the adoption path), the retained price snapshot is seeded and unpinned so
-// the adopted boundary is priced locally from now on, ownership and the
-// boundary arrays are rebuilt, and the takeover is queued for announcement
-// in the next exchange bundle.
+// the adoption path), the retained prices are seeded and unpinned so the
+// adopted boundary is priced locally from now on, ownership and the boundary
+// arrays are rebuilt, and the takeover is queued for announcement in the
+// next exchange bundle.
 func (s *Server) adoptLocked(dead int) {
 	st := s.shard
+	p := &st.peers[dead]
 	st.inMu.Lock()
-	rep := st.replicas[uint32(dead)]
-	delete(st.replicas, uint32(dead))
+	replica := p.replica
+	p.replica = nil
 	st.inMu.Unlock()
 
 	adopted, failed := 0, 0
-	if rep != nil {
-		for _, e := range rep.flows {
-			if _, known := s.alloc.SlotOf(core.FlowID(e.Flow)); known {
-				continue
-			}
-			if err := s.admitUnownedLocked(e); err != nil {
-				failed++
-				continue
-			}
-			adopted++
+	for _, e := range replica {
+		if _, known := s.alloc.SlotOf(core.FlowID(e.Flow)); known {
+			continue
+		}
+		if err := s.admitUnownedLocked(e); err != nil {
+			failed++
+			continue
+		}
+		adopted++
+	}
+	var links []topology.LinkID
+	var prices []float64
+	for l, v := range p.prices {
+		if !math.IsNaN(v) {
+			links = append(links, topology.LinkID(l))
+			prices = append(prices, v)
 		}
 	}
-	if rec := st.lastSnap[uint32(dead)]; len(rec) > 0 {
-		// Deterministic seeding order: the record is a merged map, so sort
-		// by link. Per-link assignment makes the order cosmetic, but sorted
-		// output keeps logs and tests stable.
-		links := make([]topology.LinkID, 0, len(rec))
-		for l := range rec {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-		prices := make([]float64, len(links))
-		for i, l := range links {
-			prices[i] = rec[l]
-		}
+	if len(links) > 0 {
 		st.alloc.SeedPrices(links, prices)
 		st.alloc.UnpinPrices(links)
 	}
-	delete(st.lastSnap, uint32(dead))
-	for x := range st.servedBy {
-		if st.servedBy[x] == int32(dead) {
-			st.servedBy[x] = int32(st.index)
-		}
-	}
+	forgetPrices(p.prices)
+	st.repointLocked(dead, st.index)
 	st.rebuildBoundaryLocked()
 	st.announce = append(st.announce, wire.Takeover{Dead: uint32(dead), By: uint32(st.index)})
 	s.stTakeovers.Add(1)
@@ -1144,51 +1089,34 @@ func (st *shardState) numServedLocked() int {
 	return n
 }
 
-// rebuildBoundaryLocked recomputes the boundary arrays after the served
-// shard set changed: the boundary becomes the concatenation, in shard
-// order, of every served shard's downward links. The dense per-peer
-// contribution arrays are remapped by LinkID onto the new layout — links
-// present in both keep their imported values, which keeps peers' delta
-// digests (whose omitted entries mean "unchanged") correct across the
-// rebuild. The allocator-visible external loads are zeroed exactly as before:
-// the next fold re-sums them from the remapped arrays, and in step-driven
-// runs every live peer's bundle arrives before that fold, so the remapped
-// values are fully refreshed before they are ever summed.
-func (st *shardState) rebuildBoundaryLocked() {
-	old := st.boundary
-	var b []topology.LinkID
-	for x := 0; x < st.smap.NumShards(); x++ {
-		if st.servedBy[x] == int32(st.index) {
-			b = append(b, st.smap.BoundaryLinks(x)...)
-		}
-	}
-	st.boundary = b
+// layOutBoundaryLocked derives every daemon's links from servedBy and this
+// daemon's boundary arrays from its own: the boundary is the concatenation,
+// in shard order, of every served shard's downward links, and the arrays
+// dense over it start at zero. Called with the server mutex held (or before
+// the daemon is shared).
+func (st *shardState) layOutBoundaryLocked() {
+	st.retargetLocked()
+	st.boundary = st.peers[st.index].links
 	for i := range st.posOf {
 		st.posOf[i] = -1
 	}
 	for i, l := range st.boundary {
 		st.posOf[l] = int32(i)
 	}
-	for from, oldLoads := range st.peerLoad {
-		oldHdiag := st.peerHdiag[from]
-		newLoads := make([]float64, len(b))
-		newHdiag := make([]float64, len(b))
-		for i, l := range old {
-			if i >= len(oldLoads) {
-				break
-			}
-			if pos := st.posOf[l]; pos >= 0 {
-				newLoads[pos] = oldLoads[i]
-				newHdiag[pos] = oldHdiag[i]
-			}
-		}
-		st.peerLoad[from] = newLoads
-		st.peerHdiag[from] = newHdiag
-	}
-	st.extLoad = make([]float64, len(b))
-	st.extHdiag = make([]float64, len(b))
-	st.snapPrices = make([]float64, len(b))
-	clear(st.remoteLinks)
+	st.extLoad = make([]float64, len(st.boundary))
+	st.extHdiag = make([]float64, len(st.boundary))
+	st.snapPrices = make([]float64, len(st.boundary))
+}
+
+// rebuildBoundaryLocked lays the boundary out again after the served shard
+// set changed. The peers' imported loads are indexed by LinkID, so links in
+// both layouts keep their imported values, which keeps peers' delta digests
+// (whose omitted entries mean "unchanged") correct across the rebuild. The
+// allocator-visible external loads are zeroed: the next fold re-sums them,
+// and in step-driven runs every live peer's bundle arrives before that fold,
+// so the imported values are fully refreshed before they are ever summed.
+func (st *shardState) rebuildBoundaryLocked() {
+	st.layOutBoundaryLocked()
 	st.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	st.markResyncPeers()
 }

@@ -443,3 +443,175 @@ func TestTakeoverRejectedRegistrationBeforeAdoption(t *testing.T) {
 		t.Fatalf("adopted-shard flow not allocated: rate = %g", got)
 	}
 }
+
+// TestResumeReconnectAdoptsDrainOrphans: a client that loses its session to a
+// draining daemon and ResumeReconnects to the same daemon claims the flows the
+// drain kept for it. Each bare add is adopted in place — no duplicate, no
+// churn — and the client receives the flows' rates again.
+func TestResumeReconnectAdoptsDrainOrphans(t *testing.T) {
+	srv, cli := startDaemon(t, failoverTopo(t))
+	flows := []core.FlowID{1, 2, 3}
+	for i, ep := range [][2]int{{0, 3}, {1, 2}, {2, 0}} {
+		if err := cli.FlowletStart(flows[i], ep[0], ep[1], float64(1+i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cli.Step(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Drain()
+	cli.Conn().Close() // the session dies; a draining daemon keeps its flows
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().SessionsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session removal never observed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	clientEnd, serverEnd := net.Pipe()
+	go srv.ServeConn(serverEnd)
+	if err := cli.ResumeReconnect(clientEnd); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[core.FlowID]float64)
+	for i := 0; i < 10; i++ {
+		ups, err := cli.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range ups {
+			got[u.Flow] = u.Rate
+		}
+	}
+	st := srv.Stats()
+	if st.AdoptedFlows != int64(len(flows)) || st.DuplicateAdds != 0 {
+		t.Fatalf("AdoptedFlows = %d, DuplicateAdds = %d; want %d and 0", st.AdoptedFlows, st.DuplicateAdds, len(flows))
+	}
+	for _, id := range flows {
+		if got[id] <= 0 {
+			t.Fatalf("flow %d: no rate reached the reconnected client (got %v)", id, got)
+		}
+	}
+	if n := srv.NumFlows(); n != len(flows) {
+		t.Fatalf("NumFlows = %d, want %d", n, len(flows))
+	}
+}
+
+// ackingPeer plays shard `shard` of a 4-shard cluster on the accepting end of
+// srv's outbound peer connection: it answers the PeerHello and acks every
+// snapshot chunk, so srv's pushes to it never fail.
+func ackingPeer(t *testing.T, srv *Server, shard uint32) {
+	t.Helper()
+	out, in := net.Pipe()
+	t.Cleanup(func() { in.Close() })
+	go func() {
+		sc := wire.NewScanner(in)
+		if typ, _, err := sc.Next(); err != nil || typ != wire.TypePeerHello {
+			return
+		}
+		if _, err := in.Write(wire.AppendPeerHello(nil, wire.PeerHello{Version: wire.Version, Shard: shard, NumShards: 4, Epoch: 1})); err != nil {
+			return
+		}
+		var sd wire.PriceSnapshotDelta
+		for {
+			typ, payload, err := sc.Next()
+			if err != nil {
+				return
+			}
+			if typ != wire.TypePriceSnapshotDelta {
+				continue
+			}
+			if wire.DecodePriceSnapshotDelta(payload, &sd) != nil {
+				return
+			}
+			if _, err := in.Write(wire.AppendExchangeAck(nil, sd.Seq)); err != nil {
+				return
+			}
+		}
+	}()
+	if _, err := srv.ConnectPeer(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// silentPeer opens shard `shard`'s inbound peer session to srv, writes frame
+// (if any), and then holds the connection open without another word.
+func silentPeer(t *testing.T, srv *Server, shard uint32, frame []byte) {
+	t.Helper()
+	conn, in := net.Pipe()
+	t.Cleanup(func() { conn.Close() })
+	go srv.ServeConn(in)
+	if _, err := conn.Write(wire.AppendPeerHello(nil, wire.PeerHello{Version: wire.Version, Shard: shard, NumShards: 4, Epoch: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.NewScanner(conn).Next(); err != nil || typ != wire.TypePeerHello {
+		t.Fatalf("peer handshake: %s, %v", typ, err)
+	}
+	if frame != nil {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHeartbeatStalenessDeclaresDeath drives Config.HeartbeatTimeout: two
+// free-running takeover daemons (shards 0 and 2 of 4) and two scripted peers
+// that ack every push, so no push ever fails. Shard 3 sends one replica frame
+// and goes silent: once it is stale, its successor, daemon 0, adopts it and
+// the replica's flow. Shard 1 is never heard from at all, which is not
+// staleness: its successor, daemon 2, must not adopt it.
+func TestHeartbeatStalenessDeclaresDeath(t *testing.T) {
+	const grace = 500 * time.Millisecond
+	topo := clusterTopo(t)
+	var srvs [2]*Server
+	for i, shard := range []int{0, 2} {
+		srv, err := New(Config{
+			Topology: topo, NumShards: 4, ShardIndex: shard, Takeover: true,
+			Interval: time.Millisecond, HeartbeatTimeout: grace,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs[i] = srv
+	}
+	for i := range srvs {
+		out, in := net.Pipe()
+		go srvs[1-i].ServeConn(in)
+		if _, err := srvs[i].ConnectPeer(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replica := wire.AppendFlowStateHeader(nil, 1, 1, 3, 1)
+	replica = wire.AppendFlowStateEntry(replica, wire.FlowStateEntry{Flow: 42, Src: 6, Dst: 0, Weight: 1})
+	for _, srv := range srvs {
+		ackingPeer(t, srv, 1)
+		ackingPeer(t, srv, 3)
+		silentPeer(t, srv, 1, nil)
+		silentPeer(t, srv, 3, replica)
+	}
+
+	heir := srvs[0]
+	deadline := time.Now().Add(10 * time.Second)
+	for !heir.ServesShard(3) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stale peer was never adopted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Give a wrong staleness verdict on the silent shard 1 time to happen.
+	time.Sleep(3 * grace)
+	if st := heir.Stats(); st.Takeovers != 1 {
+		t.Fatalf("heir Takeovers = %d, want 1 (shard 3 only)", st.Takeovers)
+	}
+	if got := heir.NumFlows(); got != 1 {
+		t.Fatalf("heir NumFlows = %d, want the replica's one flow", got)
+	}
+	if srvs[1].ServesShard(1) {
+		t.Fatal("daemon 2 adopted shard 1, which was never heard from")
+	}
+	if st := srvs[1].Stats(); st.Takeovers != 0 {
+		t.Fatalf("daemon 2 Takeovers = %d, want 0", st.Takeovers)
+	}
+}

@@ -105,19 +105,16 @@ func appendFlowStates(buf []byte, epoch, seq uint64, shard uint32, flows []core.
 }
 
 // admitUnownedLocked re-admits one flow of a snapshot or a peer replica as an
-// unowned registration: in the allocator, in the flow table, and in the index a
-// reconnecting client's bare add claims it from without allocator churn. It is
-// the one admission path of Restore and adoptLocked.
+// unowned registration, in the allocator and in the flow table, for a
+// reconnecting client's bare add to claim without allocator churn. It is the
+// one admission path of Restore and adoptLocked.
 func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) error {
 	id := core.FlowID(e.Flow)
 	if _, dup := s.alloc.SlotOf(id); dup {
 		return fmt.Errorf("flowlet %d already registered", id)
 	}
-	if _, err := s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight); err != nil {
-		return err
-	}
-	s.unowned[id] = flowMeta{src: int(e.Src), dst: int(e.Dst), weight: e.Weight}
-	return nil
+	_, err := s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight)
+	return err
 }
 
 // Restore loads a snapshot produced by Snapshot (or Shutdown) into a fresh

@@ -171,13 +171,6 @@ type Stats struct {
 	ExchangeBytesFixed int64
 }
 
-// flowMeta is the registration a flow without an owning session was created
-// from (snapshot restore or peer replica).
-type flowMeta struct {
-	src, dst int
-	weight   float64
-}
-
 // flowRec is the daemon's one record per registered flowlet — who owns it and
 // where its rate fan-out stands — so the loop does a single table lookup per
 // flowlet event and per rate update. The ownership half is guarded by srv.mu;
@@ -188,7 +181,8 @@ type flowRec struct {
 	// owner is the session that registered the flow and receives its rates;
 	// nil for a flow that lives in the allocator without one (restored from a
 	// snapshot, seeded from a peer replica, or left by a session that
-	// disconnected mid-drain). ownIdx is the record's slot in owner.owned.
+	// disconnected mid-drain), which a matching add adopts (see
+	// drainInboxLocked). ownIdx is the record's slot in owner.owned.
 	owner  *session
 	ownIdx int32
 
@@ -242,11 +236,6 @@ type Server struct {
 	// freeRecs recycles the records of retired flowlets, so steady-state
 	// churn allocates none.
 	freeRecs []*flowRec
-	// unowned holds the registration metadata of flows that live in the
-	// allocator without an owning session (restored from a snapshot or seeded
-	// from a peer replica), so a reconnecting client's re-registration can
-	// be verified and adopted without allocator churn.
-	unowned map[core.FlowID]flowMeta
 	// inbox holds the flowlet events published since the last iteration;
 	// sessions append to it a burst at a time (publish).
 	inbox []event
@@ -347,7 +336,6 @@ func New(cfg Config) (*Server, error) {
 		loop:     metrics.NewLoopRecorder(metrics.DefaultLoopWindow),
 		sessions: make(map[*session]struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		unowned:  make(map[core.FlowID]flowMeta),
 		done:     make(chan struct{}),
 	}
 	s.epoch.Store(cfg.Epoch)
@@ -931,7 +919,8 @@ func (s *Server) removeSession(sess *session) {
 		// been replicated to the successor shard), so a cleanup sweep here
 		// would retire exactly the flows a restarted or adopting daemon
 		// needs. Clients fail over warm at last-known rates regardless.
-		// The flows become unowned, claimable by a reconnecting client;
+		// The flows become unowned, claimable by a reconnecting client whose
+		// re-registration matches (drainInboxLocked adopts it in place);
 		// rates still queued for the dead session are withdrawn with it, so
 		// no record stays reachable through a session that is not its owner.
 		sess.pmu.Lock()
@@ -1263,19 +1252,18 @@ func (s *Server) drainInboxLocked() {
 			continue
 		}
 		if known {
-			// Adoption without churn: a flow restored from a snapshot or
-			// seeded from a peer replica sits in the allocator unowned. When a
-			// reconnecting client re-registers it with the same route and
-			// weight, ownership transfers in place — the allocator never sees a
-			// retire/re-add pair, so prices and rates are undisturbed and a
-			// warm restart costs zero registrations.
+			// Adoption without churn: a flow restored from a snapshot, seeded
+			// from a peer replica, or kept by a drain after its session died
+			// sits in the allocator unowned. When a reconnecting client
+			// re-registers it with the registration the allocator holds —
+			// same route and weight — ownership transfers in place: the
+			// allocator never sees a retire/re-add pair, so prices and rates
+			// are undisturbed and a warm restart costs zero registrations.
 			rec := s.recs[slot]
-			meta, unowned := s.unowned[ev.flow]
-			if rec.owner == nil && unowned && ev.sess != nil {
-				if meta.src == ev.src && meta.dst == ev.dst && meta.weight == ev.weight {
+			if rec.owner == nil && ev.sess != nil {
+				if f := s.alloc.FlowAt(slot); f.Src == ev.src && f.Dst == ev.dst && f.Weight == ev.weight {
 					if _, live := s.sessions[ev.sess]; live {
 						ev.sess.own(rec)
-						delete(s.unowned, ev.flow)
 						s.stAdopted.Add(1)
 					}
 					continue
@@ -1361,9 +1349,6 @@ func (s *Server) retireLocked(slot int32) {
 	s.alloc.EndSlot(slot)
 	rec := s.recs[slot]
 	s.recs[slot] = nil
-	if len(s.unowned) > 0 {
-		delete(s.unowned, rec.id)
-	}
 	if owner := rec.owner; owner != nil {
 		owner.disown(rec)
 		owner.pmu.Lock()
