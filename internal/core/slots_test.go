@@ -8,7 +8,7 @@ import (
 // TestParallelSlotTable runs a seeded start/end/SetFlows/Iterate sequence at
 // 1, 2 and 4 blocks and checks the slot table after every operation: each
 // live ID's slot is the one it was admitted with and locates that very flow,
-// NumFlows is the live count, freed slots are reused so the table never
+// FlowAt reports each slot's flow as LiveFlows does, NumFlows is the live count, freed slots are reused so the table never
 // outgrows the peak concurrent flow count, and every RateUpdate carries its
 // flow's slot.
 func TestParallelSlotTable(t *testing.T) {
@@ -37,6 +37,11 @@ func TestParallelSlotTable(t *testing.T) {
 				l := pa.slots[slot]
 				if fb := pa.fbs[l.fb]; fb.ids[l.idx] != id || fb.slots[l.idx] != slot {
 					t.Fatalf("blocks %d op %d (%s): slot %d locates flow %d (slot %d), want flow %d", blocks, op, what, slot, fb.ids[l.idx], fb.slots[l.idx], id)
+				}
+			}
+			for _, f := range pa.LiveFlows() {
+				if slot, _ := pa.SlotOf(f.ID); pa.FlowAt(slot) != f {
+					t.Fatalf("blocks %d op %d (%s): FlowAt(%d) = %+v, LiveFlows reports %+v", blocks, op, what, slot, pa.FlowAt(slot), f)
 				}
 			}
 			if len(pa.slots) != peak || len(pa.slots) != len(live)+len(pa.freeSlots) {

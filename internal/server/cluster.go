@@ -591,10 +591,8 @@ func fixedExchangeBytes(nRemote, nBoundary int) int64 {
 
 // markResyncPeers forces the next bundle to every connected peer to carry a
 // full (reset) digest and snapshot. Called whenever served-shard ownership
-// changes: the per-link shadows themselves stay valid across a takeover
-// (both sides track links, not boundary positions), but a full resync after
-// the rare ownership change keeps the sender/receiver invariant easy to
-// audit and bounds any divergence to one exchange round.
+// changes, which changes the links bundles cover: a delta compares only the
+// shadows its connection's last reset wrote (see peerConn).
 func (st *shardState) markResyncPeers() {
 	st.pmu.Lock()
 	for i := range st.peers {
