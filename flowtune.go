@@ -110,7 +110,9 @@ type AllocatorConfig = core.Config
 // FlowID identifies a flowlet registered with an allocator.
 type FlowID = core.FlowID
 
-// RateUpdate is one rate notification produced by Allocator.Iterate.
+// RateUpdate is one rate notification produced by Allocator.Iterate: the flow
+// and its new rate. It does not name the sender; the caller that registered
+// the flow knows it.
 type RateUpdate = core.RateUpdate
 
 // NewAllocator creates the single-core reference allocator.

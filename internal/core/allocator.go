@@ -55,12 +55,12 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// RateUpdate is one rate notification for an endpoint (24 bytes).
+// RateUpdate is one rate notification for an endpoint (24 bytes). It names
+// the flow, not its sender: whoever delivers it resolves the recipient from
+// its own registration of the flow.
 type RateUpdate struct {
 	// Flow identifies the flowlet.
 	Flow FlowID
-	// Src is the sending server's index (the notification's recipient).
-	Src int32
 	// Slot is the flow's ParallelAllocator slot (see SlotOf), so a caller
 	// keeping per-flow state in a slice indexed by slot reaches it without a
 	// lookup. The reference Allocator has no slots and leaves it 0, as do
@@ -96,10 +96,9 @@ type Allocator struct {
 
 	// Per-flow state, parallel slices in problem order: FlowletStart appends
 	// to all of them and FlowletEnd applies the problem's swap-delete to all
-	// of them, together with state.Rates. The notify filter reads ids, srcs,
-	// normalized and lastNotified — 28 contiguous bytes per flow.
-	ids  []FlowID
-	srcs []int32
+	// of them, together with state.Rates. The notify filter reads ids,
+	// normalized and lastNotified — 24 contiguous bytes per flow.
+	ids []FlowID
 	// normalized is the rate Iterate most recently computed for the flow, 0
 	// until the first Iterate after its registration.
 	normalized []float64
@@ -168,7 +167,6 @@ func (a *Allocator) FlowletStart(id FlowID, src, dst int, weight float64) error 
 	}
 	a.indexByID[id] = len(a.ids)
 	a.ids = append(a.ids, id)
-	a.srcs = append(a.srcs, int32(src))
 	a.normalized = append(a.normalized, 0)
 	a.lastNotified = append(a.lastNotified, 0)
 	// Flow weights are scaled by the link capacity so optimal prices are
@@ -220,14 +218,12 @@ func (a *Allocator) FlowletEnd(id FlowID) error {
 	last := len(a.ids) - 1
 	if idx != last {
 		a.ids[idx] = a.ids[last]
-		a.srcs[idx] = a.srcs[last]
 		a.normalized[idx] = a.normalized[last]
 		a.lastNotified[idx] = a.lastNotified[last]
 		a.state.Rates[idx] = a.state.Rates[last]
 		a.indexByID[a.ids[idx]] = idx
 	}
 	a.ids = a.ids[:last]
-	a.srcs = a.srcs[:last]
 	a.normalized = a.normalized[:last]
 	a.lastNotified = a.lastNotified[:last]
 	a.freeRoutes = append(a.freeRoutes, a.problem.Flows[idx].Route)
@@ -254,9 +250,9 @@ func (a *Allocator) Iterate() []RateUpdate {
 	a.normalized = a.fnorm.NormalizeLoads(&a.problem, a.state.Rates, loads, a.normalized)
 
 	// The notify filter is its own pass over two dense float arrays — fusing
-	// it into the normalizer's CSR sweep measured slower — and touches ids and
-	// srcs only for the flows it reports.
-	a.updates = appendSignificant(a.updates[:0], a.ids, nil, a.srcs, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
+	// it into the normalizer's CSR sweep measured slower — and touches ids
+	// only for the flows it reports.
+	a.updates = appendSignificant(a.updates[:0], a.ids, nil, a.normalized, a.lastNotified, a.cfg.UpdateThreshold)
 	return a.updates
 }
 
@@ -264,12 +260,12 @@ func (a *Allocator) Iterate() []RateUpdate {
 // appends a RateUpdate for every flow whose rate changed significantly since
 // it was last reported, and records the reported rate. slots, when non-nil,
 // fills RateUpdate.Slot.
-func appendSignificant(buf []RateUpdate, ids []FlowID, slots, srcs []int32, rates, lastNotified []float64, thr float64) []RateUpdate {
+func appendSignificant(buf []RateUpdate, ids []FlowID, slots []int32, rates, lastNotified []float64, thr float64) []RateUpdate {
 	lastNotified = lastNotified[:len(rates)]
 	for i, rate := range rates {
 		if SignificantRateChange(lastNotified[i], rate, thr) {
 			lastNotified[i] = rate
-			u := RateUpdate{Flow: ids[i], Src: srcs[i], Rate: rate}
+			u := RateUpdate{Flow: ids[i], Rate: rate}
 			if slots != nil {
 				u.Slot = slots[i]
 			}

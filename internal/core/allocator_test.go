@@ -276,7 +276,7 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 	numServers := a.Config().Topology.NumServers()
 	nextID := FlowID(1)
 	var live []FlowID
-	dsts := make(map[FlowID]int)
+	srcs, dsts := make(map[FlowID]int), make(map[FlowID]int)
 
 	check := func() {
 		t.Helper()
@@ -284,9 +284,9 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 			t.Fatalf("size mismatch: %d flows, %d ids, %d problem flows",
 				len(dsts), len(a.indexByID), len(a.problem.Flows))
 		}
-		if n := a.NumFlows(); len(a.ids) != n || len(a.srcs) != n || len(a.normalized) != n || len(a.lastNotified) != n {
-			t.Fatalf("dense arrays out of step with %d flows: %d ids, %d srcs, %d normalized, %d lastNotified",
-				n, len(a.ids), len(a.srcs), len(a.normalized), len(a.lastNotified))
+		if n := a.NumFlows(); len(a.ids) != n || len(a.normalized) != n || len(a.lastNotified) != n {
+			t.Fatalf("dense arrays out of step with %d flows: %d ids, %d normalized, %d lastNotified",
+				n, len(a.ids), len(a.normalized), len(a.lastNotified))
 		}
 		if len(a.state.Rates) != a.NumFlows() {
 			t.Fatalf("Rates has %d entries for %d flows", len(a.state.Rates), a.NumFlows())
@@ -301,7 +301,7 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 			}
 			// The compiled route must match both the problem's route slice
 			// and the topology's route for the flow's endpoints.
-			want, err := a.Config().Topology.Route(int(a.srcs[idx]), dsts[id], int(id))
+			want, err := a.Config().Topology.Route(srcs[id], dsts[id], int(id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,13 +329,14 @@ func TestAllocatorChurnIndexConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live, nextID)
-			dsts[nextID] = dst
+			srcs[nextID], dsts[nextID] = src, dst
 			nextID++
 		} else {
 			i := rng.Intn(len(live))
 			if err := a.FlowletEnd(live[i]); err != nil {
 				t.Fatal(err)
 			}
+			delete(srcs, live[i])
 			delete(dsts, live[i])
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]

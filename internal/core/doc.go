@@ -37,7 +37,11 @@
 // no flow index of its own. The one ID → slot index is a FlowIndex: an
 // open-addressed table with backward-shift deletion, which churn at a constant
 // live count never grows or rehashes, where a Go map keeps regrowing its
-// tables. The endpoint's registrations (transport.AllocClient,
-// transport.ShardedClient) are indexed by the same type. See ARCHITECTURE.md,
-// "The parallel iteration path".
+// tables. Churn costs one probe of it per event: an admission is Bind (the
+// index's GetOrPut) then Admit, a retirement Unbind (its Take) then EndSlot,
+// and a refused admission releases the binding it made. The endpoint's
+// registrations (transport.AllocClient, transport.ShardedClient) are indexed
+// by the same type. A RateUpdate names the flow and its slot, not its sender:
+// whoever delivers it knows the recipient from its own registration. See
+// ARCHITECTURE.md, "The parallel iteration path".
 package core

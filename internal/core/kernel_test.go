@@ -25,7 +25,6 @@ type refAllocator struct {
 
 type refFlow struct {
 	id           FlowID
-	src          int32
 	route        []int32
 	weight       float64
 	lastNotified float64
@@ -51,7 +50,7 @@ func (r *refAllocator) start(t *testing.T, topo *topology.Topology, id FlowID, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.flows = append(r.flows, refFlow{id: id, src: int32(src), route: route, weight: weight * topo.Config().LinkCapacity})
+	r.flows = append(r.flows, refFlow{id: id, route: route, weight: weight * topo.Config().LinkCapacity})
 }
 
 func (r *refAllocator) end(id FlowID) {
@@ -125,7 +124,7 @@ func (r *refAllocator) iterate() []RateUpdate {
 		r.normalized = append(r.normalized, rate)
 		if SignificantRateChange(f.lastNotified, rate, r.thr) {
 			f.lastNotified = rate
-			updates = append(updates, RateUpdate{Flow: f.id, Src: f.src, Rate: rate})
+			updates = append(updates, RateUpdate{Flow: f.id, Rate: rate})
 		}
 	}
 	return updates
@@ -289,7 +288,7 @@ func TestAllocatorKernelEquivalence(t *testing.T) {
 						t.Fatalf("round %d: %d updates, reference has %d", round, len(got), len(want))
 					}
 					for i := range want {
-						if got[i].Flow != want[i].Flow || got[i].Src != want[i].Src ||
+						if got[i].Flow != want[i].Flow ||
 							math.Float64bits(got[i].Rate) != math.Float64bits(want[i].Rate) {
 							t.Fatalf("round %d update %d: %+v, reference %+v", round, i, got[i], want[i])
 						}

@@ -230,7 +230,10 @@ type flowLoc struct {
 // Every registered flow holds a slot: a dense int32, stable from admission to
 // end, reused after it. SlotOf resolves an ID to it, AppendUpdates reports it
 // in RateUpdate.Slot, and EndSlot retires by it, so a caller keeping per-flow
-// state in a slice indexed by slot needs no index of its own.
+// state in a slice indexed by slot needs no index of its own. Churn costs one
+// index probe per event: an admission is Bind then Admit, a retirement Unbind
+// then EndSlot, and FlowletStart, FlowletEnd and SetFlows are compositions of
+// the two.
 type ParallelAllocator struct {
 	cfg  ParallelConfig
 	topo *topology.Topology
@@ -269,8 +272,9 @@ type ParallelAllocator struct {
 
 	// loc indexes every registered flow's slot by ID, and slots maps a slot
 	// to the flow's FlowBlock and index; freeSlots lists the ended flows'
-	// slots, reused last-in first-out, so len(slots) is the peak flow count.
-	// They are touched only on churn, never in the iteration hot path.
+	// slots, reused last-in first-out, so len(slots) is the peak flow count
+	// and the slot Bind reserves is the one EndSlot freed last. They are
+	// touched only on churn, never in the iteration hot path.
 	loc       FlowIndex
 	slots     []flowLoc
 	freeSlots []int32
@@ -398,10 +402,42 @@ func (p *ParallelAllocator) SlotOf(id FlowID) (int32, bool) {
 	return p.loc.Get(id)
 }
 
-// FlowletStart registers one new flowlet (see Admit), refusing an ID that is
-// already registered.
+// nextSlot returns the slot the next admission takes: the most recently freed
+// one, or a new one past the end of the slot table.
+func (p *ParallelAllocator) nextSlot() int32 {
+	if n := len(p.freeSlots); n > 0 {
+		return p.freeSlots[n-1]
+	}
+	return int32(len(p.slots))
+}
+
+// Bind resolves id in one index probe, the first half of an admission. If id
+// is registered it returns its slot and true. Otherwise it binds id to the
+// slot the next admission takes and returns that slot and false; the caller
+// must then either Admit id or release the binding with Unbind before any
+// other churn call.
+func (p *ParallelAllocator) Bind(id FlowID) (int32, bool) {
+	return p.loc.GetOrPut(id, p.nextSlot())
+}
+
+// Unbind removes id from the flow index in one probe, the first half of a
+// retirement, and returns the slot it was bound to, and false if it had none.
+// The caller then retires the slot with EndSlot, re-binds it with Rebind, or,
+// for a binding Bind made, simply drops it.
+func (p *ParallelAllocator) Unbind(id FlowID) (int32, bool) {
+	return p.loc.Take(id)
+}
+
+// Rebind restores the binding of a registered flowlet that Unbind took, for a
+// caller that decides not to retire it after all.
+func (p *ParallelAllocator) Rebind(id FlowID, slot int32) {
+	p.loc.Put(id, slot)
+}
+
+// FlowletStart registers one new flowlet (Bind, then Admit), refusing an ID
+// that is already registered.
 func (p *ParallelAllocator) FlowletStart(id FlowID, src, dst int, weight float64) error {
-	if _, dup := p.loc.Get(id); dup {
+	if _, dup := p.Bind(id); dup {
 		return fmt.Errorf("core: flowlet %d already registered", id)
 	}
 	_, err := p.Admit(id, src, dst, weight)
@@ -421,10 +457,20 @@ func (p *ParallelAllocator) FlowletStartSized(id FlowID, src, dst int, weight fl
 // flow untouched. Every link of the route must be owned by the source block's
 // upward or the destination block's downward LinkBlock — the two the
 // FlowBlock holds local copies of. A weight admitWeight refuses is an error.
-// id must not be registered: callers resolve it with SlotOf first, as
-// FlowletStart and SetFlows do, so an admission costs one index insert. It may
+// id must be freshly bound by Bind, so the slot is already in the flow index
+// and an admission touches the index only when it is refused: the error
+// releases the binding, leaving the allocator as it was before Bind. It may
 // only be called while no Iterate call is in flight.
 func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int32, error) {
+	slot, err := p.admit(id, src, dst, weight)
+	if err != nil {
+		p.loc.Delete(id)
+	}
+	return slot, err
+}
+
+// admit is Admit without the release of a refused binding.
+func (p *ParallelAllocator) admit(id FlowID, src, dst int, weight float64) (int32, error) {
 	// Weights are scaled by link capacity (as in the sequential allocator)
 	// so prices stay O(1).
 	weight, scaled, err := admitWeight(weight, p.linkCap)
@@ -450,16 +496,14 @@ func (p *ParallelAllocator) Admit(id FlowID, src, dst int, weight float64) (int3
 		}
 	}
 	at := flowLoc{fb: int32(fbi), idx: int32(fb.numFlows())}
-	var slot int32
+	slot := p.nextSlot()
 	if n := len(p.freeSlots); n > 0 {
-		slot, p.freeSlots = p.freeSlots[n-1], p.freeSlots[:n-1]
+		p.freeSlots = p.freeSlots[:n-1]
 		p.slots[slot] = at
 	} else {
-		slot = int32(len(p.slots))
 		p.slots = append(p.slots, at)
 	}
 	fb.addFlow(id, src, dst, slot, scaled, weight, route)
-	p.loc.Put(id, slot)
 	return slot, nil
 }
 
@@ -474,9 +518,9 @@ func mortonIndex(sb, db, n int) int {
 	return m
 }
 
-// FlowletEnd removes a registered flowlet (see EndSlot).
+// FlowletEnd removes a registered flowlet (Unbind, then EndSlot).
 func (p *ParallelAllocator) FlowletEnd(id FlowID) error {
-	slot, ok := p.loc.Get(id)
+	slot, ok := p.Unbind(id)
 	if !ok {
 		return fmt.Errorf("core: flowlet %d is not registered", id)
 	}
@@ -486,14 +530,15 @@ func (p *ParallelAllocator) FlowletEnd(id FlowID) error {
 
 // EndSlot removes the flowlet holding slot by swap-deleting it from its
 // FlowBlock — an O(1) operation (plus an amortized arena compaction once
-// holes outnumber live entries) whose one index operation is the delete — and
-// frees the slot for the next admission. slot must hold a flowlet: SlotOf or
-// Admit returned it after the slot was last freed (a free slot panics). It
-// may only be called while no Iterate call is in flight.
+// holes outnumber live entries) that touches no index — and frees the slot for
+// the next admission. slot must hold a flowlet (a free slot panics) whose ID
+// Unbind has removed from the index; the exception is a flowlet retired to be
+// replaced under the same ID, whose binding stays valid for the replacement
+// because the slot just freed is the one the next Admit takes. It may only be
+// called while no Iterate call is in flight.
 func (p *ParallelAllocator) EndSlot(slot int32) {
 	l := p.slots[slot]
 	fb := p.fbs[l.fb]
-	p.loc.Delete(fb.ids[l.idx])
 	if moved := fb.removeSwap(int(l.idx)); moved != slot {
 		p.slots[moved] = l
 	}
@@ -534,7 +579,7 @@ func (p *ParallelAllocator) SetFlows(flows []ParallelFlow) error {
 	p.slots = p.slots[:0]
 	p.freeSlots = p.freeSlots[:0]
 	for _, f := range flows {
-		if _, dup := p.loc.Get(f.ID); dup {
+		if _, dup := p.Bind(f.ID); dup {
 			return fmt.Errorf("core: duplicate flow ID %d", f.ID)
 		}
 		if _, err := p.Admit(f.ID, f.Src, f.Dst, f.Weight); err != nil {
@@ -764,7 +809,7 @@ func (p *ParallelAllocator) ForEachRate(fn func(FlowID, float64)) {
 // working-set size. It may only be called while no Iterate is in flight.
 func (p *ParallelAllocator) AppendUpdates(threshold float64, buf []RateUpdate) []RateUpdate {
 	for _, fb := range p.fbs {
-		buf = appendSignificant(buf, fb.ids, fb.slots, fb.srcs, fb.rates, fb.lastNotified, threshold)
+		buf = appendSignificant(buf, fb.ids, fb.slots, fb.rates, fb.lastNotified, threshold)
 	}
 	return buf
 }

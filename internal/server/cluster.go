@@ -1046,14 +1046,12 @@ func (s *Server) adoptLocked(dead int) {
 
 	adopted, failed := 0, 0
 	for _, e := range replica {
-		if _, known := s.alloc.SlotOf(core.FlowID(e.Flow)); known {
-			continue
-		}
-		if err := s.admitUnownedLocked(e); err != nil {
+		switch known, err := s.admitUnownedLocked(e); {
+		case err != nil:
 			failed++
-			continue
+		case !known:
+			adopted++
 		}
-		adopted++
 	}
 	var links []topology.LinkID
 	var prices []float64

@@ -107,14 +107,16 @@ func appendFlowStates(buf []byte, epoch, seq uint64, shard uint32, flows []core.
 // admitUnownedLocked re-admits one flow of a snapshot or a peer replica as an
 // unowned registration, in the allocator and in the flow table, for a
 // reconnecting client's bare add to claim without allocator churn. It is the
-// one admission path of Restore and adoptLocked.
-func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) error {
+// one admission path of Restore and adoptLocked, one flow-index probe per
+// flow: known reports an ID the allocator already holds, which is left as it
+// is.
+func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) (known bool, err error) {
 	id := core.FlowID(e.Flow)
-	if _, dup := s.alloc.SlotOf(id); dup {
-		return fmt.Errorf("flowlet %d already registered", id)
+	if _, dup := s.alloc.Bind(id); dup {
+		return true, nil
 	}
-	_, err := s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight)
-	return err
+	_, err = s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight)
+	return false, err
 }
 
 // Restore loads a snapshot produced by Snapshot (or Shutdown) into a fresh
@@ -151,7 +153,11 @@ func (s *Server) Restore(snap []byte) error {
 			}
 			for i := 0; i < fs.Len(); i++ {
 				e := fs.Entry(i)
-				if err := s.admitUnownedLocked(e); err != nil {
+				known, err := s.admitUnownedLocked(e)
+				if known {
+					err = fmt.Errorf("flowlet %d already registered", e.Flow)
+				}
+				if err != nil {
 					return fmt.Errorf("server: restore flowlet %d: %w", e.Flow, err)
 				}
 			}

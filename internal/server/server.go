@@ -1230,13 +1230,13 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
 
 // drainInboxLocked folds pending flowlet events into the allocator, in arrival
-// order, with duplicate/unknown defense — one SlotOf per event, plus the
-// allocator's one insert or delete when it changes the flow set. Called with
-// s.mu held.
+// order, with duplicate/unknown defense — one flow-index probe per event: an
+// end is Unbind, an add is Bind, and a refused add releases the binding it
+// made. Called with s.mu held.
 func (s *Server) drainInboxLocked() {
 	for _, ev := range s.inbox {
-		slot, known := s.alloc.SlotOf(ev.flow)
 		if ev.end {
+			slot, known := s.alloc.Unbind(ev.flow)
 			if !known {
 				s.stUnknown.Add(1)
 				continue
@@ -1246,11 +1246,13 @@ func (s *Server) drainInboxLocked() {
 				// reconnected client under a new session) after the dead
 				// session's cleanup was scheduled. The new owner's
 				// registration stands.
+				s.alloc.Rebind(ev.flow, slot)
 				continue
 			}
 			s.retireLocked(slot)
 			continue
 		}
+		slot, known := s.alloc.Bind(ev.flow)
 		if known {
 			// Adoption without churn: a flow restored from a snapshot, seeded
 			// from a peer replica, or kept by a drain after its session died
@@ -1269,40 +1271,17 @@ func (s *Server) drainInboxLocked() {
 					continue
 				}
 				// Same ID, different registration: the stored flow is stale.
-				// Retire it and fall through to a fresh registration.
+				// Retire it and fall through to a fresh registration. The ID
+				// stays bound to the slot, which is the one the next Admit
+				// takes: EndSlot freed it last.
 				s.retireLocked(slot)
 			} else {
 				s.stDupAdds.Add(1)
 				continue
 			}
 		}
-		if s.draining {
-			// A draining daemon admits no new flowlets: it is about to hand
-			// its state to a successor, and anything admitted now would miss
-			// the snapshot already replicated to peers.
-			s.stDrainRej.Add(1)
-			continue
-		}
-		if ev.sess != nil {
-			if _, live := s.sessions[ev.sess]; !live {
-				// The registering session disconnected before this add
-				// was folded in; its one-shot cleanup has already run,
-				// so registering now would leak the flow forever.
-				s.stRejected.Add(1)
-				continue
-			}
-			if s.cfg.MaxSessionFlows > 0 && len(ev.sess.owned) >= s.cfg.MaxSessionFlows {
-				s.stLimited.Add(1)
-				s.logf("flowlet %d add dropped: session %d at its %d-flow limit", ev.flow, ev.sess.id, s.cfg.MaxSessionFlows)
-				continue
-			}
-		}
-		if s.shard != nil && !s.shard.ownsFlow(ev.src, ev.dst) {
-			// A sharded daemon allocates only flowlets sourced in its own
-			// racks; anything else belongs to a peer and registering it
-			// here would double-allocate its path.
-			s.stRejected.Add(1)
-			s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
+		if !s.admissibleLocked(&ev) {
+			s.alloc.Unbind(ev.flow)
 			continue
 		}
 		rec, err := s.admitLocked(ev.flow, ev.src, ev.dst, ev.weight)
@@ -1318,9 +1297,46 @@ func (s *Server) drainInboxLocked() {
 	s.inbox = s.inbox[:0]
 }
 
+// admissibleLocked applies the daemon's own admission rules to an add the
+// allocator does not hold, counting a refusal; the allocator's rules (route
+// and weight) are Admit's. Called with s.mu held.
+func (s *Server) admissibleLocked(ev *event) bool {
+	if s.draining {
+		// A draining daemon admits no new flowlets: it is about to hand its
+		// state to a successor, and anything admitted now would miss the
+		// snapshot already replicated to peers.
+		s.stDrainRej.Add(1)
+		return false
+	}
+	if ev.sess != nil {
+		if _, live := s.sessions[ev.sess]; !live {
+			// The registering session disconnected before this add was
+			// folded in; its one-shot cleanup has already run, so
+			// registering now would leak the flow forever.
+			s.stRejected.Add(1)
+			return false
+		}
+		if s.cfg.MaxSessionFlows > 0 && len(ev.sess.owned) >= s.cfg.MaxSessionFlows {
+			s.stLimited.Add(1)
+			s.logf("flowlet %d add dropped: session %d at its %d-flow limit", ev.flow, ev.sess.id, s.cfg.MaxSessionFlows)
+			return false
+		}
+	}
+	if s.shard != nil && !s.shard.ownsFlow(ev.src, ev.dst) {
+		// A sharded daemon allocates only flowlets sourced in its own racks;
+		// anything else belongs to a peer and registering it here would
+		// double-allocate its path.
+		s.stRejected.Add(1)
+		s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
+		return false
+	}
+	return true
+}
+
 // admitLocked registers a flowlet with the allocator and enters its record,
 // unowned, into the flow table at the slot the allocator gave it. The caller
-// has found id unregistered (SlotOf). Called with s.mu held.
+// has bound id (core.ParallelAllocator.Bind); a refusal releases the binding.
+// Called with s.mu held.
 func (s *Server) admitLocked(id core.FlowID, src, dst int, weight float64) (*flowRec, error) {
 	slot, err := s.alloc.Admit(id, src, dst, weight)
 	if err != nil {
@@ -1340,7 +1356,8 @@ func (s *Server) admitLocked(id core.FlowID, src, dst int, weight float64) (*flo
 	return rec, nil
 }
 
-// retireLocked ends the flowlet at slot in the allocator and drops its record:
+// retireLocked ends the flowlet at slot in the allocator, whose ID the caller
+// has unbound (or is about to re-admit), and drops its record:
 // out of the flow table, out of its owner's set, and any undelivered rate
 // withdrawn. That leaves the record unreachable (only its owner's pending list
 // ever holds it outside s.mu), so it is recycled; callers must not touch it

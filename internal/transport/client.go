@@ -105,15 +105,18 @@ type AllocClient struct {
 	// these ends there to keep ghost flows from holding fabric shares.
 	frozenEnds []core.FlowID
 
-	// regs holds the full registration of every live flow, densely (an end
-	// swap-deletes), and idx maps a flow ID to its position in regs: the
-	// source server fills core.RateUpdate.Src on decoded updates and mirrors
-	// the in-process duplicate/unknown defense, and the rest lets Reconnect
-	// re-register the live flowlet set with a fresh daemon session.
-	idx     core.FlowIndex
-	regs    []flowReg
-	updates []core.RateUpdate // reused across Step calls
-	delta   wire.RateDelta    // scratch for RateDelta decoding
+	// regs holds the full registration of every live flow, so Reconnect can
+	// re-register the live flowlet set with a fresh daemon session, and idx
+	// maps a flow ID to its position in regs, mirroring the in-process
+	// duplicate/unknown defense: one probe per start (GetOrPut) and one per
+	// end (Take). A position is stable while its flow lives; an end pushes it
+	// on freeRegs for the next start to reuse, so no entry ever moves. A free
+	// entry carries no mark: it is the one idx does not point back to.
+	idx      core.FlowIndex
+	regs     []flowReg
+	freeRegs []int32
+	updates  []core.RateUpdate // reused across Step calls
+	delta    wire.RateDelta    // scratch for RateDelta decoding
 }
 
 // flowReg is the client-side record of one registered flowlet.
@@ -292,9 +295,15 @@ func (c *AllocClient) Registrations() []FlowRegistration {
 	return out
 }
 
-// sortedRegs returns a copy of the live registrations sorted by flow ID.
+// sortedRegs returns a copy of the live registrations sorted by flow ID,
+// skipping free entries.
 func (c *AllocClient) sortedRegs() []flowReg {
-	regs := slices.Clone(c.regs)
+	regs := make([]flowReg, 0, c.idx.Len())
+	for i, r := range c.regs {
+		if at, ok := c.idx.Get(r.id); ok && int(at) == i {
+			regs = append(regs, r)
+		}
+	}
 	slices.SortFunc(regs, func(a, b flowReg) int { return cmp.Compare(a.id, b.id) })
 	return regs
 }
@@ -308,7 +317,7 @@ func (c *AllocClient) Epoch() uint64 { return c.epoch }
 func (c *AllocClient) Interval() time.Duration { return c.interval }
 
 // NumFlows returns the number of flowlets this client has registered.
-func (c *AllocClient) NumFlows() int { return len(c.regs) }
+func (c *AllocClient) NumFlows() int { return c.idx.Len() }
 
 // FlowletStart buffers a flowlet-start notification. Registering an
 // already-registered flow is a no-op, mirroring the engine's defensive
@@ -322,11 +331,20 @@ func (c *AllocClient) FlowletStart(id core.FlowID, src, dst int, weight float64)
 // is kept for re-registration; the daemon's decoder drops it, so no allocator
 // sees it.
 func (c *AllocClient) FlowletStartSized(id core.FlowID, src, dst int, weight float64, size int64) error {
-	if _, dup := c.idx.Get(id); dup {
+	at, n := int32(len(c.regs)), len(c.freeRegs)
+	if n > 0 {
+		at = c.freeRegs[n-1]
+	}
+	if _, dup := c.idx.GetOrPut(id, at); dup {
 		return nil
 	}
-	c.idx.Put(id, int32(len(c.regs)))
-	c.regs = append(c.regs, flowReg{id: id, src: int32(src), dst: int32(dst), weight: weight, size: size})
+	r := flowReg{id: id, src: int32(src), dst: int32(dst), weight: weight, size: size}
+	if n > 0 {
+		c.freeRegs = c.freeRegs[:n-1]
+		c.regs[at] = r
+	} else {
+		c.regs = append(c.regs, r)
+	}
 	c.wbuf = wire.AppendFlowletAdd(c.wbuf, wire.FlowletAdd{
 		Flow:   int64(id),
 		Src:    int32(src),
@@ -359,21 +377,14 @@ func (c *AllocClient) EndOrphan(id core.FlowID) {
 	c.wbuf = wire.AppendFlowletEnd(c.wbuf, wire.FlowletEnd{Flow: int64(id)})
 }
 
-// forget drops id's registration, moving the last one into its place, and
-// reports whether id was registered.
+// forget drops id's registration, freeing its position in regs, and reports
+// whether id was registered.
 func (c *AllocClient) forget(id core.FlowID) bool {
-	i, ok := c.idx.Get(id)
-	if !ok {
-		return false
+	i, ok := c.idx.Take(id)
+	if ok {
+		c.freeRegs = append(c.freeRegs, i)
 	}
-	c.idx.Delete(id)
-	last := int32(len(c.regs) - 1)
-	if i != last {
-		c.regs[i] = c.regs[last]
-		c.idx.Put(c.regs[i].id, i)
-	}
-	c.regs = c.regs[:last]
-	return true
+	return ok
 }
 
 // TakeFrozenEnds returns (and clears) the flows that ended while the session
@@ -402,6 +413,11 @@ func (c *AllocClient) Flush() error {
 // client. Updates from asynchronous fan-out batches that arrive while
 // waiting are folded in ahead of the step reply, preserving arrival order.
 // The returned slice is reused across calls.
+//
+// Step and Recv return what the frames carried, one (Flow, Rate) update per
+// entry, without consulting the registrations. A free-running daemon's frame
+// already in flight can carry a rate for a flow the caller has since ended,
+// so callers drop updates for flows they do not know.
 //
 // With freeze-on-failure enabled a failed step (daemon crash or drain)
 // freezes the session instead: the endpoint keeps sending at last-known
@@ -443,7 +459,7 @@ func (c *AllocClient) step() ([]core.RateUpdate, error) {
 
 // Recv reads the next asynchronous rate batch from a free-running daemon,
 // waiting up to timeout (0 means no deadline). It returns the decoded
-// updates and the daemon iteration that produced them.
+// updates, as Step does, and the daemon iteration that produced them.
 func (c *AllocClient) Recv(timeout time.Duration) ([]core.RateUpdate, uint64, error) {
 	if timeout > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
@@ -475,7 +491,7 @@ func (c *AllocClient) readBatch() (uint64, error) {
 			return 0, fmt.Errorf("transport: %w", err)
 		}
 		for _, e := range c.delta.Entries {
-			c.appendUpdate(e.Flow, e.Rate)
+			c.updates = append(c.updates, core.RateUpdate{Flow: core.FlowID(e.Flow), Rate: e.Rate})
 		}
 		return c.delta.Seq, nil
 	case wire.TypeEpochNotify:
@@ -492,21 +508,6 @@ func (c *AllocClient) readBatch() (uint64, error) {
 	default:
 		return 0, fmt.Errorf("transport: unexpected %s frame from daemon", typ)
 	}
-}
-
-// appendUpdate folds one decoded rate update into c.updates, filling Src
-// from the client's registration table. Updates for flows already ended
-// locally are dropped.
-func (c *AllocClient) appendUpdate(flow int64, rate float64) {
-	i, ok := c.idx.Get(core.FlowID(flow))
-	if !ok {
-		return
-	}
-	c.updates = append(c.updates, core.RateUpdate{
-		Flow: core.FlowID(flow),
-		Src:  c.regs[i].src,
-		Rate: rate,
-	})
 }
 
 // Conn exposes the underlying connection (tests use it to inject raw

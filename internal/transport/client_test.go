@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"fmt"
 	"net"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -63,7 +66,9 @@ func scriptedDaemon(t *testing.T, conn net.Conn) {
 // AllocClient holding 20 000 flowlets, ending the oldest 2 000 and starting
 // 2 000 new ones per round, then decoding the daemon's 4 000-entry RateDelta
 // (2 000 rates for live flows, 2 000 for flows it already ended), allocates
-// nothing once warm. A Go map keyed by flow ID fails this: FIFO churn at a
+// nothing once warm, and Step returns every (Flow, Rate) pair the frame
+// carried, in frame order, ended flows included: dropping those is the
+// caller's business. A Go map keyed by flow ID fails this: FIFO churn at a
 // constant live count keeps regrowing its tables.
 func TestAllocClientChurnAllocFree(t *testing.T) {
 	const (
@@ -71,6 +76,11 @@ func TestAllocClientChurnAllocFree(t *testing.T) {
 		churn    = 2000
 		servers  = 64
 	)
+	// Free registrations are told apart without a mark, so a record stays
+	// four words.
+	if size := unsafe.Sizeof(flowReg{}); size != 32 {
+		t.Fatalf("flowReg is %d bytes, want 32", size)
+	}
 	client, daemon := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -94,7 +104,7 @@ func TestAllocClientChurnAllocFree(t *testing.T) {
 		}
 		next++
 	}
-	step := func(wantUpdates int) {
+	step := func(wantUpdates int) []core.RateUpdate {
 		ups, err := c.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -102,13 +112,15 @@ func TestAllocClientChurnAllocFree(t *testing.T) {
 		if len(ups) != wantUpdates {
 			t.Fatalf("Step returned %d updates, want %d", len(ups), wantUpdates)
 		}
-		for _, u := range ups {
-			if u.Src != int32(u.Flow%servers) || u.Rate != 1e9+float64(u.Flow) {
-				t.Fatalf("update %+v: want src %d, rate %g", u, u.Flow%servers, 1e9+float64(u.Flow))
-			}
+		return ups
+	}
+	want := func(u core.RateUpdate, flow core.FlowID, rate float64) {
+		if u != (core.RateUpdate{Flow: flow, Rate: rate}) {
+			t.Fatalf("update %+v: want flow %d at rate %g", u, flow, rate)
 		}
 	}
 	round := func() {
+		ended, started := oldest, next
 		for k := 0; k < churn; k++ {
 			if err := c.FlowletEnd(oldest); err != nil {
 				t.Fatal(err)
@@ -116,12 +128,19 @@ func TestAllocClientChurnAllocFree(t *testing.T) {
 			oldest++
 			start()
 		}
-		step(churn)
+		ups := step(2 * churn)
+		for k := 0; k < churn; k++ {
+			e, s := ended+core.FlowID(k), started+core.FlowID(k)
+			want(ups[2*k], e, 5e8)
+			want(ups[2*k+1], s, 1e9+float64(s))
+		}
 	}
 	for next < resident {
 		start()
 	}
-	step(resident)
+	for i, u := range step(resident) {
+		want(u, core.FlowID(i), 1e9+float64(i))
+	}
 	for r := 0; r < 20; r++ {
 		round()
 	}
@@ -137,4 +156,122 @@ func TestAllocClientChurnAllocFree(t *testing.T) {
 			t.Fatalf("registration %d = %+v, want flow %d from server %d", i, r, want, want%servers)
 		}
 	}
+}
+
+// TestAllocClientReregistersLiveFlowsOnly: after ends that free registration
+// entries and starts that reuse them, Registrations, Reconnect and
+// ResumeReconnect see exactly the live flows, sorted by ID — a free entry is
+// never re-registered, even one whose ID has since started again elsewhere,
+// and a reused one carries its new flow.
+func TestAllocClientReregistersLiveFlowsOnly(t *testing.T) {
+	client, daemon := net.Pipe()
+	go scriptedDaemon(t, daemon)
+	c, err := NewAllocClient(client, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for id := core.FlowID(9); id >= 0; id-- {
+		if err := c.FlowletStart(id, int(id), int(id)+1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []core.FlowID{3, 7, 0, 42} { // 42 is unknown
+		if err := c.FlowletEnd(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlowletStart(20, 20, 21, 2); err != nil { // reuses 0's entry
+		t.Fatal(err)
+	}
+	// 3 comes back in 7's entry; its own old entry stays free, still
+	// holding ID 3.
+	if err := c.FlowletStart(3, 3, 4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlowletStart(5, 0, 1, 1); err != nil { // a duplicate: no-op
+		t.Fatal(err)
+	}
+	live := []core.FlowID{1, 2, 3, 4, 5, 6, 8, 9, 20}
+	regs := c.Registrations()
+	if len(regs) != len(live) || c.NumFlows() != len(live) {
+		t.Fatalf("%d registrations (NumFlows %d), want %d: %+v", len(regs), c.NumFlows(), len(live), regs)
+	}
+	for i, r := range regs {
+		w := FlowRegistration{ID: live[i], Src: int(live[i]), Dst: int(live[i]) + 1, Weight: 1}
+		if live[i] == 3 || live[i] == 20 {
+			w.Weight = 2
+		}
+		if r != w {
+			t.Fatalf("registration %d = %+v, want %+v", i, r, w)
+		}
+	}
+
+	for _, resume := range []bool{false, true} {
+		client, daemon := net.Pipe()
+		frames := recordingDaemon(t, daemon)
+		var err error
+		if resume {
+			err = c.ResumeReconnect(client)
+		} else {
+			err = c.Reconnect(client)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		client.Close()
+		var want []string
+		for _, id := range live {
+			if !resume {
+				want = append(want, fmt.Sprintf("end %d", id))
+			}
+			want = append(want, fmt.Sprintf("add %d", id))
+		}
+		if got := <-frames; !slices.Equal(got, want) {
+			t.Fatalf("resume %v: the daemon read %q, want %q", resume, got, want)
+		}
+	}
+}
+
+// recordingDaemon answers the handshake on conn, then records every
+// FlowletEnd and FlowletAdd it reads as "end <id>" or "add <id>" until the
+// client closes, and sends the record.
+func recordingDaemon(t *testing.T, conn net.Conn) <-chan []string {
+	frames := make(chan []string, 1)
+	go func() {
+		defer conn.Close()
+		var got []string
+		sc := wire.NewScanner(conn)
+		if _, _, err := sc.Next(); err != nil { // the hello
+			t.Error(err)
+		}
+		if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.Version, Epoch: 2})); err != nil {
+			t.Error(err)
+		}
+		for {
+			typ, payload, err := sc.Next()
+			if err != nil {
+				frames <- got
+				return
+			}
+			switch typ {
+			case wire.TypeFlowletAdd:
+				m, err := wire.DecodeFlowletAdd(payload)
+				if err != nil {
+					t.Error(err)
+				}
+				got = append(got, fmt.Sprintf("add %d", m.Flow))
+			case wire.TypeFlowletEnd:
+				m, err := wire.DecodeFlowletEnd(payload)
+				if err != nil {
+					t.Error(err)
+				}
+				got = append(got, fmt.Sprintf("end %d", m.Flow))
+			}
+		}
+	}()
+	return frames
 }

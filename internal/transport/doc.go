@@ -21,4 +21,9 @@
 // core.ParallelAllocator, stepped as the daemon steps it), and AllocClient —
 // the endpoint side of the flowtuned wire protocol — lets the same simulation
 // drive a live allocator daemon over a socket or in-memory pipe instead.
+// Either backend's rate updates name flows, not senders: the Engine keeps each
+// registered flow's sender and addresses the update to it, dropping updates
+// for flows it no longer holds. AllocClient likewise returns what the frames
+// carried, resolving a flow ID once per start and once per end and never per
+// decoded rate.
 package transport

@@ -95,10 +95,12 @@ type Engine struct {
 
 	// Flowtune-specific allocator endpoint. backend is where control
 	// messages terminate (the in-process allocator, or an external
-	// daemon client); alloc is only set for the in-process case.
+	// daemon client); alloc is only set for the in-process case. senders
+	// maps every flow registered with the backend to its sending server,
+	// the recipient of its rate updates.
 	backend       AllocatorBackend
 	backendErr    error
-	registered    map[core.FlowID]bool
+	senders       core.FlowIndex
 	alloc         *core.ParallelAllocator
 	allocRunning  bool
 	allocFailed   bool
@@ -374,7 +376,6 @@ func (e *Engine) setupAllocator() error {
 	if _, ok := e.topo.AllocatorNode(); !ok {
 		return fmt.Errorf("transport: Flowtune requires a topology with an allocator host")
 	}
-	e.registered = make(map[core.FlowID]bool)
 	if e.cfg.TrackRateLatency {
 		e.rateSeen = make(map[int64]bool)
 	}
@@ -493,21 +494,21 @@ func (e *Engine) allocatorReceive(p *sim.Packet) {
 	switch p.Ctrl.Type {
 	case sim.CtrlFlowletStart:
 		// Ignore duplicate registrations defensively.
-		if !e.registered[id] {
-			if err := startFlowlet(e.backend, id, p.Ctrl.Src, p.Ctrl.Dst, 1, p.Ctrl.Size); err == nil {
-				e.registered[id] = true
+		if _, dup := e.senders.GetOrPut(id, int32(p.Ctrl.Src)); !dup {
+			if err := startFlowlet(e.backend, id, p.Ctrl.Src, p.Ctrl.Dst, 1, p.Ctrl.Size); err != nil {
+				e.senders.Delete(id)
 			}
 		}
 	case sim.CtrlFlowletEnd:
-		if e.registered[id] {
+		if _, ok := e.senders.Take(id); ok {
 			_ = e.backend.FlowletEnd(id)
-			delete(e.registered, id)
 		}
 	}
 }
 
 // allocatorTick runs one allocator iteration and ships the resulting rate
-// updates to endpoints as control packets through the fabric.
+// updates to their senders as control packets through the fabric, skipping
+// updates for flows the engine no longer holds.
 func (e *Engine) allocatorTick() {
 	if e.backend != nil && !e.allocFailed && e.backendErr == nil {
 		updates, err := e.backend.Step()
@@ -518,7 +519,11 @@ func (e *Engine) allocatorTick() {
 			return
 		}
 		for _, u := range updates {
-			e.sendControl(sim.AllocatorDst, int(u.Src), e.ctrlFromAlloc[int(u.Src)], &sim.ControlInfo{
+			src, ok := e.senders.Get(u.Flow)
+			if !ok {
+				continue
+			}
+			e.sendControl(sim.AllocatorDst, int(src), e.ctrlFromAlloc[int(src)], &sim.ControlInfo{
 				Type: sim.CtrlRateUpdate,
 				Flow: int64(u.Flow),
 				Rate: u.Rate,

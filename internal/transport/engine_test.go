@@ -164,8 +164,8 @@ func TestFlowtuneAllocatorReceivesNotifications(t *testing.T) {
 	if n := len(eng.RateLatencies()); n != 1 {
 		t.Errorf("%d flowlets heard a rate back, want 1", n)
 	}
-	if n := eng.Allocator().NumFlows(); n != 0 || len(eng.registered) != 0 {
-		t.Errorf("allocator still holds %d flowlets (%d registered), want 0: the flow finished", n, len(eng.registered))
+	if n := eng.Allocator().NumFlows(); n != 0 || eng.senders.Len() != 0 {
+		t.Errorf("allocator still holds %d flowlets (%d registered), want 0: the flow finished", n, eng.senders.Len())
 	}
 	if eng.ControlBytes() == 0 {
 		t.Error("control traffic should have been injected into the fabric")
@@ -226,8 +226,8 @@ func TestAllocatorFailureFallback(t *testing.T) {
 	if n := len(eng.RateLatencies()); n != 0 {
 		t.Errorf("failed allocator sent a rate to %d flowlets", n)
 	}
-	if n := eng.Allocator().NumFlows(); n != 0 || len(eng.registered) != 0 {
-		t.Errorf("failed allocator registered %d flowlets (%d in the engine)", n, len(eng.registered))
+	if n := eng.Allocator().NumFlows(); n != 0 || eng.senders.Len() != 0 {
+		t.Errorf("failed allocator registered %d flowlets (%d in the engine)", n, eng.senders.Len())
 	}
 	eng.RecoverAllocator()
 }
