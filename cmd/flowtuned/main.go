@@ -87,7 +87,6 @@ func run(args []string, out io.Writer) error {
 	heartbeatTimeout := fs.Duration("heartbeat-timeout", 0, "declare a silent peer dead after this long (0 = exchange-failure detection only)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "max wait for the in-flight fan-out during graceful shutdown")
 	snapshot := fs.String("snapshot", "", "flow-state snapshot file: restored on start if present, written on graceful shutdown")
-	wireQuantize := fs.Bool("wire-quantize", false, "send fan-out rates quantized to 1 Mbps (paper granularity) instead of bit-exact float64s")
 	maxSessionFlows := fs.Int("max-session-flows", 0, "max live flowlets per session (0 = unlimited)")
 	maxFrameRate := fs.Float64("max-frame-rate", 0, "max frames/s per session before disconnect (0 = unlimited)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "disconnect sessions idle this long (0 = never)")
@@ -126,7 +125,6 @@ func run(args []string, out io.Writer) error {
 		Interval:         *interval,
 		Blocks:           *blocks,
 		PinWorkers:       *pin,
-		QuantizeRates:    *wireQuantize,
 		Epoch:            *epoch,
 		MaxSessionFlows:  *maxSessionFlows,
 		MaxFrameRate:     *maxFrameRate,

@@ -169,7 +169,7 @@ func TestPartitionLocalByteIdentical(t *testing.T) {
 	}
 	// The equivalence must hold with the exchange actually exercised.
 	for i := 0; i < cl.NumShards(); i++ {
-		if cl.Server(i).Stats().PeerExchanges == 0 {
+		if cl.Server(i).Stats().ExchangeFolds == 0 {
 			t.Fatalf("shard %d never folded a peer bundle", i)
 		}
 	}
@@ -434,7 +434,7 @@ func TestMulticorePartitionLocalByteIdentical(t *testing.T) {
 		}
 	}
 	for i := 0; i < cl.NumShards(); i++ {
-		if cl.Server(i).Stats().PeerExchanges == 0 {
+		if cl.Server(i).Stats().ExchangeFolds == 0 {
 			t.Fatalf("shard %d never folded a peer bundle", i)
 		}
 	}

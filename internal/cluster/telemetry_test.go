@@ -76,7 +76,7 @@ func TestClusterAdminAggregated(t *testing.T) {
 		`flowtune_flows{shard="0"} 1`,
 		`flowtune_flows{shard="1"} 1`,
 		`flowtune_iterations_total{shard="0"} 5`,
-		`flowtune_peer_exchanges_total{shard="1"}`,
+		`flowtune_exchange_folds_total{shard="1"}`,
 		"flowtune_cluster_shards 2",
 		"flowtune_cluster_shards_alive 2",
 	} {

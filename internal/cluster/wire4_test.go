@@ -57,9 +57,9 @@ func reconnectShard(t *testing.T, cl *Cluster, cli *transport.ShardedClient, sha
 }
 
 // TestDeltaWireSurvivesResync runs the full disruption gauntlet against the
-// wire v4 delta state: a client reconnect (fresh fan-out shadow), a daemon
-// epoch bump (shadow cleared, client re-registers), and a daemon kill with
-// peer takeover (exchange shadows resynced via reset frames). After each
+// wire v4 delta state: a client reconnect (a fresh session), a daemon epoch
+// bump (the client re-registers), and a daemon kill with peer takeover
+// (exchange shadows resynced via reset frames). After each
 // event the endpoint's view must track the cluster's live allocation — a
 // desynchronized delta baseline would strand it on stale rates. Run under
 // -race in CI.
@@ -102,9 +102,8 @@ func TestDeltaWireSurvivesResync(t *testing.T) {
 	step(30)
 	checkView(t, cl, view, "steady state")
 
-	// Client reconnect: the replacement session starts with an empty
-	// delta shadow, so nothing may be suppressed against the old session's
-	// history.
+	// Client reconnect: the replacement session must receive every rate
+	// the allocator surfaces for the flows it re-registered.
 	reconnectShard(t, cl, cli, 2)
 	if err := cli.FlowletStart(next, 9, 0, 2); err != nil { // churn: shift all rates
 		t.Fatal(err)
@@ -113,9 +112,8 @@ func TestDeltaWireSurvivesResync(t *testing.T) {
 	step(30)
 	checkView(t, cl, view, "after reconnect")
 
-	// Epoch bump: the daemon clears its sessions' shadows and pushes
-	// EpochNotify; the client surfaces ErrEpochChanged and re-registers
-	// over a fresh session.
+	// Epoch bump: the daemon pushes EpochNotify; the client surfaces
+	// ErrEpochChanged and re-registers over a fresh session.
 	if err := cl.Server(1).BumpEpoch(cli.Epoch(1) + 1); err != nil {
 		t.Fatal(err)
 	}

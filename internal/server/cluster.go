@@ -863,7 +863,6 @@ func (s *Server) foldExchangeLocked() {
 
 	digests := false
 	for _, m := range apply {
-		s.stPeerEx.Add(1)
 		// Staleness: how many local iterations old the peer's bundle is at
 		// the moment it takes effect. Step-driven daemons fold at exactly
 		// seq+1 (staleness 1); free-running daemons can fold older — or,

@@ -102,7 +102,7 @@ func TestBoundaryExchangeSharesCongestion(t *testing.T) {
 	}
 	for i, srv := range srvs {
 		st := srv.Stats()
-		if st.PeerExchanges == 0 {
+		if st.ExchangeFolds == 0 {
 			t.Fatalf("shard %d folded no peer exchanges", i)
 		}
 		if st.PeerRejected != 0 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"sync"
@@ -95,13 +94,6 @@ type Config struct {
 	// synchronous exchange push, which keeps them deterministic. 0 disables
 	// staleness detection.
 	HeartbeatTimeout time.Duration
-
-	// QuantizeRates switches rate fan-out to the paper's Mbps granularity
-	// (uvarint Mbps per entry instead of bit-exact xor-compressed float64s).
-	// Endpoints then receive rates rounded to 1 Mbps, so it is opt-in
-	// (flowtuned -wire-quantize): the default lossless mode keeps allocation
-	// math and committed baselines byte-identical.
-	QuantizeRates bool
 }
 
 // Stats is a snapshot of daemon counters.
@@ -134,11 +126,9 @@ type Stats struct {
 	// LimitedAdds counts adds dropped because the session hit
 	// Config.MaxSessionFlows.
 	LimitedAdds int64
-	// PeerExchanges counts boundary-exchange bundles folded in from peer
-	// shards; PeerRejected counts peer frames or entries dropped as
-	// invalid (wrong owner, unknown link, stale epoch).
-	PeerExchanges int64
-	PeerRejected  int64
+	// PeerRejected counts peer frames or entries dropped as invalid (wrong
+	// owner, unknown link, stale epoch).
+	PeerRejected int64
 	// AdoptedFlows counts flowlets whose ownership was transferred without
 	// allocator churn: restored (or replica-seeded) flows claimed by a
 	// reconnecting client's re-registration.
@@ -187,16 +177,10 @@ type flowRec struct {
 	ownIdx int32
 
 	// pendIdx is the record's slot in owner.pending while rate is waiting
-	// for the writer, -1 otherwise.
+	// for the writer, -1 otherwise. Every rate queued here already passed the
+	// allocator's notification threshold, so the writer sends it as is.
 	pendIdx int32
 	rate    float64
-	// lastSent shadows the value last sent for the flow — the rate's bit
-	// pattern, or its quantized Mbps in QuantizeRates mode — so the writer
-	// skips a rate the client already holds. It counts only while sentGen
-	// equals owner.shadowGen. The shadow lives and dies with the record: a
-	// later flowlet reusing the ID starts from none.
-	sentGen  uint32
-	lastSent uint64
 }
 
 // event is one flowlet notification waiting for the next iteration boundary.
@@ -269,7 +253,6 @@ type Server struct {
 	stCoalesced atomic.Int64
 	stBatches   atomic.Int64
 	stLimited   atomic.Int64
-	stPeerEx    atomic.Int64
 	stPeerRej   atomic.Int64
 	stAdopted   atomic.Int64
 	stTakeovers atomic.Int64
@@ -403,13 +386,6 @@ func (s *Server) BumpEpoch(epoch uint64) error {
 		// sharing it is safe).
 		go func() {
 			defer s.wg.Done()
-			// The epoch bump resets the client's view (it re-registers its
-			// flowlets), so the delta fan-out must re-baseline: void every
-			// last-sent shadow before the notify so every later rate is
-			// sent in full.
-			sess.pmu.Lock()
-			sess.shadowGen++
-			sess.pmu.Unlock()
 			if err := sess.write(frame); err != nil {
 				s.removeSession(sess)
 			}
@@ -449,7 +425,6 @@ func (s *Server) Stats() Stats {
 		UpdatesCoalesced: s.stCoalesced.Load(),
 		BatchesSent:      s.stBatches.Load(),
 		LimitedAdds:      s.stLimited.Load(),
-		PeerExchanges:    s.stPeerEx.Load(),
 		PeerRejected:     s.stPeerRej.Load(),
 		AdoptedFlows:     s.stAdopted.Load(),
 		Takeovers:        s.stTakeovers.Load(),
@@ -624,18 +599,13 @@ type session struct {
 	// owned flows holding a rate (flowRec.rate, the latest) not yet drained
 	// by the writer goroutine, so a slow client bounds daemon memory at
 	// O(its flows) and always catches up to the *current* allocation, never
-	// a backlog of stale ones. pmu guards it, pendingSeq, shadowGen and the
-	// fan-out half of every owned flowRec.
+	// a backlog of stale ones. pmu guards it, pendingSeq and the fan-out half
+	// of every owned flowRec.
 	pmu        sync.Mutex
 	pending    []*flowRec
 	pendingSeq uint64
 	kick       chan struct{}
 	done       chan struct{}
-
-	// shadowGen is the generation of the session's last-sent shadows (see
-	// flowRec.lastSent); BumpEpoch advances it to void them all at once. A
-	// reconnect starts a fresh session, so its shadows start empty too.
-	shadowGen uint32
 
 	// fanBuf and fanEntries are the writer's reused encode buffer and entry
 	// scratch; replyEntries is the step-reply path's (the two paths run on
@@ -728,12 +698,11 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 
 	sess := &session{
-		srv:       s,
-		conn:      conn,
-		id:        hello.ClientID,
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		shadowGen: 1, // a record's zero sentGen means never sent
+		srv:  s,
+		conn: conn,
+		id:   hello.ClientID,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -997,16 +966,7 @@ func (sess *session) writer() {
 	}
 }
 
-// shadowBits is the value the last-sent shadow compares: the rate's float64
-// bit pattern, or its quantized Mbps when the daemon quantizes fan-out.
-func (sess *session) shadowBits(rate float64) uint64 {
-	if sess.srv.cfg.QuantizeRates {
-		return wire.QuantizeRate(rate)
-	}
-	return math.Float64bits(rate)
-}
-
-// flushPending drains the pending list into one burst of RateDelta frames,
+// flushPending drains the pending list into one write of RateDelta frames,
 // reporting false on a write error. The drain and the write happen under one
 // wmu hold: once a step reply (also serialized by wmu) has withdrawn a
 // superseded rate from the pending list, no stale copy of it can reach the
@@ -1016,52 +976,51 @@ func (sess *session) flushPending() bool {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
 	sess.pmu.Lock()
-	drained := len(sess.pending)
 	entries := sess.fanEntries[:0]
 	for i, rec := range sess.pending {
 		sess.pending[i] = nil
 		rec.pendIdx = -1
-		// Skip flows whose rate is unchanged since this session's last sent
-		// value. The allocator's own notification threshold already suppresses
-		// unchanged rates at the source, so this almost never fires in
-		// lossless mode — but quantization collapses nearby rates, and the
-		// shadow is what makes that cheap.
-		bits := sess.shadowBits(rec.rate)
-		if rec.sentGen == sess.shadowGen && rec.lastSent == bits {
-			continue
-		}
-		rec.sentGen, rec.lastSent = sess.shadowGen, bits
 		entries = append(entries, wire.RateEntry{Flow: int64(rec.id), Rate: rec.rate})
 	}
 	sess.pending = sess.pending[:0]
 	seq := sess.pendingSeq
 	sess.pmu.Unlock()
 	sess.fanEntries = entries
-	if drained == 0 {
+	if len(entries) == 0 {
 		return true
 	}
-	sess.srv.stFanoutFixed.Add(fixedRateBytes(drained))
 	// Deterministic wire order whatever order the rates were queued in (and
-	// small flow deltas for the encoding), chunked to the per-frame entry
-	// limit.
+	// small flow deltas for the encoding).
 	slices.SortFunc(entries, func(a, b wire.RateEntry) int {
 		return cmp.Compare(a.Flow, b.Flow)
 	})
-	for start := 0; start < len(entries); start += maxRateDeltaEntries {
+	sess.fanBuf = sess.srv.appendRateFrames(sess.fanBuf[:0], seq, seq, entries)
+	_, err := sess.conn.Write(sess.fanBuf)
+	return err == nil
+}
+
+// appendRateFrames appends entries to buf as RateDelta frames, chunked to
+// maxRateDeltaEntries so no frame exceeds the uint24 payload limit. Every
+// chunk carries seq except the last (the only one when entries is empty),
+// which carries lastSeq. The frames are counted in the fan-out stats here,
+// before the caller writes them: the write is what hands them to the client,
+// and a client that holds them must find them in Stats.
+func (s *Server) appendRateFrames(buf []byte, seq, lastSeq uint64, entries []wire.RateEntry) []byte {
+	n0, frames := len(buf), 0
+	for start := 0; start == 0 || start < len(entries); start += maxRateDeltaEntries {
 		end := min(start+maxRateDeltaEntries, len(entries))
-		buf := wire.AppendRateDelta(sess.fanBuf[:0], seq, sess.srv.cfg.QuantizeRates, entries[start:end])
-		sess.fanBuf = buf
-		// Count before writing, as the step-reply path does: the write is
-		// what hands the frame to the client, and a client that holds it
-		// must find it in Stats.
-		sess.srv.stBatches.Add(1)
-		sess.srv.stUpdates.Add(int64(end - start))
-		sess.srv.stFanoutBytes.Add(int64(len(buf)))
-		if _, err := sess.conn.Write(buf); err != nil {
-			return false
+		hdrSeq := seq
+		if end == len(entries) {
+			hdrSeq = lastSeq
 		}
+		buf = wire.AppendRateDelta(buf, hdrSeq, false, entries[start:end])
+		frames++
 	}
-	return true
+	s.stBatches.Add(int64(frames))
+	s.stUpdates.Add(int64(len(entries)))
+	s.stFanoutBytes.Add(int64(len(buf) - n0))
+	s.stFanoutFixed.Add(fixedRateBytes(len(entries)))
+	return buf
 }
 
 // fixedRateBytes is the wire cost n rate updates had as fixed-v3 RateBatch
@@ -1145,19 +1104,14 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 			owner.queue(rec, u.Rate)
 			continue
 		}
-		// Step replies keep the allocator's update order and never consult the
-		// last-sent shadow — every update the allocator surfaces reaches the
-		// stepping client, keeping step-driven runs (and the committed
-		// baselines) byte-identical. The rate supersedes anything still
-		// queued for asynchronous delivery (from interleaved ticker
-		// iterations): withdraw it so the writer cannot emit a stale rate
-		// after the reply, and record the shadow so a later asynchronous
-		// flush can suppress a resend of the same rate.
+		// Step replies keep the allocator's update order. The rate supersedes
+		// anything still queued for asynchronous delivery (from interleaved
+		// ticker iterations): withdraw it so the writer cannot emit a stale
+		// rate after the reply.
 		entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
 		if rec.pendIdx >= 0 {
 			stepper.unqueue(rec)
 		}
-		rec.sentGen, rec.lastSent = stepper.shadowGen, stepper.shadowBits(u.Rate)
 	}
 	for i, sess := range s.fanning {
 		sess.pendingSeq = seq
@@ -1171,28 +1125,9 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	}
 	s.fanning = s.fanning[:0]
 
-	var reply []byte
-	replyBatches := 0
 	if stepper != nil {
 		stepper.pmu.Unlock()
 		stepper.replyEntries = entries
-		// Chunk oversized update sets so no frame exceeds the uint24
-		// payload limit. Non-final chunks carry the iteration sequence
-		// (the client folds them in like asynchronous fan-out); only the
-		// final chunk — the only one of an empty reply — carries the
-		// step-reply barrier. Entries keep the allocator's order: zigzag flow
-		// deltas cost one extra bit for unsorted IDs, never correctness.
-		reply = stepper.wbuf[:0]
-		for start := 0; start == 0 || start < len(entries); start += maxRateDeltaEntries {
-			end := min(start+maxRateDeltaEntries, len(entries))
-			hdrSeq := seq
-			if end == len(entries) {
-				hdrSeq = stepSeq | wire.StepReplyFlag
-			}
-			reply = wire.AppendRateDelta(reply, hdrSeq, s.cfg.QuantizeRates, entries[start:end])
-			replyBatches++
-		}
-		stepper.wbuf = reply
 	}
 	var peers []*peerConn
 	if s.shard != nil {
@@ -1209,14 +1144,13 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	}
 
 	if stepper != nil {
-		// Count before writing: the write returning is what unblocks the
-		// stepping client, so a client sampling Stats right after Step must
-		// already see this reply (benchmark counters stay deterministic).
-		s.stBatches.Add(int64(replyBatches))
-		s.stUpdates.Add(int64(len(entries)))
-		s.stFanoutBytes.Add(int64(len(reply)))
-		s.stFanoutFixed.Add(fixedRateBytes(len(entries)))
-		if err := stepper.write(reply); err != nil {
+		// Non-final chunks carry the iteration sequence (the client folds
+		// them in like asynchronous fan-out); only the final chunk carries
+		// the step-reply barrier. Entries keep the allocator's order: zigzag
+		// flow deltas cost one extra bit for unsorted IDs, never correctness.
+		// Only this session's reader steps it, so wbuf needs no lock.
+		stepper.wbuf = s.appendRateFrames(stepper.wbuf[:0], seq, stepSeq|wire.StepReplyFlag, entries)
+		if err := stepper.write(stepper.wbuf); err != nil {
 			return fmt.Errorf("server: session %d: step reply: %w", stepper.id, err)
 		}
 	}

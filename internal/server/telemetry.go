@@ -79,7 +79,6 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	counter("flowtune_updates_sent_total", "Rate updates written to sessions.", &s.stUpdates)
 	counter("flowtune_updates_coalesced_total", "Rate updates superseded before delivery.", &s.stCoalesced)
 	counter("flowtune_update_batches_total", "Rate-update batches written.", &s.stBatches)
-	counter("flowtune_peer_exchanges_total", "Boundary-exchange bundles sent to peer shards.", &s.stPeerEx)
 	counter("flowtune_peer_rejected_total", "Peer bundles rejected (bad epoch or shape).", &s.stPeerRej)
 	counter("flowtune_adopted_flows_total", "Flows adopted from failed peer shards.", &s.stAdopted)
 	counter("flowtune_takeovers_total", "Peer-shard takeovers performed.", &s.stTakeovers)

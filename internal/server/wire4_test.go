@@ -1,11 +1,13 @@
 package server
 
 import (
-	"bytes"
+	"math"
+	"math/rand"
 	"net"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -37,11 +39,10 @@ func (c *fanoutConn) SetWriteDeadline(t time.Time) error { return nil }
 // handshake: just enough state for queueUpdate/flushPending.
 func fanoutSession(srv *Server, conn net.Conn) *session {
 	return &session{
-		srv:       srv,
-		conn:      conn,
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		shadowGen: 1,
+		srv:  srv,
+		conn: conn,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 }
 
@@ -64,133 +65,34 @@ func (sess *session) queueUpdate(flow int64, rate float64, seq uint64) {
 	sess.pmu.Unlock()
 }
 
-// decodeRateFrames parses every recorded frame as a RateDelta and returns
-// the decoded entries, frame by frame.
-func decodeRateFrames(t *testing.T, frames [][]byte) [][]wire.RateEntry {
+// decodeRateFrames parses every frame of every recorded write as a RateDelta
+// and returns the decoded entries, frame by frame.
+func decodeRateFrames(t *testing.T, writes [][]byte) [][]wire.RateEntry {
 	t.Helper()
 	var out [][]wire.RateEntry
-	for _, frame := range frames {
-		sc := wire.NewScanner(bytes.NewReader(frame))
-		typ, payload, err := sc.Next()
-		if err != nil {
-			t.Fatalf("scan fan-out frame: %v", err)
+	for _, w := range writes {
+		for len(w) > 0 {
+			typ, payload, rest, err := wire.ParseFrame(w)
+			if err != nil {
+				t.Fatalf("parse fan-out frame: %v", err)
+			}
+			w = rest
+			if typ != wire.TypeRateDelta {
+				t.Fatalf("fan-out frame type = %d, want TypeRateDelta", typ)
+			}
+			var d wire.RateDelta
+			if err := wire.DecodeRateDelta(payload, &d); err != nil {
+				t.Fatalf("decode fan-out frame: %v", err)
+			}
+			out = append(out, append([]wire.RateEntry(nil), d.Entries...))
 		}
-		if typ != wire.TypeRateDelta {
-			t.Fatalf("fan-out frame type = %d, want TypeRateDelta", typ)
-		}
-		var d wire.RateDelta
-		if err := wire.DecodeRateDelta(payload, &d); err != nil {
-			t.Fatalf("decode fan-out frame: %v", err)
-		}
-		out = append(out, append([]wire.RateEntry(nil), d.Entries...))
 	}
 	return out
 }
 
-// TestFanoutDeltaSuppression drives the writer's flush path directly: a
-// session must skip flows whose rate is unchanged since its last sent value,
-// resend when the rate moves, and resend everything once the shadows are
-// voided (an epoch bump) or on a fresh session (a client reconnect).
-func TestFanoutDeltaSuppression(t *testing.T) {
-	srv := &Server{}
-	conn := &fanoutConn{record: true}
-	sess := fanoutSession(srv, conn)
-
-	sess.queueUpdate(7, 5e9, 1)
-	sess.queueUpdate(9, 2.5e9, 1)
-	if !sess.flushPending() {
-		t.Fatal("flushPending reported write error")
-	}
-	got := decodeRateFrames(t, conn.frames)
-	if len(got) != 1 || len(got[0]) != 2 {
-		t.Fatalf("first flush frames = %v, want one frame with 2 entries", got)
-	}
-	if got[0][0].Flow != 7 || got[0][0].Rate != 5e9 || got[0][1].Flow != 9 || got[0][1].Rate != 2.5e9 {
-		t.Fatalf("first flush entries = %v", got[0])
-	}
-
-	// Same rates again: both suppressed, no frame at all.
-	conn.frames = nil
-	sess.queueUpdate(7, 5e9, 2)
-	sess.queueUpdate(9, 2.5e9, 2)
-	sess.flushPending()
-	if len(conn.frames) != 0 {
-		t.Fatalf("unchanged rates produced %d frames, want 0", len(conn.frames))
-	}
-
-	// One rate moves: only that flow is resent.
-	sess.queueUpdate(7, 5e9, 3)
-	sess.queueUpdate(9, 3e9, 3)
-	sess.flushPending()
-	got = decodeRateFrames(t, conn.frames)
-	if len(got) != 1 || len(got[0]) != 1 || got[0][0].Flow != 9 || got[0][0].Rate != 3e9 {
-		t.Fatalf("changed-rate flush = %v, want only flow 9 at 3e9", got)
-	}
-
-	// Advancing the shadow generation (what BumpEpoch does) voids every
-	// shadow at once: the same rates go out in full again.
-	conn.frames = nil
-	sess.pmu.Lock()
-	sess.shadowGen++
-	sess.pmu.Unlock()
-	sess.queueUpdate(7, 5e9, 4)
-	sess.queueUpdate(9, 3e9, 4)
-	sess.flushPending()
-	got = decodeRateFrames(t, conn.frames)
-	if len(got) != 1 || len(got[0]) != 2 {
-		t.Fatalf("resend after voiding the shadows = %v, want both flows", got)
-	}
-
-	// A fresh session (what Reconnect produces) has no shadows either.
-	conn2 := &fanoutConn{record: true}
-	sess2 := fanoutSession(srv, conn2)
-	sess2.queueUpdate(7, 5e9, 1)
-	sess2.queueUpdate(9, 3e9, 1)
-	sess2.flushPending()
-	got = decodeRateFrames(t, conn2.frames)
-	if len(got) != 1 || len(got[0]) != 2 {
-		t.Fatalf("fresh session resend = %v, want both flows", got)
-	}
-}
-
-// TestQuantizedFanout checks the opt-in lossy mode: rates leave the daemon
-// on the paper's 1 Mbps grid, and a rate change too small to move the
-// quantized value is suppressed entirely.
-func TestQuantizedFanout(t *testing.T) {
-	srv := &Server{cfg: Config{QuantizeRates: true}}
-	conn := &fanoutConn{record: true}
-	sess := fanoutSession(srv, conn)
-
-	rate := 1.2345678e9
-	sess.queueUpdate(1, rate, 1)
-	sess.flushPending()
-	got := decodeRateFrames(t, conn.frames)
-	want := wire.DequantizeRate(wire.QuantizeRate(rate))
-	if len(got) != 1 || len(got[0]) != 1 || got[0][0].Rate != want {
-		t.Fatalf("quantized flush = %v, want rate %v", got, want)
-	}
-
-	// A sub-Mbps wiggle lands in the same bucket: suppressed.
-	conn.frames = nil
-	sess.queueUpdate(1, rate+1e3, 2)
-	sess.flushPending()
-	if len(conn.frames) != 0 {
-		t.Fatalf("sub-grid rate change produced %d frames, want 0", len(conn.frames))
-	}
-
-	// A full-Mbps move crosses buckets: sent.
-	sess.queueUpdate(1, rate+5e6, 3)
-	sess.flushPending()
-	got = decodeRateFrames(t, conn.frames)
-	want = wire.DequantizeRate(wire.QuantizeRate(rate + 5e6))
-	if len(got) != 1 || got[0][0].Rate != want {
-		t.Fatalf("cross-bucket flush = %v, want rate %v", got, want)
-	}
-}
-
 // fillFanout queues a rate for each of the session's first n flows (created
-// on the first round) that differs from round to round, so suppression never
-// hides the encode work.
+// on the first round) that differs from round to round, as the allocator's
+// threshold would surface them.
 func fillFanout(sess *session, n int, round int) {
 	for len(sess.owned) < n {
 		sess.own(&flowRec{id: core.FlowID(len(sess.owned) * 3), pendIdx: -1})
@@ -209,8 +111,7 @@ func fillFanout(sess *session, n int, round int) {
 func TestFanoutFlushZeroAllocs(t *testing.T) {
 	sess := fanoutSession(&Server{}, &fanoutConn{})
 	const flows = 256
-	// Warm-up rounds grow the scratch slices and map buckets to steady
-	// state.
+	// Warm-up rounds grow the scratch slices to steady state.
 	for round := 0; round < 3; round++ {
 		fillFanout(sess, flows, round)
 		sess.flushPending()
@@ -250,6 +151,11 @@ func BenchmarkFanoutFlush(b *testing.B) {
 // from a fresh record; and a step reply withdraws whatever an earlier
 // ticker iteration left queued for the stepper.
 func TestFlowRecordFanout(t *testing.T) {
+	// A record is the flow's ownership and its pending rate, nothing else:
+	// four words per live flowlet.
+	if size := unsafe.Sizeof(flowRec{}); size != 32 {
+		t.Fatalf("flowRec is %d bytes, want 32", size)
+	}
 	srv, err := New(Config{Topology: testTopology(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +221,7 @@ func TestFlowRecordFanout(t *testing.T) {
 		t.Fatalf("B flush = %v, want flow 4 only", got)
 	}
 
-	// Flow 3 again is a new record with no last-sent shadow: its first rate
-	// goes out.
+	// Flow 3 again is a new record: its first rate goes out.
 	add(b, 3)
 	if err := srv.iterate(nil, 0); err != nil {
 		t.Fatal(err)
@@ -388,5 +293,211 @@ func TestDrainDisconnectWithdrawsPendingRates(t *testing.T) {
 	}
 	if n := srv.NumFlows(); n != 2 {
 		t.Fatalf("NumFlows = %d; a draining daemon keeps a disconnected session's flows", n)
+	}
+}
+
+// TestFanoutMatchesSurfacedRates drives two sessions through a seeded mix of
+// ticker iterations, steps, flowlet ends, re-adds of retired IDs, an epoch
+// bump and a drain-disconnect, flushing each session's writer at random so
+// queued rates coalesce across iterations. The allocator's threshold is the
+// fan-out's only suppressor, so every rate a session receives is the latest
+// one AppendUpdates surfaced for the flow while the session owned it, no
+// surfaced update reaches it twice, and after every flush each flow it owns
+// holds the last rate surfaced for it. A flow whose rate returns to the bits
+// the client holds before the rate in between was delivered (coalesced away,
+// or withdrawn by a step reply) is sent that rate again: nothing tracks what
+// a client holds.
+func TestFanoutMatchesSurfacedRates(t *testing.T) {
+	srv, err := New(Config{Topology: testTopology(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hosts := srv.cfg.Topology.NumServers()
+	conns := []*fanoutConn{{record: true}, {record: true}}
+	sessions := []*session{fanoutSession(srv, conns[0]), fanoutSession(srv, conns[1])}
+	index := make(map[*session]int)
+	for i, sess := range sessions {
+		sess.id = uint64(i)
+		srv.sessions[sess] = struct{}{}
+		index[sess] = i
+	}
+	live := sessions
+	// views holds, per session and flow, the last rate surfaced for the
+	// flow, how many rates were surfaced and which of them the session
+	// received last. A flowlet's end drops its view, so a re-added ID starts
+	// afresh.
+	type flowView struct {
+		rate               float64
+		surfaced, received int
+	}
+	views := []map[core.FlowID]*flowView{{}, {}}
+	read := []int{0, 0}     // writes consumed from each conn
+	notified := []int{0, 0} // EpochNotify frames received
+
+	// receive consumes the writes session i was sent since the last call.
+	// Every write to a session holds its wmu, so reading under it is
+	// race-free.
+	receive := func(i int) {
+		t.Helper()
+		sessions[i].wmu.Lock()
+		writes := conns[i].frames[read[i]:]
+		read[i] = len(conns[i].frames)
+		sessions[i].wmu.Unlock()
+		var d wire.RateDelta
+		for _, w := range writes {
+			for len(w) > 0 {
+				typ, payload, rest, err := wire.ParseFrame(w)
+				if err != nil {
+					t.Fatalf("session %d: parse frame: %v", i, err)
+				}
+				w = rest
+				if typ == wire.TypeEpochNotify {
+					notified[i]++
+					continue
+				}
+				if typ != wire.TypeRateDelta {
+					t.Fatalf("session %d: frame type %s, want RateDelta", i, typ)
+				}
+				if err := wire.DecodeRateDelta(payload, &d); err != nil {
+					t.Fatalf("session %d: %v", i, err)
+				}
+				for _, e := range d.Entries {
+					v := views[i][core.FlowID(e.Flow)]
+					switch {
+					case v == nil || math.Float64bits(v.rate) != math.Float64bits(e.Rate):
+						t.Fatalf("session %d: flow %d received %v, not the latest surfaced rate (%+v)", i, e.Flow, e.Rate, v)
+					case v.received == v.surfaced:
+						t.Fatalf("session %d: flow %d received surfaced rate %d (%v) twice", i, e.Flow, v.surfaced, v.rate)
+					}
+					v.received = v.surfaced
+				}
+			}
+		}
+	}
+	check := func(i, round int) {
+		t.Helper()
+		for _, rec := range sessions[i].owned {
+			if v := views[i][rec.id]; v != nil && v.received != v.surfaced {
+				t.Fatalf("round %d: session %d flow %d last received surfaced rate %d of %d (latest %v)",
+					round, i, rec.id, v.received, v.surfaced, v.rate)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(37))
+	nextID := core.FlowID(1)
+	var retired []core.FlowID
+	var steps, ends, readds, removedWrites int
+	for round := 0; round < 400; round++ {
+		switch round {
+		case 150:
+			if err := srv.BumpEpoch(srv.epoch.Load() + 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := range sessions {
+				waitFor(t, func() bool {
+					sessions[i].wmu.Lock()
+					defer sessions[i].wmu.Unlock()
+					return len(conns[i].frames) > read[i]
+				})
+				receive(i)
+			}
+		case 300:
+			// B disconnects from a draining daemon: its flows stay
+			// registered, unowned, and it is sent nothing more.
+			srv.Drain()
+			srv.removeSession(sessions[1])
+			live = sessions[:1]
+			removedWrites = len(conns[1].frames)
+		}
+
+		var burst []event
+		var ended []core.FlowID
+		for n := rng.Intn(4); n > 0; n-- {
+			sess := live[rng.Intn(len(live))]
+			switch op := rng.Intn(3); {
+			case op == 0 && len(sess.owned) > 0:
+				id := sess.owned[rng.Intn(len(sess.owned))].id
+				if slices.Contains(ended, id) {
+					continue
+				}
+				burst = append(burst, event{end: true, flow: id, sess: sess})
+				ended = append(ended, id)
+				retired = append(retired, id)
+				ends++
+			case op == 1 && len(retired) > 0:
+				k := rng.Intn(len(retired))
+				id := retired[k]
+				retired = slices.Delete(retired, k, k+1)
+				src := rng.Intn(hosts)
+				burst = append(burst, event{flow: id, src: src, dst: (src + 1 + rng.Intn(hosts-1)) % hosts, weight: 1, sess: sess})
+				readds++
+			default:
+				src := rng.Intn(hosts)
+				burst = append(burst, event{flow: nextID, src: src, dst: (src + 1 + rng.Intn(hosts-1)) % hosts, weight: 1, sess: sess})
+				nextID++
+			}
+		}
+		srv.publish(burst)
+
+		var stepper *session
+		if rng.Intn(2) == 0 {
+			stepper = live[rng.Intn(len(live))]
+			steps++
+		}
+		if err := srv.iterate(stepper, uint64(round+1)); err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		for _, id := range ended {
+			for i := range sessions {
+				delete(views[i], id)
+			}
+		}
+		for _, u := range srv.updates {
+			owner := srv.recs[u.Slot].owner
+			if owner == nil {
+				continue
+			}
+			v := views[index[owner]][u.Flow]
+			if v == nil {
+				v = &flowView{}
+				views[index[owner]][u.Flow] = v
+			}
+			v.rate = u.Rate
+			v.surfaced++
+		}
+		srv.mu.Unlock()
+		if stepper != nil {
+			receive(index[stepper])
+		}
+
+		for _, sess := range live {
+			if rng.Intn(2) == 0 {
+				continue // leave its rates queued to coalesce with the next iteration's
+			}
+			if !sess.flushPending() {
+				t.Fatal("flushPending reported a write error")
+			}
+			i := index[sess]
+			receive(i)
+			check(i, round)
+		}
+	}
+	sessions[0].flushPending()
+	receive(0)
+	check(0, 400)
+
+	if n := len(conns[1].frames); n != removedWrites {
+		t.Fatalf("session B was sent %d writes after it disconnected", n-removedWrites)
+	}
+	st := srv.Stats()
+	if notified[0] != 1 || notified[1] != 1 {
+		t.Fatalf("EpochNotify frames received = %v, want one per session", notified)
+	}
+	if steps == 0 || ends == 0 || readds == 0 || st.UpdatesCoalesced == 0 || st.DrainRejects == 0 {
+		t.Fatalf("the run exercised %d steps, %d ends, %d re-adds, %d coalesced updates, %d drain rejects; want all",
+			steps, ends, readds, st.UpdatesCoalesced, st.DrainRejects)
 	}
 }

@@ -73,10 +73,10 @@ const MaxSnapshotDeltaEntries = (MaxPayload - snapDeltaHdrMax - 10) / maxSnapDel
 // quantized frames re-encode bit-identically.
 const maxQuantized = 1 << 50
 
-// QuantizeRate rounds a rate to the paper's Mbps granularity for the
+// quantizeRate rounds a rate to the paper's Mbps granularity for the
 // quantized RateDelta mode. Positive rates never round to zero (a live flow
 // keeps at least 1 Mbps) and non-positive rates quantize to zero.
-func QuantizeRate(rate float64) uint64 {
+func quantizeRate(rate float64) uint64 {
 	if rate <= 0 || math.IsNaN(rate) {
 		return 0
 	}
@@ -90,8 +90,8 @@ func QuantizeRate(rate float64) uint64 {
 	return uint64(q)
 }
 
-// DequantizeRate maps a quantized Mbps value back to a rate in bits/s.
-func DequantizeRate(q uint64) float64 { return float64(q) * 1e6 }
+// dequantizeRate maps a quantized Mbps value back to a rate in bits/s.
+func dequantizeRate(q uint64) float64 { return float64(q) * 1e6 }
 
 // patchFrameLen back-fills the uint24 payload length of a variable-length
 // frame whose header was appended at start. Encoders panic on overflow: the
@@ -210,7 +210,7 @@ func AppendRateDelta(buf []byte, seq uint64, quantized bool, entries []RateEntry
 		buf = binary.AppendUvarint(buf, zigzag(e.Flow-prevFlow))
 		prevFlow = e.Flow
 		if quantized {
-			buf = binary.AppendUvarint(buf, QuantizeRate(e.Rate))
+			buf = binary.AppendUvarint(buf, quantizeRate(e.Rate))
 		} else {
 			b := math.Float64bits(e.Rate)
 			buf = appendXorFloat(buf, b, prevBits)
@@ -271,7 +271,7 @@ func DecodeRateDelta(p []byte, d *RateDelta) error {
 				return fmt.Errorf("wire: rate-delta entry %d quantized rate %d exceeds %d Mbps", i, q, uint64(maxQuantized))
 			}
 			p = p[n:]
-			rate = DequantizeRate(q)
+			rate = dequantizeRate(q)
 		} else {
 			b, n, err := xorFloat(p, prevBits)
 			if err != nil {
