@@ -29,9 +29,9 @@
 // filter (appendSignificant); the boundary API of the sharded exchange
 // (parallel_boundary.go) and live capacity changes are the ParallelAllocator's
 // alone. Both maintain their flow sets incrementally — FlowletStart and
-// FlowletEnd are O(route length) operations on a CSR index with swap-delete
-// holes compacted amortizedly — so the per-iteration cost is independent of
-// churn history. The ParallelAllocator also gives every flow a dense, stable
+// FlowletEnd are O(route length) operations on a route index of fixed-stride
+// rows, where a swap-delete copies the last row into the gap — so the
+// per-iteration cost is independent of churn history. The ParallelAllocator also gives every flow a dense, stable
 // slot (SlotOf, Admit, EndSlot, RateUpdate.Slot), so a caller keeping
 // per-flow state — the daemon's flow table — indexes a slice by it and keeps
 // no flow index of its own. The one ID → slot index is a FlowIndex: an

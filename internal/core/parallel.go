@@ -33,7 +33,8 @@ type ParallelFlow struct {
 // in route order, so the per-flow phases of an iteration are num's and norm's
 // kernels run on (csr, price, load, hdiag, ratio) — the code the sequential
 // engine runs on the whole fabric — and churn is the index's AppendLog and
-// RemoveSwap (holes, amortized compaction) plus the columns below.
+// RemoveSwap (a fixed-stride row appended, or the last row copied into the
+// gap) plus the columns below.
 type flowBlock struct {
 	srcBlock, dstBlock int
 

@@ -102,10 +102,11 @@ func benchFlow(id FlowID, numServers int) ParallelFlow {
 }
 
 // TestChurnAllocFree pins the allocation-free churn property on both engines:
-// once the arenas (and the sequential allocator's recycled route slices) are
-// warm, a steady-state FlowletEnd+FlowletStartSized pair performs zero heap
-// allocations. Routing is table lookups into scratch (topology.RouteInto), so
-// nothing here depends on which endpoints or ECMP classes were seen before.
+// once the route indexes (and the sequential allocator's recycled route
+// slices) are warm, a steady-state FlowletEnd+FlowletStartSized pair performs
+// zero heap allocations. Routing is table lookups into scratch
+// (topology.RouteInto), so nothing here depends on which endpoints or ECMP
+// classes were seen before.
 func TestChurnAllocFree(t *testing.T) {
 	topo, err := topology.NewTwoTier(topology.Config{
 		Racks: 4, ServersPerRack: 8, Spines: 2, LinkCapacity: 10e9,
@@ -148,8 +149,8 @@ func TestChurnAllocFree(t *testing.T) {
 				oldest++
 				start()
 			}
-			// Cycle the whole window a few times to size the arenas and their
-			// compaction scratch.
+			// Cycle the whole window a few times to size the route indexes
+			// and the per-flow columns.
 			for i := 0; i < 4*base; i++ {
 				churn()
 			}

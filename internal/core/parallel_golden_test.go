@@ -26,7 +26,7 @@ var goldenParallelRates = map[int]string{
 // traffic the sequential≡parallel tests cannot cover: flows that cross blocks
 // (so the pairwise merge adds non-zero partial sums in a fixed order),
 // fractional weights, external loads, pinned prices, a capacity change, and a
-// churn sequence long enough to compact the FlowBlock arenas.
+// churn sequence that shrinks and regrows the FlowBlock indexes.
 func TestParallelGoldenRates(t *testing.T) {
 	for _, blocks := range []int{2, 4} {
 		if got, _ := goldenParallelHash(t, blocks); got != goldenParallelRates[blocks] {
@@ -83,8 +83,8 @@ func goldenParallelHash(t *testing.T, blocks int) (string, int) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 30; round++ {
-		// Ends outnumber starts early on, so the arenas fill with holes
-		// and compact; later rounds grow the set back.
+		// Ends outnumber starts early on, so rows move into the gaps of
+		// swap-deletes; later rounds grow the set back.
 		ends, starts := 60, 20
 		if round >= 15 {
 			ends, starts = 20, 60

@@ -12,7 +12,7 @@ type Normalizer interface {
 	// NormalizeLoads is Normalize for a caller that already holds loads, the
 	// per-link sums of rates over p's routes — num.LinkLoads(p, rates, nil),
 	// or a solver's LastLoads right after the Step that set rates — so the
-	// pass over the route arena that recomputes them is skipped. loads is
+	// pass over the routes that recomputes them is skipped. loads is
 	// not modified.
 	NormalizeLoads(p *num.Problem, rates, loads, out []float64) []float64
 }
@@ -138,11 +138,11 @@ func (f *FNorm) NormalizeLoads(p *num.Problem, rates, loads, out []float64) []fl
 // otherwise — so no ratio is 0/0 or Inf-Inf. A NaN ratio would not be skipped
 // as `r > worst` would skip it (see num.OrderedBits for what happens instead).
 func ScaleByWorstRatio(c *num.Compiled, ratios, rates, out []float64) {
-	routes, off := c.Routes, c.Off
-	lens, rates, out := c.Len[:len(off)], rates[:len(off)], out[:len(off)]
+	routes, stride, lens := c.Routes, c.Stride, c.Len
+	rates, out = rates[:len(lens)], out[:len(lens)]
 	one := num.OrderedBits(1)
-	for i := range off {
-		o := int(off[i])
+	for i := range lens {
+		o := i * stride
 		worst := one
 		switch lens[i] {
 		case 4:

@@ -62,7 +62,7 @@ func BenchmarkRateUpdateInterfacePath(b *testing.B) {
 
 // BenchmarkCompiledChurn measures one AppendFlow + RemoveFlowSwap pair
 // against a steady 5000-flow index (the incremental maintenance cost paid
-// per flowlet event, including amortized arena compaction).
+// per flowlet event: a row appended, and a row copied into the gap).
 func BenchmarkCompiledChurn(b *testing.B) {
 	const numLinks = 256
 	p := benchProblem(5000, false)

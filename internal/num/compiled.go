@@ -1,25 +1,30 @@
 package num
 
+import "slices"
+
 // This file implements the compiled problem representation: a flat,
 // cache-friendly CSR (compressed-sparse-row) layout of the flow→link
 // incidence that the solver hot loops iterate over instead of chasing one
 // heap-allocated Route slice and one Utility interface per flow.
 //
-// Layout. All routes live concatenated in one arena (Routes); flow i's route
-// is Routes[Off[i] : Off[i]+Len[i]]. Per-flow log-utility weights are stored
-// densely in Weights so the common LogUtility case runs a branch-free,
-// interface-free inner loop; problems that mix in custom utilities carry a
-// parallel Utils slice and fall back to interface dispatch only for the flows
-// that need it. A transposed link→flow index (LinkFlows/LinkOff) is built
-// lazily for link-major consumers.
+// Layout. All routes live in one array of fixed-stride rows (Routes; the
+// ELLPACK variant of CSR, with the offsets array replaced by i*Stride): flow
+// i's route is Routes[i*Stride : i*Stride+Len[i]], and the rest of its row is
+// zero. Stride is the longest route the index has held since it was last
+// emptied; a longer route re-lays every row out once. Routes on one fabric
+// differ in length by a few links at most, so the padding costs less than the
+// offsets array and the holes of a concatenated arena would. Per-flow
+// log-utility weights are stored densely in Weights so the common LogUtility
+// case runs a branch-free, interface-free inner loop; problems that mix in
+// custom utilities carry a parallel Utils slice and fall back to interface
+// dispatch only for the flows that need it. A transposed link→flow index
+// (LinkFlows/LinkOff) is built lazily for link-major consumers.
 //
-// Churn. The layout supports O(route length) swap-delete and append, mirroring
-// the allocator's FlowletStart/FlowletEnd, so the index is maintained
+// Churn. The layout supports O(Stride) swap-delete and append, mirroring the
+// allocator's FlowletStart/FlowletEnd, so the index is maintained
 // incrementally across flowlet churn instead of being rebuilt per iteration.
-// Swap-deletes leave holes in the arena; the arena is compacted (into a
-// reused scratch buffer) once holes outnumber live entries. Because of the
-// holes the layout keeps explicit per-flow lengths instead of the textbook
-// n+1 offsets array.
+// A swap-delete copies the last row into the gap, like every other per-flow
+// column, so the rows never have holes and Routes is exactly NumFlows rows.
 
 // Compiled is the compiled CSR form of a flow set. A Problem's is obtained
 // with Problem.Compiled and kept in sync by the Problem's own mutators; the
@@ -28,11 +33,12 @@ package num
 // FlowBlock). All exported fields and the slices they contain must be treated
 // as read-only.
 type Compiled struct {
-	// Routes is the route arena: flow i traverses the link indices
-	// Routes[Off[i] : Off[i]+Len[i]].
+	// Routes holds one row of Stride link indices per flow: flow i
+	// traverses Routes[i*Stride : i*Stride+Len[i]].
 	Routes []int32
-	// Off holds each flow's start offset into Routes.
-	Off []int32
+	// Stride is the row length, the longest route held since the index
+	// was last emptied.
+	Stride int
 	// Len holds each flow's route length.
 	Len []int32
 	// Weights holds each flow's log-utility weight. It is meaningful only
@@ -45,7 +51,6 @@ type Compiled struct {
 
 	owner     *Problem // the Problem this index belongs to (copy detection)
 	version   uint64   // Problem.version this index is consistent with
-	dead      int      // arena entries orphaned by swap-deletes
 	numCustom int      // flows with a non-LogUtility utility
 
 	// Lazily built transpose: link l is traversed by the flows
@@ -55,7 +60,6 @@ type Compiled struct {
 	tNumLinks int
 	tvalid    bool
 
-	routesScratch []int32 // ping-pong buffer for arena compaction
 	cursorScratch []int32 // per-link cursors for transpose construction
 }
 
@@ -84,7 +88,7 @@ func (p *Problem) Compiled() *Compiled {
 		// trusting the version counter of) the shared one.
 		c = &Compiled{owner: p}
 		p.compiled = c
-	} else if len(c.Off) == len(p.Flows) && c.version == p.version {
+	} else if len(c.Len) == len(p.Flows) && c.version == p.version {
 		return c
 	}
 	c.rebuild(p)
@@ -102,7 +106,7 @@ func (p *Problem) Invalidate() {
 // incrementally (O(route length)).
 func (p *Problem) AppendFlow(f Flow) {
 	c := p.compiled
-	sync := c != nil && c.owner == p && len(c.Off) == len(p.Flows) && c.version == p.version
+	sync := c != nil && c.owner == p && len(c.Len) == len(p.Flows) && c.version == p.version
 	p.Flows = append(p.Flows, f)
 	p.version++
 	if sync {
@@ -117,7 +121,7 @@ func (p *Problem) AppendFlow(f Flow) {
 // swap.
 func (p *Problem) RemoveFlowSwap(i int) {
 	c := p.compiled
-	sync := c != nil && c.owner == p && len(c.Off) == len(p.Flows) && c.version == p.version
+	sync := c != nil && c.owner == p && len(c.Len) == len(p.Flows) && c.version == p.version
 	last := len(p.Flows) - 1
 	if i != last {
 		p.Flows[i] = p.Flows[last]
@@ -133,51 +137,41 @@ func (p *Problem) RemoveFlowSwap(i int) {
 
 // rebuild recompiles the index from scratch, reusing existing capacity.
 func (c *Compiled) rebuild(p *Problem) {
-	n := len(p.Flows)
-	total := 0
-	custom := 0
-	for i := range p.Flows {
-		total += len(p.Flows[i].Route)
-		if _, log := logWeight(p.Flows[i]); !log {
-			custom++
-		}
+	c.Reset()
+	for _, f := range p.Flows {
+		c.appendFlow(f)
 	}
-	c.Routes = resizeInt32(c.Routes, total)[:0]
-	c.Off = resizeInt32(c.Off, n)
-	c.Len = resizeInt32(c.Len, n)
-	c.Weights = resizeFloat64(c.Weights, n)
-	c.Utils = nil
-	c.numCustom = custom
-	if custom > 0 {
-		c.Utils = make([]Utility, n)
-	}
-	for i := range p.Flows {
-		f := &p.Flows[i]
-		c.Off[i] = int32(len(c.Routes))
-		c.Len[i] = int32(len(f.Route))
-		c.Routes = append(c.Routes, f.Route...)
-		w, log := logWeight(*f)
-		c.Weights[i] = w
-		if !log {
-			c.Utils[i] = f.Util
-		}
-	}
-	c.dead = 0
-	c.tvalid = false
 	c.version = p.version
 }
 
 // AppendLog adds a log-utility flow of the given weight at the end of the
-// index, copying route into the arena.
+// index, copying route into a new row.
 func (c *Compiled) AppendLog(route []int32, weight float64) {
-	c.Off = append(c.Off, int32(len(c.Routes)))
+	if len(route) > c.Stride {
+		c.restride(len(route))
+	}
+	o := len(c.Routes)
+	c.Routes = slices.Grow(c.Routes, c.Stride)[:o+c.Stride]
+	clear(c.Routes[o+copy(c.Routes[o:], route):])
 	c.Len = append(c.Len, int32(len(route)))
-	c.Routes = append(c.Routes, route...)
 	c.Weights = append(c.Weights, weight)
 	if c.Utils != nil {
 		c.Utils = append(c.Utils, nil)
 	}
 	c.tvalid = false
+}
+
+// restride widens every row to stride, moving the rows back to front so each
+// lands at or beyond where it was, and zeroing the added tails.
+func (c *Compiled) restride(stride int) {
+	old, n := c.Stride, len(c.Len)
+	c.Routes = slices.Grow(c.Routes, n*(stride-old))[:n*stride]
+	for i := n - 1; i >= 0; i-- {
+		row := c.Routes[i*stride : (i+1)*stride]
+		copy(row, c.Routes[i*old:(i+1)*old])
+		clear(row[old:])
+	}
+	c.Stride = stride
 }
 
 // appendFlow adds one of the owning Problem's flows at the end of the index.
@@ -190,29 +184,27 @@ func (c *Compiled) appendFlow(f Flow) {
 	c.numCustom++
 	if c.Utils == nil {
 		// First custom utility: materialize the per-flow slice.
-		c.Utils = make([]Utility, len(c.Off))
+		c.Utils = make([]Utility, len(c.Len))
 	}
-	c.Utils[len(c.Off)-1] = f.Util
+	c.Utils[len(c.Len)-1] = f.Util
 }
 
-// RemoveSwap removes flow i by moving the last flow into its slot, leaving its
-// route as a hole in the arena and compacting once holes outnumber live
-// entries. Per-flow state kept in index order must apply the same swap.
+// RemoveSwap removes flow i by copying the last flow's row and columns into
+// its slot. Per-flow state kept in index order must apply the same swap.
 func (c *Compiled) RemoveSwap(i int) {
-	last := len(c.Off) - 1
-	c.dead += int(c.Len[i])
+	last := len(c.Len) - 1
 	if c.Utils != nil && c.Utils[i] != nil {
 		c.numCustom--
 	}
 	if i != last {
-		c.Off[i] = c.Off[last]
+		copy(c.Routes[i*c.Stride:(i+1)*c.Stride], c.Routes[last*c.Stride:])
 		c.Len[i] = c.Len[last]
 		c.Weights[i] = c.Weights[last]
 		if c.Utils != nil {
 			c.Utils[i] = c.Utils[last]
 		}
 	}
-	c.Off = c.Off[:last]
+	c.Routes = c.Routes[:last*c.Stride]
 	c.Len = c.Len[:last]
 	c.Weights = c.Weights[:last]
 	if c.Utils != nil {
@@ -226,47 +218,24 @@ func (c *Compiled) RemoveSwap(i int) {
 		}
 	}
 	c.tvalid = false
-	if live := len(c.Routes) - c.dead; c.dead > live && c.dead > CompactMinDead {
-		c.compact()
-	}
 }
 
 // Reset empties the index, keeping the capacity of its arrays.
 func (c *Compiled) Reset() {
-	c.Routes, c.Off, c.Len, c.Weights = c.Routes[:0], c.Off[:0], c.Len[:0], c.Weights[:0]
-	c.Utils, c.numCustom, c.dead, c.tvalid = nil, 0, 0, false
-}
-
-// CompactMinDead is the minimum number of orphaned arena entries before a
-// swap-delete considers compaction.
-const CompactMinDead = 64
-
-// compact rewrites the route arena without holes into the reused scratch
-// buffer and swaps the two, updating Off in place, so steady-state churn
-// allocates nothing once both buffers have grown to the working-set size.
-func (c *Compiled) compact() {
-	buf := c.routesScratch
-	if live := len(c.Routes) - c.dead; cap(buf) < live {
-		buf = make([]int32, 0, live)
-	}
-	buf = buf[:0]
-	for i, o := range c.Off {
-		c.Off[i] = int32(len(buf))
-		buf = append(buf, c.Routes[o:o+c.Len[i]]...)
-	}
-	c.Routes, c.routesScratch, c.dead = buf, c.Routes[:0], 0
+	c.Routes, c.Len, c.Weights = c.Routes[:0], c.Len[:0], c.Weights[:0]
+	c.Stride, c.Utils, c.numCustom, c.tvalid = 0, nil, 0, false
 }
 
 // NumFlows returns the number of flows in the index.
-func (c *Compiled) NumFlows() int { return len(c.Off) }
+func (c *Compiled) NumFlows() int { return len(c.Len) }
 
 // AllLog reports whether every flow is on the log-utility fast path.
 func (c *Compiled) AllLog() bool { return c.Utils == nil }
 
-// Route returns flow i's route as a slice into the arena (read-only).
+// Route returns flow i's route as a slice into its row (read-only).
 func (c *Compiled) Route(i int) []int32 {
-	o := c.Off[i]
-	return c.Routes[o : o+c.Len[i]]
+	o := i * c.Stride
+	return c.Routes[o : o+int(c.Len[i])]
 }
 
 // utility returns flow i's utility, nil meaning the log fast path with weight
@@ -294,7 +263,7 @@ func (c *Compiled) buildTranspose(numLinks int) {
 		c.linkOff[i] = 0
 	}
 	live := 0
-	for i := range c.Off {
+	for i := range c.Len {
 		for _, l := range c.Route(i) {
 			c.linkOff[l+1]++
 			live++
@@ -306,7 +275,7 @@ func (c *Compiled) buildTranspose(numLinks int) {
 	c.linkFlows = resizeInt32(c.linkFlows, live)
 	cur := resizeInt32(c.cursorScratch, numLinks)
 	copy(cur, c.linkOff[:numLinks])
-	for i := range c.Off {
+	for i := range c.Len {
 		for _, l := range c.Route(i) {
 			c.linkFlows[cur[l]] = int32(i)
 			cur[l]++
@@ -321,14 +290,6 @@ func (c *Compiled) buildTranspose(numLinks int) {
 func resizeInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// resizeFloat64 returns a slice of length n, reusing s's capacity.
-func resizeFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
 	}
 	return s[:n]
 }

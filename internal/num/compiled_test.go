@@ -77,7 +77,7 @@ func checkCompiledMatchesFlows(t *testing.T, p *Problem) {
 
 // TestCompiledChurnConsistency drives a randomized AppendFlow/RemoveFlowSwap
 // sequence and asserts the compiled index stays consistent with the flow set
-// after every swap-delete (including arena compactions).
+// after every swap-delete (each copying the last row into the gap).
 func TestCompiledChurnConsistency(t *testing.T) {
 	const numLinks = 8
 	const capacity = 10e9
@@ -110,8 +110,9 @@ func TestCompiledChurnConsistency(t *testing.T) {
 // core.ParallelAllocator keeps one per FlowBlock — through a random
 // AppendLog/RemoveSwap/Reset sequence beside a mirror Problem, and requires
 // flow for flow the routes, lengths and weights of the index the Problem
-// rebuilds from scratch, the hole bound compaction maintains, and after a
-// Reset and re-append an arena and offsets equal to the rebuilt ones exactly.
+// rebuilds from scratch, exactly one zero-padded row of Stride entries per
+// flow after every operation, and after a Reset and re-append rows equal to
+// the rebuilt ones exactly.
 func TestStandaloneCompiledChurn(t *testing.T) {
 	const numLinks = 12
 	rng := rand.New(rand.NewSource(24))
@@ -119,54 +120,78 @@ func TestStandaloneCompiledChurn(t *testing.T) {
 	var mirror []Flow
 	check := func() {
 		t.Helper()
+		if len(c.Routes) != c.NumFlows()*c.Stride {
+			t.Fatalf("%d route entries for %d flows at stride %d", len(c.Routes), c.NumFlows(), c.Stride)
+		}
 		want := (&Problem{Flows: mirror}).Compiled()
 		if !slices.Equal(c.Len, want.Len) || !slices.Equal(c.Weights, want.Weights) || !c.AllLog() {
 			t.Fatalf("lengths %v weights %v, a rebuilt index has %v %v", c.Len, c.Weights, want.Len, want.Weights)
 		}
-		live := 0
 		for i := range mirror {
 			if !slices.Equal(c.Route(i), want.Route(i)) {
 				t.Fatalf("flow %d: route %v, a rebuilt index has %v", i, c.Route(i), want.Route(i))
 			}
-			live += len(mirror[i].Route)
-		}
-		if dead := len(c.Routes) - live; dead != c.dead || (dead > live && dead > CompactMinDead) {
-			t.Fatalf("%d holes beside %d live arena entries (index counts %d)", dead, live, c.dead)
+			if pad := c.Routes[i*c.Stride+int(c.Len[i]) : (i+1)*c.Stride]; slices.ContainsFunc(pad, func(l int32) bool { return l != 0 }) {
+				t.Fatalf("flow %d: row padding %v is not zero", i, pad)
+			}
 		}
 	}
-	compactions := 0
+	appendFlow := func(route []int32) {
+		f := Flow{Route: route, Util: LogUtility{W: 1 + rng.Float64()}}
+		c.AppendLog(f.Route, f.Util.(LogUtility).W)
+		mirror = append(mirror, f)
+	}
+
+	// A longer route re-lays the rows out at its length and leaves every
+	// earlier route as it was.
+	for _, n := range []int{1, 2, 2, 4, 3, 6, 1} {
+		before := c.Stride
+		route := make([]int32, n)
+		for j := range route {
+			route[j] = int32(rng.Intn(numLinks))
+		}
+		appendFlow(route)
+		if want := max(before, n); c.Stride != want {
+			t.Fatalf("after a %d-link route the stride is %d, want %d", n, c.Stride, want)
+		}
+		check()
+	}
+
+	restrides := 0
 	for step := 0; step < 4000; step++ {
+		before := c.Stride
 		switch {
 		case step%1500 == 1499:
 			c.Reset()
 			mirror = mirror[:0]
+			if c.Stride != 0 {
+				t.Fatalf("a reset index keeps stride %d", c.Stride)
+			}
 		case len(mirror) == 0 || rng.Float64() < 0.5-0.3*math.Sin(float64(step)/200):
-			f := Flow{Route: randomRoute(rng, numLinks), Util: LogUtility{W: 1 + rng.Float64()}}
-			c.AppendLog(f.Route, f.Util.(LogUtility).W)
-			mirror = append(mirror, f)
+			appendFlow(randomRoute(rng, numLinks))
+			if c.Stride > before && len(mirror) > 1 {
+				restrides++
+			}
 		default:
-			i, last, before := rng.Intn(len(mirror)), len(mirror)-1, len(c.Routes)
+			i, last := rng.Intn(len(mirror)), len(mirror)-1
 			c.RemoveSwap(i)
 			mirror[i] = mirror[last]
 			mirror = mirror[:last]
-			if len(c.Routes) < before {
-				compactions++
-			}
 		}
 		if step%29 == 0 || len(mirror) < 3 {
 			check()
 		}
 	}
 	check()
-	if compactions == 0 || len(mirror) == 0 {
-		t.Fatalf("%d compactions, %d flows left: the sequence should compact and end non-empty", compactions, len(mirror))
+	if restrides == 0 || len(mirror) == 0 {
+		t.Fatalf("%d re-strides of a non-empty index, %d flows left: the sequence should re-stride and end non-empty", restrides, len(mirror))
 	}
 	c.Reset()
 	for _, f := range mirror {
 		c.AppendLog(f.Route, f.Util.(LogUtility).W)
 	}
 	want := (&Problem{Flows: mirror}).Compiled()
-	if !slices.Equal(c.Routes, want.Routes) || !slices.Equal(c.Off, want.Off) {
+	if c.Stride != want.Stride || !slices.Equal(c.Routes, want.Routes) || !slices.Equal(c.Len, want.Len) {
 		t.Fatal("an index reset and refilled differs from one built from the same flows")
 	}
 }

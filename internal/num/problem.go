@@ -178,11 +178,9 @@ func LinkLoads(p *Problem, rates []float64, out []float64) []float64 {
 		out[i] = 0
 	}
 	c := p.Compiled()
-	routes, off, lens := c.Routes, c.Off, c.Len
-	for i := range off {
+	for i := range c.Len {
 		r := rates[i]
-		o := off[i]
-		for _, l := range routes[o : o+lens[i]] {
+		for _, l := range c.Route(i) {
 			out[l] += r
 		}
 	}
@@ -207,7 +205,7 @@ func OverAllocation(p *Problem, rates []float64) float64 {
 func Objective(p *Problem, rates []float64) float64 {
 	c := p.Compiled()
 	sum := 0.0
-	for i := range c.Off {
+	for i := range c.Len {
 		if u := c.utility(i); u != nil {
 			sum += u.Value(rates[i])
 			continue

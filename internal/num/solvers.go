@@ -79,13 +79,13 @@ func rateUpdate(p *Problem, st *State, sc *scratch, hessian bool, minPrice float
 // the tests). hessian is loop-invariant: the first-order solvers skip the
 // Hessian scatter through a branch that always goes the same way.
 func rateUpdateLog(c *Compiled, maxRate float64, prices, rates, loads, hdiag []float64, hessian bool, minPrice float64) {
-	routes, off := c.Routes, c.Off
-	lens, weights, rates := c.Len[:len(off)], c.Weights[:len(off)], rates[:len(off)]
+	routes, stride, lens := c.Routes, c.Stride, c.Len
+	weights, rates := c.Weights[:len(lens)], rates[:len(lens)]
 	if maxRate <= 0 {
 		maxRate = math.Inf(1)
 	}
-	for i := range off {
-		o := int(off[i])
+	for i := range lens {
+		o := i * stride
 		var x, d float64
 		switch lens[i] {
 		case 4:
@@ -194,11 +194,9 @@ func FromOrderedBits(b int64) float64 { return math.Float64frombits(uint64(b)) }
 // flows still take the inline formulas, the rest dispatch through the
 // interface.
 func rateUpdateGeneric(c *Compiled, maxRate float64, st *State, loads, hdiag []float64, hessian bool, minPrice float64) {
-	routes, off, lens := c.Routes, c.Off, c.Len
 	prices, rates := st.Prices, st.Rates
-	for i := range off {
-		o := off[i]
-		route := routes[o : o+lens[i]]
+	for i := range c.Len {
+		route := c.Route(i)
 		ps := 0.0
 		for _, l := range route {
 			ps += prices[l]
@@ -240,11 +238,16 @@ func rateUpdateGeneric(c *Compiled, maxRate float64, st *State, loads, hdiag []f
 // finite. With 10-400 Gbit/s links, a price of 1e-12 allows rates up to
 // 1e12·w bits/s, far above any link capacity, so the floor never binds at the
 // optimum. It does bind off the optimum: NEDPriceUpdate halves an idle link's
-// price every iteration, so after ~40 idle iterations every link of an idle
-// path is priced below the floor. A flowlet that then starts on that path is
-// clamped here, its rate sits at the cap and its Hessian term is about
-// -w/1e-24, so NED's step is ~1e-26 and the price never recovers; F-NORM, not
-// NED, then decides the path's allocation (the price-floor trap).
+// price every iteration, so an idle path falls below the floor after ~40
+// iterations, and a flow on it is capped at MaxFlowRate far sooner, once its
+// path price drops below w/MaxFlowRate. In a churning daemon that is the
+// common case, not a corner: at the repository benchmark's freerun-1k size
+// (1 000 flows on the 1 024-host leaf-spine, after 1 000 end+start steps) 750
+// of the 1 000 flows had a path price below 1e-12, and 823 a raw rate, before
+// F-NORM, at MaxFlowRate. A capped flow's Hessian term is still -w/ps², about
+// -w/1e-24 at the floor, so NED's step is ~1e-26 and the price never
+// recovers; F-NORM, not NED, then decides the path's allocation (the
+// price-floor trap, ROADMAP item 2).
 const minPathPrice = 1e-12
 
 // applyPins overwrites pinned link prices after a price update (see

@@ -184,12 +184,13 @@ type flowRec struct {
 }
 
 // event is one flowlet notification waiting for the next iteration boundary.
+// The two flags share the last word, so an event is 48 bytes, not 56.
 type event struct {
-	end      bool
 	flow     core.FlowID
 	src, dst int
 	weight   float64
 	sess     *session
+	end      bool
 	// cleanup marks an orphan-retirement event generated when sess
 	// disconnected. It only applies while sess still owns the flow: if a
 	// reconnected client re-registered the flow under a new session before
@@ -221,8 +222,11 @@ type Server struct {
 	// churn allocates none.
 	freeRecs []*flowRec
 	// inbox holds the flowlet events published since the last iteration;
-	// sessions append to it a burst at a time (publish).
-	inbox []event
+	// sessions append to it a burst at a time (publish). inboxHigh is the
+	// decaying high-water mark of its length at a drain, which decides
+	// whether the drain keeps its capacity (drainInboxLocked).
+	inbox     []event
+	inboxHigh int
 	// fanning and updates are iterate's scratch: the sessions whose pmu the
 	// running fan-out pass holds, and the allocator's rate updates.
 	fanning  []*session
@@ -1228,8 +1232,27 @@ func (s *Server) drainInboxLocked() {
 			ev.sess.own(rec)
 		}
 	}
-	s.inbox = s.inbox[:0]
+	s.inboxHigh = max(len(s.inbox), s.inboxHigh-s.inboxHigh>>inboxDecayShift)
+	if c := cap(s.inbox); c > inboxMinKeep && c > inboxSlack*s.inboxHigh {
+		s.inbox = nil
+	} else {
+		s.inbox = s.inbox[:0]
+	}
 }
+
+// A drain keeps the inbox's capacity only while it is within inboxSlack times
+// the high-water mark of recent drains, a mark that loses 1/2^inboxDecayShift
+// of itself at every drain that does not raise it; capacity up to
+// inboxMinKeep events is always kept. So a one-off burst — the set-up's
+// registrations, a reconnecting client's — is let go about 45 drains after it
+// (20 k events followed by 4 k-event steps), while on a free-running daemon
+// bursts separated by up to 20 empty ticks (more when the capacity fits the
+// burst closely) keep the capacity they grew and append without reallocating.
+const (
+	inboxSlack      = 4
+	inboxDecayShift = 5
+	inboxMinKeep    = 1024
+)
 
 // admissibleLocked applies the daemon's own admission rules to an add the
 // allocator does not hold, counting a refusal; the allocator's rules (route

@@ -4,6 +4,7 @@ import (
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -669,6 +670,85 @@ func TestParallelEngineSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 			t.Fatalf("Blocks %d: steady-state step allocates %.1f times per op; want 0", blocks, allocs)
 		}
+	}
+}
+
+// TestInboxCapacity pins what the inbox keeps between drains. A one-off
+// set-up burst of 20 000 registrations is let go once the drains that follow
+// are 4 000-event churn steps, so the inbox settles at the working burst's
+// capacity. And the drains a free-running daemon's loop makes when churn
+// bursts alternate with empty ticks keep that capacity: after warm-up a
+// burst-plus-tick cycle allocates nothing, in the inbox or anywhere else.
+func TestInboxCapacity(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 48 {
+		t.Fatalf("an event is %d bytes; want 48", size)
+	}
+	topo := testTopology(t)
+	srv, err := New(Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const resident, churn = 20000, 2000
+	n := topo.NumServers()
+	var burst []event
+	next := core.FlowID(0)
+	add := func() {
+		src := int(next) % n
+		burst = append(burst, event{flow: next, src: src, dst: (src + 1 + int(next)/n%(n-1)) % n, weight: 1})
+		next++
+	}
+	drain := func() {
+		t.Helper()
+		if err := srv.iterate(nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// step publishes 2 000 ends of the oldest flows and 2 000 starts and
+	// returns the inbox's capacity once they are in it.
+	step := func() int {
+		burst = burst[:0]
+		for k := 0; k < churn; k++ {
+			burst = append(burst, event{end: true, flow: next - resident})
+			add()
+		}
+		srv.publish(burst)
+		return cap(srv.inbox)
+	}
+
+	for next < resident {
+		add()
+	}
+	srv.publish(burst)
+	if c := cap(srv.inbox); c < resident {
+		t.Fatalf("inbox capacity %d after a %d-event burst", c, resident)
+	}
+	drain()
+	working := 0
+	for i := 0; i < 60; i++ {
+		working = step()
+		drain()
+	}
+	if working >= 4*churn {
+		t.Fatalf("inbox capacity %d 60 steps after the set-up burst; the steps need %d", working, 2*churn)
+	}
+	if got := srv.NumFlows(); got != resident {
+		t.Fatalf("NumFlows = %d; want %d", got, resident)
+	}
+
+	cycle := func() {
+		step()
+		drain()
+		drain() // the empty tick
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a churn burst followed by an empty tick allocates %.1f times; want 0", allocs)
+	}
+	if c := cap(srv.inbox); c < 2*churn || c >= 4*churn {
+		t.Fatalf("inbox capacity %d after burst-and-tick cycles; the bursts need %d", c, 2*churn)
 	}
 }
 
