@@ -10,10 +10,8 @@
 // frames, which deterministic test harnesses use). The allocator is the
 // FlowBlock/LinkBlock multicore one: -blocks sets its rack-block count
 // (default 1, which runs on the loop's goroutine alone), whose blocks²
-// FlowBlocks run on min(blocks², GOMAXPROCS) workers; on a NUMA machine, a
-// `numa`-tagged build additionally accepts -pin to bind the workers to
-// sockets. Loop latency percentiles and update counters are
-// logged every -stats-every.
+// FlowBlocks run on min(blocks², GOMAXPROCS) workers. Loop latency
+// percentiles and update counters are logged every -stats-every.
 //
 // A cluster of daemons shares the fabric with -shard i/N: each daemon owns
 // shard i of an N-way rack partition, accepts only flowlets sourced in its
@@ -80,7 +78,6 @@ func run(args []string, out io.Writer) error {
 	threshold := fs.Float64("threshold", 0.01, "rate-update notification threshold")
 	interval := fs.Duration("interval", time.Millisecond, "longest gap between iterations; arrivals iterate at once (0 = step-driven only)")
 	blocks := fs.Int("blocks", 1, "rack blocks of the allocator (0 means 1; more needs a power of two dividing -racks): blocks² FlowBlocks on min(blocks², GOMAXPROCS) workers; composes with -shard for multicore shards")
-	pin := fs.Bool("pin", false, "pin the allocator's worker goroutines to NUMA sockets (requires -blocks > 1 and a `numa`-tagged build; no-op otherwise)")
 	shard := fs.String("shard", "", "shard assignment i/N: own shard i of an N-way rack partition (empty = unsharded)")
 	peers := fs.String("peers", "", "comma-separated addresses of the peer shard daemons, dialed with retry")
 	takeover := fs.Bool("takeover", false, "replicate flow state to peers and adopt a dead peer's rack block (requires -shard)")
@@ -124,7 +121,6 @@ func run(args []string, out io.Writer) error {
 		UpdateThreshold:  *threshold,
 		Interval:         *interval,
 		Blocks:           *blocks,
-		PinWorkers:       *pin,
 		Epoch:            *epoch,
 		MaxSessionFlows:  *maxSessionFlows,
 		MaxFrameRate:     *maxFrameRate,

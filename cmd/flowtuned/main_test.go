@@ -211,6 +211,11 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{"-takeover", "-serve-for", "1ms", "-listen", "127.0.0.1:0"}, &out); err == nil {
 		t.Error("-takeover without -shard accepted")
 	}
+	for _, bad := range []string{"-gamma=NaN", "-gamma=-1", "-gamma=+Inf", "-threshold=NaN", "-max-frame-rate=NaN"} {
+		if err := run([]string{bad, "-serve-for", "1ms", "-listen", "127.0.0.1:0"}, &out); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
 	// 2 shards do not divide the default 9 racks.
 	if err := run([]string{"-shard", "0/2", "-serve-for", "1ms", "-listen", "127.0.0.1:0"}, &out); err == nil {
 		t.Error("2 shards over 9 racks accepted")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
@@ -18,9 +19,7 @@ type Config struct {
 	Topology *topology.Topology
 	// Shards is the number of flowtuned daemons; each owns one rack block.
 	Shards int
-	// Gamma and Interval are passed through to every daemon (see
-	// server.Config).
-	Gamma    float64
+	// Interval is passed through to every daemon (see server.Config).
 	Interval time.Duration
 	// Blocks is each daemon's rack-block count (0 means 1; see
 	// server.Config), so Blocks > 1 makes each shard span cores.
@@ -39,9 +38,9 @@ type Config struct {
 type Cluster struct {
 	smap    *topology.ShardMap
 	servers []*server.Server
-	// admin holds the observability endpoints started via ServeAdmin /
-	// ServeShardAdmins (see telemetry.go).
-	admin adminState
+	// admin is the endpoint ServeAdmin started, nil until then (see
+	// telemetry.go).
+	admin *telemetry.Admin
 }
 
 // New builds the daemons and connects the full peer mesh. Every daemon dials
@@ -59,7 +58,6 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		srv, err := server.New(server.Config{
 			Topology:   cfg.Topology,
-			Gamma:      cfg.Gamma,
 			Interval:   cfg.Interval,
 			Blocks:     cfg.Blocks,
 			NumShards:  cfg.Shards,
@@ -171,9 +169,12 @@ func (c *Cluster) WireStats() WireStats {
 	return w
 }
 
-// Close shuts every daemon down, along with any admin endpoints.
+// Close shuts every daemon down, along with the admin endpoint.
 func (c *Cluster) Close() error {
-	c.closeAdmins()
+	if c.admin != nil {
+		c.admin.Close()
+		c.admin = nil
+	}
 	var first error
 	for _, srv := range c.servers {
 		if err := srv.Close(); err != nil && first == nil {

@@ -363,13 +363,12 @@ func TestShardedClientRoutingAndReconnect(t *testing.T) {
 // must still produce exactly the single sequential daemon's rates on
 // partition-local traffic — the boundary fold-in and digest export of the
 // ParallelAllocator keep the wire bytes bit-identical to the sequential
-// engine's. Gamma is set to the sequential default explicitly because the
-// parallel allocator's own default differs (1 vs 0.4).
+// engine's. Both sides run server.New's default Gamma (0.4).
 func TestMulticorePartitionLocalByteIdentical(t *testing.T) {
 	topo := testTopo(t)
 	single, singleCli := startSingle(t, topo)
 
-	cl, err := New(Config{Topology: topo, Shards: 2, Blocks: 2, Gamma: 0.4})
+	cl, err := New(Config{Topology: topo, Shards: 2, Blocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +447,7 @@ func TestMulticorePartitionLocalByteIdentical(t *testing.T) {
 func TestMulticoreCrossShardConvergence(t *testing.T) {
 	topo := testTopo(t)
 	single, singleCli := startSingle(t, topo)
-	cl, err := New(Config{Topology: topo, Shards: 2, Blocks: 2, Gamma: 0.4})
+	cl, err := New(Config{Topology: topo, Shards: 2, Blocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,37 +8,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Observability: a cluster exposes the same admin surface a single daemon
-// does, in two shapes. ServeAdmin starts one aggregated endpoint whose
-// /metrics carries every shard's series under shard="i" labels and whose
-// /trace merges the per-shard flight recorders into a shard-keyed map — the
-// cross-shard scrape an operator points a collector at. ServeShardAdmins
-// additionally gives every daemon its own endpoint (matching a production
-// deployment, where each flowtuned process serves its own -admin port).
-
-// adminState tracks the admin endpoints a cluster has started, so Close can
-// tear them down.
-type adminState struct {
-	cluster   *telemetry.Admin
-	shards    []*telemetry.Admin
-	recorders []*telemetry.FlightRecorder
-}
-
-// AttachFlightRecorders lazily attaches one flight recorder per shard and
-// returns them, index-aligned with the shards (idempotent: a second caller —
-// another admin surface, or the scenario runner — reuses the recorders the
-// first attached).
-func (c *Cluster) AttachFlightRecorders() []*telemetry.FlightRecorder {
-	if c.admin.recorders == nil {
-		c.admin.recorders = make([]*telemetry.FlightRecorder, len(c.servers))
-		for i, srv := range c.servers {
-			rec := telemetry.NewFlightRecorder(telemetry.DefaultFlightWindow)
-			srv.AttachFlightRecorder(rec)
-			c.admin.recorders[i] = rec
-		}
-	}
-	return c.admin.recorders
-}
+// Observability: a cluster serves the admin surface a single daemon does as
+// one aggregated endpoint (ServeAdmin), the cross-shard scrape an operator
+// points a collector at.
 
 // RegisterMetrics exposes every shard's counter surfaces in reg, each series
 // labeled shard="i". The in-loop series (iteration-latency histogram, churn
@@ -68,10 +40,14 @@ func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
 // alive and none is draining; /healthz while at least one shard is alive.
 // The endpoint is torn down by Close.
 func (c *Cluster) ServeAdmin(addr string) (net.Addr, error) {
-	if c.admin.cluster != nil {
-		return nil, fmt.Errorf("cluster: admin endpoint already serving on %s", c.admin.cluster.Addr())
+	if c.admin != nil {
+		return nil, fmt.Errorf("cluster: admin endpoint already serving on %s", c.admin.Addr())
 	}
-	recs := c.AttachFlightRecorders()
+	recs := make([]*telemetry.FlightRecorder, len(c.servers))
+	for i, srv := range c.servers {
+		recs[i] = telemetry.NewFlightRecorder(telemetry.DefaultFlightWindow)
+		srv.AttachFlightRecorder(recs[i])
+	}
 	reg := telemetry.NewRegistry()
 	c.RegisterMetrics(reg)
 	adm, err := telemetry.NewAdmin(telemetry.AdminConfig{
@@ -103,70 +79,8 @@ func (c *Cluster) ServeAdmin(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.admin.cluster = adm
+	c.admin = adm
 	return bound, nil
-}
-
-// ServeShardAdmins starts one admin endpoint per shard on the given
-// addresses (len(addrs) must equal NumShards; port 0 picks free ports) and
-// returns the bound addresses, index-aligned with the shards. Each endpoint
-// serves only its shard's registry and flight recorder, with drain-aware
-// probes wired to that daemon — exactly what a production flowtuned process
-// serves on its own -admin port. Torn down by Close.
-func (c *Cluster) ServeShardAdmins(addrs []string) ([]net.Addr, error) {
-	if len(addrs) != len(c.servers) {
-		return nil, fmt.Errorf("cluster: %d admin addrs for %d shards", len(addrs), len(c.servers))
-	}
-	if c.admin.shards != nil {
-		return nil, fmt.Errorf("cluster: shard admin endpoints already serving")
-	}
-	recs := c.AttachFlightRecorders()
-	bound := make([]net.Addr, len(addrs))
-	admins := make([]*telemetry.Admin, len(addrs))
-	for i, srv := range c.servers {
-		reg := telemetry.NewRegistry()
-		srv.RegisterMetrics(reg, telemetry.Label{Key: "shard", Value: strconv.Itoa(i)})
-		adm, err := telemetry.NewAdmin(telemetry.AdminConfig{
-			Registry: reg,
-			Recorder: recs[i],
-			Healthy:  func() bool { return !srv.Closed() },
-			Ready:    func() bool { return !srv.Closed() && !srv.Draining() },
-		})
-		if err == nil {
-			bound[i], err = adm.Start(addrs[i])
-		}
-		if err != nil {
-			for _, started := range admins[:i] {
-				started.Close()
-			}
-			return nil, err
-		}
-		admins[i] = adm
-	}
-	c.admin.shards = admins
-	return bound, nil
-}
-
-// AdminAddrs returns the bound per-shard admin addresses (nil until
-// ServeShardAdmins).
-func (c *Cluster) AdminAddrs() []net.Addr {
-	if c.admin.shards == nil {
-		return nil
-	}
-	out := make([]net.Addr, len(c.admin.shards))
-	for i, adm := range c.admin.shards {
-		out[i] = adm.Addr()
-	}
-	return out
-}
-
-// FlightRecorder returns shard i's flight recorder (nil until an admin
-// surface attached them).
-func (c *Cluster) FlightRecorder(i int) *telemetry.FlightRecorder {
-	if c.admin.recorders == nil {
-		return nil
-	}
-	return c.admin.recorders[i]
 }
 
 // anyAlive reports whether at least one daemon is still open.
@@ -177,16 +91,4 @@ func (c *Cluster) anyAlive() bool {
 		}
 	}
 	return false
-}
-
-// closeAdmins tears down every admin endpoint the cluster started.
-func (c *Cluster) closeAdmins() {
-	if c.admin.cluster != nil {
-		c.admin.cluster.Close()
-		c.admin.cluster = nil
-	}
-	for _, adm := range c.admin.shards {
-		adm.Close()
-	}
-	c.admin.shards = nil
 }

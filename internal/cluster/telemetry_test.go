@@ -113,57 +113,3 @@ func TestClusterAdminAggregated(t *testing.T) {
 		t.Errorf("/healthz = %d with shard 0 draining; want 200", status)
 	}
 }
-
-// TestClusterShardAdmins covers the production shape: one endpoint per
-// daemon, each with its own registry and drain-aware probes.
-func TestClusterShardAdmins(t *testing.T) {
-	topo := testTopo(t)
-	cl, err := New(Config{Topology: topo, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	if _, err := cl.ServeShardAdmins([]string{"127.0.0.1:0"}); err == nil {
-		t.Fatal("addr/shard count mismatch accepted")
-	}
-	addrs, err := cl.ServeShardAdmins([]string{"127.0.0.1:0", "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.AdminAddrs(); len(got) != 2 || got[0].String() != addrs[0].String() {
-		t.Fatalf("AdminAddrs = %v; want %v", got, addrs)
-	}
-
-	// Each shard serves its own labeled registry.
-	for i, addr := range addrs {
-		status, body := clusterGet(t, "http://"+addr.String(), "/metrics")
-		if status != http.StatusOK {
-			t.Fatalf("shard %d /metrics status = %d", i, status)
-		}
-		if err := telemetry.Lint(body); err != nil {
-			t.Fatalf("shard %d lint: %v", i, err)
-		}
-		want := `flowtune_flows{shard="` + []string{"0", "1"}[i] + `"} 0`
-		if !strings.Contains(body, want) {
-			t.Errorf("shard %d /metrics missing %q", i, want)
-		}
-	}
-
-	// Probes are per-daemon: draining shard 1 flips only its own readiness.
-	cl.Drain(1)
-	if status, _ := clusterGet(t, "http://"+addrs[0].String(), "/readyz"); status != http.StatusOK {
-		t.Errorf("shard 0 /readyz = %d; want 200", status)
-	}
-	if status, _ := clusterGet(t, "http://"+addrs[1].String(), "/readyz"); status != http.StatusServiceUnavailable {
-		t.Errorf("shard 1 /readyz = %d; want 503", status)
-	}
-	if status, _ := clusterGet(t, "http://"+addrs[1].String(), "/healthz"); status != http.StatusOK {
-		t.Errorf("shard 1 /healthz = %d; want 200 (draining, not dead)", status)
-	}
-	if err := cl.Kill(0); err != nil {
-		t.Fatal(err)
-	}
-	if status, _ := clusterGet(t, "http://"+addrs[0].String(), "/healthz"); status != http.StatusServiceUnavailable {
-		t.Errorf("shard 0 /healthz = %d after kill; want 503", status)
-	}
-}

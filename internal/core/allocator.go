@@ -43,13 +43,16 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Topology == nil {
 		return c, fmt.Errorf("core: Config.Topology is required")
 	}
+	if !(c.Gamma >= 0) || math.IsInf(c.Gamma, 1) {
+		return c, fmt.Errorf("core: Gamma must be finite and non-negative, got %g", c.Gamma)
+	}
 	if c.Gamma == 0 {
 		c.Gamma = 0.4
 	}
 	if c.UpdateThreshold == 0 {
 		c.UpdateThreshold = 0.01
 	}
-	if c.UpdateThreshold < 0 || c.UpdateThreshold >= 1 {
+	if !(c.UpdateThreshold >= 0 && c.UpdateThreshold < 1) {
 		return c, fmt.Errorf("core: UpdateThreshold must be in [0,1), got %g", c.UpdateThreshold)
 	}
 	return c, nil

@@ -38,6 +38,12 @@ func TestNewAllocatorValidation(t *testing.T) {
 	if _, err := NewAllocator(Config{Topology: simTopo(t), UpdateThreshold: 1.5}); err == nil {
 		t.Error("threshold >= 1 accepted")
 	}
+	for _, bad := range []Config{{UpdateThreshold: math.NaN()}, {Gamma: math.NaN()}, {Gamma: -1}, {Gamma: math.Inf(1)}} {
+		bad.Topology = simTopo(t)
+		if _, err := NewAllocator(bad); err == nil {
+			t.Errorf("Gamma %v, UpdateThreshold %v accepted", bad.Gamma, bad.UpdateThreshold)
+		}
+	}
 	a := newTestAllocator(t, Config{})
 	cfg := a.Config()
 	if cfg.Gamma != 0.4 || cfg.UpdateThreshold != 0.01 {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/affinity"
 	"repro/internal/norm"
 	"repro/internal/num"
 	"repro/internal/topology"
@@ -78,17 +77,11 @@ type flowBlock struct {
 func (fb *flowBlock) numFlows() int { return len(fb.ids) }
 
 // layOut allocates the local link arrays for LinkBlocks of nUp and nDown
-// links, keeping the prices of a previous layout. A pinned worker calls it
-// again from its own OS thread before its first barrier, so first-touch places
-// the merge-phase working set on the worker's local memory node; the barrier's
-// release then publishes the new slice headers to the merge partners. (Only
-// prices outlive an iteration; the rest is rewritten before it is read.)
+// links.
 func (fb *flowBlock) layOut(nUp, nDown int, normalize bool) {
 	fb.downBase = (nUp + cacheLineFloats - 1) &^ (cacheLineFloats - 1)
 	n := fb.downBase + nDown
-	old := fb.price
 	fb.price, fb.load, fb.hdiag = paddedFloats(n), paddedFloats(n), paddedFloats(n)
-	copy(fb.price, old)
 	if normalize {
 		fb.ratio = paddedFloats(n)
 	}
@@ -197,13 +190,6 @@ type ParallelConfig struct {
 	Headroom float64
 	// Normalize enables the parallel F-NORM pass after the price update.
 	Normalize bool
-	// PinWorkers pins each worker goroutine's OS thread to a NUMA socket
-	// (round-robin by worker index) and re-allocates its FlowBlocks' local
-	// link arrays from the pinned thread, so first-touch places the
-	// merge-phase working set on its memory node. Worker 0, the caller of
-	// Iterate, is never pinned (an approximation). A no-op unless built with
-	// the `numa` tag on linux (see internal/affinity).
-	PinWorkers bool
 }
 
 // flowLoc locates a registered flow: the FlowBlock that holds it and its
@@ -301,6 +287,12 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 	}
 	if cfg.Blocks&(cfg.Blocks-1) != 0 {
 		return nil, fmt.Errorf("core: ParallelConfig.Blocks must be a power of two, got %d", cfg.Blocks)
+	}
+	if !(cfg.Gamma >= 0) || math.IsInf(cfg.Gamma, 1) {
+		return nil, fmt.Errorf("core: ParallelConfig.Gamma must be finite and non-negative, got %g", cfg.Gamma)
+	}
+	if !(cfg.Headroom >= 0 && cfg.Headroom < 1) {
+		return nil, fmt.Errorf("core: ParallelConfig.Headroom must be in [0,1), got %g", cfg.Headroom)
 	}
 	part, err := topology.NewBlockPartition(cfg.Topology, cfg.Blocks)
 	if err != nil {
@@ -655,17 +647,6 @@ func (p *ParallelAllocator) Iterate() {
 // worker is the body of the goroutine running shares[w], w ≥ 1.
 func (p *ParallelAllocator) worker(w int) {
 	defer p.wg.Done()
-	if p.cfg.PinWorkers && affinity.Enabled() {
-		// Pin before the first barrier: re-allocating the local link arrays
-		// from the pinned thread makes first-touch place them on the
-		// worker's memory node, and the barrier's release publishes the new
-		// slice headers to the merge partners that read them.
-		if _, err := affinity.PinWorker(w); err == nil {
-			for _, fb := range p.shares[w] {
-				fb.layOut(len(fb.upLoad), len(fb.downLoad), p.cfg.Normalize)
-			}
-		}
-	}
 	for {
 		p.phase.wait() // wait for Iterate (or Close)
 		if p.stop.Load() {

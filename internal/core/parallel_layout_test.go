@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -129,56 +128,6 @@ func TestFlowBlockLocalLinkSpace(t *testing.T) {
 				t.Error("the churn sequence never swap-deleted from the middle of a block's index")
 			}
 		})
-	}
-}
-
-// TestFlowBlockRelayoutKeepsPrices covers what a pinned worker goroutine does
-// to its share before its first barrier on a multi-socket `numa` build, on any
-// machine: laying a
-// FlowBlock's local link arrays out again (first-touch from the worker's own
-// thread) must keep the local prices — the one thing in them that outlives an
-// iteration, and on a pinned link not refreshed from anywhere else until the
-// next distribute step — and re-derive the accumulator views, so the
-// allocation continues bit for bit.
-func TestFlowBlockRelayoutKeepsPrices(t *testing.T) {
-	topo := parallelTestTopo(t, 8)
-	flows := randomParallelFlows(topo.NumServers(), 400, 3)
-	pinned := downLinks(t, topo, 3)
-	var pas [2]*ParallelAllocator
-	for k := range pas {
-		pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 2, Gamma: 0.4, Headroom: 0.01, Normalize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pa.Close()
-		if err := pa.SetFlows(flows); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			pa.Iterate()
-		}
-		pa.PinPrices(pinned, []float64{3.5, 0.25, 0})
-		pas[k] = pa
-	}
-	for _, fb := range pas[1].fbs { // between iterations every worker goroutine waits at the phase barrier
-		fb.layOut(len(fb.upLoad), len(fb.downLoad), true)
-	}
-	for i := 0; i < 5; i++ {
-		for _, pa := range pas {
-			pa.Iterate()
-		}
-		want, got := pas[0].Rates(), pas[1].Rates()
-		for id, w := range want {
-			if math.Float64bits(got[id]) != math.Float64bits(w) {
-				t.Fatalf("iteration %d flow %d: rate %v after the re-layout, %v without", i, id, got[id], w)
-			}
-		}
-		wantP, gotP := pas[0].Prices(), pas[1].Prices()
-		for l, w := range wantP {
-			if math.Float64bits(gotP[l]) != math.Float64bits(w) {
-				t.Fatalf("iteration %d link %d: price %v after the re-layout, %v without", i, l, gotP[l], w)
-			}
-		}
 	}
 }
 

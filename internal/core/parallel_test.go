@@ -42,6 +42,18 @@ func TestNewParallelAllocatorValidation(t *testing.T) {
 	if _, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 16}); err == nil {
 		t.Error("blocks not dividing racks accepted")
 	}
+	// Each numeric bound is written so that a NaN, which compares false both
+	// ways, fails it.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []ParallelConfig{
+		{Gamma: -1}, {Gamma: nan}, {Gamma: inf}, {Gamma: -inf},
+		{Headroom: nan}, {Headroom: -0.01}, {Headroom: 1},
+	} {
+		bad.Topology, bad.Blocks = topo, 1
+		if _, err := NewParallelAllocator(bad); err == nil {
+			t.Errorf("Gamma %v, Headroom %v accepted", bad.Gamma, bad.Headroom)
+		}
+	}
 	pa, err := NewParallelAllocator(ParallelConfig{Topology: topo, Blocks: 4})
 	if err != nil {
 		t.Fatal(err)

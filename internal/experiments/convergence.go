@@ -17,21 +17,16 @@ type ConvergenceConfig struct {
 	// NumFlows is the number of senders (5 in the paper).
 	NumFlows int
 	// StepInterval is the time between flow arrivals/departures (10 ms).
+	// Throughput is measured in transport.ThroughputBucket (100 µs) buckets.
 	StepInterval float64
-	// ThroughputInterval is the measurement bucket width (100 µs).
-	ThroughputInterval float64
-	// Seed seeds randomness (unused by the deterministic scenario but kept
-	// for interface uniformity).
-	Seed int64
 }
 
 // DefaultConvergenceConfig returns the paper's Figure 4 parameters.
 func DefaultConvergenceConfig(s transport.Scheme) ConvergenceConfig {
 	return ConvergenceConfig{
-		Scheme:             s,
-		NumFlows:           5,
-		StepInterval:       10e-3,
-		ThroughputInterval: 100e-6,
+		Scheme:       s,
+		NumFlows:     5,
+		StepInterval: 10e-3,
 	}
 }
 
@@ -58,15 +53,11 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 	if cfg.StepInterval == 0 {
 		cfg.StepInterval = 10e-3
 	}
-	if cfg.ThroughputInterval == 0 {
-		cfg.ThroughputInterval = 100e-6
-	}
 	horizon := cfg.StepInterval * float64(2*cfg.NumFlows)
 	eng, err := transport.NewEngine(transport.EngineConfig{
-		Scheme:             cfg.Scheme,
-		TrackThroughput:    true,
-		ThroughputInterval: cfg.ThroughputInterval,
-		Horizon:            horizon,
+		Scheme:          cfg.Scheme,
+		TrackThroughput: true,
+		Horizon:         horizon,
 	})
 	if err != nil {
 		return nil, err
@@ -99,7 +90,7 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 	}
 	eng.Run(horizon)
 
-	res := &ConvergenceResult{Scheme: cfg.Scheme, Interval: cfg.ThroughputInterval}
+	res := &ConvergenceResult{Scheme: cfg.Scheme, Interval: transport.ThroughputBucket}
 	for i := 0; i < cfg.NumFlows; i++ {
 		ts := eng.FlowThroughput(int64(i))
 		if ts == nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/num"
 	"repro/internal/topology"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -21,10 +22,9 @@ type NormalizationConfig struct {
 	Workload workload.Kind
 	// Duration is the simulated time.
 	Duration float64
-	// Warmup precedes measurement.
+	// Warmup precedes measurement. The optimizer iterates once per
+	// transport.AllocatorPeriod (10 µs) of simulated time.
 	Warmup float64
-	// Iterations per second is fixed by the allocator interval (10 µs).
-	Interval float64
 	// OptimumEvery controls how often (in iterations) the reference
 	// optimal allocation is recomputed for Figure 13 (it requires running
 	// NED to convergence, which is expensive). Default 50.
@@ -42,9 +42,6 @@ func (c NormalizationConfig) withDefaults() NormalizationConfig {
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 1e-3
-	}
-	if c.Interval == 0 {
-		c.Interval = 10e-6
 	}
 	if c.OptimumEvery == 0 {
 		c.OptimumEvery = 50
@@ -203,7 +200,7 @@ func RunOverAllocation(algorithm string, cfg NormalizationConfig) (*OverAllocati
 	var sumOver, maxOver float64
 	var samples int64
 	var normalized []float64
-	for now := 0.0; now < horizon; now += cfg.Interval {
+	for now := 0.0; now < horizon; now += transport.AllocatorPeriod {
 		if err := cs.admit(now); err != nil {
 			return nil, err
 		}
@@ -221,7 +218,7 @@ func RunOverAllocation(algorithm string, cfg NormalizationConfig) (*OverAllocati
 			samples++
 		}
 		normalized = fnorm.Normalize(&cs.prob, st.Rates, normalized)
-		cs.drain(st, normalized, cfg.Interval)
+		cs.drain(st, normalized, transport.AllocatorPeriod)
 	}
 	res := &OverAllocationResult{Algorithm: algorithm, Load: cfg.Load, MaxOverGbps: maxOver / 1e9}
 	if samples > 0 {
@@ -281,7 +278,7 @@ func RunNormalizationComparison(algorithm string, cfg NormalizationConfig) ([]No
 	var samples int64
 	var fRates, uRates []float64
 	iter := 0
-	for now := 0.0; now < horizon; now += cfg.Interval {
+	for now := 0.0; now < horizon; now += transport.AllocatorPeriod {
 		if err := cs.admit(now); err != nil {
 			return nil, err
 		}
@@ -304,7 +301,7 @@ func RunNormalizationComparison(algorithm string, cfg NormalizationConfig) ([]No
 				samples++
 			}
 		}
-		cs.drain(st, fRates, cfg.Interval)
+		cs.drain(st, fRates, transport.AllocatorPeriod)
 	}
 	if samples == 0 {
 		return nil, fmt.Errorf("experiments: no samples collected (duration too short)")

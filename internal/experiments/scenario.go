@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -108,13 +107,6 @@ type ScenarioConfig struct {
 	// daemons' exchange-staleness and solver-loop counters into the
 	// result's Control block.
 	MeasureControlLatency bool
-	// Telemetry attaches a convergence flight recorder to every daemon and
-	// condenses the recorded samples into the result's telemetry block
-	// (objective, price residual, exchange activity, churn — the
-	// deterministic signals; see TelemetryStats). Requires Daemon. Off by
-	// default, so ordinary runs record nothing and their baselines carry no
-	// telemetry block.
-	Telemetry bool
 }
 
 // withDefaults fills unset scenario fields.
@@ -219,9 +211,6 @@ type ScenarioResult struct {
 	// encoding changes. The scaling artifact (BENCH_scaling.json) is where
 	// they are published and diffed.
 	Wire *WireScenarioStats `json:"-"`
-	// Telemetry condenses the flight-recorder traces of a Telemetry run;
-	// nil (omitted) otherwise, so ordinary baselines are unaffected.
-	Telemetry *TelemetryStats `json:"telemetry,omitempty"`
 }
 
 // WireScenarioStats aggregates the daemons' fan-out and exchange byte
@@ -270,42 +259,12 @@ type ControlStats struct {
 	ExchangeBytesFixed int64 `json:"-"`
 }
 
-// TelemetryStats condenses the convergence flight recorders of a Telemetry
-// run: the deterministic convergence signals (objective, price residual,
-// exchange activity, churn), aggregated across shards. Wall-clock latency is
-// deliberately excluded — it would make the block non-reproducible; the
-// latency distribution lives on the admin /metrics histogram instead.
-type TelemetryStats struct {
-	// Samples is the number of flight samples retained across all shards;
-	// TotalSamples counts every sample recorded over the run.
-	Samples      int    `json:"samples"`
-	TotalSamples uint64 `json:"total_samples"`
-	// FinalObjective sums the shards' NUM objective at their last recorded
-	// iteration (0 while non-finite).
-	FinalObjective float64 `json:"final_objective"`
-	// MaxPriceResidual is the largest per-iteration price movement observed
-	// anywhere in the run; FinalPriceResidual the largest across the
-	// shards' last samples — near zero when the run ended converged.
-	MaxPriceResidual   float64 `json:"max_price_residual"`
-	FinalPriceResidual float64 `json:"final_price_residual"`
-	// ChurnEvents and ExchangeFolds sum the recorded per-iteration
-	// boundary activity.
-	ChurnEvents   int64 `json:"churn_events"`
-	ExchangeFolds int64 `json:"exchange_folds"`
-}
-
 // ScenarioResultSchema identifies the current BENCH_*.json layout.
 const ScenarioResultSchema = "flowtune-bench/scenario/v1"
 
-const (
-	// allocatorStepInterval mirrors the engine's default AllocatorInterval
-	// (the paper's 10 µs iteration period); fault-plan steps are defined on
-	// this cadence, and the fluid update-traffic model steps at it.
-	allocatorStepInterval = 10e-6
-	// syntheticFlowIDBase is the flow-ID space of fault-plan synthetic
-	// flowlets, far above any workload trace ID.
-	syntheticFlowIDBase = int64(1) << 40
-)
+// syntheticFlowIDBase is the flow-ID space of fault-plan synthetic flowlets,
+// far above any workload trace ID.
+const syntheticFlowIDBase = int64(1) << 40
 
 // RunScenario executes one scenario end to end: it builds the fabric,
 // generates the flowlet trace, drives the allocator and packet simulator
@@ -389,21 +348,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			engCfg.ExternalAllocator = acli
 		}
 	}
-	// Attach the convergence flight recorders before any traffic, so the
-	// trace covers the run from its first iteration.
-	var flightRecs []*telemetry.FlightRecorder
-	if cfg.Telemetry {
-		if !cfg.Daemon {
-			return nil, fmt.Errorf("experiments: scenario %s: Telemetry requires Daemon", cfg.Name)
-		}
-		if cl != nil {
-			flightRecs = cl.AttachFlightRecorders()
-		} else {
-			rec := telemetry.NewFlightRecorder(0)
-			srv.AttachFlightRecorder(rec)
-			flightRecs = []*telemetry.FlightRecorder{rec}
-		}
-	}
 	eng, err := transport.NewEngine(engCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scenario %s: %w", cfg.Name, err)
@@ -444,7 +388,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		// Traffic events become synthetic flowlets whose arrivals track the
 		// allocator-step cadence and whose IDs are disjoint from the trace's.
-		synthetic = cfg.Faults.SyntheticFlowlets(topo.NumServers(), allocatorStepInterval, syntheticFlowIDBase)
+		synthetic = cfg.Faults.SyntheticFlowlets(topo.NumServers(), transport.AllocatorPeriod, syntheticFlowIDBase)
 	}
 	trace, err := workload.NewTrace(workload.TraceConfig{
 		Pattern:            cfg.Pattern,
@@ -611,32 +555,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 	}
 
-	// Condense the flight-recorder traces of a Telemetry run into the
-	// deterministic convergence summary.
-	if cfg.Telemetry {
-		ts := &TelemetryStats{}
-		for _, rec := range flightRecs {
-			tr := rec.Trace()
-			ts.Samples += len(tr.Samples)
-			ts.TotalSamples += tr.Total
-			for _, s := range tr.Samples {
-				if s.MaxPriceResidual > ts.MaxPriceResidual {
-					ts.MaxPriceResidual = s.MaxPriceResidual
-				}
-				ts.ChurnEvents += int64(s.ChurnEvents)
-				ts.ExchangeFolds += s.ExchangeFolds
-			}
-			if n := len(tr.Samples); n > 0 {
-				last := tr.Samples[n-1]
-				ts.FinalObjective += last.Objective
-				if last.MaxPriceResidual > ts.FinalPriceResidual {
-					ts.FinalPriceResidual = last.MaxPriceResidual
-				}
-			}
-		}
-		res.Telemetry = ts
-	}
-
 	res.GoodputBps = float64((eng.DeliveredBytes()-warmupBytes)*8) / cfg.Duration
 	res.AchievedLoad = res.GoodputBps / (float64(topo.NumServers()) * topo.Config().LinkCapacity)
 	res.DroppedBytes = eng.DroppedBytes()
@@ -685,10 +603,6 @@ func (r *ScenarioResult) Render() string {
 			fmt.Fprintf(&b, "  control wire: fan-out %d B (fixed v3 %d B), exchange %d B (fixed v3 %d B)\n",
 				c.FanoutBytes, c.FanoutBytesFixed, c.ExchangeBytes, c.ExchangeBytesFixed)
 		}
-	}
-	if t := r.Telemetry; t != nil {
-		fmt.Fprintf(&b, "  telemetry: %d samples (%d recorded), final objective %.3f, price residual max %.3g final %.3g, %d churn events, %d folds\n",
-			t.Samples, t.TotalSamples, t.FinalObjective, t.MaxPriceResidual, t.FinalPriceResidual, t.ChurnEvents, t.ExchangeFolds)
 	}
 	return b.String()
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/topology"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -139,7 +140,7 @@ func RunUpdateTraffic(cfg UpdateTrafficConfig) (*UpdateTrafficResult, error) {
 		return nil, err
 	}
 
-	const interval = allocatorStepInterval
+	const interval = transport.AllocatorPeriod
 	horizon := cfg.Warmup + cfg.Duration
 	arrivals := flowletHeap(gen.GenerateUntil(horizon))
 	heap.Init(&arrivals)

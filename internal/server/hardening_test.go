@@ -174,13 +174,22 @@ func TestIdleTimeoutDisconnectsSilentSession(t *testing.T) {
 	cli.Close()
 }
 
-// TestRejectsInvalidLimits pins config validation.
+// TestRejectsInvalidLimits pins config validation. Each numeric bound is
+// written so that a NaN, which compares false both ways, fails it.
 func TestRejectsInvalidLimits(t *testing.T) {
 	topo := testTopology(t)
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, cfg := range []Config{
 		{Topology: topo, MaxSessionFlows: -1},
 		{Topology: topo, MaxFrameRate: -0.5},
+		{Topology: topo, MaxFrameRate: nan},
+		{Topology: topo, MaxFrameRate: inf},
 		{Topology: topo, IdleTimeout: -time.Second},
+		{Topology: topo, Gamma: -1},
+		{Topology: topo, Gamma: nan},
+		{Topology: topo, Gamma: inf},
+		{Topology: topo, UpdateThreshold: nan},
+		{Topology: topo, UpdateThreshold: 1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)

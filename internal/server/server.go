@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -44,12 +45,6 @@ type Config struct {
 	// multi-block shard spans cores while exchanging boundary prices with
 	// its peers.
 	Blocks int
-	// PinWorkers pins the allocator's worker goroutines (all but the
-	// iterating one) to NUMA sockets and first-touches their merge
-	// accumulators node-locally. Only meaningful with more than one worker
-	// and a binary built with the `numa` tag on linux (a no-op otherwise;
-	// see internal/affinity).
-	PinWorkers bool
 	// Epoch identifies this allocator generation in the Hello/Welcome
 	// handshake (default 1). Restarting operators should bump it so
 	// endpoints re-register their flowlets.
@@ -291,14 +286,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.UpdateThreshold == 0 {
 		cfg.UpdateThreshold = 0.01
 	}
-	if cfg.UpdateThreshold < 0 || cfg.UpdateThreshold >= 1 {
+	if !(cfg.UpdateThreshold >= 0 && cfg.UpdateThreshold < 1) {
 		return nil, fmt.Errorf("server: UpdateThreshold must be in [0,1), got %g", cfg.UpdateThreshold)
+	}
+	if !(cfg.Gamma >= 0) || math.IsInf(cfg.Gamma, 1) {
+		return nil, fmt.Errorf("server: Gamma must be finite and non-negative, got %g", cfg.Gamma)
 	}
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
 	}
-	if cfg.MaxSessionFlows < 0 || cfg.MaxFrameRate < 0 || cfg.IdleTimeout < 0 {
-		return nil, fmt.Errorf("server: session limits must be non-negative")
+	if cfg.MaxSessionFlows < 0 || !(cfg.MaxFrameRate >= 0) || math.IsInf(cfg.MaxFrameRate, 1) || cfg.IdleTimeout < 0 {
+		return nil, fmt.Errorf("server: session limits must be finite and non-negative")
 	}
 	if cfg.Gamma == 0 {
 		cfg.Gamma = 0.4
@@ -307,12 +305,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.Blocks = 1
 	}
 	alloc, err := core.NewParallelAllocator(core.ParallelConfig{
-		Topology:   cfg.Topology,
-		Blocks:     cfg.Blocks,
-		Gamma:      cfg.Gamma,
-		Headroom:   cfg.UpdateThreshold,
-		Normalize:  true,
-		PinWorkers: cfg.PinWorkers,
+		Topology:  cfg.Topology,
+		Blocks:    cfg.Blocks,
+		Gamma:     cfg.Gamma,
+		Headroom:  cfg.UpdateThreshold,
+		Normalize: true,
 	})
 	if err != nil {
 		return nil, err

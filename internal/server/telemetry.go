@@ -27,8 +27,8 @@ type serverTelemetry struct {
 	prevFolds, prevStale, prevFanout, prevFanoutFixed int64
 }
 
-// tel returns the server's telemetry state, creating it on first use. Callers
-// must hold s.mu.
+// telLocked returns the server's telemetry state, creating it on first use.
+// Callers must hold s.mu.
 func (s *Server) telLocked() *serverTelemetry {
 	if s.telemetry == nil {
 		s.telemetry = &serverTelemetry{}

@@ -156,26 +156,45 @@ func TestServerMetricsShardLabels(t *testing.T) {
 }
 
 // TestFlightRecorderSamplesChurn drives flowlet churn through a session and
-// checks the flight recorder attributes it to the right iteration.
+// checks the flight recorder attributes it to the right iteration, and that a
+// step-driven daemon's samples are deterministic: a second daemon driven
+// through the same churn records the same samples, wall-clock latency aside.
 func TestFlightRecorderSamplesChurn(t *testing.T) {
 	topo := testTopology(t)
-	srv, cli := startPipeDaemon(t, Config{Topology: topo})
-	defer cli.Close()
-	rec := telemetry.NewFlightRecorder(8)
-	srv.AttachFlightRecorder(rec)
+	var runs [2][]telemetry.FlightSample
+	for k := range runs {
+		srv, cli := startPipeDaemon(t, Config{Topology: topo})
+		rec := telemetry.NewFlightRecorder(8)
+		srv.AttachFlightRecorder(rec)
+		step := func() {
+			t.Helper()
+			if _, err := cli.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cli.FlowletStart(1, 0, 5, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.FlowletStart(2, 3, 9, 1); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		step()
+		step()
+		if err := cli.FlowletEnd(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.FlowletStart(3, 0, 9, 2); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		step()
+		runs[k] = rec.Snapshot()
+	}
 
-	if err := cli.FlowletStart(1, 0, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.FlowletStart(2, 3, 9, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Step(); err != nil {
-		t.Fatal(err)
-	}
-	samples := rec.Snapshot()
-	if len(samples) != 1 {
-		t.Fatalf("got %d samples; want 1", len(samples))
+	samples := runs[0]
+	if len(samples) != 5 {
+		t.Fatalf("got %d samples; want 5", len(samples))
 	}
 	s := samples[0]
 	if s.ChurnEvents != 2 {
@@ -183,5 +202,18 @@ func TestFlightRecorderSamplesChurn(t *testing.T) {
 	}
 	if s.Iteration != 1 || s.Updates != 2 {
 		t.Fatalf("sample = %+v; want iteration 1 with 2 updates", s)
+	}
+	if got := samples[3].ChurnEvents; got != 2 {
+		t.Fatalf("iteration 4 ChurnEvents = %d; want 2 (one end, one add)", got)
+	}
+	if len(runs[1]) != len(samples) {
+		t.Fatalf("second run recorded %d samples; want %d", len(runs[1]), len(samples))
+	}
+	for i := range samples {
+		a, b := runs[0][i], runs[1][i]
+		a.LatencySec, b.LatencySec = 0, 0
+		if a != b {
+			t.Fatalf("sample %d differs between identical runs:\n%+v\n%+v", i, a, b)
+		}
 	}
 }

@@ -58,9 +58,8 @@ func startFlowlet(b AllocatorBackend, id core.FlowID, src, dst int, weight float
 // is one iteration followed by the notify filter, the daemon's own step. The
 // returned updates reuse one buffer and are valid until the next Step.
 type inprocBackend struct {
-	alloc     *core.ParallelAllocator
-	threshold float64
-	updates   []core.RateUpdate
+	alloc   *core.ParallelAllocator
+	updates []core.RateUpdate
 }
 
 func (b *inprocBackend) FlowletStart(id core.FlowID, src, dst int, weight float64) error {
@@ -69,7 +68,7 @@ func (b *inprocBackend) FlowletStart(id core.FlowID, src, dst int, weight float6
 func (b *inprocBackend) FlowletEnd(id core.FlowID) error { return b.alloc.FlowletEnd(id) }
 func (b *inprocBackend) Step() ([]core.RateUpdate, error) {
 	b.alloc.Iterate()
-	b.updates = b.alloc.AppendUpdates(b.threshold, b.updates[:0])
+	b.updates = b.alloc.AppendUpdates(allocatorThreshold, b.updates[:0])
 	return b.updates, nil
 }
 

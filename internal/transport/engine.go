@@ -18,19 +18,10 @@ type EngineConfig struct {
 	// Topology is the fabric to simulate; nil uses the paper's default
 	// simulation topology (9 racks × 16 servers, 4 spines, 10 Gbit/s).
 	Topology *topology.Topology
-	// AllocatorInterval is the Flowtune allocator's iteration period
-	// (default 10 µs, §6.2).
-	AllocatorInterval float64
-	// AllocatorGamma is NED's γ (default 0.4).
-	AllocatorGamma float64
-	// UpdateThreshold is the allocator's rate-update notification
-	// threshold (default 0.01).
-	UpdateThreshold float64
-	// TrackThroughput enables per-flow throughput time series (used by the
-	// Figure 4 convergence experiment).
+	// TrackThroughput enables per-flow throughput time series in
+	// ThroughputBucket-wide buckets (used by the Figure 4 convergence
+	// experiment).
 	TrackThroughput bool
-	// ThroughputInterval is the time-series bucket width (default 100 µs).
-	ThroughputInterval float64
 	// QueueSamplePeriod enables periodic queue sampling when positive
 	// (the paper samples every 1 ms).
 	QueueSamplePeriod float64
@@ -51,6 +42,23 @@ type EngineConfig struct {
 	TrackRateLatency bool
 }
 
+// AllocatorPeriod is the Flowtune allocator's iteration period in seconds
+// (10 µs, §6.2). Fault-plan steps and the fluid update-traffic model run on
+// the same cadence.
+const AllocatorPeriod = 10e-6
+
+// ThroughputBucket is the width in seconds of a TrackThroughput time-series
+// bucket.
+const ThroughputBucket = 100e-6
+
+// The in-process allocator's NED step size γ and its rate-update
+// notification threshold, which is also the fraction of link capacity it
+// withholds as headroom.
+const (
+	allocatorGamma     = 0.4
+	allocatorThreshold = 0.01
+)
+
 // withDefaults fills unset fields.
 func (c EngineConfig) withDefaults() (EngineConfig, error) {
 	if c.Topology == nil {
@@ -59,18 +67,6 @@ func (c EngineConfig) withDefaults() (EngineConfig, error) {
 			return c, err
 		}
 		c.Topology = topo
-	}
-	if c.AllocatorInterval == 0 {
-		c.AllocatorInterval = 10e-6
-	}
-	if c.AllocatorGamma == 0 {
-		c.AllocatorGamma = 0.4
-	}
-	if c.UpdateThreshold == 0 {
-		c.UpdateThreshold = 0.01
-	}
-	if c.ThroughputInterval == 0 {
-		c.ThroughputInterval = 100e-6
 	}
 	return c, nil
 }
@@ -221,7 +217,7 @@ func (e *Engine) AddFlowlet(f workload.Flowlet) error {
 	})
 	c.recordIdx = len(e.records) - 1
 	if e.cfg.TrackThroughput {
-		c.throughput = metrics.NewThroughputSeries(e.cfg.ThroughputInterval, 0)
+		c.throughput = metrics.NewThroughputSeries(ThroughputBucket, 0)
 	}
 	e.conns[f.ID] = c
 	e.sim.At(f.Arrival, func() { c.snd.start(c) })
@@ -249,7 +245,7 @@ func (e *Engine) Run(horizon float64) {
 	}
 	if e.cfg.Scheme == Flowtune && !e.allocRunning {
 		e.allocRunning = true
-		e.sim.Schedule(e.cfg.AllocatorInterval, e.allocatorTick)
+		e.sim.Schedule(AllocatorPeriod, e.allocatorTick)
 	}
 	e.sim.Run(horizon)
 }
@@ -385,15 +381,15 @@ func (e *Engine) setupAllocator() error {
 		alloc, err := core.NewParallelAllocator(core.ParallelConfig{
 			Topology:  e.topo,
 			Blocks:    1,
-			Gamma:     e.cfg.AllocatorGamma,
-			Headroom:  e.cfg.UpdateThreshold,
+			Gamma:     allocatorGamma,
+			Headroom:  allocatorThreshold,
 			Normalize: true,
 		})
 		if err != nil {
 			return err
 		}
 		e.alloc = alloc
-		e.backend = &inprocBackend{alloc: alloc, threshold: e.cfg.UpdateThreshold}
+		e.backend = &inprocBackend{alloc: alloc}
 	}
 	e.ctrlToAlloc = make(map[int][]int32)
 	e.ctrlFromAlloc = make(map[int][]int32)
@@ -531,7 +527,7 @@ func (e *Engine) allocatorTick() {
 		}
 	}
 	if e.sim.Now() < e.cfg.Horizon {
-		e.sim.Schedule(e.cfg.AllocatorInterval, e.allocatorTick)
+		e.sim.Schedule(AllocatorPeriod, e.allocatorTick)
 	}
 }
 
