@@ -65,7 +65,7 @@ type flowBlock struct {
 	// prices are copied in during the distribute step, ratios at the normalize
 	// phase (nil unless the allocator normalizes); loads and Hessian diagonals
 	// are accumulated during the rate update. Each spans whole cache lines
-	// (see paddedFloats) so concurrent writers never false-share.
+	// (see layOut) so concurrent writers never false-share.
 	price, load, hdiag, ratio []float64
 	// The up and down halves of load and hdiag, for the merge rounds, the
 	// LinkBlock owners' price update and BoundaryDigest.
@@ -77,13 +77,30 @@ type flowBlock struct {
 func (fb *flowBlock) numFlows() int { return len(fb.ids) }
 
 // layOut allocates the local link arrays for LinkBlocks of nUp and nDown
-// links.
+// links, carved from one backing array. Each array spans whole cache lines
+// (no two share one) and starts a whole number of lines past the one before,
+// a stride that is never a multiple of half a page: so no two arrays start at
+// the same offset in a 4 KiB page. Allocated one by one, a 3 072-link block's
+// arrays lay exactly six pages apart, and in the rate update every hdiag[l]
+// read followed a store to load[l] with the same low 12 address bits, which
+// the CPU takes for a possible store-to-load dependency (4K aliasing).
 func (fb *flowBlock) layOut(nUp, nDown int, normalize bool) {
 	fb.downBase = (nUp + cacheLineFloats - 1) &^ (cacheLineFloats - 1)
 	n := fb.downBase + nDown
-	fb.price, fb.load, fb.hdiag = paddedFloats(n), paddedFloats(n), paddedFloats(n)
+	lines := (n + cacheLineFloats - 1) &^ (cacheLineFloats - 1)
+	stride := lines + 2*cacheLineFloats
+	for stride%(pageFloats/2) == 0 {
+		stride += cacheLineFloats
+	}
+	arrays := 3
 	if normalize {
-		fb.ratio = paddedFloats(n)
+		arrays = 4
+	}
+	backing := paddedFloats(arrays * stride)
+	carve := func(i int) []float64 { return backing[i*stride : i*stride+n : i*stride+lines] }
+	fb.price, fb.load, fb.hdiag = carve(0), carve(1), carve(2)
+	if normalize {
+		fb.ratio = carve(3)
 	}
 	fb.upLoad, fb.downLoad = fb.load[:nUp], fb.load[fb.downBase:]
 	fb.upHdiag, fb.downHdiag = fb.hdiag[:nUp], fb.hdiag[fb.downBase:]
@@ -353,8 +370,12 @@ func NewParallelAllocator(cfg ParallelConfig) (*ParallelAllocator, error) {
 	return p, nil
 }
 
-// cacheLineFloats is the number of float64 words per 64-byte cache line.
-const cacheLineFloats = 8
+// cacheLineFloats and pageFloats are the number of float64 words per 64-byte
+// cache line and per 4 KiB page.
+const (
+	cacheLineFloats = 8
+	pageFloats      = 512
+)
 
 // paddedFloats allocates a float64 slice of length n whose backing array
 // spans whole cache lines, so per-FlowBlock arrays written concurrently in the

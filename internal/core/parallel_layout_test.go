@@ -141,3 +141,46 @@ func midRow(pa *ParallelAllocator, id FlowID) bool {
 	}
 	return false
 }
+
+// TestFlowBlockArraysDoNotAlias pins layOut's placement of a FlowBlock's
+// local link arrays: each starts on a cache line, none overlaps another, and
+// no two start at the same offset in a 4 KiB page, so a store to load[l]
+// never shares its low 12 address bits with the hdiag[l] read that follows
+// it. The sizes cover the repository benchmark's one-block leaf-spine
+// (1 536 + 1 536 links), strides a whole number of pages apart before the
+// skew, and the ones the skew alone would leave half a page apart.
+func TestFlowBlockArraysDoNotAlias(t *testing.T) {
+	sizes := [][2]int{{1536, 1536}, {1, 0}, {3, 5}, {96, 96}, {1024, 1024}, {2048, 2048}, {112, 120}, {232, 8}, {496, 0}}
+	for up := 0; up < 600; up += 37 {
+		sizes = append(sizes, [2]int{up, 600 - up})
+	}
+	for _, sz := range sizes {
+		for _, normalize := range []bool{false, true} {
+			var fb flowBlock
+			fb.layOut(sz[0], sz[1], normalize)
+			arrays := [][]float64{fb.price, fb.load, fb.hdiag}
+			if normalize {
+				arrays = append(arrays, fb.ratio)
+			}
+			n := fb.downBase + sz[1]
+			for i, a := range arrays {
+				if len(a) != n || cap(a)%cacheLineFloats != 0 {
+					t.Fatalf("%v: array %d has len %d cap %d, want len %d and whole cache lines", sz, i, len(a), cap(a), n)
+				}
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+				if lo%(8*cacheLineFloats) != 0 {
+					t.Fatalf("%v: array %d starts at %#x, inside a cache line", sz, i, lo)
+				}
+				for j, b := range arrays[:i] {
+					blo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+					if lo%4096 == blo%4096 {
+						t.Fatalf("%v: arrays %d and %d start at the same page offset %#x", sz, j, i, lo%4096)
+					}
+					if lo < blo+8*uintptr(cap(b)) && blo < lo+8*uintptr(cap(a)) {
+						t.Fatalf("%v: arrays %d and %d overlap", sz, j, i)
+					}
+				}
+			}
+		}
+	}
+}

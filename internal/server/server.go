@@ -219,13 +219,17 @@ type Server struct {
 	// inbox holds the flowlet events published since the last iteration;
 	// sessions append to it a burst at a time (publish). inboxHigh is the
 	// decaying high-water mark of its length at a drain, which decides
-	// whether the drain keeps its capacity (drainInboxLocked).
+	// whether the drain keeps its capacity (wire.Recycle).
 	inbox     []event
 	inboxHigh int
-	// fanning and updates are iterate's scratch: the sessions whose pmu the
-	// running fan-out pass holds, and the allocator's rate updates.
-	fanning  []*session
+	// held and updates are iterate's scratch: the sessions whose pmu the
+	// running pass (the fold or the fan-out) holds, and the allocator's rate
+	// updates. A step reply is encoded from updates after s.mu is released;
+	// replying is the iteration whose list it is encoding from (0 for none),
+	// which the next iteration leaves to it instead of overwriting.
+	held     []*session
 	updates  []core.RateUpdate
+	replying atomic.Uint64
 	seq      uint64 // iteration counter
 	closed   bool
 	draining bool
@@ -609,18 +613,19 @@ type session struct {
 	done       chan struct{}
 
 	// fanBuf and fanEntries are the writer's reused encode buffer and entry
-	// scratch; replyEntries is the step-reply path's (the two paths run on
+	// scratch; reply is the step-reply path's, the session's updates as
+	// indices into the iteration's update list (the two paths run on
 	// different goroutines). Reusing them pins steady-state fan-out at
 	// 0 allocs/op (see BenchmarkFanoutFlush).
-	fanBuf       []byte
-	fanEntries   []wire.RateEntry
-	replyEntries []wire.RateEntry
+	fanBuf     []byte
+	fanEntries []wire.RateEntry
+	reply      []int32
 
-	// owned are the flowlets this session registered, and fanning marks
-	// that the running iteration's fan-out pass holds pmu. Guarded by
-	// srv.mu.
-	owned   []*flowRec
-	fanning bool
+	// owned are the flowlets this session registered, and held marks that
+	// the running pass of an iteration holds pmu (see Server.hold). Guarded
+	// by srv.mu.
+	owned []*flowRec
+	held  bool
 }
 
 // own and disown keep sess.owned and the record's back-pointers in step.
@@ -995,32 +1000,42 @@ func (sess *session) flushPending() bool {
 	slices.SortFunc(entries, func(a, b wire.RateEntry) int {
 		return cmp.Compare(a.Flow, b.Flow)
 	})
-	sess.fanBuf = sess.srv.appendRateFrames(sess.fanBuf[:0], seq, seq, entries)
+	var enc wire.RateDeltaEncoder
+	sess.fanBuf = sess.srv.appendRateFrames(sess.fanBuf[:0], &enc, seq, seq, len(entries),
+		func(buf []byte, lo, hi int) []byte {
+			for _, e := range entries[lo:hi] {
+				buf = enc.Append(buf, e.Flow, e.Rate)
+			}
+			return buf
+		})
 	_, err := sess.conn.Write(sess.fanBuf)
 	return err == nil
 }
 
-// appendRateFrames appends entries to buf as RateDelta frames, chunked to
-// maxRateDeltaEntries so no frame exceeds the uint24 payload limit. Every
-// chunk carries seq except the last (the only one when entries is empty),
+// appendRateFrames appends n rate entries to buf as RateDelta frames, chunked
+// to maxRateDeltaEntries so no frame exceeds the uint24 payload limit: it
+// begins and ends each frame with enc, and appendEntries appends entries
+// [lo, hi) to the frame with the same encoder, from wherever the caller keeps
+// them. Every chunk carries seq except the last (the only one when n is 0),
 // which carries lastSeq. The frames are counted in the fan-out stats here,
 // before the caller writes them: the write is what hands them to the client,
 // and a client that holds them must find them in Stats.
-func (s *Server) appendRateFrames(buf []byte, seq, lastSeq uint64, entries []wire.RateEntry) []byte {
+func (s *Server) appendRateFrames(buf []byte, enc *wire.RateDeltaEncoder, seq, lastSeq uint64, n int, appendEntries func(buf []byte, lo, hi int) []byte) []byte {
 	n0, frames := len(buf), 0
-	for start := 0; start == 0 || start < len(entries); start += maxRateDeltaEntries {
-		end := min(start+maxRateDeltaEntries, len(entries))
+	for lo := 0; lo == 0 || lo < n; lo += maxRateDeltaEntries {
+		hi := min(lo+maxRateDeltaEntries, n)
 		hdrSeq := seq
-		if end == len(entries) {
+		if hi == n {
 			hdrSeq = lastSeq
 		}
-		buf = wire.AppendRateDelta(buf, hdrSeq, false, entries[start:end])
+		buf = enc.Begin(buf, hdrSeq, false, hi-lo)
+		buf = enc.End(appendEntries(buf, lo, hi))
 		frames++
 	}
 	s.stBatches.Add(int64(frames))
-	s.stUpdates.Add(int64(len(entries)))
+	s.stUpdates.Add(int64(n))
 	s.stFanoutBytes.Add(int64(len(buf) - n0))
-	s.stFanoutFixed.Add(fixedRateBytes(len(entries)))
+	s.stFanoutFixed.Add(fixedRateBytes(n))
 	return buf
 }
 
@@ -1071,6 +1086,12 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 
 	start := time.Now()
 	s.alloc.Iterate()
+	if s.replying.Load() != 0 {
+		// A step reply of an earlier iteration is still encoding from the
+		// list: it keeps it, and this iteration starts a new one.
+		s.updates = nil
+		s.replying.Store(0)
+	}
 	s.updates = s.alloc.AppendUpdates(s.cfg.UpdateThreshold, s.updates[:0])
 	updates := s.updates
 	latency := time.Since(start)
@@ -1085,23 +1106,19 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	// lookup: the stepper's go into its synchronous reply, everyone else's
 	// are queued for their session's writer. Each session's pmu is taken
 	// once for the whole pass and its writer kicked once after it.
-	var entries []wire.RateEntry
+	var reply []int32
 	if stepper != nil {
-		entries = stepper.replyEntries[:0]
+		reply = stepper.reply[:0]
 		stepper.pmu.Lock()
 	}
-	for _, u := range updates {
+	for i, u := range updates {
 		rec := s.recs[u.Slot]
 		owner := rec.owner
 		if owner == nil {
 			continue
 		}
 		if owner != stepper {
-			if !owner.fanning {
-				owner.fanning = true
-				owner.pmu.Lock()
-				s.fanning = append(s.fanning, owner)
-			}
+			s.hold(owner)
 			owner.queue(rec, u.Rate)
 			continue
 		}
@@ -1109,26 +1126,17 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// anything still queued for asynchronous delivery (from interleaved
 		// ticker iterations): withdraw it so the writer cannot emit a stale
 		// rate after the reply.
-		entries = append(entries, wire.RateEntry{Flow: int64(u.Flow), Rate: u.Rate})
+		reply = append(reply, int32(i))
 		if rec.pendIdx >= 0 {
 			stepper.unqueue(rec)
 		}
 	}
-	for i, sess := range s.fanning {
-		sess.pendingSeq = seq
-		sess.fanning = false
-		sess.pmu.Unlock()
-		select {
-		case sess.kick <- struct{}{}:
-		default:
-		}
-		s.fanning[i] = nil
-	}
-	s.fanning = s.fanning[:0]
+	s.release(true, seq)
 
 	if stepper != nil {
 		stepper.pmu.Unlock()
-		stepper.replyEntries = entries
+		stepper.reply = reply
+		s.replying.Store(seq)
 	}
 	var peers []*peerConn
 	if s.shard != nil {
@@ -1149,8 +1157,19 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// them in like asynchronous fan-out); only the final chunk carries
 		// the step-reply barrier. Entries keep the allocator's order: zigzag
 		// flow deltas cost one extra bit for unsorted IDs, never correctness.
-		// Only this session's reader steps it, so wbuf needs no lock.
-		stepper.wbuf = s.appendRateFrames(stepper.wbuf[:0], seq, stepSeq|wire.StepReplyFlag, entries)
+		// Only this session's reader steps it, so wbuf and reply need no
+		// lock, and updates stays this iteration's list until the reply
+		// hands it back.
+		var enc wire.RateDeltaEncoder
+		stepper.wbuf = s.appendRateFrames(stepper.wbuf[:0], &enc, seq, stepSeq|wire.StepReplyFlag, len(reply),
+			func(buf []byte, lo, hi int) []byte {
+				for _, k := range reply[lo:hi] {
+					u := &updates[k]
+					buf = enc.Append(buf, int64(u.Flow), u.Rate)
+				}
+				return buf
+			})
+		s.replying.CompareAndSwap(seq, 0)
 		if err := stepper.write(stepper.wbuf); err != nil {
 			return fmt.Errorf("server: session %d: step reply: %w", stepper.id, err)
 		}
@@ -1163,6 +1182,37 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 // uint24 payload (a variable so tests can exercise chunking without a million
 // flows).
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
+
+// hold takes sess.pmu for the running pass of an iteration (the fold or the
+// fan-out) unless the pass already holds it, so a pass locks each session once
+// however many of its flows it touches. release ends the pass, unlocking every
+// session it took; after the fan-out (fanout set) the rates each one was
+// queued carry seq and its writer is kicked. Called with s.mu held.
+func (s *Server) hold(sess *session) {
+	if !sess.held {
+		sess.held = true
+		sess.pmu.Lock()
+		s.held = append(s.held, sess)
+	}
+}
+
+func (s *Server) release(fanout bool, seq uint64) {
+	for i, sess := range s.held {
+		sess.held = false
+		if fanout {
+			sess.pendingSeq = seq
+		}
+		sess.pmu.Unlock()
+		if fanout {
+			select {
+			case sess.kick <- struct{}{}:
+			default:
+			}
+		}
+		s.held[i] = nil
+	}
+	s.held = s.held[:0]
+}
 
 // drainInboxLocked folds pending flowlet events into the allocator, in arrival
 // order, with duplicate/unknown defense — one flow-index probe per event: an
@@ -1229,27 +1279,13 @@ func (s *Server) drainInboxLocked() {
 			ev.sess.own(rec)
 		}
 	}
-	s.inboxHigh = max(len(s.inbox), s.inboxHigh-s.inboxHigh>>inboxDecayShift)
-	if c := cap(s.inbox); c > inboxMinKeep && c > inboxSlack*s.inboxHigh {
-		s.inbox = nil
-	} else {
-		s.inbox = s.inbox[:0]
-	}
+	s.release(false, 0)
+	// A one-off burst — the set-up's registrations, a reconnecting client's —
+	// is let go about 45 drains after it (20 k events followed by 4 k-event
+	// steps), while a free-running daemon's churn bursts between empty ticks
+	// keep their capacity and append without reallocating.
+	s.inbox = wire.Recycle(s.inbox, &s.inboxHigh)
 }
-
-// A drain keeps the inbox's capacity only while it is within inboxSlack times
-// the high-water mark of recent drains, a mark that loses 1/2^inboxDecayShift
-// of itself at every drain that does not raise it; capacity up to
-// inboxMinKeep events is always kept. So a one-off burst — the set-up's
-// registrations, a reconnecting client's — is let go about 45 drains after it
-// (20 k events followed by 4 k-event steps), while on a free-running daemon
-// bursts separated by up to 20 empty ticks (more when the capacity fits the
-// burst closely) keep the capacity they grew and append without reallocating.
-const (
-	inboxSlack      = 4
-	inboxDecayShift = 5
-	inboxMinKeep    = 1024
-)
 
 // admissibleLocked applies the daemon's own admission rules to an add the
 // allocator does not hold, counting a refusal; the allocator's rules (route
@@ -1315,18 +1351,18 @@ func (s *Server) admitLocked(id core.FlowID, src, dst int, weight float64) (*flo
 // out of the flow table, out of its owner's set, and any undelivered rate
 // withdrawn. That leaves the record unreachable (only its owner's pending list
 // ever holds it outside s.mu), so it is recycled; callers must not touch it
-// afterwards. Called with s.mu held.
+// afterwards. The owner's pmu stays held until the fold's release. Called with
+// s.mu held.
 func (s *Server) retireLocked(slot int32) {
 	s.alloc.EndSlot(slot)
 	rec := s.recs[slot]
 	s.recs[slot] = nil
 	if owner := rec.owner; owner != nil {
 		owner.disown(rec)
-		owner.pmu.Lock()
+		s.hold(owner)
 		if rec.pendIdx >= 0 {
 			owner.unqueue(rec)
 		}
-		owner.pmu.Unlock()
 	}
 	s.freeRecs = append(s.freeRecs, rec)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -61,6 +62,68 @@ func startPipeDaemon(t *testing.T, cfg Config) (*Server, *transport.AllocClient)
 	}
 	t.Cleanup(func() { cli.Close() })
 	return srv, cli
+}
+
+// TestConcurrentStepReplies steps three sessions of one daemon from their own
+// goroutines, so one session's iteration runs while another's step reply is
+// still being encoded from the update list it surfaced. Every update a
+// session receives must be for a flow it registered: a reply encoded from a
+// list a later iteration had overwritten would carry other sessions' flows
+// (and the race detector sees the overwrite).
+func TestConcurrentStepReplies(t *testing.T) {
+	topo := testTopology(t)
+	srv, err := New(Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const clients, resident, steps, idSpan = 3, 60, 80, 1 << 20
+	n := topo.NumServers()
+	var wg sync.WaitGroup
+	for c := 1; c <= clients; c++ {
+		clientEnd, serverEnd := net.Pipe()
+		go srv.ServeConn(serverEnd)
+		cli, err := transport.NewAllocClient(clientEnd, uint64(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			base := core.FlowID(c * idSpan)
+			oldest, next := base, base
+			start := func() {
+				src := int(next) % n
+				if err := cli.FlowletStart(next, src, (src+1+int(next)/n)%n, 1); err != nil {
+					t.Error(err)
+				}
+				next++
+			}
+			for next < base+resident {
+				start()
+			}
+			for i := 0; i < steps; i++ {
+				if err := cli.FlowletEnd(oldest); err != nil {
+					t.Error(err)
+				}
+				oldest++
+				start()
+				ups, err := cli.Step()
+				if err != nil {
+					t.Errorf("client %d step %d: %v", c, i, err)
+					return
+				}
+				for _, u := range ups {
+					if u.Flow < base || u.Flow >= next {
+						t.Errorf("client %d step %d: received a rate for flow %d, not one of its own", c, i, u.Flow)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDaemonMatchesInProcessAllocator is the end-to-end determinism check:

@@ -203,8 +203,8 @@ func TestFlowRecordFanout(t *testing.T) {
 	if got := pendingIDs(b); !slices.Equal(got, []core.FlowID{3, 4}) || len(connB.frames) != 0 {
 		t.Fatalf("B pending = %v with %d frames written, want [3 4] and none", got, len(connB.frames))
 	}
-	if len(b.kick) != 1 || b.pendingSeq != srv.seq || b.fanning || len(srv.fanning) != 0 {
-		t.Fatalf("after the pass: %d kicks, pendingSeq %d (iteration %d), fanning %v", len(b.kick), b.pendingSeq, srv.seq, b.fanning)
+	if len(b.kick) != 1 || b.pendingSeq != srv.seq || b.held || len(srv.held) != 0 {
+		t.Fatalf("after the pass: %d kicks, pendingSeq %d (iteration %d), held %v", len(b.kick), b.pendingSeq, srv.seq, b.held)
 	}
 
 	// Ending flow 3 withdraws its undelivered rate; flow 4's survives the

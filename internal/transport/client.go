@@ -86,8 +86,12 @@ type AllocClient struct {
 	sc   *wire.Scanner
 	id   uint64 // client label from the Hello handshake
 
-	wbuf []byte // buffered outgoing frames
-	seq  uint64 // step sequence counter
+	// wbuf buffers outgoing frames; wbufHigh is the decaying high-water
+	// mark of its length at a write, which decides whether the write keeps
+	// its capacity (wire.Recycle), so a set-up burst's is let go.
+	wbuf     []byte
+	wbufHigh int
+	seq      uint64 // step sequence counter
 
 	epoch    uint64
 	interval time.Duration
@@ -115,7 +119,6 @@ type AllocClient struct {
 	regs     []flowReg
 	freeRegs []int32
 	updates  []core.RateUpdate // reused across Step calls
-	delta    wire.RateDelta    // scratch for RateDelta decoding
 }
 
 // flowReg is the client-side record of one registered flowlet.
@@ -400,7 +403,7 @@ func (c *AllocClient) Flush() error {
 		return nil
 	}
 	_, err := c.conn.Write(c.wbuf)
-	c.wbuf = c.wbuf[:0]
+	c.wbuf = wire.Recycle(c.wbuf, &c.wbufHigh)
 	if err != nil {
 		return fmt.Errorf("transport: allocator flush: %w", err)
 	}
@@ -441,7 +444,7 @@ func (c *AllocClient) step() ([]core.RateUpdate, error) {
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return nil, fmt.Errorf("transport: allocator step: %w", err)
 	}
-	c.wbuf = c.wbuf[:0]
+	c.wbuf = wire.Recycle(c.wbuf, &c.wbufHigh)
 
 	c.updates = c.updates[:0]
 	want := c.seq | wire.StepReplyFlag
@@ -475,10 +478,11 @@ func (c *AllocClient) Recv(timeout time.Duration) ([]core.RateUpdate, uint64, er
 }
 
 // readBatch reads the next RateDelta frame (quantized or lossless; the decoder
-// expands either back to absolute rates), appends its decoded updates to
-// c.updates, and returns the frame's sequence word. An EpochNotify push
-// interrupts the read with ErrEpochChanged after recording the new epoch;
-// anything else the daemon never sends after the handshake.
+// expands either back to absolute rates), decodes its updates straight onto
+// c.updates, and returns the frame's sequence word; a malformed frame appends
+// none. An EpochNotify push interrupts the read with ErrEpochChanged after
+// recording the new epoch; anything else the daemon never sends after the
+// handshake.
 func (c *AllocClient) readBatch() (uint64, error) {
 	typ, payload, err := c.sc.Next()
 	if err != nil {
@@ -486,13 +490,19 @@ func (c *AllocClient) readBatch() (uint64, error) {
 	}
 	switch typ {
 	case wire.TypeRateDelta:
-		if err := wire.DecodeRateDelta(payload, &c.delta); err != nil {
+		var dec wire.RateDeltaDecoder
+		if err := dec.Reset(payload); err != nil {
 			return 0, fmt.Errorf("transport: %w", err)
 		}
-		for _, e := range c.delta.Entries {
+		n0 := len(c.updates)
+		for e, ok := dec.Next(); ok; e, ok = dec.Next() {
 			c.updates = append(c.updates, core.RateUpdate{Flow: core.FlowID(e.Flow), Rate: e.Rate})
 		}
-		return c.delta.Seq, nil
+		if err := dec.Err(); err != nil {
+			c.updates = c.updates[:n0]
+			return 0, fmt.Errorf("transport: %w", err)
+		}
+		return dec.Seq, nil
 	case wire.TypeEpochNotify:
 		m, err := wire.DecodeEpochNotify(payload)
 		if err != nil {

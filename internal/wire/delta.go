@@ -191,7 +191,30 @@ type RateDelta struct {
 // zigzag-encoded deltas so any order round-trips. len(entries) must not
 // exceed MaxRateDeltaEntries.
 func AppendRateDelta(buf []byte, seq uint64, quantized bool, entries []RateEntry) []byte {
-	start := len(buf)
+	var enc RateDeltaEncoder
+	buf = enc.Begin(buf, seq, quantized, len(entries))
+	for _, e := range entries {
+		buf = enc.Append(buf, e.Flow, e.Rate)
+	}
+	return enc.End(buf)
+}
+
+// RateDeltaEncoder appends one RateDelta frame an entry at a time, so a
+// sender encodes straight from wherever its rates live: Begin appends the
+// header with the entry count, Append one entry per call, and End back-fills
+// the frame length. Exactly n entries must be appended between Begin and End.
+// The zero value is ready for Begin, and Begin resets it.
+type RateDeltaEncoder struct {
+	start, left int
+	quantized   bool
+	prevFlow    int64
+	prevBits    uint64
+}
+
+// Begin appends the header of a RateDelta frame carrying n entries; n must
+// not exceed MaxRateDeltaEntries.
+func (enc *RateDeltaEncoder) Begin(buf []byte, seq uint64, quantized bool, n int) []byte {
+	*enc = RateDeltaEncoder{start: len(buf), left: n, quantized: quantized}
 	buf = appendHeader(buf, TypeRateDelta, 0)
 	var flags byte
 	if quantized {
@@ -203,25 +226,69 @@ func AppendRateDelta(buf []byte, seq uint64, quantized bool, entries []RateEntry
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	var prevFlow int64
-	var prevBits uint64
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, zigzag(e.Flow-prevFlow))
-		prevFlow = e.Flow
-		if quantized {
-			buf = binary.AppendUvarint(buf, quantizeRate(e.Rate))
-		} else {
-			b := math.Float64bits(e.Rate)
-			buf = appendXorFloat(buf, b, prevBits)
-			prevBits = b
-		}
+	return binary.AppendUvarint(buf, uint64(n))
+}
+
+// Append appends one entry: its flow as a zigzag delta against the previous
+// entry's, its rate xor-compressed against the previous rate (or as uvarint
+// Mbps in the quantized mode).
+func (enc *RateDeltaEncoder) Append(buf []byte, flow int64, rate float64) []byte {
+	enc.left--
+	buf = binary.AppendUvarint(buf, zigzag(flow-enc.prevFlow))
+	enc.prevFlow = flow
+	if enc.quantized {
+		return binary.AppendUvarint(buf, quantizeRate(rate))
 	}
-	return patchFrameLen(buf, start)
+	b := math.Float64bits(rate)
+	buf = appendXorFloat(buf, b, enc.prevBits)
+	enc.prevBits = b
+	return buf
+}
+
+// End completes the frame. It panics when the entries appended do not match
+// the count Begin wrote: the frame would desynchronize the stream.
+func (enc *RateDeltaEncoder) End(buf []byte) []byte {
+	if enc.left != 0 {
+		panic(fmt.Sprintf("wire: rate-delta entries appended differ by %d from the count Begin wrote", -enc.left))
+	}
+	return patchFrameLen(buf, enc.start)
 }
 
 // DecodeRateDelta decodes a RateDelta payload into d, reusing d.Entries.
 func DecodeRateDelta(p []byte, d *RateDelta) error {
+	var dec RateDeltaDecoder
+	if err := dec.Reset(p); err != nil {
+		return err
+	}
+	d.Seq, d.Quantized = dec.Seq, dec.Quantized
+	d.Entries = d.Entries[:0]
+	for e, ok := dec.Next(); ok; e, ok = dec.Next() {
+		d.Entries = append(d.Entries, e)
+	}
+	return dec.Err()
+}
+
+// RateDeltaDecoder decodes a RateDelta payload an entry at a time, so a
+// receiver puts each rate straight where it keeps them. Reset parses the
+// header; then Next yields the entries in order until it reports false, and
+// Err tells a complete, canonical payload (nil) from a malformed one. A
+// RateDeltaDecoder aliases the payload it was reset to.
+type RateDeltaDecoder struct {
+	// Seq and Quantized are the header's, as in RateDelta.
+	Seq       uint64
+	Quantized bool
+
+	p        []byte // the undecoded rest of the payload
+	i, count uint64
+	prevFlow int64
+	prevBits uint64
+	err      error
+}
+
+// Reset parses the header of RateDelta payload p and readies the decoder
+// for its entries.
+func (dec *RateDeltaDecoder) Reset(p []byte) error {
+	*dec = RateDeltaDecoder{}
 	if len(p) < 1 {
 		return fmt.Errorf("wire: rate-delta payload is empty")
 	}
@@ -229,7 +296,7 @@ func DecodeRateDelta(p []byte, d *RateDelta) error {
 	if flags&^(RateDeltaQuantized|RateDeltaStepReply) != 0 {
 		return fmt.Errorf("wire: rate-delta has unknown flags %#x", flags)
 	}
-	d.Quantized = flags&RateDeltaQuantized != 0
+	dec.Quantized = flags&RateDeltaQuantized != 0
 	p = p[1:]
 	seq, n, err := uvarint(p)
 	if err != nil {
@@ -239,9 +306,9 @@ func DecodeRateDelta(p []byte, d *RateDelta) error {
 		return fmt.Errorf("wire: rate-delta seq %#x collides with the step-reply bit", seq)
 	}
 	p = p[n:]
-	d.Seq = seq
+	dec.Seq = seq
 	if flags&RateDeltaStepReply != 0 {
-		d.Seq |= StepReplyFlag
+		dec.Seq |= StepReplyFlag
 	}
 	count, n, err := uvarint(p)
 	if err != nil {
@@ -251,43 +318,59 @@ func DecodeRateDelta(p []byte, d *RateDelta) error {
 	if count > uint64(len(p)) { // every entry takes >= 2 bytes
 		return fmt.Errorf("wire: rate-delta declares %d entries in %d bytes", count, len(p))
 	}
-	d.Entries = d.Entries[:0]
-	var prevFlow int64
-	var prevBits uint64
-	for i := uint64(0); i < count; i++ {
-		u, n, err := uvarint(p)
-		if err != nil {
-			return fmt.Errorf("wire: rate-delta entry %d flow: %w", i, err)
-		}
-		p = p[n:]
-		prevFlow += unzigzag(u)
-		var rate float64
-		if d.Quantized {
-			q, n, err := uvarint(p)
-			if err != nil {
-				return fmt.Errorf("wire: rate-delta entry %d rate: %w", i, err)
-			}
-			if q > maxQuantized {
-				return fmt.Errorf("wire: rate-delta entry %d quantized rate %d exceeds %d Mbps", i, q, uint64(maxQuantized))
-			}
-			p = p[n:]
-			rate = dequantizeRate(q)
-		} else {
-			b, n, err := xorFloat(p, prevBits)
-			if err != nil {
-				return fmt.Errorf("wire: rate-delta entry %d rate: %w", i, err)
-			}
-			p = p[n:]
-			prevBits = b
-			rate = math.Float64frombits(b)
-		}
-		d.Entries = append(d.Entries, RateEntry{Flow: prevFlow, Rate: rate})
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("wire: rate-delta has %d trailing bytes", len(p))
-	}
+	dec.p, dec.count = p, count
 	return nil
 }
+
+// Next decodes the next entry. It reports false once every entry has been
+// decoded, or at the first malformed one; Err then tells which.
+func (dec *RateDeltaDecoder) Next() (RateEntry, bool) {
+	if dec.i == dec.count || dec.err != nil {
+		if dec.err == nil && len(dec.p) != 0 {
+			dec.err = fmt.Errorf("wire: rate-delta has %d trailing bytes", len(dec.p))
+		}
+		return RateEntry{}, false
+	}
+	p := dec.p
+	u, n, err := uvarint(p)
+	if err != nil {
+		dec.err = fmt.Errorf("wire: rate-delta entry %d flow: %w", dec.i, err)
+		return RateEntry{}, false
+	}
+	p = p[n:]
+	dec.prevFlow += unzigzag(u)
+	var rate float64
+	if dec.Quantized {
+		q, n, err := uvarint(p)
+		if err != nil {
+			dec.err = fmt.Errorf("wire: rate-delta entry %d rate: %w", dec.i, err)
+			return RateEntry{}, false
+		}
+		if q > maxQuantized {
+			dec.err = fmt.Errorf("wire: rate-delta entry %d quantized rate %d exceeds %d Mbps", dec.i, q, uint64(maxQuantized))
+			return RateEntry{}, false
+		}
+		p = p[n:]
+		rate = dequantizeRate(q)
+	} else {
+		b, n, err := xorFloat(p, dec.prevBits)
+		if err != nil {
+			dec.err = fmt.Errorf("wire: rate-delta entry %d rate: %w", dec.i, err)
+			return RateEntry{}, false
+		}
+		p = p[n:]
+		dec.prevBits = b
+		rate = math.Float64frombits(b)
+	}
+	dec.p = p
+	dec.i++
+	return RateEntry{Flow: dec.prevFlow, Rate: rate}, true
+}
+
+// Err returns the first decoding error — a malformed entry, or bytes left
+// after the last one — once Next has reported false, and nil for a payload
+// decoded whole.
+func (dec *RateDeltaDecoder) Err() error { return dec.err }
 
 // ---------------------------------------------------------------------------
 // PriceDigestDelta.

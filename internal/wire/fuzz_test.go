@@ -133,9 +133,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				}
 				reenc = AppendTakeover(nil, m)
 			case TypeRateDelta:
+				// The slice decoder, the entry-at-a-time one and the
+				// reference agree on every payload.
 				var d RateDelta
-				if err := DecodeRateDelta(payload, &d); err != nil {
+				err := DecodeRateDelta(payload, &d)
+				_, streamed, serr := streamRateDelta(payload, nil)
+				seq, quantized, ref, ok := refDecodeRateDelta(payload)
+				if (err == nil) != ok || (serr == nil) != ok {
+					t.Fatalf("rate-delta %x: DecodeRateDelta %v, streamed %v, reference accepts %v", payload, err, serr, ok)
+				}
+				if !ok {
 					break
+				}
+				if seq != d.Seq || quantized != d.Quantized || !sameEntries(streamed, d.Entries) || !sameEntries(ref, d.Entries) {
+					t.Fatalf("rate-delta %x: decoders disagree on the entries", payload)
 				}
 				reenc = AppendRateDelta(nil, d.Seq, d.Quantized, d.Entries)
 			case TypePriceDigestDelta:

@@ -113,6 +113,31 @@ func checkGolden(t *testing.T, what string, got []byte, wantHex string) {
 	}
 }
 
+// badXorFloats are the xor-float encodings a decoder must reject, at the end
+// of a payload and followed by unrelated bytes.
+var badXorFloats = func() []struct {
+	name string
+	p    []byte
+} {
+	tail := []byte{0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee}
+	return []struct {
+		name string
+		p    []byte
+	}{
+		{"empty", nil},
+		{"length-9", append([]byte{9}, tail...)},
+		{"length-255", append([]byte{255}, tail...)},
+		{"truncated-1", []byte{1}},
+		{"truncated-3", []byte{3, 1, 2}},
+		{"truncated-8", []byte{8, 1, 2, 3, 4, 5, 6, 7}},
+		{"non-minimal-1", []byte{1, 0}},
+		{"non-minimal-3-at-end", []byte{3, 1, 2, 0}},
+		{"non-minimal-3-before-tail", append([]byte{3, 1, 2, 0}, tail...)},
+		{"non-minimal-8-at-end", []byte{8, 1, 2, 3, 4, 5, 6, 7, 0}},
+		{"non-minimal-8-before-tail", append([]byte{8, 1, 2, 3, 4, 5, 6, 7, 0}, tail...)},
+	}
+}()
+
 // TestXorFloatBoundaries drives the xor-float coder at the edges a
 // word-at-a-time implementation must respect: values at the very end of a
 // payload (fewer than eight bytes after the length byte), values followed by
@@ -149,22 +174,7 @@ func TestXorFloatBoundaries(t *testing.T) {
 			t.Errorf("%s: appendXorFloat = %x, want aa%x", tc.name, enc, tc.p[:n])
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		p    []byte
-	}{
-		{"empty", nil},
-		{"length-9", append([]byte{9}, tail...)},
-		{"length-255", append([]byte{255}, tail...)},
-		{"truncated-1", []byte{1}},
-		{"truncated-3", []byte{3, 1, 2}},
-		{"truncated-8", []byte{8, 1, 2, 3, 4, 5, 6, 7}},
-		{"non-minimal-1", []byte{1, 0}},
-		{"non-minimal-3-at-end", []byte{3, 1, 2, 0}},
-		{"non-minimal-3-before-tail", append([]byte{3, 1, 2, 0}, tail...)},
-		{"non-minimal-8-at-end", []byte{8, 1, 2, 3, 4, 5, 6, 7, 0}},
-		{"non-minimal-8-before-tail", append([]byte{8, 1, 2, 3, 4, 5, 6, 7, 0}, tail...)},
-	} {
+	for _, tc := range badXorFloats {
 		if got, n, err := xorFloat(tc.p, prev); err == nil {
 			t.Errorf("%s: xorFloat(%x) = (%#x, %d), want an error", tc.name, tc.p, got, n)
 		}

@@ -779,3 +779,28 @@ func (s *Scanner) fill(need int) error {
 	}
 	return err
 }
+
+// Recycle empties a buffer that is filled and drained in rounds — an
+// endpoint's outgoing frames, a daemon's inbox of decoded events — for the
+// next round, and lets go of its capacity after a one-off burst. *high is the
+// buffer's high-water mark of len(s) at a drain, which loses 1/2^recycleDecay
+// of itself at every drain that does not raise it. The buffer keeps its
+// capacity while that is within recycleSlack times the mark, and always up to
+// recycleMinKeep elements; otherwise Recycle returns a new buffer with room
+// for the round just drained, so a like-sized next round appends without
+// growing it. So a set-up burst five times a round's size is let go about 45
+// rounds later, while bursts separated by up to 20 empty rounds (more when the
+// capacity fits the burst closely) keep the capacity they grew.
+func Recycle[S ~[]E, E any](s S, high *int) S {
+	*high = max(len(s), *high-*high>>recycleDecay)
+	if c := cap(s); c > recycleMinKeep && c > recycleSlack**high {
+		return make(S, 0, len(s))
+	}
+	return s[:0]
+}
+
+const (
+	recycleSlack   = 4
+	recycleDecay   = 5
+	recycleMinKeep = 1024
+)

@@ -13,8 +13,8 @@ import (
 )
 
 // maxResidentBytesPerFlow bounds TestResidentBytesPerFlow's figure, about 10%
-// above the 431 B measured on linux/amd64 with go1.24.
-const maxResidentBytesPerFlow = 475
+// above the 356 B measured on linux/amd64 with go1.24.
+const maxResidentBytesPerFlow = 392
 
 // TestResidentBytesPerFlow pins what a live flow costs in memory, daemon and
 // client together, in the repository benchmark's churn-20k set-up: a daemon
