@@ -211,7 +211,7 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{"-takeover", "-serve-for", "1ms", "-listen", "127.0.0.1:0"}, &out); err == nil {
 		t.Error("-takeover without -shard accepted")
 	}
-	for _, bad := range []string{"-gamma=NaN", "-gamma=-1", "-gamma=+Inf", "-threshold=NaN", "-max-frame-rate=NaN"} {
+	for _, bad := range []string{"-gamma=NaN", "-gamma=-1", "-gamma=+Inf", "-threshold=NaN", "-max-frame-rate=NaN", "-interval=-1ms", "-heartbeat-timeout=-1s"} {
 		if err := run([]string{bad, "-serve-for", "1ms", "-listen", "127.0.0.1:0"}, &out); err == nil {
 			t.Errorf("%s accepted", bad)
 		}

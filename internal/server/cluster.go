@@ -60,7 +60,7 @@ type exchangeMsg struct {
 // record of the daemon itself holds no imports.
 type peerState struct {
 	// conn is the outbound connection to the daemon, nil while none is
-	// attached. Guarded by pmu.
+	// attached. Guarded by connMu.
 	conn *peerConn
 
 	// dead marks the daemon known dead (adopted or announced). links lists
@@ -133,7 +133,6 @@ const peerExchangeTimeout = 2 * time.Second
 type shardState struct {
 	smap     *topology.ShardMap
 	index    int
-	alloc    *core.ParallelAllocator
 	numLinks int
 	takeover bool
 	interval time.Duration
@@ -167,8 +166,8 @@ type shardState struct {
 	// observe bundles in iteration order.
 	sendMu sync.Mutex
 
-	// pmu guards the records' outbound connections.
-	pmu sync.Mutex
+	// connMu guards the records' outbound connections.
+	connMu sync.Mutex
 
 	// inMu guards pending, the inbound messages awaiting fold; drain is
 	// the swap buffer that keeps free-running folds allocation-free. It
@@ -186,7 +185,7 @@ type shardState struct {
 
 // newShardState validates the sharded configuration and prepares the
 // exchange state.
-func newShardState(cfg Config, alloc *core.ParallelAllocator) (*shardState, error) {
+func newShardState(cfg Config) (*shardState, error) {
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.NumShards {
 		return nil, fmt.Errorf("server: ShardIndex %d out of range for %d shards", cfg.ShardIndex, cfg.NumShards)
 	}
@@ -198,7 +197,6 @@ func newShardState(cfg Config, alloc *core.ParallelAllocator) (*shardState, erro
 	st := &shardState{
 		smap:     smap,
 		index:    cfg.ShardIndex,
-		alloc:    alloc,
 		numLinks: numLinks,
 		takeover: cfg.Takeover,
 		interval: cfg.Interval,
@@ -297,8 +295,8 @@ func (st *shardState) storeReplica(fs wire.FlowState) {
 
 // closePeers tears down every outbound peer connection.
 func (st *shardState) closePeers() {
-	st.pmu.Lock()
-	defer st.pmu.Unlock()
+	st.connMu.Lock()
+	defer st.connMu.Unlock()
 	for i := range st.peers {
 		if pc := st.peers[i].conn; pc != nil {
 			pc.conn.Close()
@@ -323,7 +321,7 @@ func (s *Server) ConnectPeer(conn net.Conn) (int, error) {
 		conn.Close()
 		return -1, fmt.Errorf("server: ConnectPeer on an unsharded daemon")
 	}
-	if s.isClosed() {
+	if s.Closed() {
 		conn.Close()
 		return -1, net.ErrClosed
 	}
@@ -375,15 +373,15 @@ func (s *Server) ConnectPeer(conn net.Conn) (int, error) {
 		digestShadow: make([][2]uint64, s.shard.numLinks),
 		snapShadow:   make([]uint64, s.shard.numLinks),
 	}
-	s.shard.pmu.Lock()
+	s.shard.connMu.Lock()
 	p := &s.shard.peers[pc.shard]
 	old := p.conn
 	p.conn = pc
-	s.shard.pmu.Unlock()
+	s.shard.connMu.Unlock()
 	if old != nil {
 		old.conn.Close()
 	}
-	s.logf("peer shard %d connected (epoch %d)", pc.shard, reply.Epoch)
+	s.log("peer shard %d connected (epoch %d)", pc.shard, reply.Epoch)
 	return pc.shard, nil
 }
 
@@ -394,8 +392,8 @@ func (s *Server) HasPeer(shard int) bool {
 	if s.shard == nil {
 		return false
 	}
-	s.shard.pmu.Lock()
-	defer s.shard.pmu.Unlock()
+	s.shard.connMu.Lock()
+	defer s.shard.connMu.Unlock()
 	return shard >= 0 && shard < len(s.shard.peers) && s.shard.peers[shard].conn != nil
 }
 
@@ -421,8 +419,8 @@ func (s *Server) Peers() []int {
 	if s.shard == nil {
 		return nil
 	}
-	s.shard.pmu.Lock()
-	defer s.shard.pmu.Unlock()
+	s.shard.connMu.Lock()
+	defer s.shard.connMu.Unlock()
 	var out []int
 	for shard := range s.shard.peers {
 		if s.shard.peers[shard].conn != nil {
@@ -438,18 +436,18 @@ func (s *Server) Peers() []int {
 func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	st := s.shard
 	var peers []*peerConn
-	st.pmu.Lock()
+	st.connMu.Lock()
 	for i := range st.peers {
 		if pc := st.peers[i].conn; pc != nil {
 			peers = append(peers, pc)
 		}
 	}
-	st.pmu.Unlock()
+	st.connMu.Unlock()
 	if len(peers) == 0 {
 		return nil
 	}
 
-	st.alloc.LinkPrices(st.boundary, st.snapPrices)
+	s.loop.alloc.LinkPrices(st.boundary, st.snapPrices)
 	epoch := s.Epoch()
 	// Takeover mode: replicate this daemon's live flows to its successor in
 	// every bundle, so the successor always holds the state it would need to
@@ -457,7 +455,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 	var replica []core.ParallelFlow
 	successor := -1
 	if st.takeover {
-		replica = s.alloc.LiveFlows()
+		replica = s.loop.alloc.LiveFlows()
 		successor = st.successorOf(st.index)
 	}
 	announce := st.announce
@@ -470,7 +468,7 @@ func (s *Server) buildExchangeLocked(seq uint64) []*peerConn {
 		}
 		loads := st.digestLoads[:len(remote)]
 		hdiag := st.digestHdiag[:len(remote)]
-		st.alloc.BoundaryDigest(remote, loads, hdiag)
+		s.loop.alloc.BoundaryDigest(remote, loads, hdiag)
 		buf := pc.appendDigestDelta(pc.buf[:0], seq, uint32(st.index), remote, loads, hdiag)
 		exchBytes := len(buf)
 		if st.takeover {
@@ -594,13 +592,13 @@ func fixedExchangeBytes(nRemote, nBoundary int) int64 {
 // changes, which changes the links bundles cover: a delta compares only the
 // shadows its connection's last reset wrote (see peerConn).
 func (st *shardState) markResyncPeers() {
-	st.pmu.Lock()
+	st.connMu.Lock()
 	for i := range st.peers {
 		if pc := st.peers[i].conn; pc != nil {
 			pc.needReset = true
 		}
 	}
-	st.pmu.Unlock()
+	st.connMu.Unlock()
 }
 
 // sendExchange pushes the prepared bundles and waits for each peer's ack
@@ -659,16 +657,16 @@ func (s *Server) pushBundle(pc *peerConn) error {
 // inbound EOFs — is what keeps step-driven cluster runs deterministic.
 func (s *Server) dropPeer(pc *peerConn, err error) {
 	st := s.shard
-	st.pmu.Lock()
+	st.connMu.Lock()
 	if p := &st.peers[pc.shard]; p.conn == pc {
 		p.conn = nil
 	}
-	st.pmu.Unlock()
+	st.connMu.Unlock()
 	pc.conn.Close()
-	if s.isClosed() {
+	if s.Closed() {
 		return
 	}
-	s.logf("peer shard %d dropped: %v", pc.shard, err)
+	s.log("peer shard %d dropped: %v", pc.shard, err)
 	if st.takeover {
 		st.noteDead(pc.shard)
 	}
@@ -705,7 +703,7 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 	if _, err := conn.Write(reply); err != nil {
 		return fmt.Errorf("server: peer handshake: %w", err)
 	}
-	s.logf("peer shard %d session from %v (epoch %d)", hello.Shard, conn.RemoteAddr(), hello.Epoch)
+	s.log("peer shard %d session from %v (epoch %d)", hello.Shard, conn.RemoteAddr(), hello.Epoch)
 
 	var ack []byte
 	var dd wire.PriceDigestDelta
@@ -847,7 +845,7 @@ func (s *Server) foldExchangeLocked() {
 	if s.cfg.Interval == 0 {
 		kept := st.pending[:0]
 		for _, m := range st.pending {
-			if m.seq <= s.seq {
+			if m.seq <= s.loop.seq {
 				apply = append(apply, m)
 			} else {
 				kept = append(kept, m)
@@ -868,7 +866,7 @@ func (s *Server) foldExchangeLocked() {
 		// seq+1 (staleness 1); free-running daemons can fold older — or,
 		// clamped to zero, newer — bundles depending on scheduling.
 		s.stExchFolds.Add(1)
-		if lag := int64(s.seq) - int64(m.seq); lag > 0 {
+		if lag := int64(s.loop.seq) - int64(m.seq); lag > 0 {
 			s.stExchStale.Add(lag)
 		}
 		if m.takeover {
@@ -889,7 +887,7 @@ func (s *Server) foldExchangeLocked() {
 				st.pinVals = append(st.pinVals, m.vals[i])
 			}
 			if len(st.pinLinks) > 0 {
-				st.alloc.PinPrices(st.pinLinks, st.pinVals)
+				s.loop.alloc.PinPrices(st.pinLinks, st.pinVals)
 			}
 			// Retain the accepted prices for a successor, re-baselined by a
 			// reset like the receiver state they mirror.
@@ -932,7 +930,7 @@ func (s *Server) foldExchangeLocked() {
 				st.extHdiag[i] += p.hdiag[l]
 			}
 		}
-		st.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
+		s.loop.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
 	}
 }
 
@@ -959,7 +957,7 @@ func (s *Server) applyTakeoverLocked(dead, by int) {
 	st.buryLocked(dead)
 	st.repointLocked(dead, by)
 	st.retargetLocked()
-	s.logf("shard takeover: daemon %d adopted daemon %d's rack block", by, dead)
+	s.log("shard takeover: daemon %d adopted daemon %d's rack block", by, dead)
 }
 
 // buryLocked records daemon d as dead and discards its digest contributions.
@@ -1045,7 +1043,7 @@ func (s *Server) adoptLocked(dead int) {
 
 	adopted, failed := 0, 0
 	for _, e := range replica {
-		switch known, err := s.admitUnownedLocked(e); {
+		switch known, err := s.loop.admitUnowned(e); {
 		case err != nil:
 			failed++
 		case !known:
@@ -1061,15 +1059,20 @@ func (s *Server) adoptLocked(dead int) {
 		}
 	}
 	if len(links) > 0 {
-		st.alloc.SeedPrices(links, prices)
-		st.alloc.UnpinPrices(links)
+		s.loop.alloc.SeedPrices(links, prices)
+		s.loop.alloc.UnpinPrices(links)
 	}
 	forgetPrices(p.prices)
 	st.repointLocked(dead, st.index)
-	st.rebuildBoundaryLocked()
+	// The imported loads are indexed by LinkID, so links in both boundary
+	// layouts keep them (peers' delta digests stay correct); the external
+	// loads the allocator sees are zeroed until the next fold re-sums them.
+	st.layOutBoundaryLocked()
+	s.loop.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
+	st.markResyncPeers()
 	st.announce = append(st.announce, wire.Takeover{Dead: uint32(dead), By: uint32(st.index)})
 	s.stTakeovers.Add(1)
-	s.logf("adopted dead daemon %d: %d flows seeded (%d failed), now serving %d shards",
+	s.log("adopted dead daemon %d: %d flows seeded (%d failed), now serving %d shards",
 		dead, adopted, failed, st.numServedLocked())
 }
 
@@ -1101,19 +1104,6 @@ func (st *shardState) layOutBoundaryLocked() {
 	st.extLoad = make([]float64, len(st.boundary))
 	st.extHdiag = make([]float64, len(st.boundary))
 	st.snapPrices = make([]float64, len(st.boundary))
-}
-
-// rebuildBoundaryLocked lays the boundary out again after the served shard
-// set changed. The peers' imported loads are indexed by LinkID, so links in
-// both layouts keep their imported values, which keeps peers' delta digests
-// (whose omitted entries mean "unchanged") correct across the rebuild. The
-// allocator-visible external loads are zeroed: the next fold re-sums them,
-// and in step-driven runs every live peer's bundle arrives before that fold,
-// so the imported values are fully refreshed before they are ever summed.
-func (st *shardState) rebuildBoundaryLocked() {
-	st.layOutBoundaryLocked()
-	st.alloc.SetExternalLoads(st.boundary, st.extLoad, st.extHdiag)
-	st.markResyncPeers()
 }
 
 // ServesShard reports whether this daemon currently serves the given shard:

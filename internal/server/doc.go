@@ -2,19 +2,21 @@
 // centralized Flowtune rate allocator run as a long-lived process that
 // endpoints talk to over the wire protocol of internal/wire.
 //
-// The daemon's control loop mirrors the paper's design: flowlet-start and
-// flowlet-end notifications from client sessions are queued into an inbox —
-// a burst at a time: what one Read brought in, which is what an endpoint
-// wrote in one Flush, is published under one lock hold and never split
-// across iterations — and folded into the optimizer only at iteration
-// boundaries; each iteration runs one NED step plus F-NORM on the daemon's
-// one engine, a core.ParallelAllocator with Config.Blocks rack blocks (one by
-// default, which runs on the loop's goroutine alone), and fans the rate updates
-// its notify filter (AppendUpdates) reports back out to the sessions that
-// registered the flows. The same allocator answers the sharded exchange's
-// boundary hooks, snapshots and the flight recorder. An add the allocator
-// refuses (no route, a weight that is not finite) is counted in
-// Stats.RejectedAdds and logged, never folded in.
+// The daemon's control loop mirrors the paper's design. It is the loop type:
+// the allocator (a core.ParallelAllocator with Config.Blocks rack blocks, one
+// by default, which runs on the iterating goroutine alone), the flow table,
+// the inbox and each session's owned flows and pending rates, and three
+// passes over them that do no I/O and take no lock. fold applies the
+// flowlet-start and -end notifications queued since the last iteration — a
+// burst at a time: what one Read brought in, which is what an endpoint wrote
+// in one Flush, is never split across iterations; step runs one NED step plus
+// F-NORM and the notify filter (AppendUpdates); route hands each changed rate
+// to the session that registered the flow. Server is the shell: sockets,
+// session readers and writers, the ticker, iteration timing, the sharded
+// exchange, snapshots and the flight recorder. It runs the passes under one
+// mutex, the loop lock, and writes a step reply, encoded under it, after it.
+// An add the allocator refuses (no route, a weight that is not finite) is
+// counted in Stats.RejectedAdds and logged, never folded in.
 //
 // Iterations are driven two ways. With Config.Interval set, one loop
 // goroutine free-runs: it iterates on arrival, the moment a session publishes

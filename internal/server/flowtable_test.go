@@ -8,60 +8,64 @@ import (
 	"repro/internal/core"
 )
 
-// checkFlowTable asserts the flow table's invariant: every flowlet the
-// allocator holds has exactly one record, at its slot and carrying its ID;
-// there is no other record; and every session's owned list agrees with its
-// records' back-pointers. It takes srv.mu itself and fails the test only
-// after releasing it, so the deferred srv.Close cannot deadlock.
+// checkFlowTable asserts the flow table's invariant (flowTableErr) on srv's
+// loop. It takes srv.mu itself and fails the test only after releasing it, so
+// the deferred srv.Close cannot deadlock.
 func checkFlowTable(t *testing.T, srv *Server) {
 	t.Helper()
 	srv.mu.Lock()
-	err := flowTableErrLocked(srv)
+	err := flowTableErr(&srv.loop)
 	srv.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// flowTableErrLocked is checkFlowTable's body. Called with srv.mu held.
-func flowTableErrLocked(srv *Server) error {
-	live := srv.alloc.LiveFlows()
+// flowTableErr checks the flow table's invariant: every flowlet the allocator
+// holds has exactly one record, at its slot and carrying its ID; there is no
+// other record; and every session's owned list agrees with its records'
+// back-pointers.
+func flowTableErr(l *loop) error {
+	live := l.alloc.LiveFlows()
 	seen := make(map[int32]bool, len(live))
 	for _, f := range live {
-		slot, ok := srv.alloc.SlotOf(f.ID)
+		slot, ok := l.alloc.SlotOf(f.ID)
 		if !ok || seen[slot] {
 			return fmt.Errorf("flow %d: slot %d (registered %v, already seen %v)", f.ID, slot, ok, seen[slot])
 		}
 		seen[slot] = true
-		if int(slot) >= len(srv.recs) || srv.recs[slot] == nil || srv.recs[slot].id != f.ID {
-			return fmt.Errorf("flow %d at slot %d has no record of its own in a %d-slot table", f.ID, slot, len(srv.recs))
+		if int(slot) >= len(l.recs) || l.recs[slot] == nil || l.recs[slot].id != f.ID {
+			return fmt.Errorf("flow %d at slot %d has no record of its own in a %d-slot table", f.ID, slot, len(l.recs))
 		}
 	}
-	if n := numRecsLocked(srv); n != len(live) {
+	if n := numRecs(l); n != len(live) {
 		return fmt.Errorf("flow table holds %d records for %d registered flows", n, len(live))
 	}
-	for sess := range srv.sessions {
+	for sess := range l.sessions {
 		for i, rec := range sess.owned {
-			slot, ok := srv.alloc.SlotOf(rec.id)
-			if rec.owner != sess || int(rec.ownIdx) != i || !ok || srv.recs[slot] != rec {
+			slot, ok := l.alloc.SlotOf(rec.id)
+			if rec.owner != sess || int(rec.ownIdx) != i || !ok || l.recs[slot] != rec {
 				return fmt.Errorf("session %d owned[%d] = flow %d: owner ok %v, ownIdx %d, in table %v",
-					sess.id, i, rec.id, rec.owner == sess, rec.ownIdx, ok && srv.recs[slot] == rec)
+					sess.id, i, rec.id, rec.owner == sess, rec.ownIdx, ok && l.recs[slot] == rec)
 			}
 		}
 	}
 	return nil
 }
 
-// numRecsLocked counts the flow table's records. Called with srv.mu held.
-func numRecsLocked(srv *Server) int {
+// numRecs counts the flow table's records; numRecsLocked counts srv's, with
+// srv.mu held.
+func numRecs(l *loop) int {
 	n := 0
-	for _, rec := range srv.recs {
+	for _, rec := range l.recs {
 		if rec != nil {
 			n++
 		}
 	}
 	return n
 }
+
+func numRecsLocked(srv *Server) int { return numRecs(&srv.loop) }
 
 // TestSlotReuseAcrossSessions: session A's flow ends and session B's new flow
 // takes the freed slot — and the recycled record — in the same fold. A's

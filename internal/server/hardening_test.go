@@ -185,6 +185,8 @@ func TestRejectsInvalidLimits(t *testing.T) {
 		{Topology: topo, MaxFrameRate: nan},
 		{Topology: topo, MaxFrameRate: inf},
 		{Topology: topo, IdleTimeout: -time.Second},
+		{Topology: topo, Interval: -time.Millisecond},
+		{Topology: topo, HeartbeatTimeout: -time.Second},
 		{Topology: topo, Gamma: -1},
 		{Topology: topo, Gamma: nan},
 		{Topology: topo, Gamma: inf},

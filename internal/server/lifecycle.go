@@ -29,9 +29,9 @@ import (
 // it is the first phase of Shutdown.
 func (s *Server) Drain() {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		s.logf("draining: new flowlet registrations refused")
+	if !s.loop.draining {
+		s.loop.draining = true
+		s.log("draining: new flowlet registrations refused")
 	}
 	s.mu.Unlock()
 }
@@ -40,13 +40,20 @@ func (s *Server) Drain() {
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining
+	return s.loop.draining
 }
 
-// Closed reports whether the daemon has shut down (Close or Shutdown
-// completed). It backs the admin /healthz liveness probe: a daemon stays
+// Closed reports whether the daemon has been closed (Close, or the end of
+// Shutdown). It backs the admin /healthz liveness probe: a daemon stays
 // healthy through a drain and flips unhealthy only once it is gone.
-func (s *Server) Closed() bool { return s.isClosed() }
+func (s *Server) Closed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Snapshot serializes the daemon's allocator state: its live flowlet
 // registry (FlowState chunks, canonical allocator order) and every link's
@@ -56,7 +63,7 @@ func (s *Server) Closed() bool { return s.isClosed() }
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.Closed() {
 		return nil, net.ErrClosed
 	}
 	return s.snapshotLocked(), nil
@@ -66,16 +73,16 @@ func (s *Server) Snapshot() ([]byte, error) {
 func (s *Server) snapshotLocked() []byte {
 	epoch := s.Epoch()
 	shard := uint32(s.cfg.ShardIndex)
-	buf := appendFlowStates(nil, epoch, s.seq, shard, s.alloc.LiveFlows())
+	buf := appendFlowStates(nil, epoch, s.loop.seq, shard, s.loop.alloc.LiveFlows())
 	links := make([]topology.LinkID, s.cfg.Topology.NumLinks())
 	for i := range links {
 		links[i] = topology.LinkID(i)
 	}
 	prices := make([]float64, len(links))
-	s.alloc.LinkPrices(links, prices)
+	s.loop.alloc.LinkPrices(links, prices)
 	for start := 0; start < len(links); start += wire.MaxSnapshotEntries {
 		end := min(start+wire.MaxSnapshotEntries, len(links))
-		buf = wire.AppendPriceSnapshotHeader(buf, epoch, s.seq, shard, end-start)
+		buf = wire.AppendPriceSnapshotHeader(buf, epoch, s.loop.seq, shard, end-start)
 		for i := start; i < end; i++ {
 			buf = wire.AppendSnapshotEntry(buf, wire.SnapshotEntry{
 				Link: uint32(links[i]), Price: prices[i],
@@ -104,21 +111,6 @@ func appendFlowStates(buf []byte, epoch, seq uint64, shard uint32, flows []core.
 	}
 }
 
-// admitUnownedLocked re-admits one flow of a snapshot or a peer replica as an
-// unowned registration, in the allocator and in the flow table, for a
-// reconnecting client's bare add to claim without allocator churn. It is the
-// one admission path of Restore and adoptLocked, one flow-index probe per
-// flow: known reports an ID the allocator already holds, which is left as it
-// is.
-func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) (known bool, err error) {
-	id := core.FlowID(e.Flow)
-	if _, dup := s.alloc.Bind(id); dup {
-		return true, nil
-	}
-	_, err = s.admitLocked(id, int(e.Src), int(e.Dst), e.Weight)
-	return false, err
-}
-
 // Restore loads a snapshot produced by Snapshot (or Shutdown) into a fresh
 // daemon: flows are re-admitted in their original order as unowned
 // registrations — a reconnecting client claims them without allocator churn via
@@ -129,11 +121,11 @@ func (s *Server) admitUnownedLocked(e wire.FlowStateEntry) (known bool, err erro
 func (s *Server) Restore(snap []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.Closed() {
 		return net.ErrClosed
 	}
-	if s.alloc.NumFlows() != 0 || len(s.inbox) != 0 {
-		return fmt.Errorf("server: restore requires an empty daemon (%d flows, %d pending events)", s.alloc.NumFlows(), len(s.inbox))
+	if s.loop.alloc.NumFlows() != 0 || len(s.loop.inbox) != 0 {
+		return fmt.Errorf("server: restore requires an empty daemon (%d flows, %d pending events)", s.loop.alloc.NumFlows(), len(s.loop.inbox))
 	}
 	var seq uint64
 	buf := snap
@@ -153,7 +145,7 @@ func (s *Server) Restore(snap []byte) error {
 			}
 			for i := 0; i < fs.Len(); i++ {
 				e := fs.Entry(i)
-				known, err := s.admitUnownedLocked(e)
+				known, err := s.loop.admitUnowned(e)
 				if known {
 					err = fmt.Errorf("flowlet %d already registered", e.Flow)
 				}
@@ -180,14 +172,14 @@ func (s *Server) Restore(snap []byte) error {
 				links = append(links, topology.LinkID(e.Link))
 				prices = append(prices, e.Price)
 			}
-			s.alloc.SeedPrices(links, prices)
+			s.loop.alloc.SeedPrices(links, prices)
 		default:
 			return fmt.Errorf("server: restore: unexpected %s frame", typ)
 		}
 		buf = rest
 	}
-	s.seq = seq
-	s.logf("restored %d flowlets at iteration %d", s.alloc.NumFlows(), seq)
+	s.loop.seq = seq
+	s.log("restored %d flowlets at iteration %d", s.loop.alloc.NumFlows(), seq)
 	return nil
 }
 
@@ -206,61 +198,43 @@ func (s *Server) Shutdown(timeout time.Duration) ([]byte, error) {
 	// freeze at the *current* allocation, not a stale one.
 	for timeout > 0 && !s.fanoutDrained() {
 		if !time.Now().Before(deadline) {
-			s.logf("drain: fan-out wait timed out after %v", timeout)
+			s.log("drain: fan-out wait timed out after %v", timeout)
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return nil, net.ErrClosed
 	}
 	snap := s.snapshotLocked()
-	epoch := s.Epoch()
-	notify := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		notify = append(notify, sess)
-	}
-	s.wg.Add(len(notify))
-	s.mu.Unlock()
-
 	// The final push: epoch with the drain bit set. Clients treat it as
 	// "daemon going away on purpose" (transport.ErrDaemonDraining) rather
-	// than a crash. One goroutine per session so a dead client cannot stall
-	// shutdown; Close below bounds them by closing every connection.
-	frame := wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: epoch | wire.EpochDrainFlag})
-	done := make(chan struct{}, len(notify))
-	for _, sess := range notify {
-		go func() {
-			defer s.wg.Done()
-			sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			sess.write(frame)
-			done <- struct{}{}
-		}()
+	// than a crash. A dead client cannot stall shutdown: each write has a
+	// deadline, and Close below closes every connection.
+	done := make(chan struct{}, len(s.loop.sessions))
+	for sess := range s.loop.sessions {
+		sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
 	}
-	for range notify {
+	frame := wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: s.Epoch() | wire.EpochDrainFlag})
+	n := s.notifyLocked(frame, func(*session, error) { done <- struct{}{} })
+	s.mu.Unlock()
+	for range n {
 		<-done
 	}
-	s.logf("drain complete: %d clients notified, snapshot %d bytes", len(notify), len(snap))
+	s.log("drain complete: %d clients notified, snapshot %d bytes", n, len(snap))
 	return snap, s.Close()
 }
 
-// fanoutDrained reports whether every session's pending rate-update list is
-// empty (the per-session writers have caught up).
+// fanoutDrained reports whether every session's writer has taken its
+// pending rate updates.
 func (s *Server) fanoutDrained() bool {
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.pmu.Lock()
-		n := len(sess.pending)
-		sess.pmu.Unlock()
-		if n > 0 {
+	defer s.mu.Unlock()
+	for sess := range s.loop.sessions {
+		if len(sess.pending) > 0 {
 			return false
 		}
 	}

@@ -35,7 +35,7 @@ type Config struct {
 	// of flowlet events, and otherwise every Interval, the idle cadence
 	// that keeps the optimizer converging between arrivals. Zero disables
 	// the loop: iterations then run only when a client sends a Step frame,
-	// which is what deterministic end-to-end runs use.
+	// which is what deterministic end-to-end runs use. Negative is an error.
 	Interval time.Duration
 	// Blocks is the rack-block count of the daemon's FlowBlock/LinkBlock
 	// allocator (default 1): Blocks² FlowBlocks run on min(Blocks²,
@@ -87,7 +87,7 @@ type Config struct {
 	// it for this long. It only applies to free-running daemons
 	// (Interval > 0): step-driven runs detect death solely through the
 	// synchronous exchange push, which keeps them deterministic. 0 disables
-	// staleness detection.
+	// staleness detection; negative is an error.
 	HeartbeatTimeout time.Duration
 }
 
@@ -156,83 +156,22 @@ type Stats struct {
 	ExchangeBytesFixed int64
 }
 
-// flowRec is the daemon's one record per registered flowlet — who owns it and
-// where its rate fan-out stands — so the loop does a single table lookup per
-// flowlet event and per rate update. The ownership half is guarded by srv.mu;
-// the fan-out half by the owning session's pmu, which is what lets that
-// session's writer goroutine drain it without touching the flow table.
-type flowRec struct {
-	id core.FlowID
-	// owner is the session that registered the flow and receives its rates;
-	// nil for a flow that lives in the allocator without one (restored from a
-	// snapshot, seeded from a peer replica, or left by a session that
-	// disconnected mid-drain), which a matching add adopts (see
-	// drainInboxLocked). ownIdx is the record's slot in owner.owned.
-	owner  *session
-	ownIdx int32
-
-	// pendIdx is the record's slot in owner.pending while rate is waiting
-	// for the writer, -1 otherwise. Every rate queued here already passed the
-	// allocator's notification threshold, so the writer sends it as is.
-	pendIdx int32
-	rate    float64
-}
-
-// event is one flowlet notification waiting for the next iteration boundary.
-// The two flags share the last word, so an event is 48 bytes, not 56.
-type event struct {
-	flow     core.FlowID
-	src, dst int
-	weight   float64
-	sess     *session
-	end      bool
-	// cleanup marks an orphan-retirement event generated when sess
-	// disconnected. It only applies while sess still owns the flow: if a
-	// reconnected client re-registered the flow under a new session before
-	// the sweep ran, the stale cleanup must not retire it.
-	cleanup bool
-}
-
-// Server is the flowtuned allocator daemon: it owns the optimizer, drains
-// client flowlet notifications at iteration boundaries (the paper's "updates
-// are folded in between iterations" design), and fans rate updates back out
-// to the sessions that registered the flows.
+// Server is the flowtuned allocator daemon: the shell that runs the control
+// loop (loop) under mu and owns everything that waits — sockets, session
+// readers and writers, the ticker, iteration timing, peer connections.
 type Server struct {
-	cfg   Config
-	alloc *core.ParallelAllocator
-	loop  *metrics.LoopRecorder
+	// loop is the control loop's state, guarded by mu, the one loop lock.
+	loop
 
-	mu       sync.Mutex
-	sessions map[*session]struct{}
+	cfg    Config
+	timing *metrics.LoopRecorder
+
+	mu sync.Mutex
 	// conns tracks every connection handed to ServeConn, including ones
-	// still mid-handshake, so Close can unblock their readers.
-	conns map[net.Conn]struct{}
-	// recs is the flow table, indexed by the allocator's flow slot
-	// (core.ParallelAllocator.SlotOf): one record per flowlet registered with
-	// the allocator, owned or not, and nil at a free slot. The allocator's
-	// FlowID→slot map is the only flow index, so the fan-out reaches a record
-	// through RateUpdate.Slot without a lookup.
-	recs []*flowRec
-	// freeRecs recycles the records of retired flowlets, so steady-state
-	// churn allocates none.
-	freeRecs []*flowRec
-	// inbox holds the flowlet events published since the last iteration;
-	// sessions append to it a burst at a time (publish). inboxHigh is the
-	// decaying high-water mark of its length at a drain, which decides
-	// whether the drain keeps its capacity (wire.Recycle).
-	inbox     []event
-	inboxHigh int
-	// held and updates are iterate's scratch: the sessions whose pmu the
-	// running pass (the fold or the fan-out) holds, and the allocator's rate
-	// updates. A step reply is encoded from updates after s.mu is released;
-	// replying is the iteration whose list it is encoding from (0 for none),
-	// which the next iteration leaves to it instead of overwriting.
-	held     []*session
-	updates  []core.RateUpdate
-	replying atomic.Uint64
-	seq      uint64 // iteration counter
-	closed   bool
-	draining bool
+	// still mid-handshake, so Close can unblock their readers; listeners
+	// are the ones handed to Serve.
+	conns     map[net.Conn]struct{}
+	listeners []net.Listener
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -241,9 +180,6 @@ type Server struct {
 	// that land while an iteration is in flight coalesce into the single
 	// next one. Nil on a step-driven daemon (Interval == 0).
 	wake chan struct{}
-
-	lnMu      sync.Mutex
-	listeners []net.Listener
 
 	stSessions  atomic.Int64
 	stActive    atomic.Int64
@@ -274,7 +210,7 @@ type Server struct {
 	telemetry *serverTelemetry
 
 	// epoch is the allocator generation announced in handshakes; BumpEpoch
-	// advances it mid-run and notifies connected clients.
+	// advances it under mu mid-run and notifies connected clients.
 	epoch atomic.Uint64
 
 	// shard is the sharded-cluster state, nil for an unsharded daemon.
@@ -302,39 +238,36 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSessionFlows < 0 || !(cfg.MaxFrameRate >= 0) || math.IsInf(cfg.MaxFrameRate, 1) || cfg.IdleTimeout < 0 {
 		return nil, fmt.Errorf("server: session limits must be finite and non-negative")
 	}
+	if cfg.Interval < 0 || cfg.HeartbeatTimeout < 0 {
+		return nil, fmt.Errorf("server: Interval and HeartbeatTimeout must be non-negative")
+	}
 	if cfg.Gamma == 0 {
 		cfg.Gamma = 0.4
 	}
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 1
 	}
-	alloc, err := core.NewParallelAllocator(core.ParallelConfig{
-		Topology:  cfg.Topology,
-		Blocks:    cfg.Blocks,
-		Gamma:     cfg.Gamma,
-		Headroom:  cfg.UpdateThreshold,
-		Normalize: true,
-	})
+	l, err := newLoop(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		alloc:    alloc,
-		loop:     metrics.NewLoopRecorder(metrics.DefaultLoopWindow),
-		sessions: make(map[*session]struct{}),
-		conns:    make(map[net.Conn]struct{}),
-		done:     make(chan struct{}),
+		loop:   l,
+		cfg:    cfg,
+		timing: metrics.NewLoopRecorder(metrics.DefaultLoopWindow),
+		conns:  make(map[net.Conn]struct{}),
+		done:   make(chan struct{}),
 	}
 	s.epoch.Store(cfg.Epoch)
 	if cfg.NumShards > 0 {
-		s.shard, err = newShardState(cfg, alloc)
+		s.shard, err = newShardState(cfg)
 		if err != nil {
-			alloc.Close()
+			l.alloc.Close()
 			return nil, err
 		}
+		s.loop.owns = s.shard.ownsFlow
 	} else if cfg.NumShards < 0 || cfg.ShardIndex != 0 {
-		alloc.Close()
+		l.alloc.Close()
 		return nil, fmt.Errorf("server: invalid shard configuration %d/%d", cfg.ShardIndex, cfg.NumShards)
 	}
 	if cfg.Interval > 0 {
@@ -343,13 +276,6 @@ func New(cfg Config) (*Server, error) {
 		go s.tickLoop()
 	}
 	return s, nil
-}
-
-// logf logs through the configured sink.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // Epoch returns the daemon's allocator epoch.
@@ -362,60 +288,59 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // (transport.AllocClient.Reconnect). Operators use it after swapping
 // allocator state under a live daemon.
 func (s *Server) BumpEpoch(epoch uint64) error {
-	for {
-		cur := s.epoch.Load()
-		if epoch <= cur {
-			return fmt.Errorf("server: epoch %d does not advance current epoch %d", epoch, cur)
-		}
-		if s.epoch.CompareAndSwap(cur, epoch) {
-			break
-		}
-	}
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return net.ErrClosed
 	}
-	notify := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		notify = append(notify, sess)
+	if cur := s.epoch.Load(); epoch <= cur {
+		s.mu.Unlock()
+		return fmt.Errorf("server: epoch %d does not advance current epoch %d", epoch, cur)
 	}
-	// Register the notifier goroutines under s.mu, like session writers, so
-	// Close cannot start waiting between the check above and the Add.
-	s.wg.Add(len(notify))
+	s.epoch.Store(epoch)
+	n := s.notifyLocked(wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: epoch}), func(sess *session, err error) {
+		if err != nil {
+			s.removeSession(sess)
+		}
+	})
 	s.mu.Unlock()
-	frame := wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: epoch})
-	for _, sess := range notify {
-		// One goroutine per session: a slow or dead client must not stall
-		// the operator path or its peers (frame is never written to, so
-		// sharing it is safe).
+	s.log("epoch bumped to %d (%d clients notified)", epoch, n)
+	return nil
+}
+
+// notifyLocked writes frame to every connected session from a goroutine of
+// its own, so a slow or dead client stalls no one (frame is only read, so
+// sharing it is safe), hands each write's outcome to sent, and returns the
+// number of sessions. The goroutines join wg under s.mu, like session
+// writers, so Close cannot start waiting before they do. Called with s.mu
+// held.
+func (s *Server) notifyLocked(frame []byte, sent func(*session, error)) int {
+	s.wg.Add(len(s.loop.sessions))
+	for sess := range s.loop.sessions {
 		go func() {
 			defer s.wg.Done()
-			if err := sess.write(frame); err != nil {
-				s.removeSession(sess)
-			}
+			sent(sess, sess.write(frame))
 		}()
 	}
-	s.logf("epoch bumped to %d (%d clients notified)", epoch, len(notify))
-	return nil
+	return len(s.loop.sessions)
 }
 
 // NumFlows returns the number of currently registered flowlets.
 func (s *Server) NumFlows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.alloc.NumFlows()
+	return s.loop.alloc.NumFlows()
 }
 
 // Iterations returns the number of allocator iterations run so far.
 func (s *Server) Iterations() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq
+	return s.loop.seq
 }
 
 // LoopStats returns allocator-loop latency and throughput statistics.
-func (s *Server) LoopStats() metrics.LoopStats { return s.loop.Snapshot() }
+func (s *Server) LoopStats() metrics.LoopStats { return s.timing.Snapshot() }
 
 // Stats returns a snapshot of daemon counters.
 func (s *Server) Stats() Stats {
@@ -457,10 +382,10 @@ func (s *Server) Stats() Stats {
 func (s *Server) SetLinkCapacity(l topology.LinkID, capacity float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.Closed() {
 		return net.ErrClosed
 	}
-	return s.alloc.SetLinkCapacity(l, capacity)
+	return s.loop.alloc.SetLinkCapacity(l, capacity)
 }
 
 // Rates returns the allocator's current rates keyed by flow ID (a diagnostic
@@ -468,7 +393,7 @@ func (s *Server) SetLinkCapacity(l topology.LinkID, capacity float64) error {
 func (s *Server) Rates() map[core.FlowID]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.alloc.Rates()
+	return s.loop.alloc.Rates()
 }
 
 // tickLoop is the free-running daemon's only iterator. It iterates on arrival
@@ -493,7 +418,7 @@ func (s *Server) tickLoop() {
 			s.stArrivals.Add(1)
 		}
 		if err := s.iterate(nil, 0); err != nil && !errors.Is(err, net.ErrClosed) {
-			s.logf("free-running iteration: %v", err)
+			s.log("free-running iteration: %v", err)
 		}
 	}
 }
@@ -501,26 +426,26 @@ func (s *Server) tickLoop() {
 // Serve accepts sessions from ln until the daemon is closed. It always
 // returns a non-nil error; after Close it returns net.ErrClosed.
 func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	if s.isClosed() {
-		s.lnMu.Unlock()
+	s.mu.Lock()
+	if s.Closed() {
+		s.mu.Unlock()
 		ln.Close()
 		return net.ErrClosed
 	}
 	s.listeners = append(s.listeners, ln)
-	s.lnMu.Unlock()
+	s.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if s.isClosed() {
+			if s.Closed() {
 				return net.ErrClosed
 			}
 			return err
 		}
-		// The closed check and wg.Add share the mutex Close uses to set
-		// closed, so an Add can never start while Close is in wg.Wait.
+		// The closed check and wg.Add share the mutex Close closes done
+		// under, so an Add can never start while Close is in wg.Wait.
 		s.mu.Lock()
-		if s.closed {
+		if s.Closed() {
 			s.mu.Unlock()
 			conn.Close()
 			return net.ErrClosed
@@ -534,25 +459,14 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// isClosed reports whether Close has been called.
-func (s *Server) isClosed() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Close shuts the daemon down: listeners stop accepting, sessions are torn
 // down, the ticker stops, and the allocator's workers are released. It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
 	close(s.done)
 	// Closing every served conn (sessions and mid-handshake readers alike)
 	// unblocks their goroutines so wg.Wait below cannot hang on a silent
@@ -561,15 +475,13 @@ func (s *Server) Close() error {
 	for conn := range s.conns {
 		conns = append(conns, conn)
 	}
+	listeners := s.listeners
+	s.listeners = nil
 	s.mu.Unlock()
 
-	s.lnMu.Lock()
-	for _, ln := range s.listeners {
+	for _, ln := range listeners {
 		ln.Close()
 	}
-	s.listeners = nil
-	s.lnMu.Unlock()
-
 	for _, conn := range conns {
 		conn.Close()
 	}
@@ -581,7 +493,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 
 	s.mu.Lock()
-	s.alloc.Close()
+	s.loop.alloc.Close()
 	s.mu.Unlock()
 	return nil
 }
@@ -589,61 +501,30 @@ func (s *Server) Close() error {
 // ---------------------------------------------------------------------------
 // Sessions
 
-// session is one connected endpoint client.
+// session is one connected endpoint client. Its owner half (the flows it
+// registered, the rates waiting for its writer, its step reply) is loop
+// state, guarded by srv.mu; the rest belongs to its reader and writer.
 type session struct {
+	owner
+
 	srv  *Server
 	conn net.Conn
 	id   uint64 // client label from Hello
 
-	// Write side: wmu serializes frame writes; wbuf is the reused
-	// synchronous-path encode buffer.
-	wmu  sync.Mutex
-	wbuf []byte
-
-	// Asynchronous fan-out with coalescing backpressure: pending lists the
-	// owned flows holding a rate (flowRec.rate, the latest) not yet drained
-	// by the writer goroutine, so a slow client bounds daemon memory at
-	// O(its flows) and always catches up to the *current* allocation, never
-	// a backlog of stale ones. pmu guards it, pendingSeq and the fan-out half
-	// of every owned flowRec.
-	pmu        sync.Mutex
-	pending    []*flowRec
-	pendingSeq uint64
-	kick       chan struct{}
-	done       chan struct{}
-
-	// fanBuf and fanEntries are the writer's reused encode buffer and entry
-	// scratch; reply is the step-reply path's, the session's updates as
-	// indices into the iteration's update list (the two paths run on
-	// different goroutines). Reusing them pins steady-state fan-out at
-	// 0 allocs/op (see BenchmarkFanoutFlush).
+	// wmu serializes frame writes. wbuf is the step reply's encode buffer,
+	// used only by the session's reader (the one goroutine that steps it);
+	// fanBuf and fanEntries are the writer's encode buffer and entry
+	// scratch. Reusing them pins steady-state fan-out at 0 allocs/op (see
+	// BenchmarkFanoutFlush).
+	wmu        sync.Mutex
+	wbuf       []byte
 	fanBuf     []byte
 	fanEntries []wire.RateEntry
-	reply      []int32
 
-	// owned are the flowlets this session registered, and held marks that
-	// the running pass of an iteration holds pmu (see Server.hold). Guarded
-	// by srv.mu.
-	owned []*flowRec
-	held  bool
-}
-
-// own and disown keep sess.owned and the record's back-pointers in step.
-// Called with srv.mu held.
-func (sess *session) own(rec *flowRec) {
-	rec.owner = sess
-	rec.ownIdx = int32(len(sess.owned))
-	sess.owned = append(sess.owned, rec)
-}
-
-func (sess *session) disown(rec *flowRec) {
-	last := len(sess.owned) - 1
-	moved := sess.owned[last]
-	sess.owned[rec.ownIdx] = moved
-	moved.ownIdx = rec.ownIdx
-	sess.owned[last] = nil
-	sess.owned = sess.owned[:last]
-	rec.owner = nil
+	// kick wakes the writer when route gives it rates to send; done is
+	// closed when the session is removed.
+	kick chan struct{}
+	done chan struct{}
 }
 
 // ServeConn runs one client session over conn (any net.Conn: loopback TCP
@@ -653,7 +534,7 @@ func (sess *session) disown(rec *flowRec) {
 func (s *Server) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return net.ErrClosed
 	}
@@ -711,11 +592,11 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		done: make(chan struct{}),
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return net.ErrClosed
 	}
-	s.sessions[sess] = struct{}{}
+	s.loop.sessions[sess] = struct{}{}
 	s.wg.Add(1) // writer goroutine; under s.mu so it cannot race Close's Wait
 	s.mu.Unlock()
 	s.stSessions.Add(1)
@@ -731,7 +612,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	if err := sess.write(s.welcomeFrame()); err != nil {
 		return fmt.Errorf("server: handshake write: %w", err)
 	}
-	s.logf("session %d connected from %v", sess.id, conn.RemoteAddr())
+	s.log("session %d connected from %v", sess.id, conn.RemoteAddr())
 
 	// Frame-rate policing: a token bucket refilled at MaxFrameRate with a
 	// one-second burst allowance (floored at one frame, so sub-1 rates
@@ -865,10 +746,12 @@ func (s *Server) publish(burst []event) {
 	if len(burst) == 0 {
 		return
 	}
-	s.stEvents.Add(int64(len(burst)))
 	s.mu.Lock()
-	s.inbox = append(s.inbox, burst...)
+	s.loop.inbox = append(s.loop.inbox, burst...)
 	s.mu.Unlock()
+	// Counted once in the inbox, so a reader of Stats.EventsReceived finds
+	// every event it counts there or folded.
+	s.stEvents.Add(int64(len(burst)))
 	if s.wake != nil {
 		select {
 		case s.wake <- struct{}{}:
@@ -877,52 +760,20 @@ func (s *Server) publish(burst []event) {
 	}
 }
 
-// removeSession detaches a session and schedules cleanup of its flowlets:
-// every flow it still owns is retired at the next iteration boundary, so a
-// crashed endpoint's flowlets do not hold fabric shares forever.
+// removeSession detaches a session (loop.detach: its flowlets are retired at
+// the next iteration boundary, or kept unowned by a draining daemon) and
+// stops its writer.
 func (s *Server) removeSession(sess *session) {
 	s.mu.Lock()
-	if _, ok := s.sessions[sess]; !ok {
-		s.mu.Unlock()
+	swept, ok := s.loop.detach(sess)
+	s.mu.Unlock()
+	if !ok {
 		return
 	}
-	delete(s.sessions, sess)
-	var orphans []core.FlowID
-	if s.draining {
-		// A draining daemon keeps disconnected clients' flows registered:
-		// they are about to be written to the snapshot (and have already
-		// been replicated to the successor shard), so a cleanup sweep here
-		// would retire exactly the flows a restarted or adopting daemon
-		// needs. Clients fail over warm at last-known rates regardless.
-		// The flows become unowned, claimable by a reconnecting client whose
-		// re-registration matches (drainInboxLocked adopts it in place);
-		// rates still queued for the dead session are withdrawn with it, so
-		// no record stays reachable through a session that is not its owner.
-		sess.pmu.Lock()
-		for _, rec := range sess.pending {
-			rec.pendIdx = -1
-		}
-		sess.pending = nil
-		sess.pmu.Unlock()
-		for _, rec := range sess.owned {
-			rec.owner = nil
-		}
-		sess.owned = nil
-	} else {
-		orphans = make([]core.FlowID, 0, len(sess.owned))
-		for _, rec := range sess.owned {
-			orphans = append(orphans, rec.id)
-		}
-		slices.Sort(orphans)
-		for _, id := range orphans {
-			s.inbox = append(s.inbox, event{end: true, flow: id, sess: sess, cleanup: true})
-		}
-	}
-	s.mu.Unlock()
 	close(sess.done)
 	sess.conn.Close()
 	s.stActive.Add(-1)
-	s.logf("session %d disconnected (%d flowlets scheduled for cleanup)", sess.id, len(orphans))
+	s.log("session %d disconnected (%d flowlets scheduled for cleanup)", sess.id, swept)
 }
 
 // write sends one pre-encoded frame buffer on the session connection.
@@ -931,29 +782,6 @@ func (sess *session) write(frame []byte) error {
 	defer sess.wmu.Unlock()
 	_, err := sess.conn.Write(frame)
 	return err
-}
-
-// queue records a rate for asynchronous delivery, coalescing with an
-// undelivered one for the same flow (latest rate wins); unqueue withdraws it.
-// Called with pmu held.
-func (sess *session) queue(rec *flowRec, rate float64) {
-	if rec.pendIdx >= 0 {
-		sess.srv.stCoalesced.Add(1)
-	} else {
-		rec.pendIdx = int32(len(sess.pending))
-		sess.pending = append(sess.pending, rec)
-	}
-	rec.rate = rate
-}
-
-func (sess *session) unqueue(rec *flowRec) {
-	last := len(sess.pending) - 1
-	moved := sess.pending[last]
-	sess.pending[rec.pendIdx] = moved
-	moved.pendIdx = rec.pendIdx
-	sess.pending[last] = nil
-	sess.pending = sess.pending[:last]
-	rec.pendIdx = -1
 }
 
 // writer drains the pending list into rate frames. One goroutine per
@@ -972,25 +800,17 @@ func (sess *session) writer() {
 	}
 }
 
-// flushPending drains the pending list into one write of RateDelta frames,
-// reporting false on a write error. The drain and the write happen under one
-// wmu hold: once a step reply (also serialized by wmu) has withdrawn a
-// superseded rate from the pending list, no stale copy of it can reach the
-// wire afterwards. Buffers and entry scratch live on the session, so the
-// steady state allocates nothing.
+// flushPending takes the pending list and sends it in one write of RateDelta
+// frames, reporting false on a write error. It holds wmu across the take and
+// the write, and s.mu only for the take: wmu is always taken before s.mu,
+// never while holding it. The buffers live on the session, so the steady
+// state allocates nothing.
 func (sess *session) flushPending() bool {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
-	sess.pmu.Lock()
-	entries := sess.fanEntries[:0]
-	for i, rec := range sess.pending {
-		sess.pending[i] = nil
-		rec.pendIdx = -1
-		entries = append(entries, wire.RateEntry{Flow: int64(rec.id), Rate: rec.rate})
-	}
-	sess.pending = sess.pending[:0]
-	seq := sess.pendingSeq
-	sess.pmu.Unlock()
+	sess.srv.mu.Lock()
+	entries, seq := sess.take(sess.fanEntries[:0])
+	sess.srv.mu.Unlock()
 	sess.fanEntries = entries
 	if len(entries) == 0 {
 		return true
@@ -1055,14 +875,22 @@ func fixedRateBytes(n int) int64 {
 }
 
 // ---------------------------------------------------------------------------
-// The allocator loop
+// Iterations
 
-// iterate runs one allocator iteration: drain the inbox, step the allocator,
-// and fan updates out. When stepper is non-nil the iteration was requested
-// by a Step frame and the stepper synchronously receives a reply batch
-// (possibly empty) echoing stepSeq with wire.StepReplyFlag set; updates owned
-// by other sessions go through their asynchronous writers.
+// iterate runs one allocator iteration under s.mu: fold the inbox, step the
+// allocator and route its updates. When stepper is non-nil the iteration was
+// requested by a Step frame and the stepper synchronously receives a reply
+// batch (possibly empty) echoing stepSeq with wire.StepReplyFlag set, encoded
+// from the update list before the lock is released and written after it;
+// updates owned by other sessions go through their asynchronous writers.
 func (s *Server) iterate(stepper *session, stepSeq uint64) error {
+	if stepper != nil {
+		// The stepper's wmu is held from before the iteration to the reply's
+		// write, so its writer cannot send a later iteration's rate ahead of
+		// this reply and leave the client holding the reply's older one.
+		stepper.wmu.Lock()
+		defer stepper.wmu.Unlock()
+	}
 	if s.shard != nil {
 		// Serialize the whole fold → iterate → exchange sequence across
 		// concurrent iterations so peers always observe bundles in
@@ -1071,7 +899,7 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		defer s.shard.sendMu.Unlock()
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return net.ErrClosed
 	}
@@ -1081,62 +909,41 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 			s.processDeathsLocked()
 		}
 	}
-	churn := len(s.inbox)
-	s.drainInboxLocked()
+	churn := len(s.loop.inbox)
+	s.loop.fold()
 
 	start := time.Now()
-	s.alloc.Iterate()
-	if s.replying.Load() != 0 {
-		// A step reply of an earlier iteration is still encoding from the
-		// list: it keeps it, and this iteration starts a new one.
-		s.updates = nil
-		s.replying.Store(0)
-	}
-	s.updates = s.alloc.AppendUpdates(s.cfg.UpdateThreshold, s.updates[:0])
-	updates := s.updates
+	s.loop.step()
 	latency := time.Since(start)
-	s.seq++
-	seq := s.seq
-	s.loop.Record(latency.Seconds(), len(updates))
+	seq, n := s.loop.seq, len(s.loop.updates)
+	s.timing.Record(latency.Seconds(), n)
 	if s.telemetry != nil {
-		s.recordTelemetryLocked(seq, latency.Seconds(), len(updates), churn)
+		s.recordTelemetryLocked(seq, latency.Seconds(), n, churn)
 	}
 
-	// One pass over the updates, each reaching its record by slot with no
-	// lookup: the stepper's go into its synchronous reply, everyone else's
-	// are queued for their session's writer. Each session's pmu is taken
-	// once for the whole pass and its writer kicked once after it.
-	var reply []int32
+	s.loop.route(stepper)
+	s.addTallyLocked()
 	if stepper != nil {
-		reply = stepper.reply[:0]
-		stepper.pmu.Lock()
+		// Non-final chunks carry the iteration sequence (the client folds
+		// them in like asynchronous fan-out); only the final chunk carries
+		// the step-reply barrier. Entries keep the allocator's order: zigzag
+		// flow deltas cost one extra bit for unsorted IDs, never correctness.
+		var enc wire.RateDeltaEncoder
+		updates, reply := s.loop.updates, stepper.reply
+		stepper.wbuf = s.appendRateFrames(stepper.wbuf[:0], &enc, seq, stepSeq|wire.StepReplyFlag, len(reply),
+			func(buf []byte, lo, hi int) []byte {
+				for _, k := range reply[lo:hi] {
+					u := &updates[k]
+					buf = enc.Append(buf, int64(u.Flow), u.Rate)
+				}
+				return buf
+			})
 	}
-	for i, u := range updates {
-		rec := s.recs[u.Slot]
-		owner := rec.owner
-		if owner == nil {
-			continue
+	for _, sess := range s.loop.queued {
+		select {
+		case sess.kick <- struct{}{}:
+		default:
 		}
-		if owner != stepper {
-			s.hold(owner)
-			owner.queue(rec, u.Rate)
-			continue
-		}
-		// Step replies keep the allocator's update order. The rate supersedes
-		// anything still queued for asynchronous delivery (from interleaved
-		// ticker iterations): withdraw it so the writer cannot emit a stale
-		// rate after the reply.
-		reply = append(reply, int32(i))
-		if rec.pendIdx >= 0 {
-			stepper.unqueue(rec)
-		}
-	}
-	s.release(true, seq)
-
-	if stepper != nil {
-		stepper.pmu.Unlock()
-		stepper.reply = reply
-		s.replying.Store(seq)
 	}
 	var peers []*peerConn
 	if s.shard != nil {
@@ -1151,30 +958,26 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	if len(peers) > 0 {
 		s.sendExchange(peers)
 	}
-
 	if stepper != nil {
-		// Non-final chunks carry the iteration sequence (the client folds
-		// them in like asynchronous fan-out); only the final chunk carries
-		// the step-reply barrier. Entries keep the allocator's order: zigzag
-		// flow deltas cost one extra bit for unsorted IDs, never correctness.
-		// Only this session's reader steps it, so wbuf and reply need no
-		// lock, and updates stays this iteration's list until the reply
-		// hands it back.
-		var enc wire.RateDeltaEncoder
-		stepper.wbuf = s.appendRateFrames(stepper.wbuf[:0], &enc, seq, stepSeq|wire.StepReplyFlag, len(reply),
-			func(buf []byte, lo, hi int) []byte {
-				for _, k := range reply[lo:hi] {
-					u := &updates[k]
-					buf = enc.Append(buf, int64(u.Flow), u.Rate)
-				}
-				return buf
-			})
-		s.replying.CompareAndSwap(seq, 0)
-		if err := stepper.write(stepper.wbuf); err != nil {
+		if _, err := stepper.conn.Write(stepper.wbuf); err != nil {
 			return fmt.Errorf("server: session %d: step reply: %w", stepper.id, err)
 		}
 	}
 	return nil
+}
+
+// addTallyLocked moves the loop's tally into the Stats counters. Called with
+// s.mu held.
+func (s *Server) addTallyLocked() {
+	t := &s.loop.tally
+	s.stDupAdds.Add(t.dupAdds)
+	s.stUnknown.Add(t.unknownEnds)
+	s.stRejected.Add(t.rejected)
+	s.stLimited.Add(t.limited)
+	s.stAdopted.Add(t.adopted)
+	s.stDrainRej.Add(t.drainRejects)
+	s.stCoalesced.Add(t.coalesced)
+	*t = tally{}
 }
 
 // maxRateDeltaEntries bounds entries per RateDelta frame, sized for the
@@ -1182,187 +985,3 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 // uint24 payload (a variable so tests can exercise chunking without a million
 // flows).
 var maxRateDeltaEntries = wire.MaxRateDeltaEntries
-
-// hold takes sess.pmu for the running pass of an iteration (the fold or the
-// fan-out) unless the pass already holds it, so a pass locks each session once
-// however many of its flows it touches. release ends the pass, unlocking every
-// session it took; after the fan-out (fanout set) the rates each one was
-// queued carry seq and its writer is kicked. Called with s.mu held.
-func (s *Server) hold(sess *session) {
-	if !sess.held {
-		sess.held = true
-		sess.pmu.Lock()
-		s.held = append(s.held, sess)
-	}
-}
-
-func (s *Server) release(fanout bool, seq uint64) {
-	for i, sess := range s.held {
-		sess.held = false
-		if fanout {
-			sess.pendingSeq = seq
-		}
-		sess.pmu.Unlock()
-		if fanout {
-			select {
-			case sess.kick <- struct{}{}:
-			default:
-			}
-		}
-		s.held[i] = nil
-	}
-	s.held = s.held[:0]
-}
-
-// drainInboxLocked folds pending flowlet events into the allocator, in arrival
-// order, with duplicate/unknown defense — one flow-index probe per event: an
-// end is Unbind, an add is Bind, and a refused add releases the binding it
-// made. Called with s.mu held.
-func (s *Server) drainInboxLocked() {
-	for _, ev := range s.inbox {
-		if ev.end {
-			slot, known := s.alloc.Unbind(ev.flow)
-			if !known {
-				s.stUnknown.Add(1)
-				continue
-			}
-			if ev.cleanup && s.recs[slot].owner != ev.sess {
-				// Stale orphan sweep: the flow was re-registered (by a
-				// reconnected client under a new session) after the dead
-				// session's cleanup was scheduled. The new owner's
-				// registration stands.
-				s.alloc.Rebind(ev.flow, slot)
-				continue
-			}
-			s.retireLocked(slot)
-			continue
-		}
-		slot, known := s.alloc.Bind(ev.flow)
-		if known {
-			// Adoption without churn: a flow restored from a snapshot, seeded
-			// from a peer replica, or kept by a drain after its session died
-			// sits in the allocator unowned. When a reconnecting client
-			// re-registers it with the registration the allocator holds —
-			// same route and weight — ownership transfers in place: the
-			// allocator never sees a retire/re-add pair, so prices and rates
-			// are undisturbed and a warm restart costs zero registrations.
-			rec := s.recs[slot]
-			if rec.owner == nil && ev.sess != nil {
-				if f := s.alloc.FlowAt(slot); f.Src == ev.src && f.Dst == ev.dst && f.Weight == ev.weight {
-					if _, live := s.sessions[ev.sess]; live {
-						ev.sess.own(rec)
-						s.stAdopted.Add(1)
-					}
-					continue
-				}
-				// Same ID, different registration: the stored flow is stale.
-				// Retire it and fall through to a fresh registration. The ID
-				// stays bound to the slot, which is the one the next Admit
-				// takes: EndSlot freed it last.
-				s.retireLocked(slot)
-			} else {
-				s.stDupAdds.Add(1)
-				continue
-			}
-		}
-		if !s.admissibleLocked(&ev) {
-			s.alloc.Unbind(ev.flow)
-			continue
-		}
-		rec, err := s.admitLocked(ev.flow, ev.src, ev.dst, ev.weight)
-		if err != nil {
-			s.stRejected.Add(1)
-			s.logf("flowlet %d add rejected: %v", ev.flow, err)
-			continue
-		}
-		if ev.sess != nil {
-			ev.sess.own(rec)
-		}
-	}
-	s.release(false, 0)
-	// A one-off burst — the set-up's registrations, a reconnecting client's —
-	// is let go about 45 drains after it (20 k events followed by 4 k-event
-	// steps), while a free-running daemon's churn bursts between empty ticks
-	// keep their capacity and append without reallocating.
-	s.inbox = wire.Recycle(s.inbox, &s.inboxHigh)
-}
-
-// admissibleLocked applies the daemon's own admission rules to an add the
-// allocator does not hold, counting a refusal; the allocator's rules (route
-// and weight) are Admit's. Called with s.mu held.
-func (s *Server) admissibleLocked(ev *event) bool {
-	if s.draining {
-		// A draining daemon admits no new flowlets: it is about to hand its
-		// state to a successor, and anything admitted now would miss the
-		// snapshot already replicated to peers.
-		s.stDrainRej.Add(1)
-		return false
-	}
-	if ev.sess != nil {
-		if _, live := s.sessions[ev.sess]; !live {
-			// The registering session disconnected before this add was
-			// folded in; its one-shot cleanup has already run, so
-			// registering now would leak the flow forever.
-			s.stRejected.Add(1)
-			return false
-		}
-		if s.cfg.MaxSessionFlows > 0 && len(ev.sess.owned) >= s.cfg.MaxSessionFlows {
-			s.stLimited.Add(1)
-			s.logf("flowlet %d add dropped: session %d at its %d-flow limit", ev.flow, ev.sess.id, s.cfg.MaxSessionFlows)
-			return false
-		}
-	}
-	if s.shard != nil && !s.shard.ownsFlow(ev.src, ev.dst) {
-		// A sharded daemon allocates only flowlets sourced in its own racks;
-		// anything else belongs to a peer and registering it here would
-		// double-allocate its path.
-		s.stRejected.Add(1)
-		s.logf("flowlet %d add rejected: server %d is not owned by shard %d/%d", ev.flow, ev.src, s.cfg.ShardIndex, s.cfg.NumShards)
-		return false
-	}
-	return true
-}
-
-// admitLocked registers a flowlet with the allocator and enters its record,
-// unowned, into the flow table at the slot the allocator gave it. The caller
-// has bound id (core.ParallelAllocator.Bind); a refusal releases the binding.
-// Called with s.mu held.
-func (s *Server) admitLocked(id core.FlowID, src, dst int, weight float64) (*flowRec, error) {
-	slot, err := s.alloc.Admit(id, src, dst, weight)
-	if err != nil {
-		return nil, err
-	}
-	var rec *flowRec
-	if n := len(s.freeRecs); n > 0 {
-		rec, s.freeRecs = s.freeRecs[n-1], s.freeRecs[:n-1]
-	} else {
-		rec = new(flowRec)
-	}
-	*rec = flowRec{id: id, pendIdx: -1}
-	if n := int(slot) + 1; n > len(s.recs) {
-		s.recs = append(s.recs, make([]*flowRec, n-len(s.recs))...)
-	}
-	s.recs[slot] = rec
-	return rec, nil
-}
-
-// retireLocked ends the flowlet at slot in the allocator, whose ID the caller
-// has unbound (or is about to re-admit), and drops its record:
-// out of the flow table, out of its owner's set, and any undelivered rate
-// withdrawn. That leaves the record unreachable (only its owner's pending list
-// ever holds it outside s.mu), so it is recycled; callers must not touch it
-// afterwards. The owner's pmu stays held until the fold's release. Called with
-// s.mu held.
-func (s *Server) retireLocked(slot int32) {
-	s.alloc.EndSlot(slot)
-	rec := s.recs[slot]
-	s.recs[slot] = nil
-	if owner := rec.owner; owner != nil {
-		owner.disown(rec)
-		s.hold(owner)
-		if rec.pendIdx >= 0 {
-			owner.unqueue(rec)
-		}
-	}
-	s.freeRecs = append(s.freeRecs, rec)
-}

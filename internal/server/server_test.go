@@ -126,6 +126,90 @@ func TestConcurrentStepReplies(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStepRepliesNeverTrailFanout steps three sessions of one daemon from
+// their own goroutines, each ending its oldest flowlet and starting one per
+// step, so every iteration queues rates for the sessions that did not ask for
+// it. Once all are done and each client has read what is left on its
+// connection, every client must hold, for each live flowlet, a rate within
+// the notification threshold of the daemon's: a fan-out of a later iteration
+// that overtook a step reply would leave it holding the reply's older rate.
+func TestStepRepliesNeverTrailFanout(t *testing.T) {
+	topo := testTopology(t)
+	srv, err := New(Config{Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const clients, resident, steps, idSpan = 3, 60, 200, 1 << 20
+	n := topo.NumServers()
+	clis := make([]*transport.AllocClient, clients)
+	got := make([]map[core.FlowID]float64, clients)
+	note := func(c int, ups []core.RateUpdate) {
+		for _, u := range ups {
+			if _, live := got[c][u.Flow]; live {
+				got[c][u.Flow] = u.Rate
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for c := range clis {
+		clientEnd, serverEnd := net.Pipe()
+		go srv.ServeConn(serverEnd)
+		cli, err := transport.NewAllocClient(clientEnd, uint64(c+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		clis[c], got[c] = cli, make(map[core.FlowID]float64)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := core.FlowID((c + 1) * idSpan)
+			for i := 0; i < resident+steps; i++ {
+				if i >= resident {
+					if err := cli.FlowletEnd(next - resident); err != nil {
+						t.Error(err)
+					}
+					delete(got[c], next-resident)
+				}
+				src := int(next) % n
+				if err := cli.FlowletStart(next, src, (src+1+int(next)/n)%n, 1); err != nil {
+					t.Error(err)
+				}
+				got[c][next] = 0
+				next++
+				if i < resident {
+					continue
+				}
+				ups, err := cli.Step()
+				if err != nil {
+					t.Errorf("client %d step %d: %v", c, i, err)
+					return
+				}
+				note(c, ups)
+			}
+		}()
+	}
+	wg.Wait()
+	for c, cli := range clis {
+		for {
+			ups, _, err := cli.Recv(50 * time.Millisecond)
+			if err != nil {
+				break
+			}
+			note(c, ups)
+		}
+	}
+	rates := srv.Rates()
+	for c := range got {
+		for f, r := range got[c] {
+			if core.SignificantRateChange(r, rates[f], srv.cfg.UpdateThreshold) {
+				t.Errorf("client %d holds %v for flow %d, the daemon computes %v", c, r, f, rates[f])
+			}
+		}
+	}
+}
+
 // TestDaemonMatchesInProcessAllocator is the end-to-end determinism check:
 // the same churn stream, folded in at the same iteration boundaries, must
 // produce bit-identical rate updates whether the allocator runs in process

@@ -92,7 +92,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	reg.GaugeFunc("flowtune_flows", "Flows currently registered in the allocator.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(s.alloc.NumFlows())
+		return float64(s.loop.alloc.NumFlows())
 	}, labels...)
 	reg.GaugeFunc("flowtune_epoch", "Allocator epoch announced in handshakes.",
 		func() float64 { return float64(s.epoch.Load()) }, labels...)
@@ -104,14 +104,14 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	}, labels...)
 
 	reg.CounterFunc("flowtune_iterations_total", "Allocator iterations run.",
-		func() float64 { return float64(s.loop.Snapshot().Iterations) }, labels...)
+		func() float64 { return float64(s.timing.Snapshot().Iterations) }, labels...)
 	counter("flowtune_arrival_iterations_total", "Free-running iterations triggered by arriving flowlet events rather than the interval ticker.", &s.stArrivals)
 	reg.GaugeFunc("flowtune_iteration_latency_p50_seconds", "Median iteration latency over the recent window.",
-		func() float64 { return s.loop.Snapshot().LatencySec.P50 }, labels...)
+		func() float64 { return s.timing.Snapshot().LatencySec.P50 }, labels...)
 	reg.GaugeFunc("flowtune_iteration_latency_p99_seconds", "99th-percentile iteration latency over the recent window.",
-		func() float64 { return s.loop.Snapshot().LatencySec.P99 }, labels...)
+		func() float64 { return s.timing.Snapshot().LatencySec.P99 }, labels...)
 	reg.GaugeFunc("flowtune_iterations_per_second", "Busy-time iteration throughput.",
-		func() float64 { return s.loop.Snapshot().IterationsPerSec }, labels...)
+		func() float64 { return s.timing.Snapshot().IterationsPerSec }, labels...)
 
 	hist := reg.Histogram("flowtune_iteration_latency_seconds",
 		"Iteration wall-clock latency distribution.", IterationLatencyBuckets, labels...)
@@ -153,7 +153,7 @@ func (s *Server) AttachFlightRecorder(rec *telemetry.FlightRecorder) {
 	t.cur = make([]float64, n)
 	// Seed the residual baseline with the current prices so the first sample
 	// measures the first iteration's movement, not the distance from zero.
-	s.alloc.LinkPrices(t.links, t.prev)
+	s.loop.alloc.LinkPrices(t.links, t.prev)
 }
 
 // FlightRecorder returns the attached recorder (nil when none).
@@ -181,14 +181,14 @@ func (s *Server) recordTelemetryLocked(seq uint64, latencySec float64, updates, 
 		return
 	}
 	var residual float64
-	s.alloc.LinkPrices(t.links, t.cur)
+	s.loop.alloc.LinkPrices(t.links, t.cur)
 	for i, p := range t.cur {
 		if d := math.Abs(p - t.prev[i]); d > residual {
 			residual = d
 		}
 	}
 	t.prev, t.cur = t.cur, t.prev
-	obj := s.alloc.Objective()
+	obj := s.loop.alloc.Objective()
 	if math.IsInf(obj, 0) || math.IsNaN(obj) {
 		obj = 0 // JSON cannot carry non-finite values; see FlightSample.Objective
 	}

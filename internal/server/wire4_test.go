@@ -59,10 +59,10 @@ func (sess *session) queueUpdate(flow int64, rate float64, seq uint64) {
 		rec = &flowRec{id: core.FlowID(flow), pendIdx: -1}
 		sess.own(rec)
 	}
-	sess.pmu.Lock()
+	sess.srv.mu.Lock()
 	sess.queue(rec, rate)
 	sess.pendingSeq = seq
-	sess.pmu.Unlock()
+	sess.srv.mu.Unlock()
 }
 
 // decodeRateFrames parses every frame of every recorded write as a RateDelta
@@ -97,12 +97,12 @@ func fillFanout(sess *session, n int, round int) {
 	for len(sess.owned) < n {
 		sess.own(&flowRec{id: core.FlowID(len(sess.owned) * 3), pendIdx: -1})
 	}
-	sess.pmu.Lock()
+	sess.srv.mu.Lock()
 	for i, rec := range sess.owned[:n] {
 		sess.queue(rec, float64(1e9+i*1000+round))
 	}
 	sess.pendingSeq = uint64(round)
-	sess.pmu.Unlock()
+	sess.srv.mu.Unlock()
 }
 
 // TestFanoutFlushZeroAllocs pins the steady-state fan-out path at zero
@@ -168,8 +168,8 @@ func TestFlowRecordFanout(t *testing.T) {
 		srv.publish([]event{{flow: flow, src: 0, dst: 5, weight: 1, sess: sess}})
 	}
 	pendingIDs := func(sess *session) []core.FlowID {
-		sess.pmu.Lock()
-		defer sess.pmu.Unlock()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
 		var ids []core.FlowID
 		for i, rec := range sess.pending {
 			if int(rec.pendIdx) != i {
@@ -203,8 +203,8 @@ func TestFlowRecordFanout(t *testing.T) {
 	if got := pendingIDs(b); !slices.Equal(got, []core.FlowID{3, 4}) || len(connB.frames) != 0 {
 		t.Fatalf("B pending = %v with %d frames written, want [3 4] and none", got, len(connB.frames))
 	}
-	if len(b.kick) != 1 || b.pendingSeq != srv.seq || b.held || len(srv.held) != 0 {
-		t.Fatalf("after the pass: %d kicks, pendingSeq %d (iteration %d), held %v", len(b.kick), b.pendingSeq, srv.seq, b.held)
+	if len(b.kick) != 1 || b.pendingSeq != srv.seq {
+		t.Fatalf("after the pass: %d kicks, pendingSeq %d (iteration %d)", len(b.kick), b.pendingSeq, srv.seq)
 	}
 
 	// Ending flow 3 withdraws its undelivered rate; flow 4's survives the
