@@ -169,8 +169,8 @@ func TestPeerFramesDoNotWakeLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	queued := func() int {
-		srv.shard.inMu.Lock()
-		defer srv.shard.inMu.Unlock()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
 		return len(srv.shard.pending)
 	}
 	waitFor(t, func() bool { return queued() == 1 })

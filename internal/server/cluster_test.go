@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -224,6 +226,44 @@ func TestConnectPeerTimesOutOnSilentPeer(t *testing.T) {
 		}
 	case <-time.After(peerExchangeTimeout + 5*time.Second):
 		t.Fatal("ConnectPeer wedged past the handshake deadline")
+	}
+}
+
+// TestConnectPeerAfterClose: a handshake that completes after Close has run
+// must not attach its connection. The daemon would hold it open forever — no
+// Close is left to close it — and HasPeer would report a live peer on a
+// closed daemon.
+func TestConnectPeerAfterClose(t *testing.T) {
+	srv, err := New(Config{Topology: clusterTopo(t), NumShards: 2, ShardIndex: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, peer := net.Pipe()
+	defer peer.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.ConnectPeer(out)
+		done <- err
+	}()
+	sc := wire.NewScanner(peer)
+	if typ, _, err := sc.Next(); err != nil || typ != wire.TypePeerHello {
+		t.Fatalf("peer hello: %s, %v", typ, err)
+	}
+	srv.Close()
+	if _, err := peer.Write(wire.AppendPeerHello(nil, wire.PeerHello{Version: wire.Version, Shard: 1, NumShards: 2, Epoch: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("ConnectPeer after Close: %v; want net.ErrClosed", err)
+	}
+	if srv.HasPeer(1) {
+		t.Fatal("a closed daemon reports peer 1 attached")
+	}
+	// The deadline bounds the read if the daemon kept its end open; it is
+	// refused once that end is closed, which is the outcome wanted.
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := sc.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("the peer's end reads %v; want EOF", err)
 	}
 }
 

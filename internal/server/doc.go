@@ -11,10 +11,12 @@
 // burst at a time: what one Read brought in, which is what an endpoint wrote
 // in one Flush, is never split across iterations; step runs one NED step plus
 // F-NORM and the notify filter (AppendUpdates); route hands each changed rate
-// to the session that registered the flow. Server is the shell: sockets,
-// session readers and writers, the ticker, iteration timing, the sharded
-// exchange, snapshots and the flight recorder. It runs the passes under one
-// mutex, the loop lock, and writes a step reply, encoded under it, after it.
+// to the session that registered the flow. A sharded daemon's peer exchange
+// is a second such type, exchange, whose fold runs ahead of the loop's and
+// whose build encodes each peer's bundle. Server is the shell: sockets,
+// session readers and writers, peer connections, the ticker, iteration
+// timing, snapshots and the flight recorder. It runs both under one mutex,
+// the loop lock, and writes a step reply or a bundle, encoded under it, after.
 // An add the allocator refuses (no route, a weight that is not finite) is
 // counted in Stats.RejectedAdds and logged, never folded in.
 //

@@ -308,7 +308,7 @@ func (l *loop) admit(id core.FlowID, src, dst int, weight float64) (*flowRec, er
 // admitUnowned re-admits one flow of a snapshot or a peer replica as an
 // unowned registration, in the allocator and in the flow table, for a
 // reconnecting client's bare add to claim without allocator churn. It is the
-// one admission path of Restore and adoptLocked, one flow-index probe per
+// one admission path of Restore and exchange.adopt, one flow-index probe per
 // flow: known reports an ID the allocator already holds, which is left as it
 // is.
 func (l *loop) admitUnowned(e wire.FlowStateEntry) (known bool, err error) {

@@ -157,8 +157,9 @@ type Stats struct {
 }
 
 // Server is the flowtuned allocator daemon: the shell that runs the control
-// loop (loop) under mu and owns everything that waits — sockets, session
-// readers and writers, the ticker, iteration timing, peer connections.
+// loop (loop) and a sharded daemon's exchange under mu and owns everything
+// that waits — sockets, session readers and writers, the ticker, iteration
+// timing, peer connections.
 type Server struct {
 	// loop is the control loop's state, guarded by mu, the one loop lock.
 	loop
@@ -470,10 +471,19 @@ func (s *Server) Close() error {
 	close(s.done)
 	// Closing every served conn (sessions and mid-handshake readers alike)
 	// unblocks their goroutines so wg.Wait below cannot hang on a silent
-	// peer that never completed its Hello.
+	// peer that never completed its Hello; closing the outbound peer conns
+	// unblocks any iteration waiting on an exchange ack.
 	conns := make([]net.Conn, 0, len(s.conns))
 	for conn := range s.conns {
 		conns = append(conns, conn)
+	}
+	if s.shard != nil {
+		for i, pc := range s.shard.conns {
+			if pc != nil {
+				conns = append(conns, pc.conn)
+				s.shard.conns[i] = nil
+			}
+		}
 	}
 	listeners := s.listeners
 	s.listeners = nil
@@ -484,11 +494,6 @@ func (s *Server) Close() error {
 	}
 	for _, conn := range conns {
 		conn.Close()
-	}
-	if s.shard != nil {
-		// Closing outbound peer connections unblocks any iteration waiting
-		// on an exchange ack.
-		s.shard.closePeers()
 	}
 	s.wg.Wait()
 
@@ -904,10 +909,7 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		return net.ErrClosed
 	}
 	if s.shard != nil {
-		s.foldExchangeLocked()
-		if s.shard.takeover {
-			s.processDeathsLocked()
-		}
+		s.shard.foldLocked(&s.loop)
 	}
 	churn := len(s.loop.inbox)
 	s.loop.fold()
@@ -947,7 +949,8 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	}
 	var peers []*peerConn
 	if s.shard != nil {
-		peers = s.buildExchangeLocked(seq)
+		peers = s.shard.buildLocked(&s.loop, seq, s.Epoch())
+		s.addExchangeTallyLocked()
 	}
 	s.mu.Unlock()
 
@@ -978,6 +981,19 @@ func (s *Server) addTallyLocked() {
 	s.stDrainRej.Add(t.drainRejects)
 	s.stCoalesced.Add(t.coalesced)
 	*t = tally{}
+}
+
+// addExchangeTallyLocked moves the exchange's tally into the Stats counters.
+// Called with s.mu held.
+func (s *Server) addExchangeTallyLocked() {
+	t := &s.shard.tally
+	s.stPeerRej.Add(t.peerRejected)
+	s.stExchFolds.Add(t.folds)
+	s.stExchStale.Add(t.stale)
+	s.stExchBytes.Add(t.bytes)
+	s.stExchFixed.Add(t.fixed)
+	s.stTakeovers.Add(t.takeovers)
+	*t = exchangeTally{}
 }
 
 // maxRateDeltaEntries bounds entries per RateDelta frame, sized for the

@@ -65,11 +65,11 @@ func startPipeDaemon(t *testing.T, cfg Config) (*Server, *transport.AllocClient)
 }
 
 // TestConcurrentStepReplies steps three sessions of one daemon from their own
-// goroutines, so one session's iteration runs while another's step reply is
-// still being encoded from the update list it surfaced. Every update a
-// session receives must be for a flow it registered: a reply encoded from a
-// list a later iteration had overwritten would carry other sessions' flows
-// (and the race detector sees the overwrite).
+// goroutines, so one session's iteration runs while another's step reply —
+// encoded from the update list under the loop lock — is being written outside
+// it. Every update a session receives must be for a flow it registered: a
+// reply holding entries of another session's share of an iteration, or of a
+// later iteration's update list, would carry other sessions' flows.
 func TestConcurrentStepReplies(t *testing.T) {
 	topo := testTopology(t)
 	srv, err := New(Config{Topology: topo})
