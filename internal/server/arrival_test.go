@@ -169,9 +169,9 @@ func TestPeerFramesDoNotWakeLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	queued := func() int {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.shard.pending)
+		srv.shard.qmu.Lock()
+		defer srv.shard.qmu.Unlock()
+		return len(srv.shard.inbox)
 	}
 	waitFor(t, func() bool { return queued() == 1 })
 	time.Sleep(20 * time.Millisecond) // a wake would have run by now
@@ -197,6 +197,34 @@ func TestPeerFramesDoNotWakeLoop(t *testing.T) {
 	recvRate(t, cli, 1)
 	if it, q := srv.Iterations(), queued(); it != 1 || q != 0 {
 		t.Fatalf("after a client arrival: %d iterations, %d peer frames still queued; want 1 and 0", it, q)
+	}
+}
+
+// TestRefusedPeerFrameCountsAtOnce: a peer frame refused on arrival — here a
+// digest naming another sender — is counted in PeerRejected when it is read,
+// not at the next iteration, so a daemon that is not iterating reports it too.
+func TestRefusedPeerFrameCountsAtOnce(t *testing.T) {
+	srv, err := New(Config{Topology: clusterTopo(t), NumShards: 2, ShardIndex: 0, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer, in := net.Pipe()
+	defer peer.Close()
+	go srv.ServeConn(in)
+	hello := wire.AppendPeerHello(nil, wire.PeerHello{Version: wire.Version, Shard: 1, NumShards: 2, Epoch: 1})
+	if _, err := peer.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.NewScanner(peer).Next(); err != nil || typ != wire.TypePeerHello {
+		t.Fatalf("peer handshake reply: %s, %v", typ, err)
+	}
+	if _, err := peer.Write(wire.AppendPriceDigestDelta(nil, 1, 0, true, []uint32{0}, []float64{1e9}, []float64{-1})); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.Stats().PeerRejected == 1 })
+	if it := srv.Iterations(); it != 0 {
+		t.Fatalf("%d iterations ran; want the refusal counted without one", it)
 	}
 }
 

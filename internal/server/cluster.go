@@ -20,20 +20,24 @@ type shardState struct {
 	exchange
 
 	// conns holds the outbound connection to each daemon, nil while none is
-	// attached; heard is the last time any frame arrived from each daemon
-	// (zero: never heard from, which is not staleness). Both guarded by s.mu.
+	// attached. Guarded by s.mu.
 	conns []*peerConn
-	heard []time.Time
 	// hbGrace declares a silent peer dead (Config.HeartbeatTimeout).
 	hbGrace time.Duration
 
+	// qmu guards inbox, the decoded peer frames awaiting the next fold, and
+	// heard, the last time any frame arrived from each daemon (zero: never
+	// heard from). Peer readers take only qmu, so no ack waits on an iteration.
+	qmu   sync.Mutex
+	inbox []exchangeMsg
+	heard []time.Time
+
 	// sendMu serializes whole fold → iterate → push sequences so peers
 	// observe bundles in iteration order. The lock order is wmu → sendMu →
-	// s.mu, and no holder of s.mu blocks on a socket: the build runs under
-	// s.mu, the push after it is released. A peer reader therefore takes
-	// s.mu to queue a frame and writes its ack after, waiting on at most one
-	// iteration's compute and never on I/O, so two shards pushing to each
-	// other cannot deadlock.
+	// s.mu → qmu, and no holder of s.mu blocks on a socket: the build runs
+	// under s.mu, the push after it is released, and a peer reader acks
+	// after taking only qmu, so two shards pushing to each other cannot
+	// deadlock.
 	sendMu sync.Mutex
 }
 
@@ -78,11 +82,13 @@ const peerExchangeTimeout = 2 * time.Second
 // failures alone so runs stay deterministic. Called with s.mu and sendMu
 // held.
 func (st *shardState) foldLocked(l *loop) {
-	st.fold(l)
-	if !st.takeover {
-		return
+	st.qmu.Lock()
+	for _, m := range st.inbox {
+		st.queue(m)
 	}
-	if !st.stepDriven && st.hbGrace > 0 {
+	clear(st.inbox)
+	st.inbox = st.inbox[:0]
+	if st.takeover && !st.stepDriven && st.hbGrace > 0 {
 		now := time.Now()
 		for d, t := range st.heard {
 			if !t.IsZero() && now.Sub(t) > st.hbGrace {
@@ -90,7 +96,11 @@ func (st *shardState) foldLocked(l *loop) {
 			}
 		}
 	}
-	st.deaths(l)
+	st.qmu.Unlock()
+	st.fold(l)
+	if st.takeover {
+		st.deaths(l)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -220,17 +230,15 @@ func (s *Server) Peers() []int {
 func (st *shardState) buildLocked(l *loop, seq, epoch uint64) []*peerConn {
 	var peers []*peerConn
 	for _, pc := range st.conns {
-		if pc != nil {
-			peers = append(peers, pc)
+		if pc == nil {
+			continue
 		}
-	}
-	if len(peers) == 0 {
-		return nil
-	}
-	st.prepare(l)
-	for _, pc := range peers {
+		if len(peers) == 0 {
+			st.prepare(l)
+		}
 		pc.buf, pc.acks = st.build(pc.buf[:0], l, pc.shard, seq, epoch)
 		pc.seq = seq
+		peers = append(peers, pc)
 	}
 	return peers
 }
@@ -330,6 +338,7 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 	}
 	s.log("peer shard %d session from %v (epoch %d)", hello.Shard, conn.RemoteAddr(), hello.Epoch)
 
+	var dec peerDecoder
 	var buf []byte
 	for {
 		typ, payload, err := sc.Next()
@@ -339,16 +348,21 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 			}
 			return fmt.Errorf("server: peer shard %d: %w", hello.Shard, err)
 		}
-		now := time.Now()
-		s.mu.Lock()
-		s.shard.heard[hello.Shard] = now
-		ack, seq, err := s.shard.receive(hello.Shard, hello.Epoch, typ, payload)
-		s.mu.Unlock()
+		m, err := dec.decode(hello.Shard, hello.Epoch, typ, payload)
 		if err != nil {
 			return fmt.Errorf("server: peer shard %d: %w", hello.Shard, err)
 		}
-		if ack {
-			buf = wire.AppendExchangeAck(buf[:0], seq)
+		if m.kind == msgRefused {
+			s.stPeerRej.Add(1)
+		}
+		s.shard.qmu.Lock()
+		s.shard.heard[hello.Shard] = time.Now()
+		if m.kind > msgRefused {
+			s.shard.inbox = append(s.shard.inbox, m)
+		}
+		s.shard.qmu.Unlock()
+		if typ == wire.TypePriceSnapshotDelta {
+			buf = wire.AppendExchangeAck(buf[:0], m.seq)
 			if _, err := conn.Write(buf); err != nil {
 				return fmt.Errorf("server: peer shard %d: ack: %w", hello.Shard, err)
 			}

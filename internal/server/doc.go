@@ -16,7 +16,8 @@
 // whose build encodes each peer's bundle. Server is the shell: sockets,
 // session readers and writers, peer connections, the ticker, iteration
 // timing, snapshots and the flight recorder. It runs both under one mutex,
-// the loop lock, and writes a step reply or a bundle, encoded under it, after.
+// the loop lock, and writes a step reply or a bundle, encoded under it, after;
+// peer readers queue decoded frames under a lock of their own, never s.mu.
 // An add the allocator refuses (no route, a weight that is not finite) is
 // counted in Stats.RejectedAdds and logged, never folded in.
 //

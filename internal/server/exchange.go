@@ -34,9 +34,9 @@ import (
 
 // exchange is a sharded daemon's side of the boundary exchange: the imported
 // peer state, the served-shard picture, the failover state and the delta
-// shadows. receive queues inbound frames, fold applies them to the loop's
-// allocator, deaths adopts or buries dead peers, and prepare and build encode
-// the outbound bundles. Like loop it does no I/O, starts no goroutine and
+// shadows. queue takes inbound messages (a peerDecoder decodes them), fold
+// applies them to the loop's allocator, deaths adopts or buries dead peers,
+// and prepare and build encode the outbound bundles. Like loop it does no I/O, starts no goroutine and
 // takes no lock: Server, the shell around it, owns the peer connections and
 // calls it under s.mu.
 type exchange struct {
@@ -82,14 +82,12 @@ type exchange struct {
 	replica    []core.ParallelFlow
 	successor  int
 
-	// Reused build, fold and decode scratch.
+	// Reused build and fold scratch.
 	digestLoads, digestHdiag []float64
 	dLinks, sLinks           []uint32
 	dLoads, dHdiag, sPrices  []float64
 	pinLinks                 []topology.LinkID
 	pinVals                  []float64
-	dd                       wire.PriceDigestDelta
-	sd                       wire.PriceSnapshotDelta
 }
 
 // exchangeTally counts what Stats reports as PeerRejected, ExchangeFolds,
@@ -98,24 +96,35 @@ type exchangeTally struct {
 	peerRejected, folds, stale, bytes, fixed, takeovers int64
 }
 
-// exchangeMsg is one inbound peer frame waiting for the next iteration
-// boundary. For a digest, vals/hdiag are the load/sensitivity entries; for a
-// snapshot, vals holds prices and hdiag is nil; for a takeover announcement,
-// from is the adopter and dead the adopted daemon. Entries are a partial
-// update (absent links keep their prior imported values) unless reset
-// re-baselines: a reset digest zeroes the sender's contributions before
-// applying, a reset snapshot is a complete price listing.
+// exchangeMsg is one decoded inbound peer frame: a digest's loads and
+// sensitivities in vals/hdiag, a snapshot's prices in vals, a takeover's
+// adopter (from) and adopted daemon (dead), or flows of replica (seq, epoch)
+// in entries. Entries are a partial update (absent links keep their prior
+// imported values) unless reset re-baselines: a reset digest zeroes the
+// sender's contributions first, a reset snapshot lists every price.
 type exchangeMsg struct {
-	from     uint32
-	seq      uint64
-	snapshot bool
-	takeover bool
-	reset    bool
-	dead     uint32
-	links    []uint32
-	vals     []float64
-	hdiag    []float64
+	kind       msgKind
+	reset      bool
+	from, dead uint32
+	seq, epoch uint64
+	links      []uint32
+	vals       []float64
+	hdiag      []float64
+	entries    []wire.FlowStateEntry
 }
+
+// msgKind says what an exchangeMsg carries; the kinds after msgRefused are
+// the ones queue takes.
+type msgKind uint8
+
+const (
+	msgHeartbeat msgKind = iota
+	msgRefused           // wrong sender or older epoch: counted, not queued
+	msgDigest
+	msgSnapshot
+	msgTakeover
+	msgReplica
+)
 
 // peerState is the exchange's record of one daemon of the cluster, indexed
 // by daemon (shard) index, so iterating the records visits the cluster in
@@ -241,88 +250,73 @@ func (x *exchange) successorOf(dead int) int {
 // ---------------------------------------------------------------------------
 // Inbound: receiving and folding peer bundles.
 
-// receive takes one frame of daemon from's peer session, whose PeerHello
-// carried epoch: digests, snapshots and takeovers are queued for the next
-// fold and a replica chunk is stored, while a frame from the wrong sender or
-// an older epoch is refused and counted. A snapshot chunk is acknowledged
-// whether or not it is accepted — the peer blocks on delivery, not
-// acceptance — and receive returns its sequence number with ack set.
-func (x *exchange) receive(from uint32, epoch uint64, typ wire.MsgType, payload []byte) (ack bool, seq uint64, err error) {
+// peerDecoder decodes the frames of one peer session. Each session reader
+// owns one, so decoding takes no lock and touches no exchange state.
+type peerDecoder struct {
+	dd wire.PriceDigestDelta
+	sd wire.PriceSnapshotDelta
+}
+
+// decode decodes one frame of daemon from's peer session, whose PeerHello
+// carried epoch; a frame from the wrong sender or an older epoch comes back
+// as msgRefused. A snapshot chunk is acknowledged whether or not it is
+// accepted — the peer blocks on delivery, not acceptance — so its seq is set
+// either way.
+func (d *peerDecoder) decode(from uint32, epoch uint64, typ wire.MsgType, payload []byte) (m exchangeMsg, err error) {
+	m = exchangeMsg{kind: msgRefused, from: from}
+	// The decode scratch is reused frame to frame, so messages get copies.
 	switch typ {
 	case wire.TypePriceDigestDelta:
-		d := &x.dd
-		if err := wire.DecodePriceDigestDelta(payload, d); err != nil {
-			return false, 0, err
+		if err = wire.DecodePriceDigestDelta(payload, &d.dd); err == nil && d.dd.Shard == from {
+			m.kind, m.seq, m.reset = msgDigest, d.dd.Seq, d.dd.Reset
+			m.links, m.vals, m.hdiag = slices.Clone(d.dd.Links), slices.Clone(d.dd.Loads), slices.Clone(d.dd.Hdiag)
 		}
-		if d.Shard != from {
-			x.tally.peerRejected++
-			return false, 0, nil
-		}
-		// The decode scratch is reused frame to frame, so the queue gets
-		// copies.
-		x.pending = append(x.pending, exchangeMsg{
-			from: from, seq: d.Seq, reset: d.Reset,
-			links: append([]uint32(nil), d.Links...),
-			vals:  append([]float64(nil), d.Loads...),
-			hdiag: append([]float64(nil), d.Hdiag...),
-		})
 	case wire.TypePriceSnapshotDelta:
-		sd := &x.sd
-		if err := wire.DecodePriceSnapshotDelta(payload, sd); err != nil {
-			return false, 0, err
+		if err = wire.DecodePriceSnapshotDelta(payload, &d.sd); err == nil && d.sd.Shard == from && d.sd.Epoch >= epoch {
+			m.kind, m.reset = msgSnapshot, d.sd.Reset
+			m.links, m.vals = slices.Clone(d.sd.Links), slices.Clone(d.sd.Prices)
 		}
-		if sd.Shard != from || sd.Epoch < epoch {
-			x.tally.peerRejected++
-		} else {
-			x.pending = append(x.pending, exchangeMsg{
-				from: from, seq: sd.Seq, snapshot: true, reset: sd.Reset,
-				links: append([]uint32(nil), sd.Links...),
-				vals:  append([]float64(nil), sd.Prices...),
-			})
-		}
-		return true, sd.Seq, nil
+		m.seq = d.sd.Seq
 	case wire.TypeHeartbeat:
-		hb, err := wire.DecodeHeartbeat(payload)
-		if err != nil {
-			return false, 0, err
-		}
-		if hb.Shard != from {
-			x.tally.peerRejected++
+		var hb wire.Heartbeat
+		if hb, err = wire.DecodeHeartbeat(payload); err == nil && hb.Shard == from {
+			m.kind = msgHeartbeat
 		}
 	case wire.TypeFlowState:
-		fs, err := wire.DecodeFlowState(payload)
-		if err != nil {
-			return false, 0, err
-		}
-		if fs.Shard != from || fs.Epoch < epoch {
-			x.tally.peerRejected++
-			return false, 0, nil
-		}
-		// A chunk with a new sequence number starts a fresh replica, further
-		// chunks with the same sequence append (frames arrive in order).
-		p := &x.peers[from]
-		if p.replicaSeq != fs.Seq || p.replicaEpoch != fs.Epoch {
-			p.replicaSeq, p.replicaEpoch, p.replica = fs.Seq, fs.Epoch, p.replica[:0]
-		}
-		for i := 0; i < fs.Len(); i++ {
-			p.replica = append(p.replica, fs.Entry(i))
+		var fs wire.FlowState
+		if fs, err = wire.DecodeFlowState(payload); err == nil && fs.Shard == from && fs.Epoch >= epoch {
+			m.kind, m.seq, m.epoch = msgReplica, fs.Seq, fs.Epoch
+			m.entries = make([]wire.FlowStateEntry, fs.Len())
+			for i := range m.entries {
+				m.entries[i] = fs.Entry(i)
+			}
 		}
 	case wire.TypeTakeover:
-		tk, err := wire.DecodeTakeover(payload)
-		if err != nil {
-			return false, 0, err
+		var tk wire.Takeover
+		if tk, err = wire.DecodeTakeover(payload); err == nil && tk.By == from {
+			m.kind, m.seq, m.dead = msgTakeover, tk.Seq, tk.Dead
 		}
-		if tk.By != from {
-			x.tally.peerRejected++
-			return false, 0, nil
-		}
-		// Folded at the next iteration boundary, where it re-points servedBy
-		// like any other seq-stamped message.
-		x.pending = append(x.pending, exchangeMsg{from: tk.By, seq: tk.Seq, takeover: true, dead: tk.Dead})
 	default:
-		return false, 0, fmt.Errorf("unexpected %s frame", typ)
+		err = fmt.Errorf("unexpected %s frame", typ)
 	}
-	return false, 0, nil
+	return m, err
+}
+
+// queue takes one decoded message, in arrival order: a replica chunk is
+// stored at once, digests, snapshots and takeovers wait in pending for the
+// next fold.
+func (x *exchange) queue(m exchangeMsg) {
+	if m.kind != msgReplica {
+		x.pending = append(x.pending, m)
+		return
+	}
+	// A chunk with a new sequence number starts a fresh replica, further
+	// chunks with the same sequence append (frames arrive in order).
+	p := &x.peers[m.from]
+	if p.replicaSeq != m.seq || p.replicaEpoch != m.epoch {
+		p.replicaSeq, p.replicaEpoch, p.replica = m.seq, m.epoch, p.replica[:0]
+	}
+	p.replica = append(p.replica, m.entries...)
 }
 
 // fold applies pending peer messages to l's allocator, before its flowlet
@@ -347,11 +341,11 @@ func (x *exchange) fold(l *loop) {
 		if lag := int64(l.seq) - int64(m.seq); lag > 0 {
 			x.tally.stale += lag
 		}
-		switch {
-		case m.takeover:
+		switch m.kind {
+		case msgTakeover:
 			x.applyTakeover(l, int(m.dead), int(m.from))
 			digests = true // peer contributions changed; re-sum below
-		case m.snapshot:
+		case msgSnapshot:
 			x.pin(l, &m)
 		default:
 			x.importDigest(&m)

@@ -183,7 +183,8 @@ func modelledStats(st Stats) Stats {
 // one session, on the test goroutine. A step is what Server.iterate does
 // under s.mu — exchange fold and deaths, loop fold, step and route, then a
 // bundle built for every attached peer — followed by the push: the bundle's
-// frames go through exchange.receive at a live peer, while a push to a dead
+// frames are decoded and queued at a live peer, as a session reader and the
+// next fold do, while a push to a dead
 // one detaches it and marks it dead, as dropPeer does.
 func bareExchange(t *testing.T, cfg Config, sched []exchangeRound) *exchangeRun {
 	t.Helper()
@@ -215,7 +216,10 @@ func bareExchange(t *testing.T, cfg Config, sched []exchangeRound) *exchangeRun 
 	}
 	run := newExchangeRun(shards)
 	alive := slices.Repeat([]bool{true}, shards)
-	var buf []byte
+	var (
+		buf []byte
+		dec peerDecoder
+	)
 	for _, rd := range sched {
 		if rd.kill >= 0 {
 			alive[rd.kill] = false
@@ -257,11 +261,17 @@ func bareExchange(t *testing.T, cfg Config, sched []exchangeRound) *exchangeRun 
 					if err != nil {
 						t.Fatal(err)
 					}
-					ack, _, err := xs[j].receive(uint32(i), cfg.Epoch, typ, payload)
+					m, err := dec.decode(uint32(i), cfg.Epoch, typ, payload)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ack {
+					switch {
+					case m.kind == msgRefused:
+						run.stats[j].PeerRejected++
+					case m.kind > msgRefused:
+						xs[j].queue(m)
+					}
+					if typ == wire.TypePriceSnapshotDelta {
 						acks--
 					}
 					frames = rest

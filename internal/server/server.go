@@ -924,7 +924,6 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	}
 
 	s.loop.route(stepper)
-	s.addTallyLocked()
 	if stepper != nil {
 		// Non-final chunks carry the iteration sequence (the client folds
 		// them in like asynchronous fan-out); only the final chunk carries
@@ -950,8 +949,8 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	var peers []*peerConn
 	if s.shard != nil {
 		peers = s.shard.buildLocked(&s.loop, seq, s.Epoch())
-		s.addExchangeTallyLocked()
 	}
+	s.addTallyLocked()
 	s.mu.Unlock()
 
 	// Push the boundary exchange before replying to a stepper: once the
@@ -969,8 +968,8 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	return nil
 }
 
-// addTallyLocked moves the loop's tally into the Stats counters. Called with
-// s.mu held.
+// addTallyLocked moves the loop's tally, and a sharded daemon's exchange
+// tally, into the Stats counters. Called with s.mu held.
 func (s *Server) addTallyLocked() {
 	t := &s.loop.tally
 	s.stDupAdds.Add(t.dupAdds)
@@ -981,19 +980,16 @@ func (s *Server) addTallyLocked() {
 	s.stDrainRej.Add(t.drainRejects)
 	s.stCoalesced.Add(t.coalesced)
 	*t = tally{}
-}
-
-// addExchangeTallyLocked moves the exchange's tally into the Stats counters.
-// Called with s.mu held.
-func (s *Server) addExchangeTallyLocked() {
-	t := &s.shard.tally
-	s.stPeerRej.Add(t.peerRejected)
-	s.stExchFolds.Add(t.folds)
-	s.stExchStale.Add(t.stale)
-	s.stExchBytes.Add(t.bytes)
-	s.stExchFixed.Add(t.fixed)
-	s.stTakeovers.Add(t.takeovers)
-	*t = exchangeTally{}
+	if s.shard != nil {
+		x := &s.shard.tally
+		s.stPeerRej.Add(x.peerRejected)
+		s.stExchFolds.Add(x.folds)
+		s.stExchStale.Add(x.stale)
+		s.stExchBytes.Add(x.bytes)
+		s.stExchFixed.Add(x.fixed)
+		s.stTakeovers.Add(x.takeovers)
+		*x = exchangeTally{}
+	}
 }
 
 // maxRateDeltaEntries bounds entries per RateDelta frame, sized for the
