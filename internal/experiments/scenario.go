@@ -210,17 +210,7 @@ type ScenarioResult struct {
 	// lets every committed scenario baseline stay byte-identical when the
 	// encoding changes. The scaling artifact (BENCH_scaling.json) is where
 	// they are published and diffed.
-	Wire *WireScenarioStats `json:"-"`
-}
-
-// WireScenarioStats aggregates the daemons' fan-out and exchange byte
-// counters over a scenario run, with the fixed v3-encoding cost of the same
-// traffic alongside for the compression ratio.
-type WireScenarioStats struct {
-	FanoutBytes        int64
-	FanoutBytesFixed   int64
-	ExchangeBytes      int64
-	ExchangeBytesFixed int64
+	Wire *cluster.WireStats `json:"-"`
 }
 
 // ControlStats measures the control loop the paper budgets at ~10 µs per
@@ -538,18 +528,13 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		})
 	}
 	// Daemon-backed runs report their wire byte counters (not serialized;
-	// see WireScenarioStats).
+	// see ScenarioResult.Wire).
 	if cl != nil {
 		w := cl.WireStats()
-		res.Wire = &WireScenarioStats{
-			FanoutBytes:        w.FanoutBytes,
-			FanoutBytesFixed:   w.FanoutBytesFixed,
-			ExchangeBytes:      w.ExchangeBytes,
-			ExchangeBytesFixed: w.ExchangeBytesFixed,
-		}
+		res.Wire = &w
 	} else if srv != nil {
 		st := srv.Stats()
-		res.Wire = &WireScenarioStats{
+		res.Wire = &cluster.WireStats{
 			FanoutBytes:      st.FanoutBytes,
 			FanoutBytesFixed: st.FanoutBytesFixed,
 		}

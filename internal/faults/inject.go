@@ -2,11 +2,9 @@ package faults
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
@@ -105,33 +103,6 @@ type Injector struct {
 	steps int
 	kills []KillRecord
 	rep   Report
-
-	// Scrape-safe mirrors of the step counter and report fields: rep and
-	// steps are mutated on the engine goroutine while an admin endpoint
-	// scrapes from HTTP goroutines, so RegisterMetrics binds to these
-	// atomics instead.
-	mSteps     atomic.Int64
-	mEvents    atomic.Int64
-	mCapacity  atomic.Int64
-	mRehashes  atomic.Int64
-	mDrains    atomic.Int64
-	mKills     atomic.Int64
-	mFailovers atomic.Int64
-}
-
-// RegisterMetrics exposes the injector's activity in reg under the
-// flowtune_fault_ prefix, bound at scrape time to the atomic mirrors.
-func (in *Injector) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
-	bind := func(name, help string, v *atomic.Int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
-	}
-	bind("flowtune_fault_steps_total", "Allocator steps forwarded through the injector.", &in.mSteps)
-	bind("flowtune_fault_events_applied_total", "Fault-plan events applied.", &in.mEvents)
-	bind("flowtune_fault_capacity_changes_total", "Link capacity changes injected.", &in.mCapacity)
-	bind("flowtune_fault_rehashes_total", "ECMP rehashes injected.", &in.mRehashes)
-	bind("flowtune_fault_drains_total", "Graceful drains initiated by the plan.", &in.mDrains)
-	bind("flowtune_fault_kills_total", "Daemon kills applied.", &in.mKills)
-	bind("flowtune_fault_failovers_total", "Endpoint failovers completed after kills.", &in.mFailovers)
 }
 
 // NewInjector expands and validates the plan against the concrete run. The
@@ -273,7 +244,6 @@ func (in *Injector) FlowletEnd(id core.FlowID) error { return in.inner.FlowletEn
 // step-indexed, so the injection is as deterministic as the run around it.
 func (in *Injector) Step() ([]core.RateUpdate, error) {
 	in.steps++
-	in.mSteps.Add(1)
 	for in.next < len(in.ops) && in.ops[in.next].step <= in.steps {
 		o := in.ops[in.next]
 		in.next++
@@ -298,7 +268,6 @@ func (in *Injector) Step() ([]core.RateUpdate, error) {
 			}
 			k.failedOver = true
 			k.Adopter = adopter
-			in.mFailovers.Add(1)
 		}
 	}
 	return ups, nil
@@ -306,12 +275,10 @@ func (in *Injector) Step() ([]core.RateUpdate, error) {
 
 func (in *Injector) apply(o op) error {
 	in.rep.EventsApplied++
-	in.mEvents.Add(1)
 	switch {
 	case o.drain:
 		in.cfg.Cluster.Drain(o.shard)
 		in.rep.Drains++
-		in.mDrains.Add(1)
 	case o.kind == KillDaemon:
 		if err := in.cfg.Cluster.Kill(o.shard); err != nil {
 			return fmt.Errorf("faults: kill shard %d: %w", o.shard, err)
@@ -319,11 +286,9 @@ func (in *Injector) apply(o op) error {
 		k := &in.kills[o.kill]
 		k.killed = true
 		k.Step = in.steps
-		in.mKills.Add(1)
 	case o.kind == ECMPRehash:
 		in.cfg.Topology.SetRouteSalt(o.salt)
 		in.rep.Rehashes++
-		in.mRehashes.Add(1)
 	default: // LinkDown / LinkDegrade
 		raw := in.cfg.Topology.Link(o.link).Capacity * o.frac
 		if err := in.cfg.Capacity.SetLinkCapacity(o.link, raw); err != nil {
@@ -335,7 +300,6 @@ func (in *Injector) apply(o op) error {
 			}
 		}
 		in.rep.CapacityChanges++
-		in.mCapacity.Add(1)
 	}
 	return nil
 }

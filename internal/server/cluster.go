@@ -25,12 +25,15 @@ type shardState struct {
 	// hbGrace declares a silent peer dead (Config.HeartbeatTimeout).
 	hbGrace time.Duration
 
-	// qmu guards inbox, the decoded peer frames awaiting the next fold, and
+	// qmu guards inbox, the decoded peer frames awaiting the next fold;
 	// heard, the last time any frame arrived from each daemon (zero: never
-	// heard from). Peer readers take only qmu, so no ack waits on an iteration.
-	qmu   sync.Mutex
-	inbox []exchangeMsg
-	heard []time.Time
+	// heard from); and refused, the frames the readers turned away (wrong
+	// sender, older epoch), which Stats adds to PeerRejected. Peer readers
+	// take only qmu, so no ack waits on an iteration.
+	qmu     sync.Mutex
+	inbox   []exchangeMsg
+	heard   []time.Time
+	refused int64
 
 	// sendMu serializes whole fold → iterate → push sequences so peers
 	// observe bundles in iteration order. The lock order is wmu → sendMu →
@@ -287,16 +290,20 @@ func (pc *peerConn) push() error {
 // processing at the next iteration boundary, where this daemon either
 // adopts its rack block (if it is the successor) or just records the death.
 // Keeping detection on the synchronous push path — never on asynchronous
-// inbound EOFs — is what keeps step-driven cluster runs deterministic.
+// inbound EOFs — is what keeps step-driven cluster runs deterministic. A
+// connection that ConnectPeer has already replaced signals nothing: the peer
+// answered the new handshake, and ConnectPeer closing the old connection is
+// what failed the push.
 func (s *Server) dropPeer(pc *peerConn, err error) {
 	pc.conn.Close()
 	st := s.shard
 	s.mu.Lock()
-	if st.conns[pc.shard] == pc {
+	attached := st.conns[pc.shard] == pc
+	if attached {
 		st.conns[pc.shard] = nil
 	}
 	closed := s.Closed()
-	if !closed && st.takeover {
+	if !closed && attached && st.takeover {
 		st.peers[pc.shard].deathPending = true
 	}
 	s.mu.Unlock()
@@ -352,12 +359,12 @@ func (s *Server) servePeer(conn net.Conn, sc *wire.Scanner, payload []byte) erro
 		if err != nil {
 			return fmt.Errorf("server: peer shard %d: %w", hello.Shard, err)
 		}
-		if m.kind == msgRefused {
-			s.stPeerRej.Add(1)
-		}
 		s.shard.qmu.Lock()
 		s.shard.heard[hello.Shard] = time.Now()
-		if m.kind > msgRefused {
+		switch {
+		case m.kind == msgRefused:
+			s.shard.refused++
+		case m.kind > msgRefused:
 			s.shard.inbox = append(s.shard.inbox, m)
 		}
 		s.shard.qmu.Unlock()

@@ -18,8 +18,10 @@
 // timing, snapshots and the flight recorder. It runs both under one mutex,
 // the loop lock, and writes a step reply or a bundle, encoded under it, after;
 // peer readers queue decoded frames under a lock of their own, never s.mu.
-// An add the allocator refuses (no route, a weight that is not finite) is
-// counted in Stats.RejectedAdds and logged, never folded in.
+// Every event is counted once, in the loop's Stats record under the same
+// lock; an add the allocator refuses (no route, a weight that is not
+// finite), for one, is counted in Stats.RejectedAdds and logged, never
+// folded in.
 //
 // Iterations are driven two ways. With Config.Interval set, one loop
 // goroutine free-runs: it iterates on arrival, the moment a session publishes

@@ -73,9 +73,6 @@ type exchange struct {
 	// pending holds the inbound messages awaiting fold, in arrival order.
 	pending []exchangeMsg
 
-	// tally counts what the shell adds to the Stats counters.
-	tally exchangeTally
-
 	// This iteration's bundle state, set by prepare: the boundary prices,
 	// and in takeover mode the live flows replicated to successor.
 	snapPrices []float64
@@ -88,12 +85,6 @@ type exchange struct {
 	dLoads, dHdiag, sPrices  []float64
 	pinLinks                 []topology.LinkID
 	pinVals                  []float64
-}
-
-// exchangeTally counts what Stats reports as PeerRejected, ExchangeFolds,
-// ExchangeStalenessIters, ExchangeBytes, ExchangeBytesFixed and Takeovers.
-type exchangeTally struct {
-	peerRejected, folds, stale, bytes, fixed, takeovers int64
 }
 
 // exchangeMsg is one decoded inbound peer frame: a digest's loads and
@@ -337,9 +328,9 @@ func (x *exchange) fold(l *loop) {
 		// the moment it takes effect. Step-driven daemons fold at exactly
 		// seq+1 (staleness 1); free-running daemons can fold older — or,
 		// clamped to zero, newer — bundles depending on scheduling.
-		x.tally.folds++
+		l.stats.ExchangeFolds++
 		if lag := int64(l.seq) - int64(m.seq); lag > 0 {
-			x.tally.stale += lag
+			l.stats.ExchangeStalenessIters += lag
 		}
 		switch m.kind {
 		case msgTakeover:
@@ -348,7 +339,7 @@ func (x *exchange) fold(l *loop) {
 		case msgSnapshot:
 			x.pin(l, &m)
 		default:
-			x.importDigest(&m)
+			x.importDigest(l, &m)
 			digests = true
 		}
 	}
@@ -380,7 +371,7 @@ func (x *exchange) pin(l *loop, m *exchangeMsg) {
 	x.pinVals = x.pinVals[:0]
 	for i, link := range m.links {
 		if int(link) >= x.numLinks || !x.servesLink(topology.LinkID(link), m.from) || !validPrice(m.vals[i]) {
-			x.tally.peerRejected++
+			l.stats.PeerRejected++
 			continue
 		}
 		x.pinLinks = append(x.pinLinks, topology.LinkID(link))
@@ -399,7 +390,7 @@ func (x *exchange) pin(l *loop, m *exchangeMsg) {
 }
 
 // importDigest records a digest's contributions on this daemon's boundary.
-func (x *exchange) importDigest(m *exchangeMsg) {
+func (x *exchange) importDigest(l *loop, m *exchangeMsg) {
 	p := &x.peers[m.from]
 	if m.reset {
 		// A reset digest re-baselines this sender: its previous
@@ -410,7 +401,7 @@ func (x *exchange) importDigest(m *exchangeMsg) {
 	}
 	for i, link := range m.links {
 		if int(link) >= x.numLinks || x.posOf[link] < 0 || !finite(m.vals[i]) || !finite(m.hdiag[i]) {
-			x.tally.peerRejected++
+			l.stats.PeerRejected++
 			continue
 		}
 		p.loads[link] = m.vals[i]
@@ -436,7 +427,7 @@ func validPrice(v float64) bool { return finite(v) && v >= 0 }
 // those flows' loads), and the digest target sets are recomputed.
 func (x *exchange) applyTakeover(l *loop, dead, by int) {
 	if dead == x.index || dead < 0 || dead >= x.smap.NumShards() {
-		x.tally.peerRejected++
+		l.stats.PeerRejected++
 		return
 	}
 	x.bury(dead)
@@ -547,7 +538,7 @@ func (x *exchange) adopt(l *loop, dead int) {
 	x.layOutBoundary()
 	l.alloc.SetExternalLoads(x.boundary, x.extLoad, x.extHdiag)
 	x.announce = append(x.announce, wire.Takeover{Dead: uint32(dead), By: uint32(x.index)})
-	x.tally.takeovers++
+	l.stats.Takeovers++
 	l.log("adopted dead daemon %d: %d flows seeded (%d failed), now serving %d shards",
 		dead, adopted, failed, x.numServed())
 }
@@ -634,8 +625,8 @@ func (x *exchange) build(buf []byte, l *loop, to int, seq, epoch uint64) ([]byte
 	// counters are deterministic in step-driven runs. Heartbeat, takeover,
 	// and replica frames are excluded: they were never part of the fixed-v3
 	// baseline the ratio is taken against.
-	x.tally.bytes += int64(exchBytes)
-	x.tally.fixed += fixedExchangeBytes(len(remote), len(x.boundary))
+	l.stats.ExchangeBytes += int64(exchBytes)
+	l.stats.ExchangeBytesFixed += fixedExchangeBytes(len(remote), len(x.boundary))
 	return buf, acks
 }
 

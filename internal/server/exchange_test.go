@@ -167,8 +167,8 @@ func TestExchangeMatchesServers(t *testing.T) {
 	}
 }
 
-// modelledStats keeps the counters the bare pairs keep: the loop's and the
-// exchange's tallies.
+// modelledStats keeps the counters the bare pairs keep: the ones the loop's
+// and the exchange's passes count, and the peer frames a reader refuses.
 func modelledStats(st Stats) Stats {
 	return Stats{
 		DuplicateAdds: st.DuplicateAdds, UnknownEnds: st.UnknownEnds, RejectedAdds: st.RejectedAdds,
@@ -267,7 +267,7 @@ func bareExchange(t *testing.T, cfg Config, sched []exchangeRound) *exchangeRun 
 					}
 					switch {
 					case m.kind == msgRefused:
-						run.stats[j].PeerRejected++
+						loops[j].stats.PeerRejected++
 					case m.kind > msgRefused:
 						xs[j].queue(m)
 					}
@@ -280,20 +280,6 @@ func bareExchange(t *testing.T, cfg Config, sched []exchangeRound) *exchangeRun 
 					t.Fatalf("daemon %d's bundle to %d: %d snapshot chunks unaccounted for", i, j, acks)
 				}
 			}
-			lt, xt := &l.tally, &x.tally
-			st := &run.stats[i]
-			st.DuplicateAdds += lt.dupAdds
-			st.UnknownEnds += lt.unknownEnds
-			st.RejectedAdds += lt.rejected
-			st.AdoptedFlows += lt.adopted
-			st.UpdatesCoalesced += lt.coalesced
-			st.PeerRejected += xt.peerRejected
-			st.Takeovers += xt.takeovers
-			st.ExchangeFolds += xt.folds
-			st.ExchangeStalenessIters += xt.stale
-			st.ExchangeBytes += xt.bytes
-			st.ExchangeBytesFixed += xt.fixed
-			*lt, *xt = tally{}, exchangeTally{}
 		}
 		rates := make([]map[core.FlowID]float64, shards)
 		for d := range loops {
@@ -302,6 +288,9 @@ func bareExchange(t *testing.T, cfg Config, sched []exchangeRound) *exchangeRun 
 			}
 		}
 		run.rates = append(run.rates, rates)
+	}
+	for i := range loops {
+		run.stats[i] = modelledStats(loops[i].stats)
 	}
 	return run
 }

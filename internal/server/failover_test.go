@@ -615,3 +615,85 @@ func TestHeartbeatStalenessDeclaresDeath(t *testing.T) {
 		t.Fatalf("daemon 2 Takeovers = %d, want 0", st.Takeovers)
 	}
 }
+
+// heldConn is an outbound peer connection whose first bundle push stops in
+// Write until release is closed, announcing the stop on held; the handshake
+// write goes straight through.
+type heldConn struct {
+	net.Conn
+	writes  int
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (c *heldConn) Write(b []byte) (int, error) {
+	if c.writes++; c.writes == 2 {
+		close(c.held)
+		<-c.release
+	}
+	return c.Conn.Write(b)
+}
+
+// TestPeerReconnectMidPushIsNoTakeover replaces a live peer's connection while
+// a push is in flight on it. ConnectPeer closing the old connection fails that
+// push, but the peer answered the new handshake, so the failure must not count
+// as its death: shard 0 keeps pushing on the new connection and never adopts
+// shard 1's rack block.
+func TestPeerReconnectMidPushIsNoTakeover(t *testing.T) {
+	topo := clusterTopo(t)
+	var srvs [2]*Server
+	for i := range srvs {
+		srv, err := New(Config{Topology: topo, NumShards: 2, ShardIndex: i, Takeover: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs[i] = srv
+	}
+	connect := func(from int, wrap func(net.Conn) net.Conn) {
+		t.Helper()
+		out, in := net.Pipe()
+		go srvs[1-from].ServeConn(in)
+		if _, err := srvs[from].ConnectPeer(wrap(out)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(c net.Conn) net.Conn { return c }
+	held := &heldConn{held: make(chan struct{}), release: make(chan struct{})}
+	connect(0, func(c net.Conn) net.Conn { held.Conn = c; return held })
+	connect(1, same)
+	cli := pipeClient(t, srvs[0], 0)
+	if err := cli.FlowletStart(1, 0, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := cli.Step()
+		stepped <- err
+	}()
+	<-held.held
+	connect(0, same)
+	close(held.release)
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := cli.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if srvs[1].Closed() {
+		t.Fatal("shard 1 closed")
+	}
+	if srvs[0].ServesShard(1) {
+		t.Fatal("shard 0 adopted the rack block of shard 1, which is alive")
+	}
+	if got := srvs[0].Stats().Takeovers; got != 0 {
+		t.Fatalf("Takeovers = %d, want 0", got)
+	}
+	if !srvs[0].HasPeer(1) {
+		t.Fatal("shard 0 dropped the replacement connection to shard 1")
+	}
+}

@@ -43,13 +43,9 @@ type loop struct {
 	updates []core.RateUpdate
 	seq     uint64
 	queued  []*session
-	// tally counts the passes' drops and coalesced rates until the shell
-	// adds it to the Stats counters.
-	tally tally
-}
-
-type tally struct {
-	dupAdds, unknownEnds, rejected, limited, adopted, drainRejects, coalesced int64
+	// stats is the daemon's one counter record: the passes, the exchange's
+	// and the shell's count into it, and Server.Stats copies it.
+	stats Stats
 }
 
 // newLoop builds the loop of cfg, whose defaults New has filled in.
@@ -184,7 +180,7 @@ func (l *loop) fold() {
 		if ev.end {
 			slot, known := l.alloc.Unbind(ev.flow)
 			if !known {
-				l.tally.unknownEnds++
+				l.stats.UnknownEnds++
 				continue
 			}
 			if ev.cleanup && l.recs[slot].owner != ev.sess {
@@ -212,7 +208,7 @@ func (l *loop) fold() {
 				if f := l.alloc.FlowAt(slot); f.Src == ev.src && f.Dst == ev.dst && f.Weight == ev.weight {
 					if _, live := l.sessions[ev.sess]; live {
 						ev.sess.own(rec)
-						l.tally.adopted++
+						l.stats.AdoptedFlows++
 					}
 					continue
 				}
@@ -222,7 +218,7 @@ func (l *loop) fold() {
 				// takes: EndSlot freed it last.
 				l.retire(slot)
 			} else {
-				l.tally.dupAdds++
+				l.stats.DuplicateAdds++
 				continue
 			}
 		}
@@ -232,7 +228,7 @@ func (l *loop) fold() {
 		}
 		rec, err := l.admit(ev.flow, ev.src, ev.dst, ev.weight)
 		if err != nil {
-			l.tally.rejected++
+			l.stats.RejectedAdds++
 			l.log("flowlet %d add rejected: %v", ev.flow, err)
 			continue
 		}
@@ -255,7 +251,7 @@ func (l *loop) admissible(ev *event) bool {
 		// A draining daemon admits no new flowlets: it is about to hand its
 		// state to a successor, and anything admitted now would miss the
 		// snapshot already replicated to peers.
-		l.tally.drainRejects++
+		l.stats.DrainRejects++
 		return false
 	}
 	if ev.sess != nil {
@@ -263,11 +259,11 @@ func (l *loop) admissible(ev *event) bool {
 			// The registering session disconnected before this add was
 			// folded in; its one-shot cleanup has already run, so
 			// registering now would leak the flow forever.
-			l.tally.rejected++
+			l.stats.RejectedAdds++
 			return false
 		}
 		if l.maxFlows > 0 && len(ev.sess.owned) >= l.maxFlows {
-			l.tally.limited++
+			l.stats.LimitedAdds++
 			l.log("flowlet %d add dropped: session %d at its %d-flow limit", ev.flow, ev.sess.id, l.maxFlows)
 			return false
 		}
@@ -276,7 +272,7 @@ func (l *loop) admissible(ev *event) bool {
 		// A sharded daemon allocates only flowlets sourced in its own racks;
 		// anything else belongs to a peer and registering it here would
 		// double-allocate its path.
-		l.tally.rejected++
+		l.stats.RejectedAdds++
 		l.log("flowlet %d add rejected: server %d is served by another shard", ev.flow, ev.src)
 		return false
 	}
@@ -369,7 +365,7 @@ func (l *loop) route(stepper *session) {
 				l.queued = append(l.queued, owner)
 			}
 			if owner.queue(rec, u.Rate) {
-				l.tally.coalesced++
+				l.stats.UpdatesCoalesced++
 			}
 			owner.pendingSeq = l.seq
 			continue

@@ -91,7 +91,8 @@ type Config struct {
 	HeartbeatTimeout time.Duration
 }
 
-// Stats is a snapshot of daemon counters.
+// Stats is the daemon's counter record. Every event is counted once, in the
+// record the control loop keeps under its lock; Server.Stats returns a copy.
 type Stats struct {
 	// SessionsAccepted counts handshakes completed; SessionsActive is the
 	// current session count.
@@ -134,12 +135,15 @@ type Stats struct {
 	// draining.
 	DrainRejects int64
 	// ExchangeFolds counts peer exchange messages folded into an
-	// iteration; ExchangeStalenessIters sums, over those folds, how many
-	// iterations old each message's originating sequence number was at
-	// fold time (clamped at zero for free-running daemons that fold a
-	// peer's newer bundle). ExchangeStalenessIters/ExchangeFolds is the
-	// mean boundary-price staleness in allocator iterations — the
-	// paper's control-loop freshness budget, observable per daemon.
+	// iteration; ExchangeStalenessIters sums, over those folds, this
+	// daemon's iteration count at fold time minus the iteration the sender
+	// stamped on the message, clamped at zero. On a step-driven cluster the
+	// daemons' iteration counts advance together, so
+	// ExchangeStalenessIters/ExchangeFolds is how many iterations old a
+	// boundary-price bundle is when it takes effect. On a free-running
+	// cluster each daemon's count advances at its own pace, so the sum
+	// measures how far the counts have drifted apart, which grows with
+	// uptime; it is not the bundles' age.
 	ExchangeFolds          int64
 	ExchangeStalenessIters int64
 	// FanoutBytes counts rate-update bytes actually written to clients
@@ -181,29 +185,6 @@ type Server struct {
 	// that land while an iteration is in flight coalesce into the single
 	// next one. Nil on a step-driven daemon (Interval == 0).
 	wake chan struct{}
-
-	stSessions  atomic.Int64
-	stActive    atomic.Int64
-	stEvents    atomic.Int64
-	stArrivals  atomic.Int64
-	stDupAdds   atomic.Int64
-	stUnknown   atomic.Int64
-	stRejected  atomic.Int64
-	stUpdates   atomic.Int64
-	stCoalesced atomic.Int64
-	stBatches   atomic.Int64
-	stLimited   atomic.Int64
-	stPeerRej   atomic.Int64
-	stAdopted   atomic.Int64
-	stTakeovers atomic.Int64
-	stDrainRej  atomic.Int64
-	stExchFolds atomic.Int64
-	stExchStale atomic.Int64
-
-	stFanoutBytes atomic.Int64
-	stFanoutFixed atomic.Int64
-	stExchBytes   atomic.Int64
-	stExchFixed   atomic.Int64
 
 	// telemetry is the optional observability hook (registry series written
 	// in the loop plus the convergence flight recorder), nil until
@@ -343,34 +324,19 @@ func (s *Server) Iterations() uint64 {
 // LoopStats returns allocator-loop latency and throughput statistics.
 func (s *Server) LoopStats() metrics.LoopStats { return s.timing.Snapshot() }
 
-// Stats returns a snapshot of daemon counters.
+// Stats returns a snapshot of daemon counters: a copy of the loop's record,
+// plus the peer frames the readers refused (counted under qmu, so a reader
+// never waits on the loop lock).
 func (s *Server) Stats() Stats {
-	return Stats{
-		SessionsAccepted: s.stSessions.Load(),
-		SessionsActive:   s.stActive.Load(),
-		EventsReceived:   s.stEvents.Load(),
-		DuplicateAdds:    s.stDupAdds.Load(),
-		UnknownEnds:      s.stUnknown.Load(),
-		RejectedAdds:     s.stRejected.Load(),
-		UpdatesSent:      s.stUpdates.Load(),
-		UpdatesCoalesced: s.stCoalesced.Load(),
-		BatchesSent:      s.stBatches.Load(),
-		LimitedAdds:      s.stLimited.Load(),
-		PeerRejected:     s.stPeerRej.Load(),
-		AdoptedFlows:     s.stAdopted.Load(),
-		Takeovers:        s.stTakeovers.Load(),
-		DrainRejects:     s.stDrainRej.Load(),
-
-		ArrivalIterations: s.stArrivals.Load(),
-
-		ExchangeFolds:          s.stExchFolds.Load(),
-		ExchangeStalenessIters: s.stExchStale.Load(),
-
-		FanoutBytes:        s.stFanoutBytes.Load(),
-		FanoutBytesFixed:   s.stFanoutFixed.Load(),
-		ExchangeBytes:      s.stExchBytes.Load(),
-		ExchangeBytesFixed: s.stExchFixed.Load(),
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.loop.stats
+	if s.shard != nil {
+		s.shard.qmu.Lock()
+		st.PeerRejected += s.shard.refused
+		s.shard.qmu.Unlock()
 	}
+	return st
 }
 
 // SetLinkCapacity changes one fabric link's raw capacity in the daemon's
@@ -416,7 +382,9 @@ func (s *Server) tickLoop() {
 			return
 		case <-t.C:
 		case <-s.wake:
-			s.stArrivals.Add(1)
+			s.mu.Lock()
+			s.loop.stats.ArrivalIterations++
+			s.mu.Unlock()
 		}
 		if err := s.iterate(nil, 0); err != nil && !errors.Is(err, net.ErrClosed) {
 			s.log("free-running iteration: %v", err)
@@ -602,10 +570,10 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		return net.ErrClosed
 	}
 	s.loop.sessions[sess] = struct{}{}
+	s.loop.stats.SessionsAccepted++
+	s.loop.stats.SessionsActive++
 	s.wg.Add(1) // writer goroutine; under s.mu so it cannot race Close's Wait
 	s.mu.Unlock()
-	s.stSessions.Add(1)
-	s.stActive.Add(1)
 	defer s.removeSession(sess)
 	go func() {
 		defer s.wg.Done()
@@ -753,10 +721,8 @@ func (s *Server) publish(burst []event) {
 	}
 	s.mu.Lock()
 	s.loop.inbox = append(s.loop.inbox, burst...)
+	s.loop.stats.EventsReceived += int64(len(burst))
 	s.mu.Unlock()
-	// Counted once in the inbox, so a reader of Stats.EventsReceived finds
-	// every event it counts there or folded.
-	s.stEvents.Add(int64(len(burst)))
 	if s.wake != nil {
 		select {
 		case s.wake <- struct{}{}:
@@ -771,13 +737,15 @@ func (s *Server) publish(burst []event) {
 func (s *Server) removeSession(sess *session) {
 	s.mu.Lock()
 	swept, ok := s.loop.detach(sess)
+	if ok {
+		s.loop.stats.SessionsActive--
+	}
 	s.mu.Unlock()
 	if !ok {
 		return
 	}
 	close(sess.done)
 	sess.conn.Close()
-	s.stActive.Add(-1)
 	s.log("session %d disconnected (%d flowlets scheduled for cleanup)", sess.id, swept)
 }
 
@@ -807,15 +775,17 @@ func (sess *session) writer() {
 
 // flushPending takes the pending list and sends it in one write of RateDelta
 // frames, reporting false on a write error. It holds wmu across the take and
-// the write, and s.mu only for the take: wmu is always taken before s.mu,
-// never while holding it. The buffers live on the session, so the steady
-// state allocates nothing.
+// the write, and s.mu only for the take and for counting the encoded frames:
+// wmu is always taken before s.mu, never while holding it, and the sort and
+// the encoding run under neither. The buffers live on the session, so the
+// steady state allocates nothing.
 func (sess *session) flushPending() bool {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
-	sess.srv.mu.Lock()
+	srv := sess.srv
+	srv.mu.Lock()
 	entries, seq := sess.take(sess.fanEntries[:0])
-	sess.srv.mu.Unlock()
+	srv.mu.Unlock()
 	sess.fanEntries = entries
 	if len(entries) == 0 {
 		return true
@@ -826,13 +796,16 @@ func (sess *session) flushPending() bool {
 		return cmp.Compare(a.Flow, b.Flow)
 	})
 	var enc wire.RateDeltaEncoder
-	sess.fanBuf = sess.srv.appendRateFrames(sess.fanBuf[:0], &enc, seq, seq, len(entries),
+	sess.fanBuf = appendRateFrames(sess.fanBuf[:0], &enc, seq, seq, len(entries),
 		func(buf []byte, lo, hi int) []byte {
 			for _, e := range entries[lo:hi] {
 				buf = enc.Append(buf, e.Flow, e.Rate)
 			}
 			return buf
 		})
+	srv.mu.Lock()
+	srv.loop.stats.countFanout(len(entries), len(sess.fanBuf))
+	srv.mu.Unlock()
 	_, err := sess.conn.Write(sess.fanBuf)
 	return err == nil
 }
@@ -842,11 +815,8 @@ func (sess *session) flushPending() bool {
 // begins and ends each frame with enc, and appendEntries appends entries
 // [lo, hi) to the frame with the same encoder, from wherever the caller keeps
 // them. Every chunk carries seq except the last (the only one when n is 0),
-// which carries lastSeq. The frames are counted in the fan-out stats here,
-// before the caller writes them: the write is what hands them to the client,
-// and a client that holds them must find them in Stats.
-func (s *Server) appendRateFrames(buf []byte, enc *wire.RateDeltaEncoder, seq, lastSeq uint64, n int, appendEntries func(buf []byte, lo, hi int) []byte) []byte {
-	n0, frames := len(buf), 0
+// which carries lastSeq.
+func appendRateFrames(buf []byte, enc *wire.RateDeltaEncoder, seq, lastSeq uint64, n int, appendEntries func(buf []byte, lo, hi int) []byte) []byte {
 	for lo := 0; lo == 0 || lo < n; lo += maxRateDeltaEntries {
 		hi := min(lo+maxRateDeltaEntries, n)
 		hdrSeq := seq
@@ -855,13 +825,18 @@ func (s *Server) appendRateFrames(buf []byte, enc *wire.RateDeltaEncoder, seq, l
 		}
 		buf = enc.Begin(buf, hdrSeq, false, hi-lo)
 		buf = enc.End(appendEntries(buf, lo, hi))
-		frames++
 	}
-	s.stBatches.Add(int64(frames))
-	s.stUpdates.Add(int64(n))
-	s.stFanoutBytes.Add(int64(len(buf) - n0))
-	s.stFanoutFixed.Add(fixedRateBytes(n))
 	return buf
+}
+
+// countFanout counts n rate entries encoded by appendRateFrames into size
+// bytes. Callers count before they write: the write is what hands the frames
+// to the client, and a client that holds them must find them in Stats.
+func (st *Stats) countFanout(n, size int) {
+	st.BatchesSent += int64(max(1, (n+maxRateDeltaEntries-1)/maxRateDeltaEntries))
+	st.UpdatesSent += int64(n)
+	st.FanoutBytes += int64(size)
+	st.FanoutBytesFixed += fixedRateBytes(n)
 }
 
 // fixedRateBytes is the wire cost n rate updates had as fixed-v3 RateBatch
@@ -931,7 +906,7 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		// flow deltas cost one extra bit for unsorted IDs, never correctness.
 		var enc wire.RateDeltaEncoder
 		updates, reply := s.loop.updates, stepper.reply
-		stepper.wbuf = s.appendRateFrames(stepper.wbuf[:0], &enc, seq, stepSeq|wire.StepReplyFlag, len(reply),
+		stepper.wbuf = appendRateFrames(stepper.wbuf[:0], &enc, seq, stepSeq|wire.StepReplyFlag, len(reply),
 			func(buf []byte, lo, hi int) []byte {
 				for _, k := range reply[lo:hi] {
 					u := &updates[k]
@@ -939,6 +914,7 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 				}
 				return buf
 			})
+		s.loop.stats.countFanout(len(reply), len(stepper.wbuf))
 	}
 	for _, sess := range s.loop.queued {
 		select {
@@ -950,7 +926,6 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 	if s.shard != nil {
 		peers = s.shard.buildLocked(&s.loop, seq, s.Epoch())
 	}
-	s.addTallyLocked()
 	s.mu.Unlock()
 
 	// Push the boundary exchange before replying to a stepper: once the
@@ -966,30 +941,6 @@ func (s *Server) iterate(stepper *session, stepSeq uint64) error {
 		}
 	}
 	return nil
-}
-
-// addTallyLocked moves the loop's tally, and a sharded daemon's exchange
-// tally, into the Stats counters. Called with s.mu held.
-func (s *Server) addTallyLocked() {
-	t := &s.loop.tally
-	s.stDupAdds.Add(t.dupAdds)
-	s.stUnknown.Add(t.unknownEnds)
-	s.stRejected.Add(t.rejected)
-	s.stLimited.Add(t.limited)
-	s.stAdopted.Add(t.adopted)
-	s.stDrainRej.Add(t.drainRejects)
-	s.stCoalesced.Add(t.coalesced)
-	*t = tally{}
-	if s.shard != nil {
-		x := &s.shard.tally
-		s.stPeerRej.Add(x.peerRejected)
-		s.stExchFolds.Add(x.folds)
-		s.stExchStale.Add(x.stale)
-		s.stExchBytes.Add(x.bytes)
-		s.stExchFixed.Add(x.fixed)
-		s.stTakeovers.Add(x.takeovers)
-		*x = exchangeTally{}
-	}
 }
 
 // maxRateDeltaEntries bounds entries per RateDelta frame, sized for the

@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -22,9 +21,9 @@ type serverTelemetry struct {
 	links     []topology.LinkID
 	prev, cur []float64
 
-	// Previous scrape points of the lifetime counters, so FlightSamples
-	// carry per-iteration deltas instead of monotonic totals.
-	prevFolds, prevStale, prevFanout, prevFanoutFixed int64
+	// prevStats is the counter record at the previous sample, so
+	// FlightSamples carry per-iteration deltas instead of monotonic totals.
+	prevStats Stats
 }
 
 // telLocked returns the server's telemetry state, creating it on first use.
@@ -43,51 +42,60 @@ var IterationLatencyBuckets = telemetry.ExpBuckets(1e-6, 4, 10)
 
 // RegisterMetrics exposes every daemon counter surface in reg, all under the
 // flowtune_ prefix and carrying the given labels (the cluster admin passes
-// shard="i"). Existing atomic counters are bound at scrape time — the hot
-// path keeps its plain atomics and nothing is double-counted. The iteration
-// latency histogram and churn counter are the only series recorded inside
-// the loop, both allocation-free. Call before serving traffic; registering
-// the same labels twice panics (duplicate series).
+// shard="i"). Each counter series is bound to one field of the daemon's
+// counter record and reads it under the loop lock at scrape time, so nothing
+// is counted twice. The iteration latency histogram and churn counter are the
+// only series recorded inside the loop, both allocation-free. Call before
+// serving traffic; registering the same labels twice panics (duplicate
+// series).
 func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
-	counter := func(name, help string, v *atomic.Int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
+	st := &s.loop.stats
+	field := func(v *int64) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(*v)
+		}
 	}
-	dropped := func(reason string, v *atomic.Int64) {
+	counter := func(name, help string, v *int64) {
+		reg.CounterFunc(name, help, field(v), labels...)
+	}
+	dropped := func(reason string, v *int64) {
 		reg.CounterFunc("flowtune_events_dropped_total",
-			"Flowlet events not applied to the allocator, by reason.",
-			func() float64 { return float64(v.Load()) },
+			"Flowlet events not applied to the allocator, by reason.", field(v),
 			withLabel(labels, telemetry.Label{Key: "reason", Value: reason})...)
 	}
-	wireBytes := func(direction, encoding string, v *atomic.Int64) {
+	wireBytes := func(direction, encoding string, v *int64) {
 		reg.CounterFunc("flowtune_wire_bytes_total",
 			"Bytes attributed to rate fan-out and the boundary exchange, actual encoding vs the fixed v3 cost of the same payloads.",
-			func() float64 { return float64(v.Load()) },
+			field(v),
 			withLabel(labels,
 				telemetry.Label{Key: "direction", Value: direction},
 				telemetry.Label{Key: "encoding", Value: encoding})...)
 	}
 
-	counter("flowtune_sessions_accepted_total", "Endpoint sessions accepted since start.", &s.stSessions)
-	reg.GaugeFunc("flowtune_sessions_active", "Endpoint sessions currently connected.",
-		func() float64 { return float64(s.stActive.Load()) }, labels...)
-	counter("flowtune_events_received_total", "Flowlet start/end events received.", &s.stEvents)
-	dropped("duplicate_add", &s.stDupAdds)
-	dropped("unknown_end", &s.stUnknown)
-	dropped("rejected_add", &s.stRejected)
-	dropped("limited_add", &s.stLimited)
-	dropped("drain_reject", &s.stDrainRej)
-	counter("flowtune_updates_sent_total", "Rate updates written to sessions.", &s.stUpdates)
-	counter("flowtune_updates_coalesced_total", "Rate updates superseded before delivery.", &s.stCoalesced)
-	counter("flowtune_update_batches_total", "Rate-update batches written.", &s.stBatches)
-	counter("flowtune_peer_rejected_total", "Peer bundles rejected (bad epoch or shape).", &s.stPeerRej)
-	counter("flowtune_adopted_flows_total", "Flows adopted from failed peer shards.", &s.stAdopted)
-	counter("flowtune_takeovers_total", "Peer-shard takeovers performed.", &s.stTakeovers)
-	counter("flowtune_exchange_folds_total", "Peer boundary bundles folded into iterations.", &s.stExchFolds)
-	counter("flowtune_exchange_staleness_iters_total", "Summed age, in iterations, of folded peer bundles.", &s.stExchStale)
-	wireBytes("fanout", "wire", &s.stFanoutBytes)
-	wireBytes("fanout", "fixed_v3", &s.stFanoutFixed)
-	wireBytes("exchange", "wire", &s.stExchBytes)
-	wireBytes("exchange", "fixed_v3", &s.stExchFixed)
+	counter("flowtune_sessions_accepted_total", "Endpoint sessions accepted since start.", &st.SessionsAccepted)
+	reg.GaugeFunc("flowtune_sessions_active", "Endpoint sessions currently connected.", field(&st.SessionsActive), labels...)
+	counter("flowtune_events_received_total", "Flowlet start/end events received.", &st.EventsReceived)
+	dropped("duplicate_add", &st.DuplicateAdds)
+	dropped("unknown_end", &st.UnknownEnds)
+	dropped("rejected_add", &st.RejectedAdds)
+	dropped("limited_add", &st.LimitedAdds)
+	dropped("drain_reject", &st.DrainRejects)
+	counter("flowtune_updates_sent_total", "Rate updates written to sessions.", &st.UpdatesSent)
+	counter("flowtune_updates_coalesced_total", "Rate updates superseded before delivery.", &st.UpdatesCoalesced)
+	counter("flowtune_update_batches_total", "Rate-update batches written.", &st.BatchesSent)
+	// Stats adds the refusals the peer readers count outside the record.
+	reg.CounterFunc("flowtune_peer_rejected_total", "Peer bundles rejected (bad epoch or shape).",
+		func() float64 { return float64(s.Stats().PeerRejected) }, labels...)
+	counter("flowtune_adopted_flows_total", "Flows adopted from failed peer shards.", &st.AdoptedFlows)
+	counter("flowtune_takeovers_total", "Peer-shard takeovers performed.", &st.Takeovers)
+	counter("flowtune_exchange_folds_total", "Peer boundary bundles folded into iterations.", &st.ExchangeFolds)
+	counter("flowtune_exchange_staleness_iters_total", "Summed iteration lag of folded peer bundles: this daemon's iteration minus the sender's, clamped at zero.", &st.ExchangeStalenessIters)
+	wireBytes("fanout", "wire", &st.FanoutBytes)
+	wireBytes("fanout", "fixed_v3", &st.FanoutBytesFixed)
+	wireBytes("exchange", "wire", &st.ExchangeBytes)
+	wireBytes("exchange", "fixed_v3", &st.ExchangeBytesFixed)
 
 	reg.GaugeFunc("flowtune_flows", "Flows currently registered in the allocator.", func() float64 {
 		s.mu.Lock()
@@ -105,7 +113,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 
 	reg.CounterFunc("flowtune_iterations_total", "Allocator iterations run.",
 		func() float64 { return float64(s.timing.Snapshot().Iterations) }, labels...)
-	counter("flowtune_arrival_iterations_total", "Free-running iterations triggered by arriving flowlet events rather than the interval ticker.", &s.stArrivals)
+	counter("flowtune_arrival_iterations_total", "Free-running iterations triggered by arriving flowlet events rather than the interval ticker.", &st.ArrivalIterations)
 	reg.GaugeFunc("flowtune_iteration_latency_p50_seconds", "Median iteration latency over the recent window.",
 		func() float64 { return s.timing.Snapshot().LatencySec.P50 }, labels...)
 	reg.GaugeFunc("flowtune_iteration_latency_p99_seconds", "99th-percentile iteration latency over the recent window.",
@@ -156,16 +164,6 @@ func (s *Server) AttachFlightRecorder(rec *telemetry.FlightRecorder) {
 	s.loop.alloc.LinkPrices(t.links, t.prev)
 }
 
-// FlightRecorder returns the attached recorder (nil when none).
-func (s *Server) FlightRecorder() *telemetry.FlightRecorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.telemetry == nil {
-		return nil
-	}
-	return s.telemetry.rec
-}
-
 // recordTelemetryLocked samples the telemetry surfaces after one iteration.
 // Called from iterate with s.mu held; everything on this path is
 // allocation-free (pinned by TestIterateZeroAllocsWithTelemetry).
@@ -192,21 +190,18 @@ func (s *Server) recordTelemetryLocked(seq uint64, latencySec float64, updates, 
 	if math.IsInf(obj, 0) || math.IsNaN(obj) {
 		obj = 0 // JSON cannot carry non-finite values; see FlightSample.Objective
 	}
-	folds := s.stExchFolds.Load()
-	stale := s.stExchStale.Load()
-	fan := s.stFanoutBytes.Load()
-	fanFixed := s.stFanoutFixed.Load()
+	st, prev := &s.loop.stats, &t.prevStats
 	t.rec.Record(telemetry.FlightSample{
 		Iteration:        seq,
 		Objective:        obj,
 		MaxPriceResidual: residual,
-		ExchangeFolds:    folds - t.prevFolds,
-		StalenessIters:   stale - t.prevStale,
-		FanoutBytes:      fan - t.prevFanout,
-		FanoutBytesFixed: fanFixed - t.prevFanoutFixed,
+		ExchangeFolds:    st.ExchangeFolds - prev.ExchangeFolds,
+		StalenessIters:   st.ExchangeStalenessIters - prev.ExchangeStalenessIters,
+		FanoutBytes:      st.FanoutBytes - prev.FanoutBytes,
+		FanoutBytesFixed: st.FanoutBytesFixed - prev.FanoutBytesFixed,
 		ChurnEvents:      churn,
 		Updates:          updates,
 		LatencySec:       latencySec,
 	})
-	t.prevFolds, t.prevStale, t.prevFanout, t.prevFanoutFixed = folds, stale, fan, fanFixed
+	*prev = *st
 }

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // TestIterateZeroAllocsWithTelemetry pins the observability cost on the hot
@@ -216,4 +221,166 @@ func TestFlightRecorderSamplesChurn(t *testing.T) {
 			t.Fatalf("sample %d differs between identical runs:\n%+v\n%+v", i, a, b)
 		}
 	}
+}
+
+// TestStatsRecordConcurrentReads reads the counter record through Stats and a
+// RegisterMetrics scrape from several goroutines while a free-running daemon
+// ticks and two sessions churn and step. Every counter must only grow, and
+// once the clients have drained, EventsReceived must equal the events they
+// sent and UpdatesSent the rate entries they decoded.
+func TestStatsRecordConcurrentReads(t *testing.T) {
+	topo := testTopology(t)
+	srv, err := New(Config{Topology: topo, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := telemetry.NewRegistry()
+	srv.RegisterMetrics(reg)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 3 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var prev Stats
+			prevSeries := make(map[string]float64)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := srv.Stats()
+				pv, cv := reflect.ValueOf(prev), reflect.ValueOf(st)
+				for i := range cv.NumField() {
+					name := cv.Type().Field(i).Name
+					if name != "SessionsActive" && cv.Field(i).Int() < pv.Field(i).Int() {
+						t.Errorf("Stats.%s went from %d to %d", name, pv.Field(i).Int(), cv.Field(i).Int())
+						return
+					}
+				}
+				prev = st
+				var b strings.Builder
+				if err := reg.WriteText(&b); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, line := range strings.Split(b.String(), "\n") {
+					key, val, ok := strings.Cut(line, " ")
+					if !ok || !strings.Contains(key, "_total") {
+						continue
+					}
+					v, err := strconv.ParseFloat(val, 64)
+					if err != nil {
+						t.Errorf("series %s: %v", key, err)
+						return
+					}
+					if v < prevSeries[key] {
+						t.Errorf("series %s went from %g to %g", key, prevSeries[key], v)
+						return
+					}
+					prevSeries[key] = v
+				}
+			}
+		}()
+	}
+
+	const clients, resident, steps, idSpan = 2, 40, 150, 1 << 20
+	n := topo.NumServers()
+	var sent, decoded [clients]int64
+	clis := make([]*transport.AllocClient, clients)
+	var wg sync.WaitGroup
+	for c := range clis {
+		cli := pipeClient(t, srv, uint64(c+1))
+		clis[c] = cli
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := core.FlowID((c + 1) * idSpan)
+			oldest := next
+			start := func() {
+				src := int(next) % n
+				if err := cli.FlowletStart(next, src, (src+1+int(next)/n)%n, 1); err != nil {
+					t.Error(err)
+				}
+				next++
+				sent[c]++
+			}
+			end := func() {
+				if err := cli.FlowletEnd(oldest); err != nil {
+					t.Error(err)
+				}
+				oldest++
+				sent[c]++
+			}
+			step := func() bool {
+				ups, err := cli.Step()
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return false
+				}
+				decoded[c] += int64(len(ups))
+				return true
+			}
+			for next < oldest+resident {
+				start()
+			}
+			for range steps {
+				end()
+				start()
+				if !step() {
+					return
+				}
+			}
+			// With every flowlet ended no iteration has a rate to send, so
+			// what the clients drain below is all the daemon counted.
+			for oldest < next {
+				end()
+			}
+			step()
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		close(stop)
+		readers.Wait()
+		return
+	}
+
+	var wantEvents int64
+	for c := range sent {
+		wantEvents += sent[c]
+	}
+	if got := srv.Stats().EventsReceived; got != wantEvents {
+		t.Errorf("EventsReceived = %d, the clients sent %d events", got, wantEvents)
+	}
+	// A writer counts its frames before writing them, so the clients may
+	// still be owed some; drain until the counts meet.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for c, cli := range clis {
+			for {
+				ups, _, err := cli.Recv(20 * time.Millisecond)
+				if err != nil {
+					break
+				}
+				decoded[c] += int64(len(ups))
+			}
+		}
+		got := decoded[0] + decoded[1]
+		sentUpdates := srv.Stats().UpdatesSent
+		if got > sentUpdates {
+			t.Fatalf("the clients decoded %d rate entries, Stats counts %d sent", got, sentUpdates)
+		}
+		if got == sentUpdates {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("UpdatesSent = %d, the clients decoded %d", sentUpdates, got)
+		}
+	}
+	close(stop)
+	readers.Wait()
 }

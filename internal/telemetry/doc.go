@@ -6,11 +6,10 @@
 // net/http/pprof under /debug/pprof/, drain-aware /healthz and /readyz
 // probes, and the flight-recorder ring as JSON on /trace.
 //
-// The registry unifies the pre-existing ad-hoc counter surfaces —
-// server.Stats, metrics.LoopStats, cluster.WireStats and the fault
-// injector's kill records — behind scrape-time CounterFunc/GaugeFunc
-// bindings, so the sources keep their cheap atomic counters and nothing on
-// the allocator's iteration path changes shape. Everything is hand-rolled on
+// The registry exposes the daemon's counter surfaces — its server.Stats
+// record and metrics.LoopStats — behind scrape-time CounterFunc/GaugeFunc
+// bindings, so every count is kept once, at its source, and nothing on the
+// allocator's iteration path changes shape. Everything is hand-rolled on
 // the standard library: the module has no external dependencies, and the
 // Prometheus exposition format is simple enough that writing (and linting,
 // see Lint) it directly is less code than vendoring a client library.
