@@ -315,7 +315,7 @@ func BenchmarkNEDIteration(b *testing.B) {
 		for j, l := range route {
 			links[j] = int32(l)
 		}
-		prob.Flows = append(prob.Flows, num.Flow{Route: links, Util: num.LogUtility{W: topo.Config().LinkCapacity}})
+		prob.Flows = append(prob.Flows, num.Flow{Route: links, Weight: topo.Config().LinkCapacity})
 	}
 	st := num.NewState(prob)
 	ned := &num.NED{Gamma: 1}
@@ -347,7 +347,7 @@ func BenchmarkSolverComparison(b *testing.B) {
 			for j, l := range route {
 				links[j] = int32(l)
 			}
-			prob.Flows = append(prob.Flows, num.Flow{Route: links, Util: num.LogUtility{W: topo.Config().LinkCapacity}})
+			prob.Flows = append(prob.Flows, num.Flow{Route: links, Weight: topo.Config().LinkCapacity})
 		}
 		return prob, num.NewState(prob)
 	}

@@ -248,12 +248,6 @@ func DialShardedCluster(addrs []string, smap *ShardMap, clientID uint64) (*Shard
 // ---------------------------------------------------------------------------
 // Optimization machinery
 
-// Utility is a flow utility function (strictly concave, increasing).
-type Utility = num.Utility
-
-// LogUtility is the weighted proportional-fairness utility w·log(x).
-type LogUtility = num.LogUtility
-
 // Problem is a static NUM instance (link capacities plus flows).
 type Problem = num.Problem
 

@@ -82,8 +82,8 @@ func TestPublicSolverAndNormalizer(t *testing.T) {
 		Capacities:  []float64{capacity},
 		MaxFlowRate: capacity,
 		Flows: []flowtune.Flow{
-			{Route: []int32{0}, Util: flowtune.LogUtility{W: capacity}},
-			{Route: []int32{0}, Util: flowtune.LogUtility{W: capacity}},
+			{Route: []int32{0}, Weight: capacity},
+			{Route: []int32{0}, Weight: capacity},
 		},
 	}
 	st := flowtune.NewState(p)
@@ -118,9 +118,10 @@ func TestPublicWorkloadGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := gen.GenerateN(100)
-	if len(flows) != 100 {
-		t.Fatalf("generated %d flowlets", len(flows))
+	for i := int64(0); i < 100; i++ {
+		if f := gen.Next(); f.ID != i || f.Src == f.Dst {
+			t.Fatalf("flowlet %d: %+v", i, f)
+		}
 	}
 	for _, k := range []flowtune.WorkloadKind{flowtune.Web, flowtune.Cache, flowtune.Hadoop} {
 		if k.String() == "" {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
@@ -38,9 +37,6 @@ type Config struct {
 type Cluster struct {
 	smap    *topology.ShardMap
 	servers []*server.Server
-	// admin is the endpoint ServeAdmin started, nil until then (see
-	// telemetry.go).
-	admin *telemetry.Admin
 }
 
 // New builds the daemons and connects the full peer mesh. Every daemon dials
@@ -85,9 +81,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Map returns the cluster's shard map.
-func (c *Cluster) Map() *topology.ShardMap { return c.smap }
 
 // NumShards returns the number of daemons.
 func (c *Cluster) NumShards() int { return len(c.servers) }
@@ -169,12 +162,8 @@ func (c *Cluster) WireStats() WireStats {
 	return w
 }
 
-// Close shuts every daemon down, along with the admin endpoint.
+// Close shuts every daemon down.
 func (c *Cluster) Close() error {
-	if c.admin != nil {
-		c.admin.Close()
-		c.admin = nil
-	}
 	var first error
 	for _, srv := range c.servers {
 		if err := srv.Close(); err != nil && first == nil {

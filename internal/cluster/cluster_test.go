@@ -113,7 +113,7 @@ func TestPartitionLocalByteIdentical(t *testing.T) {
 	}
 	t.Cleanup(func() { clusterCli.Close() })
 
-	events := partitionLocalChurn(cl.Map(), 42, 400)
+	events := partitionLocalChurn(cl.smap, 42, 400)
 	apply := func(b backend, ev churnEvent) error {
 		if ev.end {
 			return b.FlowletEnd(ev.id)
@@ -379,7 +379,7 @@ func TestMulticorePartitionLocalByteIdentical(t *testing.T) {
 	}
 	t.Cleanup(func() { clusterCli.Close() })
 
-	events := partitionLocalChurn(cl.Map(), 42, 400)
+	events := partitionLocalChurn(cl.smap, 42, 400)
 	apply := func(b backend, ev churnEvent) error {
 		if ev.end {
 			return b.FlowletEnd(ev.id)

@@ -87,11 +87,9 @@ type Allocator struct {
 	fnorm norm.FNorm
 
 	// freeRoutes recycles the route slices of ended flowlets (each of
-	// capacity topology.MaxRouteLinks) and util memoizes the boxed utility
-	// of the last weight seen, so steady-state churn allocates nothing.
+	// capacity topology.MaxRouteLinks), so steady-state churn allocates
+	// nothing.
 	freeRoutes [][]int32
-	utilWeight float64
-	util       num.Utility
 
 	problem   num.Problem
 	state     *num.State
@@ -176,11 +174,7 @@ func (a *Allocator) FlowletStart(id FlowID, src, dst int, weight float64) error 
 	// O(1), the same scale they are initialized to. Proportional fairness
 	// is unaffected by a uniform scaling of weights. AppendFlow keeps the
 	// compiled CSR index in sync incrementally.
-	if weight != a.utilWeight { // weight > 0, so the first call never matches the zero value
-		a.utilWeight = weight
-		a.util = num.LogUtility{W: scaled}
-	}
-	a.problem.AppendFlow(num.Flow{Route: links, Util: a.util})
+	a.problem.AppendFlow(num.Flow{Route: links, Weight: scaled})
 	a.state.Resize(len(a.problem.Flows))
 	return nil
 }

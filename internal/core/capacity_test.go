@@ -33,8 +33,8 @@ func TestParallelSetLinkCapacityMatchesSequential(t *testing.T) {
 			links[i] = int32(l)
 		}
 		prob.Flows = append(prob.Flows, num.Flow{
-			Route: links,
-			Util:  num.LogUtility{W: topo.Config().LinkCapacity},
+			Route:  links,
+			Weight: topo.Config().LinkCapacity,
 		})
 	}
 	st := num.NewState(&prob)

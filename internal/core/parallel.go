@@ -407,9 +407,6 @@ func (p *ParallelAllocator) NumWorkers() int { return len(p.shares) }
 // NumFlows returns the number of loaded flows.
 func (p *ParallelAllocator) NumFlows() int { return p.loc.Len() }
 
-// AggregationSteps returns the number of pairwise merge rounds per iteration.
-func (p *ParallelAllocator) AggregationSteps() int { return p.part.AggregationSteps() }
-
 // SlotOf returns the slot of a registered flowlet, and false if id is not
 // registered.
 func (p *ParallelAllocator) SlotOf(id FlowID) (int32, bool) {
@@ -827,26 +824,10 @@ func (p *ParallelAllocator) Objective() float64 {
 	sum := 0.0
 	for _, fb := range p.fbs {
 		for i := range fb.ids {
-			sum += num.LogUtility{W: fb.csr.Weights[i]}.Value(fb.rates[i])
+			sum += num.LogUtility(fb.csr.Weights[i], fb.rates[i])
 		}
 	}
 	return sum
-}
-
-// Prices returns the authoritative link prices keyed by LinkID.
-func (p *ParallelAllocator) Prices() map[topology.LinkID]float64 {
-	out := make(map[topology.LinkID]float64)
-	for _, lb := range p.up {
-		for i, l := range lb.links {
-			out[l] = lb.price[i]
-		}
-	}
-	for _, lb := range p.down {
-		for i, l := range lb.links {
-			out[l] = lb.price[i]
-		}
-	}
-	return out
 }
 
 // addInto adds src element-wise into dst.

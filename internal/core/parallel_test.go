@@ -62,9 +62,6 @@ func TestNewParallelAllocatorValidation(t *testing.T) {
 	if want := min(16, runtime.GOMAXPROCS(0)); pa.NumWorkers() != want {
 		t.Errorf("NumWorkers = %d, want min(16 FlowBlocks, GOMAXPROCS) = %d", pa.NumWorkers(), want)
 	}
-	if pa.AggregationSteps() != 2 {
-		t.Errorf("AggregationSteps = %d, want 2", pa.AggregationSteps())
-	}
 }
 
 // randomParallelFlows draws distinct-endpoint flows.
@@ -97,8 +94,8 @@ func sequentialReference(t *testing.T, topo *topology.Topology, flows []Parallel
 			links[i] = int32(l)
 		}
 		prob.Flows = append(prob.Flows, num.Flow{
-			Route: links,
-			Util:  num.LogUtility{W: topo.Config().LinkCapacity},
+			Route:  links,
+			Weight: topo.Config().LinkCapacity,
 		})
 	}
 	st := num.NewState(&prob)
@@ -572,4 +569,20 @@ func TestMortonLayout(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Prices returns the authoritative link prices keyed by LinkID.
+func (p *ParallelAllocator) Prices() map[topology.LinkID]float64 {
+	out := make(map[topology.LinkID]float64)
+	for _, lb := range p.up {
+		for i, l := range lb.links {
+			out[l] = lb.price[i]
+		}
+	}
+	for _, lb := range p.down {
+		for i, l := range lb.links {
+			out[l] = lb.price[i]
+		}
+	}
+	return out
 }

@@ -123,7 +123,7 @@ func (cs *churnState) admit(now float64) error {
 		// Weights are scaled by link capacity so optimal prices are O(1),
 		// matching the allocator's convention. AppendFlow keeps the
 		// compiled CSR index in sync across churn.
-		cs.prob.AppendFlow(num.Flow{Route: links, Util: num.LogUtility{W: cs.topo.Config().LinkCapacity}})
+		cs.prob.AppendFlow(num.Flow{Route: links, Weight: cs.topo.Config().LinkCapacity})
 		cs.ids = append(cs.ids, f.ID)
 		cs.bytes = append(cs.bytes, float64(f.SizeBytes))
 	}

@@ -25,11 +25,6 @@ type Arbiter struct {
 
 	srcBusy []bool
 	dstBusy []bool
-
-	// allocated counts packets admitted so far.
-	allocated int64
-	// timeslots counts timeslots processed.
-	timeslots int64
 }
 
 // NewArbiter creates an arbiter for numNodes endpoints.
@@ -70,25 +65,9 @@ func (a *Arbiter) AddDemand(src, dst, packets int) error {
 	return nil
 }
 
-// Backlog returns the total number of packets waiting.
-func (a *Arbiter) Backlog() int64 {
-	var total int64
-	for _, pair := range a.active {
-		total += int64(a.backlog[pair[0]][pair[1]])
-	}
-	return total
-}
-
-// Allocated returns the total number of packets admitted so far.
-func (a *Arbiter) Allocated() int64 { return a.allocated }
-
-// Timeslots returns the number of timeslots processed so far.
-func (a *Arbiter) Timeslots() int64 { return a.timeslots }
-
 // AllocateTimeslot computes one timeslot's maximal matching and returns the
 // admitted (src,dst) pairs. The returned slice is valid until the next call.
 func (a *Arbiter) AllocateTimeslot() [][2]int32 {
-	a.timeslots++
 	for i := range a.srcBusy {
 		a.srcBusy[i] = false
 		a.dstBusy[i] = false
@@ -115,7 +94,6 @@ func (a *Arbiter) AllocateTimeslot() [][2]int32 {
 		a.srcBusy[src] = true
 		a.dstBusy[dst] = true
 		a.backlog[src][dst]--
-		a.allocated++
 		matched = append(matched, pair)
 		if a.backlog[src][dst] > 0 {
 			requeue = append(requeue, pair)

@@ -311,9 +311,6 @@ func (in *Injector) resolveLink(e Event) (topology.LinkID, bool) {
 	return in.cfg.Topology.UplinkID(e.Rack, e.Spine)
 }
 
-// Steps returns the number of allocator steps forwarded so far.
-func (in *Injector) Steps() int { return in.steps }
-
 // Finish validates that the whole plan ran — every scheduled op applied,
 // every kill recovered — and returns the report. syntheticFlows is the
 // number of flowlets the runner materialized from the plan's traffic

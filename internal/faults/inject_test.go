@@ -60,8 +60,8 @@ func TestInjectorFinishReport(t *testing.T) {
 	if !reflect.DeepEqual(*rep, want) {
 		t.Fatalf("report %+v; want %+v", *rep, want)
 	}
-	if inj.Steps() != 3 || inner.steps != 3 {
-		t.Fatalf("injector counted %d steps and forwarded %d; want 3 and 3", inj.Steps(), inner.steps)
+	if inj.steps != 3 || inner.steps != 3 {
+		t.Fatalf("injector counted %d steps and forwarded %d; want 3 and 3", inj.steps, inner.steps)
 	}
 	if cap.calls != 1 {
 		t.Fatalf("capacity setter called %d times; want 1", cap.calls)

@@ -245,32 +245,6 @@ func (t *ThroughputSeries) Rates() []float64 {
 	return out
 }
 
-// RateAt returns the throughput of the interval containing time at.
-func (t *ThroughputSeries) RateAt(at float64) float64 {
-	idx := int((at - t.start) / t.Interval)
-	if idx < 0 || idx >= len(t.buckets) {
-		return 0
-	}
-	return t.buckets[idx] * 8 / t.Interval
-}
-
-// JainIndex returns Jain's fairness index of the given rates: 1 when all
-// rates are equal, 1/n when one flow gets everything.
-func JainIndex(rates []float64) float64 {
-	if len(rates) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, r := range rates {
-		sum += r
-		sumSq += r * r
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(rates)) * sumSq)
-}
-
 // FormatRate renders a bits/s value as a human-readable string (Gbit/s or
 // Mbit/s) for reports.
 func FormatRate(bps float64) string {

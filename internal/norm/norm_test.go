@@ -13,7 +13,7 @@ import (
 func prob(capacity float64, routes ...[]int32) *num.Problem {
 	p := &num.Problem{Capacities: []float64{capacity, capacity, capacity}}
 	for _, r := range routes {
-		p.Flows = append(p.Flows, num.Flow{Route: r, Util: num.LogUtility{W: capacity}})
+		p.Flows = append(p.Flows, num.Flow{Route: r, Weight: capacity})
 	}
 	return p
 }

@@ -8,8 +8,8 @@ func twoFlowShared() *Problem {
 	return &Problem{
 		Capacities: []float64{10e9, 10e9, 10e9},
 		Flows: []Flow{
-			{Route: []int32{0, 1}, Util: LogUtility{W: 10e9}},
-			{Route: []int32{2, 1}, Util: LogUtility{W: 10e9}},
+			{Route: []int32{0, 1}, Weight: 10e9},
+			{Route: []int32{2, 1}, Weight: 10e9},
 		},
 	}
 }
@@ -30,7 +30,7 @@ func TestExternalLoadsMatchCombinedStep(t *testing.T) {
 	// run accumulated on links 1 and 2.
 	shard := &Problem{
 		Capacities: []float64{10e9, 10e9, 10e9},
-		Flows:      []Flow{{Route: []int32{0, 1}, Util: LogUtility{W: 10e9}}},
+		Flows:      []Flow{{Route: []int32{0, 1}, Weight: 10e9}},
 	}
 	w := 10e9
 	xB := w / 2

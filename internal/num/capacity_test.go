@@ -12,8 +12,8 @@ func capacityTestProblem(caps []float64) *Problem {
 	routes := [][]int32{{0, 1}, {1, 2}, {0, 2}, {1}, {0}}
 	for i, r := range routes {
 		p.Flows = append(p.Flows, Flow{
-			Route: r,
-			Util:  LogUtility{W: 10e9 * float64(1+i%2)},
+			Route:  r,
+			Weight: 10e9 * float64(1+i%2),
 		})
 	}
 	return p

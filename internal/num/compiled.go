@@ -5,7 +5,7 @@ import "slices"
 // This file implements the compiled problem representation: a flat,
 // cache-friendly CSR (compressed-sparse-row) layout of the flow→link
 // incidence that the solver hot loops iterate over instead of chasing one
-// heap-allocated Route slice and one Utility interface per flow.
+// heap-allocated Route slice per flow.
 //
 // Layout. All routes live in one array of fixed-stride rows (Routes; the
 // ELLPACK variant of CSR, with the offsets array replaced by i*Stride): flow
@@ -14,10 +14,8 @@ import "slices"
 // emptied; a longer route re-lays every row out once. Routes on one fabric
 // differ in length by a few links at most, so the padding costs less than the
 // offsets array and the holes of a concatenated arena would. Per-flow
-// log-utility weights are stored densely in Weights so the common LogUtility
-// case runs a branch-free, interface-free inner loop; problems that mix in
-// custom utilities carry a parallel Utils slice and fall back to interface
-// dispatch only for the flows that need it. A transposed link→flow index
+// log-utility weights are stored densely in Weights, so the rate update is a
+// branch-free loop over three flat arrays. A transposed link→flow index
 // (LinkFlows/LinkOff) is built lazily for link-major consumers.
 //
 // Churn. The layout supports O(Stride) swap-delete and append, mirroring the
@@ -41,17 +39,11 @@ type Compiled struct {
 	Stride int
 	// Len holds each flow's route length.
 	Len []int32
-	// Weights holds each flow's log-utility weight. It is meaningful only
-	// for flows on the fast path (Utils == nil, or Utils[i] == nil).
+	// Weights holds each flow's log-utility weight.
 	Weights []float64
-	// Utils is nil when every flow uses LogUtility (the fully
-	// monomorphized case). Otherwise it has one entry per flow: nil for
-	// log-utility flows, the custom Utility for the rest.
-	Utils []Utility
 
-	owner     *Problem // the Problem this index belongs to (copy detection)
-	version   uint64   // Problem.version this index is consistent with
-	numCustom int      // flows with a non-LogUtility utility
+	owner   *Problem // the Problem this index belongs to (copy detection)
+	version uint64   // Problem.version this index is consistent with
 
 	// Lazily built transpose: link l is traversed by the flows
 	// linkFlows[linkOff[l]:linkOff[l+1]].
@@ -61,18 +53,6 @@ type Compiled struct {
 	tvalid    bool
 
 	cursorScratch []int32 // per-link cursors for transpose construction
-}
-
-// logWeight reports whether the flow is on the monomorphized log-utility fast
-// path and, if so, its weight.
-func logWeight(f Flow) (float64, bool) {
-	if f.Util == nil {
-		return 1, true
-	}
-	if lu, ok := f.Util.(LogUtility); ok {
-		return lu.W, true
-	}
-	return 0, false
 }
 
 // Compiled returns the CSR index for the problem's current flow set,
@@ -126,7 +106,7 @@ func (p *Problem) RemoveFlowSwap(i int) {
 	if i != last {
 		p.Flows[i] = p.Flows[last]
 	}
-	p.Flows[last] = Flow{} // release the route and utility
+	p.Flows[last] = Flow{} // release the route
 	p.Flows = p.Flows[:last]
 	p.version++
 	if sync {
@@ -155,9 +135,6 @@ func (c *Compiled) AppendLog(route []int32, weight float64) {
 	clear(c.Routes[o+copy(c.Routes[o:], route):])
 	c.Len = append(c.Len, int32(len(route)))
 	c.Weights = append(c.Weights, weight)
-	if c.Utils != nil {
-		c.Utils = append(c.Utils, nil)
-	}
 	c.tvalid = false
 }
 
@@ -176,75 +153,41 @@ func (c *Compiled) restride(stride int) {
 
 // appendFlow adds one of the owning Problem's flows at the end of the index.
 func (c *Compiled) appendFlow(f Flow) {
-	w, log := logWeight(f)
+	w := f.Weight
+	if w == 0 {
+		w = 1
+	}
 	c.AppendLog(f.Route, w)
-	if log {
-		return
-	}
-	c.numCustom++
-	if c.Utils == nil {
-		// First custom utility: materialize the per-flow slice.
-		c.Utils = make([]Utility, len(c.Len))
-	}
-	c.Utils[len(c.Len)-1] = f.Util
 }
 
 // RemoveSwap removes flow i by copying the last flow's row and columns into
 // its slot. Per-flow state kept in index order must apply the same swap.
 func (c *Compiled) RemoveSwap(i int) {
 	last := len(c.Len) - 1
-	if c.Utils != nil && c.Utils[i] != nil {
-		c.numCustom--
-	}
 	if i != last {
 		copy(c.Routes[i*c.Stride:(i+1)*c.Stride], c.Routes[last*c.Stride:])
 		c.Len[i] = c.Len[last]
 		c.Weights[i] = c.Weights[last]
-		if c.Utils != nil {
-			c.Utils[i] = c.Utils[last]
-		}
 	}
 	c.Routes = c.Routes[:last*c.Stride]
 	c.Len = c.Len[:last]
 	c.Weights = c.Weights[:last]
-	if c.Utils != nil {
-		c.Utils[last] = nil
-		if c.numCustom == 0 {
-			// The last custom-utility flow is gone: drop the per-flow
-			// slice so the monomorphized fast path re-engages.
-			c.Utils = nil
-		} else {
-			c.Utils = c.Utils[:last]
-		}
-	}
 	c.tvalid = false
 }
 
 // Reset empties the index, keeping the capacity of its arrays.
 func (c *Compiled) Reset() {
 	c.Routes, c.Len, c.Weights = c.Routes[:0], c.Len[:0], c.Weights[:0]
-	c.Stride, c.Utils, c.numCustom, c.tvalid = 0, nil, 0, false
+	c.Stride, c.tvalid = 0, false
 }
 
 // NumFlows returns the number of flows in the index.
 func (c *Compiled) NumFlows() int { return len(c.Len) }
 
-// AllLog reports whether every flow is on the log-utility fast path.
-func (c *Compiled) AllLog() bool { return c.Utils == nil }
-
 // Route returns flow i's route as a slice into its row (read-only).
 func (c *Compiled) Route(i int) []int32 {
 	o := i * c.Stride
 	return c.Routes[o : o+int(c.Len[i])]
-}
-
-// utility returns flow i's utility, nil meaning the log fast path with weight
-// Weights[i].
-func (c *Compiled) utility(i int) Utility {
-	if c.Utils == nil {
-		return nil
-	}
-	return c.Utils[i]
 }
 
 // Transpose returns the link→flow index for numLinks links: link l is

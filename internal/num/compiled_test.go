@@ -41,13 +41,8 @@ func checkCompiledMatchesFlows(t *testing.T, p *Problem) {
 				t.Fatalf("flow %d: compiled route %v, want %v", i, got, f.Route)
 			}
 		}
-		w, log := logWeight(*f)
-		if log {
-			if c.utility(i) != nil || c.Weights[i] != w {
-				t.Fatalf("flow %d: fast path weight %g (util %v), want %g", i, c.Weights[i], c.utility(i), w)
-			}
-		} else if c.utility(i) != f.Util {
-			t.Fatalf("flow %d: compiled utility %v, want %v", i, c.utility(i), f.Util)
+		if c.Weights[i] != f.Weight {
+			t.Fatalf("flow %d: compiled weight %g, want %g", i, c.Weights[i], f.Weight)
 		}
 	}
 	// Transpose: per-link flow sets must match a reference count.
@@ -88,11 +83,7 @@ func TestCompiledChurnConsistency(t *testing.T) {
 	}
 	for step := 0; step < 3000; step++ {
 		if rng.Float64() < 0.55 || len(p.Flows) == 0 {
-			f := Flow{Route: randomRoute(rng, numLinks), Util: LogUtility{W: capacity * (1 + rng.Float64())}}
-			if rng.Float64() < 0.05 {
-				f.Util = AlphaFairUtility{W: capacity, Alpha: 2}
-			}
-			p.AppendFlow(f)
+			p.AppendFlow(Flow{Route: randomRoute(rng, numLinks), Weight: capacity * (1 + rng.Float64())})
 		} else {
 			p.RemoveFlowSwap(rng.Intn(len(p.Flows)))
 		}
@@ -124,7 +115,7 @@ func TestStandaloneCompiledChurn(t *testing.T) {
 			t.Fatalf("%d route entries for %d flows at stride %d", len(c.Routes), c.NumFlows(), c.Stride)
 		}
 		want := (&Problem{Flows: mirror}).Compiled()
-		if !slices.Equal(c.Len, want.Len) || !slices.Equal(c.Weights, want.Weights) || !c.AllLog() {
+		if !slices.Equal(c.Len, want.Len) || !slices.Equal(c.Weights, want.Weights) {
 			t.Fatalf("lengths %v weights %v, a rebuilt index has %v %v", c.Len, c.Weights, want.Len, want.Weights)
 		}
 		for i := range mirror {
@@ -137,8 +128,8 @@ func TestStandaloneCompiledChurn(t *testing.T) {
 		}
 	}
 	appendFlow := func(route []int32) {
-		f := Flow{Route: route, Util: LogUtility{W: 1 + rng.Float64()}}
-		c.AppendLog(f.Route, f.Util.(LogUtility).W)
+		f := Flow{Route: route, Weight: 1 + rng.Float64()}
+		c.AppendLog(f.Route, f.Weight)
 		mirror = append(mirror, f)
 	}
 
@@ -188,7 +179,7 @@ func TestStandaloneCompiledChurn(t *testing.T) {
 	}
 	c.Reset()
 	for _, f := range mirror {
-		c.AppendLog(f.Route, f.Util.(LogUtility).W)
+		c.AppendLog(f.Route, f.Weight)
 	}
 	want := (&Problem{Flows: mirror}).Compiled()
 	if c.Stride != want.Stride || !slices.Equal(c.Routes, want.Routes) || !slices.Equal(c.Len, want.Len) {
@@ -196,8 +187,8 @@ func TestStandaloneCompiledChurn(t *testing.T) {
 	}
 }
 
-// referenceNEDStep is the pre-refactor NED iteration: interface dispatch per
-// flow and per-flow Route slices, kept here as the oracle for the CSR path.
+// referenceNEDStep is the pre-refactor NED iteration over the per-flow Route
+// slices, kept here as the oracle for the CSR path.
 func referenceNEDStep(p *Problem, st *State, gamma float64) {
 	loads := make([]float64, len(p.Capacities))
 	hdiag := make([]float64, len(p.Capacities))
@@ -206,16 +197,16 @@ func referenceNEDStep(p *Problem, st *State, gamma float64) {
 		if ps < minPathPrice {
 			ps = minPathPrice
 		}
-		u := f.Util
-		if u == nil {
-			u = LogUtility{W: 1}
+		w := f.Weight
+		if w == 0 {
+			w = 1
 		}
-		x := u.Rate(ps)
+		x := w / ps
 		if p.MaxFlowRate > 0 && x > p.MaxFlowRate {
 			x = p.MaxFlowRate
 		}
 		st.Rates[i] = x
-		d := u.RateDeriv(ps)
+		d := -w / (ps * ps)
 		for _, l := range f.Route {
 			loads[l] += x
 			hdiag[l] += d
@@ -236,9 +227,8 @@ func referenceNEDStep(p *Problem, st *State, gamma float64) {
 	}
 }
 
-// buildRandomProblem returns a random multi-link problem; withCustom mixes in
-// alpha-fair flows to exercise the generic dispatch path.
-func buildRandomProblem(seed int64, numFlows int, withCustom bool) *Problem {
+// buildRandomProblem returns a random multi-link problem.
+func buildRandomProblem(seed int64, numFlows int) *Problem {
 	const numLinks = 12
 	const capacity = 10e9
 	rng := rand.New(rand.NewSource(seed))
@@ -247,48 +237,35 @@ func buildRandomProblem(seed int64, numFlows int, withCustom bool) *Problem {
 		p.Capacities = append(p.Capacities, capacity)
 	}
 	for f := 0; f < numFlows; f++ {
-		fl := Flow{Route: randomRoute(rng, numLinks), Util: LogUtility{W: capacity * (1 + rng.Float64())}}
-		if withCustom && f%7 == 0 {
-			fl.Util = AlphaFairUtility{W: capacity, Alpha: 2}
-		}
-		p.Flows = append(p.Flows, fl)
+		p.Flows = append(p.Flows, Flow{Route: randomRoute(rng, numLinks), Weight: capacity * (1 + rng.Float64())})
 	}
 	return p
 }
 
 // TestCompiledEquivalenceWithReference runs 200 NED iterations through the
 // compiled CSR path and the pre-refactor reference path and requires the
-// rates and prices to agree within 1e-9 relative error throughout, both for
-// the all-log fast path and for problems mixing custom utilities.
+// rates and prices to agree within 1e-9 relative error throughout.
 func TestCompiledEquivalenceWithReference(t *testing.T) {
-	for _, withCustom := range []bool{false, true} {
-		name := "all-log"
-		if withCustom {
-			name = "mixed-utilities"
-		}
-		t.Run(name, func(t *testing.T) {
-			p := buildRandomProblem(7, 60, withCustom)
-			ref := buildRandomProblem(7, 60, withCustom)
-			st := NewState(p)
-			st.Resize(len(p.Flows))
-			stRef := NewState(ref)
-			stRef.Resize(len(ref.Flows))
-			ned := &NED{Gamma: 0.4}
-			for iter := 0; iter < 200; iter++ {
-				ned.Step(p, st)
-				referenceNEDStep(ref, stRef, 0.4)
-				for i := range st.Rates {
-					if relDiff(st.Rates[i], stRef.Rates[i]) > 1e-9 {
-						t.Fatalf("iter %d flow %d: CSR rate %.15g, reference %.15g", iter, i, st.Rates[i], stRef.Rates[i])
-					}
-				}
-				for l := range st.Prices {
-					if relDiff(st.Prices[l], stRef.Prices[l]) > 1e-9 {
-						t.Fatalf("iter %d link %d: CSR price %.15g, reference %.15g", iter, l, st.Prices[l], stRef.Prices[l])
-					}
-				}
+	p := buildRandomProblem(7, 60)
+	ref := buildRandomProblem(7, 60)
+	st := NewState(p)
+	st.Resize(len(p.Flows))
+	stRef := NewState(ref)
+	stRef.Resize(len(ref.Flows))
+	ned := &NED{Gamma: 0.4}
+	for iter := 0; iter < 200; iter++ {
+		ned.Step(p, st)
+		referenceNEDStep(ref, stRef, 0.4)
+		for i := range st.Rates {
+			if relDiff(st.Rates[i], stRef.Rates[i]) > 1e-9 {
+				t.Fatalf("iter %d flow %d: CSR rate %.15g, reference %.15g", iter, i, st.Rates[i], stRef.Rates[i])
 			}
-		})
+		}
+		for l := range st.Prices {
+			if relDiff(st.Prices[l], stRef.Prices[l]) > 1e-9 {
+				t.Fatalf("iter %d link %d: CSR price %.15g, reference %.15g", iter, l, st.Prices[l], stRef.Prices[l])
+			}
+		}
 	}
 }
 
@@ -304,44 +281,21 @@ func relDiff(a, b float64) float64 {
 func TestCompiledStalenessDetection(t *testing.T) {
 	const capacity = 10e9
 	p := &Problem{Capacities: []float64{capacity}, MaxFlowRate: capacity}
-	p.Flows = append(p.Flows, Flow{Route: []int32{0}, Util: LogUtility{W: capacity}})
+	p.Flows = append(p.Flows, Flow{Route: []int32{0}, Weight: capacity})
 	if got := p.Compiled().NumFlows(); got != 1 {
 		t.Fatalf("compiled flows = %d, want 1", got)
 	}
 	// Direct append: count changes, rebuild happens.
-	p.Flows = append(p.Flows, Flow{Route: []int32{0}, Util: LogUtility{W: 2 * capacity}})
+	p.Flows = append(p.Flows, Flow{Route: []int32{0}, Weight: 2 * capacity})
 	if got := p.Compiled().NumFlows(); got != 2 {
 		t.Fatalf("after direct append: compiled flows = %d, want 2", got)
 	}
 	// Same-count replacement: stale until Invalidate.
-	p.Flows[0] = Flow{Route: []int32{0}, Util: LogUtility{W: 5 * capacity}}
+	p.Flows[0] = Flow{Route: []int32{0}, Weight: 5 * capacity}
 	p.Invalidate()
 	if got := p.Compiled().Weights[0]; got != 5*capacity {
 		t.Fatalf("after Invalidate: weight = %g, want %g", got, 5*capacity)
 	}
-}
-
-// TestCompiledFastPathRestoredAfterCustomRemoval: removing the last
-// custom-utility flow must drop the Utils slice so the monomorphized
-// log-utility fast path re-engages.
-func TestCompiledFastPathRestoredAfterCustomRemoval(t *testing.T) {
-	const capacity = 10e9
-	p := &Problem{Capacities: []float64{capacity}, MaxFlowRate: capacity}
-	p.AppendFlow(Flow{Route: []int32{0}, Util: LogUtility{W: capacity}})
-	if !p.Compiled().AllLog() {
-		t.Fatal("all-log problem should start on the fast path")
-	}
-	p.AppendFlow(Flow{Route: []int32{0}, Util: AlphaFairUtility{W: capacity, Alpha: 2}})
-	if p.Compiled().AllLog() {
-		t.Fatal("custom utility should disable the fast path")
-	}
-	p.AppendFlow(Flow{Route: []int32{0}, Util: LogUtility{W: 2 * capacity}})
-	p.RemoveFlowSwap(1) // remove the alpha-fair flow
-	c := p.Compiled()
-	if !c.AllLog() {
-		t.Fatal("fast path should re-engage once the last custom-utility flow is removed")
-	}
-	checkCompiledMatchesFlows(t, p)
 }
 
 // TestCompiledProblemCopy: a Problem copied by value must not alias the
@@ -350,13 +304,13 @@ func TestCompiledFastPathRestoredAfterCustomRemoval(t *testing.T) {
 func TestCompiledProblemCopy(t *testing.T) {
 	const capacity = 10e9
 	p := &Problem{Capacities: []float64{capacity, capacity}, MaxFlowRate: capacity}
-	p.AppendFlow(Flow{Route: []int32{0}, Util: LogUtility{W: capacity}})
+	p.AppendFlow(Flow{Route: []int32{0}, Weight: capacity})
 	p.Compiled()
 
 	p2 := *p
 	p2.Flows = append([]Flow(nil), p.Flows...)
-	p2.AppendFlow(Flow{Route: []int32{1}, Util: LogUtility{W: 2 * capacity}})
-	p.AppendFlow(Flow{Route: []int32{0}, Util: LogUtility{W: 3 * capacity}})
+	p2.AppendFlow(Flow{Route: []int32{1}, Weight: 2 * capacity})
+	p.AppendFlow(Flow{Route: []int32{0}, Weight: 3 * capacity})
 
 	checkCompiledMatchesFlows(t, p)
 	checkCompiledMatchesFlows(t, &p2)
@@ -372,7 +326,7 @@ func TestCompiledSolveEquivalence(t *testing.T) {
 	const capacity = 10e9
 	p := &Problem{Capacities: []float64{capacity}, MaxFlowRate: capacity}
 	for i := 0; i < 5; i++ {
-		p.AppendFlow(Flow{Route: []int32{0}, Util: LogUtility{W: capacity}})
+		p.AppendFlow(Flow{Route: []int32{0}, Weight: capacity})
 	}
 	st := NewState(p)
 	if _, err := Solve(&NED{Gamma: 1}, p, st, SolveOptions{MaxIterations: 2000}); err != nil {

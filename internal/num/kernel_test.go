@@ -25,14 +25,11 @@ func rateUpdateLogRef(p *Problem, prices, rates, loads, hdiag []float64, hessian
 		if ps < minPathPrice {
 			ps = minPathPrice
 		}
-		var x, d float64
-		if w, log := logWeight(f); log {
-			x = w / ps
-			d = -w / (ps * ps)
-		} else {
-			x = f.Util.Rate(ps)
-			d = f.Util.RateDeriv(ps)
+		w := f.Weight
+		if w == 0 {
+			w = 1
 		}
+		x, d := w/ps, -w/(ps*ps)
 		if p.MaxFlowRate > 0 && x > p.MaxFlowRate {
 			x = p.MaxFlowRate
 		}
@@ -113,9 +110,6 @@ type kernelCase struct {
 	numLinks int
 	capacity float64
 	route    func(rng *rand.Rand) []int32
-	// mixed draws every fifth flow with an alpha-fair utility, which routes
-	// the whole problem through rateUpdateGeneric.
-	mixed bool
 	// boundary sets ExternalLoads/ExternalHdiag on a quarter of the links
 	// and pins another quarter, some of them at price zero.
 	boundary bool
@@ -140,16 +134,11 @@ func kernelCases(t *testing.T) []kernelCase {
 		{name: "lengths-1-6", numLinks: 24, capacity: 10e9, route: anyLengthRoutes(24)},
 		{name: "boundary", numLinks: fatTree.NumLinks(), capacity: 10e9, route: fabricRoutes(t, fatTree), boundary: true},
 		{name: "zero-prices", numLinks: 24, capacity: 10e9, route: anyLengthRoutes(24), zeroPrices: true},
-		{name: "mixed-utilities", numLinks: 24, capacity: 10e9, route: anyLengthRoutes(24), mixed: true},
 	}
 }
 
-func (kc kernelCase) flow(rng *rand.Rand, i int) Flow {
-	f := Flow{Route: kc.route(rng), Util: LogUtility{W: kc.capacity * (0.25 + 3*rng.Float64())}}
-	if kc.mixed && i%5 == 0 {
-		f.Util = AlphaFairUtility{W: kc.capacity, Alpha: 2}
-	}
-	return f
+func (kc kernelCase) flow(rng *rand.Rand) Flow {
+	return Flow{Route: kc.route(rng), Weight: kc.capacity * (0.25 + 3*rng.Float64())}
 }
 
 func bitsEqual(t *testing.T, what string, got, want []float64) {
@@ -168,7 +157,7 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // TestKernelEquivalence is the contract of the specialised kernels: over
 // seeded generated problems — real two-tier and fat-tree routes, hand-built
 // routes of every length 1–6, clamped all-zero-price paths with every flow at
-// the rate cap, external loads and pins, a mixed-utility problem — and across
+// the rate cap, external loads and pins — and across
 // a churn sequence that swap-deletes rows from the middle of the index and
 // appends new ones, a NED step leaves rates, loads, Hessian diagonals and
 // prices bit-identical to the reference loops, and so does the non-Hessian
@@ -201,10 +190,8 @@ func TestKernelEquivalence(t *testing.T) {
 				if kc.zeroPrices {
 					clear(st.Prices)
 				}
-				next := 0
 				add := func() {
-					p.AppendFlow(kc.flow(rng, next))
-					next++
+					p.AppendFlow(kc.flow(rng))
 					st.Resize(len(p.Flows))
 				}
 				moved := 0 // swap-deletes that copied the last row into a gap
@@ -264,9 +251,6 @@ func TestKernelEquivalence(t *testing.T) {
 				}
 				if moved == 0 {
 					t.Fatal("the churn sequence never swap-deleted from the middle of the index")
-				}
-				if kc.mixed == p.Compiled().AllLog() {
-					t.Fatalf("mixed=%v but AllLog()=%v: the case exercises the wrong rate-update path", kc.mixed, p.Compiled().AllLog())
 				}
 			})
 		}

@@ -5,22 +5,25 @@ import (
 	"math"
 )
 
-// Flow is one flow (flowlet) in a NUM problem: the links it traverses and its
-// utility function.
+// Flow is one flow (flowlet) in a NUM problem: the links it traverses and the
+// weight of its utility.
 type Flow struct {
 	// Route lists the link indices the flow traverses. It must be
 	// non-empty: every flow passes through at least one link.
 	Route []int32
-	// Util is the flow's utility function. Nil means LogUtility{W: 1}.
-	Util Utility
+	// Weight is w in the flow's utility w·log(x) (see LogUtility). Zero
+	// means 1.
+	Weight float64
 }
 
-// utility returns the flow's utility, defaulting to proportional fairness.
-func (f Flow) utility() Utility {
-	if f.Util == nil {
-		return LogUtility{W: 1}
+// LogUtility returns w·log(x), the utility of a flow of weight w at rate x:
+// the weighted log that makes the NUM objective proportional fairness (§3),
+// and the one utility every solver here optimizes. It is -Inf at x <= 0.
+func LogUtility(w, x float64) float64 {
+	if x <= 0 {
+		return math.Inf(-1)
 	}
-	return f.Util
+	return w * math.Log(x)
 }
 
 // Problem is a static NUM instance: link capacities and a set of flows.
@@ -159,15 +162,6 @@ func (s *State) Resize(numFlows int) {
 	s.Rates = r
 }
 
-// PathPrice returns the sum of prices along a route.
-func (s *State) PathPrice(route []int32) float64 {
-	sum := 0.0
-	for _, l := range route {
-		sum += s.Prices[l]
-	}
-	return sum
-}
-
 // LinkLoads returns the total allocated rate on each link given the current
 // per-flow rates.
 func LinkLoads(p *Problem, rates []float64, out []float64) []float64 {
@@ -201,20 +195,6 @@ func OverAllocation(p *Problem, rates []float64) float64 {
 	return over
 }
 
-// Objective returns the NUM objective Σ U_s(x_s) for the given rates.
-func Objective(p *Problem, rates []float64) float64 {
-	c := p.Compiled()
-	sum := 0.0
-	for i := range c.Len {
-		if u := c.utility(i); u != nil {
-			sum += u.Value(rates[i])
-			continue
-		}
-		sum += LogUtility{W: c.Weights[i]}.Value(rates[i])
-	}
-	return sum
-}
-
 // TotalThroughput returns the sum of flow rates in bits per second.
 func TotalThroughput(rates []float64) float64 {
 	sum := 0.0
@@ -222,18 +202,6 @@ func TotalThroughput(rates []float64) float64 {
 		sum += r
 	}
 	return sum
-}
-
-// MaxLinkUtilization returns the maximum ratio of link load to capacity.
-func MaxLinkUtilization(p *Problem, rates []float64) float64 {
-	loads := LinkLoads(p, rates, nil)
-	max := 0.0
-	for l, load := range loads {
-		if u := load / p.Capacities[l]; u > max {
-			max = u
-		}
-	}
-	return max
 }
 
 // Feasible reports whether the rates satisfy every link capacity constraint

@@ -110,8 +110,8 @@ func TestObjectiveAndThroughput(t *testing.T) {
 	p := &Problem{
 		Capacities: []float64{10},
 		Flows: []Flow{
-			{Route: []int32{0}, Util: LogUtility{W: 1}},
-			{Route: []int32{0}, Util: LogUtility{W: 2}},
+			{Route: []int32{0}, Weight: 1},
+			{Route: []int32{0}, Weight: 2},
 		},
 	}
 	rates := []float64{math.E, math.E}
@@ -124,10 +124,10 @@ func TestObjectiveAndThroughput(t *testing.T) {
 	}
 }
 
+// TestFlowDefaultUtility: a flow with no weight compiles to weight 1.
 func TestFlowDefaultUtility(t *testing.T) {
-	f := Flow{Route: []int32{0}}
-	u := f.utility()
-	if _, ok := u.(LogUtility); !ok {
-		t.Errorf("default utility should be LogUtility, got %T", u)
+	p := &Problem{Capacities: []float64{10}, Flows: []Flow{{Route: []int32{0}}}}
+	if got := p.Compiled().Weights[0]; got != 1 {
+		t.Errorf("default weight = %g, want 1", got)
 	}
 }

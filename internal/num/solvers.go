@@ -51,21 +51,15 @@ func (s *scratch) ensure(numLinks int) {
 // minPrice clamps the path price away from zero so log-utility rates stay
 // finite when all prices on a path drop to zero.
 func rateUpdate(p *Problem, st *State, sc *scratch, hessian bool, minPrice float64) {
-	c := p.Compiled()
 	sc.ensure(len(p.Capacities))
-	loads, hdiag := sc.loads, sc.hdiag
-	clear(loads)
-	clear(hdiag)
-	if c.AllLog() {
-		rateUpdateLog(c, p.MaxFlowRate, st.Prices, st.Rates, loads, hdiag, hessian, minPrice)
-		return
-	}
-	rateUpdateGeneric(c, p.MaxFlowRate, st, loads, hdiag, hessian, minPrice)
+	clear(sc.loads)
+	clear(sc.hdiag)
+	rateUpdateLog(p.Compiled(), p.MaxFlowRate, st.Prices, st.Rates, sc.loads, sc.hdiag, hessian, minPrice)
 }
 
-// rateUpdateLog is the monomorphized log-utility fast path: every flow's rate
-// is w/p and its sensitivity -w/p², computed straight from the CSR index with
-// no interface dispatch and no per-flow pointer chasing.
+// rateUpdateLog is the rate update of the log utility w·log(x): every flow's
+// rate is (U')⁻¹(p) = w/p and its sensitivity -w/p², computed straight from
+// the CSR index with no per-flow pointer chasing.
 //
 // The per-flow body is straight-line for the two route lengths that carry the
 // traffic — 4 links, rack to spine to rack, on a two-tier Clos (31 of 32
@@ -123,7 +117,7 @@ func rateUpdateLog(c *Compiled, maxRate float64, prices, rates, loads, hdiag []f
 }
 
 // NEDRateUpdate is NED's rate update (Equation 3 plus the load and Hessian
-// scatter) for an all-log-utility index that no Problem owns: it sets rates
+// scatter) for an index that no Problem owns: it sets rates
 // from prices and accumulates into loads and hdiag, which the caller has
 // cleared. A core.ParallelAllocator FlowBlock runs it on its local copy of its
 // two LinkBlocks — the same kernel NED.Step runs on the whole fabric.
@@ -189,50 +183,6 @@ func OrderedBits(x float64) int64 { return int64(math.Float64bits(x)) }
 
 // FromOrderedBits inverts OrderedBits.
 func FromOrderedBits(b int64) float64 { return math.Float64frombits(uint64(b)) }
-
-// rateUpdateGeneric handles problems mixing custom utilities: log-utility
-// flows still take the inline formulas, the rest dispatch through the
-// interface.
-func rateUpdateGeneric(c *Compiled, maxRate float64, st *State, loads, hdiag []float64, hessian bool, minPrice float64) {
-	prices, rates := st.Prices, st.Rates
-	for i := range c.Len {
-		route := c.Route(i)
-		ps := 0.0
-		for _, l := range route {
-			ps += prices[l]
-		}
-		if ps < minPrice {
-			ps = minPrice
-		}
-		var x, d float64
-		if u := c.Utils[i]; u != nil {
-			x = u.Rate(ps)
-			if hessian {
-				d = u.RateDeriv(ps)
-			}
-		} else {
-			w := c.Weights[i]
-			x = w / ps
-			if hessian {
-				d = -w / (ps * ps)
-			}
-		}
-		if maxRate > 0 && x > maxRate {
-			x = maxRate
-		}
-		rates[i] = x
-		if hessian {
-			for _, l := range route {
-				loads[l] += x
-				hdiag[l] += d
-			}
-		} else {
-			for _, l := range route {
-				loads[l] += x
-			}
-		}
-	}
-}
 
 // minPathPrice is the floor on path prices used by all solvers to keep rates
 // finite. With 10-400 Gbit/s links, a price of 1e-12 allows rates up to
@@ -458,20 +408,16 @@ func NewFGM() *FGM { return &FGM{Gamma: 1} }
 func (f *FGM) Name() string { return "FGM" }
 
 // estimateLipschitz computes a crude per-link curvature bound: the number of
-// flows sharing the link times the largest |RateDeriv| at the initial price
-// of 1. This mirrors FGM's use of a worst-case constant instead of the exact
+// flows sharing the link times the largest rate sensitivity |d/dp (w/p)| at
+// the initial price of 1. This mirrors FGM's use of a worst-case constant instead of the exact
 // per-iteration values NED computes; the bound goes stale as prices move and
 // as flowlets churn, which is the source of its misbehaviour in Figure 12.
 func (f *FGM) estimateLipschitz(p *Problem) []float64 {
 	c := p.Compiled()
 	share := make([]float64, len(p.Capacities))
-	// For LogUtility |RateDeriv(1)| = w, so the fast path reduces to a max
-	// over the dense weights.
+	// |d/dp (w/p)| at p = 1 is w, so the bound is the largest weight.
 	maxDeriv := 1.0
-	for i, w := range c.Weights {
-		if u := c.utility(i); u != nil {
-			w = math.Abs(u.RateDeriv(1))
-		}
+	for _, w := range c.Weights {
 		if w > maxDeriv {
 			maxDeriv = w
 		}

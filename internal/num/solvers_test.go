@@ -12,7 +12,7 @@ import (
 func singleLinkProblem(n int, capacity float64) *Problem {
 	p := &Problem{Capacities: []float64{capacity}, MaxFlowRate: capacity}
 	for i := 0; i < n; i++ {
-		p.Flows = append(p.Flows, Flow{Route: []int32{0}, Util: LogUtility{W: capacity}})
+		p.Flows = append(p.Flows, Flow{Route: []int32{0}, Weight: capacity})
 	}
 	return p
 }
@@ -25,9 +25,9 @@ func twoLinkTandemProblem(capacity float64) *Problem {
 		Capacities:  []float64{capacity, capacity},
 		MaxFlowRate: capacity,
 		Flows: []Flow{
-			{Route: []int32{0, 1}, Util: LogUtility{W: capacity}},
-			{Route: []int32{0}, Util: LogUtility{W: capacity}},
-			{Route: []int32{1}, Util: LogUtility{W: capacity}},
+			{Route: []int32{0, 1}, Weight: capacity},
+			{Route: []int32{0}, Weight: capacity},
+			{Route: []int32{1}, Weight: capacity},
 		},
 	}
 }
@@ -61,8 +61,8 @@ func TestNEDWeightedShares(t *testing.T) {
 		Capacities:  []float64{capacity},
 		MaxFlowRate: capacity,
 		Flows: []Flow{
-			{Route: []int32{0}, Util: LogUtility{W: 1 * capacity}},
-			{Route: []int32{0}, Util: LogUtility{W: 3 * capacity}},
+			{Route: []int32{0}, Weight: 1 * capacity},
+			{Route: []int32{0}, Weight: 3 * capacity},
 		},
 	}
 	st := solveWith(t, &NED{Gamma: 1}, p, 2000)
@@ -151,7 +151,7 @@ func TestNEDCapacityRespectedAtConvergence(t *testing.T) {
 				route = append(route, l)
 			}
 		}
-		p.Flows = append(p.Flows, Flow{Route: route, Util: LogUtility{W: capacity}})
+		p.Flows = append(p.Flows, Flow{Route: route, Weight: capacity})
 	}
 	// γ=0.4 is the step size the paper uses in its simulations; γ=1 can
 	// oscillate on problems with many shared multi-link routes because the
@@ -204,7 +204,7 @@ func TestGradientSlowButFeasibleUnderChurn(t *testing.T) {
 	if _, err := Solve(grad, p, st, SolveOptions{MaxIterations: 100000, Tolerance: 1e-9}); err != nil {
 		t.Logf("gradient solve: %v", err)
 	}
-	p.Flows = append(p.Flows, Flow{Route: []int32{0}, Util: LogUtility{W: capacity}})
+	p.Flows = append(p.Flows, Flow{Route: []int32{0}, Weight: capacity})
 	st.Resize(4)
 	grad.Step(p, st)
 	over := OverAllocation(p, st.Rates)
@@ -314,7 +314,7 @@ func TestPriceNonNegativityProperty(t *testing.T) {
 				if rng.Float64() < 0.5 {
 					route = append(route, int32(rng.Intn(3)))
 				}
-				p.Flows = append(p.Flows, Flow{Route: route, Util: LogUtility{W: capacity}})
+				p.Flows = append(p.Flows, Flow{Route: route, Weight: capacity})
 			} else if rng.Float64() < 0.2 {
 				p.Flows = p.Flows[:len(p.Flows)-1]
 			}

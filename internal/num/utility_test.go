@@ -8,102 +8,65 @@ import (
 )
 
 func TestLogUtilityValue(t *testing.T) {
-	u := LogUtility{W: 2}
-	if got := u.Value(math.E); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Value(e) = %g, want 2", got)
+	if got := LogUtility(2, math.E); math.Abs(got-2) > 1e-12 {
+		t.Errorf("LogUtility(2, e) = %g, want 2", got)
 	}
-	if !math.IsInf(u.Value(0), -1) {
-		t.Error("Value(0) should be -Inf")
+	if !math.IsInf(LogUtility(2, 0), -1) {
+		t.Error("LogUtility(2, 0) should be -Inf")
 	}
-	if !math.IsInf(u.Value(-1), -1) {
-		t.Error("Value(-1) should be -Inf")
+	if !math.IsInf(LogUtility(2, -1), -1) {
+		t.Error("LogUtility(2, -1) should be -Inf")
 	}
 }
 
+// TestLogUtilityRateInverse: the kernel's rate at path price p must invert
+// the marginal utility U'(x) = w/x, and the path-price floor keeps it finite.
 func TestLogUtilityRateInverse(t *testing.T) {
-	// Rate(p) must be the inverse of the marginal utility U'(x)=w/x.
-	u := LogUtility{W: 3}
+	const w = 3
+	inf := math.Inf(1)
 	for _, x := range []float64{0.5, 1, 10, 1e9} {
-		price := u.W / x // U'(x)
-		if got := u.Rate(price); math.Abs(got-x)/x > 1e-12 {
-			t.Errorf("Rate(U'(%g)) = %g, want %g", x, got, x)
+		price := w / x // U'(x)
+		if got, _ := logRate(w, price, minPathPrice, inf); math.Abs(got-x)/x > 1e-12 {
+			t.Errorf("rate at U'(%g) = %g, want %g", x, got, x)
 		}
 	}
-	if !math.IsInf(u.Rate(0), 1) {
-		t.Error("Rate(0) should be +Inf")
+	if got, _ := logRate(w, 0, minPathPrice, inf); got != w/minPathPrice {
+		t.Errorf("rate at price 0 = %g, want the floor's %g", got, w/minPathPrice)
+	}
+	if got, _ := logRate(w, 0, minPathPrice, 10); got != 10 {
+		t.Errorf("rate at price 0 capped at 10 = %g, want 10", got)
 	}
 }
 
+// TestLogUtilityRateDeriv: the kernel's sensitivity is the derivative of its
+// rate in the path price, negative for the concave log.
 func TestLogUtilityRateDeriv(t *testing.T) {
-	u := NewLogUtility()
-	// Numerical derivative check.
+	inf := math.Inf(1)
+	rate := func(p float64) float64 { x, _ := logRate(1, p, minPathPrice, inf); return x }
 	for _, p := range []float64{0.1, 1, 5} {
 		const h = 1e-7
-		numeric := (u.Rate(p+h) - u.Rate(p-h)) / (2 * h)
-		analytic := u.RateDeriv(p)
+		numeric := (rate(p+h) - rate(p-h)) / (2 * h)
+		_, analytic := logRate(1, p, minPathPrice, inf)
 		if math.Abs(numeric-analytic)/math.Abs(analytic) > 1e-4 {
-			t.Errorf("RateDeriv(%g) = %g, numeric %g", p, analytic, numeric)
+			t.Errorf("sensitivity at %g = %g, numeric %g", p, analytic, numeric)
 		}
 		if analytic >= 0 {
-			t.Errorf("RateDeriv(%g) = %g, want negative", p, analytic)
+			t.Errorf("sensitivity at %g = %g, want negative", p, analytic)
 		}
 	}
 }
 
-func TestAlphaFairValidation(t *testing.T) {
-	if _, err := NewAlphaFair(0, 2); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := NewAlphaFair(1, 1); err == nil {
-		t.Error("alpha=1 accepted (should use LogUtility)")
-	}
-	if _, err := NewAlphaFair(1, 0); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := NewAlphaFair(1, 2); err != nil {
-		t.Errorf("valid alpha-fair rejected: %v", err)
-	}
-}
-
-func TestAlphaFairRateInverse(t *testing.T) {
-	u, err := NewAlphaFair(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// U'(x) = w·x^(-α); Rate must invert it.
-	for _, x := range []float64{0.5, 1, 4, 100} {
-		price := u.W * math.Pow(x, -u.Alpha)
-		if got := u.Rate(price); math.Abs(got-x)/x > 1e-10 {
-			t.Errorf("Rate(U'(%g)) = %g, want %g", x, got, x)
-		}
-	}
-}
-
-func TestAlphaFairRateDeriv(t *testing.T) {
-	u, err := NewAlphaFair(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{0.5, 1, 2} {
-		const h = 1e-7
-		numeric := (u.Rate(p+h) - u.Rate(p-h)) / (2 * h)
-		analytic := u.RateDeriv(p)
-		if math.Abs(numeric-analytic)/math.Abs(analytic) > 1e-4 {
-			t.Errorf("RateDeriv(%g) = %g, numeric %g", p, analytic, numeric)
-		}
-	}
-}
-
-// TestUtilityConcavityProperty: for random prices p1 < p2, Rate must be
-// decreasing (concave utility => decreasing inverse marginal utility).
+// TestUtilityConcavityProperty: for random prices p1 < p2, the kernel's rate
+// must not increase (concave utility => decreasing inverse marginal utility).
 func TestUtilityConcavityProperty(t *testing.T) {
-	alpha, _ := NewAlphaFair(1.5, 2)
-	utils := []Utility{NewLogUtility(), LogUtility{W: 7}, alpha}
+	inf := math.Inf(1)
 	prop := func(a, b uint16) bool {
 		p1 := float64(a%1000+1) / 100
 		p2 := p1 + float64(b%1000+1)/100
-		for _, u := range utils {
-			if u.Rate(p1) < u.Rate(p2) {
+		for _, w := range []float64{1, 7} {
+			x1, _ := logRate(w, p1, minPathPrice, inf)
+			x2, _ := logRate(w, p2, minPathPrice, inf)
+			if x1 < x2 {
 				return false
 			}
 		}
@@ -111,19 +74,5 @@ func TestUtilityConcavityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAlphaFairValueSign(t *testing.T) {
-	u, _ := NewAlphaFair(1, 2)
-	// For alpha=2, U(x) = -1/x: negative, increasing.
-	if u.Value(1) >= 0 {
-		t.Errorf("alpha=2 utility at 1 should be negative, got %g", u.Value(1))
-	}
-	if u.Value(2) <= u.Value(1) {
-		t.Error("utility should be increasing")
-	}
-	if !math.IsInf(u.Value(0), -1) {
-		t.Error("Value(0) should be -Inf")
 	}
 }

@@ -210,23 +210,6 @@ func (x *exchange) validatePeer(h wire.PeerHello) error {
 	return nil
 }
 
-// Peers returns the shard indices of the currently connected outbound peers,
-// sorted.
-func (s *Server) Peers() []int {
-	if s.shard == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []int
-	for shard, pc := range s.shard.conns {
-		if pc != nil {
-			out = append(out, shard)
-		}
-	}
-	return out
-}
-
 // buildLocked encodes this iteration's bundle for every connected peer and
 // returns the peers to push to, in shard order. Called with s.mu and sendMu
 // held.

@@ -68,8 +68,11 @@ func startShardPair(t *testing.T) (srvs [2]*Server, clis [2]*transport.AllocClie
 // the two flows converge to fair shares that fit the link.
 func TestBoundaryExchangeSharesCongestion(t *testing.T) {
 	srvs, clis := startShardPair(t)
-	if got := srvs[0].Peers(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("shard 0 peers = %v, want [1]", got)
+	srvs[0].mu.Lock()
+	connected := srvs[0].shard.conns[1] != nil
+	srvs[0].mu.Unlock()
+	if !connected {
+		t.Fatal("shard 0 has no push connection to shard 1")
 	}
 
 	// Flow 1: server 0 (rack 0, shard 0) → server 4 (rack 2, shard 1).

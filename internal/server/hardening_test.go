@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"math"
 	"net"
 	"strings"
@@ -196,49 +195,6 @@ func TestRejectsInvalidLimits(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
-	}
-}
-
-// TestBumpEpochNotifiesClient pins the epoch-change push: a live client
-// learns the new epoch without writing anything, and reacts by reconnecting.
-func TestBumpEpochNotifiesClient(t *testing.T) {
-	topo := testTopology(t)
-	srv, cli, _ := startWatchedDaemon(t, Config{Topology: topo})
-	if err := cli.FlowletStart(core.FlowID(1), 0, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.BumpEpoch(9); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := cli.Recv(2 * time.Second)
-	if !errors.Is(err, transport.ErrEpochChanged) {
-		t.Fatalf("Recv after bump = %v, want ErrEpochChanged", err)
-	}
-	if cli.Epoch() != 9 {
-		t.Fatalf("client epoch = %d, want 9", cli.Epoch())
-	}
-	if srv.Epoch() != 9 {
-		t.Fatalf("server epoch = %d, want 9", srv.Epoch())
-	}
-	// A non-advancing bump is refused.
-	if err := srv.BumpEpoch(9); err == nil {
-		t.Fatal("BumpEpoch(9) twice must fail")
-	}
-	// The documented reaction: reconnect and re-register, after which the
-	// daemon still allocates the flow.
-	clientEnd, serverEnd := net.Pipe()
-	go srv.ServeConn(serverEnd)
-	if err := cli.Reconnect(clientEnd); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.NumFlows(); got != 1 {
-		t.Fatalf("NumFlows after reconnect = %d, want 1", got)
 	}
 }
 

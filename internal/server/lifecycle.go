@@ -213,13 +213,22 @@ func (s *Server) Shutdown(timeout time.Duration) ([]byte, error) {
 	// The final push: epoch with the drain bit set. Clients treat it as
 	// "daemon going away on purpose" (transport.ErrDaemonDraining) rather
 	// than a crash. A dead client cannot stall shutdown: each write has a
-	// deadline, and Close below closes every connection.
-	done := make(chan struct{}, len(s.loop.sessions))
+	// deadline, and Close below closes every connection, so a failed write
+	// needs no handling. Each session is written from a goroutine of its
+	// own, so a slow client stalls no one; they join wg under s.mu, like
+	// session writers, so Close cannot start waiting before they do.
+	n := len(s.loop.sessions)
+	done := make(chan struct{}, n)
+	frame := wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: s.Epoch() | wire.EpochDrainFlag})
+	s.wg.Add(n)
 	for sess := range s.loop.sessions {
 		sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		go func() {
+			defer s.wg.Done()
+			_ = sess.write(frame)
+			done <- struct{}{}
+		}()
 	}
-	frame := wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: s.Epoch() | wire.EpochDrainFlag})
-	n := s.notifyLocked(frame, func(*session, error) { done <- struct{}{} })
 	s.mu.Unlock()
 	for range n {
 		<-done

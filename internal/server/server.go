@@ -9,7 +9,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -191,10 +190,6 @@ type Server struct {
 	// RegisterMetrics or AttachFlightRecorder wires it. Guarded by mu.
 	telemetry *serverTelemetry
 
-	// epoch is the allocator generation announced in handshakes; BumpEpoch
-	// advances it under mu mid-run and notifies connected clients.
-	epoch atomic.Uint64
-
 	// shard is the sharded-cluster state, nil for an unsharded daemon.
 	shard *shardState
 }
@@ -240,7 +235,6 @@ func New(cfg Config) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
-	s.epoch.Store(cfg.Epoch)
 	if cfg.NumShards > 0 {
 		s.shard, err = newShardState(cfg)
 		if err != nil {
@@ -260,52 +254,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Epoch returns the daemon's allocator epoch.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
-// BumpEpoch advances the daemon's allocator epoch (it must be greater than
-// the current one) and pushes an EpochNotify frame to every connected client,
-// so endpoints learn about an allocator state reset without waiting for a
-// failed write; they respond by re-registering their flowlets
-// (transport.AllocClient.Reconnect). Operators use it after swapping
-// allocator state under a live daemon.
-func (s *Server) BumpEpoch(epoch uint64) error {
-	s.mu.Lock()
-	if s.Closed() {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	if cur := s.epoch.Load(); epoch <= cur {
-		s.mu.Unlock()
-		return fmt.Errorf("server: epoch %d does not advance current epoch %d", epoch, cur)
-	}
-	s.epoch.Store(epoch)
-	n := s.notifyLocked(wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: epoch}), func(sess *session, err error) {
-		if err != nil {
-			s.removeSession(sess)
-		}
-	})
-	s.mu.Unlock()
-	s.log("epoch bumped to %d (%d clients notified)", epoch, n)
-	return nil
-}
-
-// notifyLocked writes frame to every connected session from a goroutine of
-// its own, so a slow or dead client stalls no one (frame is only read, so
-// sharing it is safe), hands each write's outcome to sent, and returns the
-// number of sessions. The goroutines join wg under s.mu, like session
-// writers, so Close cannot start waiting before they do. Called with s.mu
-// held.
-func (s *Server) notifyLocked(frame []byte, sent func(*session, error)) int {
-	s.wg.Add(len(s.loop.sessions))
-	for sess := range s.loop.sessions {
-		go func() {
-			defer s.wg.Done()
-			sent(sess, sess.write(frame))
-		}()
-	}
-	return len(s.loop.sessions)
-}
+// Epoch returns the daemon's allocator epoch, the generation announced in
+// handshakes (Config.Epoch).
+func (s *Server) Epoch() uint64 { return s.cfg.Epoch }
 
 // NumFlows returns the number of currently registered flowlets.
 func (s *Server) NumFlows() int {
@@ -580,8 +531,6 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		sess.writer()
 	}()
 
-	// Encoded after the session is registered: an epoch bump from here on
-	// either shows in this Welcome or reaches the session as an EpochNotify.
 	if err := sess.write(s.welcomeFrame()); err != nil {
 		return fmt.Errorf("server: handshake write: %w", err)
 	}

@@ -103,7 +103,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 		return float64(s.loop.alloc.NumFlows())
 	}, labels...)
 	reg.GaugeFunc("flowtune_epoch", "Allocator epoch announced in handshakes.",
-		func() float64 { return float64(s.epoch.Load()) }, labels...)
+		func() float64 { return float64(s.Epoch()) }, labels...)
 	reg.GaugeFunc("flowtune_draining", "1 while the daemon is draining, else 0.", func() float64 {
 		if s.Draining() {
 			return 1

@@ -297,8 +297,8 @@ func TestDrainDisconnectWithdrawsPendingRates(t *testing.T) {
 }
 
 // TestFanoutMatchesSurfacedRates drives two sessions through a seeded mix of
-// ticker iterations, steps, flowlet ends, re-adds of retired IDs, an epoch
-// bump and a drain-disconnect, flushing each session's writer at random so
+// ticker iterations, steps, flowlet ends, re-adds of retired IDs and a
+// drain-disconnect, flushing each session's writer at random so
 // queued rates coalesce across iterations. The allocator's threshold is the
 // fan-out's only suppressor, so every rate a session receives is the latest
 // one AppendUpdates surfaced for the flow while the session owned it, no
@@ -332,8 +332,7 @@ func TestFanoutMatchesSurfacedRates(t *testing.T) {
 		surfaced, received int
 	}
 	views := []map[core.FlowID]*flowView{{}, {}}
-	read := []int{0, 0}     // writes consumed from each conn
-	notified := []int{0, 0} // EpochNotify frames received
+	read := []int{0, 0} // writes consumed from each conn
 
 	// receive consumes the writes session i was sent since the last call.
 	// Every write to a session holds its wmu, so reading under it is
@@ -352,10 +351,6 @@ func TestFanoutMatchesSurfacedRates(t *testing.T) {
 					t.Fatalf("session %d: parse frame: %v", i, err)
 				}
 				w = rest
-				if typ == wire.TypeEpochNotify {
-					notified[i]++
-					continue
-				}
 				if typ != wire.TypeRateDelta {
 					t.Fatalf("session %d: frame type %s, want RateDelta", i, typ)
 				}
@@ -390,20 +385,7 @@ func TestFanoutMatchesSurfacedRates(t *testing.T) {
 	var retired []core.FlowID
 	var steps, ends, readds, removedWrites int
 	for round := 0; round < 400; round++ {
-		switch round {
-		case 150:
-			if err := srv.BumpEpoch(srv.epoch.Load() + 1); err != nil {
-				t.Fatal(err)
-			}
-			for i := range sessions {
-				waitFor(t, func() bool {
-					sessions[i].wmu.Lock()
-					defer sessions[i].wmu.Unlock()
-					return len(conns[i].frames) > read[i]
-				})
-				receive(i)
-			}
-		case 300:
+		if round == 300 {
 			// B disconnects from a draining daemon: its flows stay
 			// registered, unowned, and it is sent nothing more.
 			srv.Drain()
@@ -493,9 +475,6 @@ func TestFanoutMatchesSurfacedRates(t *testing.T) {
 		t.Fatalf("session B was sent %d writes after it disconnected", n-removedWrites)
 	}
 	st := srv.Stats()
-	if notified[0] != 1 || notified[1] != 1 {
-		t.Fatalf("EpochNotify frames received = %v, want one per session", notified)
-	}
 	if steps == 0 || ends == 0 || readds == 0 || st.UpdatesCoalesced == 0 || st.DrainRejects == 0 {
 		t.Fatalf("the run exercised %d steps, %d ends, %d re-adds, %d coalesced updates, %d drain rejects; want all",
 			steps, ends, readds, st.UpdatesCoalesced, st.DrainRejects)

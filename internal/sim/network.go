@@ -237,15 +237,6 @@ func (n *Network) drop(p *Packet, l *Link) {
 // TotalDroppedBytes returns the number of bytes dropped network-wide.
 func (n *Network) TotalDroppedBytes() int64 { return n.totalDroppedBytes }
 
-// TotalSentBytes returns the number of bytes transmitted network-wide.
-func (n *Network) TotalSentBytes() int64 {
-	var total int64
-	for _, l := range n.links {
-		total += l.stats.BytesSent
-	}
-	return total
-}
-
 // StartQueueSampling samples every link's queue occupancy with the given
 // period (the paper samples every 1 ms) until the simulator stops scheduling
 // events past the horizon.

@@ -213,3 +213,12 @@ func TestLinkStats(t *testing.T) {
 		t.Errorf("link stats wrong: %+v", stats)
 	}
 }
+
+// TotalSentBytes returns the number of bytes transmitted network-wide.
+func (n *Network) TotalSentBytes() int64 {
+	var total int64
+	for _, l := range n.links {
+		total += l.stats.BytesSent
+	}
+	return total
+}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 )
 
@@ -94,23 +93,3 @@ func (s *Simulator) Run(until Time) {
 		s.now = until
 	}
 }
-
-// RunAll executes every pending event. It panics if more than maxEvents are
-// processed, to protect tests against runaway event loops.
-func (s *Simulator) RunAll(maxEvents uint64) {
-	start := s.processed
-	for len(s.events) > 0 {
-		next := heap.Pop(&s.events).(*event)
-		if next.at > s.now {
-			s.now = next.at
-		}
-		s.processed++
-		next.call()
-		if s.processed-start > maxEvents {
-			panic(fmt.Sprintf("sim: RunAll exceeded %d events", maxEvents))
-		}
-	}
-}
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.events) }

@@ -52,23 +52,8 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. Safe for concurrent use,
-// allocation-free.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution. Buckets are cumulative
 // upper-bound counters in the Prometheus style; Observe is a linear scan
@@ -125,7 +110,6 @@ type series struct {
 	labels string // pre-rendered {k="v",...}, "" when unlabeled
 	// Exactly one of the following is set.
 	counter     *Counter
-	gauge       *Gauge
 	counterFunc func() float64
 	gaugeFunc   func() float64
 	hist        *Histogram
@@ -161,13 +145,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.add(name, help, kindCounter, series{counter: c}, labels)
 	return c
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, kindGauge, series{gauge: g}, labels)
-	return g
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
@@ -333,8 +310,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			switch {
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.gauge.Value()))
 			case s.counterFunc != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.counterFunc()))
 			case s.gaugeFunc != nil:

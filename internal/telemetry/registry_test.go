@@ -10,9 +10,8 @@ func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("flows_total", "total flows", Label{"shard", "0"})
 	c.Add(3)
-	reg.Counter("flows_total", "total flows", Label{"shard", "1"}).Inc()
-	g := reg.Gauge("queue_depth", "events waiting")
-	g.Set(2.5)
+	reg.Counter("flows_total", "total flows", Label{"shard", "1"}).Add(1)
+	reg.GaugeFunc("queue_depth", "events waiting", func() float64 { return 2.5 })
 	reg.GaugeFunc("up", "always 1", func() float64 { return 1 })
 	reg.CounterFunc("bytes_total", "bytes", func() float64 { return 1e6 }, Label{"encoding", "wire"})
 
@@ -103,7 +102,7 @@ func TestRegistryPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ok_total", "fine")
 	mustPanic("duplicate series", func() { reg.Counter("ok_total", "fine") })
-	mustPanic("type mismatch", func() { reg.Gauge("ok_total", "fine") })
+	mustPanic("type mismatch", func() { reg.GaugeFunc("ok_total", "fine", func() float64 { return 0 }) })
 	mustPanic("help mismatch", func() { reg.Counter("ok_total", "different", Label{"a", "b"}) })
 	mustPanic("bad name", func() { reg.Counter("bad name", "x") })
 	mustPanic("bad label key", func() { reg.Counter("fine_total", "x", Label{"0bad", "v"}) })

@@ -78,27 +78,9 @@ func (bp *BlockPartition) rackOfLink(l Link) int {
 	return bp.topo.Node(l.Dst).Rack
 }
 
-// NumBlocks returns the number of rack blocks.
-func (bp *BlockPartition) NumBlocks() int { return bp.numBlocks }
-
-// NumFlowBlocks returns the number of FlowBlocks, numBlocks².
-func (bp *BlockPartition) NumFlowBlocks() int { return bp.numBlocks * bp.numBlocks }
-
 // BlockOfServer returns the block index of a server.
 func (bp *BlockPartition) BlockOfServer(server int) int {
 	return bp.blockOfRack[bp.topo.RackOfServer(server)]
-}
-
-// FlowBlockOf returns the FlowBlock index for a flow from server src to
-// server dst. FlowBlocks are numbered srcBlock*numBlocks + dstBlock.
-func (bp *BlockPartition) FlowBlockOf(src, dst int) int {
-	return bp.BlockOfServer(src)*bp.numBlocks + bp.BlockOfServer(dst)
-}
-
-// FlowBlockCoords returns the (source block, destination block) coordinates
-// of a FlowBlock index.
-func (bp *BlockPartition) FlowBlockCoords(fb int) (srcBlock, dstBlock int) {
-	return fb / bp.numBlocks, fb % bp.numBlocks
 }
 
 // UpwardLinkBlock returns the LinkIDs of block b's upward LinkBlock.
@@ -108,14 +90,3 @@ func (bp *BlockPartition) UpwardLinkBlock(b int) []LinkID { return bp.upLinks[b]
 // DownwardLinkBlock returns the LinkIDs of block b's downward LinkBlock.
 // The returned slice must not be modified.
 func (bp *BlockPartition) DownwardLinkBlock(b int) []LinkID { return bp.downLinks[b] }
-
-// AggregationSteps returns the number of aggregate/distribute steps needed
-// for n² FlowBlocks: log2(numBlocks) (Figure 3 — the number of steps grows
-// with every quadrupling of processors).
-func (bp *BlockPartition) AggregationSteps() int {
-	steps := 0
-	for n := 1; n < bp.numBlocks; n *= 2 {
-		steps++
-	}
-	return steps
-}

@@ -2,6 +2,26 @@ package topology
 
 import "testing"
 
+// Accessors over the partition that only the tests use.
+
+// NumBlocks returns the number of rack blocks.
+func (bp *BlockPartition) NumBlocks() int { return bp.numBlocks }
+
+// NumFlowBlocks returns the number of FlowBlocks, numBlocks².
+func (bp *BlockPartition) NumFlowBlocks() int { return bp.numBlocks * bp.numBlocks }
+
+// FlowBlockOf returns the FlowBlock index for a flow from server src to
+// server dst. FlowBlocks are numbered srcBlock*numBlocks + dstBlock.
+func (bp *BlockPartition) FlowBlockOf(src, dst int) int {
+	return bp.BlockOfServer(src)*bp.numBlocks + bp.BlockOfServer(dst)
+}
+
+// FlowBlockCoords returns the (source block, destination block) coordinates
+// of a FlowBlock index.
+func (bp *BlockPartition) FlowBlockCoords(fb int) (srcBlock, dstBlock int) {
+	return fb / bp.numBlocks, fb % bp.numBlocks
+}
+
 func TestBlockPartitionBasics(t *testing.T) {
 	topo := mustTopo(t, Config{Racks: 8, ServersPerRack: 4, Spines: 2, LinkCapacity: 10e9, LinkDelay: 1e-6})
 	bp, err := NewBlockPartition(topo, 4)
@@ -13,9 +33,6 @@ func TestBlockPartitionBasics(t *testing.T) {
 	}
 	if bp.NumFlowBlocks() != 16 {
 		t.Fatalf("NumFlowBlocks = %d, want 16", bp.NumFlowBlocks())
-	}
-	if bp.AggregationSteps() != 2 {
-		t.Fatalf("AggregationSteps = %d, want 2 (log2 of 4 blocks)", bp.AggregationSteps())
 	}
 }
 
@@ -125,20 +142,6 @@ func TestFlowBlockLocality(t *testing.T) {
 					t.Fatalf("flow %d->%d: link %d outside both its LinkBlocks", src, dst, l)
 				}
 			}
-		}
-	}
-}
-
-func TestAggregationStepsPowers(t *testing.T) {
-	for _, tc := range []struct{ blocks, steps int }{{1, 0}, {2, 1}, {4, 2}, {8, 3}} {
-		cfg := Config{Racks: 8, ServersPerRack: 2, Spines: 2, LinkCapacity: 1e9}
-		topo := mustTopo(t, cfg)
-		bp, err := NewBlockPartition(topo, tc.blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := bp.AggregationSteps(); got != tc.steps {
-			t.Errorf("AggregationSteps(%d blocks) = %d, want %d", tc.blocks, got, tc.steps)
 		}
 	}
 }

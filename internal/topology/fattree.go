@@ -139,20 +139,8 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 	return t, nil
 }
 
-// FatTree returns the fat-tree configuration of this topology, or ok=false
-// for two-tier fabrics.
-func (t *Topology) FatTree() (FatTreeConfig, bool) {
-	if t.fatTree == nil {
-		return FatTreeConfig{}, false
-	}
-	return t.fatTree.cfg, true
-}
-
 // NumCores returns the number of core switches (0 for two-tier fabrics).
 func (t *Topology) NumCores() int { return len(t.coreIDs) }
-
-// CoreSwitch returns the NodeID of core switch c.
-func (t *Topology) CoreSwitch(c int) NodeID { return t.coreIDs[c] }
 
 // mod returns i modulo n, mapped into [0, n).
 func mod(i, n int) int { return ((i % n) + n) % n }

@@ -25,7 +25,7 @@ func TestFatTreeCounts(t *testing.T) {
 	if got, want := topo.NumRacks(), 8; got != want {
 		t.Errorf("edge switches = %d, want %d", got, want)
 	}
-	if got, want := topo.NumSpines(), 8; got != want {
+	if got, want := len(topo.spineIDs), 8; got != want {
 		t.Errorf("aggregation switches = %d, want %d", got, want)
 	}
 	if got, want := topo.NumCores(), 4; got != want {

@@ -23,19 +23,18 @@ func refRoute(t *Topology, src, dst, choice int) Path {
 		return Path{up1, down1}
 	}
 	choice += int(t.RouteSalt() % (1 << 20))
-	ft, fat := t.FatTree()
-	if !fat {
-		spine := t.SpineSwitch(mod(choice, t.NumSpines()))
+	if t.fatTree == nil {
+		spine := t.SpineSwitch(mod(choice, len(t.spineIDs)))
 		return Path{up1, link(srcToR, spine), link(spine, dstToR), down1}
 	}
-	half := ft.K / 2
+	half := t.fatTree.cfg.K / 2
 	a := mod(choice, half)
 	srcPod, dstPod := srcRack/half, dstRack/half
 	srcAgg := t.SpineSwitch(srcPod*half + a)
 	if srcPod == dstPod {
 		return Path{up1, link(srcToR, srcAgg), link(srcAgg, dstToR), down1}
 	}
-	core := t.CoreSwitch(a*half + mod(choice/half, half))
+	core := t.coreIDs[a*half+mod(choice/half, half)]
 	dstAgg := t.SpineSwitch(dstPod*half + a)
 	return Path{up1, link(srcToR, srcAgg), link(srcAgg, core), link(core, dstAgg), link(dstAgg, dstToR), down1}
 }

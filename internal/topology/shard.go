@@ -29,8 +29,6 @@ type ShardMap struct {
 	// boundary[s] lists shard s's downward links: the links remote flows
 	// may traverse and therefore the subject of the price exchange.
 	boundary [][]LinkID
-	// owned[s] lists every link shard s owns (upward + downward).
-	owned [][]LinkID
 }
 
 // NewShardMap splits the topology's racks into shards equal groups, reusing
@@ -50,19 +48,16 @@ func NewShardMap(t *Topology, shards int) (*ShardMap, error) {
 		part:        part,
 		ownerOfLink: make([]int32, t.NumLinks()),
 		boundary:    make([][]LinkID, shards),
-		owned:       make([][]LinkID, shards),
 	}
 	for i := range m.ownerOfLink {
 		m.ownerOfLink[i] = -1
 	}
 	for s := 0; s < shards; s++ {
-		up := part.UpwardLinkBlock(s)
-		down := part.DownwardLinkBlock(s)
-		m.boundary[s] = down
-		m.owned[s] = make([]LinkID, 0, len(up)+len(down))
-		m.owned[s] = append(m.owned[s], up...)
-		m.owned[s] = append(m.owned[s], down...)
-		for _, l := range m.owned[s] {
+		m.boundary[s] = part.DownwardLinkBlock(s)
+		for _, l := range part.UpwardLinkBlock(s) {
+			m.ownerOfLink[l] = int32(s)
+		}
+		for _, l := range m.boundary[s] {
 			m.ownerOfLink[l] = int32(s)
 		}
 	}
@@ -92,7 +87,3 @@ func (m *ShardMap) OwnerOfLink(l LinkID) int { return int(m.ownerOfLink[l]) }
 // remote load on them is what shard s imports. The returned slice must not
 // be modified.
 func (m *ShardMap) BoundaryLinks(s int) []LinkID { return m.boundary[s] }
-
-// OwnedLinks returns every link shard s owns (upward and downward). The
-// returned slice must not be modified.
-func (m *ShardMap) OwnedLinks(s int) []LinkID { return m.owned[s] }

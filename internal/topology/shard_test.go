@@ -1,6 +1,14 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// OwnedLinks returns every link shard s owns (upward and downward).
+func (m *ShardMap) OwnedLinks(s int) []LinkID {
+	return append(slices.Clone(m.part.UpwardLinkBlock(s)), m.part.DownwardLinkBlock(s)...)
+}
 
 // shardTestTopo builds a small two-tier fabric with an allocator host so the
 // shard map has to classify allocator uplinks too.

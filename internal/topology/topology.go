@@ -292,14 +292,8 @@ func (t *Topology) NumServers() int { return len(t.serverIDs) }
 // NumRacks returns the number of racks.
 func (t *Topology) NumRacks() int { return len(t.torIDs) }
 
-// NumSpines returns the number of spine switches.
-func (t *Topology) NumSpines() int { return len(t.spineIDs) }
-
 // NumLinks returns the number of unidirectional links.
 func (t *Topology) NumLinks() int { return len(t.links) }
-
-// NumNodes returns the number of nodes (servers, switches, allocator).
-func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // Node returns the node with the given id.
 func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
@@ -312,9 +306,6 @@ func (t *Topology) Links() []Link { return t.links }
 
 // Server returns the NodeID of server i (0 <= i < NumServers).
 func (t *Topology) Server(i int) NodeID { return t.serverIDs[i] }
-
-// ServerIndex returns the server index of a server node id.
-func (t *Topology) ServerIndex(id NodeID) int { return t.nodes[id].Index }
 
 // ToRForRack returns the ToR switch of rack r.
 func (t *Topology) ToRForRack(r int) NodeID { return t.torIDs[r] }

@@ -70,7 +70,7 @@ func TestTopologyCounts(t *testing.T) {
 	if got, want := topo.NumRacks(), 4; got != want {
 		t.Errorf("NumRacks = %d, want %d", got, want)
 	}
-	if got, want := topo.NumSpines(), 2; got != want {
+	if got, want := len(topo.spineIDs), 2; got != want {
 		t.Errorf("NumSpines = %d, want %d", got, want)
 	}
 	// Links: 2 per server (up/down) + 2 per (rack,spine) pair.
@@ -90,7 +90,7 @@ func TestAllocatorNodeLinks(t *testing.T) {
 	if !ok {
 		t.Fatal("default sim config should include an allocator host")
 	}
-	for s := 0; s < topo.NumSpines(); s++ {
+	for s := 0; s < len(topo.spineIDs); s++ {
 		spine := topo.SpineSwitch(s)
 		if _, ok := topo.LinkBetween(alloc, spine); !ok {
 			t.Errorf("missing allocator->spine%d link", s)
@@ -140,7 +140,7 @@ func TestRouteCrossRack(t *testing.T) {
 	}
 	// Spine choice must respect the modulo.
 	spine := topo.Link(path[1]).Dst
-	if spine != topo.SpineSwitch(3%topo.NumSpines()) {
+	if spine != topo.SpineSwitch(3%len(topo.spineIDs)) {
 		t.Errorf("spine choice not honored")
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -233,6 +234,54 @@ func TestAllocClientReregistersLiveFlowsOnly(t *testing.T) {
 		if got := <-frames; !slices.Equal(got, want) {
 			t.Fatalf("resume %v: the daemon read %q, want %q", resume, got, want)
 		}
+	}
+}
+
+// TestAllocClientEpochChangeMidSession: an EpochNotify without the drain
+// flag, arriving from the daemon mid-session, makes Step return
+// ErrEpochChanged with the new epoch recorded, and freeze-on-failure does not
+// freeze the session on it: the daemon is alive, and the caller reconnects to
+// re-register its flows.
+func TestAllocClientEpochChangeMidSession(t *testing.T) {
+	client, daemon := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer daemon.Close()
+		sc := wire.NewScanner(daemon)
+		if typ, _, err := sc.Next(); err != nil || typ != wire.TypeHello {
+			t.Errorf("daemon side read %s, %v; want a hello", typ, err)
+			return
+		}
+		if _, err := daemon.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.Version, Epoch: 1})); err != nil {
+			t.Error(err)
+			return
+		}
+		if typ, _, err := sc.Next(); err != nil || typ != wire.TypeStep {
+			t.Errorf("daemon side read %s, %v; want a step", typ, err)
+			return
+		}
+		if _, err := daemon.Write(wire.AppendEpochNotify(nil, wire.EpochNotify{Epoch: 9})); err != nil {
+			t.Error(err)
+		}
+	}()
+	c, err := NewAllocClient(client, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		c.Close()
+		<-done
+	}()
+	c.SetFreezeOnFailure(true)
+	if ups, err := c.Step(); !errors.Is(err, ErrEpochChanged) || ups != nil {
+		t.Fatalf("Step = %v, %v; want ErrEpochChanged", ups, err)
+	}
+	if got := c.Epoch(); got != 9 {
+		t.Fatalf("client epoch = %d, want 9", got)
+	}
+	if c.Frozen() {
+		t.Fatal("an epoch change froze the session")
 	}
 }
 

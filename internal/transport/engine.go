@@ -99,7 +99,6 @@ type Engine struct {
 	senders       core.FlowIndex
 	alloc         *core.ParallelAllocator
 	allocRunning  bool
-	allocFailed   bool
 	ctrlToAlloc   map[int][]int32 // control path from each server to the allocator
 	ctrlFromAlloc map[int][]int32 // control path from the allocator to each server
 	controlBytes  int64
@@ -433,15 +432,6 @@ func (e *Engine) WrapBackend(wrap func(AllocatorBackend) AllocatorBackend) error
 // set).
 func (e *Engine) RateLatencies() []float64 { return e.rateLatencies }
 
-// FailAllocator simulates an allocator failure: notifications arriving at the
-// allocator are dropped, no iterations run and no updates are sent; endpoints
-// keep their last allocated rates.
-func (e *Engine) FailAllocator() { e.allocFailed = true }
-
-// RecoverAllocator restores a failed allocator. Its learned prices were kept,
-// so allocations resume close to where they left off.
-func (e *Engine) RecoverAllocator() { e.allocFailed = false }
-
 // Err returns the first fatal control-plane error of the run (a broken
 // connection to an external allocator daemon), or nil.
 func (e *Engine) Err() error { return e.backendErr }
@@ -483,7 +473,7 @@ func (e *Engine) sendControl(src, dst int, path []int32, info *sim.ControlInfo, 
 
 // allocatorReceive handles control packets arriving at the allocator host.
 func (e *Engine) allocatorReceive(p *sim.Packet) {
-	if p.Kind != sim.Control || p.Ctrl == nil || e.backend == nil || e.allocFailed || e.backendErr != nil {
+	if p.Kind != sim.Control || p.Ctrl == nil || e.backend == nil || e.backendErr != nil {
 		return
 	}
 	id := core.FlowID(p.Ctrl.Flow)
@@ -506,7 +496,7 @@ func (e *Engine) allocatorReceive(p *sim.Packet) {
 // updates to their senders as control packets through the fabric, skipping
 // updates for flows the engine no longer holds.
 func (e *Engine) allocatorTick() {
-	if e.backend != nil && !e.allocFailed && e.backendErr == nil {
+	if e.backend != nil && e.backendErr == nil {
 		updates, err := e.backend.Step()
 		if err != nil {
 			// A broken daemon connection is fatal for the run; record

@@ -205,33 +205,6 @@ func TestStopFlow(t *testing.T) {
 	eng.StopFlow(99)
 }
 
-// TestAllocatorFailureFallback fails the allocator before a flowlet starts:
-// the allocator must see no notification and send no rate, and the endpoint
-// must still finish on its own.
-func TestAllocatorFailureFallback(t *testing.T) {
-	eng, err := NewEngine(EngineConfig{Scheme: Flowtune, Horizon: 4e-3, TrackRateLatency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddFlowlet(workload.Flowlet{ID: 1, Arrival: 0, Src: 16, Dst: 0, SizeBytes: 2 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	// Fail the allocator before the flow starts: the endpoint must still
-	// make progress (pre-allocation window behaviour) and finish.
-	eng.FailAllocator()
-	eng.Run(4e-3)
-	if !eng.Records()[0].Finished() {
-		t.Error("flow did not finish with a failed allocator")
-	}
-	if n := len(eng.RateLatencies()); n != 0 {
-		t.Errorf("failed allocator sent a rate to %d flowlets", n)
-	}
-	if n := eng.Allocator().NumFlows(); n != 0 || eng.senders.Len() != 0 {
-		t.Errorf("failed allocator registered %d flowlets (%d in the engine)", n, eng.senders.Len())
-	}
-	eng.RecoverAllocator()
-}
-
 // TestDCTCPKeepsQueuesShorterThanTCP: the ECN-based scheme should hold the
 // bottleneck queue near its marking threshold, well below what loss-based TCP
 // builds.

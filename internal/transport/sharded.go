@@ -98,9 +98,6 @@ func (c *ShardedClient) NumShards() int { return len(c.clients) }
 // use it).
 func (c *ShardedClient) Client(shard int) *AllocClient { return c.clients[shard] }
 
-// Map returns the shard map the client hashes with.
-func (c *ShardedClient) Map() *topology.ShardMap { return c.smap }
-
 // NumFlows returns the number of flowlets registered across all shards.
 func (c *ShardedClient) NumFlows() int { return c.shardOf.Len() }
 

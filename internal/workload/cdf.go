@@ -92,11 +92,14 @@ func ParseCDF(name string, r io.Reader) (*EmpiricalDist, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s:%d: bad size %q: %v", name, lineNo, bytesField, err)
 		}
+		if math.IsNaN(size) || math.IsInf(size, 0) {
+			return nil, fmt.Errorf("workload: %s:%d: size %g is not finite", name, lineNo, size)
+		}
 		prob, err := strconv.ParseFloat(probField, 64)
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s:%d: bad probability %q: %v", name, lineNo, probField, err)
 		}
-		if prob < 0 || prob > 1 {
+		if !(prob >= 0 && prob <= 1) { // NaN fails every comparison
 			return nil, fmt.Errorf("workload: %s:%d: probability %g outside [0,1]", name, lineNo, prob)
 		}
 		points = append(points, cdfPoint{Bytes: size, Prob: prob})

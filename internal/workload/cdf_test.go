@@ -17,13 +17,13 @@ func TestParseCDFTwoColumn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseCDF: %v", err)
 	}
-	if got := d.Quantile(0); got != 1460 {
+	if got := d.quantile(0); got != 1460 {
 		t.Errorf("Quantile(0) = %g, want 1460", got)
 	}
-	if got := d.Quantile(1); got != 146000 {
+	if got := d.quantile(1); got != 146000 {
 		t.Errorf("Quantile(1) = %g, want 146000", got)
 	}
-	if got := d.Quantile(0.5); got < 14599 || got > 14601 {
+	if got := d.quantile(0.5); got < 14599 || got > 14601 {
 		t.Errorf("Quantile(0.5) = %g, want ~14600", got)
 	}
 }
@@ -36,7 +36,7 @@ func TestParseCDFThreeColumnAndImplicitZero(t *testing.T) {
 		t.Fatalf("ParseCDF: %v", err)
 	}
 	// The zero-probability point is prepended at the smallest size.
-	if got := d.Quantile(0.1); got != 1460 {
+	if got := d.quantile(0.1); got != 1460 {
 		t.Errorf("Quantile(0.1) = %g, want 1460", got)
 	}
 }
@@ -50,6 +50,10 @@ func TestParseCDFErrors(t *testing.T) {
 		"bad size":         "abc 1\n",
 		"trailing garbage": "1460x 0.5\n2000 1\n",
 		"glued columns":    "1e44.5 0.9\n2000 1\n",
+		"NaN probability":  "1460 0\n1460 NaN\n2920 1\n",
+		"NaN size":         "1460 0\nNaN 0.5\n2920 1\n",
+		"infinite size":    "1460 0\n+Inf 0.5\n+Inf 1\n",
+		"NaN last point":   "1460 0.2\n2920 NaN\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseCDF(name, strings.NewReader(src)); err == nil {
@@ -64,13 +68,13 @@ func TestParseCDFErrors(t *testing.T) {
 func TestBuiltinDistSanity(t *testing.T) {
 	for _, kind := range []Kind{Web, Cache, Hadoop, WebSearch, DataMining} {
 		d := NewSizeDist(kind)
-		min, max := d.Quantile(0), d.Quantile(1)
+		min, max := d.quantile(0), d.quantile(1)
 		if min <= 0 || max <= min {
 			t.Fatalf("%s: degenerate quantile range [%g, %g]", kind, min, max)
 		}
 		prev := 0.0
 		for u := 0.0; u <= 1.0; u += 0.01 {
-			q := d.Quantile(u)
+			q := d.quantile(u)
 			if q < prev {
 				t.Fatalf("%s: quantile not monotone at u=%.2f: %g < %g", kind, u, q, prev)
 			}
@@ -97,11 +101,11 @@ func TestDistributionShapes(t *testing.T) {
 	// Over half of data-mining flows fit in one packet; web-search flows
 	// start at one MSS and reach the megabyte range.
 	dm := NewSizeDist(DataMining)
-	if p50 := dm.Quantile(0.5); p50 > 1460 {
+	if p50 := dm.quantile(0.5); p50 > 1460 {
 		t.Errorf("datamining p50 = %g, want <= 1460", p50)
 	}
 	ws := NewSizeDist(WebSearch)
-	if p99 := ws.Quantile(0.99); p99 < 1e6 {
+	if p99 := ws.quantile(0.99); p99 < 1e6 {
 		t.Errorf("websearch p99 = %g, want >= 1 MB", p99)
 	}
 	if ws.Mean() <= NewSizeDist(Web).Mean() {

@@ -46,17 +46,6 @@ func (p PatternKind) String() string {
 	}
 }
 
-// ParsePattern maps a pattern name ("uniform", "permutation", "incast",
-// "shuffle") to its PatternKind.
-func ParsePattern(s string) (PatternKind, error) {
-	for _, p := range []PatternKind{PatternUniform, PatternPermutation, PatternIncast, PatternShuffle} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown traffic pattern %q", s)
-}
-
 // pairPicker chooses flowlet endpoints. next picks both endpoints of an
 // open-loop arrival; destFor picks the destination for a closed-loop worker
 // pinned to a source server.

@@ -35,17 +35,6 @@ func (a ArrivalKind) String() string {
 	}
 }
 
-// ParseArrival maps an arrival-process name ("poisson", "closedloop") to its
-// ArrivalKind.
-func ParseArrival(s string) (ArrivalKind, error) {
-	for _, a := range []ArrivalKind{ArrivalPoisson, ArrivalClosedLoop} {
-		if a.String() == s {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown arrival process %q", s)
-}
-
 // TraceConfig configures a Trace: a deterministic, seeded stream of flowlets
 // combining a size distribution, an arrival process, and a traffic pattern.
 type TraceConfig struct {
@@ -224,16 +213,6 @@ func NewTrace(cfg TraceConfig) (*Trace, error) {
 
 // Config returns the validated configuration the trace was built from.
 func (t *Trace) Config() TraceConfig { return t.cfg }
-
-// ArrivalRate returns the aggregate open-loop flowlet arrival rate in
-// flowlets per second (0 for closed-loop traces, whose rate is emergent).
-func (t *Trace) ArrivalRate() float64 {
-	fanIn := 1.0
-	if t.cfg.Pattern == PatternIncast {
-		fanIn = float64(t.cfg.IncastFanIn)
-	}
-	return t.burstRate * fanIn
-}
 
 // Next returns the next flowlet in arrival order. ok is false when the trace
 // has no arrival ready: that never happens for open-loop traces, and for

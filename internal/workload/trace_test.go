@@ -25,6 +25,16 @@ func mustTrace(t *testing.T, cfg TraceConfig) *Trace {
 	return tr
 }
 
+// ArrivalRate returns the aggregate open-loop flowlet arrival rate in
+// flowlets per second (0 for closed-loop traces, whose rate is emergent).
+func (t *Trace) ArrivalRate() float64 {
+	fanIn := 1.0
+	if t.cfg.Pattern == PatternIncast {
+		fanIn = float64(t.cfg.IncastFanIn)
+	}
+	return t.burstRate * fanIn
+}
+
 func TestTraceSeedDeterminism(t *testing.T) {
 	for _, pattern := range []PatternKind{PatternUniform, PatternPermutation, PatternIncast, PatternShuffle} {
 		a := mustTrace(t, poissonCfg(pattern, 42))

@@ -90,7 +90,8 @@ type EmpiricalDist struct {
 
 // NewEmpirical builds an empirical distribution from CDF points. Points must
 // be sorted by probability, start at probability 0 and end at probability 1,
-// with strictly positive sizes.
+// with strictly positive, finite sizes. The conditions are written so that a
+// NaN, which fails every comparison, fails them too.
 func NewEmpirical(name string, points []cdfPoint) (*EmpiricalDist, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 CDF points, got %d", len(points))
@@ -99,10 +100,10 @@ func NewEmpirical(name string, points []cdfPoint) (*EmpiricalDist, error) {
 		return nil, fmt.Errorf("workload: CDF must span probability [0,1]")
 	}
 	for i, p := range points {
-		if p.Bytes <= 0 {
-			return nil, fmt.Errorf("workload: CDF point %d has non-positive size %g", i, p.Bytes)
+		if !(p.Bytes > 0) || math.IsInf(p.Bytes, 1) {
+			return nil, fmt.Errorf("workload: CDF point %d has size %g, want positive and finite", i, p.Bytes)
 		}
-		if i > 0 && (p.Prob < points[i-1].Prob || p.Bytes < points[i-1].Bytes) {
+		if i > 0 && !(p.Prob >= points[i-1].Prob && p.Bytes >= points[i-1].Bytes) {
 			return nil, fmt.Errorf("workload: CDF points must be non-decreasing (point %d)", i)
 		}
 	}
@@ -149,9 +150,6 @@ func (d *EmpiricalDist) Sample(rng *rand.Rand) int64 {
 	}
 	return size
 }
-
-// Quantile exposes the inverse CDF for tests and reporting.
-func (d *EmpiricalDist) Quantile(u float64) float64 { return d.quantile(u) }
 
 // Mean returns the mean flowlet size in bytes.
 func (d *EmpiricalDist) Mean() float64 { return d.mean }
@@ -227,15 +225,6 @@ type Flowlet struct {
 	SizeBytes int64
 }
 
-// SizePackets returns the flowlet size in MTU-sized packets (at least 1).
-func (f Flowlet) SizePackets() int {
-	p := int((f.SizeBytes + PacketSize - 1) / PacketSize)
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // GeneratorConfig configures a flowlet generator.
 type GeneratorConfig struct {
 	// Kind selects the size distribution.
@@ -293,15 +282,6 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	return g, nil
 }
 
-// ArrivalRate returns the aggregate flowlet arrival rate in flowlets/second.
-func (g *Generator) ArrivalRate() float64 { return g.rate }
-
-// MeanSize returns the mean flowlet size in bytes for the configured kind.
-func (g *Generator) MeanSize() float64 { return g.dist.Mean() }
-
-// Dist returns the underlying size distribution.
-func (g *Generator) Dist() *EmpiricalDist { return g.dist }
-
 func (g *Generator) expInterval() float64 {
 	return g.rng.ExpFloat64() / g.rate
 }
@@ -328,15 +308,6 @@ func (g *Generator) Next() Flowlet {
 func (g *Generator) GenerateUntil(horizon float64) []Flowlet {
 	var out []Flowlet
 	for g.next < horizon {
-		out = append(out, g.Next())
-	}
-	return out
-}
-
-// GenerateN returns the next n flowlets.
-func (g *Generator) GenerateN(n int) []Flowlet {
-	out := make([]Flowlet, 0, n)
-	for i := 0; i < n; i++ {
 		out = append(out, g.Next())
 	}
 	return out

@@ -29,6 +29,9 @@ func TestNewEmpiricalValidation(t *testing.T) {
 		{"non-positive size", []cdfPoint{{Bytes: 0, Prob: 0}, {Bytes: 2, Prob: 1}}},
 		{"decreasing prob", []cdfPoint{{Bytes: 1, Prob: 0}, {Bytes: 2, Prob: 0.7}, {Bytes: 3, Prob: 0.5}, {Bytes: 4, Prob: 1}}},
 		{"decreasing size", []cdfPoint{{Bytes: 10, Prob: 0}, {Bytes: 5, Prob: 0.5}, {Bytes: 20, Prob: 1}}},
+		{"NaN prob", []cdfPoint{{Bytes: 1, Prob: 0}, {Bytes: 2, Prob: math.NaN()}, {Bytes: 3, Prob: 1}}},
+		{"NaN size", []cdfPoint{{Bytes: 1, Prob: 0}, {Bytes: math.NaN(), Prob: 0.5}, {Bytes: 3, Prob: 1}}},
+		{"infinite size", []cdfPoint{{Bytes: 1, Prob: 0}, {Bytes: math.Inf(1), Prob: 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,7 +58,7 @@ func TestSizeDistMeansOrdering(t *testing.T) {
 func TestWebMostlySmallFlows(t *testing.T) {
 	// "the majority of flows are under 10 packets" — check the Web CDF.
 	web := NewSizeDist(Web)
-	if q := web.Quantile(0.5); q > 10*PacketSize {
+	if q := web.quantile(0.5); q > 10*PacketSize {
 		t.Errorf("web median %g bytes should be under 10 packets", q)
 	}
 }
@@ -65,7 +68,7 @@ func TestQuantileMonotone(t *testing.T) {
 		d := NewSizeDist(kind)
 		prev := 0.0
 		for u := 0.0; u <= 1.0; u += 0.01 {
-			q := d.Quantile(u)
+			q := d.quantile(u)
 			if q < prev {
 				t.Fatalf("%v quantile not monotone at u=%.2f: %g < %g", kind, u, q, prev)
 			}
@@ -78,8 +81,8 @@ func TestSampleWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, kind := range []Kind{Web, Cache, Hadoop} {
 		d := NewSizeDist(kind)
-		lo := d.Quantile(0)
-		hi := d.Quantile(1)
+		lo := d.quantile(0)
+		hi := d.quantile(1)
 		for i := 0; i < 10000; i++ {
 			s := float64(d.Sample(rng))
 			if s < 64 || s < lo*0.99 || s > hi*1.01 {
@@ -136,7 +139,7 @@ func TestGeneratorArrivalRateMatchesLoad(t *testing.T) {
 	}
 	// offered bytes/s = rate × mean size; offered load = offered bits /
 	// (servers × capacity) should equal Load.
-	offered := g.ArrivalRate() * g.MeanSize() * 8
+	offered := g.rate * g.dist.Mean() * 8
 	load := offered / (float64(cfg.NumServers) * cfg.ServerLinkCapacity)
 	if math.Abs(load-cfg.Load) > 1e-9 {
 		t.Errorf("implied load %g, want %g", load, cfg.Load)
@@ -148,7 +151,7 @@ func TestGeneratorFlowletsSortedAndValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := g.GenerateN(5000)
+	flows := generateN(g, 5000)
 	prev := 0.0
 	seen := make(map[int64]bool)
 	for _, f := range flows {
@@ -195,7 +198,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.GenerateN(100)
+		return generateN(g, 100)
 	}
 	a, b := mk(), mk()
 	for i := range a {
@@ -231,18 +234,6 @@ func TestBucketLabel(t *testing.T) {
 	}
 }
 
-func TestSizePackets(t *testing.T) {
-	for _, tc := range []struct {
-		bytes int64
-		want  int
-	}{{1, 1}, {1500, 1}, {1501, 2}, {3000, 2}, {0, 1}} {
-		f := Flowlet{SizeBytes: tc.bytes}
-		if got := f.SizePackets(); got != tc.want {
-			t.Errorf("SizePackets(%d) = %d, want %d", tc.bytes, got, tc.want)
-		}
-	}
-}
-
 // TestBucketLabelProperty: the bucket label is consistent with SizePackets.
 func TestBucketLabelProperty(t *testing.T) {
 	prop := func(raw uint32) bool {
@@ -265,4 +256,13 @@ func TestBucketLabelProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// generateN returns the generator's next n flowlets.
+func generateN(g *Generator, n int) []Flowlet {
+	out := make([]Flowlet, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, g.Next())
+	}
+	return out
 }
