@@ -187,8 +187,8 @@ type AllocatorBackend = transport.AllocatorBackend
 type LoopStats = metrics.LoopStats
 
 // ErrEpochChanged reports that a daemon announced a new allocator epoch
-// mid-session (an operator BumpEpoch or failover); the client should
-// Reconnect, which re-registers its live flowlets.
+// mid-session with an EpochNotify frame that is not drain-flagged; the
+// client should Reconnect, which re-registers its live flowlets.
 var ErrEpochChanged = transport.ErrEpochChanged
 
 // ErrDaemonDraining reports that the daemon pushed a drain-flagged epoch

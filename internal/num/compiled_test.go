@@ -41,8 +41,12 @@ func checkCompiledMatchesFlows(t *testing.T, p *Problem) {
 				t.Fatalf("flow %d: compiled route %v, want %v", i, got, f.Route)
 			}
 		}
-		if c.Weights[i] != f.Weight {
-			t.Fatalf("flow %d: compiled weight %g, want %g", i, c.Weights[i], f.Weight)
+		w := f.Weight
+		if w == 0 {
+			w = 1
+		}
+		if c.Weights[i] != w {
+			t.Fatalf("flow %d: compiled weight %g, want %g", i, c.Weights[i], w)
 		}
 	}
 	// Transpose: per-link flow sets must match a reference count.
@@ -83,7 +87,11 @@ func TestCompiledChurnConsistency(t *testing.T) {
 	}
 	for step := 0; step < 3000; step++ {
 		if rng.Float64() < 0.55 || len(p.Flows) == 0 {
-			p.AppendFlow(Flow{Route: randomRoute(rng, numLinks), Weight: capacity * (1 + rng.Float64())})
+			f := Flow{Route: randomRoute(rng, numLinks), Weight: capacity * (1 + rng.Float64())}
+			if rng.Float64() < 0.05 {
+				f.Weight = 0 // the default utility, log(x)
+			}
+			p.AppendFlow(f)
 		} else {
 			p.RemoveFlowSwap(rng.Intn(len(p.Flows)))
 		}
@@ -227,8 +235,10 @@ func referenceNEDStep(p *Problem, st *State, gamma float64) {
 	}
 }
 
-// buildRandomProblem returns a random multi-link problem.
-func buildRandomProblem(seed int64, numFlows int) *Problem {
+// buildRandomProblem returns a random multi-link problem; withDefault leaves
+// every seventh flow's Weight zero, mixing the default utility log(x) in
+// with the weighted ones.
+func buildRandomProblem(seed int64, numFlows int, withDefault bool) *Problem {
 	const numLinks = 12
 	const capacity = 10e9
 	rng := rand.New(rand.NewSource(seed))
@@ -237,35 +247,48 @@ func buildRandomProblem(seed int64, numFlows int) *Problem {
 		p.Capacities = append(p.Capacities, capacity)
 	}
 	for f := 0; f < numFlows; f++ {
-		p.Flows = append(p.Flows, Flow{Route: randomRoute(rng, numLinks), Weight: capacity * (1 + rng.Float64())})
+		fl := Flow{Route: randomRoute(rng, numLinks), Weight: capacity * (1 + rng.Float64())}
+		if withDefault && f%7 == 0 {
+			fl.Weight = 0
+		}
+		p.Flows = append(p.Flows, fl)
 	}
 	return p
 }
 
 // TestCompiledEquivalenceWithReference runs 200 NED iterations through the
 // compiled CSR path and the pre-refactor reference path and requires the
-// rates and prices to agree within 1e-9 relative error throughout.
+// rates and prices to agree within 1e-9 relative error throughout, both with
+// every flow weighted and with default-weight flows mixed in.
 func TestCompiledEquivalenceWithReference(t *testing.T) {
-	p := buildRandomProblem(7, 60)
-	ref := buildRandomProblem(7, 60)
-	st := NewState(p)
-	st.Resize(len(p.Flows))
-	stRef := NewState(ref)
-	stRef.Resize(len(ref.Flows))
-	ned := &NED{Gamma: 0.4}
-	for iter := 0; iter < 200; iter++ {
-		ned.Step(p, st)
-		referenceNEDStep(ref, stRef, 0.4)
-		for i := range st.Rates {
-			if relDiff(st.Rates[i], stRef.Rates[i]) > 1e-9 {
-				t.Fatalf("iter %d flow %d: CSR rate %.15g, reference %.15g", iter, i, st.Rates[i], stRef.Rates[i])
-			}
+	for _, withDefault := range []bool{false, true} {
+		name := "all-log"
+		if withDefault {
+			name = "mixed-utilities"
 		}
-		for l := range st.Prices {
-			if relDiff(st.Prices[l], stRef.Prices[l]) > 1e-9 {
-				t.Fatalf("iter %d link %d: CSR price %.15g, reference %.15g", iter, l, st.Prices[l], stRef.Prices[l])
+		t.Run(name, func(t *testing.T) {
+			p := buildRandomProblem(7, 60, withDefault)
+			ref := buildRandomProblem(7, 60, withDefault)
+			st := NewState(p)
+			st.Resize(len(p.Flows))
+			stRef := NewState(ref)
+			stRef.Resize(len(ref.Flows))
+			ned := &NED{Gamma: 0.4}
+			for iter := 0; iter < 200; iter++ {
+				ned.Step(p, st)
+				referenceNEDStep(ref, stRef, 0.4)
+				for i := range st.Rates {
+					if relDiff(st.Rates[i], stRef.Rates[i]) > 1e-9 {
+						t.Fatalf("iter %d flow %d: CSR rate %.15g, reference %.15g", iter, i, st.Rates[i], stRef.Rates[i])
+					}
+				}
+				for l := range st.Prices {
+					if relDiff(st.Prices[l], stRef.Prices[l]) > 1e-9 {
+						t.Fatalf("iter %d link %d: CSR price %.15g, reference %.15g", iter, l, st.Prices[l], stRef.Prices[l])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -110,6 +110,9 @@ type kernelCase struct {
 	numLinks int
 	capacity float64
 	route    func(rng *rand.Rand) []int32
+	// mixed leaves a fifth of the flows' Weight zero, mixing the default
+	// utility log(x) in with the weighted ones.
+	mixed bool
 	// boundary sets ExternalLoads/ExternalHdiag on a quarter of the links
 	// and pins another quarter, some of them at price zero.
 	boundary bool
@@ -134,11 +137,16 @@ func kernelCases(t *testing.T) []kernelCase {
 		{name: "lengths-1-6", numLinks: 24, capacity: 10e9, route: anyLengthRoutes(24)},
 		{name: "boundary", numLinks: fatTree.NumLinks(), capacity: 10e9, route: fabricRoutes(t, fatTree), boundary: true},
 		{name: "zero-prices", numLinks: 24, capacity: 10e9, route: anyLengthRoutes(24), zeroPrices: true},
+		{name: "mixed-utilities", numLinks: 24, capacity: 10e9, route: anyLengthRoutes(24), mixed: true},
 	}
 }
 
 func (kc kernelCase) flow(rng *rand.Rand) Flow {
-	return Flow{Route: kc.route(rng), Weight: kc.capacity * (0.25 + 3*rng.Float64())}
+	f := Flow{Route: kc.route(rng), Weight: kc.capacity * (0.25 + 3*rng.Float64())}
+	if kc.mixed && rng.Intn(5) == 0 {
+		f.Weight = 0
+	}
+	return f
 }
 
 func bitsEqual(t *testing.T, what string, got, want []float64) {
@@ -157,7 +165,8 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // TestKernelEquivalence is the contract of the specialised kernels: over
 // seeded generated problems — real two-tier and fat-tree routes, hand-built
 // routes of every length 1–6, clamped all-zero-price paths with every flow at
-// the rate cap, external loads and pins — and across
+// the rate cap, external loads and pins, default-weight flows among weighted
+// ones — and across
 // a churn sequence that swap-deletes rows from the middle of the index and
 // appends new ones, a NED step leaves rates, loads, Hessian diagonals and
 // prices bit-identical to the reference loops, and so does the non-Hessian

@@ -41,13 +41,12 @@ func (s *Server) telLocked() *serverTelemetry {
 var IterationLatencyBuckets = telemetry.ExpBuckets(1e-6, 4, 10)
 
 // RegisterMetrics exposes every daemon counter surface in reg, all under the
-// flowtune_ prefix and carrying the given labels (the cluster admin passes
-// shard="i"). Each counter series is bound to one field of the daemon's
-// counter record and reads it under the loop lock at scrape time, so nothing
-// is counted twice. The iteration latency histogram and churn counter are the
-// only series recorded inside the loop, both allocation-free. Call before
-// serving traffic; registering the same labels twice panics (duplicate
-// series).
+// flowtune_ prefix and carrying the given labels (e.g. shard="i"). Each
+// counter series is bound to one field of the daemon's counter record and
+// reads it under the loop lock at scrape time, so nothing is counted twice.
+// The iteration latency histogram and churn counter are the only series
+// recorded inside the loop, both allocation-free. Call before serving
+// traffic; registering the same labels twice panics (duplicate series).
 func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
 	st := &s.loop.stats
 	field := func(v *int64) func() float64 {

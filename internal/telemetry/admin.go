@@ -14,11 +14,8 @@ import (
 type AdminConfig struct {
 	// Registry backs /metrics. Required.
 	Registry *Registry
-	// Recorder backs /trace; nil serves an empty trace unless Trace is set.
+	// Recorder backs /trace; nil serves an empty trace.
 	Recorder *FlightRecorder
-	// Trace, when set, overrides the /trace payload (the cluster admin
-	// serves a per-shard map through this hook). The result is JSON-encoded.
-	Trace func() any
 	// Healthy backs /healthz: liveness. Nil means always healthy. A daemon
 	// stays healthy through a drain — only process death (Shutdown
 	// completing) should flip it, so orchestrators do not kill a daemon
@@ -31,10 +28,9 @@ type AdminConfig struct {
 	Ready func() bool
 }
 
-// Admin serves the observability endpoints of one daemon (or one aggregated
-// cluster view): Prometheus text-format /metrics, /healthz and /readyz
-// probes, the flight-recorder ring on /trace, and net/http/pprof under
-// /debug/pprof/.
+// Admin serves the observability endpoints of one daemon: Prometheus
+// text-format /metrics, /healthz and /readyz probes, the flight-recorder ring
+// on /trace, and net/http/pprof under /debug/pprof/.
 type Admin struct {
 	cfg AdminConfig
 	srv *http.Server
@@ -80,14 +76,9 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Admin) handleTrace(w http.ResponseWriter, r *http.Request) {
-	var payload any
-	switch {
-	case a.cfg.Trace != nil:
-		payload = a.cfg.Trace()
-	case a.cfg.Recorder != nil:
+	payload := FlightTrace{Samples: []FlightSample{}}
+	if a.cfg.Recorder != nil {
 		payload = a.cfg.Recorder.Trace()
-	default:
-		payload = FlightTrace{Samples: []FlightSample{}}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -95,29 +95,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-func TestAdminTraceOverride(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("x_total", "x")
-	adm, err := NewAdmin(AdminConfig{
-		Registry: reg,
-		Trace: func() any {
-			return map[string]string{"shard0": "custom"}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := adm.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adm.Close()
-	_, body, _ := getBody(t, fmt.Sprintf("http://%s/trace", addr))
-	if !strings.Contains(body, "custom") {
-		t.Fatalf("/trace override ignored: %s", body)
-	}
-}
-
 func TestAdminRequiresRegistry(t *testing.T) {
 	if _, err := NewAdmin(AdminConfig{}); err == nil {
 		t.Fatal("NewAdmin accepted a nil registry")

@@ -12,9 +12,9 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrEpochChanged reports that the daemon pushed an EpochNotify frame: its
-// allocator state was reset under a live connection (an operator epoch bump
-// or a failover). The client has already recorded the new epoch; the caller
+// ErrEpochChanged reports that the daemon pushed an EpochNotify frame
+// without the drain flag: its allocator state was reset under a live
+// connection. The client has already recorded the new epoch; the caller
 // should re-establish the session with Reconnect, which re-registers the
 // live flowlet set.
 var ErrEpochChanged = errors.New("transport: daemon epoch changed; reconnect to re-register flowlets")
